@@ -845,7 +845,7 @@ let run_fused_counters () =
           Printf.printf "%-12s %4d %14d %12d %12d %12d %12d\n"
             (Strategy.kind_to_string kind)
             k nrules p ps sh sc)
-        [ `Online; `Incremental; `Fused ])
+        [ `Online; `Fused ])
     [ 1; 4; 16 ]
 
 let () =
@@ -1266,16 +1266,16 @@ let fault_tests =
 
 (* Execution-time inference as the document grows, against an exec-only
    baseline that isolates the inference overhead: compare (online − exec)
-   with (incremental − exec) across each series.
+   with (fused − exec) across each series.
 
    - pipeline-*: the real media-mining chain.  Services process every
      unit, so the per-call delta grows with the corpus too — the honest
      end-to-end comparison.
    - delta1-*: a pipeline of 12 calls that each append exactly ONE node
      joining (by key) against a corpus that scales.  The per-call delta is
-     constant, so Online's overhead grows with [units] while
-     Incremental's — after the first observation builds its memo — should
-     stay flat. *)
+     constant, so Online's overhead grows with [units] while Fused's —
+     after the first observation builds its source memo — should stay
+     flat. *)
 let incr_pipeline_tests =
   let services = Workload.chain_pipeline 7 in
   let rb = rulebook services in
@@ -1294,8 +1294,8 @@ let incr_pipeline_tests =
           ~name:(Printf.sprintf "incr/pipeline-online/units=%03d" units)
           (Staged.stage (run `Online));
         Test.make
-          ~name:(Printf.sprintf "incr/pipeline-incremental/units=%03d" units)
-          (Staged.stage (run `Incremental))
+          ~name:(Printf.sprintf "incr/pipeline-fused/units=%03d" units)
+          (Staged.stage (run `Fused))
       ])
     (pick [ 2; 8; 32; 64 ])
 
@@ -1331,8 +1331,8 @@ let incr_fixed_delta_tests =
           ~name:(Printf.sprintf "incr/delta1-online/units=%03d" units)
           (Staged.stage (run `Online));
         Test.make
-          ~name:(Printf.sprintf "incr/delta1-incremental/units=%03d" units)
-          (Staged.stage (run `Incremental))
+          ~name:(Printf.sprintf "incr/delta1-fused/units=%03d" units)
+          (Staged.stage (run `Fused))
       ])
     (pick [ 2; 8; 32; 64 ])
 
@@ -1345,7 +1345,7 @@ let incr_tests = incr_pipeline_tests @ incr_fixed_delta_tests
    rule's patterns rule-at-a-time, so their pattern cost grows linearly
    in k; the Fused backend's shared pass evaluates every distinct
    pattern step once per call — the k copies CSE onto one expression
-   set — so only the join/emission work scales.  Compare the three
+   set — so only the join/emission work scales.  Compare the two
    execution-time backends point by point; the per-rule amortized cost
    discussion is EXPERIMENTS P16. *)
 let fused_tests =
@@ -1373,9 +1373,6 @@ let fused_tests =
       [ Test.make
           ~name:(Printf.sprintf "fused/online/x%02d" k)
           (Staged.stage (run `Online));
-        Test.make
-          ~name:(Printf.sprintf "fused/incremental/x%02d" k)
-          (Staged.stage (run `Incremental));
         Test.make
           ~name:(Printf.sprintf "fused/fused/x%02d" k)
           (Staged.stage (run `Fused))
@@ -1469,8 +1466,7 @@ let serve_tests =
            line
              (J.Obj
                 [ ("verb", J.Str "open"); ("session", J.Str sid);
-                  ("backend", J.Str "incremental"); ("units", J.Int 2);
-                  ("seed", J.Int 7) ]);
+                  ("units", J.Int 2); ("seed", J.Int 7) ]);
            List.iter
              (fun svc ->
                line

@@ -39,7 +39,7 @@ let strategy_arg =
            ~doc:
              (Printf.sprintf
                 "Evaluation strategy: %s.  All produce the same links; \
-                 online, incremental and fused infer during execution \
+                 online and fused infer during execution \
                  (fused compiles the whole rule set into one shared plan), \
                  replay and rewrite post-hoc."
                 pretty_names))
@@ -278,7 +278,7 @@ let run_dsl ~units ~seed ~(strategy : Strategy.kind) ~inheritance ~fault_rate
   let strategy : Strategy.post_hoc =
     match strategy with
     | (`Replay | `Rewrite) as s -> s
-    | (`Online | `Incremental | `Fused) as s ->
+    | (`Online | `Fused) as s ->
       Printf.eprintf
         "strategy %s is execution-time only; parallel workflow expressions \
          infer post-hoc (use replay or rewrite)\n"

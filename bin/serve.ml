@@ -5,7 +5,7 @@
    newline-delimited JSON over TCP (see Protocol).  Try it with nc:
 
      $ weblab-serve --port 8321 &
-     $ printf '%s\n' '{"id":1,"verb":"open","backend":"incremental"}' | nc 127.0.0.1 8321 *)
+     $ printf '%s\n' '{"id":1,"verb":"open"}' | nc 127.0.0.1 8321 *)
 
 open Cmdliner
 open Weblab_server
@@ -41,7 +41,7 @@ let backend_arg =
              (String.concat "|" Weblab_prov.Strategy.names)))
   in
   let print ppf k = Fmt.string ppf (Weblab_prov.Strategy.kind_to_string k) in
-  Arg.(value & opt (conv (parse, print)) `Incremental
+  Arg.(value & opt (conv (parse, print)) `Fused
        & info [ "backend" ] ~docv:"STRATEGY"
            ~doc:"Default strategy backend for sessions that do not pick \
                  one at $(b,open).")
@@ -138,8 +138,16 @@ let start_metrics_dumper path every =
          done)
        ())
 
+(* The shutdown signals.  They are blocked before the daemon creates any
+   thread, so every thread inherits the mask and the signals stay pending
+   until the main thread collects them with [Thread.wait_signal]: an OCaml
+   signal handler would never run while every thread is blocked in a
+   system call (accept, read), which is exactly an idle daemon. *)
+let stop_signals = [ Sys.sigint; Sys.sigterm ]
+
 let main host port max_sessions shards backend profile trace trace_retention
     metrics_out metrics_every slow_log slow_ms data_dir =
+  ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals);
   let module T = Weblab_obs.Telemetry in
   (* Any metrics consumer needs the recorder on; spans only under
      --trace, and then behind a bounded ring — a daemon must not grow an
@@ -177,18 +185,12 @@ let main host port max_sessions shards backend profile trace trace_retention
   if restored <> [] then
     Printf.printf "weblab-serve restored %d session(s)\n" (List.length restored);
   Printf.printf "weblab-serve listening on %s:%d\n%!" host (Server.port srv);
-  let shutdown _ =
-    Server.stop srv;
-    Option.iter (fun path -> try dump_metrics path with Sys_error _ -> ())
-      metrics_out;
-    if profile then report_counters ();
-    exit 0
-  in
-  (try
-     Sys.set_signal Sys.sigint (Sys.Signal_handle shutdown);
-     Sys.set_signal Sys.sigterm (Sys.Signal_handle shutdown)
-   with Invalid_argument _ -> ());
-  Server.wait srv
+  ignore (Thread.wait_signal stop_signals);
+  Server.stop srv;
+  Option.iter (fun path -> try dump_metrics path with Sys_error _ -> ())
+    metrics_out;
+  if profile then report_counters ();
+  exit 0
 
 let cmd =
   Cmd.v

@@ -26,19 +26,17 @@ let () =
   let services = Workload.standard_pipeline ~extended:true () in
   let rb = rulebook services in
 
-  (* Infer with all five strategies and show they agree.  Incremental
-     and Fused are execution-time strategies, so each re-runs the
-     (deterministic) workload on a fresh document. *)
+  (* Infer with all four strategies and show they agree.  Fused is an
+     execution-time strategy, so it re-runs the (deterministic) workload
+     on a fresh document. *)
   let exec, g_online = Engine.run_online doc services rb in
   let g_replay = Engine.provenance ~strategy:`Replay exec rb in
   let g_rewrite = Engine.provenance ~strategy:`Rewrite exec rb in
-  let rerun kind =
+  let g_fused =
     let doc = Workload.make_document ~units:3 ~seed:7 () in
     let services = Workload.standard_pipeline ~extended:true () in
-    snd (Engine.run_with_strategy kind doc services (rulebook services))
+    snd (Engine.run_with_strategy `Fused doc services (rulebook services))
   in
-  let g_incr = rerun `Incremental in
-  let g_fused = rerun `Fused in
   let key g =
     Prov_graph.links g
     |> List.map (fun l -> (l.Prov_graph.from_uri, l.Prov_graph.to_uri))
@@ -46,16 +44,14 @@ let () =
   in
   Printf.printf
     "Strategies agree: online=%d links, replay=%d, rewrite=%d, \
-     incremental=%d, fused=%d, equal=%b\n\n"
+     fused=%d, equal=%b\n\n"
     (List.length (key g_online))
     (List.length (key g_replay))
     (List.length (key g_rewrite))
-    (List.length (key g_incr))
     (List.length (key g_fused))
     (key g_online = key g_replay
     && key g_replay = key g_rewrite
-    && key g_rewrite = key g_incr
-    && key g_incr = key g_fused);
+    && key g_rewrite = key g_fused);
 
   let g = Inheritance.close exec.Engine.doc g_rewrite in
 

@@ -77,19 +77,39 @@ type t = {
   p_services : service_plan array;  (* in rulebook order *)
 }
 
-(* Candidate count the index would serve for one step: the by-label list
-   for a name test, all elements for [*].  The estimate for a pattern is
-   the minimum over its steps — every embedding must pass through each
-   step's candidate set. *)
-let step_estimate idx (s : Ast.step) =
-  match s.Ast.test with
-  | Ast.Name l -> Index.label_count idx l
-  | Ast.Any -> List.length (Index.elements idx)
-
-let index_estimate idx (pattern : Ast.pattern) =
-  match pattern with
-  | [] -> 0
-  | s :: rest -> List.fold_left (fun e s -> min e (step_estimate idx s)) (step_estimate idx s) rest
+(* Candidate count for one step: the elements carrying the step's name
+   test, all elements for [*] — what the index's by-label lists would
+   serve, counted in one walk instead of building an index.  The
+   estimate for a pattern is the minimum over its steps — every
+   embedding must pass through each step's candidate set. *)
+let label_estimate doc =
+  let counts = Hashtbl.create 32 and elements = ref 0 in
+  let rec visit n =
+    if Tree.is_element doc n then begin
+      incr elements;
+      let l = Tree.name doc n in
+      match Hashtbl.find_opt counts l with
+      | Some c -> incr c
+      | None -> Hashtbl.add counts l (ref 1)
+    end;
+    let child = ref (Tree.first_child doc n) in
+    while !child <> Tree.no_node do
+      visit !child;
+      child := Tree.next_sibling doc !child
+    done
+  in
+  if Tree.has_root doc then visit (Tree.root doc);
+  let step_estimate (s : Ast.step) =
+    match s.Ast.test with
+    | Ast.Name l -> (match Hashtbl.find_opt counts l with Some c -> !c | None -> 0)
+    | Ast.Any -> !elements
+  in
+  fun (pattern : Ast.pattern) ->
+    match pattern with
+    | [] -> 0
+    | s :: rest ->
+      List.fold_left (fun e s -> min e (step_estimate s)) (step_estimate s)
+        rest
 
 (* Variables a pattern's result table exposes besides "r"/"node" — must
    mirror the projections of the rule application (Definition 8) so the

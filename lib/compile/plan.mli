@@ -67,17 +67,19 @@ val compile :
   ?estimate:(Ast.pattern -> int) -> (string * crule list) list -> t
 (** Compile a rulebook.  [estimate] supplies the cardinality estimate
     recorded on each expression (default: constant 0, which makes every
-    join hash its target side); pass {!index_estimate} applied to an
-    index of the initial document for real estimates.  Deterministic:
+    join hash its target side); pass {!label_estimate} of the initial
+    document for real estimates.  Deterministic:
     the same rulebook and estimates produce the same plan, ids and
     all. *)
 
 val expr : t -> int -> expr
 
-val index_estimate : Index.t -> Ast.pattern -> int
-(** Minimum over the pattern's steps of the index's candidate count for
-    the step's name test (by-label list size; all elements for [*]) —
-    every embedding must pass through each step's candidate set. *)
+val label_estimate : Tree.t -> Ast.pattern -> int
+(** [label_estimate doc] counts [doc]'s elements per label in one walk;
+    the estimate of a pattern is the minimum over its steps of the count
+    for the step's name test (all elements for [*]) — the size of the
+    index's by-label candidate list, without building an index.  Every
+    embedding must pass through each step's candidate set. *)
 
 type stats = {
   s_rules : int;

@@ -38,7 +38,7 @@ let run_with_backend ?policy ?jobs (backend : Strategy_sig.backend) doc
   ({ doc; trace }, g)
 
 (* Run a workflow under any named strategy.  Execution-time backends
-   (Online, Incremental) do their work in the hook; post-hoc backends
+   (Online, Fused) do their work in the hook; post-hoc backends
    (Replay, Rewrite) ignore the hook and infer in [finalize]. *)
 let run_with_strategy ?policy ?jobs (kind : Strategy.kind) doc services rb =
   run_with_backend ?policy ?jobs (Strategy.backend_of kind) doc services rb

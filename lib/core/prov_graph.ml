@@ -34,11 +34,13 @@ let set_label g uri call = Hashtbl.replace g.labels uri call
 
 let label g uri = Hashtbl.find_opt g.labels uri
 
+(* Ties on time are broken by URI, so the order depends on the label set
+   only, never on the table's insertion history. *)
 let labeled_resources g =
   Hashtbl.fold (fun uri call acc -> (uri, call) :: acc) g.labels []
-  |> List.sort (fun (_, a) (_, b) ->
+  |> List.sort (fun (u, a) (v, b) ->
          let c = compare a.Trace.time b.Trace.time in
-         if c <> 0 then c else 0)
+         if c <> 0 then c else String.compare u v)
 
 let of_trace trace =
   let g = create () in

@@ -26,7 +26,7 @@ val set_label : t -> string -> Trace.call -> unit
 val label : t -> string -> Trace.call option
 
 val labeled_resources : t -> (string * Trace.call) list
-(** Sorted by call timestamp. *)
+(** Sorted by call timestamp, then by URI. *)
 
 (** {1 Links} *)
 

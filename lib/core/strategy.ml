@@ -1,10 +1,10 @@
 (* The evaluation strategies for mapping rules (§4 and §6).
 
    Each strategy is implemented as a {!Strategy_sig.STRATEGY_BACKEND}
-   (Strategy_online, Strategy_replay, Strategy_rewrite,
-   Strategy_incremental); this module is the thin shim that keeps the
-   historical entry points — post-hoc [infer] and the [online] hook —
-   and names the backends for dispatch. *)
+   (Strategy_online, Strategy_replay, Strategy_rewrite, Strategy_fused);
+   this module is the thin shim that keeps the historical entry points —
+   post-hoc [infer] and the [online] hook — and names the backends for
+   dispatch. *)
 
 open Weblab_workflow
 
@@ -14,14 +14,14 @@ let rules_for = Strategy_sig.rules_for
 
 type post_hoc = [ `Replay | `Rewrite ]
 
-type kind = [ `Online | `Replay | `Rewrite | `Incremental | `Fused ]
+type kind = [ `Online | `Replay | `Rewrite | `Fused ]
 
 (* The backend registry, in registration order.  Everything that
    enumerates backends — the CLI's [--strategy] parser and usage string,
    the agreement test suites — derives from this list, so a new backend
    cannot ship with a stale enumeration (CI pins [names] and fails on
    drift). *)
-let all : kind list = [ `Online; `Replay; `Rewrite; `Incremental; `Fused ]
+let all : kind list = [ `Online; `Replay; `Rewrite; `Fused ]
 
 let sequential_hb = Strategy_sig.sequential_hb
 
@@ -29,14 +29,12 @@ let backend_of : kind -> Strategy_sig.backend = function
   | `Online -> (module Strategy_online)
   | `Replay -> (module Strategy_replay)
   | `Rewrite -> (module Strategy_rewrite)
-  | `Incremental -> (module Strategy_incremental)
   | `Fused -> (module Strategy_fused)
 
 let kind_to_string : kind -> string = function
   | `Online -> Strategy_online.name
   | `Replay -> Strategy_replay.name
   | `Rewrite -> Strategy_rewrite.name
-  | `Incremental -> Strategy_incremental.name
   | `Fused -> Strategy_fused.name
 
 let names = List.map kind_to_string all

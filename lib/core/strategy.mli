@@ -13,14 +13,12 @@
       service; rows are grouped by the matched resource's timestamp and
       joined against the source pattern restricted to what happened
       before.
-    - {b [`Incremental]}: execution-time like Online, but delta-driven —
-      per-call cost proportional to the appended fragment, not the
-      document (see {!Strategy_incremental}).
-
     - {b [`Fused]}: execution-time; the whole rulebook is compiled into
       one shared plan ({!Weblab_compile}: pattern-prefix trie, CSE,
       estimate-ordered hash joins) and each call is processed in a
-      single fused pass per side (see {!Strategy_fused}).
+      single fused pass per side, with the source rows of append-stable
+      patterns memoised across calls so their per-call cost follows the
+      appended fragment, not the document (see {!Strategy_fused}).
 
     Each strategy is a first-class {!Strategy_sig.STRATEGY_BACKEND}
     (init → observe committed calls → finalize); this module names them
@@ -38,7 +36,7 @@ val rules_for : rulebook -> string -> Rule.t list
 
 type post_hoc = [ `Replay | `Rewrite ]
 
-type kind = [ `Online | `Replay | `Rewrite | `Incremental | `Fused ]
+type kind = [ `Online | `Replay | `Rewrite | `Fused ]
 (** Every strategy, as selectable from the CLI ([--strategy]). *)
 
 val all : kind list

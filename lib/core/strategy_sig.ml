@@ -17,7 +17,7 @@
 
    Post-hoc strategies (Replay, Rewrite) ignore the observations and do
    all their work in [finalize]; execution-time strategies (Online,
-   Incremental) accumulate links in [observe] and only label resources in
+   Fused) accumulate links in [observe] and only label resources in
    [finalize].  All backends produce identical graphs — property-tested,
    including under fault plans. *)
 

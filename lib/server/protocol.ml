@@ -24,7 +24,7 @@ type ctx = {
   slow : slow_log option;
 }
 
-let make_ctx ?shards ?max_sessions ?(default_backend = `Incremental) ?data_dir
+let make_ctx ?shards ?max_sessions ?(default_backend = `Fused) ?data_dir
     ?slow_log_path ?(slow_ms = 100.) () =
   let rulebook =
     List.map

@@ -83,7 +83,7 @@ val make_ctx :
   ?slow_ms:float ->
   unit ->
   ctx
-(** Builds the catalog rulebook once.  Default backend: [`Incremental].
+(** Builds the catalog rulebook once.  Default backend: [`Fused].
     [slow_log_path] opens (append, create) the slow-query log;
     [slow_ms] is the threshold in milliseconds (default 100). *)
 

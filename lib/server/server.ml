@@ -103,8 +103,6 @@ let start ?(host = "127.0.0.1") ?(port = 8321) ctx =
 
 let port t = t.bound_port
 
-let wait t = Thread.join t.accept_thread
-
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
     (* Closing the listener does NOT wake a thread blocked in accept(2)

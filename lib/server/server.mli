@@ -20,9 +20,6 @@ val start : ?host:string -> ?port:int -> Protocol.ctx -> t
 val port : t -> int
 (** The actual bound port. *)
 
-val wait : t -> unit
-(** Block until the server is stopped (joins the accept loop). *)
-
 val stop : t -> unit
 (** Close the listener, shut down live connections, join every thread.
     Idempotent. *)

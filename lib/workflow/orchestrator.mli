@@ -128,7 +128,7 @@ val execute :
     ["Source"] at timestamp 0 (and the root is promoted to a resource when
     needed).  [on_step] is invoked after each {e committed} call with the
     call, the document states before and after it, and the {!delta} the
-    call committed — the hook the Online and Incremental provenance
+    call committed — the hook the Online and Fused provenance
     strategies use; it never fires for failed calls (a failed attempt is
     rolled back before the hook could run, so observers never see
     discarded nodes).

@@ -273,7 +273,7 @@ let extend t doc ~promoted =
 
    Cached indexes are never extended in place: extension mutates the
    postings, and a racing domain could be reading them.  In-place
-   extension is reserved for privately owned indexes (the Incremental
+   extension is reserved for privately owned indexes (the Fused
    backend holds its own); the shared cache always rebuilds. *)
 let max_cached = 8
 

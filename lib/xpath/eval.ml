@@ -3,7 +3,6 @@ open Weblab_relalg
 module T = Weblab_obs.Telemetry
 
 let c_patterns = T.counter "eval.patterns"
-let c_delta = T.counter "eval.patterns.delta"
 let c_indexed = T.counter "eval.steps.indexed"
 let c_scan = T.counter "eval.steps.scan"
 
@@ -386,23 +385,13 @@ let table_of_front ~require_uri doc (pattern : Ast.pattern) finals =
     finals;
   Table.distinct table
 
-(* [restrict], when provided, prunes the candidates of step [i] (0-based)
-   to a node predicate — the delta-restricted evaluation hook.  It is only
-   sound for patterns where the pruning commutes with the predicates (see
-   [delta_localizable]); predicates themselves are never restricted. *)
-let eval_with ?restrict ~require_uri ~guards ~index doc (pattern : Ast.pattern) =
+let eval_with ~require_uri ~guards ~index doc (pattern : Ast.pattern) =
   T.incr c_patterns;
   let finals =
-    let step_keep i =
-      match restrict with None -> None | Some f -> Some (f i)
-    in
     List.fold_left
-      (fun (ctxs, i) step ->
-        (apply_step ?keep:(step_keep i) doc index guards.visible ctxs step,
-         i + 1))
-      ([ (Tree.no_node, guards.env) ], 0)
+      (apply_step doc index guards.visible)
+      [ (Tree.no_node, guards.env) ]
       pattern
-    |> fst
   in
   table_of_front ~require_uri doc pattern finals
 
@@ -422,14 +411,14 @@ let c_shared_tables = T.counter "eval.patterns.fused"
 
 let prefix_start (guards : guards) : contexts = [ (Tree.no_node, guards.env) ]
 
-let prefix_step ?index ~guards doc (ctxs : contexts) (step : Ast.step) :
-    contexts =
+let prefix_step ?index ?keep ~guards doc (ctxs : contexts) (step : Ast.step)
+    : contexts =
   let index =
     match index with
     | Some idx when Index.valid_for idx doc -> Some idx
     | Some _ | None -> Some (Index.for_tree doc)
   in
-  apply_step doc index guards.visible ctxs step
+  apply_step ?keep doc index guards.visible ctxs step
 
 let prefix_table ?(require_uri = true) doc (pattern : Ast.pattern)
     (finals : contexts) =
@@ -457,26 +446,26 @@ let eval_unindexed ?(require_uri = true) ?(guards = no_guards) doc pattern =
 let eval_state ?require_uri st pattern =
   eval ?require_uri ~guards:(state_guards st) (Doc_state.doc st) pattern
 
-(* ----- Delta-restricted evaluation -----
+(* ----- Delta restriction -----
 
    When a call appends a fragment to the arena, the only {e new}
    embeddings of a pattern are those whose final node lies in the
    fragment.  For patterns built from downward axes only (child,
    descendant, descendant-or-self, self), every node of such an
    embedding's step chain is an ancestor-or-self of the final node — so
-   restricting the final step's candidates to the fragment ([touched])
-   and every earlier step's candidates to the ancestor-or-self closure of
-   the fragment ([spine]) yields exactly those embeddings, while looking
-   at O(delta × depth) nodes instead of the whole document.
+   pruning every step's candidates to the ancestor-or-self closure of the
+   fragment (the [keep] hook of [prefix_step]) keeps exactly those
+   embeddings, while looking at O(delta × depth) nodes instead of the
+   whole document.
 
-   The restriction prunes {e candidates} only; predicates still read the
+   The pruning touches {e candidates} only; predicates still read the
    full document (relative paths, counts, string-values), so their truth
    values are untouched.  Pruning commutes with predicate filtering only
    when no predicate is position-sensitive: positions are 1-based indices
    into the candidate list, which the pruning shortens.  Patterns with an
    upward or sibling axis (the final node no longer dominates the chain)
-   or a position-sensitive predicate are not delta-localizable and the
-   caller must fall back to full evaluation. *)
+   or a position-sensitive predicate are not delta-localizable and must
+   be evaluated in full. *)
 
 let delta_localizable (pattern : Ast.pattern) =
   List.for_all
@@ -489,20 +478,33 @@ let delta_localizable (pattern : Ast.pattern) =
       && not (List.exists pred_position_sensitive s.Ast.preds))
     pattern
 
-let eval_delta ?(require_uri = true) ?(guards = no_guards) ?index ~touched
-    ~spine doc (pattern : Ast.pattern) =
-  if not (delta_localizable pattern) then None
-  else begin
-    let index =
-      match index with
-      | Some idx when Index.valid_for idx doc -> Some idx
-      | Some _ | None -> Some (Index.for_tree doc)
-    in
-    let last = List.length pattern - 1 in
-    let restrict i = if i = last then touched else spine in
-    T.incr c_delta;
-    Some (eval_with ~restrict ~require_uri ~guards ~index doc pattern)
-  end
+(* Append stability: only the context node's attributes are read, and
+   committed attributes never change; Exists_path, Count and Path
+   string-values can flip when descendants are appended. *)
+let rec operand_append_stable (op : Ast.operand) =
+  match op with
+  | Ast.Attr _ | Ast.Lit _ | Ast.Num _ | Ast.Var _ -> true
+  | Ast.Strlen a -> operand_append_stable a
+  | Ast.Skolem (_, args) -> List.for_all operand_append_stable args
+  | Ast.Position | Ast.Last | Ast.Count _ | Ast.Path _ | Ast.Path_attr _ ->
+    false
+
+let rec pred_append_stable (p : Ast.pred) =
+  match p with
+  | Ast.Bind (_, src) -> operand_append_stable src
+  | Ast.Cmp (a, _, b) -> operand_append_stable a && operand_append_stable b
+  | Ast.Exists_attr _ -> true
+  | Ast.Fn_bool (_, args) -> List.for_all operand_append_stable args
+  | Ast.And (a, b) | Ast.Or (a, b) ->
+    pred_append_stable a && pred_append_stable b
+  | Ast.Not a -> pred_append_stable a
+  | Ast.Exists_path _ | Ast.Index _ -> false
+
+let append_stable (pattern : Ast.pattern) =
+  delta_localizable pattern
+  && List.for_all
+       (fun (s : Ast.step) -> List.for_all pred_append_stable s.Ast.preds)
+       pattern
 
 let matching_nodes ?(guards = no_guards) doc pattern =
   let t = eval ~require_uri:false ~guards doc pattern in

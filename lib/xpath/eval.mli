@@ -57,32 +57,23 @@ val eval_state : ?require_uri:bool -> Doc_state.t -> Ast.pattern -> Table.t
 (** [eval_state d φ] = [eval ~guards:(state_guards d) (Doc_state.doc d) φ]. *)
 
 val delta_localizable : Ast.pattern -> bool
-(** Whether {!eval_delta} can serve the pattern: every step uses a
+(** Whether the pattern can be delta-restricted: every step uses a
     downward axis (child, descendant, descendant-or-self, self) and no
     step carries a position-sensitive predicate.  For such patterns every
     node of an embedding's step chain is an ancestor-or-self of the final
     node, so embeddings ending in an appended fragment can be enumerated
-    from the fragment and its ancestor spine alone. *)
+    by pruning every step's candidates ({!prefix_step}'s [keep]) to the
+    fragment's ancestor-or-self closure. *)
 
-val eval_delta :
-  ?require_uri:bool ->
-  ?guards:guards ->
-  ?index:Index.t ->
-  touched:(Tree.node -> bool) ->
-  spine:(Tree.node -> bool) ->
-  Tree.t ->
-  Ast.pattern ->
-  Table.t option
-(** [eval_delta ~touched ~spine doc φ] computes exactly the rows of
-    [eval doc φ] whose final node satisfies [touched] — the embeddings a
-    delta could have created — by pruning the final step's candidates to
-    [touched] and every earlier step's candidates to [spine].  [spine]
-    {e must} hold on every ancestor-or-self of every [touched] node (it
-    may hold more broadly; correctness is unaffected, only cost).
-    Predicates are evaluated unrestricted, against the full document.
-
-    Returns [None] when the pattern is not {!delta_localizable} — the
-    non-local-axis fallback rule: the caller evaluates in full instead. *)
+val append_stable : Ast.pattern -> bool
+(** Whether the pattern's rows are stable under appends: it is
+    {!delta_localizable} and its predicates read only the context node's
+    attributes — no positions, relative paths, counts or string-values,
+    whose truth can flip when descendants are appended.  For such a
+    pattern, a row once produced stays a row as long as no attribute of
+    a committed node changes (URI promotion is the one event that does),
+    and the rows visible in a document state d_t are exactly those whose
+    final node was created in d_t. *)
 
 val matching_nodes :
   ?guards:guards -> Tree.t -> Ast.pattern -> Tree.node list
@@ -112,9 +103,17 @@ type contexts = (Tree.node * (string * Value.t) list) list
 val prefix_start : guards -> contexts
 
 val prefix_step :
-  ?index:Index.t -> guards:guards -> Tree.t -> contexts -> Ast.step -> contexts
+  ?index:Index.t ->
+  ?keep:(Tree.node -> bool) ->
+  guards:guards ->
+  Tree.t ->
+  contexts ->
+  Ast.step ->
+  contexts
 (** Extend a front by one step, serving candidates from the index where
-    sound (same fast-path rules as {!eval}; a stale index is ignored). *)
+    sound (same fast-path rules as {!eval}; a stale index is ignored).
+    [keep] prunes the step's candidates before its predicates run; it
+    is sound only for {!delta_localizable} patterns. *)
 
 val prefix_table :
   ?require_uri:bool -> Tree.t -> Ast.pattern -> contexts -> Table.t

@@ -4,7 +4,7 @@
    [Eval.eval], the stable explain dump (golden-pinned, regenerate
    with:  dune exec bin/main.exe -- figures --explain-plan > test/golden/plan.txt),
    and the end-to-end property that the Fused backend matches the
-   Incremental backend bit for bit — links and serialized Turtle — for
+   Online reference bit for bit — links and serialized Turtle — for
    any [jobs] value, with and without injected faults. *)
 
 open Weblab_xpath
@@ -164,6 +164,67 @@ let test_pass_matches_eval () =
        false
      with Invalid_argument _ -> true)
 
+let test_pass_keep () =
+  (* A pass pruned to the spine of the last nodes keeps, per
+     delta-localizable expression, exactly the rows of [Eval.eval] that
+     end in those nodes, in order.  The positional expression shares its
+     first trie node with two localizable ones; it is not
+     delta-localizable, so neither that node nor its own is pruned and
+     its table is complete. *)
+  let module Tree = Weblab_xml.Tree in
+  let e = Weblab_scenario.Paper.run () in
+  let doc = e.Weblab_scenario.Paper.doc in
+  let positional = pat "//TextMediaUnit[$x := @id]/TextContent[1]" in
+  let crules =
+    List.mapi
+      (fun i p ->
+        { Plan.cr_name = Printf.sprintf "p%d" i; cr_source = p;
+          cr_target = p; cr_exact = None })
+      (positional :: List.init 4 (fun i -> Weblab_scenario.Paper.phi (i + 1)))
+  in
+  let plan = Plan.compile [ ("test", crules) ] in
+  let exprs = plan.Plan.p_services.(0).Plan.sp_src_exprs in
+  let lo = Tree.size doc - 6 in
+  let spine = Hashtbl.create 16 in
+  for n = lo to Tree.size doc - 1 do
+    let rec up n =
+      if n <> Tree.no_node then begin
+        Hashtbl.replace spine n ();
+        up (Tree.parent doc n)
+      end
+    in
+    up n
+  done;
+  let pass =
+    Pass.run plan ~exprs ~keep:(Hashtbl.mem spine) ~guards:Eval.no_guards doc
+  in
+  let ending_in_tail tbl =
+    List.filter
+      (fun row ->
+        match Weblab_relalg.Table.get tbl row "node" with
+        | Weblab_relalg.Value.Node n -> n >= lo
+        | _ -> false)
+      (Weblab_relalg.Table.rows tbl)
+  in
+  let some_tail_rows = ref false in
+  Array.iter
+    (fun id ->
+      let ex = Plan.expr plan id in
+      let pruned = Pass.table pass ~expr:id in
+      let direct = Eval.eval ~guards:Eval.no_guards doc ex.Plan.e_pattern in
+      if Eval.delta_localizable ex.Plan.e_pattern then begin
+        if ending_in_tail direct <> [] then some_tail_rows := true;
+        check_bool "tail rows and order kept" true
+          (ending_in_tail direct = ending_in_tail pruned)
+      end
+      else
+        check_bool "non-localizable expression evaluated in full" true
+          (Weblab_relalg.Table.rows direct = Weblab_relalg.Table.rows pruned))
+    exprs;
+  check_bool "the tail ends some rows" true !some_tail_rows;
+  check_bool "the positional expression is not localizable" false
+    (Eval.delta_localizable positional)
+
 (* ---------- the explain dump, golden-pinned ---------- *)
 
 let read_file path =
@@ -206,7 +267,7 @@ let test_explain_deterministic () =
     (Strategy_fused.explain ~doc rb)
     (Strategy_fused.explain ~doc rb)
 
-(* ---------- Fused = Incremental, bit for bit ---------- *)
+(* ---------- Fused = Online, bit for bit ---------- *)
 
 let link_list g =
   Prov_graph.links g
@@ -252,20 +313,20 @@ let run_strategy kind ~jobs ~seed ~faulty =
   in
   (link_list g, Engine.to_turtle ~trace:exec.Engine.trace g)
 
-let prop_fused_equals_incremental =
+let prop_fused_equals_online =
   Test.make
     ~name:
-      "CSE/trie sharing never changes results: Fused = Incremental \
-       (links and Turtle), jobs in [2..8], with and without faults"
+      "CSE/trie sharing never changes results: Fused = Online (links and \
+       Turtle), jobs in [2..8], with and without faults"
     ~count:20
     (make
        ~print:(fun (seed, jobs, faulty) ->
          Printf.sprintf "seed=%d jobs=%d faulty=%b" seed jobs faulty)
        Gen.(triple (int_bound 1_000_000) (int_range 2 8) bool))
     (fun (seed, jobs, faulty) ->
-      let li, si = run_strategy `Incremental ~jobs ~seed ~faulty in
+      let lo, so = run_strategy `Online ~jobs ~seed ~faulty in
       let lf, sf = run_strategy `Fused ~jobs ~seed ~faulty in
-      li = lf && si = sf)
+      lo = lf && so = sf)
 
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in
@@ -286,9 +347,11 @@ let () =
             test_paper_plan ] );
       ( "pass",
         [ Alcotest.test_case "fused pass = Eval.eval, bit for bit" `Quick
-            test_pass_matches_eval ] );
+            test_pass_matches_eval;
+          Alcotest.test_case "pruned pass keeps the tail's rows" `Quick
+            test_pass_keep ] );
       ( "explain",
         [ Alcotest.test_case "golden plan dump" `Quick test_plan_golden;
           Alcotest.test_case "dump is deterministic" `Quick
             test_explain_deterministic ] );
-      ( "properties", to_alcotest [ prop_fused_equals_incremental ] ) ]
+      ( "properties", to_alcotest [ prop_fused_equals_online ] ) ]

@@ -4,11 +4,10 @@
 
    - roll every failed attempt back to a bit-identical arena,
    - record each attempt and outcome in the trace,
-   - keep all five inference strategies (Online, Replay, Rewrite,
-     Incremental, Fused) in agreement over the surviving calls, with
-     every link endpoint owned by a successful call — in particular,
-     rolled-back calls must not poison the Incremental backend's
-     memoized state or the Fused backend's compiled plan.
+   - keep all four inference strategies (Online, Replay, Rewrite, Fused)
+     in agreement over the surviving calls, with every link endpoint
+     owned by a successful call — in particular, rolled-back calls must
+     not poison the Fused backend's source memo or its owned index.
 
    Deterministic tests pin the acceptance scenario; qcheck properties
    cover random workflows under random fault plans and the rollback
@@ -369,7 +368,7 @@ let plan_faults =
 
 let prop_agreement_under_faults =
   Test.make
-    ~name:"Online = Replay = Rewrite = Incremental = Fused under faults"
+    ~name:"Online = Replay = Rewrite = Fused under faults"
     ~count:60
     (pair arb_workflow (make Gen.(pair (int_bound 1_000_000) (int_bound 2))))
     (fun ((doc, services, rb), (seed, r)) ->
@@ -383,21 +382,19 @@ let prop_agreement_under_faults =
       (* The execution-time backends observe the same single run: the
          fault plan is consumed by the execution, so equivalence must be
          checked on shared state, not on a re-run.  Rolled-back attempts
-         are never observed and must leave the Incremental memo and the
-         Fused compiled plan's index sound. *)
+         are never observed and must leave the Fused backend's source
+         memo and owned index sound.  The generated rules' sources are
+         append-stable, so their links come from the memo. *)
       let on_st = Strategy_online.init ~doc rb in
-      let inc_st = Strategy_incremental.init ~doc rb in
       let fus_st = Strategy_fused.init ~doc rb in
       let trace =
         Orchestrator.execute ~policy
           ~on_step:(fun call before after delta ->
             Strategy_online.observe on_st ~call ~before ~after ~delta;
-            Strategy_incremental.observe inc_st ~call ~before ~after ~delta;
             Strategy_fused.observe fus_st ~call ~before ~after ~delta)
           doc services
       in
       let g_online = Strategy_online.finalize on_st ~doc ~trace in
-      let g_incr = Strategy_incremental.finalize inc_st ~doc ~trace in
       let g_fused = Strategy_fused.finalize fus_st ~doc ~trace in
       let exec = { Engine.doc; trace } in
       let g_replay = Engine.provenance ~strategy:`Replay exec rb in
@@ -412,8 +409,7 @@ let prop_agreement_under_faults =
       in
       graph_links g_online = graph_links g_replay
       && graph_links g_replay = graph_links g_rewrite
-      && graph_links g_rewrite = graph_links g_incr
-      && graph_links g_incr = graph_links g_fused
+      && graph_links g_rewrite = graph_links g_fused
       && List.for_all
            (fun (f, t, _) -> owned_by_survivor f && owned_by_survivor t)
            (graph_links g_replay))

@@ -338,8 +338,7 @@ let populate ctx sid =
     (expect_ok "open"
        (rpc ctx
           [ ("verb", J.Str "open"); ("session", J.Str sid);
-            ("backend", J.Str "incremental"); ("units", J.Int 2);
-            ("seed", J.Int 5) ]));
+            ("units", J.Int 2); ("seed", J.Int 5) ]));
   ignore
     (expect_ok "commit 1"
        (rpc ctx
@@ -436,6 +435,99 @@ let test_restored_survive_another_restart () =
   ignore (Protocol.restore_sessions ctx3);
   check_string "third boot still serves" served (turtle_of ctx3 "twice")
 
+(* A WAL written under a backend name the daemon no longer registers
+   still restores: a restored session serves its logged store and never
+   instantiates a backend. *)
+let test_retired_backend_restores () =
+  let dir = fresh_dir () in
+  let ctx1 = Protocol.make_ctx ~data_dir:dir () in
+  populate ctx1 "live";
+  let served = turtle_of ctx1 "live" in
+  let st, _ = Wal.replay (Protocol.wal_file dir "live") in
+  Sys.remove (Protocol.wal_file dir "live");
+  let w = Wal.open_writer (Protocol.wal_file dir "old") in
+  Triple_store.iter st (Wal.log_triple w);
+  Wal.log_meta w ~key:"backend" ~value:"incremental";
+  Wal.log_meta w ~key:"commits" ~value:"2";
+  Wal.commit w ~store_size:(Triple_store.size st);
+  Wal.close_writer w;
+  let ctx2 = Protocol.make_ctx ~data_dir:dir () in
+  check_bool "restored" true
+    (List.mem_assoc "old" (Protocol.restore_sessions ctx2));
+  check_string "serves the logged bytes" served (turtle_of ctx2 "old");
+  let stats =
+    expect_ok "stats"
+      (rpc ctx2 [ ("verb", J.Str "stats"); ("session", J.Str "old") ])
+  in
+  check_string "logged backend name" "incremental"
+    (get_str "stats" "backend" stats);
+  ignore
+    (expect_ok "sparql on restored"
+       (rpc ctx2
+          [ ("verb", J.Str "query"); ("session", J.Str "old");
+            ("kind", J.Str "sparql");
+            ("query", J.Str "SELECT ?s WHERE { ?s a prov:Entity }") ]))
+
+(* Served Turtle depends on the committed calls only, never on when the
+   session was snapshotted: a persisted session syncs its empty store at
+   [open], and a query right after [open] snapshots too — neither may
+   change the bytes [close] returns, which must equal the offline run's
+   under the daemon's default backend. *)
+let test_served_turtle_history_independent () =
+  let services = Weblab_services.Workload.standard_pipeline () in
+  let dir = fresh_dir () in
+  let ctx = Protocol.make_ctx ~data_dir:dir () in
+  List.iter
+    (fun (units, persist, early_query) ->
+      let sid =
+        Printf.sprintf "h-%d-%b-%b" units persist early_query
+      in
+      ignore
+        (expect_ok "open"
+           (rpc ctx
+              [ ("verb", J.Str "open"); ("session", J.Str sid);
+                ("units", J.Int units); ("seed", J.Int 42);
+                ("persist", J.Bool persist) ]));
+      if early_query then begin
+        ignore
+          (expect_ok "why before first commit"
+             (rpc ctx
+                [ ("verb", J.Str "query"); ("session", J.Str sid);
+                  ("kind", J.Str "why"); ("uri", J.Str "r1") ]));
+        ignore
+          (expect_ok "stats before first commit"
+             (rpc ctx [ ("verb", J.Str "stats"); ("session", J.Str sid) ]))
+      end;
+      List.iter
+        (fun svc ->
+          ignore
+            (expect_ok "commit"
+               (rpc ctx
+                  [ ("verb", J.Str "commit"); ("session", J.Str sid);
+                    ("service", J.Str (Weblab_workflow.Service.name svc)) ])))
+        services;
+      let served =
+        get_str "close" "turtle"
+          (expect_ok "close"
+             (rpc ctx
+                [ ("verb", J.Str "close"); ("session", J.Str sid);
+                  ("turtle", J.Bool true) ]))
+      in
+      let doc = Weblab_services.Workload.make_document ~units ~seed:42 () in
+      let exec, g =
+        Weblab_prov.Engine.run_with_strategy ~jobs:1
+          ctx.Protocol.default_backend doc services ctx.Protocol.rulebook
+      in
+      check_string
+        (Printf.sprintf "%s: served = offline" sid)
+        (Weblab_prov.Engine.to_turtle ~trace:exec.Weblab_prov.Engine.trace g)
+        served)
+    (List.concat_map
+       (fun units ->
+         [ (units, false, false); (units, false, true); (units, true, false);
+           (units, true, true) ])
+       [ 16; 64 ])
+
 let () =
   Alcotest.run "persist"
     [ ( "wal",
@@ -458,4 +550,9 @@ let () =
           Alcotest.test_case "persist opt-out" `Quick
             test_protocol_persist_opt_out;
           Alcotest.test_case "restart twice" `Quick
-            test_restored_survive_another_restart ] ) ]
+            test_restored_survive_another_restart;
+          Alcotest.test_case "retired backend name restores" `Quick
+            test_retired_backend_restores ] );
+      ( "history",
+        [ Alcotest.test_case "served Turtle = offline, any snapshot history"
+            `Quick test_served_turtle_history_independent ] ) ]

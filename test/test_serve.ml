@@ -341,6 +341,14 @@ let test_protocol_errors () =
   ignore
     (expect_err "unknown backend" "unknown_backend"
        (rpc ctx [ ("verb", J.Str "open"); ("backend", J.Str "psychic") ]));
+  (* The retired Incremental backend is gone from the registry: asking
+     for it is a typed error naming the four that remain. *)
+  let retired =
+    expect_err "retired backend" "unknown_backend"
+      (rpc ctx [ ("verb", J.Str "open"); ("backend", J.Str "incremental") ])
+  in
+  check_bool "retired backend lists the remaining four" true
+    (contains ~sub:"(online|replay|rewrite|fused)" (message retired));
   ignore
     (expect_err "unknown scenario" "bad_request"
        (rpc ctx [ ("verb", J.Str "open"); ("scenario", J.Str "moon") ]));
@@ -581,7 +589,7 @@ let prop_faulted_commit_leaves_store_identical =
     ~name:
       "twin sessions: a failed injected-fault commit leaves the store \
        byte-identical (Turtle) to a session that never saw it, for all \
-       five backends x four unconditional faults"
+       backends x four unconditional faults"
     ~count:8
     (pair (int_bound 10_000) (int_bound 3))
     (fun (seed, prefix_len) ->

@@ -1,5 +1,5 @@
 (* Tests for the evaluation strategies: every backend in the registry
-   (Online, Replay, Rewrite, Incremental, Fused) must produce identical
+   (Online, Replay, Rewrite, Fused) must produce identical
    provenance graphs; inherited closure; graph invariants (acyclicity,
    temporal soundness). *)
 
@@ -64,7 +64,7 @@ let test_registry_pinned () =
   check
     Alcotest.(list string)
     "registered backends = tested backends"
-    [ "online"; "replay"; "rewrite"; "incremental"; "fused" ]
+    [ "online"; "replay"; "rewrite"; "fused" ]
     Strategy.names;
   (* kind_of_string is the exact inverse over the registry *)
   List.iter
@@ -76,9 +76,11 @@ let test_registry_pinned () =
       | None -> Alcotest.fail "registered name not parsed")
     Strategy.all;
   check_bool "unknown name rejected" true
-    (Strategy.kind_of_string "compiled" = None)
+    (Strategy.kind_of_string "compiled" = None);
+  check_bool "retired name rejected" true
+    (Strategy.kind_of_string "incremental" = None)
 
-let test_five_way_agreement () =
+let test_four_way_agreement () =
   (* Same deterministic workload re-run once per backend (execution
      mutates the document): every registered strategy, one link set. *)
   List.iter
@@ -98,10 +100,10 @@ let test_five_way_agreement () =
         all_kinds)
     [ 3; 11; 42 ]
 
-let test_five_way_paper_scenario () =
+let test_four_way_paper_scenario () =
   (* The paper's running example exercises URI promotion (the Normaliser
-     promotes node 3 to r3), which forces the Incremental backend to
-     reset its memo tables — every backend must still agree. *)
+     promotes node 3 to r3), which forces the Fused backend to reset its
+     source memo — every backend must still agree. *)
   let run kind =
     let doc = Weblab_scenario.Paper.initial_document () in
     let _, g =
@@ -129,8 +131,6 @@ let test_incremental_long_chain () =
     let _, g = Engine.run_with_strategy kind doc services rb in
     link_list g
   in
-  check links_testable "chain: incremental = online" (run `Online)
-    (run `Incremental);
   check links_testable "chain: fused = online" (run `Online) (run `Fused)
 
 let test_nonempty () =
@@ -323,8 +323,8 @@ let () =
         [ Alcotest.test_case "replay = rewrite" `Quick test_replay_equals_rewrite;
           Alcotest.test_case "online = post-hoc" `Quick test_online_equals_posthoc;
           Alcotest.test_case "registry = tested list" `Quick test_registry_pinned;
-          Alcotest.test_case "five-way agreement" `Quick test_five_way_agreement;
-          Alcotest.test_case "five-way paper scenario" `Quick test_five_way_paper_scenario;
+          Alcotest.test_case "four-way agreement" `Quick test_four_way_agreement;
+          Alcotest.test_case "four-way paper scenario" `Quick test_four_way_paper_scenario;
           Alcotest.test_case "incremental long chain" `Quick test_incremental_long_chain;
           Alcotest.test_case "non-empty" `Quick test_nonempty;
           Alcotest.test_case "invariants" `Quick test_graph_invariants;

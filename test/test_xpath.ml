@@ -328,6 +328,26 @@ let test_matching_nodes () =
   check_int "three nodes" 3 (List.length nodes);
   List.iter (fun n -> check_str "name" "T" (Tree.name d n)) nodes
 
+let test_append_stable () =
+  (* Append stability decides which sources the Fused backend memoises:
+     downward axes and predicates on the context node's attributes only.
+     A relative path, count(), a string-value, a position or a
+     non-downward axis can change its answer when nodes are appended. *)
+  List.iter
+    (fun (p, stable) ->
+      check_bool p stable (Eval.append_stable (parse p));
+      if stable then check_bool (p ^ " is delta-localizable") true
+          (Eval.delta_localizable (parse p)))
+    [ ("//A[$x := @id]", true);
+      ("/R//A[@k = 'v']/B[not(@j)]", true);
+      ("//A[@k and contains(@k, 'x')]", true);
+      ("//A[B]", false);
+      ("//A[count(B) > 0]", false);
+      ("//A[B = 'x']", false);
+      ("//A[1]", false);
+      ("//A[$p := position()]", false);
+      ("//A/parent::B", false) ]
+
 let () =
   Alcotest.run "xpath"
     [ ( "parser",
@@ -352,7 +372,8 @@ let () =
           Alcotest.test_case "skolem values" `Quick test_eval_skolem_binding;
           Alcotest.test_case "descendant-or-self" `Quick test_eval_descendant_or_self_step;
           Alcotest.test_case "distinct" `Quick test_eval_distinct;
-          Alcotest.test_case "matching nodes" `Quick test_matching_nodes ] );
+          Alcotest.test_case "matching nodes" `Quick test_matching_nodes;
+          Alcotest.test_case "append stability" `Quick test_append_stable ] );
       ( "extended axes",
         [ Alcotest.test_case "parent" `Quick test_axis_parent;
           Alcotest.test_case "ancestor" `Quick test_axis_ancestor;
