@@ -92,10 +92,11 @@ let () =
   let app = apply grouped doc in
   let g = Prov_graph.create () in
   List.iter
-    (fun (o, i) -> Prov_graph.add_link g ~rule:"C2" ~from_uri:o ~to_uri:i)
+    (fun (o, i) ->
+      Prov_graph.add_link g ~rule:"C2" ~step:0 ~from_uri:o ~to_uri:i)
     app.Mapping.links;
   List.iter
-    (fun (entity, member) -> Prov_graph.add_member g ~entity ~member)
+    (fun (entity, member) -> Prov_graph.add_member g ~step:0 ~entity ~member)
     app.Mapping.members;
   print_endline "=== PROV export of the aggregation (Turtle) ===";
   print_string (Prov_export.to_turtle g)

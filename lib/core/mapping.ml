@@ -33,13 +33,24 @@ let skolem_id_of_target (target : Ast.pattern) =
 
 let is_skolem_rule rule = skolem_id_of_target (Rule.target rule) <> None
 
-let source_table ?(guards : Eval.guards option) ?index doc (rule : Rule.t) =
-  let t = Eval.eval ?guards ?index doc (Rule.source rule) in
+(* A node promoted to a resource by a later call ({!Tree.uri_time} past
+   its creation) is a resource only from that call on — what a call
+   evaluated while it ran could see.  Evaluating a call over the final
+   document, where the promoted node already carries its identifier,
+   asks this to hide the identifier from earlier calls. *)
+let resource_at doc time n =
+  let u = Tree.uri_time doc n in
+  u <= Tree.created doc n || u <= time
+
+let source_table ?(guards : Eval.guards option) ?resource ?index doc
+    (rule : Rule.t) =
+  let t = Eval.eval ?guards ?resource ?index doc (Rule.source rule) in
   let vars = Ast.variables (Rule.source rule) in
   Table.project (Table.rename t [ ("r", "in") ]) ("in" :: vars)
 
 (* R_φT with $r renamed to $out (non-Skolem rules only). *)
-let target_table ?(guards : Eval.guards option) ?index doc (rule : Rule.t) =
+let target_table ?(guards : Eval.guards option) ?resource ?index doc
+    (rule : Rule.t) =
   let target = Rule.target rule in
   if skolem_id_of_target target <> None then
     invalid_arg "Mapping.target_table: Skolem rules need the joined form";
@@ -48,13 +59,13 @@ let target_table ?(guards : Eval.guards option) ?index doc (rule : Rule.t) =
       (Ast.variables target @ Ast.free_variables target)
   in
   let vars = List.filter (fun v -> v <> "r" && v <> "node") vars in
-  let t = Eval.eval ?guards ?index doc target in
+  let t = Eval.eval ?guards ?resource ?index doc target in
   Table.project (Table.rename t [ ("r", "out") ]) ("out" :: vars)
 
 (* Target side of a Skolem rule: the skolem predicate is stripped (there is
    no literal @id to match); the synthetic identifier is computed per
    *joined* row, because its arguments may refer to source bindings. *)
-let skolem_target_table ?(guards : Eval.guards option) ?index doc
+let skolem_target_table ?(guards : Eval.guards option) ?resource ?index doc
     (target : Ast.pattern) (f, args) =
   let stripped =
     match List.rev target with
@@ -74,7 +85,7 @@ let skolem_target_table ?(guards : Eval.guards option) ?index doc
     List.filter (fun v -> v <> "r" && v <> "node")
       (Ast.variables stripped)
   in
-  let t = Eval.eval ~require_uri:false ?guards ?index doc stripped in
+  let t = Eval.eval ~require_uri:false ?guards ?resource ?index doc stripped in
   ignore (f, args);
   Table.project
     (Table.rename t [ ("r", "__tgt_r"); ("node", "__tgt_node") ])
@@ -122,24 +133,27 @@ let links_of_table table =
 (* Definition 8.  [?index] is an optional prebuilt index snapshot for the
    (shared) document — parallel inference builds it once up front so the
    workers never touch the [Index.for_tree] cache. *)
-let apply_states ?index (rule : Rule.t) d d' =
+let apply_states ?index ?resource (rule : Rule.t) d d' =
   match skolem_id_of_target (Rule.target rule) with
   | None ->
     let rs =
-      source_table ~guards:(Eval.state_guards d) ?index (Doc_state.doc d) rule
+      source_table ~guards:(Eval.state_guards d) ?resource ?index
+        (Doc_state.doc d) rule
     in
     let rt =
-      target_table ~guards:(Eval.state_guards d') ?index (Doc_state.doc d') rule
+      target_table ~guards:(Eval.state_guards d') ?resource ?index
+        (Doc_state.doc d') rule
     in
     let j = Table.hash_join rs rt in
     { links = links_of_table j; members = [] }
   | Some (f, args) ->
     let doc' = Doc_state.doc d' in
     let rs =
-      source_table ~guards:(Eval.state_guards d) ?index (Doc_state.doc d) rule
+      source_table ~guards:(Eval.state_guards d) ?resource ?index
+        (Doc_state.doc d) rule
     in
     let rt =
-      skolem_target_table ~guards:(Eval.state_guards d') ?index doc'
+      skolem_target_table ~guards:(Eval.state_guards d') ?resource ?index doc'
         (Rule.target rule) (f, args)
     in
     let j = Table.hash_join rs rt in
@@ -187,21 +201,23 @@ let restrict_to_call (app : application) ~trace ~(call : Trace.call) =
    the hook for non-sequential control flow (§8): under parallel branches
    "existed before the call" is the happened-before relation of the
    series-parallel order, not a timestamp comparison. *)
-let apply_guarded ?index (rule : Rule.t) ~doc ~source_visible ~target_state =
+let apply_guarded ?index ?resource (rule : Rule.t) ~doc ~source_visible
+    ~target_state =
   let d = { Eval.visible = source_visible; env = [] } in
   match skolem_id_of_target (Rule.target rule) with
   | None ->
-    let rs = source_table ~guards:d ?index doc rule in
+    let rs = source_table ~guards:d ?resource ?index doc rule in
     let rt =
-      target_table ~guards:(Eval.state_guards target_state) ?index doc rule
+      target_table ~guards:(Eval.state_guards target_state) ?resource ?index
+        doc rule
     in
     let j = Table.hash_join rs rt in
     { links = links_of_table j; members = [] }
   | Some (f, args) ->
-    let rs = source_table ~guards:d ?index doc rule in
+    let rs = source_table ~guards:d ?resource ?index doc rule in
     let rt =
-      skolem_target_table ~guards:(Eval.state_guards target_state) ?index doc
-        (Rule.target rule) (f, args)
+      skolem_target_table ~guards:(Eval.state_guards target_state) ?resource
+        ?index doc (Rule.target rule) (f, args)
     in
     let j = Table.hash_join rs rt in
     let links = ref [] and members = ref [] in
@@ -225,14 +241,15 @@ let apply_guarded ?index (rule : Rule.t) ~doc ~source_visible ~target_state =
 
 let apply_call ?source_visible ?index (rule : Rule.t) ~doc ~trace
     ~(call : Trace.call) =
+  let resource = resource_at doc call.Trace.time in
   let app =
     match source_visible with
     | None ->
       let d = Doc_state.at doc (call.Trace.time - 1) in
       let d' = Doc_state.at doc call.Trace.time in
-      apply_states ?index rule d d'
+      apply_states ?index ~resource rule d d'
     | Some source_visible ->
-      apply_guarded ?index rule ~doc ~source_visible
+      apply_guarded ?index ~resource rule ~doc ~source_visible
         ~target_state:(Doc_state.at doc call.Trace.time)
   in
   restrict_to_call app ~trace ~call

@@ -27,14 +27,31 @@ val skolem_id_of_target : Ast.pattern -> (string * Ast.operand list) option
 
 val is_skolem_rule : Rule.t -> bool
 
+val resource_at : Tree.t -> Tree.timestamp -> Tree.node -> bool
+(** [resource_at doc t n]: whether [n], if it has an identifier, is a
+    resource at call [t].  A node promoted by a later call
+    ({!Tree.uri_time} past its creation) is one only from that call on.
+    The post-hoc backends, which evaluate every call over the final
+    document, pass this as the [resource] filter. *)
+
 val source_table :
-  ?guards:Eval.guards -> ?index:Index.t -> Tree.t -> Rule.t -> Table.t
+  ?guards:Eval.guards ->
+  ?resource:(Tree.node -> bool) ->
+  ?index:Index.t ->
+  Tree.t ->
+  Rule.t ->
+  Table.t
 (** ρ(r→in) R{_φS}: the source embeddings with the result column renamed
-    to ["in"], projected to the join-relevant columns.  [index] is handed
-    to {!Eval.eval} (the document index fast path). *)
+    to ["in"], projected to the join-relevant columns.  [resource] and
+    [index] are handed to {!Eval.eval} (the document index fast path). *)
 
 val target_table :
-  ?guards:Eval.guards -> ?index:Index.t -> Tree.t -> Rule.t -> Table.t
+  ?guards:Eval.guards ->
+  ?resource:(Tree.node -> bool) ->
+  ?index:Index.t ->
+  Tree.t ->
+  Rule.t ->
+  Table.t
 (** ρ(r→out) R{_φT}, for non-Skolem rules.
     @raise Invalid_argument on a Skolem rule. *)
 
@@ -46,13 +63,21 @@ val links_of_table : Table.t -> (string * string) list
 (** Extract (out, in) links from a joined table, dropping self-links. *)
 
 val apply_states :
-  ?index:Index.t -> Rule.t -> Doc_state.t -> Doc_state.t -> application
+  ?index:Index.t ->
+  ?resource:(Tree.node -> bool) ->
+  Rule.t ->
+  Doc_state.t ->
+  Doc_state.t ->
+  application
 (** Definition 8: M(d, d').  [index] is a prebuilt snapshot for the
     (shared) document: parallel inference builds it once up front so
-    workers never contend on the {!Index.for_tree} cache. *)
+    workers never contend on the {!Index.for_tree} cache.  [resource]
+    restricts which identified nodes count as resources (see
+    {!resource_at}). *)
 
 val apply_guarded :
   ?index:Index.t ->
+  ?resource:(Tree.node -> bool) ->
   Rule.t ->
   doc:Tree.t ->
   source_visible:(Tree.node -> bool) ->
@@ -80,4 +105,6 @@ val apply_call :
   call:Trace.call ->
   application
 (** Definition 9: M(c), on the states reconstructed from [doc] (or with
-    the supplied source visibility).  [index] as in {!apply_states}. *)
+    the supplied source visibility), where a node promoted after the call
+    is not yet a resource ({!resource_at}).  [index] as in
+    {!apply_states}. *)

@@ -17,49 +17,6 @@ let entity_term uri = Prov_vocab.resource_iri uri
 let call_term (c : Trace.call) =
   Prov_vocab.call_iri ~service:c.Trace.service ~time:c.Trace.time
 
-(* Failed and retried calls (§ Failure model): failed calls appear as
-   activities marked invalidated at their (burned) timestamp, with the
-   failure reason and attempt count; committed-after-retry calls carry
-   their attempt count.  No entity was generated by a failed activity —
-   the orchestrator rolled its appends back — so they are pure activity
-   nodes. *)
-let add_outcomes store (trace : Trace.t) =
-  let add s p o = Triple_store.add store (s, p, o) in
-  let attempts_of time =
-    List.length
-      (List.filter (fun (a : Trace.attempt) -> a.Trace.a_time = time)
-         (Trace.attempts trace))
-  in
-  List.iter
-    (fun (call : Trace.call) ->
-      let a = call_term call in
-      add a Prov_vocab.rdf_type Prov_vocab.activity;
-      add a Prov_vocab.rdfs_label
-        (Term.lit
-           (Printf.sprintf "%s@t%d (failed)" call.Trace.service call.Trace.time));
-      add a Prov_vocab.wl_timestamp (Term.int_lit call.Trace.time);
-      add a Prov_vocab.invalidated_at_time (Term.int_lit call.Trace.time);
-      add a Prov_vocab.wl_failed (Term.lit "true");
-      (match Trace.outcome_at trace call.Trace.time with
-       | Some (Trace.Failed reason) ->
-         add a Prov_vocab.wl_failure_reason (Term.lit reason)
-       | _ -> ());
-      (match attempts_of call.Trace.time with
-       | 0 -> ()
-       | n -> add a Prov_vocab.wl_attempts (Term.int_lit n));
-      let agent = Prov_vocab.service_iri call.Trace.service in
-      add agent Prov_vocab.rdf_type Prov_vocab.software_agent;
-      add agent Prov_vocab.rdfs_label (Term.lit call.Trace.service);
-      add a Prov_vocab.was_associated_with agent)
-    (Trace.failed_calls trace);
-  List.iter
-    (fun (call : Trace.call) ->
-      match Trace.outcome_at trace call.Trace.time with
-      | Some (Trace.Retried n) ->
-        add (call_term call) Prov_vocab.wl_attempts (Term.int_lit (n + 1))
-      | _ -> ())
-    (Trace.calls trace)
-
 (* ----- Meta-provenance (the inference run as PROV) -----
 
    The engine dogfoods its own model: each service call × rule evaluation
@@ -126,56 +83,166 @@ let meta_to_store activities =
   add_meta store activities;
   store
 
+(* ----- The step emitter -----
+
+   A graph is exported step by step, in time order.  One step's triples
+   are those of the items the call at that timestamp introduced:
+
+   - its labels, in URI order: the entity, its generating activity and
+     the activity's software agent;
+   - its links, in insertion order: prov:wasDerivedFrom (plus the rule)
+     and the implied λ(b) prov:used a and λ(b) prov:wasInformedBy λ(a);
+   - its Skolem members: the aggregation entity and its prov:hadMember;
+   - its outcome (§ Failure model): a call committed after retries
+     carries its attempt count; a failed call is an activity marked
+     invalidated at its burned timestamp, with the failure reason and
+     attempt count.  A failed call generated no entity — the
+     orchestrator rolled its appends back.
+
+   Items only ever join later steps, so the triple sequence of a run's
+   prefix is a prefix of the whole run's: a live session appends each
+   commit's step to its store and its write-ahead log as is. *)
+
+type step = {
+  mutable labels : (string * Trace.call) list;  (* reversed *)
+  mutable links : Prov_graph.link list;  (* reversed *)
+  mutable members : (string * string) list;  (* reversed *)
+}
+
+let add_label add uri (call : Trace.call) =
+  let e = entity_term uri in
+  let a = call_term call in
+  add e Prov_vocab.rdf_type Prov_vocab.entity;
+  add e Prov_vocab.rdfs_label (Term.lit uri);
+  add e Prov_vocab.was_generated_by a;
+  add a Prov_vocab.rdf_type Prov_vocab.activity;
+  add a Prov_vocab.rdfs_label
+    (Term.lit (Printf.sprintf "%s@t%d" call.Trace.service call.Trace.time));
+  add a Prov_vocab.wl_timestamp (Term.int_lit call.Trace.time);
+  let agent = Prov_vocab.service_iri call.Trace.service in
+  add agent Prov_vocab.rdf_type Prov_vocab.software_agent;
+  add agent Prov_vocab.rdfs_label (Term.lit call.Trace.service);
+  add a Prov_vocab.was_associated_with agent
+
+let add_link add g { Prov_graph.from_uri; to_uri; rule; inherited } =
+  let b = entity_term from_uri and a = entity_term to_uri in
+  add b Prov_vocab.was_derived_from a;
+  if rule <> "" && not inherited then add b Prov_vocab.wl_rule (Term.lit rule);
+  match Prov_graph.label g from_uri with
+  | Some cb ->
+    add (call_term cb) Prov_vocab.used a;
+    (match Prov_graph.label g to_uri with
+     | Some ca when ca <> cb ->
+       add (call_term cb) Prov_vocab.was_informed_by (call_term ca)
+     | _ -> ())
+  | None -> ()
+
+let add_member add entity member =
+  let e = entity_term entity in
+  add e Prov_vocab.rdf_type Prov_vocab.entity;
+  add e Prov_vocab.rdfs_label (Term.lit entity);
+  add e Prov_vocab.had_member (entity_term member)
+
+let add_outcome add trace time =
+  match Trace.attempted_call trace time, Trace.outcome_at trace time with
+  | Some call, Some (Trace.Retried n) ->
+    add (call_term call) Prov_vocab.wl_attempts (Term.int_lit (n + 1))
+  | Some call, Some (Trace.Failed reason) ->
+    let a = call_term call in
+    add a Prov_vocab.rdf_type Prov_vocab.activity;
+    add a Prov_vocab.rdfs_label
+      (Term.lit (Printf.sprintf "%s@t%d (failed)" call.Trace.service time));
+    add a Prov_vocab.wl_timestamp (Term.int_lit time);
+    add a Prov_vocab.invalidated_at_time (Term.int_lit time);
+    add a Prov_vocab.wl_failed (Term.lit "true");
+    add a Prov_vocab.wl_failure_reason (Term.lit reason);
+    (match Trace.attempt_count trace time with
+     | 0 -> ()
+     | n -> add a Prov_vocab.wl_attempts (Term.int_lit n));
+    let agent = Prov_vocab.service_iri call.Trace.service in
+    add agent Prov_vocab.rdf_type Prov_vocab.software_agent;
+    add agent Prov_vocab.rdfs_label (Term.lit call.Trace.service);
+    add a Prov_vocab.was_associated_with agent
+  | _ -> ()
+
+(* A step's labels are ordered by call time, then URI: the nodes it
+   promoted (labeled with the older calls that created them) come first,
+   then its own resources. *)
+let by_time_then_uri (u, (a : Trace.call)) (v, (b : Trace.call)) =
+  let c = compare a.Trace.time b.Trace.time in
+  if c <> 0 then c else String.compare u v
+
+let emit_step add g trace time (step : step) =
+  List.iter
+    (fun (uri, call) -> add_label add uri call)
+    (List.sort by_time_then_uri step.labels);
+  List.iter (add_link add g) (List.rev step.links);
+  List.iter
+    (fun (entity, member) -> add_member add entity member)
+    (List.rev step.members);
+  Option.iter (fun tr -> add_outcome add tr time) trace
+
+type cursor = {
+  c_labels : int;
+  c_links : int;
+  c_members : int;
+  c_time : int;  (* the first step whose outcome is still due *)
+}
+
+let start = { c_labels = 0; c_links = 0; c_members = 0; c_time = 0 }
+
+let extend ?(log = ignore) ?trace store g c =
+  let add s p o =
+    let n = Triple_store.size store in
+    Triple_store.add store (s, p, o);
+    if Triple_store.size store > n then log (s, p, o)
+  in
+  let steps = Hashtbl.create 4 in
+  let step time =
+    match Hashtbl.find_opt steps time with
+    | Some st -> st
+    | None ->
+      let st = { labels = []; links = []; members = [] } in
+      Hashtbl.add steps time st;
+      st
+  in
+  Prov_graph.iter_labels_from g c.c_labels (fun uri call time ->
+      let st = step time in
+      st.labels <- (uri, call) :: st.labels);
+  Prov_graph.iter_links_from g c.c_links (fun l time ->
+      let st = step time in
+      st.links <- l :: st.links);
+  Prov_graph.iter_members_from g c.c_members (fun entity member time ->
+      let st = step time in
+      st.members <- (entity, member) :: st.members);
+  (* Failed calls, and retried ones that labeled nothing, are steps with
+     an outcome only. *)
+  let horizon =
+    match trace with
+    | None -> c.c_time
+    | Some tr ->
+      let horizon = max c.c_time (Trace.last_time tr + 1) in
+      for time = c.c_time to horizon - 1 do
+        match Trace.outcome_at tr time with
+        | Some (Trace.Failed _ | Trace.Retried _) -> ignore (step time)
+        | Some Trace.Ok | None -> ()
+      done;
+      horizon
+  in
+  Hashtbl.fold (fun time _ acc -> time :: acc) steps []
+  |> List.sort compare
+  |> List.iter (fun time ->
+         let due = time >= c.c_time && time < horizon in
+         emit_step add g
+           (if due then trace else None)
+           time (Hashtbl.find steps time));
+  { c_labels = Prov_graph.label_count g; c_links = Prov_graph.size g;
+    c_members = Prov_graph.member_count g; c_time = horizon }
+
 let to_store ?trace ?meta (g : Prov_graph.t) =
   let store = Triple_store.create () in
-  let add s p o = Triple_store.add store (s, p, o) in
-  (* Entities and activities from the labeling function λ. *)
-  List.iter
-    (fun (uri, (call : Trace.call)) ->
-      let e = entity_term uri in
-      let a = call_term call in
-      add e Prov_vocab.rdf_type Prov_vocab.entity;
-      add e Prov_vocab.rdfs_label (Term.lit uri);
-      add e Prov_vocab.was_generated_by a;
-      add a Prov_vocab.rdf_type Prov_vocab.activity;
-      add a Prov_vocab.rdfs_label
-        (Term.lit (Printf.sprintf "%s@t%d" call.Trace.service call.Trace.time));
-      add a Prov_vocab.wl_timestamp (Term.int_lit call.Trace.time);
-      let agent = Prov_vocab.service_iri call.Trace.service in
-      add agent Prov_vocab.rdf_type Prov_vocab.software_agent;
-      add agent Prov_vocab.rdfs_label (Term.lit call.Trace.service);
-      add a Prov_vocab.was_associated_with agent)
-    (Prov_graph.labeled_resources g);
-  (* Data dependencies. *)
-  List.iter
-    (fun { Prov_graph.from_uri; to_uri; rule; inherited } ->
-      let b = entity_term from_uri and a = entity_term to_uri in
-      add b Prov_vocab.was_derived_from a;
-      if rule <> "" && not inherited then
-        add b Prov_vocab.wl_rule (Term.lit rule);
-      (* Service-call dependencies implied by the data dependencies:
-         λ(b) used a, and λ(b) wasInformedBy λ(a). *)
-      (match Prov_graph.label g from_uri with
-       | Some cb ->
-         add (call_term cb) Prov_vocab.used a;
-         (match Prov_graph.label g to_uri with
-          | Some ca when ca <> cb ->
-            add (call_term cb) Prov_vocab.was_informed_by (call_term ca)
-          | _ -> ())
-       | None -> ()))
-    (Prov_graph.links g);
-  (* Skolem aggregation entities. *)
-  List.iter
-    (fun entity ->
-      let e = entity_term entity in
-      add e Prov_vocab.rdf_type Prov_vocab.entity;
-      add e Prov_vocab.rdfs_label (Term.lit entity);
-      List.iter
-        (fun member -> add e Prov_vocab.had_member (entity_term member))
-        (Prov_graph.members g entity))
-    (Prov_graph.skolem_entities g);
-  (match trace with Some t -> add_outcomes store t | None -> ());
-  (match meta with Some acts -> add_meta store acts | None -> ());
+  ignore (extend ?trace store g start);
+  Option.iter (add_meta store) meta;
   store
 
 (* Inverse of {!to_store}: rebuild a provenance graph from its RDF
@@ -247,7 +314,14 @@ let of_store (store : Triple_store.t) : Prov_graph.t =
   Triple_store.iter store (fun (s, p, o) ->
       if Term.equal p Prov_vocab.had_member then
         match label_of s, label_of o with
-        | Some entity, Some member -> Prov_graph.add_member g ~entity ~member
+        | Some entity, Some member ->
+          (* A member joined its entity at the call that generated it. *)
+          let step =
+            match Prov_graph.label g member with
+            | Some call -> call.Trace.time
+            | None -> 0
+          in
+          Prov_graph.add_member g ~step ~entity ~member
         | _ -> ());
   g
 

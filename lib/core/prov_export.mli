@@ -13,19 +13,52 @@ val entity_term : string -> Term.t
 val call_term : Trace.call -> Term.t
 (** The IRI of a service-call activity. *)
 
+(** {1 Step-ordered export}
+
+    A graph is exported step by step in time order ({!Prov_graph} records
+    the step of every label, link and Skolem member).  One step's triples
+    are its labels in URI order, then the links and members its call
+    added, in insertion order, then — when the trace is supplied — its
+    outcome: a call committed after retries carries [wl:attempts]; a
+    failed call is a [prov:Activity] marked with [prov:invalidatedAtTime]
+    (its burned timestamp), [wl:failed], [wl:failureReason] and
+    [wl:attempts].  Failed activities generate no entities — their
+    appends were rolled back.  Because items only ever join later steps,
+    the triple sequence of a run's prefix is a prefix of the whole
+    run's. *)
+
+type cursor
+(** How much of a graph (labels, links, members) and of its trace
+    (outcomes) an export store already holds.  Cursors count items: two
+    graphs built by different backends over the same run prefix agree on
+    them. *)
+
+val start : cursor
+(** Nothing exported yet. *)
+
+val extend :
+  ?log:(Triple_store.triple -> unit) ->
+  ?trace:Trace.t ->
+  Triple_store.t ->
+  Prov_graph.t ->
+  cursor ->
+  cursor
+(** [extend store g c] appends to [store], step by step in time order,
+    the triples of the items [g] (and [trace]) gained since [c], and
+    returns the cursor past them.  [log] sees every triple the store did
+    not hold yet, in order.  Extending from {!start} after every step of
+    a run leaves [store] with exactly the triple sequence of {!to_store}
+    on the whole run. *)
+
 val to_store :
   ?trace:Trace.t ->
   ?meta:Weblab_obs.Telemetry.meta_activity list ->
   Prov_graph.t ->
   Triple_store.t
-(** The RDF graph, queryable with {!Weblab_rdf.Sparql}.  When [trace] is
-    supplied, failed service calls are additionally exported as
-    prov:Activity nodes marked with [prov:invalidatedAtTime] (the burned
-    timestamp), [wl:failed], [wl:failureReason] and [wl:attempts]; calls
-    committed after retries carry [wl:attempts].  Failed activities
-    generate no entities — their appends were rolled back.  When [meta]
-    is supplied, the meta-provenance of the inference run is added on top
-    (see {!add_meta}). *)
+(** The RDF graph, queryable with {!Weblab_rdf.Sparql}: {!extend} from
+    {!start} into a fresh store.  When [meta] is supplied, the
+    meta-provenance of the inference run is added on top (see
+    {!add_meta}). *)
 
 val add_meta :
   Triple_store.t -> Weblab_obs.Telemetry.meta_activity list -> unit

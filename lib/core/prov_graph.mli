@@ -19,11 +19,29 @@ val create : unit -> t
 val of_trace : Trace.t -> t
 (** A graph with λ populated from the execution trace and no links yet. *)
 
+(** {1 Steps}
+
+    Every label, link and Skolem member carries the {e step} that added
+    it: the timestamp of the call during which it entered the graph.  The
+    PROV export ({!Prov_export}) emits a graph step by step in that
+    order, which is what makes the export of a run's prefix a prefix of
+    the export of the whole run. *)
+
 (** {1 The labeling function λ} *)
 
-val set_label : t -> string -> Trace.call -> unit
+val set_label : ?step:int -> t -> string -> Trace.call -> unit
+(** [step] defaults to the call's time.  Relabeling a resource replaces
+    its call and keeps its first step. *)
+
+val label_trace : t -> Trace.t -> unit
+(** Label the trace entries recorded since the last [label_trace] on this
+    graph, each at its recorded step ({!Trace.iter_entries_from}): a
+    graph labeled along a growing trace pays for the new entries only. *)
 
 val label : t -> string -> Trace.call option
+
+val label_count : t -> int
+(** Number of labeled resources, in constant time. *)
 
 val labeled_resources : t -> (string * Trace.call) list
 (** Sorted by call timestamp, then by URI. *)
@@ -31,9 +49,16 @@ val labeled_resources : t -> (string * Trace.call) list
 (** {1 Links} *)
 
 val add_link :
-  ?rule:string -> ?inherited:bool -> t -> from_uri:string -> to_uri:string -> unit
+  ?rule:string ->
+  ?inherited:bool ->
+  ?step:int ->
+  t ->
+  from_uri:string ->
+  to_uri:string ->
+  unit
 (** Idempotent; self-links are silently dropped (Definition 3 requires a
-    DAG). *)
+    DAG).  [step] is the time of the call that inferred the link; without
+    it the link belongs to the step its [from_uri] was labeled at. *)
 
 val links : t -> link list
 (** In insertion order. *)
@@ -51,11 +76,31 @@ val used_by : t -> string -> string list
 
 (** {1 Skolem aggregation entities (§5)} *)
 
-val add_member : t -> entity:string -> member:string -> unit
+val add_member : t -> step:int -> entity:string -> member:string -> unit
+(** [step] is the time of the call that inferred the membership. *)
 
 val members : t -> string -> string list
+(** In insertion order. *)
+
+val member_count : t -> int
+(** Number of {!add_member} calls so far. *)
 
 val skolem_entities : t -> string list
+(** In first-insertion order. *)
+
+(** {1 Step-attributed suffixes}
+
+    What an incremental export reads: the items added since the graph
+    held [k] of them, each with its step.  Labels come in first-insertion
+    order, links and members in insertion order.  A link added without a
+    step reports its [from_uri]'s label step, or [max_int] when that end
+    is unlabeled. *)
+
+val iter_labels_from : t -> int -> (string -> Trace.call -> int -> unit) -> unit
+
+val iter_links_from : t -> int -> (link -> int -> unit) -> unit
+
+val iter_members_from : t -> int -> (string -> string -> int -> unit) -> unit
 
 (** {1 Invariants} *)
 

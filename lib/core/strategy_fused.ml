@@ -374,7 +374,7 @@ let observe st ~call ~before ~after ~(delta : Orchestrator.delta) =
           Strategy_sig.record_rule_eval ~service:call.Trace.service
             ~time:call.Trace.time ~rule_name ~t0:tr.T.t0 ~t1:tr.T.t1
             ~worker:tr.T.worker ~links:tr.T.v.Mapping.links;
-          Strategy_sig.add_application st.g rule_name tr.T.v)
+          Strategy_sig.add_application st.g ~step:t rule_name tr.T.v)
         apps
     end
 
@@ -382,14 +382,10 @@ let observe st ~call ~before ~after ~(delta : Orchestrator.delta) =
    memo, index and pool stay hot for the next [observe] — this is what a
    serving session answers queries from between appends. *)
 let snapshot st ~doc:_ ~trace =
-  List.iter
-    (fun e -> Prov_graph.set_label st.g e.Trace.uri e.Trace.call)
-    (Trace.entries trace);
+  Prov_graph.label_trace st.g trace;
   st.g
 
 let finalize st ~doc:_ ~trace =
   Pool.shutdown st.pool;
-  List.iter
-    (fun e -> Prov_graph.set_label st.g e.Trace.uri e.Trace.call)
-    (Trace.entries trace);
+  Prov_graph.label_trace st.g trace;
   st.g

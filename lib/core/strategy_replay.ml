@@ -53,7 +53,8 @@ let infer ?(happened_before = Strategy_sig.sequential_hb) ?jobs ~doc ~trace
         Strategy_sig.record_rule_eval ~service:call.Trace.service
           ~time:call.Trace.time ~rule_name ~t0:tr.T.t0 ~t1:tr.T.t1
           ~worker:tr.T.worker ~links:tr.T.v.Mapping.links;
-        Strategy_sig.add_application g rule_name tr.T.v)
+        Strategy_sig.add_application g ~step:call.Trace.time rule_name
+          tr.T.v)
       apps
   end
 

@@ -8,9 +8,10 @@
 
    Parallel inference fans the (service, rule) work items out over a
    {!Pool}.  Each item computes an ordered emission buffer instead of
-   writing into the graph directly; the buffers are replayed in item
-   order afterwards, which performs the exact [add_link] sequence the
-   sequential pass would — bit-identical graphs for any schedule.  The
+   writing into the graph directly; the buffers are replayed afterwards
+   in call-time order (item order within a time), which performs the
+   exact [add_link] sequence of the per-call backends — bit-identical
+   graphs for any schedule.  The
    memo cache stays shared (a mutex guards the table; computation runs
    outside the lock and a racing duplicate is harmless because entries
    are pure functions of their key). *)
@@ -87,10 +88,13 @@ type emission =
   | App of int * string * Mapping.application
   | Link of { time : int; rule : string; from_uri : string; to_uri : string }
 
+let emission_time = function App (time, _, _) | Link { time; _ } -> time
+
 let replay_emission g = function
-  | App (_, rule_name, app) -> Strategy_sig.add_application g rule_name app
-  | Link { rule; from_uri; to_uri; _ } ->
-    Prov_graph.add_link g ~rule ~from_uri ~to_uri
+  | App (time, rule_name, app) ->
+    Strategy_sig.add_application g ~step:time rule_name app
+  | Link { time; rule; from_uri; to_uri } ->
+    Prov_graph.add_link g ~rule ~step:time ~from_uri ~to_uri
 
 let infer_rule ?(happened_before = Strategy_sig.sequential_hb) ~cache ~index
     ~doc ~trace ~service rule =
@@ -123,7 +127,12 @@ let infer_rule ?(happened_before = Strategy_sig.sequential_hb) ~cache ~index
         this service labeled, not the whole document. *)
      let rt =
        cached cache cache.targets (target, service) (fun () ->
-           Eval.eval ~index doc (Pattern_rewrite.target_service target service))
+           (* A matched resource is grouped under the call that created
+              it, so one promoted by a later call does not count. *)
+           Eval.eval
+             ~resource:(fun n -> Mapping.resource_at doc (Tree.created doc n) n)
+             ~index doc
+             (Pattern_rewrite.target_service target service))
      in
      (* Group target rows by the timestamp of the matched resource. *)
      let groups = Hashtbl.create 8 in
@@ -159,7 +168,8 @@ let infer_rule ?(happened_before = Strategy_sig.sequential_hb) ~cache ~index
                        (fun n -> happened_before (Tree.created doc n) time);
                      env = [] }
                  in
-                 Mapping.source_table ~guards ~index doc rule)
+                 Mapping.source_table ~guards
+                   ~resource:(Mapping.resource_at doc time) ~index doc rule)
            in
            let j = Table.hash_join rs rt' in
            List.iter
@@ -232,9 +242,16 @@ let infer ?happened_before ?jobs ~doc ~trace (rb : Strategy_sig.rulebook) g =
                  ~t0:tr.T.t0 ~t1:tr.T.t1 ~worker:tr.T.worker
                  ~links:(Hashtbl.find by_time time))
              (List.rev !order)
-         end);
-        List.iter (replay_emission g) tr.T.v)
-      buffers
+         end))
+      buffers;
+    (* Into the graph in call-time order, item order within a time: the
+       per-call add_link sequence of the execution-time backends, so the
+       links of a run's prefix come first. *)
+    Array.to_list buffers
+    |> List.concat_map (fun tr -> tr.T.v)
+    |> List.stable_sort (fun a b ->
+           compare (emission_time a) (emission_time b))
+    |> List.iter (replay_emission g)
   end
 
 type state = { rb : Strategy_sig.rulebook; jobs : int option }

@@ -55,13 +55,15 @@ let record_rule_eval ~service ~time ~rule_name ~t0 ~t1 ~worker ~links =
       { T.m_service = service; m_time = time; m_rule = rule_name;
         m_t0 = t0; m_t1 = t1; m_links = links }
 
-let add_application g rule_name (app : Mapping.application) =
+(* One rule's application to the call at [step]: its links and Skolem
+   members belong to that call's step. *)
+let add_application g ~step rule_name (app : Mapping.application) =
   List.iter
     (fun (out, inp) ->
-      Prov_graph.add_link g ~rule:rule_name ~from_uri:out ~to_uri:inp)
+      Prov_graph.add_link g ~rule:rule_name ~step ~from_uri:out ~to_uri:inp)
     app.Mapping.links;
   List.iter
-    (fun (entity, member) -> Prov_graph.add_member g ~entity ~member)
+    (fun (entity, member) -> Prov_graph.add_member g ~step ~entity ~member)
     app.Mapping.members
 
 module type STRATEGY_BACKEND = sig
@@ -89,9 +91,9 @@ module type STRATEGY_BACKEND = sig
      backend: [observe] keeps working afterwards and [finalize] remains
      the terminal call.  This is what lets a serving daemon answer
      [why]/[impact]/BGP queries between appends on a live session.
-     Execution-time backends label their live graph from the trace and
-     return it (cheap — the labels are idempotent and re-applied at
-     [finalize]); post-hoc backends run their inference over the current
+     Execution-time backends label their live graph with the trace
+     entries recorded since the last snapshot and return it; post-hoc
+     backends run their inference over the current
      document and trace.  The returned graph is only valid to read until
      the next [observe] on the same state. *)
 

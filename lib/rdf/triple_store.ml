@@ -321,19 +321,6 @@ let iter t f =
 
 let triples t = List.init t.n (triple_at t)
 
-let triples_from t k = List.init (max 0 (t.n - k)) (fun i -> triple_at t (k + i))
-
-let prefix_of a b =
-  size a <= size b
-  &&
-  let rec go i =
-    i >= size a
-    ||
-    let sa, pa, oa = triple_at a i and sb, pb, ob = triple_at b i in
-    Term.equal sa sb && Term.equal pa pb && Term.equal oa ob && go (i + 1)
-  in
-  go 0
-
 (* ----- pattern lookup ----- *)
 
 type pattern = Term.t option * Term.t option * Term.t option

@@ -28,16 +28,6 @@ val size : t -> int
 val triples : t -> triple list
 (** In insertion order. *)
 
-val triples_from : t -> int -> triple list
-(** [triples_from t k] is the suffix of {!triples} starting at index [k]
-    — the delta since a store had [k] triples.  Used by the WAL layer to
-    append per-commit deltas without re-walking the prefix. *)
-
-val prefix_of : t -> t -> bool
-(** [prefix_of a b]: [a]'s triple sequence is a prefix of [b]'s (by
-    {!Term.equal}, position-wise).  The WAL layer uses this to decide
-    between an append delta and a reset + full dump. *)
-
 val iter : t -> (triple -> unit) -> unit
 
 val compact : t -> unit

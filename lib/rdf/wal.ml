@@ -11,8 +11,8 @@
           second [len][bytes] datatype field, 3 = bnode)
      'C'  commit marker; payload = expected store size (u32le) after
           applying the batch — a cross-check against lost records
-     'R'  reset: discard all triples logged so far (a snapshot whose
-          triple sequence is not an extension of the logged one follows)
+     'R'  reset: discard all triples logged so far (a compaction's
+          full dump follows)
      'M'  metadata, payload "key=value" — informational, replay keeps
           the last value per key
 

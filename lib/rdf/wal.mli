@@ -21,8 +21,8 @@ val log_triple : writer -> Term.t * Term.t * Term.t -> unit
 
 val log_reset : writer -> unit
 (** Stage a reset: replay discards all triples logged before this point.
-    Used when a snapshot's triple sequence is not an extension of the
-    logged one (e.g. after URI promotion rewrites history). *)
+    {!compact_to} writes one ahead of its full dump; a live session never
+    needs one, since its export store only grows. *)
 
 val log_meta : writer -> key:string -> value:string -> unit
 (** Stage a metadata record; replay keeps the last value per key. *)

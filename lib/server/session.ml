@@ -9,7 +9,7 @@ module M = Weblab_obs.Metrics
    which is what the scrape wants (per-session splits would explode
    cardinality).  Commit covers the orchestrator step plus WAL sync;
    the query histograms cover lazy derivation (reachability build,
-   store export) on a cold snapshot and plain lookup on a warm one. *)
+   export catch-up) on a cold snapshot and plain lookup on a warm one. *)
 let h_commit = M.hist "session.commit"
 let h_why = M.hist "session.query.why"
 let h_impact = M.hist "session.query.impact"
@@ -52,24 +52,25 @@ let instantiate (module B : Strategy_sig.STRATEGY_BACKEND) ~jobs ~doc rb =
     bi_finalize = (fun ~doc ~trace -> B.finalize st ~doc ~trace) }
 
 (* Query-side state derived from one snapshot; dropped on every commit.
-   Reachability and the RDF store are built lazily — a session that only
-   runs [why] never pays for the triple store and vice versa. *)
+   Reachability is built lazily — a session that never runs [why] never
+   pays for it. *)
 type snap = {
   s_graph : Prov_graph.t;
   mutable s_reach : Reachability.t option;
-  mutable s_store : Rdf.Triple_store.t option;
 }
 
-(* WAL state of a persisted live session.  [logged] is the store whose
-   triple sequence the log currently reconstructs; each sync diffs the
-   fresh snapshot store against it and appends the suffix when it is a
-   pure extension, or logs a reset + full dump when history was rewritten
-   (URI promotion reorders triples, so monotonicity is checked, not
-   assumed). *)
+(* The session's export store only grows: each sync appends the steps
+   committed since the cursor ({!Prov_export.extend}).  A persisted
+   session syncs at every commit and logs exactly the appended triples;
+   an unpersisted one catches up when a query needs the store. *)
+type export = {
+  x_store : Rdf.Triple_store.t;
+  mutable x_cursor : Prov_export.cursor;
+}
+
 type persist = {
   pw : Rdf.Wal.writer;
   p_path : string;
-  mutable logged : Rdf.Triple_store.t;
 }
 
 type live = {
@@ -77,6 +78,7 @@ type live = {
   inst : backend_inst;
   budgets : budgets;
   persist : persist option;
+  export : export;
 }
 
 (* A restored session serves queries straight off the replayed triple
@@ -114,7 +116,7 @@ let wal_path t =
 
 let with_lock t f = Mutex.protect t.lock f
 
-(* ----- queries (declared early: the WAL sync reuses [store]) ----- *)
+(* ----- queries ----- *)
 
 let current_snap t =
   match t.snap with
@@ -127,10 +129,7 @@ let current_snap t =
           ~trace:(Orchestrator.session_trace l.orch)
       | Restored r -> Prov_export.of_store r.r_store
     in
-    let s_store =
-      match t.mode with Restored r -> Some r.r_store | Live _ -> None
-    in
-    let s = { s_graph = g; s_reach = None; s_store } in
+    let s = { s_graph = g; s_reach = None } in
     t.snap <- Some s;
     s
 
@@ -145,20 +144,26 @@ let reach t =
     s.s_reach <- Some r;
     r
 
+(* Append what the graph and trace gained since the last catch-up; a
+   persisted session stages the appended triples in its WAL. *)
+let catch_up t l =
+  let x = l.export in
+  let log = Option.map (fun p -> Rdf.Wal.log_triple p.pw) l.persist in
+  x.x_cursor <-
+    Prov_export.extend ?log ~trace:(Orchestrator.session_trace l.orch)
+      x.x_store (graph t) x.x_cursor
+
 let store t =
-  let s = current_snap t in
-  match s.s_store with
-  | Some st -> st
-  | None ->
-    let st =
-      match t.mode with
-      | Live l ->
-        Prov_export.to_store ~trace:(Orchestrator.session_trace l.orch)
-          s.s_graph
-      | Restored r -> r.r_store
-    in
-    s.s_store <- Some st;
-    st
+  match t.mode with
+  | Live l ->
+    catch_up t l;
+    l.export.x_store
+  | Restored r -> r.r_store
+
+let trace t =
+  match t.mode with
+  | Live l -> Some (Orchestrator.session_trace l.orch)
+  | Restored _ -> None
 
 let why t uri = M.time h_why (fun () -> Reachability.ancestors (reach t) uri)
 
@@ -172,50 +177,29 @@ let next_time t =
   | Live l -> Orchestrator.next_time l.orch
   | Restored r -> r.r_next_time
 
-let turtle t =
-  M.time h_turtle (fun () ->
-      match t.mode with
-      | Live l ->
-        Prov_export.to_turtle ~trace:(Orchestrator.session_trace l.orch)
-          (graph t)
-      | Restored r ->
-        (* [Prov_export.to_turtle] is exactly [Turtle.to_turtle] of the
-           export store, and the WAL logged that store's triple sequence
-           verbatim — so a restored session's Turtle is byte-identical to
-           what the live session served (persist-smoke pins this). *)
-        Rdf.Turtle.to_turtle r.r_store)
+(* A restored session's store is the replayed log, which holds the live
+   store's triple sequence verbatim — so its Turtle is byte-identical to
+   what the live session served (persist-smoke pins this). *)
+let turtle t = M.time h_turtle (fun () -> Rdf.Turtle.to_turtle (store t))
 
 (* ----- WAL sync ----- *)
 
-(* Persist the current export store.  The snapshot store is rebuilt from
-   scratch on every commit, so the delta is recovered by comparing
-   against the [logged] replica: a prefix extension appends only the
-   suffix; anything else (promotion rewrote history) resets and dumps.
-   Metadata rides along so a restore can report backend/commit counts. *)
+(* Append the steps committed since the last sync to the store and the
+   log, then seal them under one fsynced commit marker.  Metadata rides
+   along so a restore can report backend/commit counts. *)
 let sync_wal t l =
   match l.persist with
   | None -> ()
   | Some p ->
-    let cur = store t in
-    if Rdf.Triple_store.prefix_of p.logged cur then
-      List.iter
-        (fun tr -> Rdf.Wal.log_triple p.pw tr)
-        (Rdf.Triple_store.triples_from cur (Rdf.Triple_store.size p.logged))
-    else begin
-      Rdf.Wal.log_reset p.pw;
-      Rdf.Triple_store.iter cur (fun tr -> Rdf.Wal.log_triple p.pw tr)
-    end;
+    catch_up t l;
+    let size = Rdf.Triple_store.size l.export.x_store in
     Rdf.Wal.log_meta p.pw ~key:"backend" ~value:t.bname;
     Rdf.Wal.log_meta p.pw ~key:"commits" ~value:(string_of_int t.commits);
     Rdf.Wal.log_meta p.pw ~key:"failed" ~value:(string_of_int t.failed);
     Rdf.Wal.log_meta p.pw ~key:"next_time"
       ~value:(string_of_int (Orchestrator.next_time l.orch));
-    Rdf.Wal.commit p.pw ~store_size:(Rdf.Triple_store.size cur);
-    (* The export store was just built anyway (it IS the thing being
-       logged), so sampling its size here is free — the gauge is never a
-       reason to materialize a store. *)
-    M.set g_store_triples (Rdf.Triple_store.size cur);
-    p.logged <- cur
+    Rdf.Wal.commit p.pw ~store_size:size;
+    M.set g_store_triples size
 
 (* ----- constructors ----- *)
 
@@ -225,13 +209,13 @@ let create ~id ~backend ?(jobs = 1) ?(budgets = default_budgets) ?wal_path ~doc
   let inst = instantiate (Strategy.backend_of backend) ~jobs ~doc rb in
   let persist =
     Option.map
-      (fun path ->
-        { pw = Rdf.Wal.open_writer path;
-          p_path = path;
-          logged = Rdf.Triple_store.create () })
+      (fun path -> { pw = Rdf.Wal.open_writer path; p_path = path })
       wal_path
   in
-  let l = { orch; inst; budgets; persist } in
+  let export =
+    { x_store = Rdf.Triple_store.create (); x_cursor = Prov_export.start }
+  in
+  let l = { orch; inst; budgets; persist; export } in
   let t =
     { sid = id; bname = Strategy.kind_to_string backend; mode = Live l;
       lock = Mutex.create (); commits = 0; failed = 0; snap = None;
@@ -319,12 +303,11 @@ let commit t svc =
                   promoted = List.length delta.Orchestrator.promoted }
             | Orchestrator.Step_failed { reason; attempts; _ } ->
               (* The orchestrator already rolled the arena back and burned
-                 the timestamp; nothing the backend observed, nothing to
-                 drop.  The failed call still shows up in the exported
-                 graph (as an invalidated activity), so the WAL syncs here
-                 too. *)
+                 the timestamp; the backend observed nothing, so the
+                 snapshot stands.  The failed call still shows up in the
+                 export (as an invalidated activity), so the WAL syncs
+                 here too. *)
               t.failed <- t.failed + 1;
-              t.snap <- None;
               sync_wal t l;
               sample_doc ();
               Error (Call_failed { reason; attempts; time })))
@@ -353,8 +336,8 @@ let stats t =
       (match t.mode with
       | Live l -> Tree.size (Orchestrator.session_doc l.orch)
       | Restored _ -> 0);
-    st_graph_size = List.length (Prov_graph.labeled_resources g);
-    st_links = List.length (Prov_graph.links g); st_closed = t.closed;
+    st_graph_size = Prov_graph.label_count g;
+    st_links = Prov_graph.size g; st_closed = t.closed;
     st_restored = is_restored t; st_store = Rdf.Triple_store.stats (store t) }
 
 (* ----- close ----- *)
@@ -375,14 +358,14 @@ let close t =
       in
       (* Pin the final graph: [commit] is refused from here on, so this
          snapshot never goes stale and queries keep answering over it. *)
-      t.snap <- Some { s_graph = g; s_reach = None; s_store = None };
+      t.snap <- Some { s_graph = g; s_reach = None };
       t.closed <- true;
       (match l.persist with
       | None -> ()
       | Some p ->
-        (* The finalize graph may differ from the last snapshot; sync it,
-           then compact the log to one reset + dump so replay cost is
-           proportional to live size. *)
+        (* The finalize graph may hold more than the last snapshot; sync
+           it, then compact the log to one reset + dump of the store so
+           replay cost is proportional to live size. *)
         sync_wal t l;
         Rdf.Wal.compact_to p.p_path
           ~meta:
@@ -390,6 +373,6 @@ let close t =
               ("commits", string_of_int t.commits);
               ("failed", string_of_int t.failed);
               ("next_time", string_of_int (Orchestrator.next_time l.orch)) ]
-          p.logged;
+          l.export.x_store;
         Rdf.Wal.close_writer p.pw);
       g

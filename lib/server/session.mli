@@ -13,9 +13,9 @@
     commit) and reported as [Error] — the session stays open and
     queryable.  Only {!close} or an explicit budget exhaustion ends it.
 
-    Persistence: with a [wal_path], every commit appends the session's
-    exported triple delta to a write-ahead log ({!Weblab_rdf.Wal}),
-    fsynced per commit.  After a daemon restart, {!restore} replays the
+    Persistence: with a [wal_path], every commit appends the triples its
+    step added to the session's export store to a write-ahead log
+    ({!Weblab_rdf.Wal}), fsynced per commit.  After a daemon restart, {!restore} replays the
     log into a {e read-only} session that serves [turtle]/[sparql]/
     [why]/[impact] over the recovered store — the Turtle export is
     byte-identical to what the live session last served — while
@@ -121,14 +121,24 @@ val why : t -> string -> string list
 val impact : t -> string -> string list
 (** Transitive descendants (sorted). *)
 
+val store : t -> Weblab_rdf.Triple_store.t
+(** The session's export store.  It only grows: a persisted session
+    appends each commit's step at sync, an unpersisted one catches up
+    here.  Its triple sequence is {!Weblab_prov.Prov_export.to_store}
+    [~trace] of {!graph}, and a persisted session's WAL replays to it.
+    For a restored session, the replayed store. *)
+
+val trace : t -> Trace.t option
+(** The live session's execution trace; [None] once restored. *)
+
 val sparql : t -> string -> Weblab_relalg.Table.t
-(** A SELECT query against the PROV export of the live graph.
+(** A SELECT query against {!store}.
     @raise Weblab_rdf.Sparql.Error on malformed queries. *)
 
 val turtle : t -> string
-(** Turtle export of the live graph (with the trace's failed calls).
-    For a restored session, rendered straight off the replayed store —
-    byte-identical to the live session's last synced export. *)
+(** Turtle rendering of {!store}, with the trace's failed calls.  A
+    restored session's is byte-identical to what the live session served
+    at its last sync. *)
 
 type stats = {
   st_id : string;

@@ -356,7 +356,8 @@ let label_resources s ~now =
           Tree.set_service_label doc n service time;
         let call = { Trace.service; time } in
         match Tree.uri doc n with
-        | Some uri -> Trace.add_entry s.s_trace { Trace.uri; node = n; call }
+        | Some uri ->
+          Trace.add_entry ~step:now s.s_trace { Trace.uri; node = n; call }
         | None ->
           raise
             (Orchestrator_error

@@ -39,28 +39,45 @@ type attempt = {
 }
 
 type t = {
-  mutable entries_rev : entry list;
+  entries : entry Vec.t;  (* insertion order *)
+  steps : int Vec.t;  (* the step each entry was recorded at *)
   mutable calls_rev : call list;
   mutable failed_rev : call list;
   mutable attempts_rev : attempt list;
-  outcomes : (int, outcome) Hashtbl.t;  (* timestamp → outcome *)
+  attempt_counts : (int, int) Hashtbl.t;  (* timestamp → attempts *)
+  outcomes : (int, call * outcome) Hashtbl.t;  (* timestamp → outcome *)
+  mutable last_time : int;
 }
 
+let no_entry =
+  { uri = ""; node = Tree.no_node; call = { service = ""; time = 0 } }
+
 let create () =
-  { entries_rev = []; calls_rev = []; failed_rev = []; attempts_rev = [];
-    outcomes = Hashtbl.create 16 }
+  { entries = Vec.create ~dummy:no_entry; steps = Vec.create ~dummy:0;
+    calls_rev = []; failed_rev = []; attempts_rev = [];
+    attempt_counts = Hashtbl.create 16; outcomes = Hashtbl.create 16;
+    last_time = -1 }
 
 let add_call t call =
   t.calls_rev <- call :: t.calls_rev;
+  t.last_time <- max t.last_time call.time;
   if not (Hashtbl.mem t.outcomes call.time) then
-    Hashtbl.replace t.outcomes call.time Ok
+    Hashtbl.replace t.outcomes call.time (call, Ok)
 
-let add_entry t entry = t.entries_rev <- entry :: t.entries_rev
+let add_entry ?step t entry =
+  Vec.push t.entries entry;
+  Vec.push t.steps (Option.value step ~default:entry.call.time)
 
-let record_attempt t a = t.attempts_rev <- a :: t.attempts_rev
+let attempt_count t time =
+  match Hashtbl.find_opt t.attempt_counts time with Some n -> n | None -> 0
+
+let record_attempt t a =
+  t.attempts_rev <- a :: t.attempts_rev;
+  Hashtbl.replace t.attempt_counts a.a_time (attempt_count t a.a_time + 1)
 
 let record_outcome t call outcome =
-  Hashtbl.replace t.outcomes call.time outcome;
+  Hashtbl.replace t.outcomes call.time (call, outcome);
+  t.last_time <- max t.last_time call.time;
   match outcome with
   | Failed _ -> t.failed_rev <- call :: t.failed_rev
   | Ok | Retried _ -> ()
@@ -68,7 +85,7 @@ let record_outcome t call outcome =
 let calls t = List.rev t.calls_rev
 
 let entries t =
-  List.rev t.entries_rev
+  Vec.to_list t.entries
   |> List.sort (fun a b ->
          let c = compare a.call.time b.call.time in
          if c <> 0 then c else compare a.node b.node)
@@ -77,7 +94,18 @@ let failed_calls t = List.rev t.failed_rev
 
 let attempts t = List.rev t.attempts_rev
 
-let outcome_at t time = Hashtbl.find_opt t.outcomes time
+let outcome_at t time = Option.map snd (Hashtbl.find_opt t.outcomes time)
+
+let attempted_call t time = Option.map fst (Hashtbl.find_opt t.outcomes time)
+
+let last_time t = t.last_time
+
+let entry_count t = Vec.length t.entries
+
+let iter_entries_from t k f =
+  for i = k to Vec.length t.entries - 1 do
+    f (Vec.get t.entries i) (Vec.get t.steps i)
+  done
 
 let call_at t time = List.find_opt (fun c -> c.time = time) (calls t)
 

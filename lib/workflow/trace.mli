@@ -54,7 +54,12 @@ val create : unit -> t
 val add_call : t -> call -> unit
 (** Record a {e committed} call (outcome defaults to [Ok]). *)
 
-val add_entry : t -> entry -> unit
+val add_entry : ?step:int -> t -> entry -> unit
+(** Record a labeled resource.  [step] is the timestamp of the call
+    during which the label was recorded; it defaults to [entry.call.time]
+    and differs from it only for a node promoted to a resource by a later
+    call, which is labeled with the call that created it but recorded at
+    the promoting call's step. *)
 
 val record_attempt : t -> attempt -> unit
 
@@ -73,11 +78,28 @@ val attempts : t -> attempt list
 (** Every supervision attempt (successful, retried and failed), in
     execution order. *)
 
+val attempt_count : t -> int -> int
+(** The number of supervision attempts recorded at a timestamp. *)
+
 val outcome_at : t -> int -> outcome option
 (** The outcome recorded for a timestamp, committed or failed. *)
 
+val attempted_call : t -> int -> call option
+(** The call made at a timestamp, committed or failed. *)
+
+val last_time : t -> int
+(** The largest timestamp with a recorded call or outcome; [-1] for an
+    empty trace. *)
+
 val entries : t -> entry list
 (** Sorted by call timestamp. *)
+
+val entry_count : t -> int
+
+val iter_entries_from : t -> int -> (entry -> int -> unit) -> unit
+(** [iter_entries_from t k f] applies [f entry step] to the entries from
+    the [k]-th on, in recording order: the entries recorded since the
+    trace held [k] of them. *)
 
 val call_at : t -> int -> call option
 

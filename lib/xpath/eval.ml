@@ -349,7 +349,7 @@ let apply_step ?keep doc index visible contexts (step : Ast.step) =
    front.  Shared between [eval_with] and the prefix API below so the
    fused compiler's tables are bit-identical — rows and order — to
    rule-at-a-time evaluation of the same pattern. *)
-let table_of_front ~require_uri doc (pattern : Ast.pattern) finals =
+let table_of_front ?resource ~require_uri doc (pattern : Ast.pattern) finals =
   (* An explicit [$r := @id] is the implicit result binding of Definition 4
      condition (3) spelled out (the pattern φ2 of Example 3), so the "r"
      column is never duplicated; "node" is likewise reserved. *)
@@ -359,7 +359,11 @@ let table_of_front ~require_uri doc (pattern : Ast.pattern) finals =
   let table = Table.create (("node" :: "r" :: vars)) in
   List.iter
     (fun (n, env) ->
-      let uri = Tree.uri doc n in
+      let uri =
+        match resource with
+        | Some is_resource when not (is_resource n) -> None
+        | Some _ | None -> Tree.uri doc n
+      in
       match uri, require_uri with
       | None, true -> ()   (* condition (3) of Definition 4 *)
       | _ ->
@@ -385,7 +389,8 @@ let table_of_front ~require_uri doc (pattern : Ast.pattern) finals =
     finals;
   Table.distinct table
 
-let eval_with ~require_uri ~guards ~index doc (pattern : Ast.pattern) =
+let eval_with ?resource ~require_uri ~guards ~index doc
+    (pattern : Ast.pattern) =
   T.incr c_patterns;
   let finals =
     List.fold_left
@@ -393,7 +398,7 @@ let eval_with ~require_uri ~guards ~index doc (pattern : Ast.pattern) =
       [ (Tree.no_node, guards.env) ]
       pattern
   in
-  table_of_front ~require_uri doc pattern finals
+  table_of_front ?resource ~require_uri doc pattern finals
 
 (* ----- Shared-prefix evaluation -----
 
@@ -429,14 +434,14 @@ let prefix_table ?(require_uri = true) doc (pattern : Ast.pattern)
    (see {!Index.for_tree}); a caller that already holds a valid index
    passes it to skip the cache lookup.  A stale index is never used — a
    snapshot of a smaller arena would silently miss appended nodes. *)
-let eval ?(require_uri = true) ?(guards = no_guards) ?index doc
+let eval ?(require_uri = true) ?resource ?(guards = no_guards) ?index doc
     (pattern : Ast.pattern) =
   let index =
     match index with
     | Some idx when Index.valid_for idx doc -> Some idx
     | Some _ | None -> Some (Index.for_tree doc)
   in
-  eval_with ~require_uri ~guards ~index doc pattern
+  eval_with ?resource ~require_uri ~guards ~index doc pattern
 
 (* The reference evaluator the indexed path is property-tested against:
    pure tree traversal, no index consulted. *)

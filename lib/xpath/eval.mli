@@ -31,12 +31,15 @@ val state_guards : Doc_state.t -> guards
 
 val eval :
   ?require_uri:bool ->
+  ?resource:(Tree.node -> bool) ->
   ?guards:guards ->
   ?index:Index.t ->
   Tree.t ->
   Ast.pattern ->
   Table.t
 (** [eval doc φ] computes R_φ(d).  [require_uri] defaults to [true].
+    A node counts as a resource only where [resource] holds (default:
+    wherever it has an identifier); elsewhere its identifier is ignored.
 
     Candidate nodes of descendant steps and of indexed-attribute guards
     ([@id], [@s], [@t] equalities — what the §4 rewriting injects) are

@@ -17,25 +17,46 @@ let rendered () =
 
 (* dune runtest stages the dep next to the binary; dune exec runs from the
    workspace root — accept both. *)
-let golden_path () =
-  if Sys.file_exists "golden/figures.txt" then "golden/figures.txt"
-  else "test/golden/figures.txt"
+let golden_path name =
+  let staged = Filename.concat "golden" name in
+  if Sys.file_exists staged then staged else Filename.concat "test/golden" name
 
-let test_figures_golden () =
-  let expected = read_file (golden_path ()) in
-  let actual = rendered () in
+let check_golden name actual =
+  let expected = read_file (golden_path name) in
   if not (String.equal expected actual) then begin
     (* precise first-difference report *)
     let n = min (String.length expected) (String.length actual) in
     let rec diff i = if i < n && expected.[i] = actual.[i] then diff (i + 1) else i in
     let i = diff 0 in
     Alcotest.failf
-      "figures output diverged from the golden file at byte %d:\n\
+      "output diverged from golden/%s at byte %d:\n\
        expected … %S\n  actual … %S"
-      i
+      name i
       (String.sub expected i (min 60 (String.length expected - i)))
       (String.sub actual i (min 60 (String.length actual - i)))
   end
+
+let test_figures_golden () = check_golden "figures.txt" (rendered ())
+
+(* The Turtle of `weblab-prov export --units 16 --seed 7`: the PROV export
+   of a fault-free, Skolem-free run is pinned byte for byte, promotions
+   included.  Regenerate with:
+     dune exec bin/main.exe -- export --units 16 --seed 7 > test/golden/export_ttl.txt *)
+let test_export_golden () =
+  let open Weblab_prov in
+  let services = Weblab_services.Workload.standard_pipeline () in
+  let rb =
+    List.filter_map
+      (fun svc ->
+        let name = Weblab_workflow.Service.name svc in
+        Weblab_services.Catalog.find name
+        |> Option.map (fun e ->
+               (name, List.map Rule_parser.parse e.Weblab_services.Catalog.rules)))
+      services
+  in
+  let doc = Weblab_services.Workload.make_document ~units:16 ~seed:7 () in
+  let _, g = Engine.run_with_strategy ~jobs:1 `Rewrite doc services rb in
+  check_golden "export_ttl.txt" (Prov_export.to_turtle g)
 
 (* Soak: a long mixed pipeline over a larger corpus keeps every invariant. *)
 let test_soak () =
@@ -83,4 +104,5 @@ let test_soak () =
 let () =
   Alcotest.run "golden"
     [ ( "figures", [ Alcotest.test_case "golden output" `Quick test_figures_golden ] );
+      ( "export", [ Alcotest.test_case "golden Turtle" `Quick test_export_golden ] );
       ( "soak", [ Alcotest.test_case "large pipeline" `Quick test_soak ] ) ]

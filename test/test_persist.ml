@@ -528,6 +528,208 @@ let test_served_turtle_history_independent () =
            (units, true, true) ])
        [ 16; 64 ])
 
+(* ===== the session's export store: delta sync ===== *)
+
+module Prov = Weblab_prov
+module Wf = Weblab_workflow
+module Xml = Weblab_xml
+
+(* A random pipeline, rebuilt from its seed for every backend: sessions
+   mutate their document, and the fault plan (same seed, same decisions)
+   must be fresh per execution.  Fragments mix element names, so the
+   random rules and the one Skolem rule per service find matches.  With
+   [promote], calls sometimes promote an older element to a resource. *)
+let names = [| "A"; "B"; "C" |]
+
+let rec fragment doc parent depth st =
+  let attrs =
+    ("g", string_of_int (Random.State.int st 3))
+    :: (if Random.State.bool st then [ ("k", "1") ] else [])
+  in
+  let n =
+    Xml.Tree.new_element doc ~parent names.(Random.State.int st 3) ~attrs
+  in
+  if depth > 0 then
+    for _ = 1 to Random.State.int st 3 do
+      ignore (fragment doc n (depth - 1) st)
+    done;
+  n
+
+let pipeline_of_seed ~promote seed =
+  let st = Random.State.make [| seed |] in
+  let doc = Wf.Orchestrator.initial_document () in
+  for _ = 1 to 1 + Random.State.int st 3 do
+    ignore (fragment doc (Xml.Tree.root doc) 1 st)
+  done;
+  let services =
+    List.init
+      (3 + Random.State.int st 4)
+      (fun i ->
+        let fseed = Random.State.bits st in
+        Wf.Service.inproc ~name:(Printf.sprintf "Svc%d" (i mod 3))
+          ~description:"" (fun doc ->
+            let st = Random.State.make [| fseed |] in
+            (* Promote an older unidentified element now and then: its
+               label belongs to the call that created it. *)
+            let n = Random.State.int st (2 * Xml.Tree.size doc) in
+            if
+              promote
+              && n < Xml.Tree.size doc
+              && Xml.Tree.is_element doc n
+              && Xml.Tree.uri doc n = None
+            then Xml.Tree.set_uri doc n (Printf.sprintf "p%d" n);
+            for _ = 0 to Random.State.int st 3 do
+              ignore (fragment doc (Xml.Tree.root doc) 1 st)
+            done))
+  in
+  let pick () = names.(Random.State.int st 3) in
+  let rule i =
+    let open Weblab_xpath.Ast in
+    let step name preds = { axis = Descendant; test = Name name; preds } in
+    let shared = Random.State.bool st in
+    Prov.Rule.make ~name:(Printf.sprintf "q%d" i)
+      ~source:[ step (pick ()) (if shared then [ Bind ("x", Attr "g") ] else []) ]
+      ~target:[ step (pick ()) (if shared then [ Bind ("x", Attr "g") ] else []) ]
+      ()
+  in
+  let kinds =
+    Prov.Skolem.[| One_to_many; Many_to_one; One_to_one; Many_to_many |]
+  in
+  let rb =
+    List.init 3 (fun i ->
+        ( Printf.sprintf "Svc%d" i,
+          List.init (1 + Random.State.int st 2) rule
+          @ [ Prov.Skolem.rule
+                ~kind:kinds.(Random.State.int st 4)
+                ~f:(Printf.sprintf "f%d" i) ~src:(pick ()) ~tgt:(pick ())
+                ~group_attr:"g" () ] ))
+  in
+  (doc, services, rb)
+
+let faulty_budgets =
+  { Session.default_budgets with
+    Session.policy =
+      { Session.default_budgets.Session.policy with
+        Wf.Orchestrator.retries = 1; backoff_ms = 1. } }
+
+(* The session's store, the offline export of its snapshot and the
+   replay of its WAL: the same triple sequence, and no reset logged. *)
+let export_agrees s path =
+  let live = Triple_store.triples (Session.store s) in
+  let expected =
+    Prov.Prov_export.to_store ?trace:(Session.trace s) (Session.graph s)
+  in
+  let replayed, rp = Wal.replay path in
+  live = Triple_store.triples expected
+  && live = Triple_store.triples replayed
+  && rp.Wal.rp_resets = 0
+  && rp.Wal.rp_triples = List.length live
+
+(* Drive one persisted session through [services], checking the law
+   after [open] and after every commit, failed ones included.  Returns
+   whether it held throughout, the final store's triples, and how many
+   calls failed. *)
+let drive_session ~kind ~budgets ~doc ~rb services =
+  let path = fresh_wal () in
+  let s =
+    Session.create ~id:"delta" ~backend:kind ~jobs:1 ~budgets ~wal_path:path
+      ~doc rb
+  in
+  let ok = ref (export_agrees s path) and failed = ref 0 in
+  List.iter
+    (fun svc ->
+      (match Session.commit s svc with
+      | Ok _ -> ()
+      | Error _ -> incr failed);
+      ok := !ok && export_agrees s path)
+    services;
+  ignore (Session.close s);
+  let final = Triple_store.triples (Session.store s) in
+  let replayed, _ = Wal.replay path in
+  (!ok && final = Triple_store.triples replayed, final, !failed)
+
+let delta_sync_prop =
+  Test.make
+    ~name:
+      "session store = to_store of the snapshot = WAL replay after every \
+       commit, for all backends x faults x Skolem rules x promotions; \
+       backends agree"
+    ~count:40
+    (make
+       ~print:(fun (seed, fseed, r, promote) ->
+         Printf.sprintf "seed=%d fault_seed=%d rate=%d promote=%b" seed fseed
+           r promote)
+       Gen.(
+         quad (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 2) bool))
+    (fun (seed, fault_seed, r, promote) ->
+      let rate = [| 0.; 0.3; 0.6 |].(r) in
+      let runs =
+        List.map
+          (fun kind ->
+            let doc, services, rb = pipeline_of_seed ~promote seed in
+            let services =
+              if rate = 0. then services
+              else
+                Weblab_services.Faulty.wrap_all
+                  (Weblab_services.Faulty.plan
+                     ~faults:
+                       Weblab_services.Faulty.
+                         [ Crash; Garbage_xml; Mutate_committed; Duplicate_uri ]
+                     ~rate ~seed:fault_seed ())
+                  services
+            in
+            drive_session ~kind ~budgets:faulty_budgets ~doc ~rb services)
+          Prov.Strategy.all
+      in
+      match runs with
+      | (_, first, _) :: _ ->
+        List.for_all (fun (ok, final, _) -> ok && final = first) runs
+      | [] -> false)
+
+(* Figure 4's promotion (node 3 becomes r3 at c1) appends; it never
+   rewrites what the log holds. *)
+let test_paper_promotion_appends () =
+  let module P = Weblab_scenario.Paper in
+  List.iter
+    (fun kind ->
+      let ok, final, _ =
+        drive_session ~kind ~budgets:Session.default_budgets
+          ~doc:(P.initial_document ()) ~rb:(P.rulebook ()) P.services
+      in
+      let name = Prov.Strategy.kind_to_string kind in
+      check_bool (name ^ ": store = export = replay") true ok;
+      let e = P.run () in
+      let g = Prov.Strategy.infer ~doc:e.P.doc ~trace:e.P.trace e.P.rulebook in
+      check_bool (name ^ ": served = offline") true
+        (final
+        = Triple_store.triples (Prov.Prov_export.to_store ~trace:e.P.trace g)))
+    Prov.Strategy.all
+
+(* A long chain on the daemon's configuration, killed without [close]:
+   every triple reached the log exactly once, with no reset. *)
+let test_chain_logs_each_triple_once () =
+  let ctx = Protocol.make_ctx () in
+  let path = fresh_wal () in
+  let s =
+    Session.create ~id:"chain" ~backend:ctx.Protocol.default_backend
+      ~wal_path:path
+      ~doc:(Weblab_services.Workload.make_document ~units:3 ~seed:1000 ())
+      ctx.Protocol.rulebook
+  in
+  List.iter
+    (fun svc ->
+      match Session.commit s svc with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "chain commit failed")
+    (Weblab_services.Workload.chain_pipeline 120);
+  let replayed, rp = Wal.replay path in
+  let live = Session.store s in
+  check_int "one commit per sync" 121 rp.Wal.rp_commits;
+  check_int "no reset" 0 rp.Wal.rp_resets;
+  check_int "each triple logged once" (Triple_store.size live) rp.Wal.rp_triples;
+  check_string "replay = live" (Turtle.to_ntriples live)
+    (Turtle.to_ntriples replayed)
+
 let () =
   Alcotest.run "persist"
     [ ( "wal",
@@ -542,6 +744,12 @@ let () =
       ( "properties",
         [ QCheck_alcotest.to_alcotest agreement_prop;
           QCheck_alcotest.to_alcotest crash_consistency_prop ] );
+      ( "delta-sync",
+        [ QCheck_alcotest.to_alcotest delta_sync_prop;
+          Alcotest.test_case "paper promotion appends" `Quick
+            test_paper_promotion_appends;
+          Alcotest.test_case "120-commit chain logs each triple once" `Quick
+            test_chain_logs_each_triple_once ] );
       ( "warm-restart",
         [ Alcotest.test_case "protocol restart" `Quick
             test_protocol_warm_restart;

@@ -95,10 +95,11 @@ let test_skolem_in_graph_and_export () =
   let app = apply rule d in
   let g = Prov_graph.create () in
   List.iter
-    (fun (o, i) -> Prov_graph.add_link g ~rule:"sk" ~from_uri:o ~to_uri:i)
+    (fun (o, i) ->
+      Prov_graph.add_link g ~rule:"sk" ~step:0 ~from_uri:o ~to_uri:i)
     app.Mapping.links;
   List.iter
-    (fun (entity, member) -> Prov_graph.add_member g ~entity ~member)
+    (fun (entity, member) -> Prov_graph.add_member g ~step:0 ~entity ~member)
     app.Mapping.members;
   check_int "entities" 2 (List.length (Prov_graph.skolem_entities g));
   check_int "members of g(g1)" 2 (List.length (Prov_graph.members g "g(g1)"));
