@@ -30,6 +30,8 @@ type t = {
   member_log : (string * string * int) Vec.t;  (* entity, member, step *)
   entities : string Vec.t;  (* Skolem entities, first-insertion order *)
   dedup : (string, unit) Hashtbl.t;
+  succ : (string, link) Hashtbl.t;  (* from_uri -> its links *)
+  pred : (string, link) Hashtbl.t;  (* to_uri -> its links *)
 }
 
 let no_step = -1
@@ -47,6 +49,8 @@ let create () =
     member_log = Vec.create ~dummy:("", "", no_step);
     entities = Vec.create ~dummy:"";
     dedup = Hashtbl.create 64;
+    succ = Hashtbl.create 64;
+    pred = Hashtbl.create 64;
   }
 
 (* Relabeling a resource keeps the step it was first labeled at. *)
@@ -90,7 +94,9 @@ let add_link ?(rule = "") ?(inherited = false) ?step g ~from_uri ~to_uri =
     if not (Hashtbl.mem g.dedup k) then begin
       Hashtbl.add g.dedup k ();
       Vec.push g.links l;
-      Vec.push g.link_steps (Option.value step ~default:no_step)
+      Vec.push g.link_steps (Option.value step ~default:no_step);
+      Hashtbl.add g.succ from_uri l;
+      Hashtbl.add g.pred to_uri l
     end
   end
 
@@ -143,25 +149,22 @@ let iter_members_from g k f =
 
 (* Direct dependencies of a resource: the resources it was derived from. *)
 let depends_on g uri =
-  links g
-  |> List.filter_map (fun l ->
-         if String.equal l.from_uri uri then Some l.to_uri else None)
+  Hashtbl.find_all g.succ uri
+  |> List.map (fun l -> l.to_uri)
   |> List.sort_uniq String.compare
 
 (* The resources directly derived from [uri]. *)
 let used_by g uri =
-  links g
-  |> List.filter_map (fun l ->
-         if String.equal l.to_uri uri then Some l.from_uri else None)
+  Hashtbl.find_all g.pred uri
+  |> List.map (fun l -> l.from_uri)
   |> List.sort_uniq String.compare
 
 let has_link ?rule g ~from_uri ~to_uri =
   List.exists
     (fun l ->
-      String.equal l.from_uri from_uri
-      && String.equal l.to_uri to_uri
+      String.equal l.to_uri to_uri
       && match rule with None -> true | Some r -> String.equal r l.rule)
-    (links g)
+    (Hashtbl.find_all g.succ from_uri)
 
 (* Edges must point backwards in time: λ(from).time > λ(to).time when both
    endpoints are labeled (initial resources share timestamp 0, which a

@@ -69,10 +69,12 @@ val size : t -> int
 val has_link : ?rule:string -> t -> from_uri:string -> to_uri:string -> bool
 
 val depends_on : t -> string -> string list
-(** Direct dependencies of a resource, sorted. *)
+(** Direct dependencies of a resource, sorted.  Reads the successor
+    adjacency {!add_link} maintains: O(out-degree), not O(links). *)
 
 val used_by : t -> string -> string list
-(** Resources directly derived from the given one, sorted. *)
+(** Resources directly derived from the given one, sorted; O(in-degree)
+    through the predecessor adjacency. *)
 
 (** {1 Skolem aggregation entities (§5)} *)
 

@@ -323,7 +323,7 @@ let observe st ~call ~before ~after ~(delta : Orchestrator.delta) =
           ~keep:spine ~guards:(Eval.state_guards after) doc
       in
       let generated u =
-        match Tree.find_resource doc u with
+        match Index.resource idx u with
         | Some n -> Tree.created doc n = t
         | None -> false
       in

@@ -8,8 +8,8 @@ module M = Weblab_obs.Metrics
    daemon hosting many sessions folds them all into one family per verb,
    which is what the scrape wants (per-session splits would explode
    cardinality).  Commit covers the orchestrator step plus WAL sync;
-   the query histograms cover lazy derivation (reachability build,
-   export catch-up) on a cold snapshot and plain lookup on a warm one. *)
+   [why]/[impact] time one traversal of the graph, and [sparql]/[turtle]
+   include the export catch-up a cold store needs. *)
 let h_commit = M.hist "session.commit"
 let h_why = M.hist "session.query.why"
 let h_impact = M.hist "session.query.impact"
@@ -50,14 +50,6 @@ let instantiate (module B : Strategy_sig.STRATEGY_BACKEND) ~jobs ~doc rb =
         B.observe st ~call ~before ~after ~delta);
     bi_snapshot = (fun ~doc ~trace -> B.snapshot st ~doc ~trace);
     bi_finalize = (fun ~doc ~trace -> B.finalize st ~doc ~trace) }
-
-(* Query-side state derived from one snapshot; dropped on every commit.
-   Reachability is built lazily — a session that never runs [why] never
-   pays for it. *)
-type snap = {
-  s_graph : Prov_graph.t;
-  mutable s_reach : Reachability.t option;
-}
 
 (* The session's export store only grows: each sync appends the steps
    committed since the cursor ({!Prov_export.extend}).  A persisted
@@ -100,7 +92,9 @@ type t = {
   lock : Mutex.t;
   mutable commits : int;  (* committed calls *)
   mutable failed : int;  (* burned timestamps *)
-  mutable snap : snap option;
+  mutable snap : Prov_graph.t option;
+      (* the backend's graph, labeled up to the last commit; dropped on
+         every commit *)
   mutable closed : bool;
 }
 
@@ -118,9 +112,9 @@ let with_lock t f = Mutex.protect t.lock f
 
 (* ----- queries ----- *)
 
-let current_snap t =
+let graph t =
   match t.snap with
-  | Some s -> s
+  | Some g -> g
   | None ->
     let g =
       match t.mode with
@@ -129,20 +123,8 @@ let current_snap t =
           ~trace:(Orchestrator.session_trace l.orch)
       | Restored r -> Prov_export.of_store r.r_store
     in
-    let s = { s_graph = g; s_reach = None } in
-    t.snap <- Some s;
-    s
-
-let graph t = (current_snap t).s_graph
-
-let reach t =
-  let s = current_snap t in
-  match s.s_reach with
-  | Some r -> r
-  | None ->
-    let r = Reachability.build s.s_graph in
-    s.s_reach <- Some r;
-    r
+    t.snap <- Some g;
+    g
 
 (* Append what the graph and trace gained since the last catch-up; a
    persisted session stages the appended triples in its WAL. *)
@@ -165,10 +147,13 @@ let trace t =
   | Live l -> Some (Orchestrator.session_trace l.orch)
   | Restored _ -> None
 
-let why t uri = M.time h_why (fun () -> Reachability.ancestors (reach t) uri)
+(* Two queries per commit do not pay for a closure: a traversal over the
+   graph's adjacency reaches only the lineage asked about. *)
+let why t uri =
+  M.time h_why (fun () -> Query.depends_on_transitive (graph t) uri)
 
 let impact t uri =
-  M.time h_impact (fun () -> Reachability.descendants (reach t) uri)
+  M.time h_impact (fun () -> Query.influences_transitive (graph t) uri)
 
 let sparql t q = M.time h_sparql (fun () -> Rdf.Sparql.run (store t) q)
 
@@ -358,7 +343,7 @@ let close t =
       in
       (* Pin the final graph: [commit] is refused from here on, so this
          snapshot never goes stale and queries keep answering over it. *)
-      t.snap <- Some { s_graph = g; s_reach = None };
+      t.snap <- Some g;
       t.closed <- true;
       (match l.persist with
       | None -> ()

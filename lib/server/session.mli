@@ -116,10 +116,12 @@ val graph : t -> Prov_graph.t
     ({!Weblab_prov.Prov_export.of_store}). *)
 
 val why : t -> string -> string list
-(** Transitive ancestors of a URI in the live graph (sorted). *)
+(** Transitive ancestors of a URI in the live graph (sorted), by a
+    traversal of the graph's adjacency ({!Weblab_prov.Query}); [[]] for a
+    URI the graph does not know. *)
 
 val impact : t -> string -> string list
-(** Transitive descendants (sorted). *)
+(** Transitive descendants (sorted), likewise. *)
 
 val store : t -> Weblab_rdf.Triple_store.t
 (** The session's export store.  It only grows: a persisted session

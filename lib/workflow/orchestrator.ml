@@ -142,72 +142,77 @@ let check_unique_uris doc =
       | None -> ())
     (Tree.resources doc)
 
-(* Fingerprints of committed nodes, used to verify that in-process services
-   only append.  Only URI promotion (adding an "id" to a node that had
-   none) is tolerated as a change. *)
-type fingerprint = {
-  f_name : string;
-  f_text : string;
-  f_attrs : (string * string) list;
-  f_parent : Tree.node;
-  f_children : Tree.node list;
-}
-
-let fingerprint doc n =
-  {
-    f_name = Tree.name doc n;
-    f_text = Tree.text doc n;
-    f_attrs = Tree.attrs doc n;
-    f_parent = Tree.parent doc n;
-    f_children = Tree.children doc n;
-  }
-
-let check_fingerprint doc n fp =
+(* The append check of in-process services reads the committed state
+   back from the checkpoint [step] takes anyway.  Only URI promotion
+   (adding an "id" to a node that had none) is tolerated as a change.
+   [old_children] is [Some] when the call rolled the arena back (a
+   generation bump): then ids may have been dropped or reallocated, and
+   parents and child lists are compared too.  The checks run in the same
+   order, with the same messages, as a comparison of every node would. *)
+let check_committed doc ck ~old_children n =
   let fail what =
     raise
       (Append_violation
          (Printf.sprintf "service modified committed node %d (%s)" n what))
   in
-  if not (String.equal fp.f_name (Tree.name doc n)) then fail "element name";
-  if not (String.equal fp.f_text (Tree.text doc n)) then fail "text content";
-  if fp.f_parent <> Tree.parent doc n then fail "parent";
-  let kids = Tree.children doc n in
-  let rec prefix old cur =
-    match old, cur with
-    | [], _ -> ()
-    | o :: old', c :: cur' -> if o = c then prefix old' cur' else fail "child order"
-    | _ :: _, [] -> fail "children removed"
-  in
-  prefix fp.f_children kids;
+  if not (String.equal (Tree.name_at doc ck n) (Tree.name doc n)) then
+    fail "element name";
+  if not (String.equal (Tree.text_at doc ck n) (Tree.text doc n)) then
+    fail "text content";
+  (match old_children with
+   | None -> ()
+   | Some kids ->
+     if Tree.parent_at ck n <> Tree.parent doc n then fail "parent";
+     let rec prefix old cur =
+       match old, cur with
+       | [], _ -> ()
+       | o :: old', c :: cur' ->
+         if o = c then prefix old' cur' else fail "child order"
+       | _ :: _, [] -> fail "children removed"
+     in
+     prefix kids.(n) (Tree.children doc n));
   (* Attributes: removal and modification are violations; adding "id"
      (resource promotion) is allowed, other additions are not. *)
+  let old_attrs = Tree.attrs_at doc ck n in
   List.iter
     (fun (k, v) ->
       match Tree.attr doc n k with
       | Some v' when String.equal v v' -> ()
       | Some _ -> fail (Printf.sprintf "attribute %s changed" k)
       | None -> fail (Printf.sprintf "attribute %s removed" k))
-    fp.f_attrs;
+    old_attrs;
   List.iter
     (fun (k, _) ->
-      if not (List.mem_assoc k fp.f_attrs) && not (String.equal k "id") then
+      if not (List.mem_assoc k old_attrs) && not (String.equal k "id") then
         fail (Printf.sprintf "attribute %s added to committed node" k))
-    (Tree.attrs doc n)
+    (Tree.attrs doc n);
+  (* promoted: it gained a URI *)
+  (not (List.mem_assoc "id" old_attrs)) && Tree.uri doc n <> None
 
 (* Both runners return (new nodes, promoted nodes): the arena tail the
-   call appended, and the committed nodes the call gave an "id" to. *)
-let run_inproc doc f =
-  let old_size = Tree.size doc in
-  let fps = Array.init old_size (fun n -> fingerprint doc n) in
+   call appended, and the committed nodes the call gave an "id" to.
+   Without a rollback inside the call, only the nodes whose columns
+   differ from the checkpoint can fail the check or be promoted. *)
+let run_inproc doc ck f =
+  let old_size = Tree.checkpoint_size ck in
+  let gen = Tree.generation doc in
   f doc;
-  let promoted = ref [] in
-  for n = 0 to old_size - 1 do
-    check_fingerprint doc n fps.(n);
-    if (not (List.mem_assoc "id" fps.(n).f_attrs)) && Tree.uri doc n <> None
-    then promoted := n :: !promoted
-  done;
-  (List.init (Tree.size doc - old_size) (fun i -> old_size + i),
-   List.rev !promoted)
+  let candidates, old_children =
+    if Tree.generation doc = gen && Tree.size doc >= old_size then
+      (Tree.changed_since doc ck, None)
+    else begin
+      let kids = Array.make old_size [] in
+      for c = old_size - 1 downto 0 do
+        let p = Tree.parent_at ck c in
+        if p <> Tree.no_node then kids.(p) <- c :: kids.(p)
+      done;
+      (List.init old_size Fun.id, Some kids)
+    end
+  in
+  let promoted =
+    List.filter (check_committed doc ck ~old_children) candidates
+  in
+  (List.init (Tree.size doc - old_size) (fun i -> old_size + i), promoted)
 
 (* Shared graft tail of the two blackbox runners: diff the parsed next
    state against the arena, adopt URI promotions on matched nodes and
@@ -333,11 +338,11 @@ let session_trace s = s.s_trace
 let session_policy s = s.s_policy
 let next_time s = s.s_next_time
 
-(* Label all resources that still lack a service-call label, attributing
-   them to the call active at their creation timestamp (this covers both
-   fresh resources and nodes promoted to resources by a later call, as
-   node 3 of Figure 4 is). *)
-let label_resources s ~now =
+(* Label the given resources (in document order) that still lack a
+   service-call label, attributing them to the call active at their
+   creation timestamp (this covers both fresh resources and nodes
+   promoted to resources by a later call, as node 3 of Figure 4 is). *)
+let label_resources s ~now nodes =
   let doc = s.s_doc in
   List.iter
     (fun n ->
@@ -364,7 +369,23 @@ let label_resources s ~now =
                (Printf.sprintf
                   "resource node %d lost its URI during labeling at t%d" n now))
       end)
-    (Tree.resources doc)
+    nodes
+
+(* A resource unlabeled before a call is one the call appended or
+   promoted: those are the only candidates, sorted into document order
+   by their root paths (sibling ids increase along every chain, so the
+   paths compare lexicographically in preorder). *)
+let delta_resources doc { new_nodes; promoted } =
+  let path n =
+    let rec up n acc =
+      if n = Tree.no_node then acc else up (Tree.parent doc n) (n :: acc)
+    in
+    up n []
+  in
+  List.filter (Tree.is_resource doc) (List.rev_append promoted new_nodes)
+  |> List.map (fun n -> (path n, n))
+  |> List.sort (fun (a, _) (b, _) -> List.compare Int.compare a b)
+  |> List.map snd
 
 let start ?(policy = default_policy) doc =
   if not (Tree.has_root doc) then
@@ -386,7 +407,7 @@ let start ?(policy = default_policy) doc =
       | None -> ())
     (Tree.resources doc);
   Trace.add_call s.s_trace { Trace.service = "Source"; time = 0 };
-  label_resources s ~now:0;
+  label_resources s ~now:0 (Tree.resources doc);
   s
 
 type step_result =
@@ -414,7 +435,7 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
         let t0 = Sys.time () in
         let new_nodes, promoted =
           match service.Service.impl with
-          | Service.Inproc f -> run_inproc doc f
+          | Service.Inproc f -> run_inproc doc ck f
           | Service.Blackbox f -> run_blackbox doc f
           | Service.Blackbox_doc f -> run_blackbox_doc doc f
         in
@@ -519,7 +540,7 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
     Trace.record_outcome trace call
       (if attempts > 1 then Trace.Retried (attempts - 1) else Trace.Ok);
     let delta = { new_nodes; promoted } in
-    label_resources s ~now:time;
+    label_resources s ~now:time (delta_resources doc delta);
     let after = Doc_state.at doc time in
     on_step call before after delta;
     Committed { delta; attempts }

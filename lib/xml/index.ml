@@ -44,6 +44,9 @@ type t = {
   mutable pre : int array;  (* preorder key, -1 for nodes outside the tree *)
   mutable post : int array;
   mutable sizes : int array;  (* descendant-or-self count *)
+  mutable last : int array;
+      (* post key of the node's last keyed child, -1 if none: where the
+         next appended child's band starts *)
   elements : Tree.node Vec.t;  (* all elements, document order *)
   by_label : (string, Tree.node Vec.t) Hashtbl.t;
   by_attr : (string * string, Tree.node Vec.t) Hashtbl.t;
@@ -75,26 +78,14 @@ let posting_mem t v node =
   let i = posting_pos t v node in
   i < Vec.length v && Vec.get v i = node
 
-let posting_insert t v node = Vec.insert v (posting_pos t v node) node
-
-let add_element_postings t node =
-  posting_insert t t.elements node;
-  posting_insert t (posting t.by_label (Tree.name t.tree node)) node;
-  List.iter
-    (fun (a, v) ->
-      if attr_indexed a then begin
-        posting_insert t (posting t.by_attr (a, v)) node;
-        posting_insert t (posting t.some_attr a) node
-      end)
-    (Tree.attrs t.tree node)
-
 let build tree =
   T.incr c_builds;
   let n = Tree.size tree in
   let pre = Array.make (max n 1) (-1) and post = Array.make (max n 1) (-1) in
   let sizes = Array.make (max n 1) 0 in
+  let last = Array.make (max n 1) (-1) in
   let t =
-    { tree; stamp = n; gen = Tree.generation tree; pre; post; sizes;
+    { tree; stamp = n; gen = Tree.generation tree; pre; post; sizes; last;
       elements = Vec.create ~dummy:Tree.no_node;
       by_label = Hashtbl.create 64;
       by_attr = Hashtbl.create 64;
@@ -122,6 +113,7 @@ let build tree =
     List.iter
       (fun child ->
         visit child;
+        last.(node) <- post.(child);
         sz := !sz + sizes.(child))
       (Tree.children tree node);
     sizes.(node) <- !sz;
@@ -153,21 +145,18 @@ let ensure_arrays t n =
     in
     t.pre <- grow t.pre (-1);
     t.post <- grow t.post (-1);
-    t.sizes <- grow t.sizes 0
+    t.sizes <- grow t.sizes 0;
+    t.last <- grow t.last (-1)
   end
 
+(* Key [node] right after its preceding sibling (or its parent's pre
+   key): that sibling's post key is the parent's [last], so keying is
+   O(1) however many children the parent already holds. *)
 let alloc_keys t node =
   let p = Tree.parent t.tree node in
   if p = Tree.no_node || t.pre.(p) < 0 then false
   else begin
-    let prev =
-      (* Walk the sibling chain directly: no child-list allocation. *)
-      let rec find prev c =
-        if c = node then prev else find c (Tree.next_sibling t.tree c)
-      in
-      find Tree.no_node (Tree.first_child t.tree p)
-    in
-    let lo = if prev = Tree.no_node then t.pre.(p) else t.post.(prev) in
+    let lo = if t.last.(p) < 0 then t.pre.(p) else t.last.(p) in
     let hi = t.post.(p) in
     let room = hi - lo in
     let s = min (room / 8) child_room in
@@ -178,13 +167,15 @@ let alloc_keys t node =
          appends can nest below it before a rebuild. *)
       t.pre.(node) <- lo + 1;
       t.post.(node) <- lo + 1 + s;
+      t.last.(node) <- -1;
+      t.last.(p) <- t.post.(node);
       true
     end
   end
 
-let extend_node t node =
-  if not (alloc_keys t node) then false
-  else begin
+let key_node t node =
+  alloc_keys t node
+  && begin
     t.sizes.(node) <- 1;
     let rec bump p =
       if p <> Tree.no_node then begin
@@ -193,30 +184,40 @@ let extend_node t node =
       end
     in
     bump (Tree.parent t.tree node);
-    if Tree.is_element t.tree node then add_element_postings t node;
     true
   end
 
-(* Promoted nodes gained attributes after they were first indexed (URI
-   promotion adds an "id" to a committed node); refresh their attribute
-   postings.  Append semantics forbid removal or modification, so only
-   insertions are needed. *)
-let refresh_promoted t nodes =
+(* The nodes one extension adds to each posting, gathered while keying
+   and merged afterwards: one pass per touched posting, however many of
+   its nodes land mid-document. *)
+type batch = {
+  b_elements : Tree.node list ref;
+  b_label : (string, Tree.node list ref) Hashtbl.t;
+  b_attr : (string * string, Tree.node list ref) Hashtbl.t;
+  b_some : (string, Tree.node list ref) Hashtbl.t;
+}
+
+let batch_add tbl key node =
+  match Hashtbl.find_opt tbl key with
+  | Some l -> l := node :: !l
+  | None -> Hashtbl.add tbl key (ref [ node ])
+
+let batch_attrs t b node =
   List.iter
-    (fun node ->
-      if node >= 0 && node < Array.length t.pre && t.pre.(node) >= 0
-         && Tree.is_element t.tree node
-      then
-        List.iter
-          (fun (a, v) ->
-            if attr_indexed a then begin
-              let va = posting t.by_attr (a, v) in
-              if not (posting_mem t va node) then posting_insert t va node;
-              let sa = posting t.some_attr a in
-              if not (posting_mem t sa node) then posting_insert t sa node
-            end)
-          (Tree.attrs t.tree node))
-    nodes
+    (fun (a, v) ->
+      if attr_indexed a then begin
+        batch_add b.b_attr (a, v) node;
+        batch_add b.b_some a node
+      end)
+    (Tree.attrs t.tree node)
+
+(* Sort a batch by pre key and merge it into its posting. *)
+let merge_into t v nodes =
+  if nodes <> [] then begin
+    let xs = Array.of_list nodes in
+    Array.sort (fun a b -> Int.compare t.pre.(a) t.pre.(b)) xs;
+    Vec.merge v xs ~less:(fun a b -> t.pre.(a) < t.pre.(b))
+  end
 
 let extend t doc ~promoted =
   if t.exhausted || not (t.tree == doc) || t.gen <> Tree.generation doc
@@ -228,26 +229,58 @@ let extend t doc ~promoted =
   else begin
     let n = Tree.size doc in
     ensure_arrays t n;
-    let ok = ref true in
-    (try
-       for node = t.stamp to n - 1 do
-         if not (extend_node t node) then begin
-           ok := false;
-           raise Exit
+    let b =
+      { b_elements = ref []; b_label = Hashtbl.create 8;
+        b_attr = Hashtbl.create 16; b_some = Hashtbl.create 4 }
+    in
+    let rec key_tail node =
+      node >= n
+      || key_node t node
+         && begin
+           if Tree.is_element t.tree node then begin
+             b.b_elements := node :: !(b.b_elements);
+             batch_add b.b_label (Tree.name t.tree node) node;
+             batch_attrs t b node
+           end;
+           key_tail (node + 1)
          end
-       done
-     with Exit -> ());
-    if not !ok then begin
-      (* A partial extension leaves the postings inconsistent; the frozen
-         stamp keeps [valid_for] false forever and the flag refuses any
-         further extension.  The caller rebuilds. *)
+    in
+    if not (key_tail t.stamp) then begin
+      (* Keys of part of the tail are written but no posting is touched;
+         the frozen stamp keeps [valid_for] false forever and the flag
+         refuses any further extension.  The caller rebuilds. *)
       t.exhausted <- true;
       T.incr c_extend_fail;
       false
     end
     else begin
+      (* Promoted nodes gained attributes after they were indexed (URI
+         promotion adds an "id" to a committed node); the tail cannot see
+         them.  Append semantics forbid removal or modification, so only
+         insertions are needed, of the pairs not yet posted. *)
+      List.iter
+        (fun node ->
+          if node < t.stamp && t.pre.(node) >= 0
+             && Tree.is_element t.tree node
+          then
+            List.iter
+              (fun (a, v) ->
+                if attr_indexed a then begin
+                  if not (posting_mem t (posting t.by_attr (a, v)) node) then
+                    batch_add b.b_attr (a, v) node;
+                  if not (posting_mem t (posting t.some_attr a) node) then
+                    batch_add b.b_some a node
+                end)
+              (Tree.attrs t.tree node))
+        promoted;
+      merge_into t t.elements !(b.b_elements);
+      let merge_all tbl batches =
+        Hashtbl.iter (fun key l -> merge_into t (posting tbl key) !l) batches
+      in
+      merge_all t.by_label b.b_label;
+      merge_all t.by_attr b.b_attr;
+      merge_all t.some_attr b.b_some;
       t.stamp <- n;
-      refresh_promoted t promoted;
       T.incr c_extend_ok;
       true
     end
@@ -350,7 +383,7 @@ let ingest_start tree =
   { ing =
       { tree; stamp = 0; gen = Tree.generation tree;
         pre = Array.make 16 (-1); post = Array.make 16 (-1);
-        sizes = Array.make 16 0;
+        sizes = Array.make 16 0; last = Array.make 16 (-1);
         elements = Vec.create ~dummy:Tree.no_node;
         by_label = Hashtbl.create 64;
         by_attr = Hashtbl.create 64;
@@ -366,6 +399,8 @@ let ingest_pre_key it node =
 
 let ingest_post_key it node =
   it.ing.post.(node) <- it.clock * key_gap;
+  let p = Tree.parent it.ing.tree node in
+  if p <> Tree.no_node then it.ing.last.(p) <- it.ing.post.(node);
   it.clock <- it.clock + 1
 
 let ingest_open_element it node =

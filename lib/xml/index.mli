@@ -70,13 +70,16 @@ val ingest_finish : ingest -> t
 
 val extend : t -> Tree.t -> promoted:Tree.node list -> bool
 (** [extend t doc ~promoted] catches the index up with the arena in
-    place: the appended tail [stamp t, size doc) is replayed in id order
+    place: the appended tail [stamp t, size doc) is keyed in id order
     (appends are always last-child, so parents and preceding siblings are
-    already keyed), postings are extended, interval keys are allocated
-    inside the parent's free band, and subtree sizes are updated along
-    the ancestor chains.  [promoted] lists committed nodes that gained
-    attributes since they were indexed (URI promotion): their attribute
-    postings are refreshed — the tail replay cannot see them.
+    already keyed; each node is keyed in O(1) inside the parent's free
+    band, after the parent's last keyed child), subtree sizes are updated
+    along the ancestor chains, and each touched posting receives its new
+    nodes in one sorted merge.  [promoted] lists committed nodes that
+    gained attributes since they were indexed (URI promotion): their
+    missing attribute postings join the same merges — the tail cannot
+    see them.  Cost: O(k log k + depth·k) for k new nodes, plus one pass
+    over each posting a new node lands inside of rather than after.
 
     Returns [true] when the index now satisfies [valid_for t doc].
     Returns [false] — and the caller must fall back to {!build} — when:

@@ -499,6 +499,11 @@ type checkpoint = {
          immutable, so restoring the heads restores the exact chains;
          links (parent/children) of surviving nodes are repaired by the
          truncation, which undoes the only mutation appends perform. *)
+  ck_parent : int array;
+  ck_gen : int;
+      (* parents never change in place, so the parent column and the
+         generation are only needed after a truncation dropped (and maybe
+         reallocated) ids: then the child chains are rebuilt from it *)
 }
 
 let checkpoint t =
@@ -508,21 +513,91 @@ let checkpoint t =
     ck_meta = Array.sub t.meta 0 t.n;
     ck_label = Array.sub t.label 0 t.n;
     ck_uri_time = Array.sub t.uri_time_a 0 t.n;
-    ck_attr_head = Array.sub t.attr_head 0 t.n }
+    ck_attr_head = Array.sub t.attr_head 0 t.n;
+    ck_parent = Array.sub t.parent 0 t.n;
+    ck_gen = t.generation }
+
+let checkpoint_size ck = ck.ck_size
+
+(* The three columns an in-place edit can touch without a rollback:
+   [set_text] repoints the label, [set_attr] the attribute head.  The
+   kind bit only differs for a reallocated id. *)
+let changed_since t ck =
+  let acc = ref [] in
+  for i = min t.n ck.ck_size - 1 downto 0 do
+    if t.label.(i) <> ck.ck_label.(i)
+       || t.attr_head.(i) <> ck.ck_attr_head.(i)
+       || (t.meta.(i) lxor ck.ck_meta.(i)) land 1 <> 0
+    then acc := i :: !acc
+  done;
+  !acc
+
+let check_ck ck n =
+  if n < 0 || n >= ck.ck_size then
+    invalid_arg
+      (Printf.sprintf "Tree: invalid checkpoint node %d (size %d)" n
+         ck.ck_size)
+
+(* The committed values of a node, read back through the dictionary and
+   the attribute entries, both append-only. *)
+let name_at t ck n =
+  check_ck ck n;
+  if ck.ck_meta.(n) land 1 = 1 then Intern.get t.dict ck.ck_label.(n) else ""
+
+let text_at t ck n =
+  check_ck ck n;
+  if ck.ck_meta.(n) land 1 = 0 then Intern.get t.dict ck.ck_label.(n) else ""
+
+let attrs_at t ck n =
+  check_ck ck n;
+  let rec collect e acc =
+    if e = no_node then List.rev acc
+    else
+      collect t.attr_next.(e)
+        ((Intern.get t.dict t.attr_name.(e), Intern.get t.dict t.attr_value.(e))
+        :: acc)
+  in
+  collect ck.ck_attr_head.(n) []
+
+let parent_at ck n =
+  check_ck ck n;
+  ck.ck_parent.(n)
+
+(* Child chains are in id order, so one pass over the parent column
+   rebuilds them exactly. *)
+let relink t ck =
+  for i = 0 to ck.ck_size - 1 do
+    t.parent.(i) <- ck.ck_parent.(i);
+    t.first_child.(i) <- no_node;
+    t.last_child.(i) <- no_node;
+    t.next_sibling.(i) <- no_node
+  done;
+  for c = 0 to ck.ck_size - 1 do
+    let p = t.parent.(c) in
+    if p <> no_node then begin
+      let l = t.last_child.(p) in
+      if l = no_node then t.first_child.(p) <- c else t.next_sibling.(l) <- c;
+      t.last_child.(p) <- c
+    end
+  done
 
 let restore t ck =
-  if t.n < ck.ck_size then
-    invalid_arg
-      (Printf.sprintf
-         "Tree.restore: arena shrank below the checkpoint (size %d < %d)" t.n
-         ck.ck_size);
+  (* A truncation since the checkpoint (the only way the generation
+     moves) may have dropped committed ids or reallocated them under
+     other parents: then the links are rebuilt too. *)
+  let truncated = t.generation <> ck.ck_gen in
   if ck.ck_size < t.n then truncate_to t ck.ck_size;
+  while t.n < ck.ck_size do
+    ensure_node_capacity t;
+    t.n <- min ck.ck_size (Array.length t.parent)
+  done;
   t.root <- ck.ck_root;
   Array.blit ck.ck_meta 0 t.meta 0 ck.ck_size;
   Array.blit ck.ck_label 0 t.label 0 ck.ck_size;
   Array.blit ck.ck_uri_time 0 t.uri_time_a 0 ck.ck_size;
   Array.blit ck.ck_attr_head 0 t.attr_head 0 ck.ck_size;
   t.attrs_n <- ck.ck_attrs_n;
+  if truncated then relink t ck;
   (* Even at unchanged size the nodes may have been mutated in place. *)
   invalidate_caches t
 

@@ -186,13 +186,36 @@ type checkpoint
 
 val checkpoint : t -> checkpoint
 
+val checkpoint_size : checkpoint -> int
+(** The arena size at {!checkpoint} time. *)
+
+val changed_since : t -> checkpoint -> node list
+(** The checkpointed nodes still in the arena whose kind, label or
+    attribute chain head differ from the checkpoint, in id order.  As
+    long as {!generation} has not moved since the checkpoint, these are
+    the only nodes whose name, text or attributes can differ: labels are
+    interned, attribute entries are never mutated in place, and parents
+    and child prefixes only change through {!truncate_to}/{!restore}. *)
+
+val name_at : t -> checkpoint -> node -> string
+val text_at : t -> checkpoint -> node -> string
+val attrs_at : t -> checkpoint -> node -> (string * string) list
+val parent_at : checkpoint -> node -> node
+(** What a checkpointed node held at {!checkpoint} time (its child list
+    is every checkpointed node whose [parent_at] it is, in id order).
+    [attrs_at] relies on the attribute entries of the checkpoint being
+    intact, which only a {!restore} to an older checkpoint breaks.
+    @raise Invalid_argument past the checkpoint's size. *)
+
 val restore : t -> checkpoint -> unit
 (** Truncate back to the checkpoint's size and restore every surviving
     cell's mutable state — bit-identical to the state at {!checkpoint}
-    time, provided only appends and in-place cell mutations happened in
-    between (parents and child order are never mutated after allocation).
-    @raise Invalid_argument if the arena already shrank below the
-    checkpoint. *)
+    time.  A {!truncate_to} since the checkpoint (which may have dropped
+    committed nodes or reallocated their ids) is undone too: the arena
+    regrows to the checkpoint's size and the child chains are rebuilt
+    from the checkpointed parents.  The attribute entries of the
+    checkpoint must be intact, which only a {!restore} to an older
+    checkpoint breaks. *)
 
 val uri_time : t -> node -> timestamp
 (** When the node became a resource: its creation timestamp, unless a later

@@ -39,16 +39,29 @@ let push v x =
   v.data.(v.size) <- x;
   v.size <- v.size + 1
 
-(* Insert [x] at position [i], shifting the suffix right.  O(size - i):
-   constant at the tail, where the index extension inserts almost always
-   (appends land at the end of document order).  [i = size] is a legal
-   append; the audit below pins that edge with regression tests. *)
-let insert v i x =
-  if i < 0 || i > v.size then out_of_bounds "insert" i v.size;
-  ensure_capacity v (v.size + 1);
-  Array.blit v.data i v.data (i + 1) (v.size - i);
-  v.data.(i) <- x;
-  v.size <- v.size + 1
+(* Merge the array [xs], sorted by [less], into [v], sorted the same
+   way, in one backward pass: every element moves at most once, so a
+   batch costs O(size + |xs|) however many of its elements land
+   mid-vector, and O(|xs|) when they all sort after the current tail. *)
+let merge v xs ~less =
+  let k = Array.length xs in
+  if k > 0 then begin
+    ensure_capacity v (v.size + k);
+    let i = ref (v.size - 1) and j = ref (k - 1) in
+    let w = ref (v.size + k - 1) in
+    while !j >= 0 do
+      if !i >= 0 && less xs.(!j) v.data.(!i) then begin
+        v.data.(!w) <- v.data.(!i);
+        decr i
+      end
+      else begin
+        v.data.(!w) <- xs.(!j);
+        decr j
+      end;
+      decr w
+    done;
+    v.size <- v.size + k
+  end
 
 (* Drop the suffix [n..size).  Dropped slots are reset to [dummy] so the
    array holds no reference to the removed elements. *)

@@ -437,13 +437,16 @@ let prop_checkpoint_restore_exact =
       let ck = Tree.checkpoint doc in
       let st = Random.State.make [| seed |] in
       for _ = 1 to 1 + Random.State.int st 5 do
-        match Random.State.int st 3 with
+        match Random.State.int st 4 with
         | 0 ->
           let p = Random.State.int st (Tree.size doc) in
           if Tree.is_element doc p then ignore (gen_fragment doc p 1 st)
         | 1 ->
           let n = Random.State.int st (Tree.size doc) in
           if Tree.is_element doc n then Tree.set_attr doc n "z" "corrupt"
+        | 2 ->
+          (* dropping committed nodes, whose ids later appends reuse *)
+          Tree.truncate_to doc (1 + Random.State.int st (Tree.size doc))
         | _ ->
           let n = Random.State.int st (Tree.size doc) in
           if Tree.is_element doc n then

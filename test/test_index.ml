@@ -553,6 +553,11 @@ let test_extend_band_exhaustion () =
   done;
   check_bool "exhaustion forced at least one rebuild" true (!rebuilds > 0)
 
+(* Each "call" appends a batch of fragments under several committed
+   elements, mid-document as often as at the end, so one extension merges
+   many nodes into the middle of a posting; some calls also promote
+   committed elements (a fresh "id", and the "s"/"t" labels the Recorder
+   adds), which only the promoted list can tell the index about. *)
 let prop_extend_equals_rebuild =
   Test.make ~name:"extend ≡ fresh build on random appends" ~count:100
     (pair arb_doc (make Gen.(int_bound 1_000_000)))
@@ -560,17 +565,33 @@ let prop_extend_equals_rebuild =
       let idx = ref (Index.build doc) in
       let st = Random.State.make [| seed |] in
       let ok = ref true in
-      for _ = 1 to 1 + Random.State.int st 4 do
-        (* one "call": a few fragments under random committed elements *)
-        for _ = 1 to 1 + Random.State.int st 2 do
-          let rec pick tries =
-            let n = Random.State.int st (Tree.size doc) in
-            if Tree.is_element doc n || tries > 20 then n else pick (tries + 1)
-          in
-          let p = pick 0 in
-          if Tree.is_element doc p then gen_fragment doc p 2 st
+      let rec pick pred tries =
+        let n = Random.State.int st (Tree.size doc) in
+        if pred n then Some n else if tries > 20 then None else pick pred (tries + 1)
+      in
+      for call = 1 to 1 + Random.State.int st 4 do
+        let old_size = Tree.size doc in
+        let promoted = ref [] in
+        if Random.State.bool st then
+          for _ = 1 to 1 + Random.State.int st 2 do
+            match
+              pick (fun n -> Tree.is_element doc n && Tree.uri doc n = None) 0
+            with
+            | Some n when n < old_size ->
+              Tree.set_uri doc n (Printf.sprintf "p%d" n);
+              if Random.State.bool st && Tree.attr doc n "s" = None
+                 && Tree.attr doc n "t" = None
+              then Tree.set_service_label doc n "Svc3" call;
+              promoted := n :: !promoted
+            | Some _ | None -> ()
+          done;
+        for _ = 1 to 1 + Random.State.int st 5 do
+          match pick (Tree.is_element doc) 0 with
+          | Some p -> gen_fragment doc p (Random.State.int st 3) st
+          | None -> ()
         done;
-        if not (Index.extend !idx doc ~promoted:[]) then idx := Index.build doc;
+        if not (Index.extend !idx doc ~promoted:!promoted) then
+          idx := Index.build doc;
         ok := !ok && same_answers doc !idx (Index.build doc)
       done;
       !ok)

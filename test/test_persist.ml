@@ -686,6 +686,62 @@ let delta_sync_prop =
         List.for_all (fun (ok, final, _) -> ok && final = first) runs
       | [] -> false)
 
+(* [why]/[impact] traverse the live graph instead of materializing a
+   closure; after [open] and after every commit, failed ones included,
+   they answer exactly what a closure over the same snapshot does —
+   also for a URI the graph does not know. *)
+let served_lineage_prop =
+  Test.make
+    ~name:
+      "served why/impact = Reachability of the snapshot after every \
+       commit, for all backends x faults x promotions"
+    ~count:30
+    (make
+       ~print:(fun (seed, fseed, faults) ->
+         Printf.sprintf "seed=%d fault_seed=%d faults=%b" seed fseed faults)
+       Gen.(triple (int_bound 1_000_000) (int_bound 1_000_000) bool))
+    (fun (seed, fault_seed, faults) ->
+      List.for_all
+        (fun kind ->
+          let doc, services, rb = pipeline_of_seed ~promote:true seed in
+          let services =
+            if not faults then services
+            else
+              Weblab_services.Faulty.wrap_all
+                (Weblab_services.Faulty.plan
+                   ~faults:Weblab_services.Faulty.[ Crash; Mutate_committed ]
+                   ~rate:0.3 ~seed:fault_seed ())
+                services
+          in
+          let s =
+            Session.create ~id:"lineage" ~backend:kind ~jobs:1
+              ~budgets:faulty_budgets ~doc rb
+          in
+          let agrees () =
+            let g = Session.graph s in
+            let r = Prov.Reachability.build g in
+            let uris =
+              "ghost"
+              :: List.map fst (Prov.Prov_graph.labeled_resources g)
+              @ List.concat_map
+                  (fun l -> [ l.Prov.Prov_graph.from_uri; l.to_uri ])
+                  (Prov.Prov_graph.links g)
+            in
+            List.for_all
+              (fun u ->
+                Session.why s u = Prov.Reachability.ancestors r u
+                && Session.impact s u = Prov.Reachability.descendants r u)
+              uris
+          in
+          let ok = ref (agrees ()) in
+          List.iter
+            (fun svc ->
+              ignore (Session.commit s svc);
+              ok := !ok && agrees ())
+            services;
+          !ok)
+        Prov.Strategy.all)
+
 (* Figure 4's promotion (node 3 becomes r3 at c1) appends; it never
    rewrites what the log holds. *)
 let test_paper_promotion_appends () =
@@ -746,6 +802,7 @@ let () =
           QCheck_alcotest.to_alcotest crash_consistency_prop ] );
       ( "delta-sync",
         [ QCheck_alcotest.to_alcotest delta_sync_prop;
+          QCheck_alcotest.to_alcotest served_lineage_prop;
           Alcotest.test_case "paper promotion appends" `Quick
             test_paper_promotion_appends;
           Alcotest.test_case "120-commit chain logs each triple once" `Quick

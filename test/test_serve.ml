@@ -10,7 +10,7 @@
    never saw the commit — and stays usable afterwards.
 
    Also holds the boundary regressions for the arena primitives the
-   rollback path leans on (Vec.insert / Tree.truncate_to / restore at
+   rollback path leans on (Vec.merge / Tree.truncate_to / restore at
    the i = size and empty-arena edges). *)
 
 open Weblab_xml
@@ -664,13 +664,12 @@ let expect_invalid what sub f =
 
 let test_vec_boundaries () =
   let v = Vec.create ~dummy:(-1) in
-  (* insert at i = size is a legal append, including on the empty vector *)
-  Vec.insert v 0 10;
-  Vec.insert v 1 11;
-  Vec.insert v 1 12;
-  check_bool "insert order" true (Vec.to_list v = [ 10; 12; 11 ]);
-  expect_invalid "insert past size" "Vec.insert" (fun () -> Vec.insert v 4 13);
-  expect_invalid "insert negative" "Vec.insert" (fun () -> Vec.insert v (-1) 13);
+  (* merging into the empty vector, an empty batch, and a batch landing
+     between existing elements are all legal *)
+  Vec.merge v [| 10; 12 |] ~less:( < );
+  Vec.merge v [||] ~less:( < );
+  Vec.merge v [| 11 |] ~less:( < );
+  check_bool "merge order" true (Vec.to_list v = [ 10; 11; 12 ]);
   expect_invalid "get at size" "Vec.get" (fun () -> Vec.get v 3);
   expect_invalid "set at size" "Vec.set" (fun () -> Vec.set v 3 0);
   expect_invalid "truncate past size" "Vec.truncate" (fun () -> Vec.truncate v 4);

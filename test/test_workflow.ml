@@ -278,6 +278,252 @@ let test_initial_document_options () =
   check Alcotest.string "name" "Corpus" (Tree.name doc (Tree.root doc));
   check Alcotest.string "uri" "c0" (Option.get (Tree.uri doc (Tree.root doc)))
 
+(* --- properties: the Recorder's delta work against full-scan oracles --- *)
+
+open QCheck
+
+let names = [| "A"; "B"; "C" |]
+
+(* A random fragment with text leaves and an occasional "k" attribute. *)
+let rec fragment doc parent depth st =
+  let attrs = if Random.State.bool st then [ ("k", "1") ] else [] in
+  let n = Tree.new_element doc ~parent names.(Random.State.int st 3) ~attrs in
+  if Random.State.bool st then
+    ignore (Tree.new_text doc ~parent:n (string_of_int (Random.State.int st 3)));
+  if depth > 0 then
+    for _ = 1 to Random.State.int st 3 do
+      fragment doc n (depth - 1) st
+    done
+
+let pick st doc pred =
+  let size = Tree.size doc in
+  if size = 0 then None
+  else begin
+    let rec go tries =
+      let n = Random.State.int st size in
+      if pred n then Some n else if tries > 30 then None else go (tries + 1)
+    in
+    go 0
+  end
+
+let append_some st doc =
+  for _ = 1 to Random.State.int st 3 do
+    match pick st doc (Tree.is_element doc) with
+    | Some p -> fragment doc p 1 st
+    | None -> ()
+  done
+
+(* One in-process call: a few appends under random elements, and one
+   edit of committed state that the append check must judge. *)
+let mutating_call mseed doc =
+  let st = Random.State.make [| mseed |] in
+  let edit () =
+    match Random.State.int st 7 with
+    | 0 -> (
+      match pick st doc (Tree.is_text doc) with
+      | Some n ->
+        Tree.set_text doc n
+          (if Random.State.bool st then Tree.text doc n else "changed")
+      | None -> ())
+    | 1 -> (
+      match
+        pick st doc (fun n -> Tree.is_element doc n && Tree.attrs doc n <> [])
+      with
+      | Some n ->
+        let attrs = Tree.attrs doc n in
+        let k, v = List.nth attrs (Random.State.int st (List.length attrs)) in
+        Tree.set_attr doc n k (if Random.State.bool st then v else v ^ "'")
+      | None -> ())
+    | 2 -> (
+      match pick st doc (Tree.is_element doc) with
+      | Some n -> Tree.set_attr doc n "x" "1"
+      | None -> ())
+    | 3 | 4 -> (
+      match
+        pick st doc (fun n -> Tree.is_element doc n && Tree.uri doc n = None)
+      with
+      | Some n -> Tree.set_uri doc n (Printf.sprintf "p%d" n)
+      | None -> ())
+    | 5 -> (
+      match pick st doc (Tree.is_resource doc) with
+      | Some n -> Tree.set_uri doc n (Printf.sprintf "q%d" n)
+      | None -> ())
+    | _ -> Tree.truncate_to doc (Random.State.int st (Tree.size doc + 1))
+  in
+  if Random.State.bool st then begin
+    edit ();
+    append_some st doc
+  end
+  else begin
+    append_some st doc;
+    edit ()
+  end
+
+(* A started session over a random document, with a few committed
+   append-only calls behind it: rebuilt from the seed for each side. *)
+let committed_session seed =
+  let st = Random.State.make [| seed |] in
+  let doc = Orchestrator.initial_document () in
+  for _ = 1 to 1 + Random.State.int st 3 do
+    fragment doc (Tree.root doc) 2 st
+  done;
+  let s = Orchestrator.start doc in
+  for i = 1 to Random.State.int st 3 do
+    let aseed = Random.State.bits st in
+    ignore
+      (Orchestrator.step s
+         (add_service (Printf.sprintf "W%d" i) (fun doc ->
+              append_some (Random.State.make [| aseed |]) doc)))
+  done;
+  s
+
+let prop_append_check_parity =
+  Test.make ~name:"append check = fingerprint oracle (outcome, promoted, reason)"
+    ~count:400
+    (make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let mseed = (seed * 31) + 7 in
+      let live =
+        Orchestrator.step (committed_session seed)
+          (add_service "M" (mutating_call mseed))
+      in
+      let oracle =
+        Weblab_test_support.Append_oracle.run
+          (Orchestrator.session_doc (committed_session seed))
+          (mutating_call mseed)
+      in
+      match live, oracle with
+      | Orchestrator.Committed { delta; _ }, Ok (new_nodes, promoted) ->
+        delta.Orchestrator.new_nodes = new_nodes
+        && delta.Orchestrator.promoted = promoted
+      | Orchestrator.Step_failed { reason; _ }, Error expected ->
+        String.equal reason expected
+        || Test.fail_reportf "reason %S, oracle %S" reason expected
+      | Orchestrator.Committed _, Error e ->
+        Test.fail_reportf "committed, oracle rejected: %s" e
+      | Orchestrator.Step_failed { reason; _ }, Ok _ ->
+        Test.fail_reportf "rejected (%s), oracle accepted" reason)
+
+(* A random pipeline over every way a resource can appear: in-process
+   appends with nested identified nodes, promotions of older elements,
+   client-XML grafts that append and promote, calls that fail after
+   appending, and calls that only commit on their retry. *)
+let pipeline seed =
+  let st = Random.State.make [| seed |] in
+  let doc = Orchestrator.initial_document () in
+  for _ = 1 to 1 + Random.State.int st 3 do
+    fragment doc (Tree.root doc) 1 st
+  done;
+  let uid = ref 0 in
+  let fresh prefix =
+    incr uid;
+    Printf.sprintf "%s%d-%d" prefix seed !uid
+  in
+  let promote st doc prefix =
+    match
+      pick st doc (fun n -> Tree.is_element doc n && Tree.uri doc n = None)
+    with
+    | Some n -> Tree.set_uri doc n (fresh prefix)
+    | None -> ()
+  in
+  let inproc i =
+    let cseed = Random.State.bits st in
+    add_service (Printf.sprintf "I%d" i) (fun doc ->
+        let st = Random.State.make [| cseed |] in
+        if Random.State.bool st then promote st doc "p";
+        append_some st doc;
+        (* an identified node inside an appended fragment *)
+        match pick st doc (fun n -> Tree.is_element doc n) with
+        | Some p when Random.State.bool st ->
+          let f = Tree.new_element doc ~parent:p "F" in
+          let g = Tree.new_element doc ~parent:f "G" in
+          Tree.set_uri doc g (fresh "n")
+        | _ -> ())
+  in
+  let client i =
+    let cseed = Random.State.bits st in
+    Service.blackbox_doc ~name:(Printf.sprintf "X%d" i) ~description:""
+      (fun () ->
+        let st = Random.State.make [| cseed |] in
+        let next, _ = Ingest.of_string (Printer.to_string doc) in
+        if Random.State.bool st then promote st next "c";
+        append_some st next;
+        next)
+  in
+  let failing i =
+    add_service (Printf.sprintf "F%d" i) (fun doc ->
+        append_some (Random.State.make [| i |]) doc;
+        failwith "boom")
+  in
+  let flaky i =
+    let calls = ref 0 and cseed = Random.State.bits st in
+    add_service (Printf.sprintf "R%d" i) (fun doc ->
+        incr calls;
+        let st = Random.State.make [| cseed |] in
+        promote st doc "r";
+        append_some st doc;
+        if !calls = 1 then failwith "transient")
+  in
+  let services =
+    List.init
+      (3 + Random.State.int st 6)
+      (fun i ->
+        match Random.State.int st 5 with
+        | 0 | 1 -> inproc i
+        | 2 -> client i
+        | 3 -> failing i
+        | _ -> flaky i)
+  in
+  (doc, services)
+
+let prop_delta_labeling =
+  Test.make
+    ~name:"delta labeling = full-scan labeling (trace entries, order included)"
+    ~count:150
+    (make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let doc, services = pipeline seed in
+      let policy =
+        { Orchestrator.default_policy with retries = 1; on_failure = `Skip }
+      in
+      let s = Orchestrator.start ~policy doc in
+      let trace = Orchestrator.session_trace s in
+      let labeled = Hashtbl.create 64 in
+      Trace.iter_entries_from trace 0 (fun e _ ->
+          Hashtbl.replace labeled e.Trace.node ());
+      List.for_all
+        (fun svc ->
+          let k = Trace.entry_count trace in
+          let now = Orchestrator.next_time s in
+          ignore (Orchestrator.step s svc);
+          let got = ref [] in
+          Trace.iter_entries_from trace k (fun e step ->
+              got := (e.Trace.uri, e.Trace.node, e.Trace.call, step) :: !got);
+          (* the full scan: every resource not yet labeled, in document
+             order, attributed to the call active at its creation *)
+          let expected =
+            List.filter_map
+              (fun n ->
+                if Hashtbl.mem labeled n then None
+                else begin
+                  Hashtbl.replace labeled n ();
+                  let time = Tree.created doc n in
+                  let service =
+                    match Trace.call_at trace time with
+                    | Some c -> c.Trace.service
+                    | None -> "Source"
+                  in
+                  Some
+                    (Option.get (Tree.uri doc n), n,
+                     { Trace.service; time }, now)
+                end)
+              (Tree.resources doc)
+          in
+          List.rev !got = expected
+          || Test.fail_reportf "step t%d (%s): %d entries, full scan %d" now
+               (Service.name svc) (List.length !got) (List.length expected))
+        services)
+
 let () =
   Alcotest.run "workflow"
     [ ( "execution",
@@ -305,4 +551,7 @@ let () =
           Alcotest.test_case "violation" `Quick test_blackbox_violation;
           Alcotest.test_case "unparsable" `Quick test_blackbox_unparsable;
           Alcotest.test_case "promotion" `Quick test_blackbox_promotion;
-          Alcotest.test_case "inproc ≡ blackbox" `Quick test_equivalence_inproc_blackbox ] ) ]
+          Alcotest.test_case "inproc ≡ blackbox" `Quick test_equivalence_inproc_blackbox ] );
+      ( "delta",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_append_check_parity; prop_delta_labeling ] ) ]
