@@ -14,6 +14,7 @@ open Weblab_xml
 open Weblab_workflow
 open Weblab_services
 open Weblab_prov
+open Weblab_test_support
 
 (* ---------- configuration (CLI / env) ----------
 
@@ -583,8 +584,8 @@ let run_rdf_report path =
     st
   in
   let fill_oracle () =
-    let st = R.Oracle_store.create () in
-    Array.iter (fun tr -> R.Oracle_store.add st tr) triples;
+    let st = Oracle_store.create () in
+    Array.iter (fun tr -> Oracle_store.add st tr) triples;
     st
   in
   let t_add_c, cst = best_of_runs runs fill_columnar in
@@ -622,7 +623,7 @@ let run_rdf_report path =
     !acc
   in
   let probe_c = probe (R.Triple_store.count cst) (R.Triple_store.find cst) in
-  let probe_o = probe (R.Oracle_store.count ost) (R.Oracle_store.find ost) in
+  let probe_o = probe (Oracle_store.count ost) (Oracle_store.find ost) in
   let t_probe_c, hits_c = best_of_runs runs (probe_c pats) in
   let t_probe_o, hits_o = best_of_runs runs (probe_o pats) in
   let t_scan_c, scan_c = best_of_runs runs (probe_c scans) in
@@ -633,21 +634,49 @@ let run_rdf_report path =
      the serialized exports are byte-identical. *)
   List.iter
     (fun pat ->
-      if R.Triple_store.find cst pat <> R.Oracle_store.find ost pat then
+      if R.Triple_store.find cst pat <> Oracle_store.find ost pat then
         incr errors;
-      if R.Triple_store.count cst pat <> R.Oracle_store.count ost pat then
+      if R.Triple_store.count cst pat <> Oracle_store.count ost pat then
         incr errors)
     (pats @ scans);
   if
     not
       (String.equal
          (R.Turtle.to_turtle cst)
-         (R.Turtle.Oracle.to_turtle ost))
+         (Oracle_turtle.to_turtle ost))
   then incr errors;
   if
     not
-      (String.equal (R.Turtle.to_ntriples cst) (R.Turtle.Oracle.to_ntriples ost))
+      (String.equal (R.Turtle.to_ntriples cst) (Oracle_turtle.to_ntriples ost))
   then incr errors;
+  (* Write scaling: µs per add of distinct synthetic triples into stores
+     of 4k and of 262k triples.  Each timed round adds 262k triples
+     either way (64 stores of 4k, or one of 262k) from a freshly
+     collected heap, so both sizes see the same allocation volume; best
+     of [runs] rounds.  A store whose merges cost O(n) each every fixed
+     number of adds grows quadratically and shows it here. *)
+  let total = 262_144 in
+  let us_per_triple size =
+    let distinct =
+      Array.init size (fun i ->
+          ( R.Term.iri
+              (Printf.sprintf "http://weblab.example/resource/%d" (i lsr 3)),
+            preds.(i land 7),
+            R.Term.lit (Printf.sprintf "value-%d" i) ))
+    in
+    let best = ref infinity in
+    for _ = 1 to runs do
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to total / size do
+        let st = R.Triple_store.create () in
+        Array.iter (R.Triple_store.add st) distinct
+      done;
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    !best *. 1e6 /. float_of_int total
+  in
+  let us_4k = us_per_triple 4096 and us_262k = us_per_triple total in
   let stats = R.Triple_store.stats cst in
   let bpt_ratio = bpt_o /. bpt_c in
   let probe_speedup = t_probe_o /. t_probe_c in
@@ -665,10 +694,13 @@ let run_rdf_report path =
      %.3f,\n\
     \ \"add_s_columnar\": %.6f, \"add_s_oracle\": %.6f, \"add_speedup\": \
      %.3f,\n\
+    \ \"add_us_per_triple_4k\": %.3f, \"add_us_per_triple_262k\": %.3f, \
+     \"add_us_growth\": %.3f,\n\
     \ \"errors\": %d}\n"
     live stats.R.Triple_store.st_terms stats.R.Triple_store.st_merges bpt_c
     bpt_o bpt_ratio (n_pats * reps) t_probe_c t_probe_o probe_speedup t_scan_c
-    t_scan_o scan_speedup t_add_c t_add_o add_speedup !errors;
+    t_scan_o scan_speedup t_add_c t_add_o add_speedup us_4k us_262k
+    (us_262k /. us_4k) !errors;
   close_out oc;
   Printf.printf
     "rdf: %d triples (%d distinct terms, %d run merges)\n\
@@ -677,13 +709,14 @@ let run_rdf_report path =
     \  %d predicate scans: columnar %.2f ms, oracle %.2f ms  (speedup \
      %.2fx, ungated)\n\
     \  load: columnar %.2f ms, oracle %.2f ms  (speedup %.2fx)\n\
+    \  add scaling: %.2f us/triple at 4k, %.2f us/triple at 262k  (%.2fx)\n\
      Wrote %s\n"
     live stats.R.Triple_store.st_terms stats.R.Triple_store.st_merges bpt_c
     bpt_o bpt_ratio (n_pats * reps) (t_probe_c *. 1000.) (t_probe_o *. 1000.)
     probe_speedup
     (List.length scans * reps)
     (t_scan_c *. 1000.) (t_scan_o *. 1000.) scan_speedup (t_add_c *. 1000.)
-    (t_add_o *. 1000.) add_speedup path;
+    (t_add_o *. 1000.) add_speedup us_4k us_262k (us_262k /. us_4k) path;
   if !errors > 0 then begin
     Printf.eprintf "rdf bench FAILED: %d cross-check errors\n" !errors;
     exit 1
@@ -999,8 +1032,8 @@ let rdf_tests =
   let g = Engine.provenance ~strategy:`Rewrite p.exec p.rb in
   let store = Prov_export.to_store g in
   let all = Weblab_rdf.Triple_store.triples store in
-  let oracle = Weblab_rdf.Oracle_store.create () in
-  List.iter (fun tr -> Weblab_rdf.Oracle_store.add oracle tr) all;
+  let oracle = Oracle_store.create () in
+  List.iter (fun tr -> Oracle_store.add oracle tr) all;
   (* Bound-pattern probe set: one (s,p,?) per distinct subject. *)
   let probes =
     List.sort_uniq compare (List.map (fun (s, p, _) -> (Some s, Some p, None)) all)
@@ -1015,8 +1048,8 @@ let rdf_tests =
            List.iter (fun tr -> Weblab_rdf.Triple_store.add st tr) all));
     Test.make ~name:"rdf/load_oracle"
       (Staged.stage (fun () ->
-           let st = Weblab_rdf.Oracle_store.create () in
-           List.iter (fun tr -> Weblab_rdf.Oracle_store.add st tr) all));
+           let st = Oracle_store.create () in
+           List.iter (fun tr -> Oracle_store.add st tr) all));
     Test.make ~name:"rdf/probe_columnar"
       (Staged.stage (fun () ->
            List.iter
@@ -1025,7 +1058,7 @@ let rdf_tests =
     Test.make ~name:"rdf/probe_oracle"
       (Staged.stage (fun () ->
            List.iter
-             (fun pat -> ignore (Weblab_rdf.Oracle_store.find oracle pat))
+             (fun pat -> ignore (Oracle_store.find oracle pat))
              probes));
     Test.make ~name:"rdf/sparql_bgp"
       (Staged.stage (fun () ->

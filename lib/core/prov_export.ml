@@ -109,31 +109,67 @@ type step = {
   mutable members : (string * string) list;  (* reversed *)
 }
 
-let add_label add uri (call : Trace.call) =
+(* What one extend already emitted or built.  A call labels many
+   entities and a service runs many calls: their activity and agent
+   triples are emitted once per extend, at the first label that needs
+   them, and each call IRI is built once.  Skipping only what this
+   extend already emitted leaves the inserted sequence unchanged: the
+   first emission inserted the triple or found it stored. *)
+type memo = {
+  call_terms : (Trace.call, Term.t) Hashtbl.t;
+  activities : (Trace.call, unit) Hashtbl.t;  (* activity triples emitted *)
+  agents : (string, Term.t) Hashtbl.t;  (* agent triples emitted *)
+}
+
+let memo () =
+  { call_terms = Hashtbl.create 16; activities = Hashtbl.create 16;
+    agents = Hashtbl.create 8 }
+
+let call_term_in memo call =
+  match Hashtbl.find_opt memo.call_terms call with
+  | Some a -> a
+  | None ->
+    let a = call_term call in
+    Hashtbl.add memo.call_terms call a;
+    a
+
+let add_agent add memo service =
+  match Hashtbl.find_opt memo.agents service with
+  | Some agent -> agent
+  | None ->
+    let agent = Prov_vocab.service_iri service in
+    Hashtbl.add memo.agents service agent;
+    add agent Prov_vocab.rdf_type Prov_vocab.software_agent;
+    add agent Prov_vocab.rdfs_label (Term.lit service);
+    agent
+
+let add_label add memo uri (call : Trace.call) =
   let e = entity_term uri in
-  let a = call_term call in
+  let a = call_term_in memo call in
   add e Prov_vocab.rdf_type Prov_vocab.entity;
   add e Prov_vocab.rdfs_label (Term.lit uri);
   add e Prov_vocab.was_generated_by a;
-  add a Prov_vocab.rdf_type Prov_vocab.activity;
-  add a Prov_vocab.rdfs_label
-    (Term.lit (Printf.sprintf "%s@t%d" call.Trace.service call.Trace.time));
-  add a Prov_vocab.wl_timestamp (Term.int_lit call.Trace.time);
-  let agent = Prov_vocab.service_iri call.Trace.service in
-  add agent Prov_vocab.rdf_type Prov_vocab.software_agent;
-  add agent Prov_vocab.rdfs_label (Term.lit call.Trace.service);
-  add a Prov_vocab.was_associated_with agent
+  if not (Hashtbl.mem memo.activities call) then begin
+    Hashtbl.add memo.activities call ();
+    add a Prov_vocab.rdf_type Prov_vocab.activity;
+    add a Prov_vocab.rdfs_label
+      (Term.lit (Printf.sprintf "%s@t%d" call.Trace.service call.Trace.time));
+    add a Prov_vocab.wl_timestamp (Term.int_lit call.Trace.time);
+    let agent = add_agent add memo call.Trace.service in
+    add a Prov_vocab.was_associated_with agent
+  end
 
-let add_link add g { Prov_graph.from_uri; to_uri; rule; inherited } =
+let add_link add memo g { Prov_graph.from_uri; to_uri; rule; inherited } =
   let b = entity_term from_uri and a = entity_term to_uri in
   add b Prov_vocab.was_derived_from a;
   if rule <> "" && not inherited then add b Prov_vocab.wl_rule (Term.lit rule);
   match Prov_graph.label g from_uri with
   | Some cb ->
-    add (call_term cb) Prov_vocab.used a;
+    let act_b = call_term_in memo cb in
+    add act_b Prov_vocab.used a;
     (match Prov_graph.label g to_uri with
      | Some ca when ca <> cb ->
-       add (call_term cb) Prov_vocab.was_informed_by (call_term ca)
+       add act_b Prov_vocab.was_informed_by (call_term_in memo ca)
      | _ -> ())
   | None -> ()
 
@@ -143,12 +179,12 @@ let add_member add entity member =
   add e Prov_vocab.rdfs_label (Term.lit entity);
   add e Prov_vocab.had_member (entity_term member)
 
-let add_outcome add trace time =
+let add_outcome add memo trace time =
   match Trace.attempted_call trace time, Trace.outcome_at trace time with
   | Some call, Some (Trace.Retried n) ->
-    add (call_term call) Prov_vocab.wl_attempts (Term.int_lit (n + 1))
+    add (call_term_in memo call) Prov_vocab.wl_attempts (Term.int_lit (n + 1))
   | Some call, Some (Trace.Failed reason) ->
-    let a = call_term call in
+    let a = call_term_in memo call in
     add a Prov_vocab.rdf_type Prov_vocab.activity;
     add a Prov_vocab.rdfs_label
       (Term.lit (Printf.sprintf "%s@t%d (failed)" call.Trace.service time));
@@ -159,9 +195,7 @@ let add_outcome add trace time =
     (match Trace.attempt_count trace time with
      | 0 -> ()
      | n -> add a Prov_vocab.wl_attempts (Term.int_lit n));
-    let agent = Prov_vocab.service_iri call.Trace.service in
-    add agent Prov_vocab.rdf_type Prov_vocab.software_agent;
-    add agent Prov_vocab.rdfs_label (Term.lit call.Trace.service);
+    let agent = add_agent add memo call.Trace.service in
     add a Prov_vocab.was_associated_with agent
   | _ -> ()
 
@@ -172,15 +206,15 @@ let by_time_then_uri (u, (a : Trace.call)) (v, (b : Trace.call)) =
   let c = compare a.Trace.time b.Trace.time in
   if c <> 0 then c else String.compare u v
 
-let emit_step add g trace time (step : step) =
+let emit_step add memo g trace time (step : step) =
   List.iter
-    (fun (uri, call) -> add_label add uri call)
+    (fun (uri, call) -> add_label add memo uri call)
     (List.sort by_time_then_uri step.labels);
-  List.iter (add_link add g) (List.rev step.links);
+  List.iter (add_link add memo g) (List.rev step.links);
   List.iter
     (fun (entity, member) -> add_member add entity member)
     (List.rev step.members);
-  Option.iter (fun tr -> add_outcome add tr time) trace
+  Option.iter (fun tr -> add_outcome add memo tr time) trace
 
 type cursor = {
   c_labels : int;
@@ -229,11 +263,12 @@ let extend ?(log = ignore) ?trace store g c =
       done;
       horizon
   in
+  let memo = memo () in
   Hashtbl.fold (fun time _ acc -> time :: acc) steps []
   |> List.sort compare
   |> List.iter (fun time ->
          let due = time >= c.c_time && time < horizon in
-         emit_step add g
+         emit_step add memo g
            (if due then trace else None)
            time (Hashtbl.find steps time));
   { c_labels = Prov_graph.label_count g; c_links = Prov_graph.size g;

@@ -23,10 +23,13 @@ let compare a b =
     if c <> 0 then c else Option.compare String.compare dx dy
   | _ -> Int.compare (tag a) (tag b)
 
+(* Allocation-free: hash the strings themselves and fold the kind in
+   arithmetically, rather than hashing a freshly built tuple. *)
 let hash = function
-  | Iri s -> Hashtbl.hash (0, s)
-  | Lit (s, d) -> Hashtbl.hash (1, s, d)
-  | Bnode s -> Hashtbl.hash (2, s)
+  | Iri s -> Hashtbl.hash s
+  | Lit (s, None) -> (Hashtbl.hash s * 31) + 1
+  | Lit (s, Some d) -> (((Hashtbl.hash s * 31) + Hashtbl.hash d) * 31) + 2
+  | Bnode s -> (Hashtbl.hash s * 31) + 3
 
 let xsd_integer = "http://www.w3.org/2001/XMLSchema#integer"
 let xsd_date_time = "http://www.w3.org/2001/XMLSchema#dateTime"

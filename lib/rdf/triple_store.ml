@@ -4,25 +4,33 @@
    order — the column layout of the structure-of-arrays arena applied to
    the RDF substrate.  Every public observation (iteration order, find
    result order, BGP solutions, Turtle bytes) is identical to the boxed
-   assoc-list store this replaces, which lives on as {!Oracle_store} and
-   property-tests exactly that.
+   assoc-list store this replaced, which the test suite keeps as an
+   oracle and property-tests exactly that.
 
    Pattern lookup is LSM-flavoured: a merged sorted base (three
    permutation arrays over the columns, in SPO, POS and OSP key order)
-   answers any bound prefix with two binary searches, and a small
-   unsorted tail of recent inserts is scanned linearly.  When the tail
-   fills up it is sorted and merged into the base — O(n) per merge,
-   amortized O(log n) merges over the life of the store.  Every bound
-   combination is a prefix of one of the three orders:
+   answers any bound prefix with two binary searches, and an unsorted
+   tail of recent inserts is scanned linearly.  Every bound combination
+   is a prefix of one of the three orders:
 
      s | s,p | s,p,o -> SPO      p | p,o -> POS      o | o,s -> OSP
 
    so [find] never post-filters and [count] is pure arithmetic on range
    bounds (plus the bounded tail scan) — no list is materialized.
 
+   Merges are paced by two bounds.  A write merges only once the tail is
+   as large as the base, so a store that is only written doubles its base
+   at every merge and each triple is merged O(1) times amortized: a store
+   of n triples does about log2 (n / 1024) merges of O(n) each, plus one
+   sort of every triple per key order.  A probe merges first whenever the
+   tail holds more than {!probe_tail_limit} triples, so the linear tail
+   scan stays small; a read can therefore mutate the store, and callers
+   that share a store across threads must serialize reads as well as
+   writes.
+
    Deduplication is an integer probe: exact binary search in the SPO base
-   plus a packed-key hash probe over the tail, instead of building an
-   N-Triples string per insert as the old store did. *)
+   plus an open-addressing probe over the tail's triple indices, instead
+   of building an N-Triples string per insert as the old store did. *)
 
 module T = Weblab_obs.Telemetry
 module M = Weblab_obs.Metrics
@@ -61,14 +69,21 @@ type t = {
   mutable spo_off : int array;
   mutable pos_off : int array;
   mutable osp_off : int array;
-  (* Tail dedup set for indices [base_n, n): (s,p,o) -> (). *)
-  tail_set : (int * int * int, unit) Hashtbl.t;
+  (* Tail dedup: an open-addressing set of the triple indices in
+     [base_n, n), hashed on their ids; [-1] marks a free slot.  The
+     length is a power of two, at least twice the tail. *)
+  mutable tail_slots : int array;
   mutable merges : int;
+  mutable moved : int;  (* run entries written by merges, all time *)
 }
 
-(* The tail is scanned linearly by every probe, so it stays small; the
-   bound also caps the per-insert amortized merge cost at O(log n). *)
-let tail_limit = 1024
+(* Probes scan the tail linearly, so a probe merges first once the tail
+   is longer than this; a write merges at [max probe_tail_limit base_n]. *)
+let probe_tail_limit = 1024
+
+(* Enough for a tail of [probe_tail_limit] at half load, so a store
+   below the write bound never regrows its tail set. *)
+let initial_slots = 2 * probe_tail_limit
 
 let create () =
   { dict = Term_dict.create ();
@@ -83,52 +98,86 @@ let create () =
     spo_off = [| 0 |];
     pos_off = [| 0 |];
     osp_off = [| 0 |];
-    tail_set = Hashtbl.create 64;
-    merges = 0 }
+    tail_slots = Array.make initial_slots (-1);
+    merges = 0;
+    moved = 0 }
 
 let size t = t.n
 
-(* ----- key orders ----- *)
+(* ----- key orders -----
 
-let cmp3 a1 a2 a3 b1 b2 b3 =
-  let c = Int.compare a1 b1 in
-  if c <> 0 then c
-  else
-    let c = Int.compare a2 b2 in
-    if c <> 0 then c else Int.compare a3 b3
+   A key order is the triple of columns it compares, first key first:
+   (s, p, o) for SPO, (p, o, s) for POS, (o, s, p) for OSP.  Sorting and
+   merging take the columns as arguments and compare ints inline, so no
+   comparison closure is called per element. *)
 
-let cmp_spo t i j =
-  cmp3 t.s_col.(i) t.p_col.(i) t.o_col.(i) t.s_col.(j) t.p_col.(j) t.o_col.(j)
+let[@inline] before (c1 : int array) (c2 : int array) (c3 : int array) i j =
+  let a = Array.unsafe_get c1 i and b = Array.unsafe_get c1 j in
+  a < b
+  || a = b
+     &&
+     let a = Array.unsafe_get c2 i and b = Array.unsafe_get c2 j in
+     a < b || (a = b && Array.unsafe_get c3 i < Array.unsafe_get c3 j)
 
-let cmp_pos t i j =
-  cmp3 t.p_col.(i) t.o_col.(i) t.s_col.(i) t.p_col.(j) t.o_col.(j) t.s_col.(j)
-
-let cmp_osp t i j =
-  cmp3 t.o_col.(i) t.s_col.(i) t.p_col.(i) t.o_col.(j) t.s_col.(j) t.p_col.(j)
-
-(* ----- base maintenance ----- *)
-
-(* Sort the tail and merge it into each sorted run.  Stable on ties is
-   irrelevant: triples are unique by construction. *)
-let merge_one t cmp base tail =
-  let nb = Array.length base and nt = Array.length tail in
-  let out = Array.make (nb + nt) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < nb && !j < nt do
-    if cmp t base.(!i) tail.(!j) <= 0 then begin
-      out.(!k) <- base.(!i);
-      incr i
+(* Merge the sorted slices [a.(i0 .. i1-1)] and [b.(j0 .. j1-1)] into
+   [dst], from [dst.(k0)] on. *)
+let merge_into c1 c2 c3 (a : int array) i0 i1 (b : int array) j0 j1
+    (dst : int array) k0 =
+  let i = ref i0 and j = ref j0 and k = ref k0 in
+  while !i < i1 && !j < j1 do
+    let x = Array.unsafe_get a !i and y = Array.unsafe_get b !j in
+    if before c1 c2 c3 y x then begin
+      Array.unsafe_set dst !k y;
+      incr j
     end
     else begin
-      out.(!k) <- tail.(!j);
-      incr j
+      Array.unsafe_set dst !k x;
+      incr i
     end;
     incr k
   done;
-  Array.blit base !i out !k (nb - !i);
-  k := !k + (nb - !i);
-  Array.blit tail !j out !k (nt - !j);
-  out
+  Array.blit a !i dst !k (i1 - !i);
+  Array.blit b !j dst (!k + i1 - !i) (j1 - !j)
+
+(* Sort an array of triple indices in the key order (c1, c2, c3):
+   insertion sort over blocks of 16, then bottom-up merge passes
+   ping-ponging between [a] and one scratch array.  Triples are unique,
+   so no two indices compare equal. *)
+let sort_indices c1 c2 c3 (a : int array) =
+  let n = Array.length a in
+  let block = 16 in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + block) in
+    for i = !lo + 1 to hi - 1 do
+      let v = Array.unsafe_get a i in
+      let j = ref (i - 1) in
+      while !j >= !lo && before c1 c2 c3 v (Array.unsafe_get a !j) do
+        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+        decr j
+      done;
+      Array.unsafe_set a (!j + 1) v
+    done;
+    lo := hi
+  done;
+  let src = ref a and dst = ref (Array.make n 0) in
+  let width = ref block in
+  while !width < n do
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) in
+      let hi = min n (mid + !width) in
+      merge_into c1 c2 c3 !src !lo mid !src mid hi !dst !lo;
+      lo := hi
+    done;
+    let s = !src in
+    src := !dst;
+    dst := s;
+    width := 2 * !width
+  done;
+  !src
+
+(* ----- base maintenance ----- *)
 
 (* CSR offsets over a freshly merged run: [off.(id), off.(id+1)) is the
    slice whose first key is [id].  One pass — the run is sorted. *)
@@ -146,28 +195,40 @@ let build_off dict run firstcol =
   off.(terms) <- nb;
   off
 
+let reset_tail_slots t =
+  if Array.length t.tail_slots > initial_slots then
+    t.tail_slots <- Array.make initial_slots (-1)
+  else Array.fill t.tail_slots 0 initial_slots (-1)
+
 let merge_tail t =
   if t.n > t.base_n then begin
-    let tail = Array.init (t.n - t.base_n) (fun i -> t.base_n + i) in
-    let sorted cmp =
-      let a = Array.copy tail in
-      Array.sort (cmp t) a;
-      a
+    let nt = t.n - t.base_n in
+    let run c1 c2 c3 base =
+      let tail = Array.init nt (fun i -> t.base_n + i) in
+      let tail = sort_indices c1 c2 c3 tail in
+      let out = Array.make t.n 0 in
+      merge_into c1 c2 c3 base 0 t.base_n tail 0 nt out 0;
+      out
     in
-    t.base_spo <- merge_one t cmp_spo t.base_spo (sorted cmp_spo);
-    t.base_pos <- merge_one t cmp_pos t.base_pos (sorted cmp_pos);
-    t.base_osp <- merge_one t cmp_osp t.base_osp (sorted cmp_osp);
+    let s = t.s_col and p = t.p_col and o = t.o_col in
+    t.base_spo <- run s p o t.base_spo;
+    t.base_pos <- run p o s t.base_pos;
+    t.base_osp <- run o s p t.base_osp;
     t.base_n <- t.n;
-    t.spo_off <- build_off t.dict t.base_spo t.s_col;
-    t.pos_off <- build_off t.dict t.base_pos t.p_col;
-    t.osp_off <- build_off t.dict t.base_osp t.o_col;
-    Hashtbl.reset t.tail_set;
+    t.spo_off <- build_off t.dict t.base_spo s;
+    t.pos_off <- build_off t.dict t.base_pos p;
+    t.osp_off <- build_off t.dict t.base_osp o;
+    reset_tail_slots t;
     t.merges <- t.merges + 1;
+    t.moved <- t.moved + t.n;
     T.incr c_merges;
     M.set g_triples t.n;
     M.set g_terms (Term_dict.count t.dict);
     M.set g_runs t.merges
   end
+
+(* Before a probe: keep the tail short enough to scan. *)
+let settle t = if t.n - t.base_n > probe_tail_limit then merge_tail t
 
 let compact t =
   merge_tail t;
@@ -264,8 +325,49 @@ let tail_matches t s p o f =
 
 (* ----- membership / insert ----- *)
 
+(* Slot of (s, p, o) in a power-of-two table: a multiplicative mix of
+   the three ids, finished with a shift so the high bits reach the
+   mask. *)
+let[@inline] tail_hash s p o mask =
+  let h = (((s * 0x2545F491) + p) * 0x9E3779B1) + o in
+  let h = h * 0x1B873593 in
+  (h lxor (h lsr 29)) land mask
+
+(* The tail slot holding (s, p, o), or the free slot that would hold
+   it. *)
+let tail_slot t s p o =
+  let slots = t.tail_slots in
+  let mask = Array.length slots - 1 in
+  let j = ref (tail_hash s p o mask) in
+  let found = ref false in
+  while not !found do
+    let i = Array.unsafe_get slots !j in
+    if
+      i < 0
+      || Array.unsafe_get t.s_col i = s
+         && Array.unsafe_get t.p_col i = p
+         && Array.unsafe_get t.o_col i = o
+    then found := true
+    else j := (!j + 1) land mask
+  done;
+  !j
+
+let tail_insert t i =
+  let j = tail_slot t t.s_col.(i) t.p_col.(i) t.o_col.(i) in
+  t.tail_slots.(j) <- i
+
+(* Keep the tail set at most half full: double it and re-insert the
+   tail. *)
+let grow_tail_slots t =
+  if 2 * (t.n - t.base_n + 1) > Array.length t.tail_slots then begin
+    t.tail_slots <- Array.make (2 * Array.length t.tail_slots) (-1);
+    for i = t.base_n to t.n - 1 do
+      tail_insert t i
+    done
+  end
+
 let mem_ids t s p o =
-  Hashtbl.mem t.tail_set (s, p, o)
+  t.tail_slots.(tail_slot t s p o) >= 0
   ||
   let lo, hi =
     refine t.base_spo (t.p_col, t.o_col) (posting t.spo_off s) p o p o
@@ -287,13 +389,15 @@ let add t ((st, pt, ot) : triple) =
       t.p_col <- grow t.p_col;
       t.o_col <- grow t.o_col
     end;
-    t.s_col.(t.n) <- s;
-    t.p_col.(t.n) <- p;
-    t.o_col.(t.n) <- o;
-    t.n <- t.n + 1;
-    Hashtbl.replace t.tail_set (s, p, o) ();
+    grow_tail_slots t;
+    let i = t.n in
+    t.s_col.(i) <- s;
+    t.p_col.(i) <- p;
+    t.o_col.(i) <- o;
+    t.n <- i + 1;
+    tail_insert t i;
     T.incr c_adds;
-    if t.n - t.base_n >= tail_limit then merge_tail t
+    if t.n - t.base_n >= max probe_tail_limit t.base_n then merge_tail t
   end
 
 let mem t ((st, pt, ot) : triple) =
@@ -318,6 +422,20 @@ let iter t f =
   for i = 0 to t.n - 1 do
     f (triple_at t i)
   done
+
+(* ----- id level ----- *)
+
+let term_count t = Term_dict.count t.dict
+
+let term_of_id t id = Term_dict.term t.dict id
+
+let check_index t i =
+  if i < 0 || i >= t.n then
+    invalid_arg (Printf.sprintf "Triple_store: triple index %d (size %d)" i t.n)
+
+let subject_id t i = check_index t i; Array.unsafe_get t.s_col i
+let predicate_id t i = check_index t i; Array.unsafe_get t.p_col i
+let object_id t i = check_index t i; Array.unsafe_get t.o_col i
 
 let triples t = List.init t.n (triple_at t)
 
@@ -364,6 +482,7 @@ let sort_ints a k =
 
 let find t ((ps, pp, po) : pattern) =
   T.incr c_probes;
+  settle t;
   match resolve t ps, resolve t pp, resolve t po with
   | Some s, Some p, Some o ->
     if s < 0 && p < 0 && o < 0 then triples t
@@ -456,6 +575,7 @@ let find t ((ps, pp, po) : pattern) =
 
 let count t ((ps, pp, po) : pattern) =
   T.incr c_probes;
+  settle t;
   match resolve t ps, resolve t pp, resolve t po with
   | Some s, Some p, Some o ->
     if s < 0 && p < 0 && o < 0 then t.n
@@ -485,6 +605,7 @@ type store_stats = {
   st_base : int;  (** triples covered by the merged sorted runs *)
   st_tail : int;  (** recent inserts pending a run merge *)
   st_merges : int;  (** run merges performed over the store's life *)
+  st_moved : int;  (** run entries those merges wrote, per key order *)
 }
 
 let stats t =
@@ -492,7 +613,8 @@ let stats t =
     st_terms = Term_dict.count t.dict;
     st_base = t.base_n;
     st_tail = t.n - t.base_n;
-    st_merges = t.merges }
+    st_merges = t.merges;
+    st_moved = t.moved }
 
 (* ----- basic graph patterns ----- *)
 

@@ -3,13 +3,20 @@
 
     Terms are interned to dense int ids ({!Term_dict}); triples live in
     three parallel int columns in insertion order.  Pattern probes are
-    binary-searched range scans over sorted SPO/POS/OSP runs (merged
-    base + small unsorted tail, LSM-style), so every bound combination
+    binary-searched range scans over sorted SPO/POS/OSP runs (a merged
+    base plus an unsorted tail, LSM-style), so every bound combination
     is answered without a residual filter and [count] allocates nothing.
 
-    The previous boxed assoc-list implementation survives as
-    {!Oracle_store}; property tests assert both agree on [find], [query],
-    [count] and produce byte-identical Turtle. *)
+    Writes merge the tail into the base only once the tail is as large
+    as the base, so building a store of n triples merges each triple
+    O(1) times amortized ({!store_stats} counts the work).  A probe
+    ([find], [count] and the BGP entry points) first merges a tail longer
+    than 1024 triples, so {b every read may mutate the store}: a store
+    shared between threads needs its reads serialized with its writes.
+
+    The test suite keeps the boxed assoc-list store this replaced as an
+    oracle; properties assert both agree on [find], [query], [count] and
+    produce byte-identical Turtle. *)
 
 type triple = Term.t * Term.t * Term.t
 
@@ -19,7 +26,7 @@ val create : unit -> t
 
 val add : t -> triple -> unit
 (** Idempotent (set semantics).  Dedup is an integer probe over the
-    sorted base plus a small hash set over the unsorted tail. *)
+    sorted base plus an open-addressing set over the unsorted tail. *)
 
 val mem : t -> triple -> bool
 
@@ -35,6 +42,25 @@ val compact : t -> unit
     columns and the dictionary.  Purely an allocation optimization —
     observable behaviour is unchanged. *)
 
+(** {1 Id level}
+
+    The dictionary ids behind the columns, for renderers that work a term
+    at a time rather than a triple at a time ({!Turtle}).  Ids are dense
+    from 0 up to [term_count t - 1], in first-seen order. *)
+
+val term_count : t -> int
+
+val term_of_id : t -> int -> Term.t
+(** @raise Invalid_argument unless [0 <= id < term_count t]. *)
+
+val subject_id : t -> int -> int
+(** [subject_id t i] is the subject id of the [i]-th triple in insertion
+    order.  @raise Invalid_argument unless [0 <= i < size t]. *)
+
+val predicate_id : t -> int -> int
+
+val object_id : t -> int -> int
+
 (** {1 Instrumentation} *)
 
 type store_stats = {
@@ -43,6 +69,8 @@ type store_stats = {
   st_base : int;  (** triples covered by the merged sorted runs *)
   st_tail : int;  (** recent inserts pending a run merge *)
   st_merges : int;  (** run merges performed over the store's life *)
+  st_moved : int;
+      (** run entries those merges wrote, per key order: the merge work *)
 }
 
 val stats : t -> store_stats

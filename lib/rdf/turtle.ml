@@ -40,93 +40,104 @@ let term_to_turtle prefixes = function
     | Some qname -> Printf.sprintf "\"%s\"^^%s" (Term.escape_lit s) qname
     | None -> Printf.sprintf "\"%s\"^^<%s>" (Term.escape_lit s) dt)
 
-(* First-seen-order deduplication.  Terms are small immutable trees, so
-   structural hashing is safe; the hash set replaces a [List.exists]
-   probe that made subject collection quadratic in distinct subjects. *)
-let dedup_in_order size f =
-  let seen : (Term.t, unit) Hashtbl.t = Hashtbl.create size in
-  let acc = ref [] in
-  f (fun t ->
-      if not (Hashtbl.mem seen t) then begin
-        Hashtbl.add seen t ();
-        acc := t :: !acc
-      end);
-  List.rev !acc
+(* Each distinct term's text is built once, on first use: [""] marks a
+   term not rendered yet (no term renders to the empty string). *)
+let text_cache store render =
+  let texts = Array.make (Triple_store.term_count store) "" in
+  fun id ->
+    let s = Array.unsafe_get texts id in
+    if s <> "" then s
+    else begin
+      let s = render (Triple_store.term_of_id store id) in
+      texts.(id) <- s;
+      s
+    end
 
-(* Rendering is functorized over the minimal store surface it needs —
-   iteration in insertion order plus pattern lookup — so the columnar
-   {!Triple_store} and the boxed {!Oracle_store} render through the same
-   code path and byte-identity between the two is a property of the
-   stores, not of duplicated serializers. *)
-
-module type SOURCE = sig
-  type t
-
-  val iter : t -> (Term.t * Term.t * Term.t -> unit) -> unit
-
-  val find :
-    t ->
-    Term.t option * Term.t option * Term.t option ->
-    (Term.t * Term.t * Term.t) list
-end
-
-module Render (S : SOURCE) = struct
-  (* Group triples by subject, then by predicate, for compact Turtle.
-     Everything is written straight into one buffer — no intermediate
-     per-predicate strings, no [String.concat] over them. *)
-  let to_turtle ?(prefixes = Prov_vocab.prefixes) store =
-    let buf = Buffer.create 1024 in
-    List.iter
-      (fun (p, ns) ->
-        Buffer.add_string buf "@prefix ";
-        Buffer.add_string buf p;
-        Buffer.add_string buf ": <";
-        Buffer.add_string buf ns;
-        Buffer.add_string buf "> .\n")
-      prefixes;
+(* Subjects in first-seen order; within a subject, predicates in
+   first-seen order; within a predicate, objects in insertion order.  One
+   pass over the subject column chains each triple behind the previous
+   one with the same subject.  Each subject's chain is then split into
+   per-predicate chains whose heads are stamped with the subject, so the
+   whole render is O(triples + terms) and never probes the store. *)
+let to_turtle ?(prefixes = Prov_vocab.prefixes) store =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (p, ns) ->
+      Buffer.add_string buf "@prefix ";
+      Buffer.add_string buf p;
+      Buffer.add_string buf ": <";
+      Buffer.add_string buf ns;
+      Buffer.add_string buf "> .\n")
+    prefixes;
+  Buffer.add_char buf '\n';
+  let n = Triple_store.size store and terms = Triple_store.term_count store in
+  let text = text_cache store (term_to_turtle prefixes) in
+  (* Subject chains: [first] holds each subject's first triple, in
+     first-seen order; [next] links a triple to its subject's next. *)
+  let next = Array.make n (-1) and last = Array.make terms (-1) in
+  let first = Array.make n 0 and n_subjects = ref 0 in
+  for i = 0 to n - 1 do
+    let s = Triple_store.subject_id store i in
+    let l = last.(s) in
+    if l < 0 then begin
+      first.(!n_subjects) <- i;
+      incr n_subjects
+    end
+    else next.(l) <- i;
+    last.(s) <- i
+  done;
+  (* Predicate chains of the current subject, reusing [last] for their
+     tails: [stamp.(p)] is the subject whose chain [p_head.(p)] starts. *)
+  let stamp = Array.make terms (-1) and p_head = Array.make terms (-1) in
+  let p_next = Array.make n (-1) and preds = Array.make n 0 in
+  for k = 0 to !n_subjects - 1 do
+    let i0 = first.(k) in
+    let s = Triple_store.subject_id store i0 in
+    let n_preds = ref 0 and i = ref i0 in
+    while !i >= 0 do
+      let p = Triple_store.predicate_id store !i in
+      if stamp.(p) <> s then begin
+        stamp.(p) <- s;
+        p_head.(p) <- !i;
+        preds.(!n_preds) <- p;
+        incr n_preds
+      end
+      else p_next.(last.(p)) <- !i;
+      last.(p) <- !i;
+      i := next.(!i)
+    done;
+    Buffer.add_string buf (text s);
     Buffer.add_char buf '\n';
-    let subjects =
-      dedup_in_order 64 (fun note -> S.iter store (fun (s, _, _) -> note s))
-    in
-    List.iter
-      (fun s ->
-        let triples = S.find store (Some s, None, None) in
-        let preds =
-          dedup_in_order 8 (fun note ->
-              List.iter (fun (_, p, _) -> note p) triples)
-        in
-        Buffer.add_string buf (term_to_turtle prefixes s);
-        Buffer.add_char buf '\n';
-        List.iteri
-          (fun i p ->
-            if i > 0 then Buffer.add_string buf " ;\n";
-            Buffer.add_string buf "  ";
-            Buffer.add_string buf (term_to_turtle prefixes p);
-            Buffer.add_char buf ' ';
-            List.iteri
-              (fun j (_, _, o) ->
-                if j > 0 then Buffer.add_string buf ", ";
-                Buffer.add_string buf (term_to_turtle prefixes o))
-              (S.find store (Some s, Some p, None)))
-          preds;
-        Buffer.add_string buf " .\n\n")
-      subjects;
-    Buffer.contents buf
+    for j = 0 to !n_preds - 1 do
+      let p = preds.(j) in
+      if j > 0 then Buffer.add_string buf " ;\n";
+      Buffer.add_string buf "  ";
+      Buffer.add_string buf (text p);
+      Buffer.add_char buf ' ';
+      let i = ref p_head.(p) in
+      Buffer.add_string buf (text (Triple_store.object_id store !i));
+      while !i <> last.(p) do
+        i := p_next.(!i);
+        Buffer.add_string buf ", ";
+        Buffer.add_string buf (text (Triple_store.object_id store !i))
+      done
+    done;
+    Buffer.add_string buf " .\n\n"
+  done;
+  Buffer.contents buf
 
-  let to_ntriples store =
-    let buf = Buffer.create 1024 in
-    S.iter store (fun (s, p, o) ->
-        Buffer.add_string buf (Term.to_ntriples s);
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (Term.to_ntriples p);
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (Term.to_ntriples o);
-        Buffer.add_string buf " .\n");
-    Buffer.contents buf
-end
-
-include Render (Triple_store)
-module Oracle = Render (Oracle_store)
+let to_ntriples store =
+  let buf = Buffer.create 1024 in
+  let text = text_cache store Term.to_ntriples in
+  for i = 0 to Triple_store.size store - 1 do
+    Buffer.add_string buf (text (Triple_store.subject_id store i));
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (text (Triple_store.predicate_id store i));
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (text (Triple_store.object_id store i));
+    Buffer.add_string buf " .\n"
+  done;
+  Buffer.contents buf
 
 exception Parse_error of string
 

@@ -8,41 +8,15 @@ val abbreviate : (string * string) list -> string -> string option
 
 val term_to_turtle : (string * string) list -> Term.t -> string
 
-(** Minimal store surface the serializers need; rendering is functorized
-    over it so the columnar {!Triple_store} and the boxed
-    {!Oracle_store} share one code path, making byte-identical output a
-    property of the stores rather than of duplicated serializers. *)
-module type SOURCE = sig
-  type t
-
-  val iter : t -> (Term.t * Term.t * Term.t -> unit) -> unit
-
-  val find :
-    t ->
-    Term.t option * Term.t option * Term.t option ->
-    (Term.t * Term.t * Term.t) list
-end
-
-module Render (S : SOURCE) : sig
-  val to_turtle : ?prefixes:(string * string) list -> S.t -> string
-
-  val to_ntriples : S.t -> string
-end
-
 val to_turtle : ?prefixes:(string * string) list -> Triple_store.t -> string
 (** Grouped by subject and predicate, with @prefix declarations
-    ({!Prov_vocab.prefixes} by default). *)
+    ({!Prov_vocab.prefixes} by default): subjects in first-seen order,
+    each subject's predicates in first-seen order, each predicate's
+    objects in insertion order.  Rendered from the store's id columns in
+    one grouping pass; each distinct term's text is built once. *)
 
 val to_ntriples : Triple_store.t -> string
-(** One triple per line. *)
-
-(** The same serializers over {!Oracle_store}, for byte-identity
-    property tests. *)
-module Oracle : sig
-  val to_turtle : ?prefixes:(string * string) list -> Oracle_store.t -> string
-
-  val to_ntriples : Oracle_store.t -> string
-end
+(** One triple per line, in insertion order. *)
 
 exception Parse_error of string
 

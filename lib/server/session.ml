@@ -54,7 +54,9 @@ let instantiate (module B : Strategy_sig.STRATEGY_BACKEND) ~jobs ~doc rb =
 (* The session's export store only grows: each sync appends the steps
    committed since the cursor ({!Prov_export.extend}).  A persisted
    session syncs at every commit and logs exactly the appended triples;
-   an unpersisted one catches up when a query needs the store. *)
+   an unpersisted one catches up when a query needs the store.  Every
+   read of the store, not only the catch-up, must hold [lock]: the
+   store's first probe after a catch-up merges its tail. *)
 type export = {
   x_store : Rdf.Triple_store.t;
   mutable x_cursor : Prov_export.cursor;

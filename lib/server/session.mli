@@ -73,7 +73,11 @@ val wal_path : t -> string option
 (** The live session's WAL path, if persisted. *)
 
 val with_lock : t -> (unit -> 'a) -> 'a
-(** Per-session mutual exclusion — every protocol verb runs under it. *)
+(** Per-session mutual exclusion — every protocol verb runs under it.
+    Reads need it as much as writes: a pattern probe of the export store
+    may merge the store's tail into its sorted runs
+    ({!Weblab_rdf.Triple_store}), so {!sparql}, {!turtle}, {!stats} and
+    every other use of {!store} must run under the lock. *)
 
 val client_xml_service : ?name:string -> string -> Service.t
 (** A commit payload carrying the full next document state as XML text,
@@ -128,7 +132,8 @@ val store : t -> Weblab_rdf.Triple_store.t
     appends each commit's step at sync, an unpersisted one catches up
     here.  Its triple sequence is {!Weblab_prov.Prov_export.to_store}
     [~trace] of {!graph}, and a persisted session's WAL replays to it.
-    For a restored session, the replayed store. *)
+    For a restored session, the replayed store.  Probing it may merge
+    its tail: call under {!with_lock}. *)
 
 val trace : t -> Trace.t option
 (** The live session's execution trace; [None] once restored. *)

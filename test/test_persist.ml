@@ -16,6 +16,7 @@
      restored session reports [read_only]. *)
 
 open Weblab_rdf
+open Weblab_test_support
 open Weblab_server
 open QCheck
 module J = Json
@@ -251,9 +252,9 @@ let agreement_prop =
              render_table (Triple_store.query cst bgp)
              = render_table (Oracle_store.query ost bgp))
            bgps
-      && String.equal (Turtle.to_turtle cst) (Turtle.Oracle.to_turtle ost)
+      && String.equal (Turtle.to_turtle cst) (Oracle_turtle.to_turtle ost)
       && String.equal (Turtle.to_ntriples cst)
-           (Turtle.Oracle.to_ntriples ost))
+           (Oracle_turtle.to_ntriples ost))
 
 let crash_consistency_prop =
   Test.make ~name:"truncated WAL replays to a commit prefix" ~count:60

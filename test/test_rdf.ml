@@ -2,6 +2,7 @@
    SPARQL subset. *)
 
 open Weblab_rdf
+open Weblab_test_support
 open Weblab_relalg
 
 let check = Alcotest.check
@@ -277,7 +278,161 @@ let test_merge_boundary () =
   let st = Triple_store.stats cst in
   check_int "compact empties the tail" 0 st.Triple_store.st_tail;
   check Alcotest.string "bytes stable under compaction"
-    (Turtle.Oracle.to_ntriples ost) (Turtle.to_ntriples cst)
+    (Oracle_turtle.to_ntriples ost) (Turtle.to_ntriples cst)
+
+(* Write cost pinned by an exact count: building a store of n distinct
+   triples must merge O(n log n) run entries in all.  A store that merged
+   its whole base every fixed number of adds would write about
+   n^2 / 2048 entries here (33.7M at n = 262,144, against the bound's
+   4.7M). *)
+let test_write_merge_work () =
+  let n = 262_144 in
+  let st = Triple_store.create () in
+  for i = 0 to n - 1 do
+    Triple_store.add st
+      ( iri (Printf.sprintf "s:%d" (i lsr 6)),
+        iri (Printf.sprintf "p:%d" (i land 7)),
+        lit (string_of_int i) )
+  done;
+  let stats = Triple_store.stats st in
+  let log2_n = 18 in
+  check_int "all distinct" n stats.Triple_store.st_triples;
+  check_bool
+    (Printf.sprintf "merge work O(n log n): %d entries"
+       stats.Triple_store.st_moved)
+    true
+    (stats.Triple_store.st_moved <= n * log2_n);
+  check_bool
+    (Printf.sprintf "merges O(log n): %d" stats.Triple_store.st_merges)
+    true
+    (stats.Triple_store.st_merges <= log2_n);
+  (* A probe first merges a tail longer than it would scan. *)
+  for i = 0 to 1_499 do
+    Triple_store.add st (iri "s:extra", iri "p:0", lit (string_of_int i))
+  done;
+  check_int "extra subject" 1_500
+    (Triple_store.count st (Some (iri "s:extra"), None, None));
+  check_int "probe merged the tail" 0
+    (Triple_store.stats st).Triple_store.st_tail;
+  check_int "a subject's slice" 64
+    (Triple_store.count st (Some (iri "s:7"), None, None))
+
+(* ----- interleaved probes: columnar = oracle at every probe ----- *)
+
+let qcheck_terms =
+  let ex = "http://example.org/" in
+  let res = Prov_vocab.weblab_ns ^ "resource/" in
+  [| (* inside the prefixes, abbreviable *)
+     Prov_vocab.entity; Prov_vocab.activity;
+     Term.Iri (Prov_vocab.weblab_ns ^ "r1");
+     Term.Iri (Prov_vocab.weblab_ns ^ "a_b-c.d");
+     (* inside a namespace, but no plain local name *)
+     Term.Iri (res ^ "r2"); Term.Iri (Prov_vocab.weblab_ns ^ ".dot");
+     Term.Iri (Prov_vocab.prov_ns ^ "end.");
+     (* outside every prefix *)
+     Term.Iri (ex ^ "x"); Term.Iri (ex ^ "y/z"); Term.Iri "urn:u";
+     Term.bnode "b0"; Term.bnode "b1";
+     (* literals needing escapes, and datatyped ones *)
+     lit "plain"; lit ""; lit "quote\"d"; lit "back\\slash";
+     lit "line\nbreak\r\ttab"; Term.int_lit 7; Term.int_lit (-3);
+     Term.Lit ("2013-03-18T00:00:00", Some Term.xsd_date_time);
+     Term.Lit ("v", Some (ex ^ "dt")); Term.Lit ("7", None) |]
+
+let qcheck_preds =
+  [| Prov_vocab.rdf_type; Prov_vocab.rdfs_label; Prov_vocab.was_derived_from;
+     Prov_vocab.used; Term.Iri "http://example.org/p";
+     Term.Iri (Prov_vocab.weblab_ns ^ "p/q") |]
+
+type op =
+  | Add of Triple_store.triple
+  | Again of int  (* re-add the triple added this many adds ago *)
+  | Probe of Triple_store.pattern list
+  | Probe_added of (int * int) list
+      (* patterns of triples added this many adds ago, masked: bit 0
+         keeps the subject, bit 1 the predicate, bit 2 the object *)
+  | Render of (string * string) list option
+
+let gen_ops =
+  let open QCheck.Gen in
+  let nt = Array.length qcheck_terms in
+  (* Numbered terms widen the triple space past the merge bounds; the
+     fixed pool supplies the escapes, prefixes and term kinds. *)
+  let numbered k = Term.Iri (Printf.sprintf "http://example.org/n%d" k) in
+  let gen_term =
+    frequency
+      [ (1, map (fun i -> qcheck_terms.(i)) (int_bound (nt - 1)));
+        (3, map numbered (int_bound 199)) ]
+  in
+  let gen_subject =
+    map (function Term.Lit _ -> Term.bnode "b2" | t -> t) gen_term
+  in
+  let gen_pred =
+    map (fun i -> qcheck_preds.(i)) (int_bound (Array.length qcheck_preds - 1))
+  in
+  let gen_pattern = triple (opt gen_subject) (opt gen_pred) (opt gen_term) in
+  let prefixes =
+    [| None; Some [];
+       Some [ ("ex", "http://example.org/"); ("wl", Prov_vocab.weblab_ns) ] |]
+  in
+  list_size (0 -- 4_000)
+    (frequency
+       [ (360, map (fun tr -> Add tr) (triple gen_subject gen_pred gen_term));
+         (40, map (fun k -> Again k) (int_bound 2_000));
+         (2, map (fun pats -> Probe pats) (list_size (1 -- 6) gen_pattern));
+         ( 2,
+           map
+             (fun ps -> Probe_added ps)
+             (list_size (1 -- 6) (pair (int_bound 2_000) (int_bound 7))) );
+         (1, map (fun i -> Render prefixes.(i)) (int_bound 2)) ])
+
+let interleaved_prop =
+  QCheck.Test.make ~name:"interleaved probes: columnar = oracle" ~count:40
+    (QCheck.make gen_ops ~print:(fun ops ->
+         Printf.sprintf "%d ops" (List.length ops)))
+    (fun ops ->
+      let cst = Triple_store.create () and ost = Oracle_store.create () in
+      let agree_on pat =
+        let ok =
+          Triple_store.find cst pat = Oracle_store.find ost pat
+          && Triple_store.count cst pat = Oracle_store.count ost pat
+        in
+        match pat with
+        | Some s, Some p, Some o ->
+          ok && Triple_store.mem cst (s, p, o) = Oracle_store.mem ost (s, p, o)
+        | _ -> ok
+      in
+      let added = ref [||] and n_added = ref 0 in
+      let add tr =
+        if !n_added = Array.length !added then
+          added := Array.append !added (Array.make (max 64 !n_added) tr);
+        !added.(!n_added) <- tr;
+        incr n_added;
+        Triple_store.add cst tr;
+        Oracle_store.add ost tr;
+        Triple_store.size cst = Oracle_store.size ost
+      in
+      List.for_all
+        (function
+          | Add tr -> add tr
+          | Again k ->
+            !n_added = 0 || add !added.(!n_added - 1 - (k mod !n_added))
+          | Probe pats -> List.for_all agree_on pats
+          | Probe_added ps ->
+            !n_added = 0
+            || List.for_all
+                 (fun (k, mask) ->
+                   let s, p, o = !added.(!n_added - 1 - (k mod !n_added)) in
+                   let keep bit x = if mask land bit <> 0 then Some x else None in
+                   agree_on (keep 1 s, keep 2 p, keep 4 o))
+                 ps
+          | Render prefixes ->
+            String.equal
+              (Turtle.to_turtle ?prefixes cst)
+              (Oracle_turtle.to_turtle ?prefixes ost)
+            && String.equal (Turtle.to_ntriples cst)
+                 (Oracle_turtle.to_ntriples ost))
+        ops
+      && String.equal (Turtle.to_turtle cst) (Oracle_turtle.to_turtle ost))
 
 let test_sparql_errors () =
   let st = sample_store () in
@@ -302,7 +457,9 @@ let () =
           Alcotest.test_case "find patterns" `Quick test_find_patterns;
           Alcotest.test_case "term semantics" `Quick test_term_semantics;
           Alcotest.test_case "unbound sentinel" `Quick test_unbound_sentinel;
-          Alcotest.test_case "merge boundaries" `Quick test_merge_boundary ] );
+          Alcotest.test_case "merge boundaries" `Quick test_merge_boundary;
+          Alcotest.test_case "write merge work" `Quick test_write_merge_work;
+          QCheck_alcotest.to_alcotest interleaved_prop ] );
       ( "bgp",
         [ Alcotest.test_case "single pattern" `Quick test_bgp_query;
           Alcotest.test_case "join" `Quick test_bgp_join;
