@@ -46,7 +46,7 @@ let parallel_report = ref None
 
 (* [--serve-report PATH] boots the serving daemon in-process on an
    ephemeral port, drives many concurrent client sessions to completion
-   (each checked byte-for-byte against an equivalent offline run) and
+   (each checked byte-for-byte against every backend's offline run) and
    writes the BENCH_serve.json artifact: sessions/sec and query latency
    percentiles.  Runs instead of the Bechamel suite; exits nonzero on any
    protocol error or turtle mismatch. *)
@@ -228,10 +228,11 @@ let run_parallel_report path =
    ephemeral loopback port and [sessions] concurrent clients each open a
    session, commit a pipeline call by call (interleaving why/impact
    queries after every commit), and close with a Turtle export.  The
-   export must be byte-identical to an equivalent offline
-   [Engine.run_with_strategy] run of the same workload — the serving path
-   is an alternative driver of the same machinery, not an approximation
-   of it.  Clients cycle through every registered backend. *)
+   export must be byte-identical to the offline
+   [Engine.run_with_strategy] run of the same workload under every
+   registered backend — the daemon serves Fused, and the serving path is
+   an alternative driver of the same machinery, not an approximation of
+   it. *)
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -252,7 +253,8 @@ let run_serve_report path =
   let rb = rulebook services in
   let backends = Strategy.all in
   (* Offline references, one per backend: same document, same pipeline,
-     straight through the engine. *)
+     straight through the engine.  Every served session (Fused) must
+     match all four. *)
   let reference =
     List.map
       (fun kind ->
@@ -289,13 +291,11 @@ let run_serve_report path =
        end);
       v
     in
-    let kind = List.nth backends (i mod List.length backends) in
     let sid = Printf.sprintf "bench-%d" i in
     ignore
       (expect_ok
          (J.Obj
             [ ("verb", J.Str "open"); ("session", J.Str sid);
-              ("backend", J.Str (Strategy.kind_to_string kind));
               ("units", J.Int units); ("seed", J.Int seed) ]));
     List.iter
       (fun svc ->
@@ -325,11 +325,15 @@ let run_serve_report path =
     in
     (match J.str_member "turtle" resp with
     | Some turtle ->
-      if not (String.equal turtle (List.assoc kind reference)) then begin
-        Atomic.incr mismatches;
-        Printf.eprintf "serve bench: turtle mismatch for %s (backend %s)\n%!"
-          sid (Strategy.kind_to_string kind)
-      end
+      List.iter
+        (fun (kind, expected) ->
+          if not (String.equal turtle expected) then begin
+            Atomic.incr mismatches;
+            Printf.eprintf
+              "serve bench: turtle of %s differs from the %s offline run\n%!"
+              sid (Strategy.kind_to_string kind)
+          end)
+        reference
     | None -> Atomic.incr errors);
     flush oc;
     Unix.close fd
@@ -1244,7 +1248,8 @@ let join_tests =
       let a = mk "a" and b = mk "b" in
       [ Test.make
           ~name:(Printf.sprintf "join/nested_loop/rows=%04d" n)
-          (Staged.stage (fun () -> ignore (Table.nested_loop_join a b)));
+          (Staged.stage (fun () ->
+               ignore (Oracle_join.nested_loop_join a b)));
         Test.make
           ~name:(Printf.sprintf "join/hash/rows=%04d" n)
           (Staged.stage (fun () -> ignore (Table.hash_join a b)))

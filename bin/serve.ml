@@ -1,7 +1,7 @@
 (* weblab-serve: the provenance serving daemon.
 
    A long-lived process hosting many concurrent workflow sessions, each
-   an orchestrator + strategy backend over a live document; clients speak
+   an orchestrator + the Fused engine over a live document; clients speak
    newline-delimited JSON over TCP (see Protocol).  Try it with nc:
 
      $ weblab-serve --port 8321 &
@@ -29,22 +29,6 @@ let shards_arg =
   Arg.(value & opt int 16
        & info [ "shards" ] ~docv:"N"
            ~doc:"Session-registry shards (per-shard locking).")
-
-let backend_arg =
-  let parse s =
-    match Weblab_prov.Strategy.kind_of_string s with
-    | Some k -> Ok k
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown backend %S (%s)" s
-             (String.concat "|" Weblab_prov.Strategy.names)))
-  in
-  let print ppf k = Fmt.string ppf (Weblab_prov.Strategy.kind_to_string k) in
-  Arg.(value & opt (conv (parse, print)) `Fused
-       & info [ "backend" ] ~docv:"STRATEGY"
-           ~doc:"Default strategy backend for sessions that do not pick \
-                 one at $(b,open).")
 
 let profile_arg =
   Arg.(value & flag
@@ -145,7 +129,7 @@ let start_metrics_dumper path every =
    system call (accept, read), which is exactly an idle daemon. *)
 let stop_signals = [ Sys.sigint; Sys.sigterm ]
 
-let main host port max_sessions shards backend profile trace trace_retention
+let main host port max_sessions shards profile trace trace_retention
     metrics_out metrics_every slow_log slow_ms data_dir =
   ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals);
   let module T = Weblab_obs.Telemetry in
@@ -162,8 +146,8 @@ let main host port max_sessions shards backend profile trace trace_retention
   Logs.set_level (Some Logs.Info);
   Option.iter mkdir_p data_dir;
   let ctx =
-    Protocol.make_ctx ~shards ~max_sessions ~default_backend:backend ?data_dir
-      ?slow_log_path:slow_log ~slow_ms ()
+    Protocol.make_ctx ~shards ~max_sessions ?data_dir ?slow_log_path:slow_log
+      ~slow_ms ()
   in
   (* Warm restart: replay every WAL before the listener accepts, so no
      request can race a half-restored registry. *)
@@ -198,7 +182,7 @@ let cmd =
        ~doc:"Provenance serving daemon: concurrent workflow sessions with \
              live why/impact/SPARQL queries over NDJSON/TCP")
     Term.(const main $ host_arg $ port_arg $ max_sessions_arg $ shards_arg
-          $ backend_arg $ profile_arg $ trace_arg $ trace_retention_arg
+          $ profile_arg $ trace_arg $ trace_retention_arg
           $ metrics_out_arg $ metrics_every_arg $ slow_log_arg $ slow_ms_arg
           $ data_dir_arg)
 

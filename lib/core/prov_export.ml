@@ -110,20 +110,22 @@ type step = {
 }
 
 (* What one extend already emitted or built.  A call labels many
-   entities and a service runs many calls: their activity and agent
-   triples are emitted once per extend, at the first label that needs
-   them, and each call IRI is built once.  Skipping only what this
-   extend already emitted leaves the inserted sequence unchanged: the
-   first emission inserted the triple or found it stored. *)
+   entities, a service runs many calls and many links join the same two
+   calls: their activity, agent and prov:wasInformedBy triples are
+   emitted once per extend, at the first item that needs them, and each
+   call IRI is built once.  Skipping only what this extend already
+   emitted leaves the inserted sequence unchanged: the first emission
+   inserted the triple or found it stored. *)
 type memo = {
   call_terms : (Trace.call, Term.t) Hashtbl.t;
   activities : (Trace.call, unit) Hashtbl.t;  (* activity triples emitted *)
   agents : (string, Term.t) Hashtbl.t;  (* agent triples emitted *)
+  informed : (Trace.call * Trace.call, unit) Hashtbl.t;  (* (b, a) emitted *)
 }
 
 let memo () =
   { call_terms = Hashtbl.create 16; activities = Hashtbl.create 16;
-    agents = Hashtbl.create 8 }
+    agents = Hashtbl.create 8; informed = Hashtbl.create 16 }
 
 let call_term_in memo call =
   match Hashtbl.find_opt memo.call_terms call with
@@ -168,7 +170,8 @@ let add_link add memo g { Prov_graph.from_uri; to_uri; rule; inherited } =
     let act_b = call_term_in memo cb in
     add act_b Prov_vocab.used a;
     (match Prov_graph.label g to_uri with
-     | Some ca when ca <> cb ->
+     | Some ca when ca <> cb && not (Hashtbl.mem memo.informed (cb, ca)) ->
+       Hashtbl.add memo.informed (cb, ca) ();
        add act_b Prov_vocab.was_informed_by (call_term_in memo ca)
      | _ -> ())
   | None -> ()

@@ -641,8 +641,8 @@ let bgp_variables bgp =
     [] bgp
 
 (* Evaluate a conjunctive pattern left to right, returning raw variable
-   environments.  Each step instantiates the pattern with the bindings of
-   the current row and probes the store through [find]. *)
+   environments.  Each step substitutes the current row's bindings into
+   the pattern and probes the store through [find]. *)
 let solutions t bgp : (string * Term.t) list list =
   List.fold_left
     (fun rows (a, b, c) ->

@@ -81,10 +81,10 @@ let select t pred =
   List.iter (fun row -> if pred t row then add_row out row) (rows t);
   out
 
-(* Join column bookkeeping shared by both join implementations: the output
-   schema is a's columns followed by b's non-shared columns, and rows of
-   [a] drive the outer order — so the two algorithms produce identical row
-   {e sequences}, not just identical sets (property-tested). *)
+(* Join column bookkeeping: the output schema is a's columns followed by
+   b's non-shared columns, and rows of [a] drive the outer order — the
+   row {e sequence} of the textbook nested-loop join, not just its set
+   (property-tested against the nested-loop oracle in the tests). *)
 let join_plan a b =
   let cols_a = columns a and cols_b = columns b in
   let shared = List.filter (fun c -> List.mem c cols_a) cols_b in
@@ -107,22 +107,6 @@ let join_key idxs row =
 
 let emit_match out row_a row_b b_only_idx =
   add_row out (Array.append row_a (Array.map (fun i -> row_b.(i)) b_only_idx))
-
-(* The textbook O(|a|·|b|) plan.  Kept as the executable specification of
-   the join semantics (the paper's Definition 8 reads this way) and as the
-   baseline the hash join is tested and benchmarked against. *)
-let nested_loop_join a b =
-  let out, ia, ib, b_only_idx = join_plan a b in
-  List.iter
-    (fun row_a ->
-      let ka = join_key ia row_a in
-      List.iter
-        (fun row_b ->
-          if String.equal ka (join_key ib row_b) then
-            emit_match out row_a row_b b_only_idx)
-        (rows b))
-    (rows a);
-  out
 
 module T = Weblab_obs.Telemetry
 

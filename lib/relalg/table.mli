@@ -57,13 +57,10 @@ val natural_join : t -> t -> t
 val hash_join : t -> t -> t
 (** ⋈ as a hash equi-join on the shared columns: the right side is hashed
     once, each left row probes it — O(|a| + |b| + output) instead of the
-    O(|a|·|b|) of {!nested_loop_join}.  Output schema is [a]'s columns
+    O(|a|·|b|) of a nested-loop join.  Output schema is [a]'s columns
     followed by [b]'s own; rows come in [a]-major order.  Produces the
-    exact same row sequence as {!nested_loop_join} (property-tested). *)
-
-val nested_loop_join : t -> t -> t
-(** The textbook O(|a|·|b|) join — the executable specification of the
-    join semantics, kept for differential testing and benchmarking. *)
+    exact same row sequence as the textbook nested-loop join, which the
+    tests keep as its oracle (property-tested). *)
 
 val union : t -> t -> t
 (** Set union; both tables must have the same schema.

@@ -19,13 +19,14 @@ type ctx = {
   registry : Registry.t;
   rulebook : Strategy.rulebook;
   default_backend : Strategy.kind;
+      (* always [`Fused]; kept for the benchmark's driver *)
   data_dir : string option;
       (* when set, sessions persist a WAL under it and boot restores *)
   slow : slow_log option;
 }
 
-let make_ctx ?shards ?max_sessions ?(default_backend = `Fused) ?data_dir
-    ?slow_log_path ?(slow_ms = 100.) () =
+let make_ctx ?shards ?max_sessions ?data_dir ?slow_log_path ?(slow_ms = 100.)
+    () =
   let rulebook =
     List.map
       (fun (e : Weblab_services.Catalog.entry) ->
@@ -41,7 +42,7 @@ let make_ctx ?shards ?max_sessions ?(default_backend = `Fused) ?data_dir
       slow_log_path
   in
   { registry = Registry.create ?shards ?max_sessions (); rulebook;
-    default_backend; data_dir; slow }
+    default_backend = `Fused; data_dir; slow }
 
 (* ----- WAL file naming -----
 
@@ -157,18 +158,9 @@ let budgets_of req =
 
 (* ----- open ----- *)
 
+(* Unknown fields are ignored: an older client's ["backend"] or
+   ["jobs"] still gets Fused at width 1, with the same answers. *)
 let v_open ctx req =
-  let backend =
-    match J.str_member "backend" req with
-    | None -> ctx.default_backend
-    | Some s ->
-      (match Strategy.kind_of_string s with
-      | Some k -> k
-      | None ->
-        reject "unknown_backend"
-          (Printf.sprintf "unknown backend %S (%s)" s
-             (String.concat "|" Strategy.names)))
-  in
   let doc =
     match opt_default "standard" (J.str_member "scenario" req) with
     | "empty" -> Orchestrator.initial_document ()
@@ -178,7 +170,6 @@ let v_open ctx req =
       Weblab_services.Workload.make_document ~units ~seed ()
     | s -> reject "bad_request" (Printf.sprintf "unknown scenario %S" s)
   in
-  let jobs = opt_default 1 (J.int_member "jobs" req) in
   let budgets = budgets_of req in
   let id =
     match J.str_member "session" req with
@@ -200,7 +191,7 @@ let v_open ctx req =
   in
   match
     Registry.add ctx.registry ~id (fun ~id ->
-        Session.create ~id ~backend ~jobs ~budgets ?wal_path ~doc ctx.rulebook)
+        Session.create ~id ~backend:`Fused ~budgets ?wal_path ~doc ctx.rulebook)
   with
   | Ok sess ->
     ok req

@@ -8,9 +8,9 @@
 
     {v
     verb    fields                                  reply
-    open    backend?, scenario?|empty, units?,      session, backend,
-            seed?, jobs?, persist?, budgets?{         next_time, persisted
-            retries, backoff_ms, max_new_nodes,
+    open    scenario?|empty, units?, seed?,         session, backend,
+            persist?, budgets?{retries,               next_time, persisted
+            backoff_ms, max_new_nodes,
             max_call_s, max_commits}
     commit  session, service | xml (+name?)        time, attempts,
                                                      new_nodes, promoted
@@ -39,8 +39,11 @@
     threshold.  With the recorder [Off] a request costs one atomic load
     beyond the bare dispatch.
 
+    Sessions are served by Fused ({!Session}); unknown request fields,
+    such as an older client's [backend] or [jobs], are ignored.
+
     Error codes: [parse_error], [bad_request], [unknown_session],
-    [unknown_service], [unknown_backend], [admission_rejected],
+    [unknown_service], [admission_rejected],
     [already_open], [budget_exceeded], [commit_failed], [query_error],
     [session_closed], [read_only], [internal_error].
 
@@ -66,6 +69,7 @@ type ctx = {
   rulebook : Weblab_prov.Strategy.rulebook;
       (** shared, read-only: every session's backend init gets it *)
   default_backend : Weblab_prov.Strategy.kind;
+      (** always [`Fused]; kept for the benchmark's driver *)
   data_dir : string option;
       (** when set, sessions persist a WAL under it (request field
           ["persist": false] opts a session out) *)
@@ -77,13 +81,12 @@ type ctx = {
 val make_ctx :
   ?shards:int ->
   ?max_sessions:int ->
-  ?default_backend:Weblab_prov.Strategy.kind ->
   ?data_dir:string ->
   ?slow_log_path:string ->
   ?slow_ms:float ->
   unit ->
   ctx
-(** Builds the catalog rulebook once.  Default backend: [`Fused].
+(** Builds the catalog rulebook once.
     [slow_log_path] opens (append, create) the slow-query log;
     [slow_ms] is the threshold in milliseconds (default 100). *)
 

@@ -30,27 +30,6 @@ let default_budgets =
   { policy = { Orchestrator.default_policy with on_failure = `Skip };
     max_commits = None }
 
-(* A backend instance, existentially packed: the state type is hidden
-   behind the three closures the session drives. *)
-type backend_inst = {
-  bi_observe :
-    call:Trace.call ->
-    before:Doc_state.t ->
-    after:Doc_state.t ->
-    delta:Orchestrator.delta ->
-    unit;
-  bi_snapshot : doc:Tree.t -> trace:Trace.t -> Prov_graph.t;
-  bi_finalize : doc:Tree.t -> trace:Trace.t -> Prov_graph.t;
-}
-
-let instantiate (module B : Strategy_sig.STRATEGY_BACKEND) ~jobs ~doc rb =
-  let st = B.init ~jobs ~doc rb in
-  { bi_observe =
-      (fun ~call ~before ~after ~delta ->
-        B.observe st ~call ~before ~after ~delta);
-    bi_snapshot = (fun ~doc ~trace -> B.snapshot st ~doc ~trace);
-    bi_finalize = (fun ~doc ~trace -> B.finalize st ~doc ~trace) }
-
 (* The session's export store only grows: each sync appends the steps
    committed since the cursor ({!Prov_export.extend}).  A persisted
    session syncs at every commit and logs exactly the appended triples;
@@ -69,7 +48,7 @@ type persist = {
 
 type live = {
   orch : Orchestrator.session;
-  inst : backend_inst;
+  fused : Strategy_fused.state;
   budgets : budgets;
   persist : persist option;
   export : export;
@@ -77,9 +56,11 @@ type live = {
 
 (* A restored session serves queries straight off the replayed triple
    store; there is no orchestrator or backend state to resume, so
-   commits are refused ([Restored_read_only]). *)
+   commits are refused ([Restored_read_only]).  Its graph is decoded
+   from the store once, on the first query that needs it. *)
 type restored = {
   r_store : Rdf.Triple_store.t;
+  r_graph : Prov_graph.t Lazy.t;
   r_next_time : int;
 }
 
@@ -94,15 +75,11 @@ type t = {
   lock : Mutex.t;
   mutable commits : int;  (* committed calls *)
   mutable failed : int;  (* burned timestamps *)
-  mutable snap : Prov_graph.t option;
-      (* the backend's graph, labeled up to the last commit; dropped on
-         every commit *)
   mutable closed : bool;
 }
 
 let id t = t.sid
 let backend_name t = t.bname
-let is_closed t = t.closed
 let is_restored t = match t.mode with Restored _ -> true | Live _ -> false
 
 let wal_path t =
@@ -114,19 +91,14 @@ let with_lock t f = Mutex.protect t.lock f
 
 (* ----- queries ----- *)
 
+(* Fused's snapshot labels only the trace entries recorded since the
+   last one and returns its live graph, so queries need no cache. *)
 let graph t =
-  match t.snap with
-  | Some g -> g
-  | None ->
-    let g =
-      match t.mode with
-      | Live l ->
-        l.inst.bi_snapshot ~doc:(Orchestrator.session_doc l.orch)
-          ~trace:(Orchestrator.session_trace l.orch)
-      | Restored r -> Prov_export.of_store r.r_store
-    in
-    t.snap <- Some g;
-    g
+  match t.mode with
+  | Live l ->
+    Strategy_fused.snapshot l.fused ~doc:(Orchestrator.session_doc l.orch)
+      ~trace:(Orchestrator.session_trace l.orch)
+  | Restored r -> Lazy.force r.r_graph
 
 (* Append what the graph and trace gained since the last catch-up; a
    persisted session stages the appended triples in its WAL. *)
@@ -171,29 +143,37 @@ let turtle t = M.time h_turtle (fun () -> Rdf.Turtle.to_turtle (store t))
 
 (* ----- WAL sync ----- *)
 
+(* What a restore reports: backend name and commit counters. *)
+let meta t l =
+  [ ("backend", t.bname); ("commits", string_of_int t.commits);
+    ("failed", string_of_int t.failed);
+    ("next_time", string_of_int (Orchestrator.next_time l.orch)) ]
+
 (* Append the steps committed since the last sync to the store and the
-   log, then seal them under one fsynced commit marker.  Metadata rides
-   along so a restore can report backend/commit counts. *)
+   log, then seal them, with the metadata, under one fsynced commit
+   marker. *)
 let sync_wal t l =
   match l.persist with
   | None -> ()
   | Some p ->
     catch_up t l;
     let size = Rdf.Triple_store.size l.export.x_store in
-    Rdf.Wal.log_meta p.pw ~key:"backend" ~value:t.bname;
-    Rdf.Wal.log_meta p.pw ~key:"commits" ~value:(string_of_int t.commits);
-    Rdf.Wal.log_meta p.pw ~key:"failed" ~value:(string_of_int t.failed);
-    Rdf.Wal.log_meta p.pw ~key:"next_time"
-      ~value:(string_of_int (Orchestrator.next_time l.orch));
+    List.iter (fun (key, value) -> Rdf.Wal.log_meta p.pw ~key ~value) (meta t l);
     Rdf.Wal.commit p.pw ~store_size:size;
     M.set g_store_triples size
 
 (* ----- constructors ----- *)
 
-let create ~id ~backend ?(jobs = 1) ?(budgets = default_budgets) ?wal_path ~doc
-    rb =
+(* [~backend] is kept for the benchmark's driver, which passes it. *)
+let create ~id ~(backend : Strategy.kind) ?(budgets = default_budgets)
+    ?wal_path ~doc rb =
+  if backend <> `Fused then
+    invalid_arg
+      ("Session.create: sessions serve fused only, not "
+      ^ Strategy.kind_to_string backend);
   let orch = Orchestrator.start ~policy:budgets.policy doc in
-  let inst = instantiate (Strategy.backend_of backend) ~jobs ~doc rb in
+  (* Width 1: a daemon hosts many sessions, each on its caller's domain. *)
+  let fused = Strategy_fused.init ~jobs:1 ~doc rb in
   let persist =
     Option.map
       (fun path -> { pw = Rdf.Wal.open_writer path; p_path = path })
@@ -202,11 +182,10 @@ let create ~id ~backend ?(jobs = 1) ?(budgets = default_budgets) ?wal_path ~doc
   let export =
     { x_store = Rdf.Triple_store.create (); x_cursor = Prov_export.start }
   in
-  let l = { orch; inst; budgets; persist; export } in
+  let l = { orch; fused; budgets; persist; export } in
   let t =
-    { sid = id; bname = Strategy.kind_to_string backend; mode = Live l;
-      lock = Mutex.create (); commits = 0; failed = 0; snap = None;
-      closed = false }
+    { sid = id; bname = Strategy_fused.name; mode = Live l;
+      lock = Mutex.create (); commits = 0; failed = 0; closed = false }
   in
   (* Make the empty session durable immediately: a crash right after
      [open] restores an open (if empty) session, not a missing one. *)
@@ -225,9 +204,12 @@ let restore ~id ~wal_path =
     match meta "backend" with Some b -> b | None -> "restored"
   in
   ( { sid = id; bname;
-      mode = Restored { r_store = st; r_next_time = int_meta "next_time" };
+      mode =
+        Restored
+          { r_store = st; r_graph = lazy (Prov_export.of_store st);
+            r_next_time = int_meta "next_time" };
       lock = Mutex.create (); commits = int_meta "commits";
-      failed = int_meta "failed"; snap = None; closed = false },
+      failed = int_meta "failed"; closed = false },
     rp )
 
 (* A client-supplied next document state, committed through the
@@ -272,7 +254,7 @@ let commit t svc =
         M.time h_commit (fun () ->
             let time = Orchestrator.next_time l.orch in
             let on_step call before after delta =
-              l.inst.bi_observe ~call ~before ~after ~delta
+              Strategy_fused.observe l.fused ~call ~before ~after ~delta
             in
             let sample_doc () =
               if Weblab_obs.Telemetry.enabled () then
@@ -281,7 +263,6 @@ let commit t svc =
             match Orchestrator.step ~on_step l.orch svc with
             | Orchestrator.Committed { delta; attempts } ->
               t.commits <- t.commits + 1;
-              t.snap <- None;
               sync_wal t l;
               sample_doc ();
               Ok
@@ -290,8 +271,8 @@ let commit t svc =
                   promoted = List.length delta.Orchestrator.promoted }
             | Orchestrator.Step_failed { reason; attempts; _ } ->
               (* The orchestrator already rolled the arena back and burned
-                 the timestamp; the backend observed nothing, so the
-                 snapshot stands.  The failed call still shows up in the
+                 the timestamp; the backend observed nothing, so its
+                 graph stands.  The failed call still shows up in the
                  export (as an invalidated activity), so the WAL syncs
                  here too. *)
               t.failed <- t.failed + 1;
@@ -330,36 +311,24 @@ let stats t =
 (* ----- close ----- *)
 
 let close t =
-  if t.closed then graph t
-  else
-    match t.mode with
-    | Restored r ->
-      t.closed <- true;
-      (* Keep the WAL file: the session can be restored again. *)
-      ignore r;
-      graph t
-    | Live l ->
-      let g =
-        l.inst.bi_finalize ~doc:(Orchestrator.session_doc l.orch)
-          ~trace:(Orchestrator.session_trace l.orch)
-      in
-      (* Pin the final graph: [commit] is refused from here on, so this
-         snapshot never goes stale and queries keep answering over it. *)
-      t.snap <- Some g;
-      t.closed <- true;
-      (match l.persist with
-      | None -> ()
-      | Some p ->
-        (* The finalize graph may hold more than the last snapshot; sync
-           it, then compact the log to one reset + dump of the store so
-           replay cost is proportional to live size. *)
+  (match t.mode with
+  | Live l when not t.closed ->
+    (* [commit] is refused from here on, so queries keep answering over
+       the finalized graph. *)
+    ignore
+      (Strategy_fused.finalize l.fused ~doc:(Orchestrator.session_doc l.orch)
+         ~trace:(Orchestrator.session_trace l.orch));
+    (* Sync whatever the finalize labeled, then compact the log to one
+       reset + dump of the store so replay cost is proportional to live
+       size. *)
+    Option.iter
+      (fun p ->
         sync_wal t l;
-        Rdf.Wal.compact_to p.p_path
-          ~meta:
-            [ ("backend", t.bname);
-              ("commits", string_of_int t.commits);
-              ("failed", string_of_int t.failed);
-              ("next_time", string_of_int (Orchestrator.next_time l.orch)) ]
-          l.export.x_store;
-        Rdf.Wal.close_writer p.pw);
-      g
+        Rdf.Wal.compact_to p.p_path ~meta:(meta t l) l.export.x_store;
+        Rdf.Wal.close_writer p.pw)
+      l.persist
+  | Live _ | Restored _ ->
+    (* A restored session keeps its WAL: it can be restored again. *)
+    ());
+  t.closed <- true;
+  graph t

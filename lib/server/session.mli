@@ -1,10 +1,12 @@
 (** One live serving session: an orchestrator execution over a private
-    document plus a strategy backend observing it, queryable between
-    appends.
+    document plus the Fused engine observing it, queryable between
+    appends.  All four strategies give the same answers, and Fused is
+    the one whose commit cost follows the delta, so it is the only one
+    served; the tests check a session against each offline strategy.
 
     A session is the daemon-side reification of one workflow run.  Verbs
     are serialized per session with {!with_lock} (connections may share a
-    session id); the document, trace and backend state are private to the
+    session id); the document, trace and engine state are private to the
     session, so sessions never contend beyond the process-wide caches
     (which carry their own locks).
 
@@ -43,21 +45,21 @@ type t
 val id : t -> string
 
 val backend_name : t -> string
+(** ["fused"], or the backend a restored session's WAL names. *)
 
 val create :
   id:string ->
   backend:Strategy.kind ->
-  ?jobs:int ->
   ?budgets:budgets ->
   ?wal_path:string ->
   doc:Tree.t ->
   Strategy.rulebook ->
   t
-(** Runs the orchestration prologue ({!Orchestrator.start}) and the
-    backend's [init] on [doc].  [jobs] defaults to 1 — a daemon hosts
-    many sessions, so inference parallelism is opt-in per session.
-    [wal_path] turns on persistence: the empty session is made durable
-    immediately and every commit appends its triple delta.
+(** Runs the orchestration prologue ({!Orchestrator.start}) and Fused's
+    [init] at width 1 on [doc].  [wal_path] turns on persistence: the
+    empty session is made durable immediately and every commit appends
+    its triple delta.  [backend] is kept for the benchmark's driver.
+    @raise Invalid_argument if [backend] is not [`Fused].
     @raise Orchestrator.Duplicate_uri if [doc] repeats a URI. *)
 
 val restore : id:string -> wal_path:string -> t * Weblab_rdf.Wal.replay_stats
@@ -65,7 +67,7 @@ val restore : id:string -> wal_path:string -> t * Weblab_rdf.Wal.replay_stats
     read-only: queries answer over the replayed store ([turtle] is
     byte-identical to the live session's last synced export), [commit]
     returns [Restored_read_only].  Backend name and commit counters are
-    recovered from WAL metadata. *)
+    recovered from WAL metadata, whichever backend it names. *)
 
 val is_restored : t -> bool
 
@@ -108,16 +110,14 @@ type commit_error =
 
 val commit : t -> Service.t -> (commit_ok, commit_error) result
 (** Run one supervised service call at the session's next timestamp; on
-    commit the backend observes the delta, cached query state is
-    invalidated and, for persisted sessions, the WAL is synced (fsync
-    per commit).  Failed calls sync too — they appear in the exported
-    graph as invalidated activities. *)
+    commit Fused observes the delta and, for persisted sessions, the WAL
+    is synced (fsync per commit).  Failed calls sync too — they appear
+    in the exported graph as invalidated activities. *)
 
 val graph : t -> Prov_graph.t
-(** The provenance graph of the execution so far (backend [snapshot]),
-    cached until the next committed call.  For a restored session, the
-    graph recovered from the replayed store
-    ({!Weblab_prov.Prov_export.of_store}). *)
+(** The provenance graph of the execution so far (Fused's live graph).
+    For a restored session, the graph recovered from the replayed store
+    ({!Weblab_prov.Prov_export.of_store}) on first use. *)
 
 val why : t -> string -> string list
 (** Transitive ancestors of a URI in the live graph (sorted), by a
@@ -165,10 +165,8 @@ type stats = {
 val stats : t -> stats
 
 val close : t -> Prov_graph.t
-(** Finalize the backend (its pool shuts down) and return the final
-    graph.  Idempotent; further [commit]s return [Session_closed], further
-    queries keep answering over the final graph.  A persisted session
-    syncs its final state and compacts the WAL to one snapshot commit;
-    the file is kept for later {!restore}. *)
-
-val is_closed : t -> bool
+(** Finalize the engine and return the final graph.  Idempotent;
+    further [commit]s return [Session_closed], further queries keep
+    answering over the final graph.  A persisted session syncs its final
+    state and compacts the WAL to one snapshot commit; the file is kept
+    for later {!restore}. *)

@@ -247,7 +247,8 @@ let prop_hash_join_equals_nested_loop =
     arb_join_pair
     (fun (a, b) ->
       let open Weblab_relalg in
-      let h = Table.hash_join a b and n = Table.nested_loop_join a b in
+      let h = Table.hash_join a b
+      and n = Weblab_test_support.Oracle_join.nested_loop_join a b in
       Table.columns h = Table.columns n
       && Table.rows h = Table.rows n)
 

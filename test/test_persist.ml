@@ -436,9 +436,9 @@ let test_restored_survive_another_restart () =
   ignore (Protocol.restore_sessions ctx3);
   check_string "third boot still serves" served (turtle_of ctx3 "twice")
 
-(* A WAL written under a backend name the daemon no longer registers
-   still restores: a restored session serves its logged store and never
-   instantiates a backend. *)
+(* A WAL written under another backend name — one the daemon no longer
+   registers, or one it no longer serves — still restores: a restored
+   session serves its logged store and never instantiates a backend. *)
 let test_retired_backend_restores () =
   let dir = fresh_dir () in
   let ctx1 = Protocol.make_ctx ~data_dir:dir () in
@@ -446,38 +446,65 @@ let test_retired_backend_restores () =
   let served = turtle_of ctx1 "live" in
   let st, _ = Wal.replay (Protocol.wal_file dir "live") in
   Sys.remove (Protocol.wal_file dir "live");
-  let w = Wal.open_writer (Protocol.wal_file dir "old") in
-  Triple_store.iter st (Wal.log_triple w);
-  Wal.log_meta w ~key:"backend" ~value:"incremental";
-  Wal.log_meta w ~key:"commits" ~value:"2";
-  Wal.commit w ~store_size:(Triple_store.size st);
-  Wal.close_writer w;
+  let names = [ "incremental"; "online"; "replay" ] in
+  List.iter
+    (fun name ->
+      let w = Wal.open_writer (Protocol.wal_file dir name) in
+      Triple_store.iter st (Wal.log_triple w);
+      Wal.log_meta w ~key:"backend" ~value:name;
+      Wal.log_meta w ~key:"commits" ~value:"2";
+      Wal.commit w ~store_size:(Triple_store.size st);
+      Wal.close_writer w)
+    names;
   let ctx2 = Protocol.make_ctx ~data_dir:dir () in
-  check_bool "restored" true
-    (List.mem_assoc "old" (Protocol.restore_sessions ctx2));
-  check_string "serves the logged bytes" served (turtle_of ctx2 "old");
-  let stats =
-    expect_ok "stats"
-      (rpc ctx2 [ ("verb", J.Str "stats"); ("session", J.Str "old") ])
-  in
-  check_string "logged backend name" "incremental"
-    (get_str "stats" "backend" stats);
-  ignore
-    (expect_ok "sparql on restored"
-       (rpc ctx2
-          [ ("verb", J.Str "query"); ("session", J.Str "old");
-            ("kind", J.Str "sparql");
-            ("query", J.Str "SELECT ?s WHERE { ?s a prov:Entity }") ]))
+  let restored = Protocol.restore_sessions ctx2 in
+  List.iter
+    (fun name ->
+      check_bool (name ^ ": restored") true (List.mem_assoc name restored);
+      check_string (name ^ ": serves the logged bytes") served
+        (turtle_of ctx2 name);
+      let stats =
+        expect_ok "stats"
+          (rpc ctx2 [ ("verb", J.Str "stats"); ("session", J.Str name) ])
+      in
+      check_string (name ^ ": logged backend name") name
+        (get_str "stats" "backend" stats);
+      ignore
+        (expect_ok "sparql on restored"
+           (rpc ctx2
+              [ ("verb", J.Str "query"); ("session", J.Str name);
+                ("kind", J.Str "sparql");
+                ("query", J.Str "SELECT ?s WHERE { ?s a prov:Entity }") ])))
+    names
 
 (* Served Turtle depends on the committed calls only, never on when the
    session was snapshotted: a persisted session syncs its empty store at
    [open], and a query right after [open] snapshots too — neither may
    change the bytes [close] returns, which must equal the offline run's
-   under the daemon's default backend. *)
+   under each of the four backends. *)
 let test_served_turtle_history_independent () =
   let services = Weblab_services.Workload.standard_pipeline () in
   let dir = fresh_dir () in
   let ctx = Protocol.make_ctx ~data_dir:dir () in
+  let offline =
+    List.map
+      (fun units ->
+        ( units,
+          List.map
+            (fun kind ->
+              let doc =
+                Weblab_services.Workload.make_document ~units ~seed:42 ()
+              in
+              let exec, g =
+                Weblab_prov.Engine.run_with_strategy ~jobs:1 kind doc services
+                  ctx.Protocol.rulebook
+              in
+              ( Weblab_prov.Strategy.kind_to_string kind,
+                Weblab_prov.Engine.to_turtle
+                  ~trace:exec.Weblab_prov.Engine.trace g ))
+            Weblab_prov.Strategy.all ))
+      [ 16; 64 ]
+  in
   List.iter
     (fun (units, persist, early_query) ->
       let sid =
@@ -514,15 +541,12 @@ let test_served_turtle_history_independent () =
                 [ ("verb", J.Str "close"); ("session", J.Str sid);
                   ("turtle", J.Bool true) ]))
       in
-      let doc = Weblab_services.Workload.make_document ~units ~seed:42 () in
-      let exec, g =
-        Weblab_prov.Engine.run_with_strategy ~jobs:1
-          ctx.Protocol.default_backend doc services ctx.Protocol.rulebook
-      in
-      check_string
-        (Printf.sprintf "%s: served = offline" sid)
-        (Weblab_prov.Engine.to_turtle ~trace:exec.Weblab_prov.Engine.trace g)
-        served)
+      List.iter
+        (fun (bname, expected) ->
+          check_string
+            (Printf.sprintf "%s: served = %s offline" sid bname)
+            expected served)
+        (List.assoc units offline))
     (List.concat_map
        (fun units ->
          [ (units, false, false); (units, false, true); (units, true, false);
@@ -613,6 +637,8 @@ let faulty_budgets =
       { Session.default_budgets.Session.policy with
         Wf.Orchestrator.retries = 1; backoff_ms = 1. } }
 
+module Driver = Weblab_test_support.Backend_driver
+
 (* The session's store, the offline export of its snapshot and the
    replay of its WAL: the same triple sequence, and no reset logged. *)
 let export_agrees s path =
@@ -626,35 +652,76 @@ let export_agrees s path =
   && rp.Wal.rp_resets = 0
   && rp.Wal.rp_triples = List.length live
 
-(* Drive one persisted session through [services], checking the law
-   after [open] and after every commit, failed ones included.  Returns
-   whether it held throughout, the final store's triples, and how many
-   calls failed. *)
-let drive_session ~kind ~budgets ~doc ~rb services =
+(* Each backend's offline run of one execution.  [execution ()] rebuilds
+   the document, the services (with a fresh fault plan: same seed, same
+   decisions) and the rulebook, since every run mutates its own
+   document. *)
+let offline_runs ~budgets execution =
+  List.map
+    (fun kind ->
+      let doc, services, rb = execution () in
+      ( Driver.start ~policy:budgets.Session.policy
+          (Prov.Strategy.backend_of kind) ~doc rb,
+        Array.of_list services ))
+    Prov.Strategy.all
+
+let step_offline runs i =
+  List.iter (fun (d, services) -> ignore (Driver.step d services.(i))) runs
+
+(* Drive one persisted Fused session through the execution's services,
+   with every backend's offline run stepped alongside.  After [open] and
+   after every commit, failed ones included, the session's store must
+   equal its own snapshot's export, its WAL replay, and the export of
+   each offline run.  Returns whether that held throughout, the final
+   store's triples, and how many calls failed. *)
+let drive_session ~budgets execution =
+  let doc, services, rb = execution () in
+  let runs = offline_runs ~budgets execution in
   let path = fresh_wal () in
   let s =
-    Session.create ~id:"delta" ~backend:kind ~jobs:1 ~budgets ~wal_path:path
-      ~doc rb
+    Session.create ~id:"delta" ~backend:`Fused ~budgets ~wal_path:path ~doc rb
   in
-  let ok = ref (export_agrees s path) and failed = ref 0 in
-  List.iter
-    (fun svc ->
+  let agrees () =
+    let live = Triple_store.triples (Session.store s) in
+    export_agrees s path
+    && List.for_all
+         (fun (d, _) ->
+           live
+           = Triple_store.triples
+               (Prov.Prov_export.to_store ~trace:(Driver.trace d)
+                  (Driver.graph d)))
+         runs
+  in
+  let ok = ref (agrees ()) and failed = ref 0 in
+  List.iteri
+    (fun i svc ->
       (match Session.commit s svc with
       | Ok _ -> ()
       | Error _ -> incr failed);
-      ok := !ok && export_agrees s path)
+      step_offline runs i;
+      ok := !ok && agrees ())
     services;
   ignore (Session.close s);
   let final = Triple_store.triples (Session.store s) in
   let replayed, _ = Wal.replay path in
   (!ok && final = Triple_store.triples replayed, final, !failed)
 
+let with_faults ~faults ~rate ~fault_seed (doc, services, rb) =
+  let services =
+    if rate = 0. then services
+    else
+      Weblab_services.Faulty.wrap_all
+        (Weblab_services.Faulty.plan ~faults ~rate ~seed:fault_seed ())
+        services
+  in
+  (doc, services, rb)
+
 let delta_sync_prop =
   Test.make
     ~name:
-      "session store = to_store of the snapshot = WAL replay after every \
-       commit, for all backends x faults x Skolem rules x promotions; \
-       backends agree"
+      "session store = to_store of the snapshot = WAL replay = each \
+       backend's offline export after every commit, x faults x Skolem \
+       rules x promotions"
     ~count:40
     (make
        ~print:(fun (seed, fseed, r, promote) ->
@@ -664,103 +731,85 @@ let delta_sync_prop =
          quad (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 2) bool))
     (fun (seed, fault_seed, r, promote) ->
       let rate = [| 0.; 0.3; 0.6 |].(r) in
-      let runs =
-        List.map
-          (fun kind ->
-            let doc, services, rb = pipeline_of_seed ~promote seed in
-            let services =
-              if rate = 0. then services
-              else
-                Weblab_services.Faulty.wrap_all
-                  (Weblab_services.Faulty.plan
-                     ~faults:
-                       Weblab_services.Faulty.
-                         [ Crash; Garbage_xml; Mutate_committed; Duplicate_uri ]
-                     ~rate ~seed:fault_seed ())
-                  services
-            in
-            drive_session ~kind ~budgets:faulty_budgets ~doc ~rb services)
-          Prov.Strategy.all
+      let ok, _, _ =
+        drive_session ~budgets:faulty_budgets (fun () ->
+            with_faults
+              ~faults:
+                Weblab_services.Faulty.
+                  [ Crash; Garbage_xml; Mutate_committed; Duplicate_uri ]
+              ~rate ~fault_seed
+              (pipeline_of_seed ~promote seed))
       in
-      match runs with
-      | (_, first, _) :: _ ->
-        List.for_all (fun (ok, final, _) -> ok && final = first) runs
-      | [] -> false)
+      ok)
 
 (* [why]/[impact] traverse the live graph instead of materializing a
    closure; after [open] and after every commit, failed ones included,
-   they answer exactly what a closure over the same snapshot does —
-   also for a URI the graph does not know. *)
+   they answer exactly what a closure over each backend's offline
+   snapshot does — also for a URI the graph does not know. *)
 let served_lineage_prop =
   Test.make
     ~name:
-      "served why/impact = Reachability of the snapshot after every \
-       commit, for all backends x faults x promotions"
+      "served why/impact = Reachability of each backend's offline \
+       snapshot after every commit, x faults x promotions"
     ~count:30
     (make
        ~print:(fun (seed, fseed, faults) ->
          Printf.sprintf "seed=%d fault_seed=%d faults=%b" seed fseed faults)
        Gen.(triple (int_bound 1_000_000) (int_bound 1_000_000) bool))
     (fun (seed, fault_seed, faults) ->
-      List.for_all
-        (fun kind ->
-          let doc, services, rb = pipeline_of_seed ~promote:true seed in
-          let services =
-            if not faults then services
-            else
-              Weblab_services.Faulty.wrap_all
-                (Weblab_services.Faulty.plan
-                   ~faults:Weblab_services.Faulty.[ Crash; Mutate_committed ]
-                   ~rate:0.3 ~seed:fault_seed ())
-                services
-          in
-          let s =
-            Session.create ~id:"lineage" ~backend:kind ~jobs:1
-              ~budgets:faulty_budgets ~doc rb
-          in
-          let agrees () =
-            let g = Session.graph s in
+      let execution () =
+        with_faults
+          ~faults:Weblab_services.Faulty.[ Crash; Mutate_committed ]
+          ~rate:(if faults then 0.3 else 0.) ~fault_seed
+          (pipeline_of_seed ~promote:true seed)
+      in
+      let doc, services, rb = execution () in
+      let runs = offline_runs ~budgets:faulty_budgets execution in
+      let s =
+        Session.create ~id:"lineage" ~backend:`Fused ~budgets:faulty_budgets
+          ~doc rb
+      in
+      let uris g =
+        List.map fst (Prov.Prov_graph.labeled_resources g)
+        @ List.concat_map
+            (fun l -> [ l.Prov.Prov_graph.from_uri; l.to_uri ])
+            (Prov.Prov_graph.links g)
+      in
+      let agrees () =
+        let served = "ghost" :: uris (Session.graph s) in
+        List.for_all
+          (fun (d, _) ->
+            let g = Driver.graph d in
             let r = Prov.Reachability.build g in
-            let uris =
-              "ghost"
-              :: List.map fst (Prov.Prov_graph.labeled_resources g)
-              @ List.concat_map
-                  (fun l -> [ l.Prov.Prov_graph.from_uri; l.to_uri ])
-                  (Prov.Prov_graph.links g)
-            in
             List.for_all
               (fun u ->
                 Session.why s u = Prov.Reachability.ancestors r u
                 && Session.impact s u = Prov.Reachability.descendants r u)
-              uris
-          in
-          let ok = ref (agrees ()) in
-          List.iter
-            (fun svc ->
-              ignore (Session.commit s svc);
-              ok := !ok && agrees ())
-            services;
-          !ok)
-        Prov.Strategy.all)
+              (served @ uris g))
+          runs
+      in
+      let ok = ref (agrees ()) in
+      List.iteri
+        (fun i svc ->
+          ignore (Session.commit s svc);
+          step_offline runs i;
+          ok := !ok && agrees ())
+        services;
+      !ok)
 
 (* Figure 4's promotion (node 3 becomes r3 at c1) appends; it never
    rewrites what the log holds. *)
 let test_paper_promotion_appends () =
   let module P = Weblab_scenario.Paper in
-  List.iter
-    (fun kind ->
-      let ok, final, _ =
-        drive_session ~kind ~budgets:Session.default_budgets
-          ~doc:(P.initial_document ()) ~rb:(P.rulebook ()) P.services
-      in
-      let name = Prov.Strategy.kind_to_string kind in
-      check_bool (name ^ ": store = export = replay") true ok;
-      let e = P.run () in
-      let g = Prov.Strategy.infer ~doc:e.P.doc ~trace:e.P.trace e.P.rulebook in
-      check_bool (name ^ ": served = offline") true
-        (final
-        = Triple_store.triples (Prov.Prov_export.to_store ~trace:e.P.trace g)))
-    Prov.Strategy.all
+  let ok, final, _ =
+    drive_session ~budgets:Session.default_budgets (fun () ->
+        (P.initial_document (), P.services, P.rulebook ()))
+  in
+  check_bool "store = export = replay = each backend's export" true ok;
+  let e = P.run () in
+  let g = Prov.Strategy.infer ~doc:e.P.doc ~trace:e.P.trace e.P.rulebook in
+  check_bool "served = offline" true
+    (final = Triple_store.triples (Prov.Prov_export.to_store ~trace:e.P.trace g))
 
 (* A long chain on the daemon's configuration, killed without [close]:
    every triple reached the log exactly once, with no reset. *)
@@ -768,8 +817,7 @@ let test_chain_logs_each_triple_once () =
   let ctx = Protocol.make_ctx () in
   let path = fresh_wal () in
   let s =
-    Session.create ~id:"chain" ~backend:ctx.Protocol.default_backend
-      ~wal_path:path
+    Session.create ~id:"chain" ~backend:`Fused ~wal_path:path
       ~doc:(Weblab_services.Workload.make_document ~units:3 ~seed:1000 ())
       ctx.Protocol.rulebook
   in

@@ -4,10 +4,12 @@
    admission control and budgets, bit-identity between the served path
    and the offline engine, and the TCP transport itself.
 
-   The central qcheck property is the twin-session law: for every
-   backend and every injected fault, a session that receives a failing
-   commit keeps a store byte-identical (Turtle) to a twin session that
-   never saw the commit — and stays usable afterwards.
+   Sessions serve Fused only; the served session is checked against the
+   offline run of each of the four backends at every commit.  The
+   central qcheck property is the twin-session law: for every injected
+   fault, a session that receives a failing commit keeps a graph
+   byte-identical (Turtle) to every backend's offline run that never saw
+   the commit — and stays usable afterwards.
 
    Also holds the boundary regressions for the arena primitives the
    rollback path leans on (Vec.merge / Tree.truncate_to / restore at
@@ -184,10 +186,10 @@ let test_protocol_lifecycle () =
     expect_ok "open"
       (rpc ctx
          [ ("verb", J.Str "open"); ("id", J.Int 7); ("session", J.Str "t1");
-           ("backend", J.Str "online"); ("units", J.Int 2); ("seed", J.Int 7) ])
+           ("units", J.Int 2); ("seed", J.Int 7) ])
   in
   check_string "session echoed" "t1" (get_str "open" "session" open_resp);
-  check_string "backend" "online" (get_str "open" "backend" open_resp);
+  check_string "backend" "fused" (get_str "open" "backend" open_resp);
   check_int "request id echoed" 7 (get_int "open" "id" open_resp);
   check_int "next_time" 1 (get_int "open" "next_time" open_resp);
   let commit =
@@ -273,7 +275,7 @@ let test_protocol_lifecycle () =
      missing or retyped field is a protocol break, not a formatting
      choice. *)
   check_string "stats session id" "t1" (get_str "stats" "session" st);
-  check_string "stats backend" "online" (get_str "stats" "backend" st);
+  check_string "stats backend" "fused" (get_str "stats" "backend" st);
   check_int "commits" 1 (get_int "stats" "commits" st);
   check_int "failed" 0 (get_int "stats" "failed" st);
   check_int "next_time" 2 (get_int "stats" "next_time" st);
@@ -339,17 +341,6 @@ let test_protocol_errors () =
           [ ("verb", J.Str "query"); ("session", J.Str "ghost");
             ("kind", J.Str "turtle") ]));
   ignore
-    (expect_err "unknown backend" "unknown_backend"
-       (rpc ctx [ ("verb", J.Str "open"); ("backend", J.Str "psychic") ]));
-  (* The retired Incremental backend is gone from the registry: asking
-     for it is a typed error naming the four that remain. *)
-  let retired =
-    expect_err "retired backend" "unknown_backend"
-      (rpc ctx [ ("verb", J.Str "open"); ("backend", J.Str "incremental") ])
-  in
-  check_bool "retired backend lists the remaining four" true
-    (contains ~sub:"(online|replay|rewrite|fused)" (message retired));
-  ignore
     (expect_err "unknown scenario" "bad_request"
        (rpc ctx [ ("verb", J.Str "open"); ("scenario", J.Str "moon") ]));
   let _ =
@@ -398,6 +389,71 @@ let test_protocol_errors () =
       (rpc ctx [ ("verb", J.Str "stats"); ("session", J.Str "e1") ])
   in
   check_int "no commits burned by bad requests" 0 (get_int "st" "failed" st)
+
+(* ===== protocol: one engine ===== *)
+
+(* An older client still sends "backend" and "jobs" at open.  Unknown
+   fields are ignored: the session is served by Fused at width 1 and
+   says so, and it answers what a plain open answers. *)
+let test_legacy_open_fields () =
+  let ctx = Protocol.make_ctx ~max_sessions:8 () in
+  let open_s sid extra =
+    expect_ok ("open " ^ sid)
+      (rpc ctx
+         ([ ("verb", J.Str "open"); ("session", J.Str sid); ("units", J.Int 2);
+            ("seed", J.Int 7) ]
+         @ extra))
+  in
+  let turtle_after_commits sid =
+    List.iter
+      (fun svc ->
+        ignore
+          (expect_ok ("commit " ^ svc)
+             (rpc ctx
+                [ ("verb", J.Str "commit"); ("session", J.Str sid);
+                  ("service", J.Str svc) ])))
+      [ "Normaliser"; "LanguageExtractor" ];
+    get_str "turtle" "turtle"
+      (expect_ok "turtle"
+         (rpc ctx
+            [ ("verb", J.Str "query"); ("session", J.Str sid);
+              ("kind", J.Str "turtle") ]))
+  in
+  ignore (open_s "plain" []);
+  let expected = turtle_after_commits "plain" in
+  List.iter
+    (fun (sid, backend) ->
+      let resp =
+        open_s sid [ ("backend", J.Str backend); ("jobs", J.Int 2) ]
+      in
+      check_string (sid ^ ": open replies fused") "fused"
+        (get_str "open" "backend" resp);
+      check_string (sid ^ ": stats replies fused") "fused"
+        (get_str "stats" "backend"
+           (expect_ok "stats"
+              (rpc ctx [ ("verb", J.Str "stats"); ("session", J.Str sid) ])));
+      check_string (sid ^ ": same answers as a plain open") expected
+        (turtle_after_commits sid))
+    [ ("legacy-online", "online"); ("legacy-psychic", "psychic") ]
+
+let test_session_fused_only () =
+  List.iter
+    (fun kind ->
+      match
+        Session.create ~id:"x" ~backend:kind
+          ~doc:(Workload.make_document ~units:1 ~seed:1 ())
+          full_rulebook
+      with
+      | exception Invalid_argument _ -> ()
+      | _ ->
+        Alcotest.failf "Session.create ~backend:%s should raise"
+          (Strategy.kind_to_string kind))
+    [ `Online; `Replay; `Rewrite ];
+  ignore
+    (Session.close
+       (Session.create ~id:"y" ~backend:`Fused
+          ~doc:(Workload.make_document ~units:1 ~seed:1 ())
+          full_rulebook))
 
 (* ===== protocol: admission control ===== *)
 
@@ -508,40 +564,72 @@ let test_fault_containment () =
 
 (* ===== served path = offline engine, per backend ===== *)
 
+module Driver = Weblab_test_support.Backend_driver
+
+(* Each backend's offline run of the same calls, stepped alongside a
+   served session: the engine changes what a commit costs, never what it
+   answers. *)
+let drivers ~doc =
+  List.map
+    (fun kind ->
+      ( Strategy.kind_to_string kind,
+        Driver.start ~policy:Session.default_budgets.Session.policy
+          (Strategy.backend_of kind) ~doc:(doc ()) full_rulebook ))
+    Strategy.all
+
 let test_serve_matches_offline () =
   let services = Workload.standard_pipeline () in
+  let doc () = Workload.make_document ~units:2 ~seed:11 () in
+  let offline = drivers ~doc in
+  let ctx = Protocol.make_ctx ~max_sessions:4 () in
+  ignore
+    (expect_ok "open"
+       (rpc ctx
+          [ ("verb", J.Str "open"); ("session", J.Str "s"); ("units", J.Int 2);
+            ("seed", J.Int 11) ]));
+  let agree what served =
+    List.iter
+      (fun (bname, d) ->
+        check_string
+          (Printf.sprintf "%s: served Turtle = %s offline" what bname)
+          (Driver.turtle d) served)
+      offline
+  in
+  let served_turtle () =
+    get_str "turtle" "turtle"
+      (expect_ok "turtle"
+         (rpc ctx
+            [ ("verb", J.Str "query"); ("session", J.Str "s");
+              ("kind", J.Str "turtle") ]))
+  in
+  agree "open" (served_turtle ());
+  List.iter
+    (fun svc ->
+      ignore
+        (expect_ok
+           ("commit " ^ Service.name svc)
+           (rpc ctx
+              [ ("verb", J.Str "commit"); ("session", J.Str "s");
+                ("service", J.Str (Service.name svc)) ]));
+      List.iter (fun (_, d) -> ignore (Driver.step d svc)) offline;
+      agree (Service.name svc) (served_turtle ()))
+    services;
+  let served =
+    get_str "close" "turtle"
+      (expect_ok "close"
+         (rpc ctx
+            [ ("verb", J.Str "close"); ("session", J.Str "s");
+              ("turtle", J.Bool true) ]))
+  in
   List.iter
     (fun kind ->
-      let bname = Strategy.kind_to_string kind in
-      let ctx = Protocol.make_ctx ~max_sessions:4 () in
-      ignore
-        (expect_ok ("open " ^ bname)
-           (rpc ctx
-              [ ("verb", J.Str "open"); ("session", J.Str "s");
-                ("backend", J.Str bname); ("units", J.Int 2);
-                ("seed", J.Int 11) ]));
-      List.iter
-        (fun svc ->
-          ignore
-            (expect_ok
-               ("commit " ^ Service.name svc)
-               (rpc ctx
-                  [ ("verb", J.Str "commit"); ("session", J.Str "s");
-                    ("service", J.Str (Service.name svc)) ])))
-        services;
-      let served =
-        get_str "close" "turtle"
-          (expect_ok "close"
-             (rpc ctx
-                [ ("verb", J.Str "close"); ("session", J.Str "s");
-                  ("turtle", J.Bool true) ]))
-      in
-      let doc = Workload.make_document ~units:2 ~seed:11 () in
       let exec, g =
-        Engine.run_with_strategy ~jobs:1 kind doc services full_rulebook
+        Engine.run_with_strategy ~jobs:1 kind (doc ()) services full_rulebook
       in
-      let offline = Engine.to_turtle ~trace:exec.Engine.trace g in
-      check_string (bname ^ ": served Turtle = offline Turtle") offline served)
+      check_string
+        (Strategy.kind_to_string kind ^ ": served Turtle = one-shot offline")
+        (Engine.to_turtle ~trace:exec.Engine.trace g)
+        served)
     Strategy.all
 
 (* ===== the twin-session law (qcheck) ===== *)
@@ -552,82 +640,86 @@ let hard_faults =
   [ Faulty.Crash; Faulty.Garbage_xml; Faulty.Mutate_committed;
     Faulty.Duplicate_uri ]
 
-let store_turtle s = Prov_export.to_turtle (Session.graph s)
+let graph_turtle g = Prov_export.to_turtle g
 
-let run_twin ~kind ~fault ~seed ~prefix_len =
+(* The served session and every backend's offline run take the same
+   prefix, each checked against the others at every commit; then the
+   session alone takes a poisoned commit.  Its graph must still equal
+   every offline run, which never saw the commit, and the session must
+   still commit the clean call. *)
+let run_twin ~fault ~seed ~prefix_len =
   let services = Workload.standard_pipeline ~extended:true () in
   let prefix = List.filteri (fun i _ -> i < prefix_len) services in
   let target = List.nth services prefix_len in
-  let mk id =
-    Session.create ~id ~backend:kind ~jobs:1
-      ~doc:(Workload.make_document ~units:2 ~seed ())
-      full_rulebook
+  let doc () = Workload.make_document ~units:2 ~seed () in
+  let a = Session.create ~id:"twin-a" ~backend:`Fused ~doc:(doc ()) full_rulebook in
+  let offline = drivers ~doc in
+  let served_matches () =
+    let t = Session.turtle a in
+    List.for_all (fun (_, d) -> String.equal t (Driver.turtle d)) offline
   in
-  let a = mk "twin-a" and b = mk "twin-b" in
-  List.iter
-    (fun svc ->
-      match (Session.commit a svc, Session.commit b svc) with
-      | Ok _, Ok _ -> ()
-      | _ -> Test.fail_report "prefix commit failed")
-    prefix;
-  (* A takes the poisoned commit; B never sees it *)
+  let prefix_ok =
+    List.for_all
+      (fun svc ->
+        match Session.commit a svc with
+        | Ok _ ->
+          List.iter (fun (_, d) -> ignore (Driver.step d svc)) offline;
+          served_matches ()
+        | Error _ -> Test.fail_report "prefix commit failed")
+      prefix
+  in
   (match Session.commit a (Faulty.with_fault ~stall_s:0.001 fault target) with
   | Error (Session.Call_failed _) -> ()
   | Ok _ -> Test.fail_report "faulted commit committed"
   | Error _ -> Test.fail_report "faulted commit: wrong error");
-  let identical = String.equal (store_turtle a) (store_turtle b) in
-  (* ... and A is not poisoned: the clean call still commits *)
+  let identical =
+    let g = graph_turtle (Session.graph a) in
+    List.for_all (fun (_, d) -> String.equal g (graph_turtle (Driver.graph d)))
+      offline
+  in
   let usable =
     match Session.commit a target with Ok _ -> true | Error _ -> false
   in
   ignore (Session.close a);
-  ignore (Session.close b);
-  identical && usable
+  prefix_ok && identical && usable
 
 let prop_faulted_commit_leaves_store_identical =
   Test.make
     ~name:
-      "twin sessions: a failed injected-fault commit leaves the store \
-       byte-identical (Turtle) to a session that never saw it, for all \
-       backends x four unconditional faults"
+      "twin sessions: a failed injected-fault commit leaves the served \
+       Fused graph byte-identical (Turtle) to every backend's offline run \
+       that never saw it, for four unconditional faults"
     ~count:8
     (pair (int_bound 10_000) (int_bound 3))
     (fun (seed, prefix_len) ->
       List.for_all
-        (fun kind ->
-          List.for_all
-            (fun fault -> run_twin ~kind ~fault ~seed ~prefix_len)
-            hard_faults)
-        Strategy.all)
+        (fun fault -> run_twin ~fault ~seed ~prefix_len)
+        hard_faults)
 
 (* Stall, deterministically: it only fails when a max_call_s budget
    trips, so give the session one and make the stall exceed it. *)
 let test_stall_budget_containment () =
+  let budgets =
+    { Session.default_budgets with
+      policy =
+        { Session.default_budgets.Session.policy with max_call_s = Some 0.005 }
+    }
+  in
+  let doc () = Workload.make_document ~units:2 ~seed:3 () in
+  let a = Session.create ~id:"stall-a" ~backend:`Fused ~budgets ~doc:(doc ()) full_rulebook in
+  let svc = List.hd (Workload.standard_pipeline ()) in
+  (match Session.commit a (Faulty.with_fault ~stall_s:0.05 Faulty.Stall svc) with
+  | Error (Session.Call_failed { reason; _ }) ->
+    check_bool "budget tripped" true (contains ~sub:"budget" reason)
+  | _ -> Alcotest.fail "stalled call should fail under max_call_s");
   List.iter
-    (fun kind ->
-      let budgets =
-        { Session.default_budgets with
-          policy =
-            { Session.default_budgets.Session.policy with
-              max_call_s = Some 0.005 } }
-      in
-      let mk id =
-        Session.create ~id ~backend:kind ~jobs:1 ~budgets
-          ~doc:(Workload.make_document ~units:2 ~seed:3 ())
-          full_rulebook
-      in
-      let a = mk "stall-a" and b = mk "stall-b" in
-      let svc = List.hd (Workload.standard_pipeline ()) in
-      (match Session.commit a (Faulty.with_fault ~stall_s:0.05 Faulty.Stall svc) with
-      | Error (Session.Call_failed { reason; _ }) ->
-        check_bool "budget tripped" true (contains ~sub:"budget" reason)
-      | _ -> Alcotest.fail "stalled call should fail under max_call_s");
+    (fun (bname, d) ->
       check_string
-        (Strategy.kind_to_string kind ^ ": store untouched by stall")
-        (store_turtle b) (store_turtle a);
-      ignore (Session.close a);
-      ignore (Session.close b))
-    Strategy.all
+        (bname ^ " offline: store untouched by stall")
+        (graph_turtle (Driver.graph d))
+        (graph_turtle (Session.graph a)))
+    (drivers ~doc);
+  ignore (Session.close a)
 
 (* ===== stepwise orchestration = one-shot execution ===== *)
 
@@ -969,6 +1061,10 @@ let () =
        [ Alcotest.test_case "lifecycle transcript" `Quick
            test_protocol_lifecycle;
          Alcotest.test_case "error paths" `Quick test_protocol_errors;
+         Alcotest.test_case "legacy backend and jobs fields open fused"
+           `Quick test_legacy_open_fields;
+         Alcotest.test_case "Session.create serves fused only" `Quick
+           test_session_fused_only;
          Alcotest.test_case "admission control" `Quick test_admission;
          Alcotest.test_case "budgets" `Quick test_budgets;
          Alcotest.test_case "fault containment" `Quick test_fault_containment
