@@ -482,16 +482,12 @@ let run_ingest_report path =
   let mb = float_of_int (String.length xml) /. (1024. *. 1024.) in
   let runs = if !quick then 3 else 5 in
   let t_parse, doc = best_of_runs runs (fun () -> fst (Ingest.of_string xml)) in
+  (* Parse, then a separate full index build over the finished tree: the
+     one way the library builds a document's index. *)
   let t_both, (doc_i, idx) =
     best_of_runs runs (fun () ->
-        match Ingest.of_string ~index:true xml with
-        | d, Some i -> (d, i)
-        | _, None -> assert false)
-  in
-  (* The classic two-pass shape, for reference: parse, then a separate
-     full index build over the finished tree. *)
-  let t_two_pass, _ =
-    best_of_runs runs (fun () -> Index.build (Xml_parser.parse xml))
+        let d = fst (Ingest.of_string xml) in
+        (d, Index.build d))
   in
   let errors = ref 0 in
   if not (Index.valid_for idx doc_i) then incr errors;
@@ -506,7 +502,7 @@ let run_ingest_report path =
       Ingest.feed_string t (String.sub xml !pos k);
       pos := !pos + k
     done;
-    fst (Ingest.finish t)
+    Ingest.finish t
   in
   if not (String.equal (Printer.to_string chunked) (Printer.to_string doc))
   then incr errors;
@@ -522,22 +518,20 @@ let run_ingest_report path =
   let oc = open_out path in
   Printf.fprintf oc
     "{\"series\": \"ingest/streaming\", \"bytes\": %d, \"nodes\": %d,\n\
-    \ \"parse_mb_s\": %.2f, \"parse_index_mb_s\": %.2f, \
-     \"two_pass_mb_s\": %.2f,\n\
+    \ \"parse_mb_s\": %.2f, \"parse_index_mb_s\": %.2f,\n\
     \ \"bytes_per_node_soa\": %.1f, \"bytes_per_node_record\": %.1f, \
      \"bytes_per_node_ratio\": %.3f,\n\
     \ \"errors\": %d}\n"
-    (String.length xml) nodes (mb /. t_parse) (mb /. t_both)
-    (mb /. t_two_pass) soa_per_node record_per_node ratio !errors;
+    (String.length xml) nodes (mb /. t_parse) (mb /. t_both) soa_per_node
+    record_per_node ratio !errors;
   close_out oc;
   Printf.printf
     "ingest: %.1f MB, %d nodes\n\
-    \  parse %.1f MB/s; parse+index %.1f MB/s; two-pass parse+build %.1f \
-     MB/s\n\
+    \  parse %.1f MB/s; parse+index %.1f MB/s\n\
     \  bytes/node: SoA %.1f, record arena %.1f  (ratio %.2fx)\n\
      Wrote %s\n"
-    mb nodes (mb /. t_parse) (mb /. t_both) (mb /. t_two_pass) soa_per_node
-    record_per_node ratio path;
+    mb nodes (mb /. t_parse) (mb /. t_both) soa_per_node record_per_node ratio
+    path;
   if !errors > 0 then begin
     Printf.eprintf "ingest bench FAILED: %d errors\n" !errors;
     exit 1
@@ -1103,8 +1097,6 @@ let ingest_tests =
   let xml = synth_repository_xml (if !quick then 500 else 5_000) in
   [ Test.make ~name:"ingest/parse"
       (Staged.stage (fun () -> ignore (Ingest.of_string xml)));
-    Test.make ~name:"ingest/parse+index"
-      (Staged.stage (fun () -> ignore (Ingest.of_string ~index:true xml)));
     Test.make ~name:"ingest/two-pass"
       (Staged.stage (fun () -> ignore (Index.build (Xml_parser.parse xml))));
     Test.make ~name:"ingest/chunked-4k"

@@ -438,45 +438,3 @@ let to_prov_xml (g : Prov_graph.t) =
         (Prov_graph.members g entity))
     (Prov_graph.skolem_entities g);
   Printer.to_string ~indent:true doc
-
-(* OPM (Open Provenance Model) XML — the format the related-work systems
-   (Taverna/Janus, Kepler) exchange; kept for interoperability alongside
-   PROV.  Artifacts/processes mirror prov:Entity/prov:Activity. *)
-let to_opm_xml (g : Prov_graph.t) =
-  let open Weblab_xml in
-  let doc = Tree.create () in
-  let root =
-    Tree.new_element doc ~parent:Tree.no_node "opm:opmGraph"
-      ~attrs:[ ("xmlns:opm", "http://openprovenance.org/model/v1.1.a") ]
-  in
-  let artifacts = Tree.new_element doc ~parent:root "opm:artifacts" in
-  let processes = Tree.new_element doc ~parent:root "opm:processes" in
-  let deps = Tree.new_element doc ~parent:root "opm:causalDependencies" in
-  let call_id (c : Trace.call) = Printf.sprintf "%s-%d" c.Trace.service c.Trace.time in
-  let seen_calls = Hashtbl.create 8 in
-  List.iter
-    (fun (uri, (call : Trace.call)) ->
-      ignore
-        (Tree.new_element doc ~parent:artifacts "opm:artifact"
-           ~attrs:[ ("id", uri) ]);
-      if not (Hashtbl.mem seen_calls call) then begin
-        Hashtbl.add seen_calls call ();
-        ignore
-          (Tree.new_element doc ~parent:processes "opm:process"
-             ~attrs:[ ("id", call_id call) ])
-      end;
-      let gen = Tree.new_element doc ~parent:deps "opm:wasGeneratedBy" in
-      ignore (Tree.new_element doc ~parent:gen "opm:effect"
-                ~attrs:[ ("ref", uri) ]);
-      ignore (Tree.new_element doc ~parent:gen "opm:cause"
-                ~attrs:[ ("ref", call_id call) ]))
-    (Prov_graph.labeled_resources g);
-  List.iter
-    (fun { Prov_graph.from_uri; to_uri; _ } ->
-      let d = Tree.new_element doc ~parent:deps "opm:wasDerivedFrom" in
-      ignore (Tree.new_element doc ~parent:d "opm:effect"
-                ~attrs:[ ("ref", from_uri) ]);
-      ignore (Tree.new_element doc ~parent:d "opm:cause"
-                ~attrs:[ ("ref", to_uri) ]))
-    (Prov_graph.links g);
-  Printer.to_string ~indent:true doc

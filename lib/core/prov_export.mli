@@ -97,6 +97,3 @@ val to_prov_xml : Prov_graph.t -> string
 (** PROV-XML — the alternative serialization §8 mentions; built with the
     library's own XML substrate. *)
 
-val to_opm_xml : Prov_graph.t -> string
-(** OPM XML — the exchange format of the related-work systems (Taverna's
-    Janus export, Kepler): artifacts, processes and causal dependencies. *)

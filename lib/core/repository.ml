@@ -74,7 +74,7 @@ let load t ~id : Engine.execution =
   let ic = open_in_bin doc_path in
   let doc =
     match Ingest.of_channel ic with
-    | doc, _ ->
+    | doc ->
       close_in ic;
       doc
     | exception (Xml_parser.Error _ as e) ->

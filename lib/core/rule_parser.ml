@@ -61,11 +61,6 @@ let parse (input : string) : Rule.t =
     (try Rule.make ~name ~source ~target ()
      with Rule.Ill_formed msg -> raise (Error msg))
 
-let parse_opt input =
-  match parse input with
-  | r -> Ok r
-  | exception Error msg -> Error msg
-
 (* Parse a rule file / string block: one rule per line, '#' comments and
    blank lines ignored. *)
 let parse_many input =

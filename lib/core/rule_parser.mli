@@ -12,8 +12,6 @@ exception Error of string
 val parse : string -> Rule.t
 (** @raise Error on lexical, syntactic or well-formedness problems. *)
 
-val parse_opt : string -> (Rule.t, string) result
-
 val parse_many : string -> Rule.t list
 (** One rule per line; blank lines and [#] comments are ignored.
     @raise Error on the first bad line. *)

@@ -45,10 +45,6 @@ let get t row col = row.(col_index t col)
 
 let row_key row = String.concat "\x00" (Array.to_list (Array.map Value.to_string row))
 
-let mem_row t row =
-  let key = row_key row in
-  List.exists (fun r -> String.equal (row_key r) key) t.rows
-
 let distinct t =
   let seen = Hashtbl.create 64 in
   let out = create (columns t) in

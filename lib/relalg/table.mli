@@ -35,8 +35,6 @@ val get : t -> Value.t array -> string -> Value.t
 (** [get t row col] extracts a named field from a row of [t].
     @raise Not_found if the column does not exist. *)
 
-val mem_row : t -> Value.t array -> bool
-
 (** {1 Relational operators} *)
 
 val project : t -> string list -> t

@@ -128,10 +128,6 @@ let to_english = function
       ("crisis", "crisis"); ("política", "policy"); ("energía", "energy");
       ("defensa", "defence"); ("programa", "program"); ("medios", "media") ]
 
-(* From-English lexicons, derived by inversion (first translation wins). *)
-let from_english lang =
-  to_english lang |> List.map (fun (a, b) -> (b, a))
-
 (* Gazetteer for the named-entity extractor. *)
 let gazetteer =
   [ ("Paris", "location"); ("London", "location"); ("Berlin", "location");

@@ -23,8 +23,6 @@ val content_words : language -> string list
 val to_english : language -> (string * string) list
 (** The translator's lexicon (empty for English). *)
 
-val from_english : language -> (string * string) list
-
 val gazetteer : (string * string) list
 (** (name, kind) with kind ∈ person/organization/location. *)
 

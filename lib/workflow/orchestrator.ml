@@ -335,7 +335,6 @@ type session = {
 
 let session_doc s = s.s_doc
 let session_trace s = s.s_trace
-let session_policy s = s.s_policy
 let next_time s = s.s_next_time
 
 (* Label the given resources (in document order) that still lack a

@@ -1,7 +1,7 @@
 (* Per-document evaluation index: nodes-by-label, nodes-by-attribute for
    the provenance attributes, and pre/post-order intervals.  Built in one
-   DFS and — new — extensible in place when the arena grows by appends;
-   see index.mli for the contract. *)
+   DFS over a finished document and extensible in place when the arena
+   grows by appends; see index.mli for the contract. *)
 
 module T = Weblab_obs.Telemetry
 
@@ -10,7 +10,6 @@ let c_cache_hit = T.counter "index.cache.hit"
 let c_cache_miss = T.counter "index.cache.miss"
 let c_extend_ok = T.counter "index.extend.ok"
 let c_extend_fail = T.counter "index.extend.fail"
-let c_ingests = T.counter "index.ingests"
 
 let indexed_attrs = [ "id"; "s"; "t" ]
 
@@ -361,86 +360,6 @@ let for_tree tree =
     let idx = build tree in
     cache_put tree idx;
     idx
-
-(* ----- Event-driven ingest -----
-
-   Builds the index *during* parsing instead of traversing the finished
-   tree a second time.  The clock replicates [build]'s DFS walk exactly:
-   an open event takes the next pre key, a text node takes a pre and a
-   post key back to back, a close event takes the next post key — events
-   arrive in document order, so plain pushes keep the postings sorted and
-   the result is indistinguishable from [build] over the finished tree. *)
-
-type ingest = {
-  ing : t;
-  mutable clock : int;
-  mutable visited : int;  (* nodes keyed so far — the coverage counter *)
-  mutable open_stack : (Tree.node * int) list;  (* node, [visited] at open *)
-}
-
-let ingest_start tree =
-  T.incr c_ingests;
-  { ing =
-      { tree; stamp = 0; gen = Tree.generation tree;
-        pre = Array.make 16 (-1); post = Array.make 16 (-1);
-        sizes = Array.make 16 0; last = Array.make 16 (-1);
-        elements = Vec.create ~dummy:Tree.no_node;
-        by_label = Hashtbl.create 64;
-        by_attr = Hashtbl.create 64;
-        some_attr = Hashtbl.create 8;
-        exhausted = false };
-    clock = 0; visited = 0; open_stack = [] }
-
-let ingest_pre_key it node =
-  ensure_arrays it.ing (node + 1);
-  it.ing.pre.(node) <- it.clock * key_gap;
-  it.clock <- it.clock + 1;
-  it.visited <- it.visited + 1
-
-let ingest_post_key it node =
-  it.ing.post.(node) <- it.clock * key_gap;
-  let p = Tree.parent it.ing.tree node in
-  if p <> Tree.no_node then it.ing.last.(p) <- it.ing.post.(node);
-  it.clock <- it.clock + 1
-
-let ingest_open_element it node =
-  it.open_stack <- (node, it.visited) :: it.open_stack;
-  ingest_pre_key it node;
-  let t = it.ing in
-  Vec.push t.elements node;
-  Vec.push (posting t.by_label (Tree.name t.tree node)) node;
-  List.iter
-    (fun (a, v) ->
-      if attr_indexed a then begin
-        Vec.push (posting t.by_attr (a, v)) node;
-        Vec.push (posting t.some_attr a) node
-      end)
-    (Tree.attrs t.tree node)
-
-let ingest_text it node =
-  ingest_pre_key it node;
-  it.ing.sizes.(node) <- 1;
-  ingest_post_key it node
-
-let ingest_close_element it node =
-  (match it.open_stack with
-  | (n, v0) :: rest when n = node ->
-    it.ing.sizes.(node) <- it.visited - v0;
-    it.open_stack <- rest
-  | _ -> invalid_arg "Index.ingest_close_element: unbalanced events");
-  ingest_post_key it node
-
-let ingest_finish it =
-  if it.open_stack <> [] then
-    invalid_arg "Index.ingest_finish: unclosed elements";
-  let t = it.ing in
-  if it.visited <> Tree.size t.tree then
-    invalid_arg "Index.ingest_finish: events did not cover the arena";
-  t.stamp <- it.visited;
-  (* Seed the shared cache: the first [for_tree] over a freshly ingested
-     document is a hit, not a rebuild. *)
-  cache_put t.tree t;
-  t
 
 let posting_list tbl key =
   match Hashtbl.find_opt tbl key with

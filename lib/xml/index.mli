@@ -1,7 +1,8 @@
 (** Per-document evaluation index.
 
-    A snapshot of derived structures over a {!Tree.t}, built in one
-    traversal and amortized over the many pattern evaluations of post-hoc
+    A snapshot of derived structures over a {!Tree.t}, built by one
+    traversal of the finished document ({!build}; parsing never indexes)
+    and amortized over the many pattern evaluations of post-hoc
     provenance inference:
 
     - {b nodes by label}: element name → nodes, document order — turns
@@ -30,43 +31,6 @@ type t
 
 val build : Tree.t -> t
 (** One full traversal: O(nodes) time and space. *)
-
-(** {1 Event-driven ingest}
-
-    The streaming counterpart of {!build}: the index is maintained {e
-    during} parsing, one event at a time, so ingesting a document and
-    indexing it are a single pass — no second traversal, no intermediate
-    DOM.  Drive it with the node ids returned by the {!Tree} appends, in
-    parser-event order: open every element before its children, report
-    every text node, close elements innermost-first.  The finished index
-    is indistinguishable from [build] over the finished tree (same keys,
-    same postings, same sizes) and is seeded into the {!for_tree} cache.
-
-    {!Weblab_xml.Ingest} packages the whole pipeline (parser events →
-    arena appends → these hooks); use it unless you are wiring a custom
-    event source. *)
-
-type ingest
-(** An index under construction, clocked by parser events. *)
-
-val ingest_start : Tree.t -> ingest
-(** Start indexing [tree], which must be empty (every node must be
-    reported through the event hooks before {!ingest_finish}). *)
-
-val ingest_open_element : ingest -> Tree.node -> unit
-(** The element was just appended and its start tag is complete
-    (attributes known). *)
-
-val ingest_text : ingest -> Tree.node -> unit
-
-val ingest_close_element : ingest -> Tree.node -> unit
-(** @raise Invalid_argument if events are unbalanced. *)
-
-val ingest_finish : ingest -> t
-(** Seal the index; it satisfies [valid_for] for the ingested tree and
-    is seeded into the {!for_tree} cache.
-    @raise Invalid_argument if elements are still open or the events did
-    not cover the arena. *)
 
 val extend : t -> Tree.t -> promoted:Tree.node list -> bool
 (** [extend t doc ~promoted] catches the index up with the arena in

@@ -1,42 +1,14 @@
-(* One-pass streaming ingest: parser events are appended straight into a
-   fresh arena and, optionally, straight into an evaluation index —
-   ingest *is* index maintenance.  No intermediate DOM, no second
-   traversal, and the caller's read buffer can be reused between feeds
-   (the parser copies pending bytes out). *)
+(* Streaming ingest: parser events are appended straight into a fresh
+   arena by the one event->Tree builder, [Xml_parser.tree_builder].  No
+   intermediate DOM, and the caller's read buffer can be reused between
+   feeds (the parser copies pending bytes out).  Indexing is a separate
+   [Index.build] (or [Index.for_tree]) over the finished document. *)
 
-type t = {
-  doc : Tree.t;
-  st : Xml_parser.state;
-  ing : Index.ingest option;
-}
+type t = { doc : Tree.t; st : Xml_parser.state }
 
-let create ?preserve_whitespace ?(index = false) () =
-  let doc = Tree.create () in
-  let ing = if index then Some (Index.ingest_start doc) else None in
-  let stack = ref [] in
-  let on_event = function
-    | Xml_parser.Start_element (name, attrs) ->
-      let parent = match !stack with n :: _ -> n | [] -> Tree.no_node in
-      let n = Tree.new_element ~attrs doc ~parent name in
-      (match ing with Some i -> Index.ingest_open_element i n | None -> ());
-      stack := n :: !stack
-    | Xml_parser.Text s ->
-      (match !stack with
-      | parent :: _ ->
-        let n = Tree.new_text doc ~parent s in
-        (match ing with Some i -> Index.ingest_text i n | None -> ())
-      | [] -> ())
-    | Xml_parser.End_element _ ->
-      (match !stack with
-      | n :: rest ->
-        (match ing with Some i -> Index.ingest_close_element i n | None -> ());
-        stack := rest
-      | [] -> ())
-  in
-  let st = Xml_parser.create ?preserve_whitespace ~on_event () in
-  { doc; st; ing }
-
-let doc t = t.doc
+let create ?preserve_whitespace () =
+  let doc, on_event = Xml_parser.tree_builder () in
+  { doc; st = Xml_parser.create ?preserve_whitespace ~on_event () }
 
 let feed t buf pos len = Xml_parser.feed t.st buf pos len
 
@@ -47,15 +19,16 @@ let finish t =
   (* Bulk growth is over: drop the doubling slack before the document
      settles into its long inference-serving life. *)
   Tree.compact t.doc;
-  (t.doc, Option.map Index.ingest_finish t.ing)
+  t.doc
 
-let of_string ?preserve_whitespace ?index s =
-  let t = create ?preserve_whitespace ?index () in
+let of_string ?preserve_whitespace s =
+  let t = create ?preserve_whitespace () in
   feed_string t s;
-  finish t
+  (* A pair only because perfbench applies [fst]; the index is always [None]. *)
+  (finish t, None)
 
-let of_channel ?preserve_whitespace ?index ?(chunk_size = 65536) ic =
-  let t = create ?preserve_whitespace ?index () in
+let of_channel ?preserve_whitespace ?(chunk_size = 65536) ic =
+  let t = create ?preserve_whitespace () in
   let buf = Bytes.create chunk_size in
   let rec loop () =
     let k = input ic buf 0 chunk_size in

@@ -1,23 +1,18 @@
-(** One-pass streaming ingest: chunked bytes in, arena + index out.
+(** Streaming ingest: chunked bytes in, a compacted arena out.
 
-    Couples the {!Xml_parser} event stream to {!Tree} appends and
-    (optionally) the {!Index} event hooks, so parsing a document, building
-    its arena and indexing it are a single pass over the input — no
-    intermediate DOM and no post-parse traversal.  This is the path the
-    serving daemon uses for client-supplied document states: the request
-    body is materialized exactly once, as the arena itself. *)
+    Feeds the {!Xml_parser} event stream to {!Xml_parser.tree_builder},
+    so parsing a document and building its arena are a single pass over
+    the input — no intermediate DOM.  This is the path the serving daemon
+    uses for client-supplied document states, and the one the repository
+    store uses to load saved documents: the input is materialized
+    exactly once, as the arena itself.  Index the result with
+    {!Index.build} or {!Index.for_tree}. *)
 
 type t
 (** An in-progress ingest over a private fresh document. *)
 
-val create : ?preserve_whitespace:bool -> ?index:bool -> unit -> t
-(** A fresh pipeline.  With [index] (default [false]) the evaluation
-    index is maintained event-by-event and returned by {!finish} —
-    already seeded into the {!Index.for_tree} cache. *)
-
-val doc : t -> Tree.t
-(** The arena under construction (also available before {!finish}, e.g.
-    for progress reporting; it holds the fully-parsed prefix). *)
+val create : ?preserve_whitespace:bool -> unit -> t
+(** A fresh pipeline. *)
 
 val feed : t -> bytes -> int -> int -> unit
 (** Consume one chunk; see {!Xml_parser.feed}.  The buffer may be reused
@@ -26,19 +21,15 @@ val feed : t -> bytes -> int -> int -> unit
 
 val feed_string : t -> string -> unit
 
-val finish : t -> Tree.t * Index.t option
-(** Signal end of input and seal the result.  The index is [Some] iff
-    [create] was passed [~index:true].
+val finish : t -> Tree.t
+(** Signal end of input and seal the document ({!Tree.compact}).
     @raise Xml_parser.Error when the input ended mid-document. *)
 
-val of_string :
-  ?preserve_whitespace:bool -> ?index:bool -> string -> Tree.t * Index.t option
-(** Whole-string convenience: [create], one [feed], [finish]. *)
+val of_string : ?preserve_whitespace:bool -> string -> Tree.t * Index.t option
+(** Whole-string convenience: [create], one [feed], [finish].  A pair
+    only because the perfbench client applies [fst]; its second slot is
+    always [None]. *)
 
 val of_channel :
-  ?preserve_whitespace:bool ->
-  ?index:bool ->
-  ?chunk_size:int ->
-  in_channel ->
-  Tree.t * Index.t option
+  ?preserve_whitespace:bool -> ?chunk_size:int -> in_channel -> Tree.t
 (** Read the channel to EOF in [chunk_size] (default 64 KiB) chunks. *)

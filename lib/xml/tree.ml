@@ -42,9 +42,6 @@ type t = {
   mutable attr_next : int array;
   mutable attrs_n : int;
   mutable root : node;
-  mutable cached_index : (int * (string, node list) Hashtbl.t) option;
-      (* name index stamped with the arena size it was built at; any
-         append invalidates it (sizes only grow) *)
   mutable generation : int;
       (* bumped on every rollback (truncate/restore); lets size-stamped
          caches detect a truncate-then-regrow to the same size *)
@@ -74,7 +71,6 @@ let create () =
     attr_next = Array.make initial_cap no_node;
     attrs_n = 0;
     root = no_node;
-    cached_index = None;
     generation = 0 }
 
 let id t = t.uid
@@ -250,18 +246,6 @@ let children t n =
   in
   collect t.first_child.(n) []
 
-let nth_child t n i =
-  check t n;
-  if i < 0 then None
-  else begin
-    let c = ref t.first_child.(n) and k = ref i in
-    while !c <> no_node && !k > 0 do
-      c := t.next_sibling.(!c);
-      decr k
-    done;
-    if !c = no_node then None else Some !c
-  end
-
 let attrs t n =
   check t n;
   let rec collect e acc =
@@ -399,10 +383,6 @@ let string_value t n =
         Buffer.add_string buf (Intern.get t.dict t.label.(m)));
   Buffer.contents buf
 
-let document_order t =
-  if t.root = no_node then [||]
-  else Array.of_list (descendant_or_self t t.root)
-
 let resources t =
   if t.root = no_node then []
   else List.filter (fun n -> is_resource t n) (descendant_or_self t t.root)
@@ -451,10 +431,6 @@ let copy_subtree dst ~src n ~parent =
    chain — dropping them is a count reset plus one chain cut per parent
    that gained children. *)
 
-let invalidate_caches t =
-  t.cached_index <- None;
-  t.generation <- t.generation + 1
-
 (* [n = size] (nothing to drop, including the empty arena) is a legal
    no-op that must not bump the generation: size-stamped caches stay
    valid because nothing changed.  Pinned by regression tests. *)
@@ -483,7 +459,7 @@ let truncate_to t n =
     done;
     t.n <- n;
     if t.root >= n then t.root <- no_node;
-    invalidate_caches t
+    t.generation <- t.generation + 1
   end
 
 type checkpoint = {
@@ -599,7 +575,7 @@ let restore t ck =
   t.attrs_n <- ck.ck_attrs_n;
   if truncated then relink t ck;
   (* Even at unchanged size the nodes may have been mutated in place. *)
-  invalidate_caches t
+  t.generation <- t.generation + 1
 
 let sorted_attrs l = List.sort compare l
 
@@ -627,36 +603,3 @@ let equal_subtree t1 n1 t2 n2 =
       | false, true | true, false -> ok := false)
   done;
   !ok
-
-(* An element-name index: name -> nodes in document order.  Built once
-   over a frozen document (post-execution inference never mutates), it
-   turns //Name steps from quadratic scans into lookups.  The index is a
-   snapshot: nodes added after [build_name_index] are not covered. *)
-type name_index = (string, node list) Hashtbl.t
-
-let build_name_index t : name_index =
-  let tbl : (string, node list) Hashtbl.t = Hashtbl.create 64 in
-  (if t.root <> no_node then
-     iter_subtree t t.root (fun n ->
-         if t.meta.(n) land 1 = 1 then begin
-           let name = Intern.get t.dict t.label.(n) in
-           Hashtbl.replace tbl name
-             (n :: Option.value ~default:[] (Hashtbl.find_opt tbl name))
-         end));
-  (* reverse to document order *)
-  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl;
-  tbl
-
-let index_lookup (idx : name_index) name =
-  Option.value ~default:[] (Hashtbl.find_opt idx name)
-
-(* The cached index for the document's current size, (re)built on demand.
-   Frozen documents — the post-hoc inference case — build it exactly
-   once. *)
-let name_index_for t =
-  match t.cached_index with
-  | Some (stamp, idx) when stamp = size t -> idx
-  | Some _ | None ->
-    let idx = build_name_index t in
-    t.cached_index <- Some (size t, idx);
-    idx

@@ -94,9 +94,6 @@ val next_sibling : t -> node -> node
 val iter_children : t -> node -> (node -> unit) -> unit
 (** Left-to-right, without materializing the child list. *)
 
-val nth_child : t -> node -> int -> node option
-(** 0-based. *)
-
 val attrs : t -> node -> (string * string) list
 val attr : t -> node -> string -> string option
 val set_attr : t -> node -> string -> string -> unit
@@ -152,10 +149,6 @@ val is_ancestor : t -> ancestor:node -> node -> bool
 val string_value : t -> node -> string
 (** Concatenation of all text descendants, document order (XPath
     string-value of an element). *)
-
-val document_order : t -> node array
-(** All current nodes in document order (pre-order traversal from the
-    root). *)
 
 val equal_subtree : t -> node -> t -> node -> bool
 (** Structural equality of two subtrees: same kinds, names, texts,
@@ -223,18 +216,3 @@ val uri_time : t -> node -> timestamp
     promotion of Figure 4). *)
 
 val set_uri_time : t -> node -> timestamp -> unit
-
-(** {1 Name index} *)
-
-type name_index
-(** A snapshot index: element name → nodes in document order.  Built over
-    a frozen document (post-execution inference never mutates); nodes
-    added later are not covered. *)
-
-val build_name_index : t -> name_index
-
-val index_lookup : name_index -> string -> node list
-
-val name_index_for : t -> name_index
-(** The cached index for the document's current size, (re)built on demand
-    after appends (sizes only grow, so staleness is a size comparison). *)

@@ -569,7 +569,7 @@ let finish st =
     else fail st "expected '>' in closing tag"
   | M_etag_end -> fail st "expected '>' in closing tag"
 
-(* ----- Tree building (the one-chunk wrapper) ----- *)
+(* ----- Tree building: the one event -> Tree handler ----- *)
 
 let tree_builder () =
   let doc = Tree.create () in
@@ -593,8 +593,3 @@ let parse ?preserve_whitespace input =
   feed_string st input;
   finish st;
   doc
-
-let parse_opt ?preserve_whitespace input =
-  match parse ?preserve_whitespace input with
-  | doc -> Ok doc
-  | exception (Error _ as e) -> Error (error_to_string e)

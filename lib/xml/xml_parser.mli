@@ -8,7 +8,8 @@
     {!feed} and SAX-style {!event}s are emitted as tokens complete.  Chunk
     boundaries may fall anywhere — mid-tag, mid-entity, mid-CDATA — and
     the event stream (and any error position) is invariant under
-    re-chunking.  {!parse} is the one-chunk wrapper building a {!Tree.t}. *)
+    re-chunking.  {!tree_builder} turns the events into a {!Tree.t};
+    {!parse} is the one-chunk wrapper around both. *)
 
 exception Error of { line : int; col : int; message : string }
 
@@ -53,12 +54,15 @@ val finish : state -> unit
     complete document (root closed, nothing but misc markup after).
     @raise Error when the input ended mid-document. *)
 
-(** {1 Whole-string convenience} *)
+(** {1 Building a tree} *)
+
+val tree_builder : unit -> Tree.t * (event -> unit)
+(** A fresh empty document and the event handler that appends each
+    element and text event to it (pass it as [on_event] to {!create}).
+    The one event-to-{!Tree} builder: {!parse} and {!Ingest} both use it.
+    Events are trusted to be balanced, as the parser emits them. *)
 
 val parse : ?preserve_whitespace:bool -> string -> Tree.t
 (** Parse a document in one chunk.  Whitespace-only text nodes are
     dropped unless [preserve_whitespace] is [true] (default [false]).
     @raise Error with a line/column position on malformed input. *)
-
-val parse_opt : ?preserve_whitespace:bool -> string -> (Tree.t, string) result
-(** Non-raising variant. *)

@@ -264,9 +264,3 @@ let pattern (s : string) : Ast.pattern =
                     (Lexer.token_to_string t)));
       p)
     s
-
-let pattern_opt s =
-  match pattern s with
-  | p -> Ok p
-  | exception Error { pos; message } ->
-    Error (Printf.sprintf "pattern parse error at offset %d: %s" pos message)

@@ -16,9 +16,6 @@ val pattern : string -> Ast.pattern
 (** Parse a complete pattern.
     @raise Error with a byte offset on malformed input. *)
 
-val pattern_opt : string -> (Ast.pattern, string) result
-(** Non-raising variant. *)
-
 val axis_of_name : string -> Ast.axis option
 (** Recognize an axis name ("child", "parent", "following-sibling", …). *)
 

@@ -345,9 +345,3 @@ let parse (input : string) : Xq_ast.flwor =
      fail st
        (Printf.sprintf "trailing input after query: %s" (Lexer.token_to_string t)));
   q
-
-let parse_opt input =
-  match parse input with
-  | q -> Ok q
-  | exception Error { pos; message } ->
-    Error (Printf.sprintf "XQuery parse error at offset %d: %s" pos message)

@@ -11,5 +11,3 @@ exception Error of { pos : int; message : string }
 
 val parse : string -> Xq_ast.flwor
 (** @raise Error with a byte offset on malformed input. *)
-
-val parse_opt : string -> (Xq_ast.flwor, string) result

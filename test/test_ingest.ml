@@ -1,7 +1,7 @@
 (* Streaming ingest tests: chunk-split invariance of the feed parser
    (events, trees and error positions must not depend on where chunk
-   boundaries fall), equivalence of the event-driven index with the
-   post-hoc [Index.build], numeric character reference validation, and
+   boundaries fall), [Ingest.of_channel] against the whole-string
+   [Xml_parser.parse], numeric character reference validation, and
    deep-chain regressions for every iterative traversal. *)
 
 open Weblab_xml
@@ -38,8 +38,7 @@ let outcome_chunked s cuts =
   match
     let t = Ingest.create () in
     List.iter (Ingest.feed_string t) (split s cuts);
-    let doc, _ = Ingest.finish t in
-    doc
+    Ingest.finish t
   with
   | doc -> Ok (Printer.to_string doc)
   | exception Xml_parser.Error { line; col; message } ->
@@ -69,7 +68,7 @@ let test_one_byte_feed () =
   | Error _ -> Alcotest.fail "tricky document should parse");
   let t = Ingest.create () in
   String.iter (fun c -> Ingest.feed_string t (String.make 1 c)) tricky;
-  let doc, _ = Ingest.finish t in
+  let doc = Ingest.finish t in
   check_outcome "1-byte chunks" whole (Ok (Printer.to_string doc))
 
 let test_every_split_of_tricky () =
@@ -124,26 +123,6 @@ let test_charref_validation () =
   rejected "<r>&#xDFFF;</r>" "#xDFFF";
   rejected "<r>&#x110000;</r>" "#x110000";
   rejected "<r a=\"&#xFFFE;\"/>" "#xFFFE"
-
-let test_streamed_index_smoke () =
-  let doc, idx = Ingest.of_string ~index:true tricky in
-  let idx = Option.get idx in
-  check_bool "valid_for" true (Index.valid_for idx doc);
-  let built = Index.build doc in
-  check
-    (Alcotest.list Alcotest.int)
-    "elements" (Index.elements built) (Index.elements idx);
-  check
-    (Alcotest.list Alcotest.int)
-    "by label" (Index.nodes_with_label built "child")
-    (Index.nodes_with_label idx "child");
-  for n = 0 to Tree.size doc - 1 do
-    check_int
-      (Printf.sprintf "size of %d" n)
-      (Index.subtree_size built n) (Index.subtree_size idx n)
-  done;
-  (* The ingested index seeds the shared cache: for_tree is a hit. *)
-  check_bool "cache seeded" true (Index.for_tree doc == idx)
 
 let test_deep_chain () =
   let n = 200_000 in
@@ -294,40 +273,29 @@ let prop_error_chunk_invariant =
       let cuts = List.map (fun i -> i mod (String.length s + 1)) cuts in
       outcome_chunked s cuts = outcome_whole s)
 
-let prop_streamed_index_equals_build =
-  Test.make ~name:"streamed index = Index.build" ~count:300
-    (make ~print:(fun s -> s) gen_xml)
-    (fun s ->
-      let doc, idx = Ingest.of_string ~index:true s in
-      let idx = Option.get idx in
-      let built = Index.build doc in
-      Index.valid_for idx doc
-      && Index.elements built = Index.elements idx
-      && List.for_all
-           (fun l ->
-             Index.nodes_with_label built l = Index.nodes_with_label idx l)
-           [ "R"; "A"; "B"; "C"; "D"; "E" ]
-      && List.for_all
-           (fun a ->
-             Index.nodes_with_some_attr built a
-             = Index.nodes_with_some_attr idx a)
-           Index.indexed_attrs
-      &&
-      let n = Tree.size doc in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        if Index.subtree_size built i <> Index.subtree_size idx i then
-          ok := false;
-        for j = 0 to n - 1 do
-          if
-            Index.strictly_below built ~ancestor:i j
-            <> Index.strictly_below idx ~ancestor:i j
-            || Index.below_or_self built ~ancestor:i j
-               <> Index.below_or_self idx ~ancestor:i j
-          then ok := false
-        done
-      done;
-      !ok)
+(* The channel path reads in [chunk_size] pieces through [input], which
+   may return short; the result must print as the whole-string parse. *)
+let prop_of_channel_equals_parse =
+  Test.make ~name:"of_channel = whole-string parse" ~count:200
+    (make
+       ~print:(fun (s, k) -> Printf.sprintf "%S chunk_size=%d" s k)
+       (Gen.pair gen_xml (Gen.int_range 1 64)))
+    (fun (s, chunk_size) ->
+      let tmp = Filename.temp_file "weblab_ingest" ".xml" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove tmp)
+        (fun () ->
+          let oc = open_out_bin tmp in
+          output_string oc s;
+          close_out oc;
+          let ic = open_in_bin tmp in
+          let doc =
+            Fun.protect
+              ~finally:(fun () -> close_in ic)
+              (fun () -> Ingest.of_channel ~chunk_size ic)
+          in
+          String.equal (Printer.to_string doc)
+            (Printer.to_string (Xml_parser.parse s))))
 
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in
@@ -341,9 +309,6 @@ let () =
       ( "charrefs",
         [ Alcotest.test_case "numeric reference validation" `Quick
             test_charref_validation ] );
-      ( "index",
-        [ Alcotest.test_case "streamed index smoke" `Quick
-            test_streamed_index_smoke ] );
       ( "depth",
         [ Alcotest.test_case "200k-deep chain" `Quick test_deep_chain ] );
       ( "printer",
@@ -351,4 +316,4 @@ let () =
       ( "properties",
         to_alcotest
           [ prop_chunked_roundtrip; prop_error_chunk_invariant;
-            prop_streamed_index_equals_build ] ) ]
+            prop_of_channel_equals_parse ] ) ]

@@ -267,28 +267,6 @@ let test_indent_roundtrip () =
   check_bool "equal" true
     (Tree.equal_subtree doc (Tree.root doc) doc2 (Tree.root doc2))
 
-(* --- name index --- *)
-
-let test_name_index () =
-  let doc = parse "<R><A/><B><A/></B><C/></R>" in
-  let idx = Tree.build_name_index doc in
-  check_int "two A" 2 (List.length (Tree.index_lookup idx "A"));
-  check_int "one C" 1 (List.length (Tree.index_lookup idx "C"));
-  check_int "absent" 0 (List.length (Tree.index_lookup idx "Z"));
-  (* document order *)
-  let a_nodes = Tree.index_lookup idx "A" in
-  check_bool "ordered" true (List.sort compare a_nodes = a_nodes)
-
-let test_name_index_cache_invalidation () =
-  let doc = parse "<R><A/></R>" in
-  let idx1 = Tree.name_index_for doc in
-  check_int "one A" 1 (List.length (Tree.index_lookup idx1 "A"));
-  ignore (Tree.new_element doc ~parent:(Tree.root doc) "A");
-  let idx2 = Tree.name_index_for doc in
-  check_int "rebuilt after append" 2 (List.length (Tree.index_lookup idx2 "A"));
-  (* stable when nothing changed *)
-  check_bool "cached" true (Tree.name_index_for doc == idx2)
-
 (* --- Diff --- *)
 
 let test_diff_appends () =
@@ -424,9 +402,6 @@ let () =
       ( "restore",
         [ Alcotest.test_case "robust timestamps" `Quick test_restore_timestamps_robust;
           Alcotest.test_case "indent round-trip" `Quick test_indent_roundtrip ] );
-      ( "name index",
-        [ Alcotest.test_case "lookup" `Quick test_name_index;
-          Alcotest.test_case "cache invalidation" `Quick test_name_index_cache_invalidation ] );
       ( "diff",
         [ Alcotest.test_case "appends" `Quick test_diff_appends;
           Alcotest.test_case "insert in middle" `Quick test_diff_insert_middle;
