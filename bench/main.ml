@@ -44,14 +44,6 @@ let par_jobs = ref [ 1; 2; 4; 8 ]
    BENCH_parallel.json artifact. *)
 let parallel_report = ref None
 
-(* [--serve-report PATH] boots the serving daemon in-process on an
-   ephemeral port, drives many concurrent client sessions to completion
-   (each checked byte-for-byte against every backend's offline run) and
-   writes the BENCH_serve.json artifact: sessions/sec and query latency
-   percentiles.  Runs instead of the Bechamel suite; exits nonzero on any
-   protocol error or turtle mismatch. *)
-let serve_report = ref None
-
 (* [--ingest-report PATH] runs the wall-clock streaming-ingest study
    instead of the Bechamel suite and writes the BENCH_ingest.json
    artifact: parse and parse+index throughput (MB/s) over a synthetic
@@ -84,7 +76,7 @@ let () =
   let usage unknown =
     Printf.eprintf
       "usage: %s [--quick] [--json PATH] [--only SUBSTR] [--jobs N] \
-       [--parallel-report PATH] [--serve-report PATH] [--ingest-report PATH] \
+       [--parallel-report PATH] [--ingest-report PATH] \
        [--rdf-report PATH] [--obs-guard] [--fused-counters]  (unknown arg %s)\n"
       Sys.argv.(0) unknown;
     exit 2
@@ -107,9 +99,6 @@ let () =
       scan rest
     | "--parallel-report" :: path :: rest ->
       parallel_report := Some path;
-      scan rest
-    | "--serve-report" :: path :: rest ->
-      serve_report := Some path;
       scan rest
     | "--ingest-report" :: path :: rest ->
       ingest_report := Some path;
@@ -222,167 +211,6 @@ let run_parallel_report path =
     rows;
   Printf.printf "Wrote %d datapoints to %s\n" (List.length rows) path
 
-(* ---------- P17: serving daemon driver (--serve-report) ----------
-
-   Wall-clock, end to end: the daemon is booted in-process on an
-   ephemeral loopback port and [sessions] concurrent clients each open a
-   session, commit a pipeline call by call (interleaving why/impact
-   queries after every commit), and close with a Turtle export.  The
-   export must be byte-identical to the offline
-   [Engine.run_with_strategy] run of the same workload under every
-   registered backend — the daemon serves Fused, and the serving path is
-   an alternative driver of the same machinery, not an approximation of
-   it. *)
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let i = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) i))
-
-let run_serve_report path =
-  let module Srv = Weblab_server.Server in
-  let module P = Weblab_server.Protocol in
-  let module J = Weblab_server.Json in
-  let sessions = 32 in
-  let units, calls = if !quick then (2, 4) else (3, 7) in
-  let seed = 42 in
-  let services = Workload.chain_pipeline calls in
-  let service_names = List.map Service.name services in
-  let rb = rulebook services in
-  let backends = Strategy.all in
-  (* Offline references, one per backend: same document, same pipeline,
-     straight through the engine.  Every served session (Fused) must
-     match all four. *)
-  let reference =
-    List.map
-      (fun kind ->
-        let doc = Workload.make_document ~units ~seed () in
-        let exec, g = Engine.run_with_strategy ~jobs:1 kind doc services rb in
-        (kind, Engine.to_turtle ~trace:exec.Engine.trace g))
-      backends
-  in
-  let ctx = P.make_ctx ~max_sessions:(sessions * 2) () in
-  let srv = Srv.start ~port:0 ctx in
-  let port = Srv.port srv in
-  let errors = Atomic.make 0 in
-  let mismatches = Atomic.make 0 in
-  let query_lats = Array.make sessions [] in
-  let commit_lats = Array.make sessions [] in
-  let client i () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    let rpc obj =
-      output_string oc (J.to_string obj);
-      output_char oc '\n';
-      flush oc;
-      match J.parse_opt (input_line ic) with
-      | Ok v -> v
-      | Error e -> failwith ("unparsable response: " ^ e)
-    in
-    let expect_ok obj =
-      let v = rpc obj in
-      (if J.bool_member "ok" v <> Some true then begin
-         Atomic.incr errors;
-         Printf.eprintf "serve bench: request failed: %s\n%!" (J.to_string v)
-       end);
-      v
-    in
-    let sid = Printf.sprintf "bench-%d" i in
-    ignore
-      (expect_ok
-         (J.Obj
-            [ ("verb", J.Str "open"); ("session", J.Str sid);
-              ("units", J.Int units); ("seed", J.Int seed) ]));
-    List.iter
-      (fun svc ->
-        let t0 = Unix.gettimeofday () in
-        ignore
-          (expect_ok
-             (J.Obj
-                [ ("verb", J.Str "commit"); ("session", J.Str sid);
-                  ("service", J.Str svc) ]));
-        commit_lats.(i) <- (Unix.gettimeofday () -. t0) :: commit_lats.(i);
-        List.iter
-          (fun qkind ->
-            let t0 = Unix.gettimeofday () in
-            ignore
-              (expect_ok
-                 (J.Obj
-                    [ ("verb", J.Str "query"); ("session", J.Str sid);
-                      ("kind", J.Str qkind); ("uri", J.Str "mu1") ]));
-            query_lats.(i) <- (Unix.gettimeofday () -. t0) :: query_lats.(i))
-          [ "why"; "impact" ])
-      service_names;
-    let resp =
-      expect_ok
-        (J.Obj
-           [ ("verb", J.Str "close"); ("session", J.Str sid);
-             ("turtle", J.Bool true) ])
-    in
-    (match J.str_member "turtle" resp with
-    | Some turtle ->
-      List.iter
-        (fun (kind, expected) ->
-          if not (String.equal turtle expected) then begin
-            Atomic.incr mismatches;
-            Printf.eprintf
-              "serve bench: turtle of %s differs from the %s offline run\n%!"
-              sid (Strategy.kind_to_string kind)
-          end)
-        reference
-    | None -> Atomic.incr errors);
-    flush oc;
-    Unix.close fd
-  in
-  let t0 = Unix.gettimeofday () in
-  let threads = List.init sessions (fun i -> Thread.create (client i) ()) in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  Srv.stop srv;
-  let sort_ms lats =
-    let a =
-      Array.of_list (List.concat_map (fun l -> List.map (fun s -> s *. 1000.) l)
-                       (Array.to_list lats))
-    in
-    Array.sort compare a;
-    a
-  in
-  let q = sort_ms query_lats in
-  let c = sort_ms commit_lats in
-  let sessions_per_sec = float_of_int sessions /. wall in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"series\": \"serve/sessions\", \"sessions\": %d, \
-     \"calls_per_session\": %d, \"units\": %d, \"backends\": [%s],\n\
-    \ \"wall_s\": %.6f, \"sessions_per_sec\": %.3f,\n\
-    \ \"commits\": %d, \"commit_p50_ms\": %.3f, \"commit_p99_ms\": %.3f,\n\
-    \ \"queries\": %d, \"query_p50_ms\": %.3f, \"query_p99_ms\": %.3f,\n\
-    \ \"errors\": %d, \"turtle_mismatches\": %d}\n"
-    sessions calls units
-    (String.concat ", "
-       (List.map (fun k -> Printf.sprintf "%S" (Strategy.kind_to_string k))
-          backends))
-    wall sessions_per_sec (Array.length c) (percentile c 0.50)
-    (percentile c 0.99) (Array.length q) (percentile q 0.50) (percentile q 0.99)
-    (Atomic.get errors) (Atomic.get mismatches);
-  close_out oc;
-  Printf.printf
-    "serve: %d sessions (%d commits, %d queries) in %.2f s = %.1f sessions/s\n\
-    \  commit p50 %.2f ms  p99 %.2f ms;  query p50 %.2f ms  p99 %.2f ms\n\
-     Wrote %s\n"
-    sessions (Array.length c) (Array.length q) wall sessions_per_sec
-    (percentile c 0.50) (percentile c 0.99) (percentile q 0.50)
-    (percentile q 0.99) path;
-  if Atomic.get errors > 0 || Atomic.get mismatches > 0 then begin
-    Printf.eprintf "serve bench FAILED: %d errors, %d turtle mismatches\n"
-      (Atomic.get errors) (Atomic.get mismatches);
-    exit 1
-  end
-
 (* ---------- P18: streaming ingest study (--ingest-report) ----------
 
    Wall-clock throughput of the one-pass pipeline (bytes -> events ->
@@ -463,9 +291,13 @@ let synth_repository_xml items =
   Buffer.add_string buf "</Repository>";
   Buffer.contents buf
 
+(* Each timed run starts from a compacted heap, with the previous run's
+   result already dropped, so no run pays for another's garbage. *)
 let best_of_runs k f =
   let best = ref infinity and result = ref None in
   for _ = 1 to k do
+    result := None;
+    Gc.compact ();
     let t0 = Unix.gettimeofday () in
     let r = f () in
     let dt = Unix.gettimeofday () -. t0 in
@@ -899,13 +731,6 @@ let () =
   | None -> ()
 
 let () =
-  match !serve_report with
-  | Some path ->
-    run_serve_report path;
-    exit 0
-  | None -> ()
-
-let () =
   match !ingest_report with
   | Some path ->
     run_ingest_report path;
@@ -937,7 +762,7 @@ let strategy_tests =
       let fresh_online () =
         (* Online re-executes: it cannot be separated from the run. *)
         let doc = Workload.make_document ~units:p.units ~seed:p.seed () in
-        ignore (Engine.run_online doc p.services p.rb)
+        ignore (Engine.run_with_strategy `Online doc p.services p.rb)
       in
       [ Test.make
           ~name:(Printf.sprintf "strategy/replay/calls=%02d" calls)
@@ -1478,11 +1303,11 @@ let obs_tests =
 
 (* ---------- P17: serving protocol (in-process, no TCP) ---------- *)
 
-(* The Bechamel twin of --serve-report: one whole session lifecycle
-   (open, a three-call pipeline with a query after each commit, close)
-   through [Protocol.handle_line] — verb dispatch, JSON codec and
-   session machinery without socket noise.  Session ids are fresh per
-   run and closed at the end, so the registry stays flat. *)
+(* One whole session lifecycle (open, a three-call pipeline with a
+   query after each commit, close) through [Protocol.handle_line] — verb
+   dispatch, JSON codec and session machinery without socket noise.
+   Session ids are fresh per run and closed at the end, so the registry
+   stays flat. *)
 let serve_tests =
   let module P = Weblab_server.Protocol in
   let module J = Weblab_server.Json in
@@ -1594,5 +1419,5 @@ let () =
      ext/* (P8), index/* (P10), join/* (P11), fault/* (P12),\n\
      incr/* (P13), par/* (P14; see also --parallel-report),\n\
      obs/* (P15; see also --obs-guard), fused/* (P16),\n\
-     serve/* (P17; see also --serve-report), paper/* (F1-E9).\n\
+     serve/* (P17), paper/* (F1-E9).\n\
      See EXPERIMENTS.md for the discussion."

@@ -25,11 +25,6 @@ let max_sessions_arg =
            ~doc:"Admission control: reject $(b,open) beyond $(docv) live \
                  sessions.")
 
-let shards_arg =
-  Arg.(value & opt int 16
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Session-registry shards (per-shard locking).")
-
 let profile_arg =
   Arg.(value & flag
        & info [ "profile" ]
@@ -129,7 +124,7 @@ let start_metrics_dumper path every =
    system call (accept, read), which is exactly an idle daemon. *)
 let stop_signals = [ Sys.sigint; Sys.sigterm ]
 
-let main host port max_sessions shards profile trace trace_retention
+let main host port max_sessions profile trace trace_retention
     metrics_out metrics_every slow_log slow_ms data_dir =
   ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals);
   let module T = Weblab_obs.Telemetry in
@@ -146,7 +141,7 @@ let main host port max_sessions shards profile trace trace_retention
   Logs.set_level (Some Logs.Info);
   Option.iter mkdir_p data_dir;
   let ctx =
-    Protocol.make_ctx ~shards ~max_sessions ?data_dir ?slow_log_path:slow_log
+    Protocol.make_ctx ~max_sessions ?data_dir ?slow_log_path:slow_log
       ~slow_ms ()
   in
   (* Warm restart: replay every WAL before the listener accepts, so no
@@ -181,9 +176,8 @@ let cmd =
     (Cmd.info "weblab-serve"
        ~doc:"Provenance serving daemon: concurrent workflow sessions with \
              live why/impact/SPARQL queries over NDJSON/TCP")
-    Term.(const main $ host_arg $ port_arg $ max_sessions_arg $ shards_arg
-          $ profile_arg $ trace_arg $ trace_retention_arg
-          $ metrics_out_arg $ metrics_every_arg $ slow_log_arg $ slow_ms_arg
-          $ data_dir_arg)
+    Term.(const main $ host_arg $ port_arg $ max_sessions_arg $ profile_arg
+          $ trace_arg $ trace_retention_arg $ metrics_out_arg
+          $ metrics_every_arg $ slow_log_arg $ slow_ms_arg $ data_dir_arg)
 
 let () = exit (Cmd.eval cmd)

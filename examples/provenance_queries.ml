@@ -29,7 +29,7 @@ let () =
   (* Infer with all four strategies and show they agree.  Fused is an
      execution-time strategy, so it re-runs the (deterministic) workload
      on a fresh document. *)
-  let exec, g_online = Engine.run_online doc services rb in
+  let exec, g_online = Engine.run_with_strategy `Online doc services rb in
   let g_replay = Engine.provenance ~strategy:`Replay exec rb in
   let g_rewrite = Engine.provenance ~strategy:`Rewrite exec rb in
   let g_fused =

@@ -43,11 +43,6 @@ let run_with_backend ?policy ?jobs (backend : Strategy_sig.backend) doc
 let run_with_strategy ?policy ?jobs (kind : Strategy.kind) doc services rb =
   run_with_backend ?policy ?jobs (Strategy.backend_of kind) doc services rb
 
-(* Run a workflow with Online provenance inference — the historical entry
-   point, now a thin shim over the backend machinery. *)
-let run_online ?policy ?jobs doc services (rb : Strategy.rulebook) =
-  run_with_backend ?policy ?jobs (Strategy.backend_of `Online) doc services rb
-
 (* Post-hoc inference from the final document and the execution trace. *)
 let provenance ?strategy ?inheritance ?happened_before ?jobs { doc; trace } rb
     =

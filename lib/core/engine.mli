@@ -37,15 +37,6 @@ val run_with_strategy :
 (** [run_with_backend] on {!Strategy.backend_of}.  All registered
     strategies produce identical link sets. *)
 
-val run_online :
-  ?policy:Orchestrator.policy ->
-  ?jobs:int ->
-  Tree.t -> Service.t list -> Strategy.rulebook ->
-  execution * Prov_graph.t
-(** Execute with Online inference: rules are applied by the orchestrator
-    hook after each committed call; λ is populated from the trace.
-    Equivalent to [run_with_strategy `Online]. *)
-
 val provenance :
   ?strategy:Strategy.post_hoc ->
   ?inheritance:bool ->

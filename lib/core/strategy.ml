@@ -2,11 +2,8 @@
 
    Each strategy is implemented as a {!Strategy_sig.STRATEGY_BACKEND}
    (Strategy_online, Strategy_replay, Strategy_rewrite, Strategy_fused);
-   this module is the thin shim that keeps the historical entry points —
-   post-hoc [infer] and the [online] hook — and names the backends for
-   dispatch. *)
-
-open Weblab_workflow
+   this module is the thin shim that keeps the historical post-hoc entry
+   point [infer] and names the backends for dispatch. *)
 
 type rulebook = Strategy_sig.rulebook
 
@@ -52,14 +49,3 @@ let infer ?(strategy : post_hoc = `Rewrite) ?(inheritance = false)
    | `Rewrite -> Strategy_rewrite.infer ?happened_before ?jobs ~doc ~trace rb g);
   if inheritance then ignore (Inheritance.close doc g);
   g
-
-(* ----- Online hook ----- *)
-
-(* Online: returns the graph under construction and the orchestrator hook
-   feeding it. *)
-let online (rb : rulebook) =
-  let g = Prov_graph.create () in
-  let hook (call : Trace.call) before after (_ : Orchestrator.delta) =
-    Strategy_online.observe_call g rb call before after
-  in
-  (g, hook)

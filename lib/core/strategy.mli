@@ -75,11 +75,3 @@ val infer :
     [jobs] from {!Pool.configured_jobs}.  For any [jobs] the graph is
     bit-identical to the sequential one. *)
 
-val online :
-  rulebook ->
-  Prov_graph.t
-  * (Trace.call -> Doc_state.t -> Doc_state.t -> Orchestrator.delta -> unit)
-(** The Online strategy: a graph under construction and the
-    {!Orchestrator.execute} [on_step] hook that feeds it.  The hook adds
-    data-dependency links only; populate λ from the trace afterwards
-    (see {!Engine.run_online}). *)

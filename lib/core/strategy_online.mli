@@ -2,18 +2,4 @@
     the execution.  Doubles as the reference implementation the other
     backends are property-tested against. *)
 
-open Weblab_xml
-open Weblab_workflow
-
-val observe_call :
-  Prov_graph.t ->
-  Strategy_sig.rulebook ->
-  Trace.call ->
-  Doc_state.t ->
-  Doc_state.t ->
-  unit
-(** Apply one committed call's rules to the surrounding states and add
-    the generated links to the graph — the body of the classic
-    {!Strategy.online} hook, exposed for the thin shim. *)
-
 include Strategy_sig.STRATEGY_BACKEND

@@ -185,40 +185,28 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Replay [path] into a fresh store.  Batches are buffered and applied
-   only when their commit marker validates, so a torn tail can never
-   leave a half-applied commit behind.  A reset rebinds the store to a
-   fresh one, hence the ref. *)
-let replay path =
-  let data = if Sys.file_exists path then read_file path else "" in
-  let n = String.length data in
+exception Size_mismatch of int
+(* internal: a batch failed its size cross-check after being applied;
+   carries the end offset of the last validated commit *)
+
+(* Decode the frames in [data.[0, stop)] into a fresh store.  Batches are
+   buffered and applied only when their commit marker validates, so a
+   torn tail can never leave a half-applied commit behind.  A reset
+   rebinds the store to a fresh one, hence the ref. *)
+let decode data stop =
   let pending = ref [] in  (* reversed ops since the last valid 'C' *)
   let commits = ref 0 and applied = ref 0 and resets = ref 0 in
   let torn = ref false in
   let meta : (string, string) Hashtbl.t = Hashtbl.create 4 in
   let meta_order = ref [] in
   let st = ref (Triple_store.create ()) in
-  (* Ops of validated commits, reversed — replayed to rebuild the store
-     if a later batch fails its size cross-check after being partially
-     applied (the store has no delete, so rollback is a rebuild). *)
-  let good_ops = ref [] in
-  let rebuild () =
-    let fresh = ref (Triple_store.create ()) in
-    List.iter
-      (function
-        | `Reset -> fresh := Triple_store.create ()
-        | `Triple tr -> Triple_store.add !fresh tr
-        | `Meta _ -> ())
-      (List.rev !good_ops);
-    !fresh
-  in
-  let pos = ref 0 in
+  let pos = ref 0 and good_end = ref 0 in
   (try
-     while !pos < n do
-       if !pos + 5 > n then raise Corrupt;
+     while !pos < stop do
+       if !pos + 5 > stop then raise Corrupt;
        let tag = data.[!pos] in
        let len = get_u32 data (!pos + 1) in
-       if len < 0 || !pos + 5 + len + 4 > n then raise Corrupt;
+       if len < 0 || !pos + 5 + len + 4 > stop then raise Corrupt;
        let payload = String.sub data (!pos + 5) len in
        let sum = get_u32 data (!pos + 5 + len) in
        if sum <> fnv1a tag payload then raise Corrupt;
@@ -241,22 +229,18 @@ let replay path =
           if String.length payload <> 4 then raise Corrupt;
           let expected = get_u32 payload 0 in
           (* Apply the batch, then verify the size cross-check the
-             writer recorded.  On mismatch the batch is torn: roll the
-             store back to the last validated commit (rebuild — the
-             store has no delete) and stop. *)
+             writer recorded.  The store has no delete, so a mismatch
+             cannot be undone in place: [replay] decodes again, up to
+             the end of the last validated commit. *)
           let ops = List.rev !pending in
-          let next = ref !st in
           List.iter
             (function
-              | `Reset -> next := Triple_store.create ()
-              | `Triple tr -> Triple_store.add !next tr
+              | `Reset -> st := Triple_store.create ()
+              | `Triple tr -> Triple_store.add !st tr
               | `Meta _ -> ())
             ops;
-          if Triple_store.size !next <> expected then begin
-            st := rebuild ();
-            raise Corrupt
-          end;
-          st := !next;
+          if Triple_store.size !st <> expected then
+            raise (Size_mismatch !good_end);
           List.iter
             (function
               | `Meta (k, v) ->
@@ -265,16 +249,13 @@ let replay path =
               | `Reset -> incr resets
               | `Triple _ -> incr applied)
             ops;
-          good_ops := List.rev_append ops !good_ops;
           pending := [];
           incr commits;
-          T.incr c_replayed
+          good_end := !pos + 5 + len + 4
         | _ -> raise Corrupt);
        pos := !pos + 5 + len + 4
      done
-   with Corrupt ->
-     torn := true;
-     T.incr c_torn);
+   with Corrupt -> torn := true);
   (* Frames after the last valid commit (including a clean-but-unmarked
      tail) are dropped: not durable, not applied. *)
   ( !st,
@@ -284,6 +265,22 @@ let replay path =
       rp_torn = !torn;
       rp_meta =
         List.rev_map (fun k -> (k, Hashtbl.find meta k)) !meta_order } )
+
+(* A batch that fails its size cross-check is torn like any other: the
+   second decode stops at the end of the last validated commit, where
+   every batch validated the first time. *)
+let replay path =
+  let data = if Sys.file_exists path then read_file path else "" in
+  let st, rp =
+    match decode data (String.length data) with
+    | r -> r
+    | exception Size_mismatch good_end ->
+      let st, rp = decode data good_end in
+      (st, { rp with rp_torn = true })
+  in
+  T.add c_replayed rp.rp_commits;
+  if rp.rp_torn then T.incr c_torn;
+  (st, rp)
 
 (* ----- compaction ----- *)
 

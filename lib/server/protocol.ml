@@ -25,7 +25,7 @@ type ctx = {
   slow : slow_log option;
 }
 
-let make_ctx ?shards ?max_sessions ?data_dir ?slow_log_path ?(slow_ms = 100.)
+let make_ctx ?max_sessions ?data_dir ?slow_log_path ?(slow_ms = 100.)
     () =
   let rulebook =
     List.map
@@ -41,7 +41,7 @@ let make_ctx ?shards ?max_sessions ?data_dir ?slow_log_path ?(slow_ms = 100.)
           sl_lock = Mutex.create (); sl_threshold_us = slow_ms *. 1000. })
       slow_log_path
   in
-  { registry = Registry.create ?shards ?max_sessions (); rulebook;
+  { registry = Registry.create ?max_sessions (); rulebook;
     default_backend = `Fused; data_dir; slow }
 
 (* ----- WAL file naming -----

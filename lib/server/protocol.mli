@@ -79,7 +79,6 @@ type ctx = {
 }
 
 val make_ctx :
-  ?shards:int ->
   ?max_sessions:int ->
   ?data_dir:string ->
   ?slow_log_path:string ->

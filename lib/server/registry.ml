@@ -5,37 +5,27 @@ let c_accepted = T.counter "serve.sessions.accepted"
 let c_rejected = T.counter "serve.sessions.rejected"
 
 (* Active sessions is a level, not a tally: it goes down on close, so a
-   monotonic counter is the wrong type.  The gauge mirrors [t.count]. *)
+   monotonic counter is the wrong type.  The gauge mirrors [live]. *)
 let g_active = M.gauge "serve.sessions.active"
 
 (* A slot is claimed before the session is built (the orchestration
-   prologue runs outside the shard lock), so the table distinguishes the
-   two states: a [Building] slot blocks duplicate opens but is invisible
-   to [find]. *)
+   prologue runs outside the lock), so the table distinguishes the two
+   states: a [Building] slot blocks duplicate opens and counts against
+   the cap, but is invisible to [find]. *)
 type entry = Building | Live of Session.t
 
-type shard = {
-  lock : Mutex.t;
-  tbl : (string, entry) Hashtbl.t;
-}
-
 type t = {
-  shards : shard array;
+  lock : Mutex.t;
+  tbl : (string, entry) Hashtbl.t;  (* live + building sessions *)
   cap : int;
-  count : int Atomic.t;  (* live + building sessions, across all shards *)
   next_id : int Atomic.t;
 }
 
-let create ?(shards = 16) ?(max_sessions = 1024) () =
-  { shards =
-      Array.init (max 1 shards) (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 16 });
-    cap = max 1 max_sessions; count = Atomic.make 0; next_id = Atomic.make 1 }
+let create ?(max_sessions = 1024) () =
+  { lock = Mutex.create (); tbl = Hashtbl.create 16; cap = max 1 max_sessions;
+    next_id = Atomic.make 1 }
 
 let max_sessions t = t.cap
-
-let shard_of t id =
-  t.shards.(Hashtbl.hash id mod Array.length t.shards)
 
 let fresh_id t = Printf.sprintf "s%d" (Atomic.fetch_and_add t.next_id 1)
 
@@ -43,97 +33,62 @@ type open_error =
   | Admission_rejected of string
   | Already_open of string
 
-(* Reserve an admission slot with a CAS loop, then claim the id under the
-   shard lock; building the session happens after both, so a rejected
-   open does no orchestration work and a racing duplicate id cannot
-   double-insert. *)
-let add_fresh t ~id build =
-  let rec reserve () =
-    let n = Atomic.get t.count in
-    if n >= t.cap then false
-    else if Atomic.compare_and_set t.count n (n + 1) then true
-    else reserve ()
-  in
-  if not (reserve ()) then begin
-    T.incr c_rejected;
-    Error
-      (Admission_rejected
-         (Printf.sprintf "session limit reached (%d live)" t.cap))
-  end
-  else begin
-    let release () = Atomic.decr t.count in
-    let sh = shard_of t id in
-    let claimed =
-      Mutex.protect sh.lock (fun () ->
-          if Hashtbl.mem sh.tbl id then false
-          else begin
-            Hashtbl.replace sh.tbl id Building;
-            true
-          end)
-    in
-    if not claimed then begin
-      release ();
-      T.incr c_rejected;
-      Error (Already_open id)
-    end
-    else
-      match build ~id with
-      | sess ->
-        Mutex.protect sh.lock (fun () -> Hashtbl.replace sh.tbl id (Live sess));
-        T.incr c_accepted;
-        M.add g_active 1;
-        Ok sess
-      | exception e ->
-        Mutex.protect sh.lock (fun () -> Hashtbl.remove sh.tbl id);
-        release ();
-        raise e
-  end
-
+(* The duplicate check, the admission cap and the claim are one critical
+   section; a duplicate id is [Already_open] whether or not a slot is
+   free.  Building the session happens outside the lock, so a rejected
+   open does no orchestration work and a slow build blocks no other
+   connection. *)
 let add t ~id build =
-  (* Precise error at capacity: a duplicate id is [Already_open] whether
-     or not a slot is free.  The claim under the shard lock in
-     [add_fresh] stays authoritative for races — this pre-check only
-     picks the error. *)
-  let duplicate =
-    let sh = shard_of t id in
-    Mutex.protect sh.lock (fun () -> Hashtbl.mem sh.tbl id)
+  let claim =
+    Mutex.protect t.lock (fun () ->
+        if Hashtbl.mem t.tbl id then Error (Already_open id)
+        else if Hashtbl.length t.tbl >= t.cap then
+          Error
+            (Admission_rejected
+               (Printf.sprintf "session limit reached (%d live)" t.cap))
+        else begin
+          Hashtbl.replace t.tbl id Building;
+          Ok ()
+        end)
   in
-  if duplicate then begin
+  match claim with
+  | Error _ as e ->
     T.incr c_rejected;
-    Error (Already_open id)
-  end
-  else add_fresh t ~id build
+    e
+  | Ok () -> (
+    match build ~id with
+    | sess ->
+      Mutex.protect t.lock (fun () -> Hashtbl.replace t.tbl id (Live sess));
+      T.incr c_accepted;
+      M.add g_active 1;
+      Ok sess
+    | exception e ->
+      Mutex.protect t.lock (fun () -> Hashtbl.remove t.tbl id);
+      raise e)
 
 let find t id =
-  let sh = shard_of t id in
-  Mutex.protect sh.lock (fun () ->
-      match Hashtbl.find_opt sh.tbl id with
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.tbl id with
       | Some (Live s) -> Some s
       | Some Building | None -> None)
 
 let remove t id =
-  let sh = shard_of t id in
-  match
-    Mutex.protect sh.lock (fun () ->
-        match Hashtbl.find_opt sh.tbl id with
+  let removed =
+    Mutex.protect t.lock (fun () ->
+        match Hashtbl.find_opt t.tbl id with
         | Some (Live s) ->
-          Hashtbl.remove sh.tbl id;
+          Hashtbl.remove t.tbl id;
           Some s
         | Some Building | None -> None)
-  with
-  | Some s ->
-    Atomic.decr t.count;
-    M.add g_active (-1);
-    Some s
-  | None -> None
+  in
+  if Option.is_some removed then M.add g_active (-1);
+  removed
 
-let live t = Atomic.get t.count
+let live t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
 
 let ids t =
-  Array.to_list t.shards
-  |> List.concat_map (fun sh ->
-         Mutex.protect sh.lock (fun () ->
-             Hashtbl.fold
-               (fun k e acc -> match e with Live _ -> k :: acc | Building -> acc)
-               sh.tbl []))
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.fold
+        (fun k e acc -> match e with Live _ -> k :: acc | Building -> acc)
+        t.tbl [])
   |> List.sort String.compare

@@ -1,12 +1,10 @@
-(** The session registry: a sharded map from session id to {!Session.t}
-    with admission control (DESIGN §4h).
+(** The session registry: a map from session id to {!Session.t} with
+    admission control (DESIGN §4h).
 
-    Ids are hashed onto a fixed array of shards, each guarded by its own
-    mutex, so concurrent connections opening/closing/looking up distinct
-    sessions contend only when they land on the same shard.  The shard
-    lock covers table membership and the live-session count; it is never
-    held across a verb — per-session mutual exclusion is
-    {!Session.with_lock}, taken after the lookup.
+    One mutex guards the table.  It covers membership and the live
+    count only and is never held across a verb or a session build —
+    per-session mutual exclusion is {!Session.with_lock}, taken after
+    the lookup.
 
     Admission control is a hard cap on live sessions: an [open] beyond
     [max_sessions] is rejected up front (counted in
@@ -15,8 +13,8 @@
 
 type t
 
-val create : ?shards:int -> ?max_sessions:int -> unit -> t
-(** Defaults: 16 shards, 1024 sessions. *)
+val create : ?max_sessions:int -> unit -> t
+(** Default: 1024 sessions. *)
 
 val max_sessions : t -> int
 
@@ -25,10 +23,12 @@ type open_error =
   | Already_open of string  (** id collision *)
 
 val add : t -> id:string -> (id:string -> Session.t) -> (Session.t, open_error) result
-(** Admission check + insert, atomically per shard; the session is built
-    by the callback only once admission is granted (so a rejected open
-    never runs the orchestration prologue).  If the callback raises, the
-    slot is released and the exception propagates. *)
+(** Duplicate check, admission check and slot claim in one critical
+    section (a duplicate id is [Already_open] even at capacity); the
+    session is built by the callback outside the lock, only once the
+    slot is claimed (so a rejected open never runs the orchestration
+    prologue).  If the callback raises, the slot is released and the
+    exception propagates. *)
 
 val fresh_id : t -> string
 (** ["s<n>"] from a process-wide counter — never reused within a run. *)
@@ -37,9 +37,10 @@ val find : t -> string -> Session.t option
 
 val remove : t -> string -> Session.t option
 (** Drop the id and free its admission slot; the caller finalizes the
-    session ({!Session.close}) outside the shard lock. *)
+    session ({!Session.close}) outside the registry lock. *)
 
 val live : t -> int
+(** Live sessions plus those still being built. *)
 
 val ids : t -> string list
 (** All live session ids, sorted. *)

@@ -59,7 +59,7 @@ let blackbox_service =
              the normalized unit; URIs are left for the Recorder except
              the promotion, which must be stable across the round-trip. *)
           (if Tree.uri doc nc = None then
-             Tree.set_uri doc nc (Orchestrator.fresh_uri doc));
+             Tree.set_uri doc nc (Tree.fresh_uri doc));
           let src = Option.get (Tree.uri doc nc) in
           let unit =
             Tree.new_element doc ~parent:root Schema.text_media_unit
@@ -68,7 +68,7 @@ let blackbox_service =
           let content = Tree.new_element doc ~parent:unit Schema.text_content in
           (* Nested resources must carry their own identity: the Recorder
              only auto-identifies fragment roots. *)
-          Tree.set_uri doc content (Orchestrator.fresh_uri doc);
+          Tree.set_uri doc content (Tree.fresh_uri doc);
           ignore
             (Tree.new_text doc ~parent:content
                (normalize (Tree.string_value doc nc))))

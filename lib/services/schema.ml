@@ -2,7 +2,6 @@
    navigation helpers.  Element names follow Figure 1 of the paper. *)
 
 open Weblab_xml
-open Weblab_workflow
 
 let resource = "Resource"
 let media_unit = "MediaUnit"
@@ -58,10 +57,10 @@ let language_of_unit doc unit =
 
 (* Promote a node to a resource if it is not one yet. *)
 let ensure_resource doc n =
-  if Tree.uri doc n = None then Tree.set_uri doc n (Orchestrator.fresh_uri doc)
+  if Tree.uri doc n = None then Tree.set_uri doc n (Tree.fresh_uri doc)
 
 (* A new resource element appended under [parent]. *)
 let new_resource ?attrs doc ~parent name =
   let n = Tree.new_element ?attrs doc ~parent name in
-  Tree.set_uri doc n (Orchestrator.fresh_uri doc);
+  Tree.set_uri doc n (Tree.fresh_uri doc);
   n

@@ -39,98 +39,6 @@ let initial_document ?(root_name = "Resource") ?(root_uri = "r1") () =
   Tree.set_uri doc root root_uri;
   doc
 
-(* ----- URI allocation -----
-
-   The allocator keeps, per live document, the set of URIs in use, and
-   extends it incrementally: each allocation only scans the arena nodes
-   appended since the previous one (plus any promotions the orchestrator
-   registers), instead of rescanning every resource — the old behavior
-   was O(n) per allocation, O(n²) per workflow.  Candidates are probed
-   against the set and registered at allocation time, so two allocations
-   can never hand out the same URI even before the first is assigned.
-
-   The candidate sequence is unchanged from the original allocator: the
-   probe starts at the current arena size, so documents produce the exact
-   same auto-assigned URIs as before.
-
-   Rollbacks bump the document generation; the allocator detects that and
-   rebuilds its set from scratch (one O(n) scan per rollback — failures
-   are the rare path). *)
-module Uri_alloc = struct
-  type state = {
-    used : (string, unit) Hashtbl.t;
-    mutable stamp : int;  (* arena prefix [0, stamp) already scanned *)
-    mutable gen : int;  (* document generation the state is valid for *)
-    lock : Mutex.t;
-        (* guards the three fields above: allocations may race (Skolem
-           workers in a parallel inference pool, or a second domain's
-           execution probing the same document), and the global [mutex]
-           below only covers the cache lookup, not the per-document
-           scan-probe-register sequence *)
-  }
-
-  let max_cached = 8
-
-  let cache : (Tree.t * state) list ref = ref []
-
-  let mutex = Mutex.create ()
-
-  let state_for doc =
-    Mutex.protect mutex (fun () ->
-        match List.find_opt (fun (d, _) -> d == doc) !cache with
-        | Some (_, st) -> st
-        | None ->
-          let st = { used = Hashtbl.create 64; stamp = 0;
-                     gen = Tree.generation doc; lock = Mutex.create () } in
-          let others = List.filter (fun (d, _) -> d != doc) !cache in
-          cache :=
-            (doc, st)
-            :: (if List.length others >= max_cached
-                then List.filteri (fun i _ -> i < max_cached - 1) others
-                else others);
-          st)
-
-  (* Catch up with the arena: rescan from zero after a rollback, else
-     just the appended tail. *)
-  let sync doc st =
-    if st.gen <> Tree.generation doc then begin
-      Hashtbl.reset st.used;
-      st.stamp <- 0;
-      st.gen <- Tree.generation doc
-    end;
-    let n = Tree.size doc in
-    for i = st.stamp to n - 1 do
-      match Tree.uri doc i with
-      | Some u -> Hashtbl.replace st.used u ()
-      | None -> ()
-    done;
-    st.stamp <- n
-
-  (* Register a URI that appeared on an already-scanned node (a resource
-     promotion): the tail scan cannot see those. *)
-  let register doc u =
-    let st = state_for doc in
-    Mutex.protect st.lock (fun () ->
-        sync doc st;
-        Hashtbl.replace st.used u ())
-
-  (* Scan, probe, and claim atomically: two racing allocations must never
-     observe the same "unused" candidate. *)
-  let fresh doc =
-    let st = state_for doc in
-    Mutex.protect st.lock (fun () ->
-        sync doc st;
-        let rec next k =
-          let u = Printf.sprintf "r%d" k in
-          if Hashtbl.mem st.used u then next (k + 1) else u
-        in
-        let u = next (Tree.size doc) in
-        Hashtbl.replace st.used u ();
-        u)
-end
-
-let fresh_uri doc = Uri_alloc.fresh doc
-
 let check_unique_uris doc =
   let seen = Hashtbl.create 16 in
   List.iter
@@ -397,7 +305,7 @@ let start ?(policy = default_policy) doc =
   Hashtbl.replace s.s_service_of_time 0 "Source";
   (* The root is always a resource (Definition 1). *)
   if Tree.uri doc (Tree.root doc) = None then
-    Tree.set_uri doc (Tree.root doc) (fresh_uri doc);
+    Tree.set_uri doc (Tree.root doc) (Tree.fresh_uri doc);
   check_unique_uris doc;
   List.iter
     (fun n ->
@@ -460,7 +368,7 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
             let p = Tree.parent doc n in
             let is_fragment_root = p = Tree.no_node || Tree.created doc p < time in
             if is_fragment_root && Tree.is_element doc n && Tree.uri doc n = None
-            then Tree.set_uri doc n (fresh_uri doc))
+            then Tree.set_uri doc n (Tree.fresh_uri doc))
           new_nodes;
         (* Collision check at commit boundary: the URIs this call minted
            (on new nodes or by promotion) must be new to the execution and
@@ -520,21 +428,13 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
     if attempts > 1 then T.incr c_retried;
     (* Commit: from here on nothing can fail, so a later call's
        rollback never has trace bookkeeping to undo. *)
-    List.iter
-      (fun n ->
-        match Tree.uri doc n with
-        | Some u ->
-          Hashtbl.replace s.s_seen_uris u ();
-          (* the allocator's tail scan cannot see promotions *)
-          Uri_alloc.register doc u
-        | None -> ())
-      promoted;
-    List.iter
-      (fun n ->
-        match Tree.uri doc n with
-        | Some u -> Hashtbl.replace s.s_seen_uris u ()
-        | None -> ())
-      new_nodes;
+    let commit_uri n =
+      match Tree.uri doc n with
+      | Some u -> Hashtbl.replace s.s_seen_uris u ()
+      | None -> ()
+    in
+    List.iter commit_uri promoted;
+    List.iter commit_uri new_nodes;
     Trace.add_call trace call;
     Trace.record_outcome trace call
       (if attempts > 1 then Trace.Retried (attempts - 1) else Trace.Ok);

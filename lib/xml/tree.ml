@@ -24,6 +24,21 @@ type timestamp = int
 
 let no_node = -1
 
+(* Fresh-URI allocation state: the set of URIs in use, extended
+   incrementally — each allocation scans only the arena nodes appended
+   since the previous one, and [set_attr] registers an "id" set on an
+   already-scanned node (a resource promotion).  Rollbacks bump the
+   document generation; the next allocation then rescans from zero. *)
+type uri_alloc = {
+  used : (string, unit) Hashtbl.t;
+  mutable stamp : int;  (* arena prefix [0, stamp) already scanned *)
+  mutable gen : int;  (* document generation the state is valid for *)
+  lock : Mutex.t;
+      (* guards the three fields above: allocations may race (Skolem
+         workers in a parallel inference pool, or a second domain's
+         execution probing the same document) *)
+}
+
 type t = {
   uid : int;  (* process-unique: lets caches key on document identity *)
   dict : Intern.t;
@@ -45,6 +60,9 @@ type t = {
   mutable generation : int;
       (* bumped on every rollback (truncate/restore); lets size-stamped
          caches detect a truncate-then-regrow to the same size *)
+  alloc : uri_alloc option Atomic.t;
+      (* installed by the first [fresh_uri]: documents that never mint a
+         URI carry no allocator *)
 }
 
 (* An atomic counter, not a plain ref: documents are created from several
@@ -71,7 +89,8 @@ let create () =
     attr_next = Array.make initial_cap no_node;
     attrs_n = 0;
     root = no_node;
-    generation = 0 }
+    generation = 0;
+    alloc = Atomic.make None }
 
 let id t = t.uid
 
@@ -286,7 +305,16 @@ let set_attr t n k v =
         ~value_id:(Intern.intern t.dict v) ~next:t.attr_head.(n)
   else
     set_attr_list t n
-      ((k, v) :: List.remove_assoc k (attrs t n))
+      ((k, v) :: List.remove_assoc k (attrs t n));
+  (* The allocator's tail scan cannot see an id set on a node it has
+     already scanned: register it here. *)
+  if String.equal k "id" then
+    match Atomic.get t.alloc with
+    | Some a ->
+      Mutex.protect a.lock (fun () ->
+          if n < a.stamp && a.gen = t.generation then
+            Hashtbl.replace a.used v ())
+    | None -> ()
 
 let set_text t n s =
   check t n;
@@ -306,6 +334,42 @@ let set_uri_time t n ts =
   t.uri_time_a.(n) <- ts
 
 let is_resource t n = is_element t n && uri t n <> None
+
+(* Scan, probe and claim under the document's allocator lock, so two
+   racing allocations never observe the same unused candidate.  The
+   probe starts at the arena size, and the claimed URI is registered at
+   once, before any node carries it. *)
+let fresh_uri t =
+  let a =
+    match Atomic.get t.alloc with
+    | Some a -> a
+    | None ->
+      let a =
+        { used = Hashtbl.create 64; stamp = 0; gen = t.generation;
+          lock = Mutex.create () }
+      in
+      if Atomic.compare_and_set t.alloc None (Some a) then a
+      else Option.get (Atomic.get t.alloc)
+  in
+  Mutex.protect a.lock (fun () ->
+      if a.gen <> t.generation then begin
+        Hashtbl.reset a.used;
+        a.stamp <- 0;
+        a.gen <- t.generation
+      end;
+      for i = a.stamp to t.n - 1 do
+        match uri t i with
+        | Some u -> Hashtbl.replace a.used u ()
+        | None -> ()
+      done;
+      a.stamp <- t.n;
+      let rec next k =
+        let u = Printf.sprintf "r%d" k in
+        if Hashtbl.mem a.used u then next (k + 1) else u
+      in
+      let u = next t.n in
+      Hashtbl.replace a.used u ();
+      u)
 
 let created t n =
   check t n;

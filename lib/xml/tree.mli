@@ -112,6 +112,15 @@ val set_uri : t -> node -> string -> unit
 
 val is_resource : t -> node -> bool
 
+val fresh_uri : t -> string
+(** A URI of the form ["r<k>"] not yet used in the document, probed from
+    [k = ]{!size}.  The allocator lives in the document and is created
+    by the first call; it is incremental (amortized O(appended nodes),
+    not O(document) per call, with one full rescan after a rollback)
+    and claims the URI at allocation time, so a later allocation can
+    never return it again, even before it is assigned.  Safe to call
+    from several domains at once. *)
+
 val resources : t -> node list
 (** All resource nodes, in document order. *)
 

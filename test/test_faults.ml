@@ -97,7 +97,7 @@ let degraded_workflow ?(seed = 11) () =
 let test_acceptance () =
   let doc, services, rb = degraded_workflow () in
   (* Completes despite the three planted faults. *)
-  let exec, g_online = Engine.run_online ~policy:skip_policy doc services rb in
+  let exec, g_online = Engine.run_with_strategy ~policy:skip_policy `Online doc services rb in
   let trace = exec.Engine.trace in
   let failed = Trace.failed_calls trace in
   Alcotest.(check (list (pair string int)))
@@ -264,7 +264,7 @@ let test_duplicate_uri_fault () =
 
 let test_failure_stats () =
   let doc, services, rb = degraded_workflow () in
-  let exec, _ = Engine.run_online ~policy:skip_policy doc services rb in
+  let exec, _ = Engine.run_with_strategy ~policy:skip_policy `Online doc services rb in
   let s = Analytics.failure_stats exec.Engine.trace in
   check_int "total = committed + failed" s.Analytics.calls_total
     (s.Analytics.calls_committed + s.Analytics.calls_failed);
@@ -279,7 +279,7 @@ let test_failure_stats () =
 
 let test_prov_export_failed_activities () =
   let doc, services, rb = degraded_workflow () in
-  let exec, g = Engine.run_online ~policy:skip_policy doc services rb in
+  let exec, g = Engine.run_with_strategy ~policy:skip_policy `Online doc services rb in
   let ttl = Engine.to_turtle ~trace:exec.Engine.trace g in
   check_bool "failed activity exported" true (contains ~sub:"BadCrash" ttl);
   check_bool "invalidation timestamp exported" true

@@ -135,13 +135,13 @@ let test_index_cache_lru () =
 let test_fresh_uri_concurrent () =
   (* Several domains race on one document's allocator state: every URI
      handed out must be distinct (the scan-probe-claim sequence is
-     atomic under the per-state lock). *)
+     atomic under the document's allocator lock). *)
   let doc = Orchestrator.initial_document () in
   let domains = 4 and per = 64 in
   let uris =
     Array.init domains (fun _ ->
         Domain.spawn (fun () ->
-            List.init per (fun _ -> Orchestrator.fresh_uri doc)))
+            List.init per (fun _ -> Tree.fresh_uri doc)))
     |> Array.to_list
     |> List.concat_map Domain.join
   in

@@ -184,6 +184,53 @@ let test_wal_corrupt_byte () =
   check_bool "torn flagged" true rp.Wal.rp_torn;
   check_int "first batch intact" 4 (Triple_store.size st)
 
+(* A whole 'T' frame missing from a batch passes every frame checksum
+   and reaches the commit marker's size cross-check: replay must stop
+   at the previous commit, with none of the short batch applied. *)
+let test_wal_dropped_triple_frame () =
+  let path = fresh_wal () in
+  let w = Wal.open_writer path in
+  List.iter (Wal.log_triple w) (batch 0 4);
+  Wal.commit w ~store_size:4;
+  List.iter (Wal.log_triple w) (batch 1 4);
+  Wal.commit w ~store_size:8;
+  Wal.close_writer w;
+  let full = In_channel.with_open_bin path In_channel.input_all in
+  let u32 off =
+    Char.code full.[off]
+    lor (Char.code full.[off + 1] lsl 8)
+    lor (Char.code full.[off + 2] lsl 16)
+    lor (Char.code full.[off + 3] lsl 24)
+  in
+  (* Frames are [tag][len u32][payload][fnv u32]: list their offsets. *)
+  let rec frames pos acc =
+    if pos >= String.length full then List.rev acc
+    else frames (pos + 9 + u32 (pos + 1)) ((full.[pos], pos) :: acc)
+  in
+  let rec after_first_commit = function
+    | ('C', _) :: rest -> rest
+    | _ :: rest -> after_first_commit rest
+    | [] -> []
+  in
+  let start =
+    match after_first_commit (frames 0 []) with
+    | ('T', _) :: ('T', pos) :: _ -> pos
+    | _ -> Alcotest.fail "unexpected frame layout"
+  in
+  let stop = start + 9 + u32 (start + 1) in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (String.sub full 0 start);
+      Out_channel.output_string oc
+        (String.sub full stop (String.length full - stop)));
+  let st, rp = Wal.replay path in
+  let first = Triple_store.create () in
+  List.iter (Triple_store.add first) (batch 0 4);
+  check_bool "torn flagged" true rp.Wal.rp_torn;
+  check_int "one commit" 1 rp.Wal.rp_commits;
+  check_int "first batch's triples counted" 4 rp.Wal.rp_triples;
+  check_string "exactly the first batch" (Turtle.to_ntriples first)
+    (Turtle.to_ntriples st)
+
 (* ===== qcheck: stores agree, crashes are prefix-consistent ===== *)
 
 (* A small closed universe of terms so random triples collide and
@@ -845,7 +892,9 @@ let () =
           Alcotest.test_case "compaction" `Quick test_wal_compact;
           Alcotest.test_case "truncate every byte" `Quick
             test_wal_truncate_every_byte;
-          Alcotest.test_case "corrupt byte" `Quick test_wal_corrupt_byte ] );
+          Alcotest.test_case "corrupt byte" `Quick test_wal_corrupt_byte;
+          Alcotest.test_case "dropped triple frame" `Quick
+            test_wal_dropped_triple_frame ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest agreement_prop;
           QCheck_alcotest.to_alcotest crash_consistency_prop ] );

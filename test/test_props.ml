@@ -192,7 +192,7 @@ let graph_links g =
 let prop_strategy_agreement =
   Test.make ~name:"Online = Replay = Rewrite" ~count:60 arb_workflow
     (fun (doc, services, rb) ->
-      let exec, g_online = Engine.run_online doc services rb in
+      let exec, g_online = Engine.run_with_strategy `Online doc services rb in
       let g_replay = Engine.provenance ~strategy:`Replay exec rb in
       let g_rewrite = Engine.provenance ~strategy:`Rewrite exec rb in
       graph_links g_online = graph_links g_replay

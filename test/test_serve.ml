@@ -1048,6 +1048,119 @@ let test_tcp_roundtrip () =
   Server.stop srv;
   Server.stop srv (* idempotent *)
 
+(* Many clients at once over TCP, in the shape of a small served
+   workload: 32 client threads each open a session (units 2, seed 42),
+   commit a four-call chain pipeline with a why and an impact query after
+   every commit, and close with a Turtle export that must equal the
+   offline run of each of the four backends.  Then a group of clients
+   races to open one id: exactly one wins, the rest get [already_open].
+   Every reply must be ok, and the registry must end empty. *)
+let test_concurrent_tcp_clients () =
+  let sessions = 32 and racers = 8 in
+  let units = 2 and seed = 42 in
+  let services = Workload.chain_pipeline 4 in
+  let reference =
+    List.map
+      (fun kind ->
+        let doc = Workload.make_document ~units ~seed () in
+        let exec, g =
+          Engine.run_with_strategy ~jobs:1 kind doc services full_rulebook
+        in
+        (kind, Engine.to_turtle ~trace:exec.Engine.trace g))
+      Strategy.all
+  in
+  let ctx = Protocol.make_ctx ~max_sessions:(sessions * 2) () in
+  let srv = Server.start ~port:0 ctx in
+  let failures = ref [] and failures_lock = Mutex.create () in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m -> Mutex.protect failures_lock (fun () -> failures := m :: !failures))
+      fmt
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+    let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+    let ask fields =
+      output_string oc (J.to_string (J.Obj fields));
+      output_char oc '\n';
+      flush oc;
+      match J.parse_opt (input_line ic) with
+      | Ok v -> v
+      | Error m -> failwith ("unparsable response: " ^ m)
+    in
+    (fd, ask)
+  in
+  let guarded name f () =
+    try f () with e -> fail "%s: %s" name (Printexc.to_string e)
+  in
+  let client i () =
+    let fd, ask = connect () in
+    let sid = Printf.sprintf "c-%d" i in
+    let ok fields =
+      let v = ask fields in
+      if not (is_ok v) then fail "%s: not ok: %s" sid (J.to_string v);
+      v
+    in
+    ignore
+      (ok [ ("verb", J.Str "open"); ("session", J.Str sid);
+            ("units", J.Int units); ("seed", J.Int seed) ]);
+    List.iter
+      (fun svc ->
+        ignore
+          (ok [ ("verb", J.Str "commit"); ("session", J.Str sid);
+                ("service", J.Str (Service.name svc)) ]);
+        List.iter
+          (fun kind ->
+            ignore
+              (ok [ ("verb", J.Str "query"); ("session", J.Str sid);
+                    ("kind", J.Str kind); ("uri", J.Str "mu1") ]))
+          [ "why"; "impact" ])
+      services;
+    let closed =
+      ok [ ("verb", J.Str "close"); ("session", J.Str sid);
+           ("turtle", J.Bool true) ]
+    in
+    (match J.str_member "turtle" closed with
+     | Some turtle ->
+       List.iter
+         (fun (kind, expected) ->
+           if not (String.equal turtle expected) then
+             fail "%s: Turtle differs from the %s offline run" sid
+               (Strategy.kind_to_string kind))
+         reference
+     | None -> fail "%s: close returned no Turtle" sid);
+    Unix.close fd
+  in
+  List.init sessions (fun i ->
+      Thread.create (guarded (Printf.sprintf "client %d" i) (client i)) ())
+  |> List.iter Thread.join;
+  let opened = Atomic.make 0 and refused = Atomic.make 0 in
+  let racer i () =
+    let fd, ask = connect () in
+    let v = ask [ ("verb", J.Str "open"); ("session", J.Str "race") ] in
+    (if is_ok v then Atomic.incr opened
+     else if J.str_member "error" v = Some "already_open" then
+       Atomic.incr refused
+     else fail "racer %d: %s" i (J.to_string v));
+    Unix.close fd
+  in
+  List.init racers (fun i ->
+      Thread.create (guarded (Printf.sprintf "racer %d" i) (racer i)) ())
+  |> List.iter Thread.join;
+  ignore
+    (expect_ok "close race"
+       (rpc ctx [ ("verb", J.Str "close"); ("session", J.Str "race") ]));
+  Server.stop srv;
+  (match !failures with
+   | [] -> ()
+   | l -> Alcotest.failf "%d failures:\n%s" (List.length l)
+            (String.concat "\n" (List.rev l)));
+  check_int "one racer opens" 1 (Atomic.get opened);
+  check_int "the others are already_open" (racers - 1) (Atomic.get refused);
+  check_int "no live session left" 0
+    (get_int "stats" "live" (expect_ok "stats" (rpc ctx [ ("verb", J.Str "stats") ])))
+
 (* ===== registration ===== *)
 
 let () =
@@ -1087,5 +1200,7 @@ let () =
          Alcotest.test_case "slow-query log" `Quick test_slow_query_log ]);
       ("transport",
        [ Alcotest.test_case "TCP roundtrip and shutdown" `Quick
-           test_tcp_roundtrip ])
+           test_tcp_roundtrip;
+         Alcotest.test_case "concurrent TCP clients" `Quick
+           test_concurrent_tcp_clients ])
     ]

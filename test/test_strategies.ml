@@ -48,7 +48,7 @@ let test_replay_equals_rewrite () =
 
 let test_online_equals_posthoc () =
   let doc, services, rb = pipeline ~seed:5 () in
-  let exec, g_online = Engine.run_online doc services rb in
+  let exec, g_online = Engine.run_with_strategy `Online doc services rb in
   let g_replay = Engine.provenance ~strategy:`Replay exec rb in
   check links_testable "online = replay" (link_list g_replay) (link_list g_online)
 

@@ -52,6 +52,34 @@ let test_auto_uri_assignment () =
   | [ uri ] -> check_bool "fresh uri" true (uri <> "r1" && String.length uri > 1)
   | l -> Alcotest.failf "expected one resource, got %d" (List.length l)
 
+(* The URI allocator lives in its document: once the caller drops a
+   document that minted URIs, nothing else keeps it alive. *)
+let test_minted_document_collectable () =
+  let w = Weak.create 1 in
+  let[@inline never] run () =
+    let doc = Orchestrator.initial_document () in
+    ignore (Orchestrator.execute doc [ appender "S1"; appender "S2" ]);
+    check_int "fragment roots got URIs" 3 (List.length (Tree.resources doc));
+    Weak.set w 0 (Some doc)
+  in
+  run ();
+  Gc.full_major ();
+  check_bool "dropped document collected" false (Weak.check w 0)
+
+(* An id set on a node the allocator has already scanned (a promotion)
+   is registered by [Tree.set_attr]: the next candidate skips it. *)
+let test_fresh_uri_sees_promotion () =
+  let doc = Orchestrator.initial_document () in
+  let a = Tree.new_element doc ~parent:(Tree.root doc) "A" in
+  let first = Tree.fresh_uri doc in
+  check_str "probe starts at the arena size" "r2" first;
+  let b = Tree.new_element doc ~parent:(Tree.root doc) "B" in
+  ignore (Tree.fresh_uri doc);
+  Tree.set_uri doc a "r4";
+  Tree.set_uri doc b "r5";
+  let _ = Tree.new_element doc ~parent:(Tree.root doc) "C" in
+  check_str "promoted URIs are skipped" "r6" (Tree.fresh_uri doc)
+
 let test_nested_resources_labeled () =
   (* A fragment containing an inner resource: both get trace entries. *)
   let svc =
@@ -530,6 +558,10 @@ let () =
         [ Alcotest.test_case "basic" `Quick test_basic_execution;
           Alcotest.test_case "labels" `Quick test_labels_and_timestamps;
           Alcotest.test_case "auto uri" `Quick test_auto_uri_assignment;
+          Alcotest.test_case "minting document is collectable" `Quick
+            test_minted_document_collectable;
+          Alcotest.test_case "fresh uri sees promotions" `Quick
+            test_fresh_uri_sees_promotion;
           Alcotest.test_case "nested resources" `Quick test_nested_resources_labeled;
           Alcotest.test_case "promotion" `Quick test_promotion_attribution;
           Alcotest.test_case "on_step" `Quick test_on_step_states;
