@@ -896,6 +896,7 @@ let rdf_tests =
 let xml_tests =
   let p = prepare ~units:16 ~calls:7 () in
   let doc = p.exec.Engine.doc in
+  let index = Index.build doc in
   let xml = Printer.to_string doc in
   let old_doc = Xml_parser.parse xml in
   let bigger = Xml_parser.parse xml in
@@ -911,7 +912,7 @@ let xml_tests =
     Test.make ~name:"xml/xpath_embeddings"
       (Staged.stage (fun () ->
            ignore
-             (Weblab_xpath.Eval.eval doc
+             (Weblab_xpath.Eval.eval ~index doc
                 (Weblab_xpath.Parser.pattern
                    "//TextMediaUnit[$x := @id]/Annotation[Language]"))))
   ]
@@ -1024,14 +1025,14 @@ let index_tests =
         Weblab_xpath.Parser.pattern
           "//TextMediaUnit[$x := @id]/Annotation[Language]"
       in
-      let idx = Index.for_tree doc in
+      let idx = Index.build doc in
       [ Test.make
           ~name:(Printf.sprintf "index/build/units=%03d" units)
           (Staged.stage (fun () -> ignore (Index.build doc)));
         Test.make
           ~name:(Printf.sprintf "index/eval_naive/units=%03d" units)
           (Staged.stage (fun () ->
-               ignore (Weblab_xpath.Eval.eval_unindexed doc label_pat)));
+               ignore (Weblab_xpath.Eval.eval doc label_pat)));
         Test.make
           ~name:(Printf.sprintf "index/eval_indexed/units=%03d" units)
           (Staged.stage (fun () ->
@@ -1039,7 +1040,7 @@ let index_tests =
         Test.make
           ~name:(Printf.sprintf "index/bind_naive/units=%03d" units)
           (Staged.stage (fun () ->
-               ignore (Weblab_xpath.Eval.eval_unindexed doc narrow_pat)));
+               ignore (Weblab_xpath.Eval.eval doc narrow_pat)));
         Test.make
           ~name:(Printf.sprintf "index/bind_indexed/units=%03d" units)
           (Staged.stage (fun () ->

@@ -10,7 +10,6 @@
    pattern under the same guards and index — the property the
    strategy-agreement tests pin down. *)
 
-open Weblab_xml
 open Weblab_xpath
 open Weblab_relalg
 module T = Weblab_obs.Telemetry
@@ -24,11 +23,6 @@ type t = { tables : Table.t option array (* by expr id *) }
 let run (plan : Plan.t) ~(exprs : int array) ?index ?keep ~guards doc =
   let tables = Array.make (Array.length plan.Plan.p_exprs) None in
   if exprs <> [||] then begin
-    let index =
-      match index with
-      | Some idx when Index.valid_for idx doc -> Some idx
-      | Some _ | None -> Some (Index.for_tree doc)
-    in
     (* The union of the expressions' trie chains.  [keep] prunes a node
        only when no expression that is not delta-localizable passes
        through it ([unpruned]). *)

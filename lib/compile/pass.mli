@@ -25,11 +25,12 @@ val run :
   Tree.t ->
   t
 (** Evaluate the given expressions (by id) against [doc] under [guards].
-    A valid [index] serves step candidates (a stale one is ignored, as
-    in [Eval.eval]).  [keep] prunes step candidates on the trie nodes
-    that only [Eval.delta_localizable] expressions reach: every table
-    stays exact on the rows whose final node's ancestors-or-self all
-    satisfy [keep], and the other rows may be missing. *)
+    A valid [index] serves step candidates; without one, or with a stale
+    one, every step runs the reference traversal, as in [Eval.eval].
+    [keep] prunes step candidates on the trie nodes that only
+    [Eval.delta_localizable] expressions reach: every table stays exact
+    on the rows whose final node's ancestors-or-self all satisfy [keep],
+    and the other rows may be missing. *)
 
 val table : t -> expr:int -> Table.t
 (** @raise Invalid_argument if the expression was not in [exprs]. *)

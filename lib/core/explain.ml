@@ -26,8 +26,16 @@ let witness_to_string w =
        ^ String.concat ", "
            (List.map (fun (x, v) -> Printf.sprintf "$%s = %s" x v) w.bindings))
 
+(* R_φS over d and R_φT over d', both from one index over the final
+   arena: a document state is visibility guards over that arena. *)
+let tables index rule d d' =
+  let guards = Weblab_xpath.Eval.state_guards in
+  ( Mapping.source_table ~guards:(guards d) ~index (Doc_state.doc d) rule,
+    Mapping.target_table ~guards:(guards d') ~index (Doc_state.doc d') rule )
+
 (* All witnesses for the link [from_uri -> to_uri] under the rulebook. *)
 let link ~doc ~trace (rb : Strategy.rulebook) ~from_uri ~to_uri : witness list =
+  let index = Index.build doc in
   Trace.calls trace
   |> List.concat_map (fun (call : Trace.call) ->
          if call.Trace.time = 0 then []
@@ -38,7 +46,10 @@ let link ~doc ~trace (rb : Strategy.rulebook) ~from_uri ~to_uri : witness list =
                   else begin
                     let d = Doc_state.at doc (call.Trace.time - 1) in
                     let d' = Doc_state.at doc call.Trace.time in
-                    let j = Mapping.join_table rule d d' in
+                    let j =
+                      let rs, rt = tables index rule d d' in
+                      Table.hash_join rs rt
+                    in
                     let out_uris = Trace.resources_of_call trace call in
                     if not (List.mem from_uri out_uris) then []
                     else
@@ -92,6 +103,7 @@ let failure_to_string = function
    (call, rule) that could in principle have produced it. *)
 let missing ~doc ~trace (rb : Strategy.rulebook) ~from_uri ~to_uri :
     diagnosis list =
+  let index = Index.build doc in
   Trace.calls trace
   |> List.concat_map (fun (call : Trace.call) ->
          if call.Trace.time = 0 then []
@@ -107,16 +119,7 @@ let missing ~doc ~trace (rb : Strategy.rulebook) ~from_uri ~to_uri :
                       |> List.map (fun row -> Value.to_string (Table.get t row col))
                       |> List.sort_uniq compare
                     in
-                    let rs =
-                      Mapping.source_table
-                        ~guards:(Weblab_xpath.Eval.state_guards d)
-                        (Doc_state.doc d) rule
-                    in
-                    let rt =
-                      Mapping.target_table
-                        ~guards:(Weblab_xpath.Eval.state_guards d')
-                        (Doc_state.doc d') rule
-                    in
+                    let rs, rt = tables index rule d d' in
                     let src_rows =
                       List.filter (fun r -> Value.to_string (Table.get rs r "in") = to_uri)
                         (Table.rows rs)

@@ -22,7 +22,7 @@ let used_side doc na = Tree.descendant_or_self doc na @ Tree.ancestors doc na
 let close ?(resources_only = true) doc (g : Prov_graph.t) =
   (* Resource lookup through the by-attribute index: O(1) per link end
      instead of a document scan. *)
-  let index = Index.for_tree doc in
+  let index = Index.build doc in
   let uri_of n =
     match Tree.uri doc n with
     | Some u -> Some u

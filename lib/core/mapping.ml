@@ -130,9 +130,9 @@ let links_of_table table =
   |> List.filter (fun (o, i) -> not (String.equal o i))
   |> List.sort_uniq compare
 
-(* Definition 8.  [?index] is an optional prebuilt index snapshot for the
-   (shared) document — parallel inference builds it once up front so the
-   workers never touch the [Index.for_tree] cache. *)
+(* Definition 8.  [?index] is the caller's index over the (shared)
+   document — parallel inference builds it once up front and hands it to
+   every worker; without one, evaluation traverses. *)
 let apply_states ?index ?resource (rule : Rule.t) d d' =
   match skolem_id_of_target (Rule.target rule) with
   | None ->

@@ -69,10 +69,10 @@ val apply_states :
   Doc_state.t ->
   Doc_state.t ->
   application
-(** Definition 8: M(d, d').  [index] is a prebuilt snapshot for the
-    (shared) document: parallel inference builds it once up front so
-    workers never contend on the {!Index.for_tree} cache.  [resource]
-    restricts which identified nodes count as resources (see
+(** Definition 8: M(d, d').  [index] is the caller's index over the
+    (shared) document: parallel inference builds it once up front and
+    hands it to every worker; without one, evaluation traverses.
+    [resource] restricts which identified nodes count as resources (see
     {!resource_at}). *)
 
 val apply_guarded :

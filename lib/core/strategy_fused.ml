@@ -178,8 +178,8 @@ let current_index st ~promoted =
   | Some idx when Index.extend idx doc ~promoted -> idx
   | Some _ | None ->
     (* First observation, a rollback (generation mismatch), or a key
-       band exhausted: rebuild.  Privately owned, the {!Index.for_tree}
-       cache is left alone. *)
+       band exhausted: rebuild.  The session owns this index: nothing
+       else reads or extends it. *)
     let idx = Index.build doc in
     st.index <- Some idx;
     idx

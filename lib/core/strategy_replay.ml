@@ -31,7 +31,7 @@ let infer ?(happened_before = Strategy_sig.sequential_hb) ?jobs ~doc ~trace
     |> Array.of_list
   in
   if Array.length items > 0 then begin
-    let index = Index.for_tree doc in
+    let index = Index.build doc in
     let apply (call, rule) =
       let source_visible n =
         happened_before (Tree.created doc n) call.Trace.time

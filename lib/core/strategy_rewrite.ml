@@ -203,7 +203,7 @@ let infer ?happened_before ?jobs ~doc ~trace (rb : Strategy_sig.rulebook) g =
     (* One evaluation cache for the whole pass; sound because
        [happened_before] is fixed for the pass. *)
     let cache = make_cache () in
-    let index = Index.for_tree doc in
+    let index = Index.build doc in
     let buffers =
       Pool.with_pool ?jobs (fun pool ->
           Pool.map pool (Array.length items) (fun i ->

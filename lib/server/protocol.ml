@@ -98,7 +98,7 @@ let restore_sessions ctx =
              let wal_path = Filename.concat dir f in
              let result = ref None in
              (match
-                Registry.add ctx.registry ~id:sid (fun ~id ->
+                Registry.add ctx.registry ~id:(Some sid) (fun ~id ->
                     let sess, rp = Session.restore ~id ~wal_path in
                     result := Some rp;
                     sess)
@@ -171,26 +171,22 @@ let v_open ctx req =
     | s -> reject "bad_request" (Printf.sprintf "unknown scenario %S" s)
   in
   let budgets = budgets_of req in
-  let id =
-    match J.str_member "session" req with
-    | Some s -> s
-    | None -> Registry.fresh_id ctx.registry
-  in
   (* Persistence defaults on when the daemon has a data dir; the request
      can opt out per session with {"persist": false}. *)
   let persist =
     opt_default (Option.is_some ctx.data_dir) (J.bool_member "persist" req)
   in
-  let wal_path =
+  let wal_dir =
     match ctx.data_dir with
-    | Some dir when persist -> Some (wal_file dir id)
+    | Some dir when persist -> Some dir
     | _ ->
       if persist && Option.is_some (J.bool_member "persist" req) then
         reject "bad_request" "persist requested but the daemon has no --data-dir"
       else None
   in
   match
-    Registry.add ctx.registry ~id (fun ~id ->
+    Registry.add ctx.registry ~id:(J.str_member "session" req) (fun ~id ->
+        let wal_path = Option.map (fun dir -> wal_file dir id) wal_dir in
         Session.create ~id ~backend:`Fused ~budgets ?wal_path ~doc ctx.rulebook)
   with
   | Ok sess ->

@@ -18,44 +18,50 @@ type t = {
   lock : Mutex.t;
   tbl : (string, entry) Hashtbl.t;  (* live + building sessions *)
   cap : int;
-  next_id : int Atomic.t;
+  mutable next : int;  (* under [lock]: the next automatic id to try *)
 }
 
 let create ?(max_sessions = 1024) () =
   { lock = Mutex.create (); tbl = Hashtbl.create 16; cap = max 1 max_sessions;
-    next_id = Atomic.make 1 }
+    next = 1 }
 
 let max_sessions t = t.cap
 
-let fresh_id t = Printf.sprintf "s%d" (Atomic.fetch_and_add t.next_id 1)
+(* The next "s<n>" no slot holds: a client may have chosen that name, or
+   boot restored it from a WAL.  Called under [lock]. *)
+let rec pick_id t =
+  let id = Printf.sprintf "s%d" t.next in
+  t.next <- t.next + 1;
+  if Hashtbl.mem t.tbl id then pick_id t else id
 
 type open_error =
   | Admission_rejected of string
   | Already_open of string
 
-(* The duplicate check, the admission cap and the claim are one critical
-   section; a duplicate id is [Already_open] whether or not a slot is
-   free.  Building the session happens outside the lock, so a rejected
-   open does no orchestration work and a slow build blocks no other
-   connection. *)
+(* The duplicate check, the admission cap, the choice of an automatic id
+   and the claim are one critical section; a duplicate id is
+   [Already_open] whether or not a slot is free.  Building the session
+   happens outside the lock, so a rejected open does no orchestration
+   work and a slow build blocks no other connection. *)
 let add t ~id build =
   let claim =
     Mutex.protect t.lock (fun () ->
-        if Hashtbl.mem t.tbl id then Error (Already_open id)
-        else if Hashtbl.length t.tbl >= t.cap then
+        match id with
+        | Some id when Hashtbl.mem t.tbl id -> Error (Already_open id)
+        | _ when Hashtbl.length t.tbl >= t.cap ->
           Error
             (Admission_rejected
                (Printf.sprintf "session limit reached (%d live)" t.cap))
-        else begin
+        | _ ->
+          let id = match id with Some id -> id | None -> pick_id t in
           Hashtbl.replace t.tbl id Building;
-          Ok ()
-        end)
+          Ok id)
   in
   match claim with
   | Error _ as e ->
     T.incr c_rejected;
     e
-  | Ok () -> (
+  | Ok id -> (
     match build ~id with
     | sess ->
       Mutex.protect t.lock (fun () -> Hashtbl.replace t.tbl id (Live sess));

@@ -22,16 +22,18 @@ type open_error =
   | Admission_rejected of string  (** live-session cap reached *)
   | Already_open of string  (** id collision *)
 
-val add : t -> id:string -> (id:string -> Session.t) -> (Session.t, open_error) result
+val add :
+  t -> id:string option -> (id:string -> Session.t) -> (Session.t, open_error) result
 (** Duplicate check, admission check and slot claim in one critical
-    section (a duplicate id is [Already_open] even at capacity); the
-    session is built by the callback outside the lock, only once the
-    slot is claimed (so a rejected open never runs the orchestration
-    prologue).  If the callback raises, the slot is released and the
-    exception propagates. *)
-
-val fresh_id : t -> string
-(** ["s<n>"] from a process-wide counter — never reused within a run. *)
+    section (a duplicate id is [Already_open] even at capacity).  With
+    [~id:None] the registry picks the id in that same section: the next
+    ["s<n>"] of a per-registry counter that no slot holds, so it never
+    collides with a client-chosen or restored id and is never reused
+    within a run.  The session is built by the callback, given the
+    claimed id, outside the lock and only once the slot is claimed (so a
+    rejected open never runs the orchestration prologue).  If the
+    callback raises, the slot is released and the exception
+    propagates. *)
 
 val find : t -> string -> Session.t option
 

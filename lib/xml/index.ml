@@ -6,8 +6,6 @@
 module T = Weblab_obs.Telemetry
 
 let c_builds = T.counter "index.builds"
-let c_cache_hit = T.counter "index.cache.hit"
-let c_cache_miss = T.counter "index.cache.miss"
 let c_extend_ok = T.counter "index.extend.ok"
 let c_extend_fail = T.counter "index.extend.fail"
 
@@ -284,82 +282,6 @@ let extend t doc ~promoted =
       true
     end
   end
-
-(* A tiny bounded LRU keyed by [Tree.id]; the stamp detects appends and
-   the generation detects rollbacks (a truncate followed by fresh appends
-   can revisit an old size).  Eight entries cover every concurrent
-   workload in the engine (one long-lived arena per execution) without
-   pinning an unbounded set of dead documents.
-
-   Recency is a monotone tick: every hit restamps the entry (O(1) under
-   the lock), and eviction scans the at-most-eight entries for the
-   smallest tick.  The previous assoc-list version re-sorted the whole
-   list on every insert ([List.length] + [List.filter] under the mutex);
-   the table keeps the critical section to a find or a replace.
-
-   The cache is shared across the whole process, and inference workers in
-   other domains go through it whenever a caller did not pass an explicit
-   index — so every access goes through [cache_mutex].  [build] itself
-   runs outside the lock: it only reads the one tree the caller owns, and
-   a racing duplicate build is harmless (last writer wins).
-
-   Cached indexes are never extended in place: extension mutates the
-   postings, and a racing domain could be reading them.  In-place
-   extension is reserved for privately owned indexes (the Fused
-   backend holds its own); the shared cache always rebuilds. *)
-let max_cached = 8
-
-type cache_entry = { idx : t; mutable tick : int }
-
-let cache : (int, cache_entry) Hashtbl.t = Hashtbl.create max_cached
-
-let cache_tick = ref 0
-
-let cache_mutex = Mutex.create ()
-
-let cache_find tree =
-  Mutex.protect cache_mutex (fun () ->
-      match Hashtbl.find_opt cache (Tree.id tree) with
-      | Some e ->
-        incr cache_tick;
-        e.tick <- !cache_tick;
-        Some e.idx
-      | None -> None)
-
-let cache_put tree idx =
-  Mutex.protect cache_mutex (fun () ->
-      let key = Tree.id tree in
-      if not (Hashtbl.mem cache key) && Hashtbl.length cache >= max_cached
-      then begin
-        (* Evict the least recently used entry: a bounded scan. *)
-        let victim =
-          Hashtbl.fold
-            (fun k e acc ->
-              match acc with
-              | Some (_, t) when t <= e.tick -> acc
-              | _ -> Some (k, e.tick))
-            cache None
-        in
-        match victim with
-        | Some (k, _) -> Hashtbl.remove cache k
-        | None -> ()
-      end;
-      incr cache_tick;
-      Hashtbl.replace cache key { idx; tick = !cache_tick })
-
-let cached_count () =
-  Mutex.protect cache_mutex (fun () -> Hashtbl.length cache)
-
-let for_tree tree =
-  match cache_find tree with
-  | Some idx when valid_for idx tree ->
-    T.incr c_cache_hit;
-    idx
-  | Some _ | None ->
-    T.incr c_cache_miss;
-    let idx = build tree in
-    cache_put tree idx;
-    idx
 
 let posting_list tbl key =
   match Hashtbl.find_opt tbl key with

@@ -14,12 +14,14 @@
       comparisons, so descendant steps from an inner context filter a
       label list instead of walking the subtree.
 
-    The index is stamped with the arena size it covers: nodes appended
-    later are not covered, and {!valid_for} turns false.  A caller that
-    owns its index exclusively can catch up in place with {!extend}
-    (amortized O(appended nodes), not O(document)); {!for_tree} keeps a
-    small cache keyed by physical document identity, so frozen documents
-    (the post-hoc case) build their index exactly once.
+    Every index has one owner: whoever evaluates patterns builds the
+    index it uses (once per evaluation pass over a frozen document) or is
+    handed one; nothing caches indexes behind the caller's back.  The
+    index is stamped with the arena size it covers: nodes appended later
+    are not covered, and {!valid_for} turns false, so evaluators fall back
+    to the reference traversal rather than trust it.  An owner can catch
+    up in place with {!extend} (amortized O(appended nodes), not
+    O(document)).
 
     Pre/post ranks are {e gapped} order keys rather than dense ranks:
     only their relative order is observable (through {!strictly_below} /
@@ -57,18 +59,8 @@ val extend : t -> Tree.t -> promoted:Tree.node list -> bool
     After a [false] the index refuses further extension and [valid_for]
     stays false; it must be discarded.
 
-    Extension mutates the index: it is only safe on an index the caller
-    owns exclusively (the {!for_tree} cache never extends, it rebuilds). *)
-
-val for_tree : Tree.t -> t
-(** The cached index for the document's current size, (re)built on
-    demand; any append — and any rollback, via the arena generation —
-    invalidates it.  The cache is a small capped LRU keyed on {!Tree.id},
-    mutex-guarded and safe to call from multiple domains; the index is
-    built outside the lock. *)
-
-val cached_count : unit -> int
-(** Number of live entries in the {!for_tree} cache (capped; for tests). *)
+    Extension mutates the index: only its owner may extend it, and not
+    while other domains read it. *)
 
 val valid_for : t -> Tree.t -> bool
 (** [valid_for idx doc]: [idx] was built from this very [doc], no node

@@ -2,7 +2,7 @@
    arena by the one event->Tree builder, [Xml_parser.tree_builder].  No
    intermediate DOM, and the caller's read buffer can be reused between
    feeds (the parser copies pending bytes out).  Indexing is a separate
-   [Index.build] (or [Index.for_tree]) over the finished document. *)
+   [Index.build] over the finished document, by whoever evaluates. *)
 
 type t = { doc : Tree.t; st : Xml_parser.state }
 

@@ -5,8 +5,8 @@
     the input — no intermediate DOM.  This is the path the serving daemon
     uses for client-supplied document states, and the one the repository
     store uses to load saved documents: the input is materialized
-    exactly once, as the arena itself.  Index the result with
-    {!Index.build} or {!Index.for_tree}. *)
+    exactly once, as the arena itself.  Whoever evaluates patterns over
+    the result indexes it with {!Index.build}. *)
 
 type t
 (** An in-progress ingest over a private fresh document. *)

@@ -47,22 +47,6 @@ let escaped_attr_to out_string out_char s =
         | c -> out_char c)
       s
 
-let escape_text s =
-  if not (text_needs_escape s) then s
-  else begin
-    let buf = Buffer.create (String.length s + 8) in
-    escaped_text_to (Buffer.add_string buf) (Buffer.add_char buf) s;
-    Buffer.contents buf
-  end
-
-let escape_attr s =
-  if not (attr_needs_escape s) then s
-  else begin
-    let buf = Buffer.create (String.length s + 8) in
-    escaped_attr_to (Buffer.add_string buf) (Buffer.add_char buf) s;
-    Buffer.contents buf
-  end
-
 (* The traversal's pending work: a node to serialize at a depth, or a
    closing tag to emit once the children above it are done.  The [bool]
    records whether any visible child was an element — the close tag of a

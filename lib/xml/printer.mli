@@ -11,12 +11,6 @@
     buffer/channel variants stream without building a whole-document
     string first. *)
 
-val escape_text : string -> string
-(** Escape character data ([&], [<], [>]). *)
-
-val escape_attr : string -> string
-(** Escape an attribute value (ampersand, less-than, double quote). *)
-
 val subtree_to_string :
   ?indent:bool -> ?visible:(Tree.node -> bool) -> Tree.t -> Tree.node -> string
 (** Serialize one subtree.  [visible] restricts the output to a document

@@ -40,7 +40,6 @@ type uri_alloc = {
 }
 
 type t = {
-  uid : int;  (* process-unique: lets caches key on document identity *)
   dict : Intern.t;
   mutable n : int;  (* live node count; arrays are valid on [0, n) *)
   mutable parent : int array;
@@ -65,16 +64,10 @@ type t = {
          URI carry no allocator *)
 }
 
-(* An atomic counter, not a plain ref: documents are created from several
-   domains (parallel inference spawns workers while another execution
-   allocates documents). *)
-let next_uid = Atomic.make 0
-
 let initial_cap = 16
 
 let create () =
-  { uid = Atomic.fetch_and_add next_uid 1;
-    dict = Intern.create ();
+  { dict = Intern.create ();
     n = 0;
     parent = Array.make initial_cap no_node;
     first_child = Array.make initial_cap no_node;
@@ -91,8 +84,6 @@ let create () =
     root = no_node;
     generation = 0;
     alloc = Atomic.make None }
-
-let id t = t.uid
 
 let size t = t.n
 

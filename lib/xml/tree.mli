@@ -62,11 +62,6 @@ val compact : t -> unit
     document that will now live for a long time — frozen documents
     otherwise keep up to 2x their footprint in doubling headroom. *)
 
-val id : t -> int
-(** A process-unique document id, assigned at {!create}.  Caches key on
-    it instead of on the document's physical identity (hashing a cyclic
-    record is unsafe; an [int] key is free). *)
-
 val is_element : t -> node -> bool
 val is_text : t -> node -> bool
 

@@ -346,7 +346,7 @@ let apply_step ?keep doc index visible contexts (step : Ast.step) =
     contexts
 
 (* Build the result table from the surviving (final node, environment)
-   front.  Shared between [eval_with] and the prefix API below so the
+   front.  Shared between [eval] and the prefix API below so the
    fused compiler's tables are bit-identical — rows and order — to
    rule-at-a-time evaluation of the same pattern. *)
 let table_of_front ?resource ~require_uri doc (pattern : Ast.pattern) finals =
@@ -389,12 +389,21 @@ let table_of_front ?resource ~require_uri doc (pattern : Ast.pattern) finals =
     finals;
   Table.distinct table
 
-let eval_with ?resource ~require_uri ~guards ~index doc
+(* A handed index serves candidates only while it covers this very
+   document: a snapshot of a smaller arena would silently miss appended
+   nodes, so a stale one is never trusted — the step runs the reference
+   traversal instead.  Without an index, every step traverses. *)
+let usable index doc =
+  match index with
+  | Some idx when Index.valid_for idx doc -> index
+  | Some _ | None -> None
+
+let eval ?(require_uri = true) ?resource ?(guards = no_guards) ?index doc
     (pattern : Ast.pattern) =
   T.incr c_patterns;
   let finals =
     List.fold_left
-      (apply_step doc index guards.visible)
+      (apply_step doc (usable index doc) guards.visible)
       [ (Tree.no_node, guards.env) ]
       pattern
   in
@@ -418,35 +427,12 @@ let prefix_start (guards : guards) : contexts = [ (Tree.no_node, guards.env) ]
 
 let prefix_step ?index ?keep ~guards doc (ctxs : contexts) (step : Ast.step)
     : contexts =
-  let index =
-    match index with
-    | Some idx when Index.valid_for idx doc -> Some idx
-    | Some _ | None -> Some (Index.for_tree doc)
-  in
-  apply_step ?keep doc index guards.visible ctxs step
+  apply_step ?keep doc (usable index doc) guards.visible ctxs step
 
 let prefix_table ?(require_uri = true) doc (pattern : Ast.pattern)
     (finals : contexts) =
   T.incr c_shared_tables;
   table_of_front ~require_uri doc pattern finals
-
-(* The default mode: serve candidates from the cached per-document index
-   (see {!Index.for_tree}); a caller that already holds a valid index
-   passes it to skip the cache lookup.  A stale index is never used — a
-   snapshot of a smaller arena would silently miss appended nodes. *)
-let eval ?(require_uri = true) ?resource ?(guards = no_guards) ?index doc
-    (pattern : Ast.pattern) =
-  let index =
-    match index with
-    | Some idx when Index.valid_for idx doc -> Some idx
-    | Some _ | None -> Some (Index.for_tree doc)
-  in
-  eval_with ?resource ~require_uri ~guards ~index doc pattern
-
-(* The reference evaluator the indexed path is property-tested against:
-   pure tree traversal, no index consulted. *)
-let eval_unindexed ?(require_uri = true) ?(guards = no_guards) doc pattern =
-  eval_with ~require_uri ~guards ~index:None doc pattern
 
 let eval_state ?require_uri st pattern =
   eval ?require_uri ~guards:(state_guards st) (Doc_state.doc st) pattern

@@ -41,20 +41,14 @@ val eval :
     A node counts as a resource only where [resource] holds (default:
     wherever it has an identifier); elsewhere its identifier is ignored.
 
-    Candidate nodes of descendant steps and of indexed-attribute guards
+    Given a [~index] that is {!Weblab_xml.Index.valid_for} [doc],
+    candidate nodes of descendant steps and of indexed-attribute guards
     ([@id], [@s], [@t] equalities — what the §4 rewriting injects) are
-    served from the per-document {!Weblab_xml.Index} instead of tree
-    traversals.  By default the cached index ({!Weblab_xml.Index.for_tree})
-    is used; pass [~index] to reuse one already in hand.  A stale index
-    (document grew since {!Weblab_xml.Index.build}) is ignored, never
-    trusted.  The result is identical — rows {e and} order — to
-    {!eval_unindexed}, which is enforced by property tests. *)
-
-val eval_unindexed :
-  ?require_uri:bool -> ?guards:guards -> Tree.t -> Ast.pattern -> Table.t
-(** The reference evaluator: pure tree traversal, no index.  Exists so the
-    indexed fast path has an executable specification to be checked
-    against (and benchmarked against). *)
+    served from it instead of tree traversals.  Without one — or with a
+    stale one (the document grew or rolled back since it was built),
+    which is never trusted — every step runs the reference traversal.
+    The result is identical, rows {e and} order, either way; property
+    tests enforce it. *)
 
 val eval_state : ?require_uri:bool -> Doc_state.t -> Ast.pattern -> Table.t
 (** [eval_state d φ] = [eval ~guards:(state_guards d) (Doc_state.doc d) φ]. *)
@@ -113,8 +107,9 @@ val prefix_step :
   contexts ->
   Ast.step ->
   contexts
-(** Extend a front by one step, serving candidates from the index where
-    sound (same fast-path rules as {!eval}; a stale index is ignored).
+(** Extend a front by one step, serving candidates from a valid index
+    where sound (same rules as {!eval}: no index or a stale one means the
+    reference traversal).
     [keep] prunes the step's candidates before its predicates run; it
     is sound only for {!delta_localizable} patterns. *)
 

@@ -129,8 +129,9 @@ let test_paper_plan () =
 (* ---------- the fused pass = Eval.eval, bit for bit ---------- *)
 
 let test_pass_matches_eval () =
-  (* One shared pass over the executed paper document must hand back,
-     for every expression, the very table [Eval.eval] computes — rows
+  (* One shared pass over the executed paper document, served from an
+     index, must hand back for every expression the very table the
+     reference traversal ([Eval.eval] without an index) computes — rows
      AND order. *)
   let e = Weblab_scenario.Paper.run () in
   let doc = e.Weblab_scenario.Paper.doc in
@@ -145,7 +146,8 @@ let test_pass_matches_eval () =
   let plan = Plan.compile [ ("test", crules) ] in
   let sp = plan.Plan.p_services.(0) in
   let pass =
-    Pass.run plan ~exprs:sp.Plan.sp_src_exprs ~guards:Eval.no_guards doc
+    Pass.run plan ~exprs:sp.Plan.sp_src_exprs
+      ~index:(Weblab_xml.Index.build doc) ~guards:Eval.no_guards doc
   in
   Array.iter
     (fun id ->
@@ -196,7 +198,8 @@ let test_pass_keep () =
     up n
   done;
   let pass =
-    Pass.run plan ~exprs ~keep:(Hashtbl.mem spine) ~guards:Eval.no_guards doc
+    Pass.run plan ~exprs ~index:(Weblab_xml.Index.build doc)
+      ~keep:(Hashtbl.mem spine) ~guards:Eval.no_guards doc
   in
   let ending_in_tail tbl =
     List.filter

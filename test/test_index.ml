@@ -76,13 +76,12 @@ let test_intervals () =
 
 let test_snapshot_invalidation () =
   let doc = sample_doc () in
-  let idx1 = Index.for_tree doc in
-  check_bool "cached while unchanged" true (Index.for_tree doc == idx1);
+  let idx1 = Index.build doc in
   check_bool "valid_for" true (Index.valid_for idx1 doc);
   ignore (Tree.new_element doc ~parent:(Tree.root doc) "Extra");
   check_bool "append invalidates" false (Index.valid_for idx1 doc);
-  let idx2 = Index.for_tree doc in
-  check_bool "rebuilt" true (idx2 != idx1);
+  let idx2 = Index.build doc in
+  check_bool "rebuilt index valid" true (Index.valid_for idx2 doc);
   check_int "new node covered" 1 (Index.label_count idx2 "Extra")
 
 (* ---------- generators (documents with provenance-shaped attributes) ---------- *)
@@ -162,7 +161,10 @@ let arb_pattern = make ~print:Weblab_xpath.Print.pattern_to_string gen_pattern
 
 let count = 200
 
-(* ---------- property: indexed evaluation ≡ traversal evaluation ---------- *)
+(* ---------- property: indexed evaluation ≡ traversal evaluation ----------
+
+   [Eval.eval] without an index is the reference traversal; the indexed
+   side is handed an explicit [Index.build] of the same document. *)
 
 let rows_exactly_equal a b =
   let open Weblab_relalg in
@@ -172,14 +174,15 @@ let rows_exactly_equal a b =
        (Table.rows a) (Table.rows b)
 
 let prop_indexed_eval_equals_unindexed =
-  Test.make ~name:"Eval.eval (indexed) ≡ Eval.eval_unindexed" ~count
+  Test.make ~name:"Eval.eval (indexed) ≡ Eval.eval (traversal)" ~count
     (pair arb_doc arb_pattern)
     (fun (doc, pat) ->
+      let index = Index.build doc in
       List.for_all
         (fun require_uri ->
           rows_exactly_equal
-            (Weblab_xpath.Eval.eval ~require_uri doc pat)
-            (Weblab_xpath.Eval.eval_unindexed ~require_uri doc pat))
+            (Weblab_xpath.Eval.eval ~require_uri ~index doc pat)
+            (Weblab_xpath.Eval.eval ~require_uri doc pat))
         [ true; false ])
 
 (* The same under a visibility guard (the Rewrite strategy's situation):
@@ -192,8 +195,9 @@ let prop_indexed_eval_guarded =
       let visible n = (n * 2654435761 + salt) land 7 <> 0 in
       let guards = { Weblab_xpath.Eval.visible; env = [] } in
       rows_exactly_equal
-        (Weblab_xpath.Eval.eval ~require_uri:false ~guards doc pat)
-        (Weblab_xpath.Eval.eval_unindexed ~require_uri:false ~guards doc pat))
+        (Weblab_xpath.Eval.eval ~require_uri:false ~guards
+           ~index:(Index.build doc) doc pat)
+        (Weblab_xpath.Eval.eval ~require_uri:false ~guards doc pat))
 
 (* A prebuilt index for the *wrong* (smaller) snapshot must be ignored,
    not trusted. *)
@@ -205,7 +209,7 @@ let prop_stale_index_ignored =
       ignore (Tree.new_element doc ~parent:(Tree.root doc) "A" ~attrs:[ ("s", "Svc1") ]);
       rows_exactly_equal
         (Weblab_xpath.Eval.eval ~require_uri:false ~index:stale doc pat)
-        (Weblab_xpath.Eval.eval_unindexed ~require_uri:false doc pat))
+        (Weblab_xpath.Eval.eval ~require_uri:false doc pat))
 
 (* ---------- property: hash join ≡ nested-loop join ---------- *)
 
@@ -384,39 +388,7 @@ let prop_rewrite_duplicate_rules =
       strip (graph_signature (Engine.provenance ~strategy:`Rewrite exec dup))
       = strip (graph_signature (Engine.provenance ~strategy:`Rewrite exec rb)))
 
-(* ---------- unit: cache under concurrency, numeric bypass ---------- *)
-
-(* Regression: the for_tree LRU cache is shared mutable state; concurrent
-   lookups from several domains used to race on it.  Hammer the cache from
-   four domains over more documents than it holds and check every answer. *)
-let test_concurrent_for_tree () =
-  let docs = Array.init 12 (fun i ->
-      let doc = sample_doc () in
-      for _ = 1 to i do
-        ignore (Tree.new_element doc ~parent:(Tree.root doc) "Extra")
-      done;
-      (doc, 3 + i))
-  in
-  let worker () =
-    for _ = 1 to 100 do
-      Array.iter
-        (fun (doc, annotations_plus_extra) ->
-          let idx = Index.for_tree doc in
-          if not (Index.valid_for idx doc) then failwith "stale index served";
-          let got =
-            Index.label_count idx "Annotation" + Index.label_count idx "Extra"
-          in
-          if got <> annotations_plus_extra then
-            failwith
-              (Printf.sprintf "bad index: %d, wanted %d" got
-                 annotations_plus_extra))
-        docs
-    done;
-    true
-  in
-  let domains = List.init 4 (fun _ -> Domain.spawn worker) in
-  check_bool "all domains served consistent indexes" true
-    (List.for_all Domain.join domains)
+(* ---------- unit: numeric bypass ---------- *)
 
 (* Regression: [@t = 5] compares numerically (Num operand, so "05"
    matches) and must bypass the exact-string attribute index — narrowing
@@ -430,8 +402,10 @@ let test_loose_numeric_not_narrowed () =
   (match pat with
    | [ { Weblab_xpath.Ast.preds = [ Weblab_xpath.Ast.Cmp (_, _, Weblab_xpath.Ast.Num 5) ]; _ } ] -> ()
    | _ -> Alcotest.fail "expected a Num comparison (bare 5 must not parse as a string)");
-  let indexed = Weblab_xpath.Eval.eval ~require_uri:false doc pat in
-  let unindexed = Weblab_xpath.Eval.eval_unindexed ~require_uri:false doc pat in
+  let indexed =
+    Weblab_xpath.Eval.eval ~require_uri:false ~index:(Index.build doc) doc pat
+  in
+  let unindexed = Weblab_xpath.Eval.eval ~require_uri:false doc pat in
   check_bool "indexed ≡ unindexed" true (rows_exactly_equal indexed unindexed);
   check_int "matches both numeric spellings" 2
     (List.length (Weblab_relalg.Table.rows indexed))
@@ -637,8 +611,6 @@ let () =
           Alcotest.test_case "pre/post intervals" `Quick test_intervals;
           Alcotest.test_case "snapshot invalidation" `Quick
             test_snapshot_invalidation;
-          Alcotest.test_case "concurrent for_tree" `Quick
-            test_concurrent_for_tree;
           Alcotest.test_case "loose numeric bypasses index" `Quick
             test_loose_numeric_not_narrowed;
           Alcotest.test_case "closure table" `Quick test_closure_table ] );

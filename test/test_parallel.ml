@@ -1,10 +1,9 @@
 (* The multicore inference layer: the domain pool itself (ordering,
    exception propagation, batch reuse, the jobs = 1 sequential path),
-   the LRU index cache, concurrent fresh-URI allocation, and the
-   determinism contract — for every strategy, any [jobs] value must
-   produce a provenance graph bit-identical to the sequential run:
-   same link set AND same serialized PROV, including under injected
-   faults. *)
+   concurrent fresh-URI allocation, and the determinism contract — for
+   every strategy, any [jobs] value must produce a provenance graph
+   bit-identical to the sequential run: same link set AND same
+   serialized PROV, including under injected faults. *)
 
 open Weblab_xml
 open Weblab_workflow
@@ -99,36 +98,6 @@ let test_pool_clamp () =
       check_int "jobs < 1 clamps to 1" 1 (Pool.jobs pool));
   Pool.with_pool ~jobs:5 (fun pool ->
       check_int "jobs preserved" 5 (Pool.jobs pool))
-
-(* ---------- the LRU index cache ---------- *)
-
-let small_doc label =
-  let doc = Tree.create () in
-  let root = Tree.new_element doc ~parent:Tree.no_node "Root" in
-  Tree.set_uri doc root "r1";
-  ignore (Tree.new_element doc ~parent:root label);
-  doc
-
-let test_index_cache_capped () =
-  let docs = List.init 20 (fun i -> small_doc (Printf.sprintf "N%d" i)) in
-  List.iter (fun d -> ignore (Index.for_tree d)) docs;
-  check_bool "cache stays capped" true (Index.cached_count () <= 8)
-
-let test_index_cache_lru () =
-  let a = small_doc "A" in
-  let ia = Index.for_tree a in
-  (* Fill the cache around [a]... *)
-  List.iter
-    (fun i -> ignore (Index.for_tree (small_doc (Printf.sprintf "F%d" i))))
-    [ 1; 2; 3; 4; 5; 6; 7 ];
-  (* ...restamp [a], then force evictions: the cold fillers go first. *)
-  check_bool "hit returns the cached index" true (ia == Index.for_tree a);
-  List.iter
-    (fun i -> ignore (Index.for_tree (small_doc (Printf.sprintf "G%d" i))))
-    [ 1; 2; 3 ];
-  check_bool "recently-used entry survives eviction" true
-    (ia == Index.for_tree a);
-  check_bool "still capped" true (Index.cached_count () <= 8)
 
 (* ---------- concurrent fresh-URI allocation ---------- *)
 
@@ -226,9 +195,6 @@ let () =
           Alcotest.test_case "batch reuse" `Quick test_pool_reuse;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "jobs clamping" `Quick test_pool_clamp ] );
-      ( "index-cache",
-        [ Alcotest.test_case "capped at 8 entries" `Quick test_index_cache_capped;
-          Alcotest.test_case "LRU keeps hot entries" `Quick test_index_cache_lru ] );
       ( "uri-alloc",
         [ Alcotest.test_case "concurrent fresh URIs distinct" `Quick
             test_fresh_uri_concurrent ] );

@@ -471,6 +471,46 @@ let test_admission () =
   let g = expect_ok "stats" (rpc ctx [ ("verb", J.Str "stats") ]) in
   check_int "live" 2 (get_int "stats" "live" g)
 
+(* ===== protocol: automatic session ids ===== *)
+
+(* An [open] without a "session" field gets a name no session holds,
+   whether a client chose it or boot restored it from a WAL. *)
+let open_auto ctx =
+  get_str "open" "session"
+    (expect_ok "automatic open"
+       (rpc ctx [ ("verb", J.Str "open"); ("units", J.Int 1) ]))
+
+let test_auto_id_skips_client_ids () =
+  let ctx = Protocol.make_ctx () in
+  ignore
+    (expect_ok "client-chosen s1"
+       (rpc ctx
+          [ ("verb", J.Str "open"); ("session", J.Str "s1"); ("units", J.Int 1) ]));
+  let auto = open_auto ctx in
+  check_bool "automatic id is not the client's" true (auto <> "s1");
+  check_bool "a second automatic id is fresh too" true
+    (not (List.mem (open_auto ctx) [ "s1"; auto ]));
+  check_int "three live sessions" 3
+    (get_int "stats" "live" (expect_ok "stats" (rpc ctx [ ("verb", J.Str "stats") ])))
+
+let test_auto_id_after_restart () =
+  let dir = Filename.temp_dir "weblab_serve_ids" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let first = open_auto (Protocol.make_ctx ~data_dir:dir ()) in
+      (* The daemon stops without closing; the next boot restores it. *)
+      let ctx = Protocol.make_ctx ~data_dir:dir () in
+      check_bool "restored" true
+        (List.mem_assoc first (Protocol.restore_sessions ctx));
+      check_bool "automatic id skips the restored one" true
+        (open_auto ctx <> first);
+      check_int "both live" 2
+        (get_int "stats" "live"
+           (expect_ok "stats" (rpc ctx [ ("verb", J.Str "stats") ]))))
+
 (* ===== protocol: budgets ===== *)
 
 let test_budgets () =
@@ -1179,6 +1219,10 @@ let () =
          Alcotest.test_case "Session.create serves fused only" `Quick
            test_session_fused_only;
          Alcotest.test_case "admission control" `Quick test_admission;
+         Alcotest.test_case "automatic id skips a client-chosen one" `Quick
+           test_auto_id_skips_client_ids;
+         Alcotest.test_case "automatic id after restart" `Quick
+           test_auto_id_after_restart;
          Alcotest.test_case "budgets" `Quick test_budgets;
          Alcotest.test_case "fault containment" `Quick test_fault_containment
        ]);

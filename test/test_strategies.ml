@@ -52,6 +52,29 @@ let test_online_equals_posthoc () =
   let g_replay = Engine.provenance ~strategy:`Replay exec rb in
   check links_testable "online = replay" (link_list g_replay) (link_list g_online)
 
+(* Every inference builds the index it uses and caches nothing: once the
+   caller drops an inferred document, nothing else keeps it alive. *)
+let test_inferred_document_collectable () =
+  let w = Weak.create 2 in
+  let[@inline never] post_hoc () =
+    let doc, services, rb = pipeline ~seed:3 () in
+    let exec = Engine.run doc services in
+    let g = Engine.provenance ~strategy:`Rewrite exec rb in
+    check_bool "post-hoc links" true (Prov_graph.links g <> []);
+    Weak.set w 0 (Some exec.Engine.doc)
+  in
+  let[@inline never] online () =
+    let doc, services, rb = pipeline ~seed:3 () in
+    let exec, g = Engine.run_with_strategy `Online doc services rb in
+    check_bool "online links" true (Prov_graph.links g <> []);
+    Weak.set w 1 (Some exec.Engine.doc)
+  in
+  post_hoc ();
+  online ();
+  Gc.full_major ();
+  check_bool "document after post-hoc inference collected" false (Weak.check w 0);
+  check_bool "document after online inference collected" false (Weak.check w 1)
+
 (* --- backend agreement across the whole registry --- *)
 
 (* The tested list IS the registry: a backend registered in
@@ -322,6 +345,8 @@ let () =
     [ ( "agreement",
         [ Alcotest.test_case "replay = rewrite" `Quick test_replay_equals_rewrite;
           Alcotest.test_case "online = post-hoc" `Quick test_online_equals_posthoc;
+          Alcotest.test_case "inferred document is collectable" `Quick
+            test_inferred_document_collectable;
           Alcotest.test_case "registry = tested list" `Quick test_registry_pinned;
           Alcotest.test_case "four-way agreement" `Quick test_four_way_agreement;
           Alcotest.test_case "four-way paper scenario" `Quick test_four_way_paper_scenario;
