@@ -46,8 +46,9 @@ let parallel_report = ref None
 
 (* [--ingest-report PATH] runs the wall-clock streaming-ingest study
    instead of the Bechamel suite and writes the BENCH_ingest.json
-   artifact: parse and parse+index throughput (MB/s) over a synthetic
-   repository document, and bytes-per-node of the structure-of-arrays
+   artifact: throughput (MB/s) layer by layer over a synthetic
+   repository document (JSON decode -> tokenize -> parse into the arena
+   -> parse+index), and bytes-per-node of the structure-of-arrays
    arena against a field-for-field replica of the previous boxed-record
    arena built from the same document. *)
 let ingest_report = ref None
@@ -313,6 +314,20 @@ let run_ingest_report path =
   let xml = synth_repository_xml items in
   let mb = float_of_int (String.length xml) /. (1024. *. 1024.) in
   let runs = if !quick then 3 else 5 in
+  (* The layers below the arena, each over the same document and each
+     reported in MB of XML per second: decoding it as a commit request's
+     [xml] member, then tokenizing it with no event handler attached. *)
+  let module J = Weblab_server.Json in
+  let request =
+    J.to_string (J.Obj [ ("verb", J.Str "commit"); ("xml", J.Str xml) ])
+  in
+  let t_json, decoded = best_of_runs runs (fun () -> J.parse request) in
+  let t_tokenize, () =
+    best_of_runs runs (fun () ->
+        let st = Xml_parser.create ~on_event:ignore () in
+        Xml_parser.feed_string st xml;
+        Xml_parser.finish st)
+  in
   let t_parse, doc = best_of_runs runs (fun () -> fst (Ingest.of_string xml)) in
   (* Parse, then a separate full index build over the finished tree: the
      one way the library builds a document's index. *)
@@ -322,6 +337,7 @@ let run_ingest_report path =
         (d, Index.build d))
   in
   let errors = ref 0 in
+  if J.str_member "xml" decoded <> Some xml then incr errors;
   if not (Index.valid_for idx doc_i) then incr errors;
   (* Chunked feed must agree with the whole-string parse byte for byte. *)
   let chunked =
@@ -350,20 +366,22 @@ let run_ingest_report path =
   let oc = open_out path in
   Printf.fprintf oc
     "{\"series\": \"ingest/streaming\", \"bytes\": %d, \"nodes\": %d,\n\
+    \ \"json_decode_mb_s\": %.2f, \"tokenize_mb_s\": %.2f,\n\
     \ \"parse_mb_s\": %.2f, \"parse_index_mb_s\": %.2f,\n\
     \ \"bytes_per_node_soa\": %.1f, \"bytes_per_node_record\": %.1f, \
      \"bytes_per_node_ratio\": %.3f,\n\
     \ \"errors\": %d}\n"
-    (String.length xml) nodes (mb /. t_parse) (mb /. t_both) soa_per_node
-    record_per_node ratio !errors;
+    (String.length xml) nodes (mb /. t_json) (mb /. t_tokenize) (mb /. t_parse)
+    (mb /. t_both) soa_per_node record_per_node ratio !errors;
   close_out oc;
   Printf.printf
     "ingest: %.1f MB, %d nodes\n\
+    \  json decode %.1f MB/s; tokenize %.1f MB/s\n\
     \  parse %.1f MB/s; parse+index %.1f MB/s\n\
     \  bytes/node: SoA %.1f, record arena %.1f  (ratio %.2fx)\n\
      Wrote %s\n"
-    mb nodes (mb /. t_parse) (mb /. t_both) soa_per_node record_per_node ratio
-    path;
+    mb nodes (mb /. t_json) (mb /. t_tokenize) (mb /. t_parse) (mb /. t_both)
+    soa_per_node record_per_node ratio path;
   if !errors > 0 then begin
     Printf.eprintf "ingest bench FAILED: %d errors\n" !errors;
     exit 1

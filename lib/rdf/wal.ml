@@ -286,9 +286,12 @@ let replay path =
 
 (* Rewrite [store] as a single reset + full-dump commit into a fresh
    file and atomically rename it over [path].  Metadata is re-logged so
-   it survives compaction. *)
+   it survives compaction.  A [.tmp] left by a crashed compaction is
+   removed first: appending after its torn frame would make the renamed
+   log replay to nothing. *)
 let compact_to path ?(meta = []) store =
   let tmp = path ^ ".tmp" in
+  (try Unix.unlink tmp with Unix.Unix_error (Unix.ENOENT, _, _) -> ());
   let w = open_writer tmp in
   Fun.protect
     ~finally:(fun () -> try Unix.close w.fd with Unix.Unix_error _ -> ())

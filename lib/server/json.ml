@@ -1,8 +1,14 @@
 (* Minimal JSON for the NDJSON serving protocol.  No dependency ships a
-   JSON codec in this container, and the protocol needs only the data
-   model, so the parser is a small recursive descent over a string with
-   an explicit cursor.  Everything is total: malformed input raises
-   [Parse_error], never [Invalid_argument] or an assertion. *)
+   JSON codec, and the protocol needs only the data model, so the parser
+   is a small recursive descent over a string with an explicit cursor.
+   Everything is total: malformed input raises [Parse_error], never
+   [Invalid_argument] or an assertion.
+
+   Strings are the bulk of a request (a commit's whole document travels
+   as one), so both directions handle them in runs: a run of plain bytes
+   (anything but '"', '\\' or a byte below 0x20) is found eight bytes a
+   step and copied whole.  A string without escapes decodes to a single
+   [String.sub]; only escapes go through the byte-level decoder. *)
 
 type t =
   | Null
@@ -17,19 +23,61 @@ exception Parse_error of string
 
 (* ----- Printing ----- *)
 
+(* Bytes that print as themselves: everything but '"', '\\' and controls. *)
+let is_plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20
+
+(* A high bit in each byte of [x] that is zero, exact up to the first
+   such byte (borrows only disturb the bytes above it).  [Xml_parser]
+   has the same two lines: shared across modules, the call is not
+   inlined and boxes the word, which made [plain_run] no faster than the
+   byte loop. *)
+let zero_bytes x =
+  Int64.(logand (logand (sub x 0x0101010101010101L) (lognot x)) 0x8080808080808080L)
+
+(* End of the run of plain bytes starting at [i]: eight bytes a step
+   while no byte of the word is '"', '\\' or below 0x20, then byte by
+   byte up to the run's end. *)
+let plain_run s i =
+  let n = String.length s in
+  let j = ref i in
+  let words = ref true in
+  while !words && !j + 8 <= n do
+    let w = String.get_int64_le s !j in
+    let stop =
+      Int64.(
+        logor
+          (logor
+             (zero_bytes (logxor w 0x2222222222222222L))
+             (zero_bytes (logxor w 0x5c5c5c5c5c5c5c5cL)))
+          (* the same borrow test against 0x20: a byte below it *)
+          (logand
+             (logand (sub w 0x2020202020202020L) (lognot w))
+             0x8080808080808080L))
+    in
+    if Int64.equal stop 0L then j := !j + 8 else words := false
+  done;
+  while !j < n && is_plain (String.unsafe_get s !j) do
+    incr j
+  done;
+  !j
+
 let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+  let rec go i =
+    (* [i] starts a run of plain bytes: copy it whole, then one escape. *)
+    let j = plain_run s i in
+    Buffer.add_substring buf s i (j - i);
+    if j < String.length s then begin
+      (match String.unsafe_get s j with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      go (j + 1)
+    end
+  in
+  go 0
 
 let rec print_into buf = function
   | Null -> Buffer.add_string buf "null"
@@ -142,55 +190,68 @@ let parse_u16 cur =
   cur.pos <- cur.pos + 4;
   v
 
+(* One escape sequence, the '\\' already consumed. *)
+let parse_escape cur buf =
+  match peek cur with
+  | None -> fail cur "unterminated escape"
+  | Some c ->
+    advance cur;
+    (match c with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'u' ->
+      let hi = parse_u16 cur in
+      if hi >= 0xD800 && hi <= 0xDBFF then
+        if
+          cur.pos + 1 < String.length cur.s
+          && cur.s.[cur.pos] = '\\'
+          && cur.s.[cur.pos + 1] = 'u'
+        then begin
+          cur.pos <- cur.pos + 2;
+          let lo = parse_u16 cur in
+          if lo >= 0xDC00 && lo <= 0xDFFF then
+            add_utf8 buf (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+          else fail cur "invalid low surrogate"
+        end
+        else fail cur "unpaired high surrogate"
+      else add_utf8 buf hi
+    | c -> fail cur (Printf.sprintf "invalid escape \\%c" c))
+
+(* Plain runs are copied whole; a string without escapes is one
+   [String.sub].  The buffer exists only once an escape shows up. *)
 let parse_string cur =
   expect cur '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek cur with
-    | None -> fail cur "unterminated string"
-    | Some '"' -> advance cur
-    | Some '\\' ->
-      advance cur;
-      (match peek cur with
-      | None -> fail cur "unterminated escape"
-      | Some c ->
+  let s = cur.s in
+  let start = cur.pos in
+  let j = plain_run s start in
+  if j < String.length s && String.unsafe_get s j = '"' then begin
+    cur.pos <- j + 1;
+    String.sub s start (j - start)
+  end
+  else begin
+    let buf = Buffer.create (j - start + 64) in
+    (* [i, j) is a run of plain bytes, and [j] is where it stopped. *)
+    let rec go i j =
+      Buffer.add_substring buf s i (j - i);
+      cur.pos <- j;
+      match peek cur with
+      | None -> fail cur "unterminated string"
+      | Some '"' -> advance cur
+      | Some '\\' ->
         advance cur;
-        (match c with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          let hi = parse_u16 cur in
-          if hi >= 0xD800 && hi <= 0xDBFF then
-            if
-              cur.pos + 1 < String.length cur.s
-              && cur.s.[cur.pos] = '\\'
-              && cur.s.[cur.pos + 1] = 'u'
-            then begin
-              cur.pos <- cur.pos + 2;
-              let lo = parse_u16 cur in
-              if lo >= 0xDC00 && lo <= 0xDFFF then
-                add_utf8 buf
-                  (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
-              else fail cur "invalid low surrogate"
-            end
-            else fail cur "unpaired high surrogate"
-          else add_utf8 buf hi
-        | c -> fail cur (Printf.sprintf "invalid escape \\%c" c)));
-      go ()
-    | Some c when Char.code c < 0x20 -> fail cur "control character in string"
-    | Some c ->
-      advance cur;
-      Buffer.add_char buf c;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
+        parse_escape cur buf;
+        go cur.pos (plain_run s cur.pos)
+      | Some _ -> fail cur "control character in string"
+    in
+    go start j;
+    Buffer.contents buf
+  end
 
 let parse_number cur =
   let start = cur.pos in

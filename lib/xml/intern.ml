@@ -13,18 +13,27 @@
    either the old or the new backing store, both of which carry every id
    they can legally hold. *)
 
+(* Specialised to strings: [String.equal] instead of polymorphic compare
+   on every probe. *)
+module H = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   mutable strings : string array;  (* id -> string, first [n] slots live *)
   mutable n : int;
-  table : (string, int) Hashtbl.t;  (* string -> id, writer-side only *)
+  table : int H.t;  (* string -> id, writer-side only *)
 }
 
-let create () = { strings = Array.make 64 ""; n = 0; table = Hashtbl.create 64 }
+let create () = { strings = Array.make 64 ""; n = 0; table = H.create 64 }
 
 let count t = t.n
 
 let intern t s =
-  match Hashtbl.find_opt t.table s with
+  match H.find_opt t.table s with
   | Some id -> id
   | None ->
     let id = t.n in
@@ -35,7 +44,7 @@ let intern t s =
     end;
     t.strings.(id) <- s;
     t.n <- id + 1;
-    Hashtbl.add t.table s id;
+    H.add t.table s id;
     id
 
 (* Shrink the id array to its live prefix.  Writer-side only, like

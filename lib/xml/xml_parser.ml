@@ -11,9 +11,18 @@
    no whole-document string, no intermediate DOM.  Chunk boundaries may
    fall anywhere (mid-tag, mid-entity, mid-CDATA): every partial token is
    explicit parser state, so the event stream is invariant under
-   re-chunking.  Unmarked character data takes a bulk fast path that
-   memchr-scans the chunk and appends whole slices.  [parse] remains the
-   one-chunk convenience wrapper building a {!Tree.t}. *)
+   re-chunking.
+
+   Tokens are scanned in runs wherever the chunk holds them: character
+   data, CDATA and attribute values up to their next delimiter (eight
+   bytes a step while a word holds no delimiter and no newline), and
+   element, attribute and end-tag names up to the first non-name
+   character.  Each run is appended to its buffer whole, and line and
+   column are counted inside the scanning loop.  Only markup punctuation
+   and the first character of a start-tag or attribute name go through
+   the per-character machine; a run cut by a chunk boundary resumes as a
+   run in the next chunk.  [parse] remains the one-chunk convenience
+   wrapper building a {!Tree.t}. *)
 
 exception Error of { line : int; col : int; message : string }
 
@@ -478,18 +487,64 @@ let rec handle st c =
       st.mode <- M_cdata
     end
 
-(* Advance line/col over the consumed slice [i, j). *)
-let advance_run st buf i j =
-  let line = ref st.line and col = ref st.col in
-  for k = i to j - 1 do
-    if Bytes.unsafe_get buf k = '\n' then begin
-      incr line;
-      col := 1
+(* A high bit in each byte of [x] that is zero, exact up to the first
+   such byte (borrows only disturb the bytes above it). *)
+let zero_bytes x =
+  Int64.(logand (logand (sub x 0x0101010101010101L) (lognot x)) 0x8080808080808080L)
+
+let splat c = Int64.mul 0x0101010101010101L (Int64.of_int (Char.code c))
+
+let newlines = splat '\n'
+
+(* Consume the run of bytes from [i] up to the first [a] or [b] (or
+   [limit]) into [into], counting lines as it goes; returns the run's
+   end.  Words of eight bytes holding no [a], [b] or newline are skipped
+   whole. *)
+let scan_run st buf i limit a b into =
+  let wa = splat a and wb = splat b in
+  let j = ref i and line = ref st.line and line_start = ref (-1) in
+  let stop = ref false in
+  while (not !stop) && !j < limit do
+    if
+      !j + 8 <= limit
+      &&
+      let w = Bytes.get_int64_le buf !j in
+      Int64.(
+        equal 0L
+          (logor
+             (logor (zero_bytes (logxor w wa)) (zero_bytes (logxor w wb)))
+             (zero_bytes (logxor w newlines))))
+    then j := !j + 8
+    else begin
+      let c = Bytes.unsafe_get buf !j in
+      if c = a || c = b then stop := true
+      else begin
+        if c = '\n' then begin
+          incr line;
+          line_start := !j + 1
+        end;
+        incr j
+      end
     end
-    else incr col
   done;
-  st.line <- !line;
-  st.col <- !col
+  if !line_start >= 0 then begin
+    st.line <- !line;
+    st.col <- !j - !line_start + 1
+  end
+  else st.col <- st.col + (!j - i);
+  Buffer.add_subbytes into buf i (!j - i);
+  !j
+
+(* Consume the run of name characters from [i] into the name buffer;
+   names hold no newline. *)
+let name_run st buf i limit =
+  let j = ref i in
+  while !j < limit && is_name_char (Bytes.unsafe_get buf !j) do
+    incr j
+  done;
+  st.col <- st.col + (!j - i);
+  Buffer.add_subbytes st.name_buf buf i (!j - i);
+  !j
 
 let feed st buf pos len =
   if st.finished then invalid_arg "Xml_parser.feed: parser already finished";
@@ -503,40 +558,15 @@ let feed st buf pos len =
     let c = Bytes.unsafe_get buf !i in
     match st.mode with
     | M_content when c <> '<' && c <> '&' ->
-      (* Bulk run: append the whole unmarked slice at once. *)
-      let j = ref (!i + 1) in
-      while
-        !j < limit
-        &&
-        let c = Bytes.unsafe_get buf !j in
-        c <> '<' && c <> '&'
-      do
-        incr j
-      done;
-      Buffer.add_subbytes st.text_buf buf !i (!j - !i);
-      advance_run st buf !i !j;
-      i := !j
-    | M_cdata when c <> ']' ->
-      let j = ref (!i + 1) in
-      while !j < limit && Bytes.unsafe_get buf !j <> ']' do
-        incr j
-      done;
-      Buffer.add_subbytes st.text_buf buf !i (!j - !i);
-      advance_run st buf !i !j;
-      i := !j
+      i := scan_run st buf !i limit '<' '&' st.text_buf
+    | M_cdata when c <> ']' -> i := scan_run st buf !i limit ']' ']' st.text_buf
     | M_attr_value when c <> st.quote && c <> '&' ->
-      let j = ref (!i + 1) in
-      while
-        !j < limit
-        &&
-        let c = Bytes.unsafe_get buf !j in
-        c <> st.quote && c <> '&'
-      do
-        incr j
-      done;
-      Buffer.add_subbytes st.val_buf buf !i (!j - !i);
-      advance_run st buf !i !j;
-      i := !j
+      i := scan_run st buf !i limit st.quote '&' st.val_buf
+    | (M_stag_name | M_attr_name) when is_name_char c ->
+      i := name_run st buf !i limit
+    | M_etag_name
+      when (Buffer.length st.name_buf > 0 && is_name_char c) || is_name_start c ->
+      i := name_run st buf !i limit
     | _ ->
       handle st c;
       incr i

@@ -186,13 +186,35 @@ let prop_indexed_eval_equals_unindexed =
         [ true; false ])
 
 (* The same under a visibility guard (the Rewrite strategy's situation):
-   the index is built over the whole arena but must honor the guard. *)
+   the index is built over the whole arena but must honor the guard.
+   Half the patterns open with a bare [//Name] step, whose candidates
+   come straight from the label postings; the guard hides about half of
+   the elements any named step of the pattern matches, and an arbitrary
+   eighth of the other nodes. *)
+let arb_guarded_pattern =
+  make ~print:Weblab_xpath.Print.pattern_to_string (fun st ->
+      let pat = gen_pattern st in
+      if Gen.bool st then
+        { Weblab_xpath.Ast.axis = Descendant; test = Name (gen_name st); preds = [] }
+        :: pat
+      else pat)
+
 let prop_indexed_eval_guarded =
   Test.make ~name:"indexed ≡ unindexed under visibility guards" ~count
-    (triple arb_doc arb_pattern (make Gen.(int_bound 1000)))
+    (triple arb_doc arb_guarded_pattern (make Gen.(int_bound 1000)))
     (fun (doc, pat, salt) ->
-      (* An arbitrary but deterministic node filter. *)
-      let visible n = (n * 2654435761 + salt) land 7 <> 0 in
+      let named =
+        List.filter_map
+          (fun (s : Weblab_xpath.Ast.step) ->
+            match s.test with Name l -> Some l | Any -> None)
+          pat
+      in
+      let hash n = (n * 2654435761 + salt) lsr 4 in
+      let visible n =
+        if Tree.is_element doc n && List.mem (Tree.name doc n) named then
+          hash n land 1 = 0
+        else hash n land 7 <> 0
+      in
       let guards = { Weblab_xpath.Eval.visible; env = [] } in
       rows_exactly_equal
         (Weblab_xpath.Eval.eval ~require_uri:false ~guards

@@ -1,8 +1,10 @@
 (* Streaming ingest tests: chunk-split invariance of the feed parser
    (events, trees and error positions must not depend on where chunk
-   boundaries fall), [Ingest.of_channel] against the whole-string
-   [Xml_parser.parse], numeric character reference validation, and
-   deep-chain regressions for every iterative traversal. *)
+   boundaries fall), error line:col against an independent newline
+   count, SZXX's hostile parser cases, [Ingest.of_channel] against the
+   whole-string [Xml_parser.parse], numeric character reference
+   validation, and deep-chain regressions for every iterative
+   traversal. *)
 
 open Weblab_xml
 
@@ -80,6 +82,51 @@ let test_every_split_of_tricky () =
       (outcome_chunked tricky [ cut ])
   done
 
+(* The hostile shapes of SZXX's parser test: spaced tag names (which
+   this parser rejects), comments and CDATA inside content, [xml:space],
+   spaced attribute equals, and a DOCTYPE whose internal subset holds a
+   '>' (the DOCTYPE skip stops at the first one). *)
+let szxx_hostile =
+  [ "<r>< c >x</c></r>";
+    "<r><c>x</ c ></r>";
+    "<r>\n    < dimension ref = \"A1:A38\" /></r>";
+    "<c> <!-- comment --> <![CDATA[<something />]]> <!-- some other comment -->\n\
+     \t\t\t\t\t234<![CDATA[woo\n          hoo]]>\n\t\t\t\t</c>";
+    "<w><c> world <v>  woot</v>WORLD <v> hurray </v> </c></w>";
+    "<w>\n<dimension ref = \"A1:A38\" test=\"double&quot;quote\" />\n\
+     <t xml:space=\"preserve\"> hello!  world <x/>  z </t></w>";
+    "<?xml version=\"1.0\" encoding=\"UTF-8\" standalone=\"yes\"?> \
+     <!DOCTYPE stylesheet [<!ENTITY nbsp \"<xsl:text>&amp;nbsp;</xsl:text>\">]>\n\
+     <!--comment-with-dashes-->\n<worksheet mc:Ignorable=\"x14ac xr\" \
+     xr:uid=\"{00000000-0001}\" ></worksheet>" ]
+
+let test_szxx_hostile () =
+  let err s = match outcome_whole s with Error e -> Some e | Ok _ -> None in
+  check_bool "spaced start-tag name rejected" true
+    (err "<r>< c >x</c></r>" = Some (1, 5, "expected a name"));
+  check_bool "spaced end-tag name rejected" true
+    (err "<r><c>x</ c ></r>" = Some (1, 10, "expected a name"));
+  let d = Xml_parser.parse (List.nth szxx_hostile 3) in
+  check_str "comments dropped, CDATA kept, one text node"
+    "  <something /> \n\t\t\t\t\t234woo\n          hoo\n\t\t\t\t"
+    (Tree.string_value d (Tree.root d));
+  check_int "c has one text child" 1
+    (List.length (Tree.children d (Tree.root d)));
+  let d = Xml_parser.parse (List.nth szxx_hostile 5) in
+  let t = List.nth (Tree.children d (Tree.root d)) 1 in
+  check_str "xml:space is an ordinary attribute name" "preserve"
+    (Option.value ~default:"<none>" (Tree.attr d t "xml:space"));
+  let dim = List.hd (Tree.children d (Tree.root d)) in
+  check_str "spaced '=' accepted" "A1:A38"
+    (Option.value ~default:"<none>" (Tree.attr d dim "ref"));
+  check_str "entity in attribute decoded" "double\"quote"
+    (Option.value ~default:"<none>" (Tree.attr d dim "test"));
+  (* No internal-subset support: the skip ends at its first '>'. *)
+  check_bool "DOCTYPE internal subset rejected" true
+    (match err (List.nth szxx_hostile 6) with
+     | Some (_, _, m) -> m = "expected a root element"
+     | None -> false)
+
 let test_error_positions_chunk_invariant () =
   (* Malformed inputs: whatever the error is, it must not move when the
      input arrives in pieces. *)
@@ -87,6 +134,7 @@ let test_error_positions_chunk_invariant () =
     [ "<a>\n<b>\n</c>\n</a>"; "<r"; "<r><x</r>"; "<r>&unknown;</r>";
       "<r>&#0;</r>"; "<r>&#xD800;</r>"; "<r/>x"; "junk"; "";
       "<r a=1/>"; "<r>&#x110000;</r>"; "<r><![CDATA[never closed" ]
+    @ szxx_hostile
   in
   List.iter
     (fun s ->
@@ -273,6 +321,94 @@ let prop_error_chunk_invariant =
       let cuts = List.map (fun i -> i mod (String.length s + 1)) cuts in
       outcome_chunked s cuts = outcome_whole s)
 
+(* A bad byte injected at a known offset, after multi-line text,
+   comments, CDATA and attribute values and right after long element,
+   attribute and end-tag names: the reported line:col must be an
+   independent count of the newlines before that offset, whole and
+   under chunk cuts that split the names. *)
+let gen_long_name st =
+  String.init
+    (1 + Gen.int_bound 200 st)
+    (fun i ->
+      if i = 0 then Gen.oneofl [ 'a'; 'Z'; '_'; ':' ] st
+      else Gen.oneofl [ 'a'; 'q'; 'Z'; '0'; '9'; '-'; '.'; '_'; ':' ] st)
+
+(* Character data without markup: no '<', '&', ']' or '-'. *)
+let gen_lines st =
+  String.init (Gen.int_bound 300 st) (fun _ ->
+      Gen.oneofl [ 'w'; ' '; '\n'; '\n'; '\t'; '>'; '"'; '\r'; '\xc3' ] st)
+
+let gen_bad_position st =
+  let b = Buffer.create 1024 in
+  let lines () = gen_lines st in
+  let value () =
+    String.map (fun c -> if c = '"' || c = '\'' then 'v' else c) (lines ())
+  in
+  if Gen.bool st then Buffer.add_string b "<?xml version=\"1.0\"?>\n";
+  Printf.bprintf b "<!--%s-->\n<%s" (lines ()) (gen_long_name st);
+  for _ = 1 to Gen.int_bound 2 st do
+    Printf.bprintf b "\n %s =\n\"%s\"" (gen_long_name st) (value ())
+  done;
+  Buffer.add_char b '>';
+  for _ = 1 to Gen.int_bound 6 st do
+    match Gen.int_bound 4 st with
+    | 0 -> Buffer.add_string b (lines ())
+    | 1 -> Printf.bprintf b "<!--%s-->" (lines ())
+    | 2 -> Printf.bprintf b "<![CDATA[%s]]>" (lines ())
+    | 3 ->
+      let n = gen_long_name st in
+      Printf.bprintf b "<%s k='%s'>%s</%s\n>" n (value ()) (lines ()) n
+    | _ -> Printf.bprintf b "<%s/>" (gen_long_name st)
+  done;
+  let name_start = Buffer.length b in
+  let message =
+    match Gen.int_bound 4 st with
+    | 0 ->
+      Buffer.add_char b '<';
+      "expected a name"
+    | 1 ->
+      Printf.bprintf b "<%s" (gen_long_name st);
+      "expected '>' or '/>'"
+    | 2 ->
+      Printf.bprintf b "<%s %s" (gen_long_name st) (gen_long_name st);
+      "expected '=' after attribute name"
+    | 3 ->
+      Printf.bprintf b "</%s" (gen_long_name st);
+      "expected '>' in closing tag"
+    | _ ->
+      Printf.bprintf b "<%s a=\"%s\"" (gen_long_name st) (value ());
+      "expected '>' or '/>'"
+  in
+  let off = Buffer.length b in
+  Buffer.add_string b "#</x>";
+  let s = Buffer.contents b in
+  let cuts =
+    List.init (1 + Gen.int_bound 3 st) (fun _ ->
+        name_start + Gen.int_bound (off - name_start) st)
+    @ List.init (Gen.int_bound 4 st) (fun _ -> Gen.int_bound (String.length s) st)
+  in
+  (s, off, message, cuts)
+
+let prop_error_position_is_newline_count =
+  Test.make ~name:"error line:col = newline count up to the bad byte"
+    ~count:500
+    (make
+       ~print:(fun (s, off, m, cuts) ->
+         Printf.sprintf "%S off=%d %S cuts=[%s]" s off m
+           (String.concat ";" (List.map string_of_int cuts)))
+       gen_bad_position)
+    (fun (s, off, message, cuts) ->
+      let line = ref 1 and col = ref 1 in
+      for k = 0 to off - 1 do
+        if s.[k] = '\n' then begin
+          incr line;
+          col := 1
+        end
+        else incr col
+      done;
+      let expected = Error (!line, !col, message) in
+      outcome_whole s = expected && outcome_chunked s cuts = expected)
+
 (* The channel path reads in [chunk_size] pieces through [input], which
    may return short; the result must print as the whole-string parse. *)
 let prop_of_channel_equals_parse =
@@ -305,7 +441,8 @@ let () =
           Alcotest.test_case "every split of a tricky doc" `Quick
             test_every_split_of_tricky;
           Alcotest.test_case "error positions are chunk-invariant" `Quick
-            test_error_positions_chunk_invariant ] );
+            test_error_positions_chunk_invariant;
+          Alcotest.test_case "SZXX hostile cases" `Quick test_szxx_hostile ] );
       ( "charrefs",
         [ Alcotest.test_case "numeric reference validation" `Quick
             test_charref_validation ] );
@@ -316,4 +453,5 @@ let () =
       ( "properties",
         to_alcotest
           [ prop_chunked_roundtrip; prop_error_chunk_invariant;
-            prop_of_channel_equals_parse ] ) ]
+            prop_error_position_is_newline_count; prop_of_channel_equals_parse
+          ] ) ]

@@ -135,6 +135,25 @@ let test_wal_compact () =
   check_string "same bytes" (Turtle.to_ntriples st) (Turtle.to_ntriples st');
   check_string "meta survives" "online" (List.assoc "backend" rp.Wal.rp_meta)
 
+(* A crash mid-compaction leaves a torn [.tmp]; the next compaction
+   must start a fresh file rather than append after the torn frame. *)
+let test_wal_stale_compaction_tmp () =
+  let path = fresh_wal () in
+  let st = Triple_store.create () in
+  List.iter (Triple_store.add st) (batch 0 50);
+  (* Half of a good compaction, as a crash would leave it. *)
+  let good = fresh_wal () in
+  Wal.compact_to good st;
+  let full = In_channel.with_open_bin good In_channel.input_all in
+  Out_channel.with_open_bin (path ^ ".tmp") (fun oc ->
+      Out_channel.output_string oc (String.sub full 0 (String.length full / 2)));
+  Wal.compact_to path st;
+  let st', rp = Wal.replay path in
+  check_int "all 50 triples" 50 (Triple_store.size st');
+  check_bool "not torn" false rp.Wal.rp_torn;
+  check_string "same bytes" (Turtle.to_ntriples st) (Turtle.to_ntriples st');
+  check_bool "no tmp left" false (Sys.file_exists (path ^ ".tmp"))
+
 (* The crash-consistency law, exhaustively at every truncation point:
    replay of any prefix of the file equals one of the commit-boundary
    snapshots.  Deterministic version of the qcheck property below. *)
@@ -890,6 +909,8 @@ let () =
             test_wal_missing_and_uncommitted;
           Alcotest.test_case "reset" `Quick test_wal_reset;
           Alcotest.test_case "compaction" `Quick test_wal_compact;
+          Alcotest.test_case "stale compaction tmp" `Quick
+            test_wal_stale_compaction_tmp;
           Alcotest.test_case "truncate every byte" `Quick
             test_wal_truncate_every_byte;
           Alcotest.test_case "corrupt byte" `Quick test_wal_corrupt_byte;

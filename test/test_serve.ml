@@ -125,7 +125,10 @@ let json_arb =
     oneof
       [ return J.Null; map (fun b -> J.Bool b) bool;
         map (fun i -> J.Int i) int;
-        map (fun s -> J.Str s) (string_size (int_bound 12)) ]
+        map
+          (fun s -> J.Str s)
+          (string_size (frequency [ (3, int_bound 12); (1, int_range 256 4096) ]))
+      ]
   in
   let tree =
     sized @@ fix (fun self n ->
@@ -144,6 +147,62 @@ let json_arb =
 let prop_json_roundtrip =
   Test.make ~name:"JSON print/parse identity (all constructors but Float)"
     ~count:500 json_arb (fun v -> roundtrip v = v)
+
+(* String literals biased toward every byte the decoder treats
+   specially: quotes, backslashes, control bytes and [\u] escapes
+   (paired, lone-high and bad-low surrogates, bad hex, truncation),
+   between plain runs of up to a few KB.  Some lack the closing quote,
+   some carry trailing input. *)
+let gen_string_doc : string Gen.t =
+  let open Gen in
+  let hex4 = map (Printf.sprintf "%04x") (int_bound 0xFFFF) in
+  let plain =
+    string_size
+      ~gen:(map (fun c -> if c = '"' || c = '\\' then 'x' else c) (char_range ' ' '\255'))
+      (frequency [ (3, int_bound 16); (1, int_range 512 6000) ])
+  in
+  let valid =
+    frequency
+      [ (8, plain);
+        ( 2,
+          map
+            (fun c -> "\\" ^ String.make 1 c)
+            (oneofl [ '"'; '\\'; '/'; 'b'; 'f'; 'n'; 'r'; 't' ]) );
+        (1, map (Printf.sprintf "\\u%04x") (int_bound 0xD7FF));
+        (1, return "\\ud83d\\udc2b") ]
+  in
+  let hostile =
+    frequency
+      [ (4, valid);
+        (1, return "\"");
+        (1, map (String.make 1) (oneofl [ '\\'; '\000'; '\n'; '\t'; '\031' ]));
+        (1, map (fun c -> "\\" ^ String.make 1 c) (oneofl [ 'q'; 'x'; '0'; 'U' ]));
+        (1, map (fun h -> "\\u" ^ h) hex4);
+        (1, map (fun h -> "\\ud800" ^ h) (oneofl [ ""; "x"; "\\n"; "\\u" ]));
+        (1, map (fun h -> "\\udbff\\u" ^ h) hex4);
+        (1, oneofl [ "\\u12g4"; "\\u12"; "\\u"; "\\" ]) ]
+  in
+  bool >>= fun is_hostile ->
+  map3
+    (fun lead pieces close -> lead ^ "\"" ^ String.concat "" pieces ^ close)
+    (oneofl [ ""; " "; "\n\t " ])
+    (list_size (int_bound 10) (if is_hostile then hostile else valid))
+    (if is_hostile then oneofl [ "\""; "\" "; "\"x"; ""; "\\" ]
+     else oneofl [ "\""; "\" \n" ])
+
+let prop_json_string_oracle =
+  Test.make
+    ~name:"JSON string decode = byte-at-a-time oracle (values, errors, offsets)"
+    ~count:500
+    (make ~print:(fun s -> Printf.sprintf "%S" s) gen_string_doc)
+    (fun doc ->
+      let got =
+        match J.parse_opt doc with
+        | Ok (J.Str v) -> Ok v
+        | Ok v -> Error ("not a string: " ^ J.to_string v)
+        | Error msg -> Error msg
+      in
+      got = Weblab_test_support.Oracle_json.parse_string_document doc)
 
 (* ===== protocol helpers ===== *)
 
@@ -1209,7 +1268,7 @@ let () =
     [ ("json",
        [ Alcotest.test_case "roundtrip and escapes" `Quick test_json_roundtrip;
          Alcotest.test_case "malformed inputs" `Quick test_json_errors ]
-       @ to_alcotest [ prop_json_roundtrip ]);
+       @ to_alcotest [ prop_json_roundtrip; prop_json_string_oracle ]);
       ("protocol",
        [ Alcotest.test_case "lifecycle transcript" `Quick
            test_protocol_lifecycle;
