@@ -292,6 +292,26 @@ let synth_repository_xml items =
   Buffer.add_string buf "</Repository>";
   Buffer.contents buf
 
+(* State [units] of an xml-ingest-shaped session: a labelled root and
+   [units] media units of one text sentence each, the first [labelled]
+   carrying the labels the daemon gave them when they were committed. *)
+let xml_ingest_state ~units ~labelled =
+  let buf = Buffer.create (units * 200) in
+  Buffer.add_string buf "<Resource id=\"r1\" s=\"Source\" t=\"0\">";
+  for u = 0 to units - 1 do
+    if u < labelled then
+      Printf.bprintf buf "<MediaUnit id=\"u%d\" s=\"ClientXml\" t=\"%d\">" u
+        ((u / 48) + 1)
+    else Printf.bprintf buf "<MediaUnit id=\"u%d\">" u;
+    Printf.bprintf buf
+      "<NativeContent>unit %d: provenance of a fragment &amp; its lineage \
+       through the workflow, recorded by the service that appended it.\
+       </NativeContent></MediaUnit>"
+      u
+  done;
+  Buffer.add_string buf "</Resource>";
+  Buffer.contents buf
+
 (* Each timed run starts from a compacted heap, with the previous run's
    result already dropped, so no run pays for another's garbage. *)
 let best_of_runs k f =
@@ -354,6 +374,36 @@ let run_ingest_report path =
   in
   if not (String.equal (Printer.to_string chunked) (Printer.to_string doc))
   then incr errors;
+  (* Grafting, as the daemon commits a client state: state k+1 of an
+     xml-ingest-shaped session (48 units a step) matched event by event
+     against an arena holding state k, each run on its own copy of that
+     arena.  The oracle's parse/diff/copy must append as many nodes:
+     three per unit. *)
+  let step_units = 48 in
+  let k = if !quick then 4 else 16 in
+  let state_k =
+    xml_ingest_state ~units:(k * step_units) ~labelled:(k * step_units)
+  in
+  let next =
+    xml_ingest_state ~units:((k + 1) * step_units) ~labelled:(k * step_units)
+  in
+  let arenas = Array.init runs (fun _ -> fst (Ingest.of_string state_k)) in
+  let used = ref 0 in
+  let t_graft, grafted =
+    best_of_runs runs (fun () ->
+        let d = arenas.(!used) in
+        incr used;
+        ignore (Diff.graft ~doc:d next);
+        d)
+  in
+  let oracle = fst (Ingest.of_string state_k) in
+  (match Weblab_test_support.Oracle_graft.graft oracle next with
+   | Ok (added, _)
+     when List.length added = 3 * step_units
+          && Tree.size oracle = Tree.size grafted ->
+     ()
+   | _ -> incr errors);
+  let graft_mb = float_of_int (String.length next) /. (1024. *. 1024.) in
   let nodes = Tree.size doc in
   Gc.compact ();
   let soa_per_node = float_of_int (reachable_bytes doc) /. float_of_int nodes in
@@ -367,20 +417,23 @@ let run_ingest_report path =
   Printf.fprintf oc
     "{\"series\": \"ingest/streaming\", \"bytes\": %d, \"nodes\": %d,\n\
     \ \"json_decode_mb_s\": %.2f, \"tokenize_mb_s\": %.2f,\n\
-    \ \"parse_mb_s\": %.2f, \"parse_index_mb_s\": %.2f,\n\
+    \ \"parse_mb_s\": %.2f, \"parse_index_mb_s\": %.2f, \"graft_mb_s\": %.2f,\n\
     \ \"bytes_per_node_soa\": %.1f, \"bytes_per_node_record\": %.1f, \
      \"bytes_per_node_ratio\": %.3f,\n\
     \ \"errors\": %d}\n"
     (String.length xml) nodes (mb /. t_json) (mb /. t_tokenize) (mb /. t_parse)
-    (mb /. t_both) soa_per_node record_per_node ratio !errors;
+    (mb /. t_both) (graft_mb /. t_graft) soa_per_node record_per_node ratio
+    !errors;
   close_out oc;
   Printf.printf
     "ingest: %.1f MB, %d nodes\n\
     \  json decode %.1f MB/s; tokenize %.1f MB/s\n\
     \  parse %.1f MB/s; parse+index %.1f MB/s\n\
+    \  graft %.1f MB/s (%.2f ms for a %.0f KB state)\n\
     \  bytes/node: SoA %.1f, record arena %.1f  (ratio %.2fx)\n\
      Wrote %s\n"
     mb nodes (mb /. t_json) (mb /. t_tokenize) (mb /. t_parse) (mb /. t_both)
+    (graft_mb /. t_graft) (t_graft *. 1000.) (graft_mb *. 1024.)
     soa_per_node record_per_node ratio path;
   if !errors > 0 then begin
     Printf.eprintf "ingest bench FAILED: %d errors\n" !errors;

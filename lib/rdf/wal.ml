@@ -124,8 +124,15 @@ let frame buf tag payload =
   Buffer.add_string buf payload;
   add_u32 buf (fnv1a tag payload)
 
+(* A writer always starts a fresh log: whatever was at [path] (a closed
+   session's log under the same id, a torn compaction [.tmp]) is
+   truncated, never appended to. *)
 let open_writer path =
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
+  let fd =
+    Unix.openfile path
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_APPEND ]
+      0o644
+  in
   { fd; path; buf = Buffer.create 4096 }
 
 let log_triple w (s, p, o) =
@@ -287,11 +294,10 @@ let replay path =
 (* Rewrite [store] as a single reset + full-dump commit into a fresh
    file and atomically rename it over [path].  Metadata is re-logged so
    it survives compaction.  A [.tmp] left by a crashed compaction is
-   removed first: appending after its torn frame would make the renamed
-   log replay to nothing. *)
+   truncated by [open_writer]: appending after its torn frame would make
+   the renamed log replay to nothing. *)
 let compact_to path ?(meta = []) store =
   let tmp = path ^ ".tmp" in
-  (try Unix.unlink tmp with Unix.Unix_error (Unix.ENOENT, _, _) -> ());
   let w = open_writer tmp in
   Fun.protect
     ~finally:(fun () -> try Unix.close w.fd with Unix.Unix_error _ -> ())

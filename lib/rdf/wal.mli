@@ -14,7 +14,9 @@
 type writer
 
 val open_writer : string -> writer
-(** Open (or create) a log for appending. *)
+(** Start a fresh log at the path: an existing file is truncated (a
+    closed session's log under a reopened id, a torn compaction
+    leftover), then records are appended. *)
 
 val log_triple : writer -> Term.t * Term.t * Term.t -> unit
 (** Stage a triple.  Not durable until {!commit}. *)

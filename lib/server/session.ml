@@ -213,14 +213,14 @@ let restore ~id ~wal_path =
     rp )
 
 (* A client-supplied next document state, committed through the
-   streaming blackbox route: the body is parsed straight into a private
-   arena by [Ingest] inside the service thunk — the daemon never
-   serializes the live document as a pseudo-input, and the request body
-   is materialized exactly once.  Malformed XML raises inside the thunk
-   and fails the call (never the session). *)
+   streaming blackbox route: the orchestrator grafts the body straight
+   from its parser events onto the live arena — the daemon never
+   serializes the live document as a pseudo-input and builds no second
+   arena of the state.  Malformed XML fails the call (never the
+   session). *)
 let client_xml_service ?(name = "ClientXml") xml =
   Service.blackbox_doc ~name ~description:"client-supplied document state"
-    (fun () -> fst (Ingest.of_string xml))
+    (fun () -> xml)
 
 (* ----- commit ----- *)
 

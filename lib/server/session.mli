@@ -10,6 +10,13 @@
     session, so sessions never contend beyond the process-wide caches
     (which carry their own locks).
 
+    Client-supplied document states ({!client_xml_service}) commit
+    through the orchestrator's blackbox route, which grafts them onto the
+    session's arena straight from their parser events
+    ({!Weblab_xml.Diff.graft}): one pass over the text, no second arena,
+    and nothing written unless the whole state parses and contains the
+    current one.
+
     Failure containment: a commit whose every supervised attempt fails is
     rolled back by the orchestrator (arena bit-identical to the previous
     commit) and reported as [Error] — the session stays open and
@@ -57,8 +64,10 @@ val create :
   t
 (** Runs the orchestration prologue ({!Orchestrator.start}) and Fused's
     [init] at width 1 on [doc].  [wal_path] turns on persistence: the
-    empty session is made durable immediately and every commit appends
-    its triple delta.  [backend] is kept for the benchmark's driver.
+    log there starts fresh (a closed session's log under a reopened id is
+    truncated), the empty session is made durable immediately and every
+    commit appends its triple delta.  [backend] is kept for the
+    benchmark's driver.
     @raise Invalid_argument if [backend] is not [`Fused].
     @raise Orchestrator.Duplicate_uri if [doc] repeats a URI. *)
 
@@ -83,11 +92,12 @@ val with_lock : t -> (unit -> 'a) -> 'a
 
 val client_xml_service : ?name:string -> string -> Service.t
 (** A commit payload carrying the full next document state as XML text,
-    wrapped as a streaming {!Service.blackbox_doc}: the text is parsed
-    straight into a private arena through {!Weblab_xml.Ingest}, so the
-    daemon neither serializes the live document as a pseudo-input nor
-    materializes the body twice.  [name] defaults to ["ClientXml"].
-    Malformed XML fails the commit, not the session. *)
+    wrapped as a streaming {!Service.blackbox_doc}: the orchestrator
+    grafts the text straight from its parser events onto the live arena
+    ({!Weblab_xml.Diff.graft}), so the daemon neither serializes the live
+    document as a pseudo-input nor builds a second arena of the state.
+    [name] defaults to ["ClientXml"].  Malformed XML fails the commit,
+    not the session. *)
 
 (** {1 Verbs} *)
 

@@ -91,8 +91,9 @@ let apply_inproc fault ~stall_s name f doc =
       (Orchestrator.Append_violation
          (Printf.sprintf "injected garbage XML output from %s" name))
 
-(* Black-box faults corrupt the serialized output; the Recorder's
-   parse/diff pipeline is what catches them. *)
+(* Black-box faults corrupt the serialized output (of either blackbox
+   mode: [f] is applied to [input], a state or unit); the Recorder's
+   graft is what catches them. *)
 let apply_blackbox fault ~stall_s name f input =
   match fault with
   | None -> f input
@@ -104,37 +105,19 @@ let apply_blackbox fault ~stall_s name f input =
     f input
   | Some Garbage_xml -> "<injected-garbage"
   | Some Mutate_committed ->
+    (* The graft tolerates attributes added to a matched node (labels,
+       promotions), so the edit rewrites a committed value instead. *)
     let d = Xml_parser.parse (f input) in
-    if Tree.has_root d then
-      Tree.set_attr d (Tree.root d) "injected-corruption" "1";
+    (if Tree.has_root d then
+       let r = Tree.root d in
+       match Tree.attrs d r with
+       | (k, v) :: _ -> Tree.set_attr d r k (v ^ "-injected-corruption")
+       | [] -> Tree.set_attr d r "injected-corruption" "1");
     Printer.to_string d
   | Some Duplicate_uri ->
     let d = Xml_parser.parse (f input) in
     inject_duplicate d;
     Printer.to_string d
-
-(* Streaming black-box faults corrupt the parsed next state — or the
-   parse itself: garbage XML raises inside the thunk, exactly where a
-   malformed streamed body would. *)
-let apply_blackbox_doc fault ~stall_s name f () =
-  match fault with
-  | None -> f ()
-  | Some Crash ->
-    let (_ : Tree.t) = f () in
-    failwith (Printf.sprintf "injected crash in %s" name)
-  | Some Stall ->
-    busy_wait stall_s;
-    f ()
-  | Some Garbage_xml -> Xml_parser.parse "<injected-garbage"
-  | Some Mutate_committed ->
-    let d = f () in
-    if Tree.has_root d then
-      Tree.set_attr d (Tree.root d) "injected-corruption" "1";
-    d
-  | Some Duplicate_uri ->
-    let d = f () in
-    inject_duplicate d;
-    d
 
 (* The wrapped service keeps its name: rulebooks key on service names, so
    provenance rules keep applying to the surviving calls. *)
@@ -157,7 +140,7 @@ let wrap_with decide_fn ~stall_s (svc : Service.t) =
       Service.Blackbox_doc
         (fun () ->
           incr counter;
-          apply_blackbox_doc (decide_fn name !counter) ~stall_s name f ())
+          apply_blackbox (decide_fn name !counter) ~stall_s name f ())
   in
   Service.make ~name
     ~description:(Service.description svc ^ " [fault-injected]")

@@ -122,71 +122,23 @@ let run_inproc doc ck f =
   in
   (List.init (Tree.size doc - old_size) (fun i -> old_size + i), promoted)
 
-(* Shared graft tail of the two blackbox runners: diff the parsed next
-   state against the arena, adopt URI promotions on matched nodes and
-   deep-copy the added fragments in. *)
-let graft_new_doc doc new_doc =
-  let result =
-    try Diff.diff ~old_doc:doc ~new_doc
-    with Diff.Not_contained msg -> raise (Append_violation msg)
-  in
-  (* new-document node -> arena node, for matched pairs *)
-  let to_arena = Hashtbl.create 64 in
-  List.iter
-    (fun (old_n, new_n) -> Hashtbl.replace to_arena new_n old_n)
-    result.matched;
-  (* Adopt URI promotions on matched nodes. *)
-  let promoted = ref [] in
-  List.iter
-    (fun (old_n, new_n) ->
-      if Tree.is_element doc old_n then
-        match Tree.uri doc old_n, Tree.uri new_doc new_n with
-        | None, Some u ->
-          Tree.set_uri doc old_n u;
-          promoted := old_n :: !promoted
-        | _ -> ())
-    result.matched;
+(* Both blackbox modes graft the next state's XML text straight from its
+   parser events (the paper's XML-diff service, in one pass); parse and
+   containment failures become append violations, and nothing is written
+   to the arena unless the whole state is accepted.  [Blackbox_doc] is
+   handed no serialized input: its thunk yields the state, typically a
+   request body. *)
+let run_blackbox doc xml =
   let old_size = Tree.size doc in
-  List.iter
-    (fun { Diff.new_node; parent_in_new } ->
-      let parent =
-        if parent_in_new = Tree.no_node then Tree.no_node
-        else
-          match Hashtbl.find_opt to_arena parent_in_new with
-          | Some p -> p
-          | None ->
-            raise
-              (Append_violation
-                 "internal: added fragment attached to an unmatched parent")
-      in
-      ignore (Tree.copy_subtree doc ~src:new_doc new_node ~parent))
-    result.added;
-  (List.init (Tree.size doc - old_size) (fun i -> old_size + i),
-   List.rev !promoted)
-
-let run_blackbox doc f =
-  let input = Printer.to_string doc in
-  let output = f input in
-  let new_doc =
-    try Xml_parser.parse output
-    with Xml_parser.Error _ as e ->
-      raise (Append_violation ("service returned unparsable XML: "
-                               ^ Xml_parser.error_to_string e))
+  let promoted =
+    try Diff.graft ~doc xml with
+    | Xml_parser.Error _ as e ->
+      raise
+        (Append_violation
+           ("service returned unparsable XML: " ^ Xml_parser.error_to_string e))
+    | Diff.Not_contained msg -> raise (Append_violation msg)
   in
-  graft_new_doc doc new_doc
-
-(* The streaming variant parses inside the thunk (typically through
-   [Ingest] straight off a request body), so the live document is never
-   serialized as a pseudo-input; parse failures surface as the same
-   violation the string path reports. *)
-let run_blackbox_doc doc f =
-  let new_doc =
-    try f ()
-    with Xml_parser.Error _ as e ->
-      raise (Append_violation ("service returned unparsable XML: "
-                               ^ Xml_parser.error_to_string e))
-  in
-  graft_new_doc doc new_doc
+  (List.init (Tree.size doc - old_size) (fun i -> old_size + i), promoted)
 
 (* ----- Supervision policy ----- *)
 
@@ -343,8 +295,8 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
         let new_nodes, promoted =
           match service.Service.impl with
           | Service.Inproc f -> run_inproc doc ck f
-          | Service.Blackbox f -> run_blackbox doc f
-          | Service.Blackbox_doc f -> run_blackbox_doc doc f
+          | Service.Blackbox f -> run_blackbox doc (f (Printer.to_string doc))
+          | Service.Blackbox_doc f -> run_blackbox doc (f ())
         in
         (match policy.max_call_s with
          | Some limit when Sys.time () -. t0 > limit ->

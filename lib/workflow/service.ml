@@ -6,20 +6,20 @@
      appended (and at most promoted nodes to resources by adding an "id").
    - [Blackbox]: the service is a function from serialized XML to
      serialized XML — the faithful web-service picture.  The Recorder
-     parses the result, diffs it against the input (the paper's
-     "standard XML-diff service") and grafts the added fragments onto the
-     arena.
+     matches the result's parser events against the arena in one pass
+     (the paper's "standard XML-diff service", {!Weblab_xml.Diff.graft})
+     and appends the added fragments.
    - [Blackbox_doc]: the streaming variant — the service yields the next
-     document state as an already-parsed tree (typically built by
-     {!Weblab_xml.Ingest} straight from a request body), so the Recorder
-     diffs without ever serializing the live document as a pseudo-input. *)
+     document state's XML text (typically a request body) without being
+     handed the live document, so the Recorder never serializes it as a
+     pseudo-input. *)
 
 open Weblab_xml
 
 type impl =
   | Inproc of (Tree.t -> unit)
   | Blackbox of (string -> string)
-  | Blackbox_doc of (unit -> Tree.t)
+  | Blackbox_doc of (unit -> string)
 
 type t = {
   name : string;

@@ -7,19 +7,20 @@
       {!Weblab_xml.Tree} API; the orchestrator verifies it only appended
       (and at most promoted nodes to resources).
     - [Blackbox]: the service maps serialized XML to serialized XML — the
-      faithful web-service picture; the Recorder diffs the result against
-      the input and grafts the added fragments onto the arena.
+      faithful web-service picture; the Recorder matches the result's
+      parser events against the arena in one pass
+      ({!Weblab_xml.Diff.graft}) and appends the added fragments.
     - [Blackbox_doc]: the streaming variant — the service yields the next
-      document state as an already-parsed tree (typically streamed through
-      {!Weblab_xml.Ingest} from a request body), so the Recorder diffs
-      without serializing the live document as a pseudo-input. *)
+      document state's XML text (typically a request body) without being
+      handed the live document, so the Recorder never serializes it as a
+      pseudo-input. *)
 
 open Weblab_xml
 
 type impl =
   | Inproc of (Tree.t -> unit)
   | Blackbox of (string -> string)
-  | Blackbox_doc of (unit -> Tree.t)
+  | Blackbox_doc of (unit -> string)
 
 type t = {
   name : string;
@@ -33,10 +34,10 @@ val inproc : name:string -> description:string -> (Tree.t -> unit) -> t
 
 val blackbox : name:string -> description:string -> (string -> string) -> t
 
-val blackbox_doc : name:string -> description:string -> (unit -> Tree.t) -> t
-(** The thunk may raise {!Weblab_xml.Xml_parser.Error} (a streamed body
-    that fails to parse); the orchestrator reports it exactly like
-    unparsable [Blackbox] output. *)
+val blackbox_doc : name:string -> description:string -> (unit -> string) -> t
+(** The thunk yields the next state's XML text; the orchestrator grafts
+    it exactly as it grafts [Blackbox] output, unparsable text
+    included. *)
 
 val name : t -> string
 

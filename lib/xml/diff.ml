@@ -22,6 +22,12 @@ type result = {
 
 exception Not_contained of string
 
+let not_contained () =
+  raise
+    (Not_contained
+       "new document does not contain the old one (append semantics \
+        violated)")
+
 type acc = {
   mutable adds : edit list;
   mutable pairs : (Tree.node * Tree.node) list;
@@ -96,11 +102,7 @@ let diff ~old_doc ~new_doc =
   else begin
     let acc = { adds = []; pairs = [] } in
     if not (embed old_doc (Tree.root old_doc) new_doc (Tree.root new_doc) acc)
-    then
-      raise
-        (Not_contained
-           "new document does not contain the old one (append semantics \
-            violated)");
+    then not_contained ();
     { added = List.rev acc.adds; matched = acc.pairs }
   end
 
@@ -110,3 +112,203 @@ let contains ~old_doc ~new_doc =
   match diff ~old_doc ~new_doc with
   | _ -> true
   | exception Not_contained _ -> false
+
+(* ----- Grafting straight from the parser's events -----
+
+   [graft] runs the same greedy insert-only embedding as [diff], but on
+   the next state's parser events, compared in place with the live
+   arena: no second arena, no pair table, no copy.  Every open element
+   of the next state is either matched (tentatively: its embedding can
+   still fail at its end tag, when old children are left over) or inside
+   an added fragment.  Only two kinds of events are kept: those of added
+   fragments, and those of a subtree below the root still being matched,
+   which a failed embedding replays as one addition.  The root needs no
+   replay — its failure is the whole state's — so when a child of the
+   root embeds, its matched events are dropped and only the fragments
+   inside it stay.
+
+   Nothing touches the arena before the parser's [finish]: a malformed
+   state raises its parse error, a non-contained one [Not_contained],
+   and either leaves the arena as it was.  Then promotions are adopted
+   in [diff]'s pair order (latest completed pair first) and the kept
+   fragments appended in document order, node for node as a copy of
+   their parsed subtrees would be. *)
+
+type frame = {
+  old : Tree.node;
+  mutable cur : Tree.node;  (* the next old child still to embed *)
+  new_attrs : (string * string) list;
+  start : int;  (* index of its Start_element in the kept events *)
+  frags_at : (Tree.node * int * int) list;  (* kept fragments when it opened *)
+  n_frags_at : int;
+  promos_at : (Tree.node * string) list;  (* promotions when it opened *)
+}
+
+type graft = {
+  doc : Tree.t;
+  mutable ev : Xml_parser.event array;  (* kept events, [0, ev_n) *)
+  mutable ev_n : int;
+  mutable frags : (Tree.node * int * int) list;
+      (* (arena parent, first event, end), latest first *)
+  mutable n_frags : int;
+  mutable promos : (Tree.node * string) list;  (* latest completed first *)
+  mutable stack : frame list;  (* matched elements, innermost first *)
+  mutable adding : int;  (* open elements of the added fragment, 0 outside *)
+  mutable add_parent : Tree.node;
+  mutable add_start : int;
+  mutable failed : bool;  (* the root cannot embed *)
+}
+
+let keep g e =
+  if g.ev_n = Array.length g.ev then begin
+    let ev = Array.make (2 * g.ev_n) e in
+    Array.blit g.ev 0 ev 0 g.ev_n;
+    g.ev <- ev
+  end;
+  g.ev.(g.ev_n) <- e;
+  g.ev_n <- g.ev_n + 1
+
+let add_fragment g parent start =
+  g.frags <- (parent, start, g.ev_n) :: g.frags;
+  g.n_frags <- g.n_frags + 1
+
+(* [attrs_preserved] against the attributes of a Start_element event:
+   the first binding of a name is the one [Tree.attr] finds on a node
+   built from it. *)
+let attrs_kept doc old new_attrs =
+  Tree.for_all_attrs doc old (fun k v ->
+      match List.assoc_opt k new_attrs with
+      | Some v' -> String.equal v v'
+      | None -> false)
+
+(* A child of the root embedded: its matched events are dropped, and
+   the fragments kept inside it slide down over them. *)
+let drop_matched g f =
+  let rec inside k l acc =
+    match l with
+    | x :: up when k > 0 -> inside (k - 1) up (x :: acc)
+    | _ -> acc
+  in
+  let pos = ref f.start in
+  g.frags <-
+    List.fold_left
+      (fun acc (p, s, e) ->
+        Array.blit g.ev s g.ev !pos (e - s);
+        let s' = !pos in
+        pos := s' + (e - s);
+        (p, s', !pos) :: acc)
+      f.frags_at
+      (inside (g.n_frags - f.n_frags_at) g.frags []);
+  g.ev_n <- !pos
+
+let start_adding g parent e =
+  g.add_parent <- parent;
+  g.add_start <- g.ev_n;
+  g.adding <- 1;
+  keep g e
+
+let on_event g e =
+  if g.failed then ()
+  else if g.adding > 0 then begin
+    keep g e;
+    match e with
+    | Xml_parser.Start_element _ -> g.adding <- g.adding + 1
+    | Text _ -> ()
+    | End_element _ ->
+      g.adding <- g.adding - 1;
+      if g.adding = 0 then add_fragment g g.add_parent g.add_start
+  end
+  else
+    match e, g.stack with
+    | Start_element (name, attrs), [] ->
+      if not (Tree.has_root g.doc) then start_adding g Tree.no_node e
+      else
+        let r = Tree.root g.doc in
+        if String.equal (Tree.name g.doc r) name && attrs_kept g.doc r attrs
+        then
+          g.stack <-
+            [ { old = r; cur = Tree.first_child g.doc r; new_attrs = attrs;
+                start = g.ev_n; frags_at = g.frags; n_frags_at = g.n_frags;
+                promos_at = g.promos } ]
+        else g.failed <- true
+    | Start_element (name, attrs), p :: _ ->
+      let c = p.cur in
+      if
+        c <> Tree.no_node && Tree.is_element g.doc c
+        && String.equal (Tree.name g.doc c) name
+        && attrs_kept g.doc c attrs
+      then begin
+        g.stack <-
+          { old = c; cur = Tree.first_child g.doc c; new_attrs = attrs;
+            start = g.ev_n; frags_at = g.frags; n_frags_at = g.n_frags;
+            promos_at = g.promos }
+          :: g.stack;
+        keep g e
+      end
+      else start_adding g p.old e
+    | Text s, p :: rest ->
+      let c = p.cur in
+      if c <> Tree.no_node && Tree.is_text g.doc c
+         && String.equal (Tree.text g.doc c) s
+      then begin
+        p.cur <- Tree.next_sibling g.doc c;
+        if rest <> [] then keep g e
+      end
+      else begin
+        let start = g.ev_n in
+        keep g e;
+        add_fragment g p.old start
+      end
+    | End_element _, f :: rest ->
+      if rest <> [] then keep g e;
+      g.stack <- rest;
+      if f.cur = Tree.no_node then begin
+        (if Tree.uri g.doc f.old = None then
+           match List.assoc_opt "id" f.new_attrs with
+           | Some u -> g.promos <- (f.old, u) :: g.promos
+           | None -> ());
+        match rest with
+        | [] -> ()
+        | p :: up ->
+          p.cur <- Tree.next_sibling g.doc f.old;
+          if up = [] then drop_matched g f
+      end
+      else begin
+        match rest with
+        | [] -> g.failed <- true
+        | p :: _ ->
+          (* Old children are left over: the whole subtree is an
+             addition, and whatever it kept or promoted is void. *)
+          g.frags <- f.frags_at;
+          g.n_frags <- f.n_frags_at;
+          g.promos <- f.promos_at;
+          add_fragment g p.old f.start
+      end
+    | (Text _ | End_element _), [] -> ()
+
+(* Append one kept fragment under [parent], as [Xml_parser.tree_builder]
+   would have built it. *)
+let append g parent s e =
+  let stack = ref [ parent ] in
+  for i = s to e - 1 do
+    match g.ev.(i), !stack with
+    | Xml_parser.Start_element (name, attrs), p :: _ ->
+      stack := Tree.new_element ~attrs g.doc ~parent:p name :: !stack
+    | Text t, p :: _ -> ignore (Tree.new_text g.doc ~parent:p t)
+    | End_element _, _ :: up -> stack := up
+    | _, [] -> ()
+  done
+
+let graft ~doc xml =
+  let g =
+    { doc; ev = Array.make 64 (Xml_parser.End_element ""); ev_n = 0;
+      frags = []; n_frags = 0; promos = []; stack = []; adding = 0;
+      add_parent = Tree.no_node; add_start = 0; failed = false }
+  in
+  let st = Xml_parser.create ~on_event:(on_event g) () in
+  Xml_parser.feed_string st xml;
+  Xml_parser.finish st;
+  if g.failed then not_contained ();
+  List.iter (fun (n, u) -> Tree.set_uri doc n u) g.promos;
+  List.iter (fun (p, s, e) -> append g p s e) (List.rev g.frags);
+  List.map fst g.promos

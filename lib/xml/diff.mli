@@ -33,3 +33,17 @@ val added : old_doc:Tree.t -> new_doc:Tree.t -> edit list
 
 val contains : old_doc:Tree.t -> new_doc:Tree.t -> bool
 (** Non-raising containment check. *)
+
+val graft : doc:Tree.t -> string -> Tree.node list
+(** [graft ~doc xml] appends to [doc] what the next state [xml] added,
+    straight from the parser's events: [diff]'s embedding, decided event
+    by event against the live arena, with no second arena and no copy.
+    URI promotions of matched nodes are adopted first, in [diff]'s pair
+    order, then the added fragments are appended in document order,
+    node for node as {!Xml_parser.parse} and a deep copy would build
+    them.  Returns the promoted nodes; the appended ones are the arena's
+    new tail.  Nothing is written unless the whole state parses and
+    contains [doc].
+    @raise Xml_parser.Error on malformed input (before any containment
+    verdict).
+    @raise Not_contained on an append-semantics violation. *)

@@ -129,7 +129,7 @@ let valid_for t doc =
 
    Replays the appended arena tail [stamp, size) in id order.  Appends
    only ever add a last child and fragments are materialized parent
-   before children (new_element, copy_subtree), so when node [n] is
+   before children (new_element, Diff.graft), so when node [n] is
    processed its parent and preceding siblings already carry keys. *)
 
 let ensure_arrays t n =

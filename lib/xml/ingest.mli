@@ -2,11 +2,12 @@
 
     Feeds the {!Xml_parser} event stream to {!Xml_parser.tree_builder},
     so parsing a document and building its arena are a single pass over
-    the input — no intermediate DOM.  This is the path the serving daemon
-    uses for client-supplied document states, and the one the repository
+    the input — no intermediate DOM.  This is the path the repository
     store uses to load saved documents: the input is materialized
-    exactly once, as the arena itself.  Whoever evaluates patterns over
-    the result indexes it with {!Index.build}. *)
+    exactly once, as the arena itself.  (The daemon's client-supplied
+    states build no arena of their own: {!Diff.graft} matches their
+    events against the session's.)  Whoever evaluates patterns over the
+    result indexes it with {!Index.build}. *)
 
 type t
 (** An in-progress ingest over a private fresh document. *)

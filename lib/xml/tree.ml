@@ -277,6 +277,15 @@ let attr t n k =
   in
   find t.attr_head.(n)
 
+let for_all_attrs t n f =
+  check t n;
+  let rec go e =
+    e = no_node
+    || f (Intern.get t.dict t.attr_name.(e)) (Intern.get t.dict t.attr_value.(e))
+       && go t.attr_next.(e)
+  in
+  go t.attr_head.(n)
+
 (* [(k, v) :: List.remove_assoc k attrs], chain-style: a fresh key is a
    prepended entry; an existing key rebuilds the whole chain so no live
    entry is ever mutated (the checkpoint immutability invariant). *)
@@ -448,33 +457,6 @@ let find_resource t u =
      iter_subtree t t.root (fun n ->
          if !found = None && uri t n = Some u then found := Some n));
   !found
-
-(* Explicit work stack (heap-allocated, not the OCaml call stack), popped
-   in the same order the old recursion allocated: node, then its children
-   left to right — so the copy's ids are bit-compatible with the
-   recursive original. *)
-let copy_subtree dst ~src n ~parent =
-  check src n;
-  let result = ref no_node in
-  let stack = ref [ (n, parent) ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | (sn, dparent) :: rest ->
-      let id =
-        if is_element src sn then
-          new_element dst ~attrs:(attrs src sn) ~parent:dparent (name src sn)
-        else new_text dst ~parent:dparent (text src sn)
-      in
-      set_created dst id (created src sn);
-      if !result = no_node then result := id;
-      stack :=
-        List.fold_left
-          (fun acc c -> (c, id) :: acc)
-          rest
-          (List.rev (children src sn))
-  done;
-  !result
 
 (* ----- Rollback primitives -----
 

@@ -41,10 +41,6 @@ val new_element :
 val new_text : t -> parent:node -> string -> node
 (** Appends a text node as last child of [parent]. *)
 
-val copy_subtree : t -> src:t -> node -> parent:node -> node
-(** [copy_subtree dst ~src n ~parent] deep-copies the subtree of [src]
-    rooted at [n] into [dst] under [parent]; returns the new root. *)
-
 (** {1 Accessors} *)
 
 val root : t -> node
@@ -90,6 +86,11 @@ val iter_children : t -> node -> (node -> unit) -> unit
 (** Left-to-right, without materializing the child list. *)
 
 val attrs : t -> node -> (string * string) list
+
+val for_all_attrs : t -> node -> (string -> string -> bool) -> bool
+(** [List.for_all] over {!attrs}, in the same order, without building
+    the list. *)
+
 val attr : t -> node -> string -> string option
 val set_attr : t -> node -> string -> string -> unit
 

@@ -2,8 +2,10 @@
    one root element, attributes with single- or double-quoted values,
    character data with the five predefined entities plus numeric character
    references, comments, CDATA sections, and an optional XML declaration.
-   DTDs and processing instructions are skipped.  Namespace prefixes are
-   kept as part of the element/attribute name.
+   DTDs and processing instructions are skipped; a DOCTYPE's internal
+   subset is skipped to its ']', past quoted literals and comments that
+   may hold a '>'.  Namespace prefixes are kept as part of the
+   element/attribute name.
 
    The parser is a character-level state machine fed incremental byte
    chunks ([feed]); SAX-style events are emitted as soon as a token
@@ -56,7 +58,14 @@ type mode =
   | M_pi  (* inside "<?...": skipped *)
   | M_pi_q  (* '?' seen inside a PI *)
   | M_doctype of int  (* prefix of "DOCTYPE" matched so far *)
-  | M_doctype_body  (* skipping to '>' *)
+  | M_doctype_body  (* skipping to '>', outside the internal subset *)
+  | M_doctype_subset  (* inside the internal subset's '[' ... ']' *)
+  | M_doctype_quoted of char * bool
+      (* inside a quoted literal: its quote, and whether the literal
+         sits in the internal subset *)
+  | M_doctype_markup of int
+      (* in the internal subset: "<" (0), "<!" (1), "<!-" (2) read, a
+         comment (3), '-' (4) or "--" (5) seen inside it *)
   | M_cdata_open of int  (* after "<![": prefix of "CDATA[" matched *)
   | M_cdata
   | M_cdata_rb  (* ']' seen inside CDATA *)
@@ -460,6 +469,36 @@ let rec handle st c =
   | M_doctype_body ->
     adv st c;
     if c = '>' then st.mode <- end_markup_mode st
+    else if c = '[' then st.mode <- M_doctype_subset
+    else if c = '"' || c = '\'' then st.mode <- M_doctype_quoted (c, false)
+  | M_doctype_subset ->
+    adv st c;
+    if c = ']' then st.mode <- M_doctype_body
+    else if c = '"' || c = '\'' then st.mode <- M_doctype_quoted (c, true)
+    else if c = '<' then st.mode <- M_doctype_markup 0
+  | M_doctype_quoted (q, in_subset) ->
+    adv st c;
+    if c = q then
+      st.mode <- (if in_subset then M_doctype_subset else M_doctype_body)
+  | M_doctype_markup k ->
+    (* A comment is skipped whole, quotes and brackets included; any
+       other declaration goes on as subset text from this character. *)
+    if k <= 2 && c <> (if k = 0 then '!' else '-') then begin
+      st.mode <- M_doctype_subset;
+      handle st c
+    end
+    else begin
+      adv st c;
+      st.mode <-
+        (match k with
+         | 0 | 1 | 2 -> M_doctype_markup (k + 1)
+         | 3 -> if c = '-' then M_doctype_markup 4 else M_doctype_markup 3
+         | 4 -> if c = '-' then M_doctype_markup 5 else M_doctype_markup 3
+         | _ ->
+           if c = '>' then M_doctype_subset
+           else if c = '-' then M_doctype_markup 5
+           else M_doctype_markup 3)
+    end
   | M_cdata_open k ->
     if c = "CDATA[".[k] then begin
       adv st c;
@@ -587,7 +626,8 @@ let finish st =
   | M_bang | M_comment_open | M_doctype _ | M_cdata_open _ -> bang_fail st
   | M_comment | M_comment_dash | M_comment_dash2 -> fail st "unterminated comment"
   | M_pi | M_pi_q -> fail st "unterminated processing instruction"
-  | M_doctype_body -> fail st "unterminated DOCTYPE"
+  | M_doctype_body | M_doctype_subset | M_doctype_quoted _ | M_doctype_markup _ ->
+    fail st "unterminated DOCTYPE"
   | M_cdata | M_cdata_rb | M_cdata_rb2 -> fail st "unterminated CDATA section"
   | M_stag_name | M_stag_space | M_stag_slash -> fail st "expected '>' or '/>'"
   | M_attr_name | M_attr_eq -> fail st "expected '=' after attribute name"

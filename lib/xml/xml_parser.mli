@@ -2,7 +2,8 @@
     one root element, attributes with single- or double-quoted values,
     character data with the five predefined entities and numeric character
     references, comments, CDATA sections and an optional XML declaration /
-    DOCTYPE (skipped).  Namespace prefixes are kept as part of the name.
+    DOCTYPE (skipped, internal subset included).  Namespace prefixes are
+    kept as part of the name.
 
     The core is a pull/feed state machine: bytes arrive in chunks through
     {!feed} and SAX-style {!event}s are emitted as tokens complete.  Chunk

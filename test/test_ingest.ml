@@ -85,7 +85,7 @@ let test_every_split_of_tricky () =
 (* The hostile shapes of SZXX's parser test: spaced tag names (which
    this parser rejects), comments and CDATA inside content, [xml:space],
    spaced attribute equals, and a DOCTYPE whose internal subset holds a
-   '>' (the DOCTYPE skip stops at the first one). *)
+   '>' inside a quoted entity value. *)
 let szxx_hostile =
   [ "<r>< c >x</c></r>";
     "<r><c>x</ c ></r>";
@@ -121,11 +121,36 @@ let test_szxx_hostile () =
     (Option.value ~default:"<none>" (Tree.attr d dim "ref"));
   check_str "entity in attribute decoded" "double\"quote"
     (Option.value ~default:"<none>" (Tree.attr d dim "test"));
-  (* No internal-subset support: the skip ends at its first '>'. *)
-  check_bool "DOCTYPE internal subset rejected" true
-    (match err (List.nth szxx_hostile 6) with
-     | Some (_, _, m) -> m = "expected a root element"
-     | None -> false)
+  (* The internal subset is skipped whole, its quoted '>' included. *)
+  let d = Xml_parser.parse (List.nth szxx_hostile 6) in
+  let r = Tree.root d in
+  check_str "root after the DOCTYPE" "worksheet" (Tree.name d r);
+  check_bool "its attributes, in order" true
+    (Tree.attrs d r
+     = [ ("mc:Ignorable", "x14ac xr"); ("xr:uid", "{00000000-0001}") ]);
+  check_int "no children" 0 (List.length (Tree.children d r));
+  check_int "one node" 1 (Tree.size d)
+
+(* DOCTYPE shapes around the internal subset: a '>' or ']' in a quoted
+   literal or a comment, an external literal holding '[' and '>', and an
+   unterminated subset. *)
+let doctypes =
+  [ "<!DOCTYPE a [<!-- ]> --><!ENTITY e 'x>y'>]><a/>";
+    "<!DOCTYPE a SYSTEM \"a[b>c\"><a>t</a>";
+    "<!DOCTYPE a [<!E>\n<!<!-x]>\n<a/>";
+    "<!DOCTYPE a [<!ENTITY e \"x\">" ]
+
+let test_doctype_subset () =
+  List.iteri
+    (fun i s ->
+      if i < 3 then
+        check_str (Printf.sprintf "%S: root" s) "a"
+          (let d = Xml_parser.parse s in
+           Tree.name d (Tree.root d)))
+    doctypes;
+  check_bool "unterminated subset" true
+    (outcome_whole (List.nth doctypes 3)
+     = Error (1, 29, "unterminated DOCTYPE"))
 
 let test_error_positions_chunk_invariant () =
   (* Malformed inputs: whatever the error is, it must not move when the
@@ -134,7 +159,7 @@ let test_error_positions_chunk_invariant () =
     [ "<a>\n<b>\n</c>\n</a>"; "<r"; "<r><x</r>"; "<r>&unknown;</r>";
       "<r>&#0;</r>"; "<r>&#xD800;</r>"; "<r/>x"; "junk"; "";
       "<r a=1/>"; "<r>&#x110000;</r>"; "<r><![CDATA[never closed" ]
-    @ szxx_hostile
+    @ szxx_hostile @ doctypes
   in
   List.iter
     (fun s ->
@@ -202,7 +227,7 @@ let test_deep_chain () =
   check_bool "to_channel = to_string" true (String.equal printed from_file);
   (* Copy, structural equality and string-value: explicit stacks too. *)
   let doc2 = Tree.create () in
-  let r = Tree.copy_subtree doc2 ~src:doc (Tree.root doc) ~parent:Tree.no_node in
+  let r = Weblab_test_support.Oracle_graft.copy_subtree doc2 ~src:doc (Tree.root doc) ~parent:Tree.no_node in
   check_bool "copy equal" true
     (Tree.equal_subtree doc (Tree.root doc) doc2 r);
   check_str "string_value" "deep" (Tree.string_value doc2 r);
@@ -442,7 +467,9 @@ let () =
             test_every_split_of_tricky;
           Alcotest.test_case "error positions are chunk-invariant" `Quick
             test_error_positions_chunk_invariant;
-          Alcotest.test_case "SZXX hostile cases" `Quick test_szxx_hostile ] );
+          Alcotest.test_case "SZXX hostile cases" `Quick test_szxx_hostile;
+          Alcotest.test_case "DOCTYPE internal subset" `Quick
+            test_doctype_subset ] );
       ( "charrefs",
         [ Alcotest.test_case "numeric reference validation" `Quick
             test_charref_validation ] );

@@ -467,6 +467,38 @@ let test_protocol_close_compacts () =
   ignore (Protocol.restore_sessions ctx2);
   check_string "restored after close" served (turtle_of ctx2 "closed")
 
+(* Reopening a closed id starts a fresh log: a restart serves the
+   reopened session, not the closed one's history with it appended. *)
+let test_reopened_id_restores_fresh () =
+  let dir = fresh_dir () in
+  let ctx1 = Protocol.make_ctx ~data_dir:dir () in
+  let call fields = rpc ctx1 (("session", J.Str "a") :: fields) in
+  let open_a () =
+    ignore
+      (expect_ok "open a"
+         (call [ ("verb", J.Str "open"); ("units", J.Int 2); ("seed", J.Int 5) ]))
+  in
+  open_a ();
+  ignore
+    (expect_ok "commit" (call [ ("verb", J.Str "commit"); ("service", J.Str "Normaliser") ]));
+  ignore
+    (expect_ok "commit" (call [ ("verb", J.Str "commit"); ("service", J.Str "Translator") ]));
+  ignore (expect_ok "close" (call [ ("verb", J.Str "close") ]));
+  open_a ();
+  ignore
+    (expect_ok "commit after reopen"
+       (call [ ("verb", J.Str "commit"); ("service", J.Str "LanguageExtractor") ]));
+  let served = turtle_of ctx1 "a" in
+  let ctx2 = Protocol.make_ctx ~data_dir:dir () in
+  ignore (Protocol.restore_sessions ctx2);
+  let stats =
+    expect_ok "stats"
+      (rpc ctx2 [ ("verb", J.Str "stats"); ("session", J.Str "a") ])
+  in
+  check_int "the reopened session's one commit" 1
+    (get_int "stats" "commits" stats);
+  check_string "the reopened session's Turtle" served (turtle_of ctx2 "a")
+
 let test_protocol_persist_opt_out () =
   let dir = fresh_dir () in
   let ctx = Protocol.make_ctx ~data_dir:dir () in
@@ -931,6 +963,8 @@ let () =
             test_protocol_warm_restart;
           Alcotest.test_case "close compacts" `Quick
             test_protocol_close_compacts;
+          Alcotest.test_case "reopened id restores fresh" `Quick
+            test_reopened_id_restores_fresh;
           Alcotest.test_case "persist opt-out" `Quick
             test_protocol_persist_opt_out;
           Alcotest.test_case "restart twice" `Quick

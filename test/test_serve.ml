@@ -741,6 +741,218 @@ let hard_faults =
 
 let graph_turtle g = Prov_export.to_turtle g
 
+(* ===== client XML states = offline blackbox run ===== *)
+
+(* The first index at or after [from] where [sub] occurs in [s]. *)
+let find_sub s sub from =
+  let k = String.length sub in
+  let rec go i =
+    if i + k > String.length s then raise Not_found
+    else if String.sub s i k = sub then i
+    else go (i + 1)
+  in
+  go from
+
+(* The span of the [n]-th (0-based) complete element named [tag], for
+   states that must fail; units hold no nested unit. *)
+let unit_span s tag n =
+  let rec nth i from =
+    let a = find_sub s ("<" ^ tag) from in
+    let b = find_sub s ("</" ^ tag ^ ">") a + String.length tag + 3 in
+    if i = 0 then (a, b) else nth (i - 1) b
+  in
+  nth n 0
+
+let replace_first s ~sub ~by =
+  let a = find_sub s sub 0 and k = String.length sub in
+  String.sub s 0 a ^ by ^ String.sub s (a + k) (String.length s - a - k)
+
+let media_unit d parent ?uri text =
+  let u = Tree.new_element d ~parent "MediaUnit" in
+  Option.iter (Tree.set_uri d u) uri;
+  let c = Tree.new_element d ~parent:u "NativeContent" in
+  ignore (Tree.new_text d ~parent:c text)
+
+(* The scripted next states, each derived from the state the session
+   holds: [`Edit] parses the current state and edits the copy, [`Text]
+   rewrites the printed state.  A state that commits carries its
+   (new nodes, promoted) counts. *)
+let client_script =
+  let nth_child d n k = List.nth (Tree.children d n) k in
+  [ ( "units appended at the root", Some (9, 0),
+      `Edit
+        (fun d ->
+          let r = Tree.root d in
+          media_unit d r ~uri:"u1" "unit one";
+          media_unit d r "unit two";
+          media_unit d r "unit three") );
+    ( "units deep inside matched nodes", Some (5, 0),
+      `Edit
+        (fun d ->
+          let u1 = nth_child d (Tree.root d) 0 in
+          let c = nth_child d u1 0 in
+          let e = Tree.new_element d ~parent:c "Entity" in
+          ignore (Tree.new_text d ~parent:e "Paris");
+          media_unit d (nth_child d (Tree.root d) 1) "nested unit") );
+    ( "promotion of a matched node", Some (0, 1),
+      `Edit
+        (fun d ->
+          let u2 = nth_child d (Tree.root d) 1 in
+          Tree.set_uri d (nth_child d u2 0) "promoted-content") );
+    ( "extra attributes on matched nodes, with an append", Some (3, 0),
+      `Edit
+        (fun d ->
+          let r = Tree.root d in
+          Tree.set_attr d r "extra" "1";
+          Tree.set_attr d (nth_child d r 0) "lang" "fr";
+          media_unit d r "unit four") );
+    ( "a new text sibling", Some (1, 0),
+      `Edit (fun d -> ignore (Tree.new_text d ~parent:(Tree.root d) "tail note")) );
+    ( "a removed child", None,
+      `Text
+        (fun s ->
+          let a, b = unit_span s "MediaUnit" 1 in
+          String.sub s 0 a ^ String.sub s b (String.length s - b)) );
+    ( "a reordered pair", None,
+      `Text
+        (fun s ->
+          let a, b = unit_span s "MediaUnit" 0 in
+          let c, d = unit_span s "MediaUnit" 2 in
+          String.sub s 0 a ^ String.sub s c (d - c) ^ String.sub s b (c - b)
+          ^ String.sub s a (b - a)
+          ^ String.sub s d (String.length s - d)) );
+    ( "a changed text", None,
+      `Text (replace_first ~sub:"unit one" ~by:"unit 1") );
+    ( "a renamed root", None,
+      `Text
+        (fun s ->
+          replace_first ~sub:"</Resource>" ~by:"</Root>"
+            (replace_first ~sub:"<Resource" ~by:"<Root" s)) );
+    ( "a truncated document", None,
+      `Text (fun s -> String.sub s 0 (String.length s / 2)) );
+    ( "an append after the failures", Some (3, 0),
+      `Edit (fun d -> media_unit d (Tree.root d) "unit five") ) ]
+
+let test_client_xml_matches_offline () =
+  let policy = Session.default_budgets.Session.policy in
+  let ctx = Protocol.make_ctx ~max_sessions:4 () in
+  ignore
+    (expect_ok "open"
+       (rpc ctx
+          [ ("verb", J.Str "open"); ("session", J.Str "x");
+            ("scenario", J.Str "empty") ]));
+  let call fields = rpc ctx (("session", J.Str "x") :: fields) in
+  (* The states are derived from the document an offline run holds. *)
+  let reference = Orchestrator.start ~policy (Orchestrator.initial_document ()) in
+  let blackbox xml =
+    Service.blackbox ~name:"ClientXml" ~description:"" (fun _ -> xml)
+  in
+  let states = ref [] in
+  List.iteri
+    (fun i (what, expected, edit) ->
+      let time = i + 1 in
+      let current = Printer.to_string (Orchestrator.session_doc reference) in
+      let xml =
+        match edit with
+        | `Edit f ->
+          let d = Xml_parser.parse current in
+          f d;
+          Printer.to_string d
+        | `Text f -> f current
+      in
+      ignore (Orchestrator.step reference (blackbox xml));
+      states := !states @ [ xml ];
+      let reply = call [ ("verb", J.Str "commit"); ("xml", J.Str xml) ] in
+      (* The offline run: the same states returned by plain blackbox
+         services. *)
+      let services = List.map blackbox !states in
+      let deltas = Hashtbl.create 8 in
+      let trace =
+        Orchestrator.execute ~policy
+          ~on_step:(fun c _ _ d -> Hashtbl.replace deltas c.Trace.time d)
+          (Orchestrator.initial_document ()) services
+      in
+      (match Hashtbl.find_opt deltas time, Trace.outcome_at trace time with
+       | Some d, _ ->
+         check_bool (what ^ ": commits") true
+           (expected
+            = Some
+                (List.length d.Orchestrator.new_nodes,
+                 List.length d.Orchestrator.promoted));
+         let r = expect_ok what reply in
+         check_int (what ^ ": time") time (get_int what "time" r);
+         check_int (what ^ ": new_nodes")
+           (List.length d.Orchestrator.new_nodes)
+           (get_int what "new_nodes" r);
+         check_int (what ^ ": promoted")
+           (List.length d.Orchestrator.promoted)
+           (get_int what "promoted" r)
+       | None, Some (Trace.Failed reason) ->
+         check_bool (what ^ ": fails") true (expected = None);
+         let r = expect_err what "commit_failed" reply in
+         check_string (what ^ ": reason") reason (message r);
+         check_int (what ^ ": time") time (get_int what "time" r)
+       | None, _ -> Alcotest.failf "%s: no offline outcome" what);
+      let exec, g =
+        Engine.run_with_strategy ~policy ~jobs:1 `Fused
+          (Orchestrator.initial_document ()) services full_rulebook
+      in
+      check_string (what ^ ": Turtle")
+        (Engine.to_turtle ~trace:exec.Engine.trace g)
+        (get_str what "turtle"
+           (expect_ok "turtle" (call [ ("verb", J.Str "query"); ("kind", J.Str "turtle") ])));
+      let st = expect_ok "stats" (call [ ("verb", J.Str "stats") ]) in
+      let committed =
+        List.length
+          (List.filter
+             (fun t -> Hashtbl.mem deltas t)
+             (List.init time (fun k -> k + 1)))
+      in
+      List.iter
+        (fun (field, want) ->
+          check_int (Printf.sprintf "%s: stats %s" what field) want
+            (get_int what field st))
+        [ ("next_time", time + 1); ("commits", committed);
+          ("failed", time - committed);
+          ("doc_nodes", Tree.size exec.Engine.doc);
+          ("resources", Prov_graph.label_count g);
+          ("links", Prov_graph.size g) ])
+    client_script;
+  (* Every unconditional fault on a client-XML commit fails the call and
+     leaves the graph's Turtle as it was; the clean state then commits. *)
+  let a =
+    Session.create ~id:"x-faults" ~backend:`Fused
+      ~doc:(Orchestrator.initial_document ()) full_rulebook
+  in
+  let xml =
+    let d =
+      Xml_parser.parse
+        (Printer.to_string
+           (Orchestrator.session_doc
+              (Orchestrator.start ~policy (Orchestrator.initial_document ()))))
+    in
+    media_unit d (Tree.root d) ~uri:"u1" "unit one";
+    Printer.to_string d
+  in
+  let before = Prov_export.to_turtle (Session.graph a) in
+  List.iter
+    (fun fault ->
+      let what = "client XML under " ^ Faulty.fault_name fault in
+      (match
+         Session.commit a
+           (Faulty.with_fault ~stall_s:0.001 fault (Session.client_xml_service xml))
+       with
+       | Error (Session.Call_failed _) -> ()
+       | Ok _ -> Alcotest.failf "%s: committed" what
+       | Error _ -> Alcotest.failf "%s: wrong error" what);
+      check_string (what ^ ": Turtle unchanged") before
+        (Prov_export.to_turtle (Session.graph a)))
+    hard_faults;
+  (match Session.commit a (Session.client_xml_service xml) with
+   | Ok { Session.new_nodes; _ } -> check_int "clean state commits" 3 new_nodes
+   | Error _ -> Alcotest.fail "clean client XML state failed");
+  ignore (Session.close a)
+
 (* The served session and every backend's offline run take the same
    prefix, each checked against the others at every commit; then the
    session alone takes a poisoned commit.  Its graph must still equal
@@ -1283,7 +1495,9 @@ let () =
          Alcotest.test_case "automatic id after restart" `Quick
            test_auto_id_after_restart;
          Alcotest.test_case "budgets" `Quick test_budgets;
-         Alcotest.test_case "fault containment" `Quick test_fault_containment
+         Alcotest.test_case "fault containment" `Quick test_fault_containment;
+         Alcotest.test_case "client XML states = offline blackbox run" `Quick
+           test_client_xml_matches_offline
        ]);
       ("equivalence",
        [ Alcotest.test_case "served Turtle = offline Turtle (all backends)"

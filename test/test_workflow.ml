@@ -476,7 +476,7 @@ let pipeline seed =
         let next, _ = Ingest.of_string (Printer.to_string doc) in
         if Random.State.bool st then promote st next "c";
         append_some st next;
-        next)
+        Printer.to_string next)
   in
   let failing i =
     add_service (Printf.sprintf "F%d" i) (fun doc ->
@@ -552,6 +552,288 @@ let prop_delta_labeling =
                (Service.name svc) (List.length !got) (List.length expected))
         services)
 
+(* ===== event graft = parse/diff/copy oracle ===== *)
+
+module Oracle_graft = Weblab_test_support.Oracle_graft
+
+(* Every node's name, text, attributes, parent, children, created and
+   uri_time. *)
+let arena_fingerprint doc =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "size=%d root=%d\n" (Tree.size doc)
+    (if Tree.has_root doc then Tree.root doc else Tree.no_node);
+  for n = 0 to Tree.size doc - 1 do
+    Printf.bprintf b "%d %s parent=%d attrs=%s created=%d uri_time=%d kids=%s\n"
+      n
+      (if Tree.is_element doc n then "e:" ^ Tree.name doc n
+       else "t:" ^ Tree.text doc n)
+      (Tree.parent doc n)
+      (String.concat ","
+         (List.map (fun (k, v) -> k ^ "=" ^ v) (Tree.attrs doc n)))
+      (Tree.created doc n) (Tree.uri_time doc n)
+      (String.concat "," (List.map string_of_int (Tree.children doc n)))
+  done;
+  Buffer.contents b
+
+let graft_texts = [| "x"; "y"; "x y"; "a & b"; "<t>"; "\"q\"" |]
+
+let graft_attr st =
+  ([| "k"; "j"; "s" |].(Random.State.int st 3), string_of_int (Random.State.int st 3))
+
+(* A random old arena, grown the way in-process edits grow one: any
+   element may gain a last child at any time, so ids leave preorder.
+   Adjacent and whitespace-only texts and repeated attribute names are
+   rare; about one arena in twenty has no root at all. *)
+let graft_old_arena st =
+  let doc = Tree.create () in
+  if Random.State.int st 20 > 0 then begin
+    ignore
+      (Tree.new_element doc ~parent:Tree.no_node
+         ~attrs:(if Random.State.bool st then [ ("id", "r1") ] else [])
+         "R");
+    for i = 1 to Random.State.int st 30 do
+      let p =
+        let rec find k =
+          let n = Random.State.int st (Tree.size doc) in
+          if Tree.is_element doc n || k = 0 then n else find (k - 1)
+        in
+        find 8
+      in
+      if Tree.is_element doc p then begin
+        let last = Tree.last_child doc p in
+        let after_text = last <> Tree.no_node && Tree.is_text doc last in
+        match Random.State.int st 20 with
+        | 0 when Random.State.int st 8 = 0 ->
+          ignore (Tree.new_text doc ~parent:p " ")
+        | k when k < 6 && not after_text ->
+          ignore
+            (Tree.new_text doc ~parent:p
+               graft_texts.(Random.State.int st (Array.length graft_texts)))
+        | k ->
+          let attrs =
+            List.init (Random.State.int st 3) (fun _ -> graft_attr st)
+            @ (if k mod 3 = 0 then [ ("id", Printf.sprintf "o%d" i) ] else [])
+          in
+          let attrs =
+            (* repeated names only now and then *)
+            if k = 19 then attrs
+            else List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) attrs
+          in
+          let n =
+            Tree.new_element doc ~attrs ~parent:p
+              names.(Random.State.int st (Array.length names))
+          in
+          Tree.set_created doc n (Random.State.int st 4)
+      end
+    done
+  end;
+  doc
+
+(* One of the ways a next state can break containment, applied at the
+   [target]-th node of the walk (if that node has what it changes). *)
+type breakage = Drop | Swap | Retext | Rename | Reattr | Shadow_attr
+
+(* The next state as a fresh tree: the old arena walked in document
+   order, each child possibly preceded by inserted fragments or by a
+   decoy — a copy of it missing its last child, whose embedding fails
+   only at its end tag after a matched prefix — and each matched element
+   possibly promoted or given extra or repeated attributes. *)
+let graft_next_state st old ~breakage =
+  let next = Tree.create () in
+  let uid = ref 0 in
+  let fresh p = incr uid; Printf.sprintf "%s%d" p !uid in
+  let visit = ref 0 in
+  let target = Random.State.int st (max 1 (Tree.size old)) in
+  (* [text]: a text root may go here without merging into a text
+     neighbour when printed. *)
+  let rec fragment ?(text = true) parent depth =
+    if parent <> Tree.no_node && text && Random.State.int st 3 = 0 then
+      ignore
+        (Tree.new_text next ~parent
+           (if Random.State.int st 4 = 0 then "  "
+            else graft_texts.(Random.State.int st (Array.length graft_texts))))
+    else begin
+      let attrs =
+        (if Random.State.bool st then [ ("id", fresh "f") ] else [])
+        @ List.init (Random.State.int st 2) (fun _ -> graft_attr st)
+      in
+      let n =
+        Tree.new_element next ~attrs ~parent
+          names.(Random.State.int st (Array.length names))
+      in
+      if depth > 0 then
+        for _ = 1 to Random.State.int st 3 do
+          fragment n (depth - 1)
+        done
+    end
+  in
+  let element_attrs n =
+    let attrs = Tree.attrs old n in
+    let attrs =
+      match Random.State.int st 6 with
+      | 0 when Tree.uri old n = None -> attrs @ [ ("id", fresh "p") ]
+      | 1 when Tree.uri old n = None ->
+        (* repeated id: the first binding is the promotion *)
+        (("id", fresh "p") :: attrs) @ [ ("id", fresh "q") ]
+      | 2 -> attrs @ [ graft_attr st ]
+      | 3 -> (
+        match attrs with
+        (* a later duplicate of a kept name: lookups still see the first *)
+        | (k, _) :: _ -> attrs @ [ (k, "dup") ]
+        | [] -> attrs)
+      | _ -> attrs
+    in
+    attrs
+  in
+  let rec copy ?(decoy = false) n parent =
+    let here = !visit in
+    incr visit;
+    let broken b = (not decoy) && here = target && breakage = Some b in
+    if Tree.is_text old n then begin
+      let t = Tree.text old n in
+      ignore
+        (Tree.new_text next ~parent
+           (if broken Retext then t ^ "!" else t))
+    end
+    else begin
+      let attrs = element_attrs n in
+      let attrs =
+        match attrs with
+        | (k, v) :: rest when broken Reattr -> (k, v ^ "!") :: rest
+        | (k, _) :: _ when broken Shadow_attr -> (k, "shadow") :: attrs
+        | _ -> attrs
+      in
+      let name = Tree.name old n in
+      let name = if broken Rename then name ^ "X" else name in
+      let m = Tree.new_element next ~attrs ~parent name in
+      let kids = Tree.children old n in
+      let kids =
+        if decoy then List.filteri (fun i _ -> i < List.length kids - 1) kids
+        else kids
+      in
+      let kids =
+        match kids with
+        | _ :: rest when broken Drop -> rest
+        | a :: b :: rest when broken Swap -> b :: a :: rest
+        | _ -> kids
+      in
+      let prev_text = ref false in
+      List.iter
+        (fun c ->
+          let text = (not !prev_text) && Tree.is_element old c in
+          prev_text := Tree.is_text old c;
+          (match Random.State.int st 8 with
+           | 0 | 1 -> fragment ~text m (Random.State.int st 3)
+           | 2 when (not decoy) && Tree.is_element old c
+                    && Tree.first_child old c <> Tree.no_node ->
+             copy ~decoy:true c m
+           | _ -> ());
+          copy ~decoy c m)
+        kids;
+      if Random.State.int st 3 = 0 then
+        fragment ~text:(not !prev_text) m (Random.State.int st 3)
+    end
+  in
+  if Tree.has_root old then copy (Tree.root old) Tree.no_node
+  else fragment Tree.no_node 2;
+  next
+
+(* [Printer] sorts attributes; this keeps them in arena order, so a
+   repeated name's first binding is the one the state was built with. *)
+let state_xml doc =
+  let b = Buffer.create 1024 in
+  let esc s =
+    String.iter
+      (function
+        | '&' -> Buffer.add_string b "&amp;"
+        | '<' -> Buffer.add_string b "&lt;"
+        | '>' -> Buffer.add_string b "&gt;"
+        | '"' -> Buffer.add_string b "&quot;"
+        | c -> Buffer.add_char b c)
+      s
+  in
+  let rec go n =
+    if Tree.is_text doc n then esc (Tree.text doc n)
+    else begin
+      Printf.bprintf b "<%s" (Tree.name doc n);
+      List.iter
+        (fun (k, v) ->
+          Printf.bprintf b " %s=\"" k;
+          esc v;
+          Buffer.add_char b '"')
+        (Tree.attrs doc n);
+      Buffer.add_char b '>';
+      Tree.iter_children doc n go;
+      Printf.bprintf b "</%s>" (Tree.name doc n)
+    end
+  in
+  go (Tree.root doc);
+  Buffer.contents b
+
+(* The served path's outcome, in the oracle's terms. *)
+let event_graft doc xml =
+  let old_size = Tree.size doc in
+  match Diff.graft ~doc xml with
+  | promoted ->
+    Ok (List.init (Tree.size doc - old_size) (fun i -> old_size + i), promoted)
+  | exception (Xml_parser.Error _ as e) ->
+    Error ("service returned unparsable XML: " ^ Xml_parser.error_to_string e)
+  | exception Diff.Not_contained msg -> Error msg
+
+let graft_case seed =
+  let st = Random.State.make [| seed |] in
+  let arena_seed = Random.State.bits st in
+  let a = graft_old_arena (Random.State.make [| arena_seed |]) in
+  let b = graft_old_arena (Random.State.make [| arena_seed |]) in
+  let breakage =
+    match Random.State.int st 12 with
+    | 0 -> Some Drop
+    | 1 -> Some Swap
+    | 2 -> Some Retext
+    | 3 -> Some Rename
+    | 4 -> Some Reattr
+    | 5 -> Some Shadow_attr
+    | _ -> None
+  in
+  let next = graft_next_state st a ~breakage in
+  let xml =
+    let full = state_xml next in
+    match Random.State.int st 10 with
+    | 0 -> String.sub full 0 (Random.State.int st (String.length full))
+    | 1 -> full ^ "<"
+    | _ -> full
+  in
+  (a, b, xml)
+
+let prop_event_graft_oracle =
+  Test.make
+    ~name:
+      "event graft = parse/diff/copy oracle (outcome, reason, whole arena, \
+       new nodes and promotions in order)"
+    ~count:500
+    (make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let a, b, xml = graft_case seed in
+      let before = arena_fingerprint a in
+      let served = event_graft a xml in
+      let oracle = Oracle_graft.graft b xml in
+      (match served with
+       | Error _ when not (String.equal before (arena_fingerprint a)) ->
+         Test.fail_report "a failed graft wrote to the arena"
+       | _ -> ());
+      let show = function
+        | Ok (nn, pr) ->
+          Printf.sprintf "Ok: new [%s], promoted [%s]"
+            (String.concat ";" (List.map string_of_int nn))
+            (String.concat ";" (List.map string_of_int pr))
+        | Error m -> m
+      in
+      (served = oracle
+       || Test.fail_reportf "served %s\noracle %s\non %s" (show served)
+            (show oracle) xml)
+      && (String.equal (arena_fingerprint a) (arena_fingerprint b)
+          || Test.fail_reportf "arenas differ on %s" xml))
+
 let () =
   Alcotest.run "workflow"
     [ ( "execution",
@@ -586,4 +868,5 @@ let () =
           Alcotest.test_case "inproc ≡ blackbox" `Quick test_equivalence_inproc_blackbox ] );
       ( "delta",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_append_check_parity; prop_delta_labeling ] ) ]
+          [ prop_append_check_parity; prop_delta_labeling;
+            prop_event_graft_oracle ] ) ]
