@@ -226,7 +226,6 @@ let spine_of doc ~lo =
 let extend_memos st idx ~delta_lo ~spine =
   let doc = st.doc in
   let size = Tree.size doc in
-  if size < st.upto then reset_memos st;
   let lo = st.upto in
   if lo < size && st.memos <> [] then begin
     let keep =

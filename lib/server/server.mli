@@ -9,6 +9,10 @@
 
 type t
 
+val max_request_bytes : int
+(** 16 MiB: a longer request line gets a [request_too_large] reply and
+    its connection is closed, without buffering past this bound. *)
+
 val start : ?host:string -> ?port:int -> Protocol.ctx -> t
 (** Bind, listen and spawn the accept loop.  [port 0] (the default picks
     8321) binds an ephemeral port — read it back with {!port}; that is

@@ -51,34 +51,17 @@ let check_unique_uris doc =
     (Tree.resources doc)
 
 (* The append check of in-process services reads the committed state
-   back from the checkpoint [step] takes anyway.  Only URI promotion
+   back through the checkpoint [step] takes anyway.  Only URI promotion
    (adding an "id" to a node that had none) is tolerated as a change.
-   [old_children] is [Some] when the call rolled the arena back (a
-   generation bump): then ids may have been dropped or reallocated, and
-   parents and child lists are compared too.  The checks run in the same
-   order, with the same messages, as a comparison of every node would. *)
-let check_committed doc ck ~old_children n =
+   Returns whether the node was promoted. *)
+let check_committed doc ck n =
   let fail what =
     raise
       (Append_violation
          (Printf.sprintf "service modified committed node %d (%s)" n what))
   in
-  if not (String.equal (Tree.name_at doc ck n) (Tree.name doc n)) then
-    fail "element name";
   if not (String.equal (Tree.text_at doc ck n) (Tree.text doc n)) then
     fail "text content";
-  (match old_children with
-   | None -> ()
-   | Some kids ->
-     if Tree.parent_at ck n <> Tree.parent doc n then fail "parent";
-     let rec prefix old cur =
-       match old, cur with
-       | [], _ -> ()
-       | o :: old', c :: cur' ->
-         if o = c then prefix old' cur' else fail "child order"
-       | _ :: _, [] -> fail "children removed"
-     in
-     prefix kids.(n) (Tree.children doc n));
   (* Attributes: removal and modification are violations; adding "id"
      (resource promotion) is allowed, other additions are not. *)
   let old_attrs = Tree.attrs_at doc ck n in
@@ -97,30 +80,12 @@ let check_committed doc ck ~old_children n =
   (* promoted: it gained a URI *)
   (not (List.mem_assoc "id" old_attrs)) && Tree.uri doc n <> None
 
-(* Both runners return (new nodes, promoted nodes): the arena tail the
-   call appended, and the committed nodes the call gave an "id" to.
-   Without a rollback inside the call, only the nodes whose columns
-   differ from the checkpoint can fail the check or be promoted. *)
+(* Both runners return the committed nodes the call gave an "id" to;
+   what it appended is the arena's tail.  Only the nodes the call wrote
+   in place can fail the check or be promoted. *)
 let run_inproc doc ck f =
-  let old_size = Tree.checkpoint_size ck in
-  let gen = Tree.generation doc in
   f doc;
-  let candidates, old_children =
-    if Tree.generation doc = gen && Tree.size doc >= old_size then
-      (Tree.changed_since doc ck, None)
-    else begin
-      let kids = Array.make old_size [] in
-      for c = old_size - 1 downto 0 do
-        let p = Tree.parent_at ck c in
-        if p <> Tree.no_node then kids.(p) <- c :: kids.(p)
-      done;
-      (List.init old_size Fun.id, Some kids)
-    end
-  in
-  let promoted =
-    List.filter (check_committed doc ck ~old_children) candidates
-  in
-  (List.init (Tree.size doc - old_size) (fun i -> old_size + i), promoted)
+  List.filter (check_committed doc ck) (Tree.changed_since doc ck)
 
 (* Both blackbox modes graft the next state's XML text straight from its
    parser events (the paper's XML-diff service, in one pass); parse and
@@ -129,16 +94,12 @@ let run_inproc doc ck f =
    handed no serialized input: its thunk yields the state, typically a
    request body. *)
 let run_blackbox doc xml =
-  let old_size = Tree.size doc in
-  let promoted =
-    try Diff.graft ~doc xml with
-    | Xml_parser.Error _ as e ->
-      raise
-        (Append_violation
-           ("service returned unparsable XML: " ^ Xml_parser.error_to_string e))
-    | Diff.Not_contained msg -> raise (Append_violation msg)
-  in
-  (List.init (Tree.size doc - old_size) (fun i -> old_size + i), promoted)
+  try Diff.graft ~doc xml with
+  | Xml_parser.Error _ as e ->
+    raise
+      (Append_violation
+         ("service returned unparsable XML: " ^ Xml_parser.error_to_string e))
+  | Diff.Not_contained msg -> raise (Append_violation msg)
 
 (* ----- Supervision policy ----- *)
 
@@ -284,19 +245,21 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
   Hashtbl.replace s.s_service_of_time time name;
   let call = { Trace.service = name; time } in
   let before = Doc_state.at doc (time - 1) in
-  let ck = Tree.checkpoint doc in
   (* One supervised attempt: run the service, verify budgets, assign
      identities, and check this call's URIs against everything already
      committed.  Raises on any violation; nothing here mutates the
      trace, so a raise rolls back to [ck] with no bookkeeping to
      undo. *)
-  let attempt_once () =
-        let t0 = Sys.time () in
-        let new_nodes, promoted =
+  let attempt_once ck =
+        let t0 = Sys.time () and old_size = Tree.size doc in
+        let promoted =
           match service.Service.impl with
           | Service.Inproc f -> run_inproc doc ck f
           | Service.Blackbox f -> run_blackbox doc (f (Printer.to_string doc))
           | Service.Blackbox_doc f -> run_blackbox doc (f ())
+        in
+        let new_nodes =
+          List.init (Tree.size doc - old_size) (fun i -> old_size + i)
         in
         (match policy.max_call_s with
          | Some limit when Sys.time () -. t0 > limit ->
@@ -345,8 +308,12 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
     let bo = backoff_for policy attempt in
     T.incr c_attempts;
     T.add c_backoff_ms (int_of_float bo);
-    match attempt_once () with
+    let ck = Tree.checkpoint doc in
+    match attempt_once ck with
     | (new_nodes, promoted) ->
+      (* Committed: close the checkpoint before labeling, whose writes
+         then go unlogged. *)
+      Tree.commit doc ck;
       Trace.record_attempt trace
         { Trace.a_service = name; a_time = time; a_attempt = attempt;
           a_ok = true; a_reason = ""; a_backoff_ms = bo };

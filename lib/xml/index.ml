@@ -217,9 +217,8 @@ let merge_into t v nodes =
   end
 
 let extend t doc ~promoted =
-  if t.exhausted || not (t.tree == doc) || t.gen <> Tree.generation doc
-     || Tree.size doc < t.stamp
-  then begin
+  if t.exhausted || not (t.tree == doc) || t.gen <> Tree.generation doc then
+  begin
     T.incr c_extend_fail;
     false
   end

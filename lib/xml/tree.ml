@@ -7,8 +7,8 @@
    nodes), the uri-time, and the head of an attribute chain.  Attributes
    live in their own parallel arrays (name id, value id, next) whose
    entries are immutable once written — [set_attr] appends fresh entries
-   and repoints the node's head, which is what makes checkpoints a flat
-   word-per-node snapshot instead of a per-cell list copy.
+   and repoints the node's head, so an in-place edit writes one word,
+   which is all the rollback log records.
 
    All strings go through the per-document {!Intern} dictionary, so a
    node costs a handful of machine words instead of a boxed record, a
@@ -39,6 +39,18 @@ type uri_alloc = {
          execution probing the same document) *)
 }
 
+(* The four columns an in-place edit writes. *)
+type column = Label | Attr_head | Meta | Uri_time
+
+type checkpoint = {
+  ck_size : int;
+  ck_attrs_n : int;
+  ck_log : (node * column * int) list;  (* the undo log when taken *)
+  mutable ck_first :
+    ((node * column, int) Hashtbl.t * (node * column * int) list) option;
+      (* each cell's oldest logged value, and the log it was built from *)
+}
+
 type t = {
   dict : Intern.t;
   mutable n : int;  (* live node count; arrays are valid on [0, n) *)
@@ -57,8 +69,12 @@ type t = {
   mutable attrs_n : int;
   mutable root : node;
   mutable generation : int;
-      (* bumped on every rollback (truncate/restore); lets size-stamped
-         caches detect a truncate-then-regrow to the same size *)
+      (* bumped on every restore; lets size-stamped caches detect a
+         rollback followed by appends back to the same size *)
+  mutable log : (node * column * int) list;
+      (* newest first: every write to a node older than the innermost
+         open checkpoint; empty when none is open *)
+  mutable open_cks : checkpoint list;  (* innermost first *)
   alloc : uri_alloc option Atomic.t;
       (* installed by the first [fresh_uri]: documents that never mint a
          URI carry no allocator *)
@@ -83,6 +99,8 @@ let create () =
     attrs_n = 0;
     root = no_node;
     generation = 0;
+    log = [];
+    open_cks = [];
     alloc = Atomic.make None }
 
 let size t = t.n
@@ -127,6 +145,21 @@ let ensure_attr_capacity t =
     t.attr_value <- grow_int_array t.attr_value cap t.attrs_n;
     t.attr_next <- grow_int_array t.attr_next cap t.attrs_n
   end
+
+let column t = function
+  | Label -> t.label
+  | Attr_head -> t.attr_head
+  | Meta -> t.meta
+  | Uri_time -> t.uri_time_a
+
+(* Every in-place write goes through here.  Only a node older than the
+   innermost open checkpoint needs an undo: the common case is one match. *)
+let write t col n v =
+  let a = column t col in
+  (match t.open_cks with
+   | ck :: _ when n < ck.ck_size -> t.log <- (n, col, a.(n)) :: t.log
+   | _ -> ());
+  a.(n) <- v
 
 (* Trim the doubling slack: every array shrinks to its live prefix.
    Purely a capacity operation — node ids, links and the rollback
@@ -191,7 +224,7 @@ let set_attr_list t n l =
           ~value_id:(Intern.intern t.dict v) ~next)
       no_node (List.rev l)
   in
-  t.attr_head.(n) <- head
+  write t Attr_head n head
 
 let new_element ?(attrs = []) t ~parent name =
   if parent = no_node && t.root <> no_node then
@@ -256,8 +289,7 @@ let children t n =
   in
   collect t.first_child.(n) []
 
-let attrs t n =
-  check t n;
+let attr_chain t head =
   let rec collect e acc =
     if e = no_node then List.rev acc
     else
@@ -265,7 +297,11 @@ let attrs t n =
         ((Intern.get t.dict t.attr_name.(e), Intern.get t.dict t.attr_value.(e))
         :: acc)
   in
-  collect t.attr_head.(n) []
+  collect head []
+
+let attrs t n =
+  check t n;
+  attr_chain t t.attr_head.(n)
 
 let attr t n k =
   check t n;
@@ -300,9 +336,9 @@ let set_attr t n k v =
     probe t.attr_head.(n)
   in
   if not exists then
-    t.attr_head.(n) <-
-      alloc_attr t ~name_id:(Intern.intern t.dict k)
-        ~value_id:(Intern.intern t.dict v) ~next:t.attr_head.(n)
+    write t Attr_head n
+      (alloc_attr t ~name_id:(Intern.intern t.dict k)
+         ~value_id:(Intern.intern t.dict v) ~next:t.attr_head.(n))
   else
     set_attr_list t n
       ((k, v) :: List.remove_assoc k (attrs t n));
@@ -319,7 +355,7 @@ let set_attr t n k v =
 let set_text t n s =
   check t n;
   if t.meta.(n) land 1 = 1 then invalid_arg "Tree.set_text: not a text node";
-  t.label.(n) <- Intern.intern t.dict s
+  write t Label n (Intern.intern t.dict s)
 
 let uri t n = attr t n "id"
 
@@ -331,7 +367,7 @@ let uri_time t n =
 
 let set_uri_time t n ts =
   check t n;
-  t.uri_time_a.(n) <- ts
+  write t Uri_time n ts
 
 let is_resource t n = is_element t n && uri t n <> None
 
@@ -377,7 +413,7 @@ let created t n =
 
 let set_created t n ts =
   check t n;
-  t.meta.(n) <- (ts lsl 1) lor (t.meta.(n) land 1)
+  write t Meta n ((ts lsl 1) lor (t.meta.(n) land 1))
 
 let service_label t n =
   match attr t n "s", attr t n "t" with
@@ -458,159 +494,102 @@ let find_resource t u =
          if !found = None && uri t n = Some u then found := Some n));
   !found
 
-(* ----- Rollback primitives -----
+(* ----- Rollback -----
 
-   The arena is append-only from the services' point of view; rollback
-   exists solely so the orchestrator can undo a *failed* call's partial
+   Rollback exists solely so the orchestrator can undo a *failed* call.
+   A call changes committed state only by the logged writes above and by
    appends.  Node ids are allocated in increasing order and linked as
-   last children in that same order, so the nodes with id >= n form (a) a
-   suffix of the arena and (b) a suffix of every surviving node's sibling
-   chain — dropping them is a count reset plus one chain cut per parent
-   that gained children. *)
-
-(* [n = size] (nothing to drop, including the empty arena) is a legal
-   no-op that must not bump the generation: size-stamped caches stay
-   valid because nothing changed.  Pinned by regression tests. *)
-let truncate_to t n =
-  if n < 0 || n > t.n then
-    invalid_arg
-      (Printf.sprintf "Tree.truncate_to: boundary %d out of range (size %d)" n
-         t.n);
-  if n < t.n then begin
-    for i = 0 to n - 1 do
-      if t.last_child.(i) >= n then
-        if t.first_child.(i) >= n then begin
-          t.first_child.(i) <- no_node;
-          t.last_child.(i) <- no_node
-        end
-        else begin
-          (* Child ids increase along the chain: walk to the last
-             survivor and cut the dropped suffix off. *)
-          let c = ref t.first_child.(i) in
-          while t.next_sibling.(!c) <> no_node && t.next_sibling.(!c) < n do
-            c := t.next_sibling.(!c)
-          done;
-          t.next_sibling.(!c) <- no_node;
-          t.last_child.(i) <- !c
-        end
-    done;
-    t.n <- n;
-    if t.root >= n then t.root <- no_node;
-    t.generation <- t.generation + 1
-  end
-
-type checkpoint = {
-  ck_size : int;
-  ck_root : node;
-  ck_attrs_n : int;
-  ck_meta : int array;
-  ck_label : int array;
-  ck_uri_time : int array;
-  ck_attr_head : int array;
-      (* per surviving node: packed kind+created, label id, uri_time and
-         attribute chain head.  Attribute entries below [ck_attrs_n] are
-         immutable, so restoring the heads restores the exact chains;
-         links (parent/children) of surviving nodes are repaired by the
-         truncation, which undoes the only mutation appends perform. *)
-  ck_parent : int array;
-  ck_gen : int;
-      (* parents never change in place, so the parent column and the
-         generation are only needed after a truncation dropped (and maybe
-         reallocated) ids: then the child chains are rebuilt from it *)
-}
+   last children in that same order, so the appended nodes form a suffix
+   of the arena and of every surviving node's sibling chain — dropping
+   them is a count reset plus one chain cut per parent they hang from. *)
 
 let checkpoint t =
-  { ck_size = t.n;
-    ck_root = t.root;
-    ck_attrs_n = t.attrs_n;
-    ck_meta = Array.sub t.meta 0 t.n;
-    ck_label = Array.sub t.label 0 t.n;
-    ck_uri_time = Array.sub t.uri_time_a 0 t.n;
-    ck_attr_head = Array.sub t.attr_head 0 t.n;
-    ck_parent = Array.sub t.parent 0 t.n;
-    ck_gen = t.generation }
+  let ck =
+    { ck_size = t.n; ck_attrs_n = t.attrs_n; ck_log = t.log; ck_first = None }
+  in
+  t.open_cks <- ck :: t.open_cks;
+  ck
 
-let checkpoint_size ck = ck.ck_size
+(* Close [ck] and every checkpoint opened after it.  Once none is left
+   open, nothing can be undone any more and the log is dropped. *)
+let commit t ck =
+  let rec pop = function
+    | c :: rest -> if c == ck then rest else pop rest
+    | [] -> invalid_arg "Tree: checkpoint is not open"
+  in
+  t.open_cks <- pop t.open_cks;
+  if t.open_cks = [] then t.log <- []
 
-(* The three columns an in-place edit can touch without a rollback:
-   [set_text] repoints the label, [set_attr] the attribute head.  The
-   kind bit only differs for a reallocated id. *)
+(* Fold over the entries logged since [ck], newest first. *)
+let fold_log t ck f init =
+  if not (List.memq ck t.open_cks) then
+    invalid_arg "Tree: checkpoint is not open";
+  let rec go acc l =
+    if l == ck.ck_log then acc
+    else match l with e :: rest -> go (f acc e) rest | [] -> acc
+  in
+  go init t.log
+
 let changed_since t ck =
-  let acc = ref [] in
-  for i = min t.n ck.ck_size - 1 downto 0 do
-    if t.label.(i) <> ck.ck_label.(i)
-       || t.attr_head.(i) <> ck.ck_attr_head.(i)
-       || (t.meta.(i) lxor ck.ck_meta.(i)) land 1 <> 0
-    then acc := i :: !acc
-  done;
-  !acc
+  fold_log t ck
+    (fun acc (n, _, _) -> if n < ck.ck_size then n :: acc else acc)
+    []
+  |> List.sort_uniq Int.compare
 
-let check_ck ck n =
+(* What [col] of [n] held when [ck] was taken: the oldest value logged
+   since, else the current one.  The dictionary and the attribute
+   entries are append-only. *)
+let value_at t ck n col =
   if n < 0 || n >= ck.ck_size then
     invalid_arg
       (Printf.sprintf "Tree: invalid checkpoint node %d (size %d)" n
-         ck.ck_size)
-
-(* The committed values of a node, read back through the dictionary and
-   the attribute entries, both append-only. *)
-let name_at t ck n =
-  check_ck ck n;
-  if ck.ck_meta.(n) land 1 = 1 then Intern.get t.dict ck.ck_label.(n) else ""
-
-let text_at t ck n =
-  check_ck ck n;
-  if ck.ck_meta.(n) land 1 = 0 then Intern.get t.dict ck.ck_label.(n) else ""
-
-let attrs_at t ck n =
-  check_ck ck n;
-  let rec collect e acc =
-    if e = no_node then List.rev acc
-    else
-      collect t.attr_next.(e)
-        ((Intern.get t.dict t.attr_name.(e), Intern.get t.dict t.attr_value.(e))
-        :: acc)
+         ck.ck_size);
+  let first =
+    match ck.ck_first with
+    | Some (h, log) when log == t.log && List.memq ck t.open_cks -> h
+    | _ ->
+      let h = Hashtbl.create 16 in
+      fold_log t ck (fun () (m, c, old) -> Hashtbl.replace h (m, c) old) ();
+      ck.ck_first <- Some (h, t.log);
+      h
   in
-  collect ck.ck_attr_head.(n) []
+  match Hashtbl.find_opt first (n, col) with
+  | Some old -> old
+  | None -> (column t col).(n)
 
-let parent_at ck n =
-  check_ck ck n;
-  ck.ck_parent.(n)
+(* Element names never change in place: [set_text] refuses elements. *)
+let text_at t ck n =
+  let l = value_at t ck n Label in
+  if t.meta.(n) land 1 = 0 then Intern.get t.dict l else ""
 
-(* Child chains are in id order, so one pass over the parent column
-   rebuilds them exactly. *)
-let relink t ck =
-  for i = 0 to ck.ck_size - 1 do
-    t.parent.(i) <- ck.ck_parent.(i);
-    t.first_child.(i) <- no_node;
-    t.last_child.(i) <- no_node;
-    t.next_sibling.(i) <- no_node
-  done;
-  for c = 0 to ck.ck_size - 1 do
-    let p = t.parent.(c) in
-    if p <> no_node then begin
-      let l = t.last_child.(p) in
-      if l = no_node then t.first_child.(p) <- c else t.next_sibling.(l) <- c;
-      t.last_child.(p) <- c
-    end
-  done
+let attrs_at t ck n = attr_chain t (value_at t ck n Attr_head)
 
 let restore t ck =
-  (* A truncation since the checkpoint (the only way the generation
-     moves) may have dropped committed ids or reallocated them under
-     other parents: then the links are rebuilt too. *)
-  let truncated = t.generation <> ck.ck_gen in
-  if ck.ck_size < t.n then truncate_to t ck.ck_size;
-  while t.n < ck.ck_size do
-    ensure_node_capacity t;
-    t.n <- min ck.ck_size (Array.length t.parent)
+  (* Newest first: each cell ends at its oldest logged value.  Nodes past
+     the checkpoint's size are dropped next. *)
+  fold_log t ck (fun () (n, col, old) -> (column t col).(n) <- old) ();
+  t.log <- ck.ck_log;
+  commit t ck;
+  let size = ck.ck_size in
+  (* Child ids increase along a chain: keep each one's prefix below
+     [size]. *)
+  let rec survivor k =
+    let s = t.next_sibling.(k) in
+    if s = no_node || s >= size then k else survivor s
+  in
+  for c = size to t.n - 1 do
+    let p = t.parent.(c) in
+    if p <> no_node && p < size && t.last_child.(p) >= size then begin
+      let f = t.first_child.(p) in
+      let l = if f >= size then no_node else survivor f in
+      if l = no_node then t.first_child.(p) <- no_node
+      else t.next_sibling.(l) <- no_node;
+      t.last_child.(p) <- l
+    end
   done;
-  t.root <- ck.ck_root;
-  Array.blit ck.ck_meta 0 t.meta 0 ck.ck_size;
-  Array.blit ck.ck_label 0 t.label 0 ck.ck_size;
-  Array.blit ck.ck_uri_time 0 t.uri_time_a 0 ck.ck_size;
-  Array.blit ck.ck_attr_head 0 t.attr_head 0 ck.ck_size;
+  t.n <- size;
+  if t.root >= size then t.root <- no_node;
   t.attrs_n <- ck.ck_attrs_n;
-  if truncated then relink t ck;
   (* Even at unchanged size the nodes may have been mutated in place. *)
   t.generation <- t.generation + 1
 

@@ -161,59 +161,43 @@ val equal_subtree : t -> node -> t -> node -> bool
 
 (** {1 Rollback}
 
-    The arena is append-only from the services' point of view; the
-    operations below exist solely so the orchestrator can undo a {e
-    failed} call's partial appends and in-place mutations, restoring the
-    exact last-committed state.  They must not be used to edit committed
-    history. *)
+    These exist solely so the orchestrator can undo a {e failed} call,
+    restoring the exact last-committed state.  While a checkpoint is
+    open, the setters above log the word they overwrite on nodes older
+    than the innermost open checkpoint; appends need no log.  Checkpoints
+    nest.  A restored or committed checkpoint is closed, and every
+    operation below refuses it with [Invalid_argument]: no call can roll
+    committed history back. *)
 
 val generation : t -> int
-(** Bumped on every {!truncate_to}/{!restore}.  Size-stamped caches must
-    also compare generations: a truncate followed by new appends can
-    return the arena to a previously seen size. *)
-
-val truncate_to : t -> int -> unit
-(** [truncate_to t n] drops every node with id [>= n] — both from the
-    arena and from the children of surviving nodes (appends are id-ordered,
-    so those are suffixes).  Rollback-only primitive.
-    @raise Invalid_argument if [n] is negative or exceeds {!size}. *)
+(** Bumped on every {!restore}.  Size-stamped caches must also compare
+    generations: a restore followed by new appends can return the arena
+    to a previously seen size. *)
 
 type checkpoint
-(** A snapshot of the full document state: arena size, root, and every
-    cell's kind, attributes and timestamps. *)
+(** An open rollback point: size, attribute count and undo log at
+    {!checkpoint} time.  Taking one is O(1). *)
 
 val checkpoint : t -> checkpoint
 
-val checkpoint_size : checkpoint -> int
-(** The arena size at {!checkpoint} time. *)
-
-val changed_since : t -> checkpoint -> node list
-(** The checkpointed nodes still in the arena whose kind, label or
-    attribute chain head differ from the checkpoint, in id order.  As
-    long as {!generation} has not moved since the checkpoint, these are
-    the only nodes whose name, text or attributes can differ: labels are
-    interned, attribute entries are never mutated in place, and parents
-    and child prefixes only change through {!truncate_to}/{!restore}. *)
-
-val name_at : t -> checkpoint -> node -> string
-val text_at : t -> checkpoint -> node -> string
-val attrs_at : t -> checkpoint -> node -> (string * string) list
-val parent_at : checkpoint -> node -> node
-(** What a checkpointed node held at {!checkpoint} time (its child list
-    is every checkpointed node whose [parent_at] it is, in id order).
-    [attrs_at] relies on the attribute entries of the checkpoint being
-    intact, which only a {!restore} to an older checkpoint breaks.
-    @raise Invalid_argument past the checkpoint's size. *)
+val commit : t -> checkpoint -> unit
+(** Close the checkpoint, and any opened after it, keeping every change;
+    with none left open the undo log is dropped. *)
 
 val restore : t -> checkpoint -> unit
-(** Truncate back to the checkpoint's size and restore every surviving
-    cell's mutable state — bit-identical to the state at {!checkpoint}
-    time.  A {!truncate_to} since the checkpoint (which may have dropped
-    committed nodes or reallocated their ids) is undone too: the arena
-    regrows to the checkpoint's size and the child chains are rebuilt
-    from the checkpointed parents.  The attribute entries of the
-    checkpoint must be intact, which only a {!restore} to an older
-    checkpoint breaks. *)
+(** Undo the log back to the checkpoint, drop the nodes appended since
+    and close it as {!commit} does: bit-identical to the state at
+    {!checkpoint} time. *)
+
+val changed_since : t -> checkpoint -> node list
+(** The checkpointed nodes written in place since the checkpoint, in id
+    order, each once: the only ones whose text, attributes or timestamps
+    can differ from it (element names never change in place). *)
+
+val text_at : t -> checkpoint -> node -> string
+val attrs_at : t -> checkpoint -> node -> (string * string) list
+(** What a checkpointed node held at {!checkpoint} time.
+    @raise Invalid_argument past the checkpoint's size. *)
 
 val uri_time : t -> node -> timestamp
 (** When the node became a resource: its creation timestamp, unless a later

@@ -63,32 +63,6 @@ let merge v xs ~less =
     v.size <- v.size + k
   end
 
-(* Drop the suffix [n..size).  Dropped slots are reset to [dummy] so the
-   array holds no reference to the removed elements. *)
-let truncate v n =
-  if n < 0 || n > v.size then out_of_bounds "truncate" n v.size;
-  for i = n to v.size - 1 do
-    v.data.(i) <- v.dummy
-  done;
-  v.size <- n
-
-let iter f v =
-  for i = 0 to v.size - 1 do
-    f v.data.(i)
-  done
-
-let iteri f v =
-  for i = 0 to v.size - 1 do
-    f i v.data.(i)
-  done
-
-let fold_left f init v =
-  let acc = ref init in
-  for i = 0 to v.size - 1 do
-    acc := f !acc v.data.(i)
-  done;
-  !acc
-
 let to_list v =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (v.data.(i) :: acc) in
   loop (v.size - 1) []

@@ -322,7 +322,13 @@ let rec handle st c =
       Buffer.add_char st.name_buf c
     end
     else begin
-      st.attr_name <- Buffer.contents st.name_buf;
+      let name = Buffer.contents st.name_buf in
+      (* XML 1.0 §3.1, Unique Att Spec.  A name holds no newline, so it
+         starts on this line, wherever the chunks were cut. *)
+      if List.mem_assoc name st.attrs_rev then
+        fail_at st.line (st.col - String.length name)
+          (Printf.sprintf "duplicate attribute %s" name);
+      st.attr_name <- name;
       st.mode <- M_attr_eq;
       handle st c
     end

@@ -1,5 +1,6 @@
 (** A streaming XML parser covering the fragment WebLab documents use:
-    one root element, attributes with single- or double-quoted values,
+    one root element, attributes with single- or double-quoted values
+    (a name repeated in one tag is an error, XML 1.0's Unique Att Spec),
     character data with the five predefined entities and numeric character
     references, comments, CDATA sections and an optional XML declaration /
     DOCTYPE (skipped, internal subset included).  Namespace prefixes are

@@ -428,46 +428,87 @@ let prop_skip_always_completes =
       List.length (Trace.failed_calls trace) = List.length services
       && Doc_state.timestamps_monotonic doc)
 
+(* Edits of the nodes below [bound] (committed when the checkpoint being
+   exercised was taken), plus appends anywhere: every kind of write the
+   undo log must record, and the tail it must drop. *)
+let random_edit doc st ~bound =
+  let element_below () =
+    let n = Random.State.int st bound in
+    if Tree.is_element doc n then Some n else None
+  in
+  match Random.State.int st 7 with
+  | 0 ->
+    let p = Random.State.int st (Tree.size doc) in
+    if Tree.is_element doc p then ignore (gen_fragment doc p 1 st)
+  | 1 -> Option.iter (fun n -> Tree.set_attr doc n "z" "corrupt") (element_below ())
+  | 2 ->
+    let n = Random.State.int st bound in
+    if Tree.is_text doc n then Tree.set_text doc n "edited"
+  | 3 -> Tree.set_created doc (Random.State.int st bound) (Random.State.int st 9)
+  | 4 -> Tree.set_uri_time doc (Random.State.int st bound) (Random.State.int st 9)
+  | 5 ->
+    (* a promotion *)
+    Option.iter
+      (fun n -> if Tree.uri doc n = None then Tree.set_uri doc n (Tree.fresh_uri doc))
+      (element_below ())
+  | _ ->
+    Option.iter
+      (fun n -> Tree.set_uri doc n (Printf.sprintf "dup%d" (Random.State.int st 3)))
+      (element_below ())
+
 let prop_checkpoint_restore_exact =
   Test.make ~name:"checkpoint/restore is bit-identical" ~count:100
     (pair arb_doc (make Gen.(int_bound 1_000_000)))
     (fun (doc, seed) ->
       let before = fingerprint doc in
       let gen0 = Tree.generation doc in
+      let committed = Tree.size doc in
       let ck = Tree.checkpoint doc in
       let st = Random.State.make [| seed |] in
-      for _ = 1 to 1 + Random.State.int st 5 do
-        match Random.State.int st 4 with
-        | 0 ->
-          let p = Random.State.int st (Tree.size doc) in
-          if Tree.is_element doc p then ignore (gen_fragment doc p 1 st)
-        | 1 ->
-          let n = Random.State.int st (Tree.size doc) in
-          if Tree.is_element doc n then Tree.set_attr doc n "z" "corrupt"
-        | 2 ->
-          (* dropping committed nodes, whose ids later appends reuse *)
-          Tree.truncate_to doc (1 + Random.State.int st (Tree.size doc))
-        | _ ->
-          let n = Random.State.int st (Tree.size doc) in
-          if Tree.is_element doc n then
-            Tree.set_uri doc n (Printf.sprintf "dup%d" (Random.State.int st 3))
-      done;
+      let edits ~bound k =
+        for _ = 1 to k do
+          random_edit doc st ~bound
+        done
+      in
+      edits ~bound:committed (1 + Random.State.int st 5);
+      (* A nested checkpoint, restored before the outer one: its undo
+         must leave the outer checkpoint's log intact. *)
+      let mid = fingerprint doc in
+      let inner_size = Tree.size doc in
+      let inner = Tree.checkpoint doc in
+      edits ~bound:inner_size (1 + Random.State.int st 4);
+      Tree.restore doc inner;
+      let inner_exact = String.equal (fingerprint doc) mid in
+      edits ~bound:committed (Random.State.int st 3);
       Tree.restore doc ck;
-      fingerprint doc = before && Tree.generation doc > gen0)
+      inner_exact && fingerprint doc = before && Tree.generation doc > gen0)
 
-let prop_truncate_undoes_appends =
-  Test.make ~name:"truncate_to undoes appends exactly" ~count:100
-    (pair arb_doc (make Gen.(int_bound 1_000_000)))
-    (fun (doc, seed) ->
-      let n = Tree.size doc in
-      let before = fingerprint doc in
-      let st = Random.State.make [| seed |] in
-      for _ = 1 to 1 + Random.State.int st 3 do
-        let p = Random.State.int st n in
-        if Tree.is_element doc p then ignore (gen_fragment doc p 2 st)
-      done;
-      Tree.truncate_to doc n;
-      fingerprint doc = before)
+(* The rollback bookkeeping of a step costs what the step wrote, not
+   what the arena holds: on a 32k-node arena, a checkpoint, three edits
+   of committed nodes, the append check's [changed_since] and a restore
+   allocate a few hundred words (a column-copying checkpoint: ~160k). *)
+let test_rollback_allocation () =
+  let doc = Orchestrator.initial_document () in
+  let root = Tree.root doc in
+  while Tree.size doc < 32_768 do
+    let e = Tree.new_element doc ~parent:root "U" in
+    ignore (Tree.new_text doc ~parent:e "u")
+  done;
+  let txt = Tree.size doc - 1 in
+  let elt = txt - 1 in
+  let before = fingerprint doc in
+  let words () = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+  let w0 = words () in
+  let ck = Tree.checkpoint doc in
+  Tree.set_text doc txt "U";
+  Tree.set_created doc elt 7;
+  Tree.set_uri_time doc elt 7;
+  let changed = Tree.changed_since doc ck in
+  Tree.restore doc ck;
+  let w = words () -. w0 in
+  Alcotest.(check (list int)) "the edited nodes" [ elt; txt ] changed;
+  check_string "restored" before (fingerprint doc);
+  check_bool (Printf.sprintf "%.0f words allocated, under 1k" w) true (w < 1000.)
 
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in
@@ -479,7 +520,9 @@ let () =
           Alcotest.test_case "retry then commit" `Quick test_retry_commits;
           Alcotest.test_case "retries exhausted" `Quick test_retries_exhausted;
           Alcotest.test_case "propagate (default) rolls back" `Quick
-            test_propagate_default_rolls_back ] );
+            test_propagate_default_rolls_back;
+          Alcotest.test_case "rollback allocation is O(writes)" `Quick
+            test_rollback_allocation ] );
       ( "budgets",
         [ Alcotest.test_case "output-size budget" `Quick test_node_budget;
           Alcotest.test_case "time budget" `Quick test_time_budget;
@@ -491,4 +534,4 @@ let () =
       ( "properties",
         to_alcotest
           [ prop_agreement_under_faults; prop_skip_always_completes;
-            prop_checkpoint_restore_exact; prop_truncate_undoes_appends ] ) ]
+            prop_checkpoint_restore_exact ] ) ]

@@ -158,9 +158,17 @@ let test_error_positions_chunk_invariant () =
   let inputs =
     [ "<a>\n<b>\n</c>\n</a>"; "<r"; "<r><x</r>"; "<r>&unknown;</r>";
       "<r>&#0;</r>"; "<r>&#xD800;</r>"; "<r/>x"; "junk"; "";
-      "<r a=1/>"; "<r>&#x110000;</r>"; "<r><![CDATA[never closed" ]
+      "<r a=1/>"; "<r>&#x110000;</r>"; "<r><![CDATA[never closed";
+      "<a id=\"x\" id=\"y\"/>"; "<r k='1'\n  j=\"2\" k='3'>t</r>" ]
     @ szxx_hostile @ doctypes
   in
+  (* XML 1.0's Unique Att Spec, reported at the repeated name *)
+  check_outcome "duplicate attribute"
+    (Error (1, 11, "duplicate attribute id"))
+    (outcome_whole "<a id=\"x\" id=\"y\"/>");
+  check_outcome "duplicate attribute on a later line"
+    (Error (2, 9, "duplicate attribute k"))
+    (outcome_whole "<r k='1'\n  j=\"2\" k='3'>t</r>");
   List.iter
     (fun s ->
       let whole = outcome_whole s in

@@ -12,8 +12,8 @@
    the commit — and stays usable afterwards.
 
    Also holds the boundary regressions for the arena primitives the
-   rollback path leans on (Vec.merge / Tree.truncate_to / restore at
-   the i = size and empty-arena edges). *)
+   rollback path leans on (Vec.merge / Tree.restore at the i = size and
+   empty-arena edges). *)
 
 open Weblab_xml
 open Weblab_workflow
@@ -1075,36 +1075,26 @@ let test_vec_boundaries () =
   check_bool "merge order" true (Vec.to_list v = [ 10; 11; 12 ]);
   expect_invalid "get at size" "Vec.get" (fun () -> Vec.get v 3);
   expect_invalid "set at size" "Vec.set" (fun () -> Vec.set v 3 0);
-  expect_invalid "truncate past size" "Vec.truncate" (fun () -> Vec.truncate v 4);
   (* the message carries both the index and the size *)
   (match Vec.get v 3 with
   | exception Invalid_argument msg ->
     check_bool "index and size in message" true
       (contains ~sub:"index 3" msg && contains ~sub:"(size 3)" msg)
   | _ -> Alcotest.fail "expected Invalid_argument");
-  Vec.truncate v 3;
-  check_int "truncate at size is a no-op" 3 (Vec.length v);
-  Vec.truncate v 0;
-  check_int "truncate to empty" 0 (Vec.length v);
-  expect_invalid "get on empty" "Vec.get" (fun () -> Vec.get v 0)
+  expect_invalid "get on empty" "Vec.get" (fun () ->
+      Vec.get (Vec.create ~dummy:0) 0)
 
 let test_tree_boundaries () =
   (* empty arena *)
   let doc = Tree.create () in
-  let g0 = Tree.generation doc in
-  Tree.truncate_to doc 0;
-  check_int "truncate_to size on empty arena: no generation bump" g0
-    (Tree.generation doc);
-  expect_invalid "truncate_to negative" "Tree.truncate_to" (fun () ->
-      Tree.truncate_to doc (-1));
-  expect_invalid "truncate_to past size" "Tree.truncate_to" (fun () ->
-      Tree.truncate_to doc 1);
   let ck_empty = Tree.checkpoint doc in
   let root = Tree.new_element doc ~parent:Tree.no_node "Resource" in
   Tree.set_uri doc root "r1";
   Tree.restore doc ck_empty;
   check_int "restore to empty arena" 0 (Tree.size doc);
   check_bool "no root after restore" false (Tree.has_root doc);
+  expect_invalid "restore of a closed checkpoint" "not open" (fun () ->
+      Tree.restore doc ck_empty);
   (* promotion rollback: restore must rewind both timestamp columns *)
   let doc = Workload.make_document ~units:1 ~seed:1 () in
   let before = fingerprint doc in
@@ -1116,19 +1106,22 @@ let test_tree_boundaries () =
   Tree.set_attr doc root "touched" "yes";
   Tree.restore doc ck;
   check_string "restore is bit-identical" before (fingerprint doc);
-  (* truncate_to at size never invalidates size-stamped caches ... *)
-  let idx = Index.build doc in
-  Tree.truncate_to doc (Tree.size doc);
-  check_bool "index extends over a no-op truncate" true
-    (Index.extend idx doc ~promoted:[]);
-  (* ... but a real shrink bumps the generation and the index refuses *)
+  (* a committed checkpoint cannot be rolled back later *)
+  let ck = Tree.checkpoint doc in
+  ignore (Tree.new_element doc ~parent:(Tree.root doc) "Kept");
+  Tree.commit doc ck;
+  let sz = Tree.size doc in
+  expect_invalid "restore after commit" "not open" (fun () ->
+      Tree.restore doc ck);
+  check_int "commit keeps the appends" sz (Tree.size doc);
+  (* a restore bumps the generation and the index refuses *)
   let idx = Index.build doc in
   let g1 = Tree.generation doc in
-  let sz = Tree.size doc in
+  let ck = Tree.checkpoint doc in
   ignore (Tree.new_element doc ~parent:(Tree.root doc) "Tmp");
-  Tree.truncate_to doc sz;
-  check_bool "shrink bumps generation" true (Tree.generation doc > g1);
-  check_bool "index refuses after shrink" false
+  Tree.restore doc ck;
+  check_bool "restore bumps generation" true (Tree.generation doc > g1);
+  check_bool "index refuses after restore" false
     (Index.extend idx doc ~promoted:[])
 
 (* ===== metrics verb and slow-query log ===== *)
@@ -1359,6 +1352,45 @@ let test_tcp_roundtrip () =
   Server.stop srv;
   Server.stop srv (* idempotent *)
 
+(* The request line is bounded: a line of exactly the cap is read (and
+   answered as the garbage it is), one byte more gets a typed
+   [request_too_large] reply and the connection is closed, and the
+   daemon goes on serving other clients. *)
+let test_tcp_oversized_line () =
+  let ctx = Protocol.make_ctx ~max_sessions:4 () in
+  let srv = Server.start ~port:0 ctx in
+  let connect () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+    (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+  in
+  let reply ic =
+    match J.parse_opt (input_line ic) with
+    | Ok v -> v
+    | Error m -> Alcotest.failf "bad wire response: %s" m
+  in
+  let stats = J.to_string (J.Obj [ ("verb", J.Str "stats") ]) ^ "\n" in
+  let fd, ic, oc = connect () in
+  output_string oc (String.make Server.max_request_bytes 'x');
+  output_char oc '\n';
+  flush oc;
+  ignore (expect_err "a line of exactly the cap is read" "parse_error" (reply ic));
+  output_string oc stats;
+  flush oc;
+  ignore (expect_ok "the connection survives" (reply ic));
+  output_string oc (String.make (Server.max_request_bytes + 1) 'x');
+  flush oc;
+  ignore (expect_err "one byte over the cap" "request_too_large" (reply ic));
+  check_bool "the connection is closed" true
+    (match input_line ic with _ -> false | exception End_of_file -> true);
+  Unix.close fd;
+  let fd, ic, oc = connect () in
+  output_string oc stats;
+  flush oc;
+  ignore (expect_ok "a second client is served" (reply ic));
+  Unix.close fd;
+  Server.stop srv
+
 (* Many clients at once over TCP, in the shape of a small served
    workload: 32 client threads each open a session (units 2, seed 42),
    commit a four-call chain pipeline with a why and an impact query after
@@ -1518,6 +1550,8 @@ let () =
       ("transport",
        [ Alcotest.test_case "TCP roundtrip and shutdown" `Quick
            test_tcp_roundtrip;
+         Alcotest.test_case "oversized request line" `Quick
+           test_tcp_oversized_line;
          Alcotest.test_case "concurrent TCP clients" `Quick
            test_concurrent_tcp_clients ])
     ]
