@@ -50,9 +50,9 @@ val extend : t -> Tree.t -> promoted:Tree.node list -> bool
     Returns [true] when the index now satisfies [valid_for t doc].
     Returns [false] — and the caller must fall back to {!build} — when:
     - the index was built from a different arena, or
-    - the document generation changed (a {!Tree.restore} /
-      {!Tree.truncate_to} rollback: in-place postings may reference
-      discarded nodes, so rollbacks always invalidate), or
+    - the document generation changed (a {!Tree.restore} rollback:
+      in-place postings may reference discarded nodes, so rollbacks
+      always invalidate), or
     - a key band is exhausted (too many appends under one parent since
       the last full build; the rebuild restores uniform gaps, so its cost
       is amortized over the appends that consumed the band).

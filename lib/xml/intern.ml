@@ -3,7 +3,7 @@
    One table per document maps strings (element names, attribute names,
    attribute values, text content) to dense integer ids.  Ids are
    allocated in first-seen order and never reused or dropped, so they
-   survive rollbacks for free: truncating the arena leaves stale entries
+   survive rollbacks for free: dropping arena nodes leaves stale entries
    in the dictionary, which is only wasted space, never a wrong answer.
 
    The read path ([get]) touches only the id -> string array — no hash

@@ -4,7 +4,7 @@
     Each document owns one table; element names, attribute names,
     attribute values and text content are stored once and referenced by
     dense integer id from the node arrays.  Ids are never reused, so they
-    remain valid across {!Tree.truncate_to}/{!Tree.restore} rollbacks —
+    remain valid across {!Tree.restore} rollbacks —
     stale dictionary entries cost space, not correctness. *)
 
 type t
