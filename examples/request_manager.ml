@@ -1,92 +1,93 @@
-(* The Figure 5 architecture end to end, split into its three parts:
+(* The Figure 5 architecture end to end on the daemon path:
 
-   1. Recording: a workflow runs; the Recorder labels resources and the
-      execution trace is persisted (XML here; RDF also available) — the
-      final document goes to the "Resource Repository" (a string).
-   2. Graph construction: later — conceptually in another process — the
-      Mapper reloads the document and the trace, pulls each service's
-      mapping rules from the Service Catalog, and materializes the
-      provenance graph.
-   3. Request manager: queries hit the Provenance store, which serves the
-      materialized graph from cache after the first request and answers
-      reachability questions through the closure index.
+   1. Recording: a serving session runs the workflow one call at a time.
+      The Recorder labels resources, Fused infers the provenance links as
+      each call commits, and the session appends each commit's triples to
+      its write-ahead log (the Provenance store).
+   2. Restart: the session is closed and — conceptually in another
+      process — restored from the log alone.
+   3. Request manager: the restored session answers SPARQL and lineage
+      queries over the recovered store, exactly as the live one did.
+
+   The run fails unless the restored Turtle equals the live session's.
 
    Run with:  dune exec examples/request_manager.exe *)
 
-open Weblab_xml
 open Weblab_workflow
 open Weblab_services
 open Weblab_prov
+open Weblab_server
 
 let () =
-  (* ---- 1. Recording ---- *)
-  let doc = Workload.make_document ~units:3 ~seed:2026 () in
-  let services = Workload.standard_pipeline ~extended:true () in
-  let trace = Orchestrator.execute doc services in
-  let resource_repository = Printer.to_string doc in
-  let trace_store = Trace_io.to_xml trace in
-  Printf.printf
-    "Recorded: document of %d bytes, trace of %d bytes (%d calls)\n\n"
-    (String.length resource_repository)
-    (String.length trace_store)
-    (List.length (Trace.calls trace));
-
-  (* ---- 2. Graph construction (from the persisted artifacts only) ---- *)
-  let doc' = Xml_parser.parse resource_repository in
-  (* Arena timestamps are session state: rebuild them from the persisted
-     @t labels before inferring. *)
-  Doc_state.restore_timestamps doc';
-  let trace' = Trace_io.of_xml trace_store in
   let rulebook =
-    Trace.calls trace'
-    |> List.filter_map (fun (c : Trace.call) ->
-           Catalog.find c.Trace.service
-           |> Option.map (fun e ->
-                  (c.Trace.service,
-                   List.map Rule_parser.parse e.Catalog.rules)))
+    List.map
+      (fun (e : Catalog.entry) ->
+        ( Service.name e.Catalog.service,
+          List.map Rule_parser.parse e.Catalog.rules ))
+      Catalog.entries
   in
-  let cache = Prov_store.create () in
-  let materializations = ref 0 in
-  let materialize () =
-    incr materializations;
-    let g =
-      Strategy.infer ~strategy:`Rewrite ~doc:doc' ~trace:trace' rulebook
+  let dir = Filename.temp_dir "weblab-request-manager" "" in
+  let wal_path = Filename.concat dir "exec-2026-07-04.wal" in
+  let same_turtle =
+    Fun.protect
+      ~finally:(fun () ->
+        if Sys.file_exists wal_path then Sys.remove wal_path;
+        Sys.rmdir dir)
+    @@ fun () ->
+    (* ---- 1. Recording ---- *)
+    let id = "exec-2026-07-04" in
+    let doc = Workload.make_document ~units:3 ~seed:2026 () in
+    let live = Session.create ~id ~backend:`Fused ~wal_path ~doc rulebook in
+    List.iter
+      (fun svc ->
+        match Session.commit live svc with
+        | Ok c ->
+          Printf.printf "t%d %-18s +%d nodes, %d promoted\n" c.Session.time
+            (Service.name svc) c.Session.new_nodes c.Session.promoted
+        | Error _ -> failwith ("call failed: " ^ Service.name svc))
+      (Workload.standard_pipeline ~extended:true ());
+    ignore (Session.close live);
+    let live_turtle = Session.turtle live in
+    Printf.printf "Recorded: %d links, write-ahead log of %Ld bytes\n\n"
+      (Session.stats live).Session.st_links
+      (In_channel.with_open_bin wal_path In_channel.length);
+
+    (* ---- 2. Restart: the log is all that is left ---- *)
+    let restored, rp = Session.restore ~id ~wal_path in
+    Printf.printf "Restored %d triples from %d commit(s)\n\n"
+      rp.Weblab_rdf.Wal.rp_triples rp.Weblab_rdf.Wal.rp_commits;
+
+    (* ---- 3. Request manager ---- *)
+    let queries =
+      [ "SELECT ?b ?a WHERE { ?b prov:wasDerivedFrom ?a } LIMIT 5";
+        "SELECT ?e WHERE { ?e prov:wasGeneratedBy ?act . \
+         ?act prov:wasAssociatedWith \
+         <http://weblab.ow2.org/prov#service/Summarizer> }";
+        "ASK { ?b prov:wasDerivedFrom ?a . FILTER(?b != ?a) }" ]
     in
-    Inheritance.close doc' g
+    List.iter
+      (fun q ->
+        Printf.printf "Query: %s\n" q;
+        (match Weblab_rdf.Sparql.run_result (Session.store restored) q with
+         | Weblab_rdf.Sparql.Solutions t ->
+           print_string (Weblab_relalg.Table.to_string t)
+         | Weblab_rdf.Sparql.Boolean b -> Printf.printf "  -> %B\n" b);
+        print_newline ())
+      queries;
+    (* The resource with the longest lineage, by a [why] per resource. *)
+    let uri, up =
+      List.fold_left
+        (fun (u, up) (v, _) ->
+          let up' = Session.why restored v in
+          if List.length up' > List.length up then (v, up') else (u, up))
+        ("", [])
+        (Prov_graph.labeled_resources (Session.graph restored))
+    in
+    Printf.printf "Longest lineage: %s <- %s\n" uri (String.concat ", " up);
+    String.equal (Session.turtle restored) live_turtle
   in
-
-  (* ---- 3. Request manager ---- *)
-  let exec_id = "exec-2026-07-04" in
-  let queries =
-    [ "SELECT ?b ?a WHERE { ?b prov:wasDerivedFrom ?a } LIMIT 5";
-      "SELECT ?e WHERE { ?e prov:wasGeneratedBy ?act . \
-       ?act prov:wasAssociatedWith \
-       <http://weblab.ow2.org/prov#service/Summarizer> }";
-      "ASK { ?b prov:wasDerivedFrom ?a . FILTER(?b != ?a) }" ]
-  in
-  List.iter
-    (fun q ->
-      ignore (Prov_store.request cache ~id:exec_id ~materialize);
-      let store = Option.get (Prov_store.store_of cache ~id:exec_id) in
-      Printf.printf "Query: %s\n" q;
-      (match Weblab_rdf.Sparql.run_result store q with
-       | Weblab_rdf.Sparql.Solutions t ->
-         print_string (Weblab_relalg.Table.to_string t)
-       | Weblab_rdf.Sparql.Boolean b -> Printf.printf "  -> %B\n" b);
-      print_newline ())
-    queries;
-  let s = Prov_store.stats cache in
-  Printf.printf
-    "Served %d queries with %d materialization(s) (cache: %d hits, %d misses)\n\n"
-    (List.length queries) !materializations s.Prov_store.hits s.Prov_store.misses;
-
-  (* Reachability through the cached index. *)
-  let g = Prov_store.request cache ~id:exec_id ~materialize in
-  (match Prov_graph.labeled_resources g with
-   | [] -> ()
-   | resources ->
-     let uri, _ = List.nth resources (List.length resources - 1) in
-     let up = Prov_store.ancestors cache ~id:exec_id ~materialize uri in
-     Printf.printf "Upstream closure of %s (served by the cached index): %s\n"
-       uri (String.concat ", " up));
-  Printf.printf "Total materializations at the end: %d\n" !materializations
+  if not same_turtle then begin
+    prerr_endline "restored Turtle differs from the live session's";
+    exit 1
+  end;
+  print_endline "Restored Turtle = live Turtle"

@@ -1,10 +1,8 @@
 (* A file-based repository for workflow executions — the durable version
-   of the Figure 5 stores:
+   of two Figure 5 stores (the Provenance store is the daemon's WAL):
 
      <root>/<id>/document.xml    the Resource Repository entry
      <root>/<id>/trace.xml       the Execution Trace store entry
-     <root>/<id>/provenance.nt   the Provenance store entry (optional,
-                                 written when a graph is materialized)
 
    Loading restores everything inference needs: the reloaded document gets
    its arena timestamps rebuilt from the persisted @t labels, so
@@ -91,20 +89,6 @@ let load t ~id : Engine.execution =
   in
   { Engine.doc; trace }
 
-let store_provenance t ~id (g : Prov_graph.t) =
-  check_id id;
-  if not (Sys.file_exists (dir t id)) then Sys.mkdir (dir t id) 0o755;
-  write_file (path t id "provenance.nt") (Prov_export.to_ntriples g)
-
-let load_provenance t ~id : Prov_graph.t option =
-  check_id id;
-  let p = path t id "provenance.nt" in
-  if not (Sys.file_exists p) then None
-  else
-    match Weblab_rdf.Turtle.parse_ntriples (read_file p) with
-    | store -> Some (Prov_export.of_store store)
-    | exception Weblab_rdf.Turtle.Parse_error m -> raise (Error m)
-
 let executions t =
   if not (Sys.file_exists t.root) then []
   else
@@ -113,14 +97,3 @@ let executions t =
            Sys.is_directory (dir t id)
            && Sys.file_exists (path t id "document.xml"))
     |> List.sort String.compare
-
-(* Materialize-or-load, backed by the disk instead of (or in addition to)
-   the in-memory {!Prov_store}. *)
-let provenance t ~id ~(materialize : Engine.execution -> Prov_graph.t) =
-  match load_provenance t ~id with
-  | Some g -> g
-  | None ->
-    let exec = load t ~id in
-    let g = materialize exec in
-    store_provenance t ~id g;
-    g

@@ -1,8 +1,8 @@
 (** A file-based repository for workflow executions — the durable version
-    of the Figure 5 stores: one directory per execution id holding the
-    document (Resource Repository), the trace (Execution Trace store) and,
-    once materialized, the provenance graph in N-Triples (Provenance
-    store).
+    of two Figure 5 stores: one directory per execution id holding the
+    document (Resource Repository) and the trace (Execution Trace store).
+    The Provenance store is the daemon's write-ahead log
+    ({!Weblab_rdf.Wal}, restored by [Session.restore]).
 
     Loading restores everything inference needs (arena timestamps are
     rebuilt from the persisted [@t] labels), so inference over a loaded
@@ -24,25 +24,5 @@ val store : t -> id:string -> Engine.execution -> unit
 val load : t -> id:string -> Engine.execution
 (** @raise Error when the execution is missing or malformed. *)
 
-val store_provenance : t -> id:string -> Prov_graph.t -> unit
-
-val load_provenance : t -> id:string -> Prov_graph.t option
-(** [None] when no graph was materialized for this execution yet. *)
-
 val executions : t -> string list
 (** Stored execution ids, sorted. *)
-
-val provenance :
-  t -> id:string -> materialize:(Engine.execution -> Prov_graph.t) -> Prov_graph.t
-(** The disk-backed Request Manager: load the materialized graph, or
-    materialize from the stored execution and persist the result. *)
-
-(**/**)
-
-val path : t -> string -> string -> string
-
-val dir : t -> string -> string
-
-(* exposed for tests *)
-
-(**/**)

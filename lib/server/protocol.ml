@@ -224,9 +224,10 @@ let service_of req =
            (String.concat "|" Weblab_services.Catalog.service_names)))
   | None, Some xml ->
     (* A client-supplied next document state: the streaming route — the
-       body is parsed once, straight into an arena, and diffed against
-       the current state without serializing it.  Malformed XML fails the
-       call (total parse-error rendering), never the session. *)
+       body's parser events are grafted onto the live arena in one pass
+       ({!Weblab_xml.Diff.graft}), with no second arena and no
+       serialization of the current state.  Malformed XML fails the call
+       (total parse-error rendering), never the session. *)
     let name = opt_default "ClientXml" (J.str_member "name" req) in
     Session.client_xml_service ~name xml
   | Some _, Some _ | None, None ->

@@ -146,11 +146,9 @@ type session = {
   s_doc : Tree.t;
   s_trace : Trace.t;
   s_policy : policy;
-  s_service_of_time : (int, string) Hashtbl.t;
   s_seen_uris : (string, unit) Hashtbl.t;
       (* every URI committed so far; per-call additions are checked
          against it incrementally, replacing the old full rescan *)
-  s_labeled : (Tree.node, unit) Hashtbl.t;
   mutable s_next_time : int;
 }
 
@@ -158,37 +156,35 @@ let session_doc s = s.s_doc
 let session_trace s = s.s_trace
 let next_time s = s.s_next_time
 
-(* Label the given resources (in document order) that still lack a
-   service-call label, attributing them to the call active at their
-   creation timestamp (this covers both fresh resources and nodes
+(* Label the given resources (in document order), each new to labeling:
+   [start] hands over the initial resources, [step] only the ones its
+   call appended or promoted.  Each is attributed to the call made at
+   its creation timestamp (this covers both fresh resources and nodes
    promoted to resources by a later call, as node 3 of Figure 4 is). *)
 let label_resources s ~now nodes =
   let doc = s.s_doc in
   List.iter
     (fun n ->
-      if not (Hashtbl.mem s.s_labeled n) then begin
-        Hashtbl.add s.s_labeled n ();
-        (* A node older than the current call was just promoted. *)
-        Tree.set_uri_time doc n
-          (if Tree.created doc n < now then now else Tree.created doc n);
-        let time = Tree.created doc n in
-        let service =
-          match Hashtbl.find_opt s.s_service_of_time time with
-          | Some s -> s
-          | None -> "Source"
-        in
-        if Tree.service_label doc n = None then
-          Tree.set_service_label doc n service time;
-        let call = { Trace.service; time } in
-        match Tree.uri doc n with
-        | Some uri ->
-          Trace.add_entry ~step:now s.s_trace { Trace.uri; node = n; call }
-        | None ->
-          raise
-            (Orchestrator_error
-               (Printf.sprintf
-                  "resource node %d lost its URI during labeling at t%d" n now))
-      end)
+      (* A node older than the current call was just promoted. *)
+      Tree.set_uri_time doc n
+        (if Tree.created doc n < now then now else Tree.created doc n);
+      let time = Tree.created doc n in
+      let service =
+        match Trace.attempted_call s.s_trace time with
+        | Some c -> c.Trace.service
+        | None -> "Source"
+      in
+      if Tree.service_label doc n = None then
+        Tree.set_service_label doc n service time;
+      let call = { Trace.service; time } in
+      match Tree.uri doc n with
+      | Some uri ->
+        Trace.add_entry ~step:now s.s_trace { Trace.uri; node = n; call }
+      | None ->
+        raise
+          (Orchestrator_error
+             (Printf.sprintf
+                "resource node %d lost its URI during labeling at t%d" n now)))
     nodes
 
 (* A resource unlabeled before a call is one the call appended or
@@ -212,10 +208,8 @@ let start ?(policy = default_policy) doc =
     invalid_arg "Orchestrator.start: the document needs a root";
   let s =
     { s_doc = doc; s_trace = Trace.create (); s_policy = policy;
-      s_service_of_time = Hashtbl.create 16; s_seen_uris = Hashtbl.create 64;
-      s_labeled = Hashtbl.create 64; s_next_time = 1 }
+      s_seen_uris = Hashtbl.create 64; s_next_time = 1 }
   in
-  Hashtbl.replace s.s_service_of_time 0 "Source";
   (* The root is always a resource (Definition 1). *)
   if Tree.uri doc (Tree.root doc) = None then
     Tree.set_uri doc (Tree.root doc) (Tree.fresh_uri doc);
@@ -242,7 +236,6 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
   s.s_next_time <- time + 1;
   let name = Service.name service in
   Log.debug (fun m -> m "call %d: %s" time name);
-  Hashtbl.replace s.s_service_of_time time name;
   let call = { Trace.service = name; time } in
   let before = Doc_state.at doc (time - 1) in
   (* One supervised attempt: run the service, verify budgets, assign

@@ -47,7 +47,6 @@ type t = {
   elements : Tree.node Vec.t;  (* all elements, document order *)
   by_label : (string, Tree.node Vec.t) Hashtbl.t;
   by_attr : (string * string, Tree.node Vec.t) Hashtbl.t;
-  some_attr : (string, Tree.node Vec.t) Hashtbl.t;
   mutable exhausted : bool;  (* a key band ran out: refuse to extend *)
 }
 
@@ -86,7 +85,6 @@ let build tree =
       elements = Vec.create ~dummy:Tree.no_node;
       by_label = Hashtbl.create 64;
       by_attr = Hashtbl.create 64;
-      some_attr = Hashtbl.create 8;
       exhausted = false }
   in
   let clock = ref 0 in
@@ -100,10 +98,7 @@ let build tree =
       Vec.push (posting t.by_label (Tree.name tree node)) node;
       List.iter
         (fun (a, v) ->
-          if attr_indexed a then begin
-            Vec.push (posting t.by_attr (a, v)) node;
-            Vec.push (posting t.some_attr a) node
-          end)
+          if attr_indexed a then Vec.push (posting t.by_attr (a, v)) node)
         (Tree.attrs tree node)
     end;
     let sz = ref 1 in
@@ -191,7 +186,6 @@ type batch = {
   b_elements : Tree.node list ref;
   b_label : (string, Tree.node list ref) Hashtbl.t;
   b_attr : (string * string, Tree.node list ref) Hashtbl.t;
-  b_some : (string, Tree.node list ref) Hashtbl.t;
 }
 
 let batch_add tbl key node =
@@ -201,11 +195,7 @@ let batch_add tbl key node =
 
 let batch_attrs t b node =
   List.iter
-    (fun (a, v) ->
-      if attr_indexed a then begin
-        batch_add b.b_attr (a, v) node;
-        batch_add b.b_some a node
-      end)
+    (fun (a, v) -> if attr_indexed a then batch_add b.b_attr (a, v) node)
     (Tree.attrs t.tree node)
 
 (* Sort a batch by pre key and merge it into its posting. *)
@@ -227,7 +217,7 @@ let extend t doc ~promoted =
     ensure_arrays t n;
     let b =
       { b_elements = ref []; b_label = Hashtbl.create 8;
-        b_attr = Hashtbl.create 16; b_some = Hashtbl.create 4 }
+        b_attr = Hashtbl.create 16 }
     in
     let rec key_tail node =
       node >= n
@@ -261,12 +251,9 @@ let extend t doc ~promoted =
           then
             List.iter
               (fun (a, v) ->
-                if attr_indexed a then begin
-                  if not (posting_mem t (posting t.by_attr (a, v)) node) then
-                    batch_add b.b_attr (a, v) node;
-                  if not (posting_mem t (posting t.some_attr a) node) then
-                    batch_add b.b_some a node
-                end)
+                if attr_indexed a
+                   && not (posting_mem t (posting t.by_attr (a, v)) node)
+                then batch_add b.b_attr (a, v) node)
               (Tree.attrs t.tree node))
         promoted;
       merge_into t t.elements !(b.b_elements);
@@ -275,7 +262,6 @@ let extend t doc ~promoted =
       in
       merge_all t.by_label b.b_label;
       merge_all t.by_attr b.b_attr;
-      merge_all t.some_attr b.b_some;
       t.stamp <- n;
       T.incr c_extend_ok;
       true
@@ -297,8 +283,6 @@ let label_count t l =
 let elements t = Vec.to_list t.elements
 
 let nodes_with_attr t a v = posting_list t.by_attr (a, v)
-
-let nodes_with_some_attr t a = posting_list t.some_attr a
 
 let resource t u =
   match Hashtbl.find_opt t.by_attr ("id", u) with

@@ -5,11 +5,13 @@
     and amortized over the many pattern evaluations of post-hoc
     provenance inference:
 
+    - {b elements}: every element, document order;
     - {b nodes by label}: element name → nodes, document order — turns
       [//Name] steps into lookups;
-    - {b nodes by attribute}: [(attr, value)] → nodes for the provenance
-      attributes [@id], [@s] and [@t] — turns the service/identity guards
-      the §4 rewriting injects into lookups;
+    - {b nodes by attribute}: [(attr, value)] → nodes, document order,
+      for the provenance attributes [@id], [@s] and [@t] — turns the
+      service/identity guards the §4 rewriting injects into lookups, and
+      its [@id] postings resolve URIs ({!resource});
     - {b pre/post-order intervals}: [descendant(a, n)] becomes two integer
       comparisons, so descendant steps from an inner context filter a
       label list instead of walking the subtree.
@@ -91,9 +93,6 @@ val attr_indexed : string -> bool
 val nodes_with_attr : t -> string -> string -> Tree.node list
 (** [nodes_with_attr t a v]: elements with [a="v"], for [a] in
     {!indexed_attrs} ([[]] for any other attribute). *)
-
-val nodes_with_some_attr : t -> string -> Tree.node list
-(** Elements carrying attribute [a] (any value), [a] in {!indexed_attrs}. *)
 
 val resource : t -> string -> Tree.node option
 (** [resource t u]: the first (document order) element with [@id = u] —

@@ -42,12 +42,27 @@ type uri_alloc = {
 (* The four columns an in-place edit writes. *)
 type column = Label | Attr_head | Meta | Uri_time
 
+(* A logged cell as one int: the node id above two column bits.  The
+   hash folds the node's low bits into the column's, so cells of one
+   column still spread over every bucket. *)
+let cell n = function
+  | Label -> n lsl 2
+  | Attr_head -> (n lsl 2) lor 1
+  | Meta -> (n lsl 2) lor 2
+  | Uri_time -> (n lsl 2) lor 3
+
+module Cells = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k lxor (k lsr 2)
+end)
+
 type checkpoint = {
   ck_size : int;
   ck_attrs_n : int;
   ck_log : (node * column * int) list;  (* the undo log when taken *)
-  mutable ck_first :
-    ((node * column, int) Hashtbl.t * (node * column * int) list) option;
+  mutable ck_first : (int Cells.t * (node * column * int) list) option;
       (* each cell's oldest logged value, and the log it was built from *)
 }
 
@@ -548,12 +563,12 @@ let value_at t ck n col =
     match ck.ck_first with
     | Some (h, log) when log == t.log && List.memq ck t.open_cks -> h
     | _ ->
-      let h = Hashtbl.create 16 in
-      fold_log t ck (fun () (m, c, old) -> Hashtbl.replace h (m, c) old) ();
+      let h = Cells.create (fold_log t ck (fun k _ -> k + 1) 0) in
+      fold_log t ck (fun () (m, c, old) -> Cells.replace h (cell m c) old) ();
       ck.ck_first <- Some (h, t.log);
       h
   in
-  match Hashtbl.find_opt first (n, col) with
+  match Cells.find_opt first (cell n col) with
   | Some old -> old
   | None -> (column t col).(n)
 

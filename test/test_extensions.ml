@@ -338,7 +338,7 @@ let test_reachability_unknown_uri () =
   check_bool "unknown" false (Reachability.depends_on idx ~on:"n1" "ghost");
   check_int "empty" 0 (List.length (Reachability.ancestors idx "ghost"))
 
-(* ---------- RDF round-trip and the materialization cache ---------- *)
+(* ---------- RDF round-trip ---------- *)
 
 let test_graph_rdf_roundtrip () =
   let e = Weblab_scenario.Paper.run () in
@@ -361,53 +361,6 @@ let test_graph_rdf_roundtrip () =
         check_bool ("label of " ^ uri) true (call = call')
       | None -> Alcotest.failf "label of %s lost" uri)
     (Prov_graph.labeled_resources g)
-
-let test_prov_store_cache () =
-  let e = Weblab_scenario.Paper.run () in
-  let cache = Prov_store.create () in
-  let calls = ref 0 in
-  let materialize () =
-    incr calls;
-    Weblab_scenario.Figures.explicit_graph e
-  in
-  let g1 = Prov_store.request cache ~id:"exec1" ~materialize in
-  let g2 = Prov_store.request cache ~id:"exec1" ~materialize in
-  check_int "materialized once" 1 !calls;
-  check_int "same size" (Prov_graph.size g1) (Prov_graph.size g2);
-  let s = Prov_store.stats cache in
-  check_int "hits" 1 s.Prov_store.hits;
-  check_int "misses" 1 s.Prov_store.misses;
-  check_int "cached" 1 s.Prov_store.cached;
-  (* a different execution id materializes again *)
-  let _ = Prov_store.request cache ~id:"exec2" ~materialize in
-  check_int "second materialization" 2 !calls;
-  (* invalidation forces re-materialization *)
-  Prov_store.invalidate cache ~id:"exec1";
-  let _ = Prov_store.request cache ~id:"exec1" ~materialize in
-  check_int "after invalidate" 3 !calls
-
-let test_prov_store_sparql_endpoint () =
-  let e = Weblab_scenario.Paper.run () in
-  let cache = Prov_store.create () in
-  let materialize () = Weblab_scenario.Figures.explicit_graph e in
-  ignore (Prov_store.request cache ~id:"x" ~materialize);
-  match Prov_store.store_of cache ~id:"x" with
-  | Some store ->
-    check_bool "queryable" true
-      (Weblab_rdf.Sparql.ask store "ASK { ?b prov:wasDerivedFrom ?a }")
-  | None -> Alcotest.fail "store not materialized"
-
-let test_prov_store_reachability () =
-  let e = Weblab_scenario.Paper.run () in
-  let cache = Prov_store.create () in
-  let materialize () =
-    Weblab_scenario.Figures.inherited_graph e
-  in
-  let ancestors = Prov_store.ancestors cache ~id:"y" ~materialize "r8" in
-  check_bool "r8 reaches r3 through the cache" true (List.mem "r3" ancestors);
-  (* second query is index-served *)
-  let again = Prov_store.ancestors cache ~id:"y" ~materialize "r8" in
-  check (Alcotest.list Alcotest.string) "stable" ancestors again
 
 (* ---------- PROV-XML ---------- *)
 
@@ -584,22 +537,6 @@ let test_repository_roundtrip () =
       check pairs "same provenance from disk" (graph_key g_live)
         (graph_key g_loaded))
 
-let test_repository_provenance_cache () =
-  with_temp_repo (fun repo ->
-      let exec, rb = make_exec () in
-      Repository.store repo ~id:"e1" exec;
-      check_bool "not materialized yet" true
-        (Repository.load_provenance repo ~id:"e1" = None);
-      let calls = ref 0 in
-      let materialize e =
-        incr calls;
-        Engine.provenance e rb
-      in
-      let g1 = Repository.provenance repo ~id:"e1" ~materialize in
-      let g2 = Repository.provenance repo ~id:"e1" ~materialize in
-      check_int "materialized once" 1 !calls;
-      check pairs "stable across loads" (graph_key g1) (graph_key g2))
-
 let test_repository_bad_ids () =
   with_temp_repo (fun repo ->
       let exec, _ = make_exec () in
@@ -645,15 +582,11 @@ let () =
           Alcotest.test_case "matches BFS" `Quick test_reachability_matches_bfs;
           Alcotest.test_case "unknown uri" `Quick test_reachability_unknown_uri ] );
       ( "prov-store",
-        [ Alcotest.test_case "rdf round-trip" `Quick test_graph_rdf_roundtrip;
-          Alcotest.test_case "cache" `Quick test_prov_store_cache;
-          Alcotest.test_case "sparql endpoint" `Quick test_prov_store_sparql_endpoint;
-          Alcotest.test_case "reachability" `Quick test_prov_store_reachability ] );
+        [ Alcotest.test_case "rdf round-trip" `Quick test_graph_rdf_roundtrip ] );
       ( "prov-xml",
         [ Alcotest.test_case "well-formed" `Quick test_prov_xml_wellformed ] );
       ( "repository",
         [ Alcotest.test_case "round-trip" `Quick test_repository_roundtrip;
-          Alcotest.test_case "provenance cache" `Quick test_repository_provenance_cache;
           Alcotest.test_case "bad ids" `Quick test_repository_bad_ids;
           Alcotest.test_case "missing" `Quick test_repository_missing ] );
       ( "trace-io",

@@ -366,6 +366,38 @@ let plan_faults =
   [ Faulty.Crash; Faulty.Garbage_xml; Faulty.Mutate_committed;
     Faulty.Duplicate_uri ]
 
+(* Bit-identity is checked before agreement: every attempt must start
+   from the arena the last commit left, or the run stops writing.  A
+   rollback that kept a failed attempt's writes would otherwise let the
+   retry allocate over stale attribute heads, and reading the cyclic
+   chains that makes exhausts memory instead of failing the property.
+   Each wrapped service takes the arena's fingerprint as an
+   attempt begins: the first attempt after a commit records it, every
+   later one (a retry, or the next call after a failed one) compares,
+   and on a difference raises before the fault or the service runs. *)
+exception Rollback_not_exact
+
+let guard_rollbacks services =
+  let baseline = ref None and broken = ref false in
+  let guard (svc : Service.t) =
+    match svc.Service.impl with
+    | Service.Inproc f ->
+      { svc with
+        Service.impl =
+          Service.Inproc
+            (fun d ->
+              let fp = fingerprint d in
+              (match !baseline with
+               | None -> baseline := Some fp
+               | Some b when String.equal b fp -> ()
+               | Some _ ->
+                 broken := true;
+                 raise Rollback_not_exact);
+              f d) }
+    | Service.Blackbox _ | Service.Blackbox_doc _ -> svc
+  in
+  (List.map guard services, (fun () -> baseline := None), broken)
+
 let prop_agreement_under_faults =
   Test.make
     ~name:"Online = Replay = Rewrite = Fused under faults"
@@ -374,7 +406,9 @@ let prop_agreement_under_faults =
     (fun ((doc, services, rb), (seed, r)) ->
       let rate = [| 0.3; 0.5; 0.8 |].(r) in
       let plan = Faulty.plan ~faults:plan_faults ~rate ~seed () in
-      let services = Faulty.wrap_all plan services in
+      let services, committed, broken =
+        guard_rollbacks (Faulty.wrap_all plan services)
+      in
       let policy =
         { Orchestrator.default_policy with
           retries = 1; backoff_ms = 5.; on_failure = `Skip }
@@ -390,10 +424,13 @@ let prop_agreement_under_faults =
       let trace =
         Orchestrator.execute ~policy
           ~on_step:(fun call before after delta ->
+            committed ();
             Strategy_online.observe on_st ~call ~before ~after ~delta;
             Strategy_fused.observe fus_st ~call ~before ~after ~delta)
           doc services
       in
+      if !broken then
+        Test.fail_report "a failed attempt's rollback was not bit-identical";
       let g_online = Strategy_online.finalize on_st ~doc ~trace in
       let g_fused = Strategy_fused.finalize fus_st ~doc ~trace in
       let exec = { Engine.doc; trace } in

@@ -49,7 +49,6 @@ let test_by_attr () =
   check_int "t=2" 2 (List.length (Index.nodes_with_attr idx "t" "2"));
   check_int "unindexed attr is not answered" 0
     (List.length (Index.nodes_with_attr idx "lang" "fr"));
-  check_int "some_attr id" 3 (List.length (Index.nodes_with_some_attr idx "id"));
   check_bool "resource = find_resource" true
     (Index.resource idx "mu2" = Tree.find_resource doc "mu2");
   check_bool "missing resource" true (Index.resource idx "zz" = None)
@@ -459,8 +458,7 @@ let same_answers doc idx fresh =
        labels
   && List.for_all
        (fun (a, v) ->
-         Index.nodes_with_attr idx a v = Index.nodes_with_attr fresh a v
-         && Index.nodes_with_some_attr idx a = Index.nodes_with_some_attr fresh a)
+         Index.nodes_with_attr idx a v = Index.nodes_with_attr fresh a v)
        attr_pairs
   && List.for_all
        (fun n ->
@@ -500,8 +498,8 @@ let test_extend_promotion () =
   ignore (Tree.new_element doc ~parent:(Tree.root doc) "Extra");
   check_bool "extend with promotion" true (Index.extend idx doc ~promoted:[ lang ]);
   check_bool "promoted node resolvable" true (Index.resource idx "r9" = Some lang);
-  check_bool "promoted in some_attr" true
-    (List.mem lang (Index.nodes_with_some_attr idx "id"));
+  check_bool "promoted in its id posting" true
+    (Index.nodes_with_attr idx "id" "r9" = [ lang ]);
   check_bool "matches a fresh build" true (same_answers doc idx (Index.build doc))
 
 let test_extend_checkpoint_restore () =

@@ -451,6 +451,66 @@ let test_protocol_warm_restart () =
   check_int "global restored count" 1 (get_int "stats" "restored" g);
   check_int "global live count" 1 (get_int "stats" "live" g)
 
+(* Lineage survives a restart: the restored session, which rebuilds its
+   graph from the replayed store, answers [why] and [impact] exactly as
+   the live session did before the crash, for every labeled resource of
+   an extended run and for a URI neither knows. *)
+let test_lineage_after_restart () =
+  let dir = fresh_dir () in
+  let ctx1 = Protocol.make_ctx ~data_dir:dir () in
+  let sid = "lineage" in
+  ignore
+    (expect_ok "open"
+       (rpc ctx1
+          [ ("verb", J.Str "open"); ("session", J.Str sid);
+            ("units", J.Int 3); ("seed", J.Int 2026) ]));
+  List.iter
+    (fun svc ->
+      ignore
+        (expect_ok "commit"
+           (rpc ctx1
+              [ ("verb", J.Str "commit"); ("session", J.Str sid);
+                ("service", J.Str (Weblab_workflow.Service.name svc)) ])))
+    (Weblab_services.Workload.standard_pipeline ~extended:true ());
+  let labeled =
+    match Registry.find ctx1.Protocol.registry sid with
+    | Some sess ->
+      List.map fst
+        (Weblab_prov.Prov_graph.labeled_resources (Session.graph sess))
+    | None -> Alcotest.fail "live session missing"
+  in
+  check_bool "an extended run labels resources" true
+    (List.length labeled > 20);
+  let answers ctx =
+    List.map
+      (fun uri ->
+        let ask kind =
+          match
+            get_field kind "uris"
+              (expect_ok kind
+                 (rpc ctx
+                    [ ("verb", J.Str "query"); ("session", J.Str sid);
+                      ("kind", J.Str kind); ("uri", J.Str uri) ]))
+          with
+          | J.List us ->
+            List.map (function J.Str u -> u | _ -> Alcotest.fail "uri") us
+          | _ -> Alcotest.failf "%s %s: uris is not a list" kind uri
+        in
+        (uri, ask "why", ask "impact"))
+      ("ghost" :: labeled)
+  in
+  let live = answers ctx1 in
+  check_bool "some resource has ancestors" true
+    (List.exists (fun (_, why, _) -> why <> []) live);
+  (* No close: the daemon "crashes" here. *)
+  let ctx2 = Protocol.make_ctx ~data_dir:dir () in
+  ignore (Protocol.restore_sessions ctx2);
+  List.iter2
+    (fun (uri, why, impact) (_, why', impact') ->
+      Alcotest.(check (list string)) ("why " ^ uri) why why';
+      Alcotest.(check (list string)) ("impact " ^ uri) impact impact')
+    live (answers ctx2)
+
 let test_protocol_close_compacts () =
   let dir = fresh_dir () in
   let ctx1 = Protocol.make_ctx ~data_dir:dir () in
@@ -961,6 +1021,8 @@ let () =
       ( "warm-restart",
         [ Alcotest.test_case "protocol restart" `Quick
             test_protocol_warm_restart;
+          Alcotest.test_case "lineage after restart" `Quick
+            test_lineage_after_restart;
           Alcotest.test_case "close compacts" `Quick
             test_protocol_close_compacts;
           Alcotest.test_case "reopened id restores fresh" `Quick
