@@ -2,12 +2,18 @@
 
     Binary framed records ([tag, u32le length, payload, FNV-1a
     checksum]); triple deltas ('T'), resets ('R') and metadata ('M') are
-    staged in memory and made durable under a commit marker ('C', which
-    carries the expected post-apply store size as a cross-check),
-    fsynced per {!commit}.  {!replay} applies whole validated batches
-    only, so recovery from a torn tail is prefix-consistent at commit
+    staged and made durable under a commit marker ('C', which carries
+    the expected post-apply store size as a cross-check), fsynced per
+    {!commit}.  {!replay} applies whole validated batches only, so
+    recovery from a torn tail is prefix-consistent at commit
     granularity: no partial triple, no duplicate, no half-applied
-    commit. *)
+    commit.
+
+    Memory is bounded by a 64 KiB staging buffer per writer and one
+    64 KiB read buffer per replay, whatever the size of a batch, a
+    compaction dump or the log; only a single record larger than that
+    is held whole.  A created or renamed log's directory is fsynced
+    too. *)
 
 (** {1 Writer} *)
 
@@ -16,10 +22,13 @@ type writer
 val open_writer : string -> writer
 (** Start a fresh log at the path: an existing file is truncated (a
     closed session's log under a reopened id, a torn compaction
-    leftover), then records are appended. *)
+    leftover), then records are appended.  The directory is fsynced, so
+    the new log's entry survives power loss. *)
 
 val log_triple : writer -> Term.t * Term.t * Term.t -> unit
-(** Stage a triple.  Not durable until {!commit}. *)
+(** Stage a triple.  Not durable until {!commit}; once the stage holds
+    64 KiB it is written out ahead of the marker, which replay does not
+    apply without its marker. *)
 
 val log_reset : writer -> unit
 (** Stage a reset: replay discards all triples logged before this point.
@@ -31,11 +40,12 @@ val log_meta : writer -> key:string -> value:string -> unit
 
 val commit : writer -> store_size:int -> unit
 (** Seal staged records under a commit marker carrying [store_size] (the
-    store's size after this batch) and fsync. *)
+    store's size after this batch), write them out and fsync. *)
 
 val close_writer : writer -> unit
 (** Close the fd.  Staged-but-uncommitted records are dropped — they
-    were never durable, so replay must not see them. *)
+    were never durable, so replay must not see them (any already written
+    out lack a marker, so replay drops them too). *)
 
 (** {1 Replay} *)
 
@@ -50,11 +60,15 @@ type replay_stats = {
 
 val replay : string -> Triple_store.t * replay_stats
 (** Rebuild a store from the log.  A missing file replays as empty;
-    anything after the last validated commit marker is dropped. *)
+    anything after the last validated commit marker is dropped.  Triples
+    are applied as they are read; when any past that marker were, the
+    store is rebuilt by reading again up to it. *)
 
 (** {1 Compaction} *)
 
 val compact_to : string -> ?meta:(string * string) list -> Triple_store.t -> unit
 (** Rewrite [store] (plus [meta]) as a single reset + full-dump commit
     into a temp file and atomically rename it over the path, bounding
-    replay time by live size rather than history length. *)
+    replay time by live size rather than history length.  The dump is
+    written out 64 KiB at a time, and the directory is fsynced after the
+    rename. *)

@@ -5,7 +5,9 @@
      reset, metadata, compaction, and the crash-consistency law — a log
      truncated at ANY byte length replays to exactly one of the
      commit-boundary snapshots (prefix consistency at commit
-     granularity), never a partial batch.
+     granularity), never a partial batch.  The staged writer and the
+     bounded replay agree with the whole-string codec they replaced
+     ({!Oracle_wal}), and their major-heap allocation is bounded.
    - Store equivalence: qcheck agreement between {!Triple_store} and the
      boxed {!Oracle_store} it replaced — same [find]/[count] on every
      pattern shape, same [query] tables under random BGPs, and
@@ -181,7 +183,62 @@ let test_wal_truncate_every_byte () =
     let got = Turtle.to_ntriples st' in
     if not (List.mem got !snapshots) then
       Alcotest.failf "truncation at %d bytes is not a commit prefix" len
-  done
+  done;
+  (* A compacted log written in several drains of the writer's 64 KiB
+     stage and read back in several buffer refills: one commit, so every
+     cut short of the whole file replays to nothing.  The writer drains
+     before a frame that would take its stage past 64 KiB; the cuts are
+     every byte within 40 of each such drain point and of the end, and
+     each frame's start, header, payload start and checksum.  The file
+     is truncated in place, longest cut first. *)
+  let st = Triple_store.create () in
+  for i = 0 to 199 do
+    Triple_store.add st
+      ( iri (Printf.sprintf "e:%d" i),
+        iri "p:text",
+        lit
+          (String.make (1000 + (i * 37 mod 101)) (Char.chr (65 + (i mod 26)))) )
+  done;
+  let path = fresh_wal () in
+  Wal.compact_to path st;
+  let full = In_channel.with_open_bin path In_channel.input_all in
+  let n = String.length full in
+  let cuts = Hashtbl.create 4096 in
+  let cut len = if len >= 0 && len <= n then Hashtbl.replace cuts len () in
+  let window mid = for len = mid - 40 to mid + 40 do cut len done in
+  let pos = ref 0 and fill = ref 0 and drains = ref 1 in
+  while !pos < n do
+    let size =
+      9
+      + (Char.code full.[!pos + 1] lor (Char.code full.[!pos + 2] lsl 8)
+        lor (Char.code full.[!pos + 3] lsl 16))
+    in
+    if !fill + size > 65536 then begin
+      window !pos;
+      incr drains;
+      fill := 0
+    end;
+    fill := !fill + size;
+    List.iter (fun d -> cut (!pos + d)) [ 0; 1; 5; 9; size - 4; size - 1 ];
+    pos := !pos + size
+  done;
+  window n;
+  check_bool "the dump spans four drains" true (!drains >= 4);
+  let whole = Turtle.to_ntriples st in
+  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc full);
+  Hashtbl.fold (fun len () acc -> len :: acc) cuts []
+  |> List.sort (fun a b -> compare b a)
+  |> List.iter (fun len ->
+         Unix.truncate tmp len;
+         let st', rp = Wal.replay tmp in
+         let ok =
+           if len = n then
+             Turtle.to_ntriples st' = whole && rp.Wal.rp_commits = 1
+           else Triple_store.size st' = 0 && rp.Wal.rp_commits = 0
+         in
+         if not ok then
+           Alcotest.failf
+             "compacted log cut at %d of %d bytes is not a commit prefix" len n)
 
 let test_wal_corrupt_byte () =
   let path = fresh_wal () in
@@ -351,6 +408,142 @@ let crash_consistency_prop =
           Out_channel.output_string oc (String.sub full 0 len));
       let st', _ = Wal.replay path in
       List.mem (Turtle.to_ntriples st') !snapshots)
+
+(* ===== qcheck: the staged writer and bounded replay = the oracle ===== *)
+
+(* Strings with the bytes a length-prefixed codec can trip on (NUL,
+   newline, '=', non-ASCII), a few of a frame's worth, and now and then
+   one longer than the writer's 64 KiB stage. *)
+let gen_wal_string =
+  Gen.(
+    frequency
+      [ ( 85,
+          map
+            (fun parts -> String.concat "" parts)
+            (list_size (0 -- 4)
+               (oneofl
+                  [ "a"; "b"; "\000"; "\n"; "="; "\xc3\xa9"; "\xcf\x83"; "x y" ])) );
+        ( 12,
+          map2
+            (fun n c -> String.make (500 + n) c)
+            (0 -- 4000) printable );
+        ( 3,
+          map2
+            (fun n c ->
+              String.init (65536 + n) (fun i ->
+                  Char.chr ((Char.code c + (i * 7)) land 0xff)))
+            (0 -- 300) char ) ])
+
+let gen_wal_term =
+  Gen.(
+    frequency
+      [ (4, map Term.iri gen_wal_string);
+        (3, map Term.lit gen_wal_string);
+        ( 2,
+          map2 (fun s dt -> Term.Lit (s, Some dt)) gen_wal_string gen_wal_string );
+        (1, map Term.bnode gen_wal_string);
+        (* a small pool, so triples repeat and dedup matters *)
+        (4, map term_of_int (0 -- 50)) ])
+
+type wal_op =
+  | Add of Triple_store.triple
+  | Reset
+  | Meta of string * string
+  | Commit of int  (* added to the store's size: nonzero fails the cross-check *)
+
+let gen_wal_op =
+  Gen.(
+    frequency
+      [ ( 12,
+          map (fun tr -> Add tr) (triple gen_wal_term gen_wal_term gen_wal_term) );
+        (1, return Reset);
+        (2, map2 (fun k v -> Meta (k, v)) gen_wal_string gen_wal_string);
+        ( 4,
+          map (fun skew -> Commit skew)
+            (frequency [ (12, return 0); (1, return 1) ]) ) ])
+
+let show_wal_plan (ops, cut, meta) =
+  let bytes = function
+    | Term.Iri s | Term.Lit (s, None) | Term.Bnode s -> String.length s
+    | Term.Lit (s, Some dt) -> String.length s + String.length dt
+  in
+  Printf.sprintf "%d ops [%s], cut %d, %d compaction meta" (List.length ops)
+    (String.concat "; "
+       (List.map
+          (function
+            | Add (s, p, o) -> Printf.sprintf "T%d" (bytes s + bytes p + bytes o)
+            | Reset -> "R"
+            | Meta (k, v) ->
+              Printf.sprintf "M%d" (String.length k + String.length v)
+            | Commit d -> Printf.sprintf "C%+d" d)
+          ops))
+    cut (List.length meta)
+
+(* Same store (triple sequence) and same replay stats. *)
+let same_replay (st, rp) (st', rp') =
+  Triple_store.triples st = Triple_store.triples st' && rp = rp'
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+let wal_oracle_prop =
+  Test.make
+    ~name:
+      "staged WAL writer = oracle bytes, bounded replay = oracle decode \
+       (live log, any cut of it, compaction)"
+    ~count:80
+    (make ~print:show_wal_plan
+       Gen.(
+         triple
+           (list_size (0 -- 60) gen_wal_op)
+           (0 -- 400_000)
+           (list_size (0 -- 3) (pair gen_wal_string gen_wal_string))))
+    (fun (ops, cut, meta) ->
+      let path = fresh_wal () in
+      let w = Wal.open_writer path and o = Oracle_wal.create () in
+      let model = ref (Triple_store.create ()) in
+      List.iter
+        (function
+          | Add tr ->
+            Triple_store.add !model tr;
+            Wal.log_triple w tr;
+            Oracle_wal.log_triple o tr
+          | Reset ->
+            model := Triple_store.create ();
+            Wal.log_reset w;
+            Oracle_wal.log_reset o
+          | Meta (key, value) ->
+            Wal.log_meta w ~key ~value;
+            Oracle_wal.log_meta o ~key ~value
+          | Commit skew ->
+            let store_size = Triple_store.size !model + skew in
+            Wal.commit w ~store_size;
+            Oracle_wal.commit o ~store_size)
+        ops;
+      Wal.close_writer w;
+      let file = In_channel.with_open_bin path In_channel.input_all in
+      let expected = Oracle_wal.contents o in
+      (* A batch past 64 KiB reaches the file ahead of its marker, so an
+         unsealed tail may follow the oracle's bytes. *)
+      let bytes_ok =
+        String.length file >= String.length expected
+        && String.sub file 0 (String.length expected) = expected
+        && (match List.rev ops with
+           | Commit _ :: _ | [] -> file = expected
+           | _ -> true)
+      in
+      let live_ok = same_replay (Wal.replay path) (Oracle_wal.decode file) in
+      let cut_file = String.sub file 0 (min cut (String.length file)) in
+      write_file path cut_file;
+      let cut_ok = same_replay (Wal.replay path) (Oracle_wal.decode cut_file) in
+      let compacted = fresh_wal () in
+      Wal.compact_to compacted ~meta !model;
+      let dump = Oracle_wal.compact ~meta !model in
+      let compact_ok =
+        In_channel.with_open_bin compacted In_channel.input_all = dump
+        && same_replay (Wal.replay compacted) (Oracle_wal.decode dump)
+      in
+      bytes_ok && live_ok && cut_ok && compact_ok)
 
 (* ===== warm restart through the protocol ===== *)
 
@@ -558,6 +751,49 @@ let test_reopened_id_restores_fresh () =
   check_int "the reopened session's one commit" 1
     (get_int "stats" "commits" stats);
   check_string "the reopened session's Turtle" served (turtle_of ctx2 "a")
+
+(* A log's directory entry is made durable where it appears: once when
+   a persisted session opens (the log is created) and once when it
+   closes (the compacted log is renamed over it).  An unpersisted
+   session's open and close touch no directory. *)
+let test_dir_fsyncs () =
+  let module T = Weblab_obs.Telemetry in
+  T.set_level T.Counters;
+  T.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_level T.Off;
+      T.reset ())
+    (fun () ->
+      let dir_fsyncs () =
+        Option.value ~default:0
+          (List.assoc_opt "rdf.wal.dir_fsyncs" (T.counters ()))
+      in
+      let ctx = Protocol.make_ctx ~data_dir:(fresh_dir ()) () in
+      let call sid fields =
+        ignore (expect_ok sid (rpc ctx (("session", J.Str sid) :: fields)))
+      in
+      let step what expected f =
+        f ();
+        check_int what expected (dir_fsyncs ())
+      in
+      step "persisted open" 1 (fun () ->
+          call "a"
+            [ ("verb", J.Str "open"); ("units", J.Int 2); ("seed", J.Int 5) ]);
+      step "unpersisted open" 1 (fun () ->
+          call "b"
+            [ ("verb", J.Str "open"); ("units", J.Int 2);
+              ("persist", J.Bool false) ]);
+      step "commit" 1 (fun () ->
+          call "a"
+            [ ("verb", J.Str "commit"); ("service", J.Str "Normaliser") ]);
+      step "persisted close" 2 (fun () -> call "a" [ ("verb", J.Str "close") ]);
+      step "unpersisted close" 2 (fun () ->
+          call "b" [ ("verb", J.Str "close") ]);
+      step "second persisted open" 3 (fun () ->
+          call "c" [ ("verb", J.Str "open"); ("units", J.Int 1) ]);
+      step "second persisted close" 4 (fun () ->
+          call "c" [ ("verb", J.Str "close") ]))
 
 let test_protocol_persist_opt_out () =
   let dir = fresh_dir () in
@@ -993,6 +1229,81 @@ let test_chain_logs_each_triple_once () =
   check_string "replay = live" (Turtle.to_ntriples live)
     (Turtle.to_ntriples replayed)
 
+(* ===== the WAL's memory: bounded by its 64 KiB stage and read buffer ===== *)
+
+(* Bytes [f] allocates straight into the major heap: major words minus
+   the words the minor collector promoted. *)
+let major_direct_bytes f =
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float (major1 -. major0 -. (promoted1 -. promoted0))
+  * (Sys.word_size / 8)
+
+let distinct_store n =
+  let st = Triple_store.create () in
+  for i = 0 to n - 1 do
+    Triple_store.add st
+      ( iri (Printf.sprintf "e:%d" i),
+        iri (Printf.sprintf "p:%d" (i mod 7)),
+        if i mod 2 = 0 then iri (Printf.sprintf "e:%d" (i + 1))
+        else lit (Printf.sprintf "v%d" i) )
+  done;
+  st
+
+let bound = 256 * 1024
+
+let test_compaction_allocation () =
+  List.iter
+    (fun n ->
+      let st = distinct_store n in
+      let path = fresh_wal () in
+      let bytes = major_direct_bytes (fun () -> Wal.compact_to path st) in
+      if bytes > bound then
+        Alcotest.failf
+          "compacting %d triples allocated %d bytes in the major heap"
+          n bytes)
+    [ 5_000; 50_000 ]
+
+let test_commit_allocation () =
+  let w = Wal.open_writer (fresh_wal ()) in
+  (* PROV-shaped triples of about 130 bytes: a batch of 40 is well over
+     the 2 KiB a minor-heap block can hold. *)
+  let commit b =
+    for i = 0 to 39 do
+      let entity k =
+        iri (Printf.sprintf "http://weblab.ow2.org/weblab/entity/%d-%d" b k)
+      in
+      Wal.log_triple w
+        (entity i, iri "http://www.w3.org/ns/prov#wasDerivedFrom", entity (i + 1))
+    done;
+    Wal.commit w ~store_size:(40 * (b + 1))
+  in
+  (* The first commit sizes the stage. *)
+  commit 0;
+  check_int "a warm 40-triple commit allocates in the major heap" 0
+    (major_direct_bytes (fun () -> commit 1));
+  Wal.close_writer w
+
+let test_replay_allocation () =
+  let st = distinct_store 50_000 in
+  let path = fresh_wal () in
+  Wal.compact_to path st;
+  let adds =
+    major_direct_bytes (fun () ->
+        let fresh = Triple_store.create () in
+        Triple_store.iter st (Triple_store.add fresh))
+  in
+  let replayed = ref st in
+  let replay =
+    major_direct_bytes (fun () -> replayed := fst (Wal.replay path))
+  in
+  check_int "all triples replayed" 50_000 (Triple_store.size !replayed);
+  if replay > adds + bound then
+    Alcotest.failf
+      "replay allocated %d bytes in the major heap, %d more than the adds" replay
+      (replay - adds)
+
 let () =
   Alcotest.run "persist"
     [ ( "wal",
@@ -1010,7 +1321,8 @@ let () =
             test_wal_dropped_triple_frame ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest agreement_prop;
-          QCheck_alcotest.to_alcotest crash_consistency_prop ] );
+          QCheck_alcotest.to_alcotest crash_consistency_prop;
+          QCheck_alcotest.to_alcotest wal_oracle_prop ] );
       ( "delta-sync",
         [ QCheck_alcotest.to_alcotest delta_sync_prop;
           QCheck_alcotest.to_alcotest served_lineage_prop;
@@ -1029,10 +1341,19 @@ let () =
             test_reopened_id_restores_fresh;
           Alcotest.test_case "persist opt-out" `Quick
             test_protocol_persist_opt_out;
+          Alcotest.test_case "directory fsync per open and close" `Quick
+            test_dir_fsyncs;
           Alcotest.test_case "restart twice" `Quick
             test_restored_survive_another_restart;
           Alcotest.test_case "retired backend name restores" `Quick
             test_retired_backend_restores ] );
+      ( "allocation",
+        [ Alcotest.test_case "compaction stays within 256 KiB" `Quick
+            test_compaction_allocation;
+          Alcotest.test_case "a commit allocates no major block" `Quick
+            test_commit_allocation;
+          Alcotest.test_case "replay stays within 256 KiB of the adds" `Quick
+            test_replay_allocation ] );
       ( "history",
         [ Alcotest.test_case "served Turtle = offline, any snapshot history"
             `Quick test_served_turtle_history_independent ] ) ]
