@@ -111,8 +111,7 @@ let () =
     (fun (a, b) -> Printf.printf "  %s wasInformedBy %s\n" a b)
     (Views.module_graph g view);
 
-  (* Fast reachability over the frozen graph. *)
-  let idx = Reachability.build g in
+  (* Upstream closure over the dependency edges. *)
   let summaries =
     Prov_graph.labeled_resources g
     |> List.filter_map (fun (uri, c) ->
@@ -122,5 +121,5 @@ let () =
   List.iter
     (fun s ->
       Printf.printf "  %s <= %s\n" s
-        (String.concat ", " (Reachability.ancestors idx s)))
+        (String.concat ", " (Query.depends_on_transitive g s)))
     summaries

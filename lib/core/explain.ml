@@ -50,8 +50,7 @@ let link ~doc ~trace (rb : Strategy.rulebook) ~from_uri ~to_uri : witness list =
                       let rs, rt = tables index rule d d' in
                       Table.hash_join rs rt
                     in
-                    let out_uris = Trace.resources_of_call trace call in
-                    if not (List.mem from_uri out_uris) then []
+                    if not (Mapping.generated_by doc call from_uri) then []
                     else
                       Table.rows j
                       |> List.filter_map (fun row ->
@@ -130,8 +129,8 @@ let missing ~doc ~trace (rb : Strategy.rulebook) ~from_uri ~to_uri :
                         (Table.rows rt)
                     in
                     let diag failure = Some { d_rule = Rule.name rule; d_call = call; failure } in
-                    if not (List.mem from_uri (Trace.resources_of_call trace call))
-                    then diag Wrong_call
+                    if not (Mapping.generated_by doc call from_uri) then
+                      diag Wrong_call
                     else if src_rows = [] then diag Source_no_match
                     else if tgt_rows = [] then diag Target_no_match
                     else begin

@@ -20,9 +20,7 @@ let used_side doc na = Tree.descendant_or_self doc na @ Tree.ancestors doc na
    as in Figure 2; with [false] the closure also reaches unlabeled nodes,
    identified by their "#<node-id>" pseudo-URI. *)
 let close ?(resources_only = true) doc (g : Prov_graph.t) =
-  (* Resource lookup through the by-attribute index: O(1) per link end
-     instead of a document scan. *)
-  let index = Index.build doc in
+  (* Link ends resolve through the document's URI table: O(1) each. *)
   let uri_of n =
     match Tree.uri doc n with
     | Some u -> Some u
@@ -31,7 +29,7 @@ let close ?(resources_only = true) doc (g : Prov_graph.t) =
   let explicit = List.filter (fun l -> not l.Prov_graph.inherited) (Prov_graph.links g) in
   List.iter
     (fun { Prov_graph.from_uri; to_uri; rule; _ } ->
-      match Index.resource index from_uri, Index.resource index to_uri with
+      match Tree.find_resource doc from_uri, Tree.find_resource doc to_uri with
       | Some nb, Some na ->
         List.iter
           (fun b' ->

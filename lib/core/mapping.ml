@@ -130,31 +130,29 @@ let links_of_table table =
   |> List.filter (fun (o, i) -> not (String.equal o i))
   |> List.sort_uniq compare
 
-(* Definition 8.  [?index] is the caller's index over the (shared)
-   document — parallel inference builds it once up front and hands it to
-   every worker; without one, evaluation traverses. *)
-let apply_states ?index ?resource (rule : Rule.t) d d' =
+(* Definition 8 with the source side guarded by [source_visible]:
+   [apply_states] passes state d's visibility, the hook for
+   non-sequential control flow (§8) the happened-before relation of the
+   series-parallel order.  [?index] is the caller's index over the
+   (shared) document — parallel inference builds it once up front and
+   hands it to every worker; without one, evaluation traverses. *)
+let apply_guarded ?index ?resource (rule : Rule.t) ~doc ~source_visible
+    ~target_state =
+  let doc' = Doc_state.doc target_state in
+  let rs =
+    source_table ~guards:{ Eval.visible = source_visible; env = [] }
+      ?resource ?index doc rule
+  in
+  let guards = Eval.state_guards target_state in
   match skolem_id_of_target (Rule.target rule) with
   | None ->
-    let rs =
-      source_table ~guards:(Eval.state_guards d) ?resource ?index
-        (Doc_state.doc d) rule
-    in
-    let rt =
-      target_table ~guards:(Eval.state_guards d') ?resource ?index
-        (Doc_state.doc d') rule
-    in
+    let rt = target_table ~guards ?resource ?index doc' rule in
     let j = Table.hash_join rs rt in
     { links = links_of_table j; members = [] }
   | Some (f, args) ->
-    let doc' = Doc_state.doc d' in
-    let rs =
-      source_table ~guards:(Eval.state_guards d) ?resource ?index
-        (Doc_state.doc d) rule
-    in
     let rt =
-      skolem_target_table ~guards:(Eval.state_guards d') ?resource ?index doc'
-        (Rule.target rule) (f, args)
+      skolem_target_table ~guards ?resource ?index doc' (Rule.target rule)
+        (f, args)
     in
     let j = Table.hash_join rs rt in
     let links = ref [] and members = ref [] in
@@ -176,6 +174,10 @@ let apply_states ?index ?resource (rule : Rule.t) d d' =
     { links = List.sort_uniq compare !links;
       members = List.sort_uniq compare !members }
 
+let apply_states ?index ?resource rule d d' =
+  apply_guarded ?index ?resource rule ~doc:(Doc_state.doc d)
+    ~source_visible:(Doc_state.visible d) ~target_state:d'
+
 (* Definition 9: keep only links whose target resource was generated by the
    given call.  For Skolem rules the synthetic entity is kept when at least
    one of its members was generated by the call. *)
@@ -193,63 +195,22 @@ let restrict_to_generated (app : application) ~generated =
       members = List.filter (fun (e, _) -> List.mem e live_entities) members;
     }
 
-let restrict_to_call (app : application) ~trace ~(call : Trace.call) =
-  let out_uris = Trace.resources_of_call trace call in
-  restrict_to_generated app ~generated:(fun u -> List.mem u out_uris)
+(* out(c): a URI names one node, and the call generated it when it
+   created that node. *)
+let generated_by doc (call : Trace.call) u =
+  match Tree.find_resource doc u with
+  | Some n -> Tree.created doc n = call.Trace.time
+  | None -> false
 
-(* Like {!apply_states} with an explicit source-side visibility predicate —
-   the hook for non-sequential control flow (§8): under parallel branches
-   "existed before the call" is the happened-before relation of the
-   series-parallel order, not a timestamp comparison. *)
-let apply_guarded ?index ?resource (rule : Rule.t) ~doc ~source_visible
-    ~target_state =
-  let d = { Eval.visible = source_visible; env = [] } in
-  match skolem_id_of_target (Rule.target rule) with
-  | None ->
-    let rs = source_table ~guards:d ?resource ?index doc rule in
-    let rt =
-      target_table ~guards:(Eval.state_guards target_state) ?resource ?index
-        doc rule
-    in
-    let j = Table.hash_join rs rt in
-    { links = links_of_table j; members = [] }
-  | Some (f, args) ->
-    let rs = source_table ~guards:d ?resource ?index doc rule in
-    let rt =
-      skolem_target_table ~guards:(Eval.state_guards target_state) ?resource
-        ?index doc (Rule.target rule) (f, args)
-    in
-    let j = Table.hash_join rs rt in
-    let links = ref [] and members = ref [] in
-    List.iter
-      (fun row ->
-        let arg_values = List.map (skolem_arg_value doc j row) args in
-        if not (List.exists Option.is_none arg_values) then begin
-          let entity =
-            Printf.sprintf "%s(%s)" f
-              (String.concat "," (List.map Option.get arg_values))
-          in
-          let inp = Value.to_string (Table.get j row "in") in
-          let member = Value.to_string (Table.get j row "__tgt_r") in
-          if not (String.equal entity inp) then
-            links := (entity, inp) :: !links;
-          members := (entity, member) :: !members
-        end)
-      (Table.rows j);
-    { links = List.sort_uniq compare !links;
-      members = List.sort_uniq compare !members }
-
-let apply_call ?source_visible ?index (rule : Rule.t) ~doc ~trace
+let apply_call ?source_visible ?index (rule : Rule.t) ~doc
     ~(call : Trace.call) =
   let resource = resource_at doc call.Trace.time in
-  let app =
-    match source_visible with
-    | None ->
-      let d = Doc_state.at doc (call.Trace.time - 1) in
-      let d' = Doc_state.at doc call.Trace.time in
-      apply_states ?index ~resource rule d d'
-    | Some source_visible ->
-      apply_guarded ?index ~resource rule ~doc ~source_visible
-        ~target_state:(Doc_state.at doc call.Trace.time)
+  let source_visible =
+    Option.value source_visible
+      ~default:(Doc_state.visible (Doc_state.at doc (call.Trace.time - 1)))
   in
-  restrict_to_call app ~trace ~call
+  let app =
+    apply_guarded ?index ~resource rule ~doc ~source_visible
+      ~target_state:(Doc_state.at doc call.Trace.time)
+  in
+  restrict_to_generated app ~generated:(generated_by doc call)

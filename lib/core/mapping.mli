@@ -69,11 +69,12 @@ val apply_states :
   Doc_state.t ->
   Doc_state.t ->
   application
-(** Definition 8: M(d, d').  [index] is the caller's index over the
-    (shared) document: parallel inference builds it once up front and
-    hands it to every worker; without one, evaluation traverses.
-    [resource] restricts which identified nodes count as resources (see
-    {!resource_at}). *)
+(** Definition 8: M(d, d'), i.e. {!apply_guarded} with
+    [Doc_state.visible d] as the source guard.  [index] is the caller's
+    index over the (shared) document: parallel inference builds it once
+    up front and hands it to every worker; without one, evaluation
+    traverses.  [resource] restricts which identified nodes count as
+    resources (see {!resource_at}). *)
 
 val apply_guarded :
   ?index:Index.t ->
@@ -83,25 +84,25 @@ val apply_guarded :
   source_visible:(Tree.node -> bool) ->
   target_state:Doc_state.t ->
   application
-(** Like {!apply_states} with an explicit source-side visibility predicate
-    — the hook for non-sequential control flow (§8), where "existed before
-    the call" is a happened-before relation rather than a timestamp
-    comparison. *)
+(** Definition 8 with an explicit source-side visibility predicate over
+    [doc]; the target side is [target_state].  This is the hook for
+    non-sequential control flow (§8), where "existed before the call" is
+    a happened-before relation rather than a timestamp comparison. *)
 
 val restrict_to_generated :
   application -> generated:(string -> bool) -> application
 (** Keep the links whose produced endpoint satisfies [generated]; a Skolem
     entity survives when at least one member does. *)
 
-val restrict_to_call : application -> trace:Trace.t -> call:Trace.call -> application
-(** Definition 9's ⋉ out(c). *)
+val generated_by : Tree.t -> Trace.call -> string -> bool
+(** Definition 9's out(c): [generated_by doc c u] holds when [u] names a
+    node of [doc] created by call [c]. *)
 
 val apply_call :
   ?source_visible:(Tree.node -> bool) ->
   ?index:Index.t ->
   Rule.t ->
   doc:Tree.t ->
-  trace:Trace.t ->
   call:Trace.call ->
   application
 (** Definition 9: M(c), on the states reconstructed from [doc] (or with

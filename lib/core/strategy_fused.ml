@@ -321,11 +321,7 @@ let observe st ~call ~before ~after ~(delta : Orchestrator.delta) =
         C_pass.run st.plan ~exprs:sp.C_plan.sp_tgt_exprs ~index:idx
           ~keep:spine ~guards:(Eval.state_guards after) doc
       in
-      let generated u =
-        match Index.resource idx u with
-        | Some n -> Tree.created doc n = t
-        | None -> false
-      in
+      let generated = Mapping.generated_by doc call in
       let apps =
         Pool.map st.pool (Array.length rules) (fun i ->
             T.timed (fun () ->

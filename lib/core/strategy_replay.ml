@@ -36,7 +36,7 @@ let infer ?(happened_before = Strategy_sig.sequential_hb) ?jobs ~doc ~trace
       let source_visible n =
         happened_before (Tree.created doc n) call.Trace.time
       in
-      Mapping.apply_call ~source_visible ~index rule ~doc ~trace ~call
+      Mapping.apply_call ~source_visible ~index rule ~doc ~call
     in
     let module T = Weblab_obs.Telemetry in
     let apps =

@@ -111,8 +111,7 @@ let infer_rule ?(happened_before = Strategy_sig.sequential_hb) ~cache ~index
            (App
               ( time,
                 Rule.name rule,
-                Mapping.apply_call ~source_visible ~index rule ~doc ~trace
-                  ~call )))
+                Mapping.apply_call ~source_visible ~index rule ~doc ~call )))
        (call_times trace service)
    else begin
      let target = Rule.target rule in

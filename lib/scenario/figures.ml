@@ -157,7 +157,7 @@ let ex6 e =
 let ex7_links e =
   let r = example6_rule 2 in
   let call = { Trace.service = "Translator"; time = 3 } in
-  let app = Mapping.apply_call r ~doc:e.Paper.doc ~trace:e.Paper.trace ~call in
+  let app = Mapping.apply_call r ~doc:e.Paper.doc ~call in
   app.Mapping.links
 
 let ex7 e =

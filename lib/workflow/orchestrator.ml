@@ -39,16 +39,14 @@ let initial_document ?(root_name = "Resource") ?(root_uri = "r1") () =
   Tree.set_uri doc root root_uri;
   doc
 
-let check_unique_uris doc =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-      match Tree.uri doc n with
-      | Some u ->
-        if Hashtbl.mem seen u then raise (Duplicate_uri u);
-        Hashtbl.add seen u ()
-      | None -> ())
-    (Tree.resources doc)
+(* A URI names one resource (Definition 1): the document's URI table
+   gives each URI to its first carrier, so any other carrier repeats it. *)
+let check_owns_uri doc n =
+  match Tree.uri doc n with
+  | Some u when Tree.find_resource doc u <> Some n -> raise (Duplicate_uri u)
+  | Some _ | None -> ()
+
+let check_unique_uris doc = List.iter (check_owns_uri doc) (Tree.resources doc)
 
 (* The append check of in-process services reads the committed state
    back through the checkpoint [step] takes anyway.  Only URI promotion
@@ -136,7 +134,7 @@ let failure_reason = function
    The orchestration state that [execute] used to keep in closure-local
    mutables, reified so a long-lived daemon can drive calls one at a time
    over a live document: [start] performs the prologue (root promotion,
-   URI scan, Source labeling), each [step] runs exactly one supervised
+   URI check, Source labeling), each [step] runs exactly one supervised
    call at the next timestamp, and [execute] is now a fold over [step].
    A failed step burns its timestamp and reports the failure to the
    caller instead of consulting [policy.on_failure] itself — the daemon
@@ -146,9 +144,6 @@ type session = {
   s_doc : Tree.t;
   s_trace : Trace.t;
   s_policy : policy;
-  s_seen_uris : (string, unit) Hashtbl.t;
-      (* every URI committed so far; per-call additions are checked
-         against it incrementally, replacing the old full rescan *)
   mutable s_next_time : int;
 }
 
@@ -208,18 +203,12 @@ let start ?(policy = default_policy) doc =
     invalid_arg "Orchestrator.start: the document needs a root";
   let s =
     { s_doc = doc; s_trace = Trace.create (); s_policy = policy;
-      s_seen_uris = Hashtbl.create 64; s_next_time = 1 }
+      s_next_time = 1 }
   in
   (* The root is always a resource (Definition 1). *)
   if Tree.uri doc (Tree.root doc) = None then
     Tree.set_uri doc (Tree.root doc) (Tree.fresh_uri doc);
   check_unique_uris doc;
-  List.iter
-    (fun n ->
-      match Tree.uri doc n with
-      | Some u -> Hashtbl.replace s.s_seen_uris u ()
-      | None -> ())
-    (Tree.resources doc);
   Trace.add_call s.s_trace { Trace.service = "Source"; time = 0 };
   label_resources s ~now:0 (Tree.resources doc);
   s
@@ -278,23 +267,11 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
             if is_fragment_root && Tree.is_element doc n && Tree.uri doc n = None
             then Tree.set_uri doc n (Tree.fresh_uri doc))
           new_nodes;
-        (* Collision check at commit boundary: the URIs this call minted
-           (on new nodes or by promotion) must be new to the execution and
-           pairwise distinct. *)
-        let this_call = Hashtbl.create 16 in
-        let check_new u =
-          if Hashtbl.mem s.s_seen_uris u || Hashtbl.mem this_call u then
-            raise (Duplicate_uri u);
-          Hashtbl.add this_call u ()
-        in
-        List.iter
-          (fun n ->
-            match Tree.uri doc n with Some u -> check_new u | None -> ())
-          new_nodes;
-        List.iter
-          (fun n ->
-            match Tree.uri doc n with Some u -> check_new u | None -> ())
-          promoted;
+        (* Collision check at commit boundary: each URI this call gave
+           (to a new node or by promotion) must be owned by its node,
+           i.e. new to the document and not repeated within the call. *)
+        List.iter (check_owns_uri doc) new_nodes;
+        List.iter (check_owns_uri doc) promoted;
         (new_nodes, promoted)
       in
   let rec supervise attempt =
@@ -340,13 +317,6 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
     if attempts > 1 then T.incr c_retried;
     (* Commit: from here on nothing can fail, so a later call's
        rollback never has trace bookkeeping to undo. *)
-    let commit_uri n =
-      match Tree.uri doc n with
-      | Some u -> Hashtbl.replace s.s_seen_uris u ()
-      | None -> ()
-    in
-    List.iter commit_uri promoted;
-    List.iter commit_uri new_nodes;
     Trace.add_call trace call;
     Trace.record_outcome trace call
       (if attempts > 1 then Trace.Retried (attempts - 1) else Trace.Ok);

@@ -27,8 +27,6 @@ let nodes s =
     Tree.descendant_or_self s.doc (Tree.root s.doc)
     |> List.filter (visible s)
 
-let resources s = List.filter (fun n -> Tree.is_resource s.doc n) (nodes s)
-
 (* Containment d ⊑_uri d' over two states of the same arena: true iff every
    node of [s1] is visible in [s2] — which, for states of one append-only
    document, reduces to comparing times. *)
@@ -47,8 +45,6 @@ let added_fragment_roots ~smaller ~larger =
          &&
          let p = Tree.parent larger.doc n in
          p = Tree.no_node || Tree.created larger.doc p <= smaller.time)
-
-let to_string ?indent s = Printer.to_string ?indent ~visible:(visible s) s.doc
 
 (* Timestamp monotonicity along ancestor paths: the property §4 of the paper
    relies on to drop temporal tests on intermediate pattern steps. *)

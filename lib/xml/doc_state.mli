@@ -27,9 +27,6 @@ val visible : t -> Tree.node -> bool
 val nodes : t -> Tree.node list
 (** All nodes of the state, in document order. *)
 
-val resources : t -> Tree.node list
-(** The identified resources of the state, in document order. *)
-
 val contains : smaller:t -> larger:t -> bool
 (** The containment d ⊑{_ uri} d' for two states of the same arena
     (false if the states belong to different documents). *)
@@ -38,9 +35,6 @@ val added_fragment_roots : smaller:t -> larger:t -> Tree.node list
 (** The bag d' \ d of Definition 1: roots of the fragments added strictly
     after [smaller]'s time and visible in [larger].
     @raise Invalid_argument if the states belong to different documents. *)
-
-val to_string : ?indent:bool -> t -> string
-(** Serialize the state (only its visible nodes). *)
 
 val timestamps_monotonic : Tree.t -> bool
 (** Whether every node's creation timestamp is ≥ its parent's — the

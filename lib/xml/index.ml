@@ -9,7 +9,7 @@ let c_builds = T.counter "index.builds"
 let c_extend_ok = T.counter "index.extend.ok"
 let c_extend_fail = T.counter "index.extend.fail"
 
-let indexed_attrs = [ "id"; "s"; "t" ]
+let indexed_attrs = [ "s"; "t" ]
 
 let attr_indexed a = List.mem a indexed_attrs
 
@@ -240,8 +240,8 @@ let extend t doc ~promoted =
       false
     end
     else begin
-      (* Promoted nodes gained attributes after they were indexed (URI
-         promotion adds an "id" to a committed node); the tail cannot see
+      (* Promoted nodes gained attributes after they were indexed (the
+         service label a URI promotion brings); the tail cannot see
          them.  Append semantics forbid removal or modification, so only
          insertions are needed, of the pairs not yet posted. *)
       List.iter
@@ -283,11 +283,6 @@ let label_count t l =
 let elements t = Vec.to_list t.elements
 
 let nodes_with_attr t a v = posting_list t.by_attr (a, v)
-
-let resource t u =
-  match Hashtbl.find_opt t.by_attr ("id", u) with
-  | Some v when Vec.length v > 0 -> Some (Vec.get v 0)
-  | Some _ | None -> None
 
 let in_tree t n = n >= 0 && n < Array.length t.pre && t.pre.(n) >= 0
 

@@ -9,9 +9,9 @@
     - {b nodes by label}: element name → nodes, document order — turns
       [//Name] steps into lookups;
     - {b nodes by attribute}: [(attr, value)] → nodes, document order,
-      for the provenance attributes [@id], [@s] and [@t] — turns the
-      service/identity guards the §4 rewriting injects into lookups, and
-      its [@id] postings resolve URIs ({!resource});
+      for the service labels [@s] and [@t] — turns the guards the §4
+      rewriting injects into lookups.  URIs are not indexed here: the
+      document resolves them itself ({!Tree.find_resource});
     - {b pre/post-order intervals}: [descendant(a, n)] becomes two integer
       comparisons, so descendant steps from an inner context filter a
       label list instead of walking the subtree.
@@ -44,7 +44,8 @@ val extend : t -> Tree.t -> promoted:Tree.node list -> bool
     band, after the parent's last keyed child), subtree sizes are updated
     along the ancestor chains, and each touched posting receives its new
     nodes in one sorted merge.  [promoted] lists committed nodes that
-    gained attributes since they were indexed (URI promotion): their
+    gained attributes since they were indexed (the service label of a
+    URI promotion): their
     missing attribute postings join the same merges — the tail cannot
     see them.  Cost: O(k log k + depth·k) for k new nodes, plus one pass
     over each posting a new node lands inside of rather than after.
@@ -85,18 +86,15 @@ val elements : t -> Tree.node list
 (** Every element node. *)
 
 val indexed_attrs : string list
-(** The attribute names covered by {!nodes_with_attr}: [["id"; "s"; "t"]]
-    — the identifiers and service labels of the provenance model. *)
+(** The attribute names covered by {!nodes_with_attr}: [["s"; "t"]] —
+    the service labels of the provenance model.  An [@id = 'lit']
+    predicate is not narrowed by the index. *)
 
 val attr_indexed : string -> bool
 
 val nodes_with_attr : t -> string -> string -> Tree.node list
 (** [nodes_with_attr t a v]: elements with [a="v"], for [a] in
     {!indexed_attrs} ([[]] for any other attribute). *)
-
-val resource : t -> string -> Tree.node option
-(** [resource t u]: the first (document order) element with [@id = u] —
-    an O(1) {!Tree.find_resource}. *)
 
 (** {1 Structural tests (pre/post-order intervals)} *)
 

@@ -32,6 +32,8 @@ let create () = { strings = Array.make 64 ""; n = 0; table = H.create 64 }
 
 let count t = t.n
 
+let find t s = H.find_opt t.table s
+
 let intern t s =
   match H.find_opt t.table s with
   | Some id -> id

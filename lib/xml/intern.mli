@@ -12,8 +12,11 @@ type t
 val create : unit -> t
 
 val intern : t -> string -> int
-(** The id of [s], allocating one on first sight.  Writer-side only: must
-    be called from the domain that owns the document. *)
+(** The id of [s], allocating one on first sight.  Writer-side only: one
+    domain at a time ({!Tree.fresh_uri} interns its claim under a lock). *)
+
+val find : t -> string -> int option
+(** The id of [s] if interned.  Not concurrently with {!intern}. *)
 
 val get : t -> int -> string
 (** The string behind an id.  Read-only and safe to call concurrently

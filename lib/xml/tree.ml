@@ -24,20 +24,8 @@ type timestamp = int
 
 let no_node = -1
 
-(* Fresh-URI allocation state: the set of URIs in use, extended
-   incrementally — each allocation scans only the arena nodes appended
-   since the previous one, and [set_attr] registers an "id" set on an
-   already-scanned node (a resource promotion).  Rollbacks bump the
-   document generation; the next allocation then rescans from zero. *)
-type uri_alloc = {
-  used : (string, unit) Hashtbl.t;
-  mutable stamp : int;  (* arena prefix [0, stamp) already scanned *)
-  mutable gen : int;  (* document generation the state is valid for *)
-  lock : Mutex.t;
-      (* guards the three fields above: allocations may race (Skolem
-         workers in a parallel inference pool, or a second domain's
-         execution probing the same document) *)
-}
+(* A URI [fresh_uri] handed out that no node carries yet. *)
+let claimed = -2
 
 (* The four columns an in-place edit writes. *)
 type column = Label | Attr_head | Meta | Uri_time
@@ -62,6 +50,7 @@ type checkpoint = {
   ck_size : int;
   ck_attrs_n : int;
   ck_log : (node * column * int) list;  (* the undo log when taken *)
+  ck_uri_log : (int * node) list;  (* the URI log when taken *)
   mutable ck_first : (int Cells.t * (node * column * int) list) option;
       (* each cell's oldest logged value, and the log it was built from *)
 }
@@ -90,9 +79,16 @@ type t = {
       (* newest first: every write to a node older than the innermost
          open checkpoint; empty when none is open *)
   mutable open_cks : checkpoint list;  (* innermost first *)
-  alloc : uri_alloc option Atomic.t;
-      (* installed by the first [fresh_uri]: documents that never mint a
-         URI carry no allocator *)
+  (* Resource identity (Definition 1's injective [uri]): a URI's dict
+     id -> the node that first carried it, [claimed], or [no_node] (also
+     every id past the end). *)
+  mutable uri_node : int array;
+  mutable uri_log : (int * node) list;
+      (* newest first: every binding's previous value, while a
+         checkpoint is open *)
+  uri_lock : Mutex.t;
+      (* guards the two fields above: [fresh_uri] may race with itself
+         (a second domain's execution minting in the same document) *)
 }
 
 let initial_cap = 16
@@ -116,7 +112,9 @@ let create () =
     generation = 0;
     log = [];
     open_cks = [];
-    alloc = Atomic.make None }
+    uri_node = [||];
+    uri_log = [];
+    uri_lock = Mutex.create () }
 
 let size t = t.n
 
@@ -196,6 +194,8 @@ let compact t =
   t.attr_name <- shrink t.attr_name acap t.attrs_n;
   t.attr_value <- shrink t.attr_value acap t.attrs_n;
   t.attr_next <- shrink t.attr_next acap t.attrs_n;
+  (let ucap = min (Array.length t.uri_node) (Intern.count t.dict) in
+   t.uri_node <- shrink t.uri_node ucap ucap);
   Intern.compact t.dict
 
 (* ----- Construction ----- *)
@@ -230,22 +230,47 @@ let alloc_attr t ~name_id ~value_id ~next =
   t.attr_next.(e) <- next;
   e
 
-(* Install an attribute list (document order) as a fresh chain. *)
+(* Install an attribute list (document order) as a fresh chain; returns
+   the dict id of the value [attr n "id"] now reads, or [no_node]. *)
 let set_attr_list t n l =
-  let head =
-    List.fold_left
-      (fun next (k, v) ->
-        alloc_attr t ~name_id:(Intern.intern t.dict k)
-          ~value_id:(Intern.intern t.dict v) ~next)
-      no_node (List.rev l)
+  let uri = ref no_node in
+  let rec chain = function
+    | [] -> no_node
+    | (k, v) :: rest ->
+      let next = chain rest in
+      let value_id = Intern.intern t.dict v in
+      if String.equal k "id" then uri := value_id;
+      alloc_attr t ~name_id:(Intern.intern t.dict k) ~value_id ~next
   in
-  write t Attr_head n head
+  write t Attr_head n (chain l);
+  !uri
+
+let uri_binding t k =
+  if k < Array.length t.uri_node then t.uri_node.(k) else no_node
+
+(* Bind the URI with dict id [k], logging the previous binding while a
+   checkpoint is open.  Callers hold [uri_lock]. *)
+let bind_uri t k b =
+  if t.open_cks <> [] then t.uri_log <- (k, uri_binding t k) :: t.uri_log;
+  let len = Array.length t.uri_node in
+  if k >= len then begin
+    let a = Array.make (max (k + 1) (2 * len)) no_node in
+    Array.blit t.uri_node 0 a 0 len;
+    t.uri_node <- a
+  end;
+  t.uri_node.(k) <- b
+
+(* [n] now carries the URI [k]: it wins it unless an earlier node holds it. *)
+let carry_uri t n k = if uri_binding t k < 0 then bind_uri t k n
 
 let new_element ?(attrs = []) t ~parent name =
   if parent = no_node && t.root <> no_node then
     invalid_arg "Tree.new_element: document already has a root";
   let id = alloc t ~is_elem:true ~label:(Intern.intern t.dict name) parent in
-  if attrs <> [] then set_attr_list t id attrs;
+  if attrs <> [] then begin
+    let k = set_attr_list t id attrs in
+    if k <> no_node then Mutex.protect t.uri_lock (fun () -> carry_uri t id k)
+  end;
   if parent = no_node then t.root <- id;
   id
 
@@ -342,6 +367,7 @@ let for_all_attrs t n f =
    entry is ever mutated (the checkpoint immutability invariant). *)
 let set_attr t n k v =
   check t n;
+  let old = if String.equal k "id" then attr t n k else None in
   let exists =
     let rec probe e =
       e <> no_node
@@ -355,17 +381,21 @@ let set_attr t n k v =
       (alloc_attr t ~name_id:(Intern.intern t.dict k)
          ~value_id:(Intern.intern t.dict v) ~next:t.attr_head.(n))
   else
-    set_attr_list t n
-      ((k, v) :: List.remove_assoc k (attrs t n));
-  (* The allocator's tail scan cannot see an id set on a node it has
-     already scanned: register it here. *)
+    ignore (set_attr_list t n ((k, v) :: List.remove_assoc k (attrs t n)));
   if String.equal k "id" then
-    match Atomic.get t.alloc with
-    | Some a ->
-      Mutex.protect a.lock (fun () ->
-          if n < a.stamp && a.gen = t.generation then
-            Hashtbl.replace a.used v ())
-    | None -> ()
+    Mutex.protect t.uri_lock (fun () ->
+        (* A first carrier that drops its URI hands it to the next
+           carrier in arena order, if any. *)
+        Option.iter
+          (fun o ->
+            let ko = Intern.intern t.dict o in
+            let rec next i =
+              if i = t.n || attr t i k = Some o then i else next (i + 1)
+            in
+            if (not (String.equal o v)) && uri_binding t ko = n then
+              bind_uri t ko (let c = next 0 in if c = t.n then no_node else c))
+          old;
+        carry_uri t n (Intern.intern t.dict v))
 
 let set_text t n s =
   check t n;
@@ -386,40 +416,18 @@ let set_uri_time t n ts =
 
 let is_resource t n = is_element t n && uri t n <> None
 
-(* Scan, probe and claim under the document's allocator lock, so two
-   racing allocations never observe the same unused candidate.  The
-   probe starts at the arena size, and the claimed URI is registered at
-   once, before any node carries it. *)
+(* Probe and claim under the table's lock, so two racing allocations
+   never observe the same unused candidate. *)
 let fresh_uri t =
-  let a =
-    match Atomic.get t.alloc with
-    | Some a -> a
-    | None ->
-      let a =
-        { used = Hashtbl.create 64; stamp = 0; gen = t.generation;
-          lock = Mutex.create () }
-      in
-      if Atomic.compare_and_set t.alloc None (Some a) then a
-      else Option.get (Atomic.get t.alloc)
-  in
-  Mutex.protect a.lock (fun () ->
-      if a.gen <> t.generation then begin
-        Hashtbl.reset a.used;
-        a.stamp <- 0;
-        a.gen <- t.generation
-      end;
-      for i = a.stamp to t.n - 1 do
-        match uri t i with
-        | Some u -> Hashtbl.replace a.used u ()
-        | None -> ()
-      done;
-      a.stamp <- t.n;
+  Mutex.protect t.uri_lock (fun () ->
       let rec next k =
         let u = Printf.sprintf "r%d" k in
-        if Hashtbl.mem a.used u then next (k + 1) else u
+        match Intern.find t.dict u with
+        | Some id when uri_binding t id <> no_node -> next (k + 1)
+        | Some _ | None -> u
       in
       let u = next t.n in
-      Hashtbl.replace a.used u ();
+      bind_uri t (Intern.intern t.dict u) claimed;
       u)
 
 let created t n =
@@ -503,11 +511,9 @@ let resources t =
   else List.filter (fun n -> is_resource t n) (descendant_or_self t t.root)
 
 let find_resource t u =
-  let found = ref None in
-  (if t.root <> no_node then
-     iter_subtree t t.root (fun n ->
-         if !found = None && uri t n = Some u then found := Some n));
-  !found
+  match Intern.find t.dict u with
+  | Some k when uri_binding t k >= 0 -> Some t.uri_node.(k)
+  | Some _ | None -> None
 
 (* ----- Rollback -----
 
@@ -520,7 +526,8 @@ let find_resource t u =
 
 let checkpoint t =
   let ck =
-    { ck_size = t.n; ck_attrs_n = t.attrs_n; ck_log = t.log; ck_first = None }
+    { ck_size = t.n; ck_attrs_n = t.attrs_n; ck_log = t.log;
+      ck_uri_log = t.uri_log; ck_first = None }
   in
   t.open_cks <- ck :: t.open_cks;
   ck
@@ -533,7 +540,10 @@ let commit t ck =
     | [] -> invalid_arg "Tree: checkpoint is not open"
   in
   t.open_cks <- pop t.open_cks;
-  if t.open_cks = [] then t.log <- []
+  if t.open_cks = [] then begin
+    t.log <- [];
+    t.uri_log <- []
+  end
 
 (* Fold over the entries logged since [ck], newest first. *)
 let fold_log t ck f init =
@@ -584,6 +594,13 @@ let restore t ck =
      the checkpoint's size are dropped next. *)
   fold_log t ck (fun () (n, col, old) -> (column t col).(n) <- old) ();
   t.log <- ck.ck_log;
+  let rec undo = function
+    | (k, b) :: rest as l when l != ck.ck_uri_log ->
+      t.uri_node.(k) <- b;
+      undo rest
+    | _ -> t.uri_log <- ck.ck_uri_log
+  in
+  Mutex.protect t.uri_lock (fun () -> undo t.uri_log);
   commit t ck;
   let size = ck.ck_size in
   (* Child ids increase along a chain: keep each one's prefix below

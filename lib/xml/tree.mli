@@ -110,18 +110,25 @@ val is_resource : t -> node -> bool
 
 val fresh_uri : t -> string
 (** A URI of the form ["r<k>"] not yet used in the document, probed from
-    [k = ]{!size}.  The allocator lives in the document and is created
-    by the first call; it is incremental (amortized O(appended nodes),
-    not O(document) per call, with one full rescan after a rollback)
-    and claims the URI at allocation time, so a later allocation can
-    never return it again, even before it is assigned.  Safe to call
-    from several domains at once. *)
+    [k = ]{!size} against the document's URI table (see
+    {!find_resource}).  The URI is claimed in the table at allocation
+    time, so a later allocation never returns it again, even before a
+    node carries it; a claim resolves to no node, and a {!restore} past
+    it releases it.  Safe to call from several domains at once. *)
 
 val resources : t -> node list
 (** All resource nodes, in document order. *)
 
 val find_resource : t -> string -> node option
-(** Look a resource up by URI. *)
+(** Look a resource up by URI, in O(1).  The document keeps one table
+    from URI to the first node that carried it, updated by every ["id"]
+    write ({!new_element} [~attrs], {!set_attr}, {!set_uri}) and rolled
+    back by {!restore}.  Invariant: every URI some node carries resolves
+    to its first carrier, and no other URI resolves; when that node
+    drops the URI, the next carrier in arena order takes it over.  The
+    orchestrator rejects a call whose new or promoted resource is not
+    the node its URI resolves to.  Not concurrently with writes to the
+    document. *)
 
 val created : t -> node -> timestamp
 (** Creation timestamp (0 for nodes of the initial document). *)
@@ -164,7 +171,8 @@ val equal_subtree : t -> node -> t -> node -> bool
     These exist solely so the orchestrator can undo a {e failed} call,
     restoring the exact last-committed state.  While a checkpoint is
     open, the setters above log the word they overwrite on nodes older
-    than the innermost open checkpoint; appends need no log.  Checkpoints
+    than the innermost open checkpoint; appends need no log.  The URI
+    table logs every binding it changes, appends included.  Checkpoints
     nest.  A restored or committed checkpoint is closed, and every
     operation below refuses it with [Invalid_argument]: no call can roll
     committed history back. *)

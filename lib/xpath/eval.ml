@@ -206,8 +206,10 @@ let rec eval_bool doc visible env ~pos ~last ctx (p : Ast.pred) : bool =
    - descendant steps with a name test read the by-label list, restricted
      to the context's pre/post-order interval;
    - a position-insensitive [@a = 'v'] predicate over an indexed attribute
-     ([@id], [@s], [@t] — exactly what the §4 rewriting injects) narrows
-     the candidates to the by-attribute list before any predicate runs.
+     ([@s], [@t] — exactly what the §4 rewriting injects) narrows the
+     candidates to the by-attribute list before any predicate runs.  An
+     [@id = 'v'] predicate does not narrow: the document, not the
+     index, resolves URIs ({!Tree.find_resource}).
 
    Narrowing by a predicate p_j is sound iff p_1..p_j are all
    position-insensitive: such predicates are pure (node, env) filters, so

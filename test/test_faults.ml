@@ -520,6 +520,110 @@ let prop_checkpoint_restore_exact =
       Tree.restore doc ck;
       inner_exact && fingerprint doc = before && Tree.generation doc > gen0)
 
+(* The document's URI table against a scan of the arena, over random
+   appends with ids (fresh and repeated), promotions, [fresh_uri] claims
+   (assigned or left open) and nested checkpoints closed by commit or
+   restore.  The model logs who took each URI, newest first, and a
+   restore truncates it to the checkpoint's log.  After every operation,
+   each URI some node carries resolves to the first node that took it,
+   and no other URI (repeated, fresh, claimed or rolled back) resolves. *)
+let prop_uri_table_is_a_scan =
+  Test.make ~name:"URI table = first carriers of an arena scan" ~count:200
+    (make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let doc = Orchestrator.initial_document () in
+      let taken = ref [ ("r1", Tree.root doc) ] and claims = ref [] in
+      let names = ref [ "r1" ] and fresh = ref 0 and cks = ref [] in
+      let name u = names := u :: !names in
+      let pick () =
+        match Random.State.int st 3 with
+        | 0 -> [| "a"; "b"; "r3"; "r6" |].(Random.State.int st 4)
+        | 1 -> incr fresh; Printf.sprintf "u%d" !fresh
+        | _ -> (match !taken with [] -> "a" | l -> fst (List.nth l (Random.State.int st (List.length l))))
+      in
+      let random_element () =
+        let rec go k =
+          let n = Random.State.int st (Tree.size doc) in
+          if Tree.is_element doc n || k = 0 then n else go (k - 1)
+        in
+        let n = go 8 in
+        if Tree.is_element doc n then n else Tree.root doc
+      in
+      let append ?uri () =
+        let attrs = match uri with Some u -> [ ("id", u) ] | None -> [] in
+        let n = Tree.new_element doc ~parent:(random_element ()) "E" ~attrs in
+        if Random.State.bool st then ignore (Tree.new_text doc ~parent:n "x");
+        Option.iter (fun u -> name u; taken := (u, n) :: !taken) uri
+      in
+      let promote u =
+        let n = random_element () in
+        if Tree.uri doc n = None then begin
+          Tree.set_uri doc n u;
+          name u;
+          taken := (u, n) :: !taken
+        end
+      in
+      let consistent () =
+        let carriers = Hashtbl.create 16 in
+        for n = 0 to Tree.size doc - 1 do
+          Option.iter (fun u -> Hashtbl.add carriers u n) (Tree.uri doc n)
+        done;
+        let first u =
+          List.fold_left
+            (fun acc (v, n) -> if String.equal u v then Some n else acc)
+            None !taken
+        in
+        List.for_all
+          (fun u ->
+            match Hashtbl.find_all carriers u with
+            | [] ->
+              Tree.find_resource doc u = None
+              || Test.fail_reportf "%s is carried by no node, resolves" u
+            | ns ->
+              (match first u with
+               | Some n when List.mem n ns -> Tree.find_resource doc u = Some n
+               | _ -> false)
+              || Test.fail_reportf "%s: carried by [%s], resolves elsewhere" u
+                   (String.concat ";" (List.map string_of_int ns)))
+          (List.sort_uniq String.compare (!names @ !claims))
+      in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        (match Random.State.int st 8 with
+         | 0 | 1 -> append ~uri:(pick ()) ()
+         | 2 -> append ()
+         | 3 -> promote (pick ())
+         | 4 ->
+           let u = Tree.fresh_uri doc in
+           ok := !ok && Tree.find_resource doc u = None
+                 && not (List.mem u !claims);
+           claims := u :: !claims;
+           (match Random.State.int st 3 with
+            | 0 -> append ~uri:u ()
+            | 1 -> promote u
+            | _ -> ())
+         | 5 when List.length !cks < 3 ->
+           cks := (Tree.checkpoint doc, !taken, !claims) :: !cks
+         | _ -> (
+           match !cks with
+           | (ck, t, c) :: rest ->
+             cks := rest;
+             if Random.State.bool st then Tree.commit doc ck
+             else begin
+               Tree.restore doc ck;
+               taken := t;
+               claims := c
+             end
+           | [] -> ()));
+        ok := !ok && consistent ()
+      done;
+      (* Committing the outermost checkpoint closes the inner ones. *)
+      (match List.rev !cks with
+       | (ck, _, _) :: _ -> Tree.commit doc ck
+       | [] -> ());
+      !ok && consistent ())
+
 (* The rollback bookkeeping of a step costs what the step wrote, not
    what the arena holds: on a 32k-node arena, a checkpoint, three edits
    of committed nodes, the append check's [changed_since] and a restore
@@ -571,4 +675,4 @@ let () =
       ( "properties",
         to_alcotest
           [ prop_agreement_under_faults; prop_skip_always_completes;
-            prop_checkpoint_restore_exact ] ) ]
+            prop_checkpoint_restore_exact; prop_uri_table_is_a_scan ] ) ]

@@ -102,9 +102,9 @@ let test_pool_clamp () =
 (* ---------- concurrent fresh-URI allocation ---------- *)
 
 let test_fresh_uri_concurrent () =
-  (* Several domains race on one document's allocator state: every URI
-     handed out must be distinct (the scan-probe-claim sequence is
-     atomic under the document's allocator lock). *)
+  (* Several domains race on one document's URI table: every URI handed
+     out must be distinct (the probe-claim sequence is atomic under the
+     document's URI lock). *)
   let doc = Orchestrator.initial_document () in
   let domains = 4 and per = 64 in
   let uris =

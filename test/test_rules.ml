@@ -143,10 +143,10 @@ let test_apply_states_empty_when_early () =
   check_int "no links" 0 (List.length app.Mapping.links)
 
 let test_apply_call_filters () =
-  let doc, trace = execution () in
+  let doc, _ = execution () in
   let rule = Rule_parser.parse ann_rule in
   let call = { Trace.service = "Annotate"; time = 2 } in
-  let app = Mapping.apply_call rule ~doc ~trace ~call in
+  let app = Mapping.apply_call rule ~doc ~call in
   check links_testable "links"
     [ ("a-t-n1", "t-n1"); ("a-t-n2", "t-n2") ]
     (List.sort compare app.Mapping.links)
@@ -176,13 +176,13 @@ let test_rewrite_literal_evaluation () =
   (* The literally rewritten rule, evaluated on the *final* document with
      no visibility guard, produces exactly the per-state links — thanks to
      the @s/@t labels the Recorder wrote. *)
-  let doc, trace = execution () in
+  let doc, _ = execution () in
   let rule = Rule_parser.parse ann_rule in
   let call = { Trace.service = "Annotate"; time = 2 } in
   let rewritten = Pattern_rewrite.rewrite_rule rule call in
   let final = Doc_state.final doc in
   let app = Mapping.apply_states rewritten final final in
-  let reference = Mapping.apply_call rule ~doc ~trace ~call in
+  let reference = Mapping.apply_call rule ~doc ~call in
   check links_testable "literal rewrite ≡ replay"
     (List.sort compare reference.Mapping.links)
     (List.sort compare app.Mapping.links)
@@ -192,7 +192,7 @@ let test_rewrite_source_excludes_same_call () =
   let doc, trace = execution () in
   let rule = Rule_parser.parse "X: //T[$x := @id] ==> //T[$x := @id]/A" in
   let call = { Trace.service = "Annotate"; time = 2 } in
-  let app = Mapping.apply_call rule ~doc ~trace ~call in
+  let app = Mapping.apply_call rule ~doc ~call in
   List.iter
     (fun (_, src) ->
       let n = Option.get (Tree.find_resource doc src) in

@@ -52,7 +52,7 @@ let test_auto_uri_assignment () =
   | [ uri ] -> check_bool "fresh uri" true (uri <> "r1" && String.length uri > 1)
   | l -> Alcotest.failf "expected one resource, got %d" (List.length l)
 
-(* The URI allocator lives in its document: once the caller drops a
+(* The URI table lives in its document: once the caller drops a
    document that minted URIs, nothing else keeps it alive. *)
 let test_minted_document_collectable () =
   let w = Weak.create 1 in
@@ -66,8 +66,8 @@ let test_minted_document_collectable () =
   Gc.full_major ();
   check_bool "dropped document collected" false (Weak.check w 0)
 
-(* An id set on a node the allocator has already scanned (a promotion)
-   is registered by [Tree.set_attr]: the next candidate skips it. *)
+(* An id set by a promotion enters the document's URI table through
+   [Tree.set_attr]: the next candidate skips it. *)
 let test_fresh_uri_sees_promotion () =
   let doc = Orchestrator.initial_document () in
   let a = Tree.new_element doc ~parent:(Tree.root doc) "A" in
@@ -829,6 +829,45 @@ let prop_event_graft_oracle =
       && (String.equal (arena_fingerprint a) (arena_fingerprint b)
           || Test.fail_reportf "arenas differ on %s" xml))
 
+(* The rejection texts of the duplicate-URI check, pinned: a call that
+   repeats one URI fails with "duplicate URI <u>" and leaves no trace of
+   it, so the URI stays free for a later call. *)
+let test_duplicate_uri_reasons () =
+  let doc = Orchestrator.initial_document () in
+  let n = Tree.new_element doc ~parent:(Tree.root doc) "N" in
+  let s = Orchestrator.start doc in
+  let append u doc =
+    ignore (Tree.new_element doc ~parent:(Tree.root doc) "F" ~attrs:[ ("id", u) ])
+  in
+  let step name f = Orchestrator.step s (add_service name f) in
+  let expect_reason what reason r =
+    match r with
+    | Orchestrator.Step_failed { reason = got; _ } -> check_str what reason got
+    | Orchestrator.Committed _ -> Alcotest.failf "%s: committed" what
+  in
+  let expect_commit what = function
+    | Orchestrator.Committed _ -> ()
+    | Orchestrator.Step_failed { reason; _ } -> Alcotest.failf "%s: %s" what reason
+  in
+  let size = Tree.size doc in
+  expect_reason "two appended fragments" "duplicate URI d1"
+    (step "Twice" (fun doc -> append "d1" doc; append "d1" doc));
+  expect_reason "reuses the root's URI" "duplicate URI r1"
+    (step "Root" (append "r1"));
+  expect_commit "first use" (step "Once" (append "c1"));
+  expect_reason "reuses a committed URI" "duplicate URI c1"
+    (step "Again" (append "c1"));
+  expect_reason "append then promotion" "duplicate URI p1"
+    (step "AppendPromote" (fun doc -> append "p1" doc; Tree.set_uri doc n "p1"));
+  expect_reason "promotion then append" "duplicate URI p1"
+    (step "PromoteAppend" (fun doc -> Tree.set_uri doc n "p1"; append "p1" doc));
+  check_int "only the committed fragment stays" (size + 1) (Tree.size doc);
+  check_bool "rejected URIs resolve to nothing" true
+    (Tree.find_resource doc "d1" = None && Tree.find_resource doc "p1" = None);
+  expect_commit "a rejected URI is free again" (step "Free" (append "d1"));
+  expect_commit "so is a rejected promotion"
+    (step "Promote" (fun doc -> Tree.set_uri doc n "p1"))
+
 let () =
   Alcotest.run "workflow"
     [ ( "execution",
@@ -854,7 +893,9 @@ let () =
         [ Alcotest.test_case "text change" `Quick test_violation_text_change;
           Alcotest.test_case "attr change" `Quick test_violation_attr_change;
           Alcotest.test_case "foreign attr" `Quick test_violation_foreign_attr_added;
-          Alcotest.test_case "duplicate uri" `Quick test_duplicate_uri_rejected ] );
+          Alcotest.test_case "duplicate uri" `Quick test_duplicate_uri_rejected;
+          Alcotest.test_case "duplicate uri reasons" `Quick
+            test_duplicate_uri_reasons ] );
       ( "blackbox",
         [ Alcotest.test_case "append" `Quick test_blackbox_append;
           Alcotest.test_case "violation" `Quick test_blackbox_violation;

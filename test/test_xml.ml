@@ -71,6 +71,36 @@ let test_resources () =
   check_int "find r2" a (Option.get (Tree.find_resource doc "r2"));
   check_bool "find missing" true (Tree.find_resource doc "nope" = None)
 
+(* The URI table follows every id write: the first carrier holds a URI,
+   a carrier that drops it hands it to the next one in arena order, and
+   a restore puts the table back. *)
+let test_find_resource_follows_writes () =
+  let doc = Tree.create () in
+  let root = Tree.new_element doc ~parent:Tree.no_node "R" in
+  let a = Tree.new_element doc ~parent:root "A" ~attrs:[ ("id", "x") ] in
+  let b = Tree.new_element doc ~parent:root "B" in
+  Tree.set_uri doc b "x";
+  let find = Tree.find_resource doc in
+  check_bool "first carrier wins" true (find "x" = Some a);
+  Tree.set_uri doc a "y";
+  check_bool "next carrier takes over" true (find "x" = Some b && find "y" = Some a);
+  Tree.set_uri doc b "z";
+  check_bool "dropped URI resolves to nothing" true (find "x" = None);
+  let claim = Tree.fresh_uri doc in
+  check_bool "a claim resolves to nothing" true (find claim = None);
+  let ck = Tree.checkpoint doc in
+  Tree.set_uri doc a "x";
+  Tree.set_uri doc root claim;
+  ignore (Tree.new_element doc ~parent:root "C" ~attrs:[ ("id", "w") ]);
+  check_bool "writes under a checkpoint" true
+    (find "x" = Some a && find claim = Some root && find "w" <> None);
+  Tree.restore doc ck;
+  check_bool "restore puts the table back" true
+    (find "x" = None && find "y" = Some a && find "z" = Some b
+    && find "w" = None && find claim = None);
+  check_bool "the claim survives a restore past it" true
+    (Tree.fresh_uri doc <> claim)
+
 let test_copy_subtree () =
   let doc, _, a, _, _ = sample () in
   let dst = Tree.create () in
@@ -379,6 +409,8 @@ let () =
           Alcotest.test_case "string value" `Quick test_string_value;
           Alcotest.test_case "descendants order" `Quick test_descendants_order;
           Alcotest.test_case "resources" `Quick test_resources;
+          Alcotest.test_case "find_resource follows id writes" `Quick
+            test_find_resource_follows_writes;
           Alcotest.test_case "copy subtree" `Quick test_copy_subtree;
           Alcotest.test_case "equal subtree" `Quick test_equal_subtree_negative ] );
       ( "parser",
