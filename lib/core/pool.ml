@@ -219,12 +219,9 @@ let map t n f =
   else if t.size = 1 then begin
     ignore (Atomic.fetch_and_add t.s_batches 1);
     ignore (Atomic.fetch_and_add t.s_items.(0) n);
-    (* The exact sequential path: no deques, no domains, index order. *)
-    let results = Array.make n None in
-    for i = 0 to n - 1 do
-      results.(i) <- Some (f i)
-    done;
-    Array.map Option.get results
+    (* The exact sequential path: no deques, no domains, index order
+       ([Array.init] applies [f] from 0 up). *)
+    Array.init n f
   end
   else begin
     ignore (Atomic.fetch_and_add t.s_batches 1);

@@ -165,19 +165,22 @@ let init ?jobs ~doc (rb : Strategy_sig.rulebook) =
       plan.C_plan.p_services
   in
   let jobs = match jobs with Some j -> j | None -> Pool.configured_jobs () in
-  (* Index and memos are built lazily at the first observation: [init]
-     runs before the orchestrator's prologue has labeled the initial
-     resources, so indexing here would snapshot unlabeled attributes. *)
+  (* Index and memos are built lazily, by the first call that has rules
+     to evaluate: [init] runs before the orchestrator's prologue has
+     labeled the initial resources, so memoising here would snapshot
+     unlabeled attributes. *)
   { doc; g = Prov_graph.create (); plan; rules; services; memo_of; src_exprs;
     memos; memo_exprs = Array.of_list memo_exprs;
     pool = Pool.create ~jobs (); index = None; upto = 0 }
 
-let current_index st ~promoted =
+(* Catches up the whole arena tail since the index's stamp, so a session
+   whose calls have no rules never builds an index at all. *)
+let current_index st =
   let doc = st.doc in
   match st.index with
-  | Some idx when Index.extend idx doc ~promoted -> idx
+  | Some idx when Index.extend idx doc -> idx
   | Some _ | None ->
-    (* First observation, a rollback (generation mismatch), or a key
+    (* First call with rules, a rollback (generation mismatch), or a key
        band exhausted: rebuild.  The session owns this index: nothing
        else reads or extends it. *)
     let idx = Index.build doc in
@@ -292,7 +295,6 @@ let project_target tbl (target : Ast.pattern) =
   Table.project (Table.rename tbl [ ("r", "out") ]) ("out" :: vars)
 
 let observe st ~call ~before ~after ~(delta : Orchestrator.delta) =
-  let idx = current_index st ~promoted:delta.Orchestrator.promoted in
   if delta.Orchestrator.promoted <> [] then reset_memos st;
   match Hashtbl.find_opt st.services call.Trace.service with
   | None -> ()
@@ -300,6 +302,7 @@ let observe st ~call ~before ~after ~(delta : Orchestrator.delta) =
     let rules = st.rules.(slot) in
     let sp = st.plan.C_plan.p_services.(slot) in
     if Array.length rules > 0 then begin
+      let idx = current_index st in
       let doc = st.doc in
       let t = call.Trace.time in
       let delta_lo = Tree.size doc - List.length delta.Orchestrator.new_nodes in

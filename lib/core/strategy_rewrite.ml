@@ -121,9 +121,8 @@ let infer_rule ?(happened_before = Strategy_sig.sequential_hb) ~cache ~index
      in
      (* One evaluation of the rewritten target for all calls of the service
         — and for all rules sharing this target pattern.  The rewritten
-        pattern ends in [@s = service], which the indexed evaluator serves
-        from the by-attribute index: candidates are exactly the resources
-        this service labeled, not the whole document. *)
+        pattern ends in [@s = service], a filter on the last step's
+        candidates; the index serves that step's label lookup only. *)
      let rt =
        cached cache cache.targets (target, service) (fun () ->
            (* A matched resource is grouped under the call that created

@@ -1,17 +1,13 @@
-(* Per-document evaluation index: nodes-by-label, nodes-by-attribute for
-   the provenance attributes, and pre/post-order intervals.  Built in one
-   DFS over a finished document and extensible in place when the arena
-   grows by appends; see index.mli for the contract. *)
+(* Per-document evaluation index: nodes-by-label, pre/post-order
+   intervals and subtree sizes.  Built in one DFS over a finished
+   document and extensible in place when the arena grows by appends; see
+   index.mli for the contract. *)
 
 module T = Weblab_obs.Telemetry
 
 let c_builds = T.counter "index.builds"
 let c_extend_ok = T.counter "index.extend.ok"
 let c_extend_fail = T.counter "index.extend.fail"
-
-let indexed_attrs = [ "s"; "t" ]
-
-let attr_indexed a = List.mem a indexed_attrs
 
 (* ----- Order keys -----
 
@@ -44,9 +40,7 @@ type t = {
   mutable last : int array;
       (* post key of the node's last keyed child, -1 if none: where the
          next appended child's band starts *)
-  elements : Tree.node Vec.t;  (* all elements, document order *)
   by_label : (string, Tree.node Vec.t) Hashtbl.t;
-  by_attr : (string * string, Tree.node Vec.t) Hashtbl.t;
   mutable exhausted : bool;  (* a key band ran out: refuse to extend *)
 }
 
@@ -59,21 +53,6 @@ let posting tbl key =
     Hashtbl.add tbl key v;
     v
 
-(* First position whose pre key is >= [pre.(node)] — the insertion point,
-   and the only place [node] can already sit (keys are unique). *)
-let posting_pos t v node =
-  let key = t.pre.(node) in
-  let lo = ref 0 and hi = ref (Vec.length v) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.pre.(Vec.get v mid) < key then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let posting_mem t v node =
-  let i = posting_pos t v node in
-  i < Vec.length v && Vec.get v i = node
-
 let build tree =
   T.incr c_builds;
   let n = Tree.size tree in
@@ -82,25 +61,17 @@ let build tree =
   let last = Array.make (max n 1) (-1) in
   let t =
     { tree; stamp = n; gen = Tree.generation tree; pre; post; sizes; last;
-      elements = Vec.create ~dummy:Tree.no_node;
       by_label = Hashtbl.create 64;
-      by_attr = Hashtbl.create 64;
       exhausted = false }
   in
   let clock = ref 0 in
   let rec visit node =
     pre.(node) <- !clock * key_gap;
     incr clock;
-    if Tree.is_element tree node then begin
-      (* DFS visits in document order, so plain pushes keep the postings
-         sorted by pre key. *)
-      Vec.push t.elements node;
+    (* DFS visits in document order, so plain pushes keep the postings
+       sorted by pre key. *)
+    if Tree.is_element tree node then
       Vec.push (posting t.by_label (Tree.name tree node)) node;
-      List.iter
-        (fun (a, v) ->
-          if attr_indexed a then Vec.push (posting t.by_attr (a, v)) node)
-        (Tree.attrs tree node)
-    end;
     let sz = ref 1 in
     List.iter
       (fun child ->
@@ -114,8 +85,6 @@ let build tree =
   in
   if Tree.has_root tree then visit (Tree.root tree);
   t
-
-let stamp t = t.stamp
 
 let valid_for t doc =
   t.tree == doc && t.stamp = Tree.size doc && t.gen = Tree.generation doc
@@ -179,24 +148,13 @@ let key_node t node =
     true
   end
 
-(* The nodes one extension adds to each posting, gathered while keying
-   and merged afterwards: one pass per touched posting, however many of
-   its nodes land mid-document. *)
-type batch = {
-  b_elements : Tree.node list ref;
-  b_label : (string, Tree.node list ref) Hashtbl.t;
-  b_attr : (string * string, Tree.node list ref) Hashtbl.t;
-}
-
+(* The nodes one extension adds to each label posting, gathered while
+   keying and merged afterwards: one pass per touched posting, however
+   many of its nodes land mid-document. *)
 let batch_add tbl key node =
   match Hashtbl.find_opt tbl key with
   | Some l -> l := node :: !l
   | None -> Hashtbl.add tbl key (ref [ node ])
-
-let batch_attrs t b node =
-  List.iter
-    (fun (a, v) -> if attr_indexed a then batch_add b.b_attr (a, v) node)
-    (Tree.attrs t.tree node)
 
 (* Sort a batch by pre key and merge it into its posting. *)
 let merge_into t v nodes =
@@ -206,7 +164,7 @@ let merge_into t v nodes =
     Vec.merge v xs ~less:(fun a b -> t.pre.(a) < t.pre.(b))
   end
 
-let extend t doc ~promoted =
+let extend t doc =
   if t.exhausted || not (t.tree == doc) || t.gen <> Tree.generation doc then
   begin
     T.incr c_extend_fail;
@@ -215,19 +173,13 @@ let extend t doc ~promoted =
   else begin
     let n = Tree.size doc in
     ensure_arrays t n;
-    let b =
-      { b_elements = ref []; b_label = Hashtbl.create 8;
-        b_attr = Hashtbl.create 16 }
-    in
+    let batch = Hashtbl.create 8 in
     let rec key_tail node =
       node >= n
       || key_node t node
          && begin
-           if Tree.is_element t.tree node then begin
-             b.b_elements := node :: !(b.b_elements);
-             batch_add b.b_label (Tree.name t.tree node) node;
-             batch_attrs t b node
-           end;
+           if Tree.is_element t.tree node then
+             batch_add batch (Tree.name t.tree node) node;
            key_tail (node + 1)
          end
     in
@@ -240,49 +192,25 @@ let extend t doc ~promoted =
       false
     end
     else begin
-      (* Promoted nodes gained attributes after they were indexed (the
-         service label a URI promotion brings); the tail cannot see
-         them.  Append semantics forbid removal or modification, so only
-         insertions are needed, of the pairs not yet posted. *)
-      List.iter
-        (fun node ->
-          if node < t.stamp && t.pre.(node) >= 0
-             && Tree.is_element t.tree node
-          then
-            List.iter
-              (fun (a, v) ->
-                if attr_indexed a
-                   && not (posting_mem t (posting t.by_attr (a, v)) node)
-                then batch_add b.b_attr (a, v) node)
-              (Tree.attrs t.tree node))
-        promoted;
-      merge_into t t.elements !(b.b_elements);
-      let merge_all tbl batches =
-        Hashtbl.iter (fun key l -> merge_into t (posting tbl key) !l) batches
-      in
-      merge_all t.by_label b.b_label;
-      merge_all t.by_attr b.b_attr;
+      (* A promotion only adds attributes ([id], [s], [t]), which no
+         posting covers: the tail is all there is to index. *)
+      Hashtbl.iter (fun l nodes -> merge_into t (posting t.by_label l) !nodes)
+        batch;
       t.stamp <- n;
       T.incr c_extend_ok;
       true
     end
   end
 
-let posting_list tbl key =
-  match Hashtbl.find_opt tbl key with
+let nodes_with_label t l =
+  match Hashtbl.find_opt t.by_label l with
   | Some v -> Vec.to_list v
   | None -> []
-
-let nodes_with_label t l = posting_list t.by_label l
 
 let label_count t l =
   match Hashtbl.find_opt t.by_label l with
   | Some v -> Vec.length v
   | None -> 0
-
-let elements t = Vec.to_list t.elements
-
-let nodes_with_attr t a v = posting_list t.by_attr (a, v)
 
 let in_tree t n = n >= 0 && n < Array.length t.pre && t.pre.(n) >= 0
 

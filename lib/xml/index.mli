@@ -2,19 +2,20 @@
 
     A snapshot of derived structures over a {!Tree.t}, built by one
     traversal of the finished document ({!build}; parsing never indexes)
-    and amortized over the many pattern evaluations of post-hoc
-    provenance inference:
+    and read by the evaluator's descendant steps:
 
-    - {b elements}: every element, document order;
-    - {b nodes by label}: element name → nodes, document order — turns
-      [//Name] steps into lookups;
-    - {b nodes by attribute}: [(attr, value)] → nodes, document order,
-      for the service labels [@s] and [@t] — turns the guards the §4
-      rewriting injects into lookups.  URIs are not indexed here: the
-      document resolves them itself ({!Tree.find_resource});
+    - {b nodes by label}: element name → nodes, document order — turns a
+      [//Name] step into a lookup;
     - {b pre/post-order intervals}: [descendant(a, n)] becomes two integer
-      comparisons, so descendant steps from an inner context filter a
-      label list instead of walking the subtree.
+      comparisons, so a descendant step from an inner context filters a
+      label list instead of walking the subtree;
+    - {b subtree sizes}: what tells the evaluator when walking the subtree
+      is cheaper than filtering the label list.
+
+    Nothing else is indexed.  Attributes are not: the guards the §4
+    rewriting appends ([@s = s], [@t = t]) are checked on the candidates
+    a step already produced, and the document resolves URIs itself
+    ({!Tree.find_resource}).
 
     Every index has one owner: whoever evaluates patterns builds the
     index it uses (once per evaluation pass over a frozen document) or is
@@ -22,8 +23,8 @@
     index is stamped with the arena size it covers: nodes appended later
     are not covered, and {!valid_for} turns false, so evaluators fall back
     to the reference traversal rather than trust it.  An owner can catch
-    up in place with {!extend} (amortized O(appended nodes), not
-    O(document)).
+    up in place with {!extend}, which keys only the appended nodes but
+    re-merges every label posting they land in (see its cost below).
 
     Pre/post ranks are {e gapped} order keys rather than dense ranks:
     only their relative order is observable (through {!strictly_below} /
@@ -36,19 +37,21 @@ type t
 val build : Tree.t -> t
 (** One full traversal: O(nodes) time and space. *)
 
-val extend : t -> Tree.t -> promoted:Tree.node list -> bool
-(** [extend t doc ~promoted] catches the index up with the arena in
-    place: the appended tail [stamp t, size doc) is keyed in id order
-    (appends are always last-child, so parents and preceding siblings are
-    already keyed; each node is keyed in O(1) inside the parent's free
-    band, after the parent's last keyed child), subtree sizes are updated
-    along the ancestor chains, and each touched posting receives its new
-    nodes in one sorted merge.  [promoted] lists committed nodes that
-    gained attributes since they were indexed (the service label of a
-    URI promotion): their
-    missing attribute postings join the same merges — the tail cannot
-    see them.  Cost: O(k log k + depth·k) for k new nodes, plus one pass
-    over each posting a new node lands inside of rather than after.
+val extend : t -> Tree.t -> bool
+(** [extend t doc] catches the index up with the arena in place: the
+    appended tail from the index's stamp to [size doc] is keyed in id
+    order (appends are always last-child, so parents and preceding
+    siblings are already keyed; each node is keyed in O(1) inside the
+    parent's free band, after the parent's last keyed child), subtree
+    sizes are bumped along the ancestor chains, and each touched label
+    posting receives its new nodes in one sorted merge.  A URI promotion
+    needs nothing: it only adds attributes, which are not indexed.
+
+    Cost, for k new nodes: O(k log k + depth·k), plus, for each touched
+    posting, the entries that sit past its first insertion point — all
+    of them move.  Appends under the last top-level element land at the
+    end of their postings; appends mid-document shift the tails of every
+    posting they touch, so one extension can cost more than its k.
 
     Returns [true] when the index now satisfies [valid_for t doc].
     Returns [false] — and the caller must fall back to {!build} — when:
@@ -69,10 +72,7 @@ val valid_for : t -> Tree.t -> bool
 (** [valid_for idx doc]: [idx] was built from this very [doc], no node
     has been appended since, and no rollback happened since. *)
 
-val stamp : t -> int
-(** The arena size the index was built at. *)
-
-(** {1 Label and attribute lookups}
+(** {1 Label lookups}
 
     All node lists are in document order. *)
 
@@ -81,20 +81,6 @@ val nodes_with_label : t -> string -> Tree.node list
 
 val label_count : t -> string -> int
 (** [List.length (nodes_with_label t l)], O(1). *)
-
-val elements : t -> Tree.node list
-(** Every element node. *)
-
-val indexed_attrs : string list
-(** The attribute names covered by {!nodes_with_attr}: [["s"; "t"]] —
-    the service labels of the provenance model.  An [@id = 'lit']
-    predicate is not narrowed by the index. *)
-
-val attr_indexed : string -> bool
-
-val nodes_with_attr : t -> string -> string -> Tree.node list
-(** [nodes_with_attr t a v]: elements with [a="v"], for [a] in
-    {!indexed_attrs} ([[]] for any other attribute). *)
 
 (** {1 Structural tests (pre/post-order intervals)} *)
 

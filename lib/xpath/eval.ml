@@ -200,104 +200,33 @@ let rec eval_bool doc visible env ~pos ~last ctx (p : Ast.pred) : bool =
 (* ----- Indexed candidate generation -----
 
    A step's candidates (axis ∩ name test ∩ visibility) are served from the
-   document index when doing so is guaranteed to produce the same list in
-   the same (document) order as the traversal:
+   document index only for a descendant(-or-self) step with a name test:
+   the by-label list, restricted to the context's pre/post-order interval,
+   is the same list in the same (document) order as the traversal.  Every
+   other step — child steps, [//*], upward and sibling axes — takes the
+   traversal, and predicates always run on the candidates the step
+   produced: the index holds no attribute postings. *)
 
-   - descendant steps with a name test read the by-label list, restricted
-     to the context's pre/post-order interval;
-   - a position-insensitive [@a = 'v'] predicate over an indexed attribute
-     ([@s], [@t] — exactly what the §4 rewriting injects) narrows the
-     candidates to the by-attribute list before any predicate runs.  An
-     [@id = 'v'] predicate does not narrow: the document, not the
-     index, resolves URIs ({!Tree.find_resource}).
-
-   Narrowing by a predicate p_j is sound iff p_1..p_j are all
-   position-insensitive: such predicates are pure (node, env) filters, so
-   applying p_j's node-only filter first commutes with them, and later
-   (possibly positional) predicates see the exact same list. *)
-
-let rec operand_position_sensitive (op : Ast.operand) =
-  match op with
-  | Ast.Position | Ast.Last -> true
-  | Ast.Strlen a -> operand_position_sensitive a
-  | Ast.Skolem (_, args) -> List.exists operand_position_sensitive args
-  | Ast.Attr _ | Ast.Lit _ | Ast.Num _ | Ast.Var _ | Ast.Count _ | Ast.Path _
-  | Ast.Path_attr _ -> false
-
-let rec pred_position_sensitive (p : Ast.pred) =
-  match p with
-  | Ast.Index _ -> true
-  | Ast.Bind (_, src) -> operand_position_sensitive src
-  | Ast.Cmp (a, _, b) ->
-    operand_position_sensitive a || operand_position_sensitive b
-  | Ast.Fn_bool (_, args) -> List.exists operand_position_sensitive args
-  | Ast.And (a, b) | Ast.Or (a, b) ->
-    pred_position_sensitive a || pred_position_sensitive b
-  | Ast.Not a -> pred_position_sensitive a
-  | Ast.Exists_path _ | Ast.Exists_attr _ -> false
-
-(* The first usable narrowing predicate: an env-independent equality
-   [@a = 'v'] (or the symmetric form) on an indexed attribute, preceded
-   only by position-insensitive predicates.  Literal (string) comparisands
-   only: [@t = 5] uses numeric loose equality, which the exact-string
-   attribute index must not answer. *)
-let narrowing_attr (preds : Ast.pred list) =
-  let rec scan = function
-    | [] -> None
-    | p :: rest ->
-      if pred_position_sensitive p then None
-      else (
-        match p with
-        | Ast.Cmp (Ast.Attr a, Ast.Eq, Ast.Lit v)
-        | Ast.Cmp (Ast.Lit v, Ast.Eq, Ast.Attr a)
-          when Index.attr_indexed a -> Some (a, v)
-        | _ -> scan rest)
-  in
-  scan preds
-
-(* [Some candidates] when the index can serve the step for this context —
-   the same nodes, in document order, as the traversal path — or [None]
-   to fall back (including when the by-label list is larger than the
-   subtree it would be filtered against). *)
-let fast_candidates doc idx visible ctx (step : Ast.step) =
+(* [None] falls back to the traversal, also when the by-label list is
+   larger than the context's subtree it would be filtered against. *)
+let fast_candidates idx visible ctx (step : Ast.step) =
   let from_document = ctx = Tree.no_node in
-  let label_ok n = test_matches doc step.Ast.test n in
-  let narrowing = narrowing_attr step.Ast.preds in
   let axis_ok =
     match step.Ast.axis, from_document with
     | (Ast.Descendant | Ast.Descendant_or_self), true -> Some (fun _ -> true)
     | Ast.Descendant, false -> Some (Index.strictly_below idx ~ancestor:ctx)
     | Ast.Descendant_or_self, false -> Some (Index.below_or_self idx ~ancestor:ctx)
-    | Ast.Child, _ when narrowing <> None ->
-      (* Only worth consulting the attribute index for: without a
-         narrowing attribute the child list itself is the cheapest plan. *)
-      if from_document then
-        Some (fun n -> Tree.has_root doc && Tree.root doc = n)
-      else Some (fun n -> Tree.parent doc n = ctx)
     | _ -> None
   in
-  match axis_ok with
-  | None -> None
-  | Some axis_ok -> (
-    match narrowing with
-    | Some (a, v) ->
+  match axis_ok, step.Ast.test with
+  | Some axis_ok, Ast.Name l ->
+    if (not from_document) && Index.label_count idx l > Index.subtree_size idx ctx
+    then None (* walking the subtree is cheaper than filtering the label list *)
+    else
       Some
-        (Index.nodes_with_attr idx a v
-        |> List.filter (fun n -> label_ok n && axis_ok n && visible n))
-    | None -> (
-      match step.Ast.test with
-      | Ast.Name l ->
-        if
-          (not from_document)
-          && Index.label_count idx l > Index.subtree_size idx ctx
-        then None (* walking the subtree is cheaper than filtering the label list *)
-        else
-          Some
-            (Index.nodes_with_label idx l
-            |> List.filter (fun n -> axis_ok n && visible n))
-      | Ast.Any ->
-        if from_document then Some (List.filter visible (Index.elements idx))
-        else None))
+        (Index.nodes_with_label idx l
+        |> List.filter (fun n -> axis_ok n && visible n))
+  | _ -> None
 
 (* Apply one predicate to a candidate list, XPath-style: positions are
    1-based indices into the current list, recomputed after each predicate. *)
@@ -325,7 +254,7 @@ let apply_step ?keep doc index visible contexts (step : Ast.step) =
     (fun (ctx, env) ->
       let fast =
         match index with
-        | Some idx -> fast_candidates doc idx visible ctx step
+        | Some idx -> fast_candidates idx visible ctx step
         | None -> None
       in
       let candidates =
@@ -459,6 +388,26 @@ let eval_state ?require_uri st pattern =
    upward or sibling axis (the final node no longer dominates the chain)
    or a position-sensitive predicate are not delta-localizable and must
    be evaluated in full. *)
+
+let rec operand_position_sensitive (op : Ast.operand) =
+  match op with
+  | Ast.Position | Ast.Last -> true
+  | Ast.Strlen a -> operand_position_sensitive a
+  | Ast.Skolem (_, args) -> List.exists operand_position_sensitive args
+  | Ast.Attr _ | Ast.Lit _ | Ast.Num _ | Ast.Var _ | Ast.Count _ | Ast.Path _
+  | Ast.Path_attr _ -> false
+
+let rec pred_position_sensitive (p : Ast.pred) =
+  match p with
+  | Ast.Index _ -> true
+  | Ast.Bind (_, src) -> operand_position_sensitive src
+  | Ast.Cmp (a, _, b) ->
+    operand_position_sensitive a || operand_position_sensitive b
+  | Ast.Fn_bool (_, args) -> List.exists operand_position_sensitive args
+  | Ast.And (a, b) | Ast.Or (a, b) ->
+    pred_position_sensitive a || pred_position_sensitive b
+  | Ast.Not a -> pred_position_sensitive a
+  | Ast.Exists_path _ | Ast.Exists_attr _ -> false
 
 let delta_localizable (pattern : Ast.pattern) =
   List.for_all

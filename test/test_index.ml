@@ -1,7 +1,7 @@
 (* The document index and the join/evaluation fast paths it enables.
 
-   Unit tests pin the index structures themselves (label/attribute lists
-   in document order, pre/post-order intervals, snapshot invalidation);
+   Unit tests pin the index structures themselves (label lists in
+   document order, pre/post-order intervals, snapshot invalidation);
    property tests are differential: the indexed evaluator against the
    traversal evaluator, the hash join against the nested-loop join, and
    the full Rewrite strategy against Replay on random workflows — the
@@ -29,32 +29,12 @@ let sample_doc () =
 let test_by_label () =
   let doc = sample_doc () in
   let idx = Index.build doc in
-  let names ns = List.map (Tree.name doc) ns in
   check_nodes "labels in document order"
     (Tree.descendant_or_self doc (Tree.root doc)
     |> List.filter (fun n -> Tree.is_element doc n && Tree.name doc n = "Annotation"))
     (Index.nodes_with_label idx "Annotation");
   check_int "label_count" 3 (Index.label_count idx "Annotation");
-  check_int "absent label" 0 (Index.label_count idx "Nope");
-  Alcotest.(check (list string))
-    "elements covers every element, document order"
-    [ "Resource"; "MediaUnit"; "Annotation"; "Annotation"; "Language";
-      "MediaUnit"; "Annotation" ]
-    (names (Index.elements idx))
-
-let test_by_attr () =
-  let doc = sample_doc () in
-  let idx = Index.build doc in
-  check_int "s=Tagger" 2 (List.length (Index.nodes_with_attr idx "s" "Tagger"));
-  check_int "t=2" 2 (List.length (Index.nodes_with_attr idx "t" "2"));
-  check_int "unindexed attr is not answered" 0
-    (List.length (Index.nodes_with_attr idx "lang" "fr"));
-  check_int "id is not indexed" 0
-    (List.length (Index.nodes_with_attr idx "id" "mu2"));
-  check_bool "the document resolves the URI" true
-    (Option.map (Tree.name doc) (Tree.find_resource doc "mu2")
-    = Some "MediaUnit");
-  check_bool "missing resource" true (Tree.find_resource doc "zz" = None)
+  check_int "absent label" 0 (Index.label_count idx "Nope")
 
 let test_intervals () =
   let doc = sample_doc () in
@@ -90,8 +70,8 @@ let test_snapshot_invalidation () =
 
 let gen_name = Gen.oneofl [ "A"; "B"; "C"; "D" ]
 
-(* Attribute pool biased towards the indexed provenance attributes so the
-   narrowing fast path actually fires. *)
+(* Attribute pool biased towards the provenance attributes the §4
+   rewriting compares ([@s], [@t]). *)
 let gen_attr =
   Gen.oneofl
     [ ("id", "r1"); ("id", "r2"); ("id", "r3"); ("s", "Svc1"); ("s", "Svc2");
@@ -122,9 +102,8 @@ let gen_doc : Tree.t Gen.t =
 let arb_doc = make ~print:(fun d -> Printer.to_string ~indent:true d) gen_doc
 
 (* Patterns exercising every candidate-generation path: descendant and
-   child axes, name and wildcard tests, indexed-attribute equalities in
-   every predicate slot (so narrowing must prove position-insensitivity),
-   positional predicates, binds, and nested paths. *)
+   child axes, name and wildcard tests, attribute equalities in every
+   predicate slot, positional predicates, binds, and nested paths. *)
 let gen_pred ~var_counter st =
   let open Weblab_xpath.Ast in
   match Gen.int_bound 7 st with
@@ -414,9 +393,8 @@ let prop_rewrite_duplicate_rules =
 
 (* ---------- unit: numeric bypass ---------- *)
 
-(* Regression: [@t = 5] compares numerically (Num operand, so "05"
-   matches) and must bypass the exact-string attribute index — narrowing
-   through it would miss the "05" spelling. *)
+(* [@t = 5] compares numerically (Num operand, so "05" matches): the
+   indexed evaluator must find both spellings, as the traversal does. *)
 let test_loose_numeric_not_narrowed () =
   let doc =
     Xml_parser.parse
@@ -434,11 +412,39 @@ let test_loose_numeric_not_narrowed () =
   check_int "matches both numeric spellings" 2
     (List.length (Weblab_relalg.Table.rows indexed))
 
+(* A child step guarded by [@s = 'v'] (the form [target_service] appends
+   to a target's last step) costs what the context's children cost, not
+   what the document holds of [@s = 'v']: 2,000 [<A>], each with one
+   [<B s="X">] child, evaluated from 2,000 [A] contexts.  Copying the
+   2,000-entry [s = X] posting for every context would allocate 6,000
+   minor words per context (three per list cell); the bound is a tenth
+   of one copy. *)
+let test_guarded_child_step_allocation () =
+  let n = 2000 in
+  let doc = Tree.create () in
+  let root = Tree.new_element doc ~parent:Tree.no_node "R" ~attrs:[ ("id", "root") ] in
+  for _ = 1 to n do
+    let a = Tree.new_element doc ~parent:root "A" in
+    ignore (Tree.new_element doc ~parent:a "B" ~attrs:[ ("s", "X") ])
+  done;
+  let pat = Weblab_xpath.Parser.pattern "//A/B[@s = 'X']" in
+  let index = Index.build doc in
+  let w0 = Gc.minor_words () in
+  let indexed = Weblab_xpath.Eval.eval ~require_uri:false ~index doc pat in
+  let per_context = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool "indexed ≡ unindexed" true
+    (rows_exactly_equal indexed
+       (Weblab_xpath.Eval.eval ~require_uri:false doc pat));
+  check_int "every B matches" n (List.length (Weblab_relalg.Table.rows indexed));
+  check_bool
+    (Printf.sprintf "%.0f minor words per context, at most 600" per_context)
+    true (per_context <= 600.)
+
 (* ---------- incremental extension ---------- *)
 
 (* An extended index must be indistinguishable from a fresh build on
-   every query surface: element list, label postings, attribute postings,
-   interval containment and subtree sizes.  Only the order of the pre/post
+   every query surface: label postings, interval containment and subtree
+   sizes.  Only the order of the pre/post
    keys is observable, never their values, so the comparison goes through
    the query API. *)
 let same_answers doc idx fresh =
@@ -448,21 +454,10 @@ let same_answers doc idx fresh =
         if Tree.is_element doc n then acc := Tree.name doc n :: !acc);
     List.sort_uniq compare !acc
   in
-  let attr_pairs =
-    let acc = ref [] in
-    Tree.iter_subtree doc (Tree.root doc) (fun n ->
-        acc := Tree.attrs doc n @ !acc);
-    List.sort_uniq compare !acc
-  in
   let nodes = Tree.descendant_or_self doc (Tree.root doc) in
-  Index.elements idx = Index.elements fresh
-  && List.for_all
-       (fun l -> Index.nodes_with_label idx l = Index.nodes_with_label fresh l)
-       labels
-  && List.for_all
-       (fun (a, v) ->
-         Index.nodes_with_attr idx a v = Index.nodes_with_attr fresh a v)
-       attr_pairs
+  List.for_all
+    (fun l -> Index.nodes_with_label idx l = Index.nodes_with_label fresh l)
+    labels
   && List.for_all
        (fun n ->
          Index.subtree_size idx n = Index.subtree_size fresh n
@@ -480,16 +475,18 @@ let test_extend_basic () =
   let idx = Index.build doc in
   let extra = Tree.new_element doc ~parent:(Tree.root doc) "Extra" in
   ignore (Tree.new_element doc ~parent:extra "Annotation" ~attrs:[ ("t", "9") ]);
-  check_bool "extend succeeds" true (Index.extend idx doc ~promoted:[]);
+  check_bool "extend succeeds" true (Index.extend idx doc);
   check_bool "valid after extend" true (Index.valid_for idx doc);
   check_int "new label indexed" 1 (Index.label_count idx "Extra");
   check_int "nested label indexed" 4 (Index.label_count idx "Annotation");
   check_bool "matches a fresh build" true (same_answers doc idx (Index.build doc))
 
 let test_extend_promotion () =
-  (* URI promotion adds indexed attributes to an already-indexed node;
-     a size-based staleness check cannot see it, so [extend] takes the
-     promoted set explicitly. *)
+  (* URI promotion adds attributes to an already-indexed node, which a
+     size-based staleness check cannot see; no posting covers attributes,
+     so extending over the appended tail alone still matches a fresh
+     build, and indexed evaluation of a guard on the promoted node agrees
+     with the traversal. *)
   let doc = sample_doc () in
   let idx = Index.build doc in
   let lang =
@@ -498,11 +495,18 @@ let test_extend_promotion () =
       (Tree.descendant_or_self doc (Tree.root doc))
   in
   Tree.set_uri doc lang "r9";
+  Tree.set_service_label doc lang "Promoter" 4;
   ignore (Tree.new_element doc ~parent:(Tree.root doc) "Extra");
-  check_bool "extend with promotion" true (Index.extend idx doc ~promoted:[ lang ]);
+  check_bool "extend after promotion" true (Index.extend idx doc);
   check_bool "promoted node resolvable" true
     (Tree.find_resource doc "r9" = Some lang);
-  check_bool "matches a fresh build" true (same_answers doc idx (Index.build doc))
+  check_bool "matches a fresh build" true (same_answers doc idx (Index.build doc));
+  let pat = Weblab_xpath.Parser.pattern "//Annotation/Language[@s = 'Promoter']" in
+  let indexed = Weblab_xpath.Eval.eval ~index:idx doc pat in
+  check_bool "guard on the promoted node: indexed ≡ unindexed" true
+    (rows_exactly_equal indexed (Weblab_xpath.Eval.eval doc pat));
+  check_int "the promoted node matches" 1
+    (List.length (Weblab_relalg.Table.rows indexed))
 
 let test_extend_checkpoint_restore () =
   (* The satellite regression: append → checkpoint → failing call →
@@ -511,18 +515,18 @@ let test_extend_checkpoint_restore () =
   let doc = sample_doc () in
   let idx = Index.build doc in
   ignore (Tree.new_element doc ~parent:(Tree.root doc) "Extra");
-  check_bool "committed append extends" true (Index.extend idx doc ~promoted:[]);
+  check_bool "committed append extends" true (Index.extend idx doc);
   let ck = Tree.checkpoint doc in
   ignore (Tree.new_element doc ~parent:(Tree.root doc) "Doomed");
   ignore (Tree.new_element doc ~parent:(Tree.root doc) "Doomed");
   Tree.restore doc ck;
-  check_bool "extend refused after restore" false (Index.extend idx doc ~promoted:[]);
+  check_bool "extend refused after restore" false (Index.extend idx doc);
   check_bool "index invalidated" false (Index.valid_for idx doc);
   check_int "no ghost postings" 0 (Index.label_count idx "Doomed");
   (* the amortized recovery: rebuild once, then extension works again *)
   let idx = Index.build doc in
   ignore (Tree.new_element doc ~parent:(Tree.root doc) "After");
-  check_bool "extend after rebuild" true (Index.extend idx doc ~promoted:[]);
+  check_bool "extend after rebuild" true (Index.extend idx doc);
   check_int "post-restore append indexed" 1 (Index.label_count idx "After");
   check_bool "matches a fresh build" true (same_answers doc idx (Index.build doc))
 
@@ -537,7 +541,7 @@ let test_extend_band_exhaustion () =
   let rebuilds = ref 0 in
   for i = 1 to 30 do
     parent := Tree.new_element doc ~parent:!parent "N";
-    if not (Index.extend !idx doc ~promoted:[]) then begin
+    if not (Index.extend !idx doc) then begin
       check_bool "exhausted index stays invalid" false (Index.valid_for !idx doc);
       incr rebuilds;
       idx := Index.build doc
@@ -554,7 +558,7 @@ let test_extend_band_exhaustion () =
    elements, mid-document as often as at the end, so one extension merges
    many nodes into the middle of a posting; some calls also promote
    committed elements (a fresh "id", and the "s"/"t" labels the Recorder
-   adds), which only the promoted list can tell the index about. *)
+   adds), which the extension need not see. *)
 let prop_extend_equals_rebuild =
   Test.make ~name:"extend ≡ fresh build on random appends" ~count:100
     (pair arb_doc (make Gen.(int_bound 1_000_000)))
@@ -568,7 +572,6 @@ let prop_extend_equals_rebuild =
       in
       for call = 1 to 1 + Random.State.int st 4 do
         let old_size = Tree.size doc in
-        let promoted = ref [] in
         if Random.State.bool st then
           for _ = 1 to 1 + Random.State.int st 2 do
             match
@@ -578,8 +581,7 @@ let prop_extend_equals_rebuild =
               Tree.set_uri doc n (Printf.sprintf "p%d" n);
               if Random.State.bool st && Tree.attr doc n "s" = None
                  && Tree.attr doc n "t" = None
-              then Tree.set_service_label doc n "Svc3" call;
-              promoted := n :: !promoted
+              then Tree.set_service_label doc n "Svc3" call
             | Some _ | None -> ()
           done;
         for _ = 1 to 1 + Random.State.int st 5 do
@@ -587,7 +589,7 @@ let prop_extend_equals_rebuild =
           | Some p -> gen_fragment doc p (Random.State.int st 3) st
           | None -> ()
         done;
-        if not (Index.extend !idx doc ~promoted:!promoted) then
+        if not (Index.extend !idx doc) then
           idx := Index.build doc;
         ok := !ok && same_answers doc !idx (Index.build doc)
       done;
@@ -627,8 +629,8 @@ let test_closure_table () =
 (* The index costs less per node than the arena it indexes.  Probe: the
    256-unit workload document (seed 7) after a 9-call catalog chain,
    15,775 nodes and 5,910 resources.  The index's own live bytes (its
-   reachable words minus the tree's) stay at most 90 a node; with one
-   [@id] posting per URI they were 141. *)
+   reachable words minus the tree's) read 38.6 a node with label postings,
+   pre/post keys and subtree sizes only; the bound is that plus about 15%. *)
 let test_bytes_per_node () =
   let doc = Weblab_services.Workload.make_document ~units:256 ~seed:7 () in
   ignore
@@ -638,20 +640,21 @@ let test_bytes_per_node () =
   let per_node =
     float_of_int (bytes (doc, idx) - bytes doc) /. float_of_int (Tree.size doc)
   in
-  check_bool (Printf.sprintf "index %.1f B/node, at most 90" per_node) true
-    (per_node <= 90.)
+  check_bool (Printf.sprintf "index %.1f B/node, at most 44" per_node) true
+    (per_node <= 44.)
 
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "index"
     [ ( "structures",
         [ Alcotest.test_case "by label" `Quick test_by_label;
-          Alcotest.test_case "by attribute" `Quick test_by_attr;
           Alcotest.test_case "pre/post intervals" `Quick test_intervals;
           Alcotest.test_case "snapshot invalidation" `Quick
             test_snapshot_invalidation;
           Alcotest.test_case "loose numeric bypasses index" `Quick
             test_loose_numeric_not_narrowed;
+          Alcotest.test_case "guarded child step allocates per child" `Quick
+            test_guarded_child_step_allocation;
           Alcotest.test_case "closure table" `Quick test_closure_table;
           Alcotest.test_case "bytes per node" `Quick test_bytes_per_node ] );
       ( "extension",

@@ -1122,7 +1122,7 @@ let test_tree_boundaries () =
   Tree.restore doc ck;
   check_bool "restore bumps generation" true (Tree.generation doc > g1);
   check_bool "index refuses after restore" false
-    (Index.extend idx doc ~promoted:[])
+    (Index.extend idx doc)
 
 (* ===== metrics verb and slow-query log ===== *)
 
