@@ -321,24 +321,39 @@ let parse text =
   { form; where; filters; order; limit }
 
 (* FILTER/ORDER BY compare on the lexical form, numerically when both
-   sides are numeric. *)
+   sides are numeric.  Only the terms they compare are decoded. *)
 let term_lexical = function
   | Term.Lit (s, _) -> s
   | Term.Iri s -> s
   | Term.Bnode s -> s
 
-let operand_string env = function
-  | O_var v -> Option.map term_lexical (List.assoc_opt v env)
-  | O_lit l -> Some l
-  | O_num n -> Some (string_of_int n)
-
 let compare_strings a b =
   match int_of_string_opt (String.trim a), int_of_string_opt (String.trim b) with
-  | Some x, Some y -> compare x y
+  | Some x, Some y -> Int.compare x y
   | _ -> String.compare a b
 
-let filter_holds env (lhs, op, rhs) =
-  match operand_string env lhs, operand_string env rhs with
+(* The lexical form a variable's column holds in row [r], if bound. *)
+let lexical store sol col r =
+  if col < 0 then None
+  else
+    let id = Triple_store.binding sol r col in
+    if id = Triple_store.unbound_id then None
+    else Some (term_lexical (Triple_store.term_of_id store id))
+
+let column sol v =
+  let rec go k = function
+    | [] -> -1
+    | v' :: rest -> if String.equal v v' then k else go (k + 1) rest
+  in
+  go 0 (Triple_store.solution_vars sol)
+
+let filter_holds store sol r (lhs, op, rhs) =
+  let operand = function
+    | O_var v -> lexical store sol (column sol v) r
+    | O_lit l -> Some l
+    | O_num n -> Some (string_of_int n)
+  in
+  match operand lhs, operand rhs with
   | Some a, Some b -> (
     let c = compare_strings a b in
     match op with
@@ -351,27 +366,51 @@ let filter_holds env (lhs, op, rhs) =
     | _ -> false)
   | _ -> false
 
-type result =
-  | Solutions of Weblab_relalg.Table.t
-  | Boolean of bool
+(* An evaluated SELECT: the distinct rows over the store's ids, and the
+   N-Triples text of each distinct term, built once, on first use. *)
+type rows = {
+  store : Triple_store.t;
+  sol : Triple_store.solutions;
+  texts : (int, string) Hashtbl.t;
+}
 
-let run_query store (q : query) : result =
-  let sols = Triple_store.solutions store q.where in
-  let sols = List.filter (fun env -> List.for_all (filter_holds env) q.filters) sols in
+type evaluated =
+  | Selected of rows
+  | Asked of bool
+
+(* Solutions that pass every FILTER, as row numbers in solution order. *)
+let filtered store (q : query) =
+  let sol = Triple_store.solve store q.where in
+  let keep r = List.for_all (filter_holds store sol r) q.filters in
+  (sol, List.filter keep (List.init (Triple_store.solution_count sol) Fun.id))
+
+let eval store (q : query) =
+  let sol, kept = filtered store q in
   match q.form with
-  | Ask -> Boolean (sols <> [])
+  | Ask -> Asked (kept <> [])
   | Select (sel, _distinct) ->
-    let sols =
+    (* Solutions are always distinct, so the DISTINCT flag changes
+       nothing. *)
+    let order =
       match q.order with
-      | None -> sols
+      | None -> kept
       | Some { by; descending } ->
-        let key env =
-          match List.assoc_opt by env with
-          | Some t -> term_lexical t
-          | None -> ""
+        (* Each kept row's key, and its numeric reading, once: the
+           comparison is [compare_strings] on the keys. *)
+        let col = column sol by and n = Triple_store.solution_count sol in
+        let key = Array.make n "" and num = Array.make n None in
+        List.iter
+          (fun r ->
+            let k = Option.value ~default:"" (lexical store sol col r) in
+            key.(r) <- k;
+            num.(r) <- int_of_string_opt (String.trim k))
+          kept;
+        let cmp a b =
+          match num.(a), num.(b) with
+          | Some x, Some y -> Int.compare x y
+          | _ -> String.compare key.(a) key.(b)
         in
-        let cmp a b = compare_strings (key a) (key b) in
-        let sorted = List.stable_sort cmp sols in
+        let sorted = List.stable_sort cmp kept in
         if descending then List.rev sorted else sorted
     in
     let vars =
@@ -379,26 +418,55 @@ let run_query store (q : query) : result =
       | Some vars -> vars
       | None -> Triple_store.bgp_variables q.where
     in
-    let table = Triple_store.table_of_solutions vars sols in
-    let table =
-      match q.limit with
-      | None -> table
-      | Some n ->
-        let open Weblab_relalg in
-        let limited = Table.create (Table.columns table) in
-        List.iteri (fun i row -> if i < n then Table.add_row limited row)
-          (Table.rows table);
-        limited
-    in
-    Solutions table
+    let limit = Option.value ~default:max_int q.limit in
+    Selected
+      { store; sol = Triple_store.project sol vars order limit;
+        texts = Hashtbl.create 64 }
+
+let ask_error = "ASK queries return a boolean; use run_result"
+
+let select store text =
+  match eval store (parse text) with
+  | Selected rows -> rows
+  | Asked _ -> raise (Error ask_error)
+
+let columns rows = Triple_store.solution_vars rows.sol
+
+let row_count rows = Triple_store.solution_count rows.sol
+
+let cell rows r c =
+  let id = Triple_store.binding rows.sol r c in
+  if id = Triple_store.unbound_id then ""
+  else
+    match Hashtbl.find_opt rows.texts id with
+    | Some s -> s
+    | None ->
+      let s = Term.to_ntriples (Triple_store.term_of_id rows.store id) in
+      Hashtbl.add rows.texts id s;
+      s
+
+let to_table rows =
+  let open Weblab_relalg in
+  let cols = columns rows in
+  let table = Table.create cols in
+  let width = List.length cols in
+  for r = 0 to row_count rows - 1 do
+    Table.add_row table (Array.init width (fun c -> Value.Str (cell rows r c)))
+  done;
+  table
+
+type result =
+  | Solutions of Weblab_relalg.Table.t
+  | Boolean of bool
+
+let run_query store q =
+  match eval store q with
+  | Selected rows -> Solutions (to_table rows)
+  | Asked b -> Boolean b
 
 let run_result store text = run_query store (parse text)
 
-(* Backwards-compatible entry point: SELECT queries only. *)
-let run store text =
-  match run_result store text with
-  | Solutions t -> t
-  | Boolean _ -> raise (Error "ASK queries return a boolean; use run_result")
+let run store text = to_table (select store text)
 
 let ask store text =
   match run_result store text with

@@ -14,7 +14,22 @@
 
     The {!Prov_vocab.prefixes} (prov, rdf, rdfs, xsd, wl) are
     predeclared.  FILTER and ORDER BY compare lexical forms, numerically
-    when both sides parse as integers. *)
+    when both sides parse as integers.
+
+    Evaluation contract:
+    - The BGP is joined left to right over the store's dictionary ids
+      ({!Triple_store.solve}); FILTER and ORDER BY decode only the terms
+      they compare.
+    - SELECT results are always distinct: a solution equal to an earlier
+      one on the projected variables is dropped.  [DISTINCT] therefore
+      changes nothing — it is parsed, and evaluation ignores the flag.
+    - Rows come in solution order: the order in which the BGP's matches
+      are found (each pattern's matches in store insertion order), then
+      filtered, then stably sorted by ORDER BY ([DESC] reverses the
+      ascending sort), de-duplicated keeping the first occurrence, and
+      cut at LIMIT.
+    - An ASK query has no rows: {!select} and {!run} raise {!Error} on
+      one; {!run_result} and {!ask} answer it. *)
 
 exception Error of string
 
@@ -45,6 +60,31 @@ type query = {
 val parse : string -> query
 (** @raise Error on malformed queries or unknown prefixes. *)
 
+(** {1 Rows} *)
+
+type rows
+(** An evaluated SELECT over a store: distinct rows of term ids, with
+    each distinct term's N-Triples text built once, on first use.  Rows
+    read the store they were evaluated over: read them under the same
+    lock as the store ({!Triple_store}). *)
+
+val select : Triple_store.t -> string -> rows
+(** Parse and evaluate a SELECT query.
+    @raise Error on malformed queries, unknown prefixes, or an ASK
+    query. *)
+
+val columns : rows -> string list
+(** The projected variables, in SELECT order ([*]: the BGP's variables
+    in first-occurrence order). *)
+
+val row_count : rows -> int
+
+val cell : rows -> int -> int -> string
+(** [cell rows r c]: the N-Triples text of row [r]'s binding in column
+    [c], or [""] for a variable the row does not bind. *)
+
+(** {1 Tables} *)
+
 type result =
   | Solutions of Weblab_relalg.Table.t
   | Boolean of bool
@@ -55,8 +95,8 @@ val run_result : Triple_store.t -> string -> result
 (** Parse and evaluate. *)
 
 val run : Triple_store.t -> string -> Weblab_relalg.Table.t
-(** SELECT queries only: the solution table (one column per projected
-    variable, term bindings in N-Triples syntax).
+(** SELECT queries only: {!select} as a table (one column per projected
+    variable, each cell {!cell}).
     @raise Error on an ASK query. *)
 
 val ask : Triple_store.t -> string -> bool

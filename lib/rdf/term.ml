@@ -39,25 +39,33 @@ let lit s = Lit (s, None)
 let int_lit i = Lit (string_of_int i, Some xsd_integer)
 let bnode s = Bnode s
 
-let escape_lit s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Whether a byte needs a backslash in N-Triples/Turtle literal text. *)
+let needs_escape = function '"' | '\\' | '\n' | '\r' | '\t' -> true | _ -> false
 
-(* N-Triples concrete syntax of a term. *)
+(* A lexical form with nothing to escape is returned as it is. *)
+let escape_lit s =
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+(* N-Triples concrete syntax of a term: one allocation of the exact
+   length per term, no format interpretation. *)
 let to_ntriples = function
-  | Iri s -> Printf.sprintf "<%s>" s
-  | Bnode s -> Printf.sprintf "_:%s" s
-  | Lit (s, None) -> Printf.sprintf "\"%s\"" (escape_lit s)
-  | Lit (s, Some dt) -> Printf.sprintf "\"%s\"^^<%s>" (escape_lit s) dt
+  | Iri s -> String.concat "" [ "<"; s; ">" ]
+  | Bnode s -> "_:" ^ s
+  | Lit (s, None) -> String.concat "" [ "\""; escape_lit s; "\"" ]
+  | Lit (s, Some dt) -> String.concat "" [ "\""; escape_lit s; "\"^^<"; dt; ">" ]
 
 let pp ppf t = Fmt.string ppf (to_ntriples t)

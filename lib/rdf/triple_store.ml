@@ -480,97 +480,94 @@ let sort_ints a k =
     Array.blit sub 0 a 0 k
   end
 
+(* The one range scan: [f i] for every triple index matching the id
+   pattern (each position an id, or [-1] for a wildcard), in ascending
+   index — that is, insertion — order.  No probe is counted and the tail
+   is not settled here; {!find} and {!solve} do both. *)
+let scan t s p o f =
+  if s < 0 && p < 0 && o < 0 then
+    for i = 0 to t.n - 1 do
+      f i
+    done
+  else begin
+    let base, (lo, hi), exact = plan t s p o in
+    let k = hi - lo in
+    if exact && k > 64 && k * 8 >= t.base_n then
+      (* Very dense range (e.g. one predicate out of a handful): a
+         forward scan of the columns yields insertion order for free —
+         no sort, and the tail is just the top indices. *)
+      for i = 0 to t.n - 1 do
+        if
+          (s < 0 || Array.unsafe_get t.s_col i = s)
+          && (p < 0 || Array.unsafe_get t.p_col i = p)
+          && (o < 0 || Array.unsafe_get t.o_col i = o)
+        then f i
+      done
+    else if exact && k > 64 then begin
+      (* Dense range: restoring insertion order by comparison sort is
+         O(k log k) with a fat constant; instead mark the hit indices in
+         a bitmap and walk only the marked word span ascending —
+         O(k + span/32), no comparisons at all. *)
+      let words = (t.n + 31) lsr 5 in
+      let bm = Array.make words 0 in
+      let lo_w = ref (words - 1) and hi_w = ref 0 in
+      let mark i =
+        let w = i lsr 5 in
+        Array.unsafe_set bm w (Array.unsafe_get bm w lor (1 lsl (i land 31)));
+        if w < !lo_w then lo_w := w;
+        if w > !hi_w then hi_w := w
+      in
+      for j = lo to hi - 1 do
+        mark (Array.unsafe_get base j)
+      done;
+      tail_matches t s p o mark;
+      (* Each word's bits ascending, lowest set bit first: work
+         proportional to hits. *)
+      for w = !lo_w to !hi_w do
+        let bits = ref (Array.unsafe_get bm w) in
+        while !bits <> 0 do
+          let low = !bits land - !bits in
+          bits := !bits lxor low;
+          f ((w lsl 5) lor bit_index low)
+        done
+      done
+    end
+    else begin
+      (* Selective probe: base hits come back in key order; insertion
+         order is index order, so sort the slice ascending.  Tail
+         indices are all larger than any base index and scanned in
+         order, so they follow.  An inexact plan (always a small slice)
+         filters here. *)
+      let hits = Array.make (max k 1) 0 in
+      let m = ref 0 in
+      for j = lo to hi - 1 do
+        let i = Array.unsafe_get base j in
+        if
+          exact
+          || (s < 0 || Array.unsafe_get t.s_col i = s)
+             && (p < 0 || Array.unsafe_get t.p_col i = p)
+             && (o < 0 || Array.unsafe_get t.o_col i = o)
+        then begin
+          hits.(!m) <- i;
+          incr m
+        end
+      done;
+      sort_ints hits !m;
+      for j = 0 to !m - 1 do
+        f hits.(j)
+      done;
+      tail_matches t s p o f
+    end
+  end
+
 let find t ((ps, pp, po) : pattern) =
   T.incr c_probes;
   settle t;
   match resolve t ps, resolve t pp, resolve t po with
   | Some s, Some p, Some o ->
-    if s < 0 && p < 0 && o < 0 then triples t
-    else begin
-      let base, (lo, hi), exact = plan t s p o in
-      let k = hi - lo in
-      if exact && k > 64 && k * 8 >= t.base_n then begin
-        (* Very dense range (e.g. one predicate out of a handful): a
-           backward scan of the columns yields insertion order for free
-           — no sort, no rev, and the tail is just the top indices. *)
-        let acc = ref [] in
-        for i = t.n - 1 downto 0 do
-          if
-            (s < 0 || Array.unsafe_get t.s_col i = s)
-            && (p < 0 || Array.unsafe_get t.p_col i = p)
-            && (o < 0 || Array.unsafe_get t.o_col i = o)
-          then acc := triple_at t i :: !acc
-        done;
-        !acc
-      end
-      else if exact && k > 64 then begin
-        (* Dense range: restoring insertion order by comparison sort is
-           O(k log k) with a fat constant; instead mark the hit indices
-           in a bitmap and walk only the marked word span descending —
-           O(k + span/32), no comparisons at all. *)
-        let words = (t.n + 31) lsr 5 in
-        let bm = Array.make words 0 in
-        let lo_w = ref (words - 1) and hi_w = ref 0 in
-        let mark i =
-          let w = i lsr 5 in
-          Array.unsafe_set bm w
-            (Array.unsafe_get bm w lor (1 lsl (i land 31)));
-          if w < !lo_w then lo_w := w;
-          if w > !hi_w then hi_w := w
-        in
-        for j = lo to hi - 1 do
-          mark (Array.unsafe_get base j)
-        done;
-        tail_matches t s p o mark;
-        (* Build front-to-back without a final rev: walk words high to
-           low, extract each word's bits ascending (lowest-set-bit, work
-           proportional to hits) into a scratch, cons in reverse. *)
-        let acc = ref [] and tmp = Array.make 32 0 in
-        for w = !hi_w downto !lo_w do
-          let bits = ref (Array.unsafe_get bm w) in
-          let c = ref 0 in
-          while !bits <> 0 do
-            let low = !bits land - !bits in
-            bits := !bits lxor low;
-            tmp.(!c) <- (w lsl 5) lor bit_index low;
-            incr c
-          done;
-          for j = !c - 1 downto 0 do
-            acc := triple_at t tmp.(j) :: !acc
-          done
-        done;
-        !acc
-      end
-      else begin
-        (* Selective probe: base hits come back in key order; insertion
-           order is index order, so sort the slice ascending.  Tail
-           indices are all larger than any base index and scanned in
-           order, so appending keeps the global insertion order.  An
-           inexact plan (always a small slice) filters here. *)
-        let hits = Array.make (max k 1) 0 in
-        let m = ref 0 in
-        for j = lo to hi - 1 do
-          let i = Array.unsafe_get base j in
-          if
-            exact
-            || (s < 0 || Array.unsafe_get t.s_col i = s)
-               && (p < 0 || Array.unsafe_get t.p_col i = p)
-               && (o < 0 || Array.unsafe_get t.o_col i = o)
-          then begin
-            hits.(!m) <- i;
-            incr m
-          end
-        done;
-        sort_ints hits !m;
-        let tl = ref [] in
-        tail_matches t s p o (fun i -> tl := i :: !tl);
-        let acc = ref (List.rev_map (triple_at t) !tl) in
-        for j = !m - 1 downto 0 do
-          acc := triple_at t hits.(j) :: !acc
-        done;
-        !acc
-      end
-    end
+    let hits = ref [] in
+    scan t s p o (fun i -> hits := i :: !hits);
+    List.rev_map (triple_at t) !hits
   | _ -> []
 
 let count t ((ps, pp, po) : pattern) =
@@ -622,12 +619,6 @@ type bgp_term =
   | Const of Term.t
   | Var of string
 
-open Weblab_relalg
-
-let term_value term = Value.Str (Term.to_ntriples term)
-
-let unbound = Value.Str ""
-
 (* All variables of a BGP, first-occurrence order. *)
 let bgp_variables bgp =
   let vars_of (a, b, c) =
@@ -640,50 +631,195 @@ let bgp_variables bgp =
         acc (vars_of tp))
     [] bgp
 
-(* Evaluate a conjunctive pattern left to right, returning raw variable
-   environments.  Each step substitutes the current row's bindings into
-   the pattern and probes the store through [find]. *)
-let solutions t bgp : (string * Term.t) list list =
-  List.fold_left
-    (fun rows (a, b, c) ->
-      List.concat_map
-        (fun (env : (string * Term.t) list) ->
-          let resolve = function
-            | Const term -> Some term
-            | Var v -> List.assoc_opt v env
-          in
-          let pat = (resolve a, resolve b, resolve c) in
-          find t pat
-          |> List.filter_map (fun (s, p, o) ->
-                 (* Bind still-free variables; a variable used twice in one
-                    pattern must match the same term. *)
-                 let bind env (bt, term) =
-                   match env, bt with
-                   | None, _ -> None
-                   | Some env, Const _ -> Some env
-                   | Some env, Var v -> (
-                     match List.assoc_opt v env with
-                     | Some existing ->
-                       if Term.equal existing term then Some env else None
-                     | None -> Some ((v, term) :: env))
-                 in
-                 List.fold_left bind (Some env) [ (a, s); (b, p); (c, o) ]))
-        rows)
-    [ [] ] bgp
+(* Id-level solutions: [count] rows of [width] cells, row-major, each a
+   dictionary id or [unbound_id].  Rows of the BGP's own result hold one
+   cell per variable of [vars]; a projection holds the projected
+   columns. *)
+type solutions = {
+  vars : string array;
+  width : int;
+  cells : int array;
+  count : int;
+}
 
-let table_of_solutions vars sols =
-  let table = Table.create vars in
+let unbound_id = -1
+
+let solution_vars sol = Array.to_list sol.vars
+let solution_count sol = sol.count
+let binding sol row col = sol.cells.((row * sol.width) + col)
+
+(* A growable row-major matrix of ids. *)
+type rows_buf = { mutable a : int array; mutable len : int }
+
+let reserve b k =
+  if b.len + k > Array.length b.a then begin
+    let bigger = Array.make (max (b.len + k) (2 * Array.length b.a)) 0 in
+    Array.blit b.a 0 bigger 0 b.len;
+    b.a <- bigger
+  end
+
+(* One compiled pattern position: a bound id, a constant the dictionary
+   has never seen ([`Absent]: the pattern matches nothing), or a
+   variable's column. *)
+type slot =
+  | Id of int
+  | Absent
+  | Col of int
+
+(* Evaluate a conjunctive pattern left to right over id rows.  Each
+   pattern probes the store once per current row, with the row's
+   bindings substituted, and extends the row with every match in
+   insertion order; a variable used twice in one pattern must match the
+   same id.  Probe counts and solution order are those of decoding each
+   probe with [find] and binding terms, which the test suite keeps as
+   its oracle. *)
+let solve t bgp =
+  let vars = Array.of_list (bgp_variables bgp) in
+  let w = Array.length vars in
+  let col v =
+    let rec go k = if String.equal vars.(k) v then k else go (k + 1) in
+    go 0
+  in
+  let slot = function
+    | Var v -> Col (col v)
+    | Const term -> (
+      match Term_dict.id_opt t.dict term with Some id -> Id id | None -> Absent)
+  in
+  if bgp <> [] then settle t;
+  let cur = ref { a = Array.make w unbound_id; len = w } and n = ref 1 in
   List.iter
-    (fun env ->
-      Table.add_row table
-        (Array.of_list
-           (List.map
-              (fun v ->
-                match List.assoc_opt v env with
-                | Some term -> term_value term
-                | None -> unbound)
-              vars)))
-    sols;
-  Table.distinct table
+    (fun (a, b, c) ->
+      let sa = slot a and sb = slot b and sc = slot c in
+      let src = !cur in
+      let out = { a = Array.make (max 16 (w * !n)) 0; len = 0 } in
+      let m = ref 0 in
+      T.add c_probes !n;
+      if sa <> Absent && sb <> Absent && sc <> Absent then
+        for r = 0 to !n - 1 do
+          let row = r * w in
+          let key = function
+            | Id id -> id
+            | Col k -> src.a.(row + k)
+            | Absent -> unbound_id
+          in
+          scan t (key sa) (key sb) (key sc) (fun i ->
+              reserve out w;
+              let dst = out.len in
+              Array.blit src.a row out.a dst w;
+              (* Bind a free column, or check a column bound earlier in
+                 this same pattern. *)
+              let bind sl id =
+                match sl with
+                | Col k ->
+                  let cell = out.a.(dst + k) in
+                  if cell = unbound_id then begin
+                    out.a.(dst + k) <- id;
+                    true
+                  end
+                  else cell = id
+                | Id _ | Absent -> true
+              in
+              if
+                bind sa (Array.unsafe_get t.s_col i)
+                && bind sb (Array.unsafe_get t.p_col i)
+                && bind sc (Array.unsafe_get t.o_col i)
+              then begin
+                out.len <- dst + w;
+                incr m
+              end)
+        done;
+      cur := out;
+      n := !m)
+    bgp;
+  { vars; width = w; cells = !cur.a; count = !n }
 
-let query t bgp = table_of_solutions (bgp_variables bgp) (solutions t bgp)
+(* Rows of [sol] in [order], projected onto [columns] (a name [sol] does
+   not bind gives an unbound column), duplicates dropped with the first
+   occurrence kept, at most [limit] of them.  Duplicates are found on the
+   ids — exact, since distinct ids are distinct terms and the N-Triples
+   encoding of terms is injective — through an open-addressing table of
+   kept rows. *)
+let project sol columns order limit =
+  let vars = Array.of_list columns in
+  let w = Array.length vars in
+  let src =
+    Array.map
+      (fun v ->
+        let rec go k =
+          if k >= sol.width then -1
+          else if String.equal sol.vars.(k) v then k
+          else go (k + 1)
+        in
+        go 0)
+      vars
+  in
+  let cell r j =
+    let k = src.(j) in
+    if k < 0 then unbound_id else sol.cells.((r * sol.width) + k)
+  in
+  let out = { a = Array.make (max 16 (w * min limit sol.count)) 0; len = 0 } in
+  let hash get =
+    let h = ref 0 in
+    for j = 0 to w - 1 do
+      h := (!h * 0x2545F491) + get j + 1
+    done;
+    let h = !h * 0x1B873593 in
+    h lxor (h lsr 29)
+  in
+  let hash_kept k = hash (fun j -> out.a.((k * w) + j)) in
+  (* [slots] holds kept row numbers, [-1] free; at most half full. *)
+  let slots = ref (Array.make 64 (-1)) and kept = ref 0 in
+  let slot_of h same =
+    let sl = !slots in
+    let mask = Array.length sl - 1 in
+    let j = ref (h land mask) in
+    while sl.(!j) >= 0 && not (same sl.(!j)) do
+      j := (!j + 1) land mask
+    done;
+    !j
+  in
+  let rec take = function
+    | r :: rest when !kept < limit ->
+      let j =
+        slot_of (hash (cell r)) (fun k ->
+            let rec eq c = c >= w || (cell r c = out.a.((k * w) + c) && eq (c + 1)) in
+            eq 0)
+      in
+      if !slots.(j) < 0 then begin
+        reserve out w;
+        for c = 0 to w - 1 do
+          out.a.(out.len + c) <- cell r c
+        done;
+        out.len <- out.len + w;
+        !slots.(j) <- !kept;
+        incr kept;
+        if 2 * !kept > Array.length !slots then begin
+          slots := Array.make (2 * Array.length !slots) (-1);
+          for k = 0 to !kept - 1 do
+            !slots.(slot_of (hash_kept k) (fun _ -> false)) <- k
+          done
+        end
+      end;
+      take rest
+    | _ -> ()
+  in
+  take order;
+  { vars; width = w; cells = out.a; count = !kept }
+
+open Weblab_relalg
+
+let unbound = Value.Str ""
+
+let query t bgp =
+  let sol = solve t bgp in
+  let vars = bgp_variables bgp in
+  let rows = project sol vars (List.init sol.count Fun.id) max_int in
+  let table = Table.create vars in
+  for r = 0 to rows.count - 1 do
+    Table.add_row table
+      (Array.init rows.width (fun j ->
+           let id = binding rows r j in
+           if id = unbound_id then unbound
+           else Value.Str (Term.to_ntriples (Term_dict.term t.dict id))))
+  done;
+  table

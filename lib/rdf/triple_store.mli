@@ -91,33 +91,53 @@ val count : t -> pattern -> int
 (** {1 Basic graph patterns}
 
     Variables are written as strings; a BGP is a list of triple patterns
-    where each position is either a constant term or a variable. *)
+    where each position is either a constant term or a variable.  A BGP
+    is evaluated at the id level: rows of dictionary ids, decoded only by
+    the caller that needs a term. *)
 
 type bgp_term =
   | Const of Term.t
   | Var of string
 
-val query : t -> (bgp_term * bgp_term * bgp_term) list -> Weblab_relalg.Table.t
-(** Solutions of the conjunctive pattern, one column per variable.  Term
-    bindings are encoded as their N-Triples string in the result table. *)
-
-val solutions : t -> (bgp_term * bgp_term * bgp_term) list ->
-  (string * Term.t) list list
-(** The raw variable environments, for callers that post-process terms
-    (SPARQL FILTER/ORDER BY). *)
-
 val bgp_variables : (bgp_term * bgp_term * bgp_term) list -> string list
 (** Variables of a pattern, first-occurrence order. *)
 
-val unbound : Weblab_relalg.Value.t
-(** Sentinel for a variable left unbound by a solution (possible when a
-    caller passes an explicit variable list wider than the BGP binds):
-    the empty string.  {!table_of_solutions} fills unbound cells with
-    this value rather than dropping the row, so row counts match the
-    solution count; it is distinguishable from every real binding
-    because term encodings are never empty ([<iri>], ["lit"], [_:b]). *)
+type solutions
+(** Id rows: a row per solution, a cell per column, each cell a
+    dictionary id ({!term_of_id}) or {!unbound_id}. *)
 
-val table_of_solutions :
-  string list -> (string * Term.t) list list -> Weblab_relalg.Table.t
-(** One column per requested variable; cells carry the N-Triples
-    encoding of the bound term or {!unbound}. *)
+val unbound_id : int
+(** [-1]: the cell of a column the row does not bind. *)
+
+val solve : t -> (bgp_term * bgp_term * bgp_term) list -> solutions
+(** The solutions of the conjunctive pattern, one column per variable of
+    {!bgp_variables}, in solution order: patterns are joined left to
+    right, each probing the store once per row so far and extending it
+    with its matches in insertion order.  Duplicates are kept.  Counts
+    one [rdf.store.probes] per (row, pattern) probe, like {!find}. *)
+
+val project : solutions -> string list -> int list -> int -> solutions
+(** [project sol columns order limit]: the rows of [sol] listed in
+    [order] (row numbers), projected onto [columns] — a name [sol] does
+    not bind gives an unbound column — with duplicate rows dropped (the
+    first occurrence kept) and at most [limit] rows.  Rows are compared
+    on their ids, which is exact: distinct ids are distinct terms, and
+    distinct terms have distinct N-Triples encodings. *)
+
+val solution_vars : solutions -> string list
+
+val solution_count : solutions -> int
+
+val binding : solutions -> int -> int -> int
+(** [binding sol row col]: the cell's term id, or {!unbound_id}. *)
+
+val query : t -> (bgp_term * bgp_term * bgp_term) list -> Weblab_relalg.Table.t
+(** {!solve}, then {!project} onto every variable: the distinct
+    solutions, one column per variable, each cell the N-Triples string
+    of its term. *)
+
+val unbound : Weblab_relalg.Value.t
+(** The cell value of a variable a row leaves unbound (possible when a
+    caller projects onto a variable the BGP does not bind): the empty
+    string.  It is distinguishable from every real binding because term
+    encodings are never empty ([<iri>], ["lit"], [_:b]). *)

@@ -32,13 +32,13 @@ let term_to_turtle prefixes = function
   | Term.Iri iri -> (
     match abbreviate prefixes iri with
     | Some qname -> qname
-    | None -> Printf.sprintf "<%s>" iri)
+    | None -> String.concat "" [ "<"; iri; ">" ])
   | Term.Bnode b -> "_:" ^ b
-  | Term.Lit (s, None) -> Printf.sprintf "\"%s\"" (Term.escape_lit s)
+  | Term.Lit (s, None) -> String.concat "" [ "\""; Term.escape_lit s; "\"" ]
   | Term.Lit (s, Some dt) -> (
     match abbreviate prefixes dt with
-    | Some qname -> Printf.sprintf "\"%s\"^^%s" (Term.escape_lit s) qname
-    | None -> Printf.sprintf "\"%s\"^^<%s>" (Term.escape_lit s) dt)
+    | Some qname -> String.concat "" [ "\""; Term.escape_lit s; "\"^^"; qname ]
+    | None -> String.concat "" [ "\""; Term.escape_lit s; "\"^^<"; dt; ">" ])
 
 (* Each distinct term's text is built once, on first use: [""] marks a
    term not rendered yet (no term renders to the empty string). *)
@@ -58,18 +58,18 @@ let text_cache store render =
    pass over the subject column chains each triple behind the previous
    one with the same subject.  Each subject's chain is then split into
    per-predicate chains whose heads are stamped with the subject, so the
-   whole render is O(triples + terms) and never probes the store. *)
-let to_turtle ?(prefixes = Prov_vocab.prefixes) store =
-  let buf = Buffer.create 1024 in
+   whole render is O(triples + terms) and never probes the store.  The
+   text goes into [out] as it is produced. *)
+let to_sink prefixes store out =
   List.iter
     (fun (p, ns) ->
-      Buffer.add_string buf "@prefix ";
-      Buffer.add_string buf p;
-      Buffer.add_string buf ": <";
-      Buffer.add_string buf ns;
-      Buffer.add_string buf "> .\n")
+      Sink.add_string out "@prefix ";
+      Sink.add_string out p;
+      Sink.add_string out ": <";
+      Sink.add_string out ns;
+      Sink.add_string out "> .\n")
     prefixes;
-  Buffer.add_char buf '\n';
+  Sink.add_char out '\n';
   let n = Triple_store.size store and terms = Triple_store.term_count store in
   let text = text_cache store (term_to_turtle prefixes) in
   (* Subject chains: [first] holds each subject's first triple, in
@@ -106,24 +106,30 @@ let to_turtle ?(prefixes = Prov_vocab.prefixes) store =
       last.(p) <- !i;
       i := next.(!i)
     done;
-    Buffer.add_string buf (text s);
-    Buffer.add_char buf '\n';
+    Sink.add_string out (text s);
+    Sink.add_char out '\n';
     for j = 0 to !n_preds - 1 do
       let p = preds.(j) in
-      if j > 0 then Buffer.add_string buf " ;\n";
-      Buffer.add_string buf "  ";
-      Buffer.add_string buf (text p);
-      Buffer.add_char buf ' ';
+      if j > 0 then Sink.add_string out " ;\n";
+      Sink.add_string out "  ";
+      Sink.add_string out (text p);
+      Sink.add_char out ' ';
       let i = ref p_head.(p) in
-      Buffer.add_string buf (text (Triple_store.object_id store !i));
+      Sink.add_string out (text (Triple_store.object_id store !i));
       while !i <> last.(p) do
         i := p_next.(!i);
-        Buffer.add_string buf ", ";
-        Buffer.add_string buf (text (Triple_store.object_id store !i))
+        Sink.add_string out ", ";
+        Sink.add_string out (text (Triple_store.object_id store !i))
       done
     done;
-    Buffer.add_string buf " .\n\n"
-  done;
+    Sink.add_string out " .\n\n"
+  done
+
+let to_turtle ?(prefixes = Prov_vocab.prefixes) store =
+  let buf = Buffer.create 1024 in
+  let out = Sink.create ~size:Sink.chunk (Buffer.add_subbytes buf) in
+  to_sink prefixes store out;
+  Sink.flush out;
   Buffer.contents buf
 
 let to_ntriples store =

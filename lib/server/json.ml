@@ -21,7 +21,13 @@ type t =
 
 exception Parse_error of string
 
-(* ----- Printing ----- *)
+(* ----- Printing -----
+
+   One writer: every value is printed into a {!Weblab_rdf.Sink.t}, which
+   drains its stage wherever the caller points it (a connection's
+   channel, a [Buffer.t]). *)
+
+module Sink = Weblab_rdf.Sink
 
 (* Bytes that print as themselves: everything but '"', '\\' and controls. *)
 let is_plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20
@@ -34,11 +40,10 @@ let is_plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20
 let zero_bytes x =
   Int64.(logand (logand (sub x 0x0101010101010101L) (lognot x)) 0x8080808080808080L)
 
-(* End of the run of plain bytes starting at [i]: eight bytes a step
-   while no byte of the word is '"', '\\' or below 0x20, then byte by
-   byte up to the run's end. *)
-let plain_run s i =
-  let n = String.length s in
+(* End of the run of plain bytes of [s] starting at [i] and ending at
+   [n] at the latest: eight bytes a step while no byte of the word is
+   '"', '\\' or below 0x20, then byte by byte up to the run's end. *)
+let plain_run s i n =
   let j = ref i in
   let words = ref true in
   while !words && !j + 8 <= n do
@@ -61,62 +66,74 @@ let plain_run s i =
   done;
   !j
 
-let escape_into buf s =
+let hex = "0123456789abcdef"
+
+(* The escaped form of [s.[i0 .. n-1]], without quotes: each run of
+   plain bytes is copied whole, then one escape. *)
+let escape_sub w s i0 n =
   let rec go i =
-    (* [i] starts a run of plain bytes: copy it whole, then one escape. *)
-    let j = plain_run s i in
-    Buffer.add_substring buf s i (j - i);
-    if j < String.length s then begin
+    let j = plain_run s i n in
+    Sink.add_substring w s i (j - i);
+    if j < n then begin
       (match String.unsafe_get s j with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+       | '"' -> Sink.add_string w "\\\""
+       | '\\' -> Sink.add_string w "\\\\"
+       | '\n' -> Sink.add_string w "\\n"
+       | '\r' -> Sink.add_string w "\\r"
+       | '\t' -> Sink.add_string w "\\t"
+       | c ->
+         Sink.add_string w "\\u00";
+         Sink.add_char w hex.[Char.code c lsr 4];
+         Sink.add_char w hex.[Char.code c land 15]);
       go (j + 1)
     end
   in
-  go 0
+  go i0
 
-let rec print_into buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+let write_escaped w b off len =
+  escape_sub w (Bytes.unsafe_to_string b) off (off + len)
+
+let write_string w s =
+  Sink.add_char w '"';
+  escape_sub w s 0 (String.length s);
+  Sink.add_char w '"'
+
+let rec write w = function
+  | Null -> Sink.add_string w "null"
+  | Bool b -> Sink.add_string w (if b then "true" else "false")
+  | Int i -> Sink.add_string w (string_of_int i)
   | Float f ->
     if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.1f" f)
+      Sink.add_string w (Printf.sprintf "%.1f" f)
     else if Float.is_nan f || Float.abs f = Float.infinity then
       (* JSON has no NaN/Inf; null is the least-surprising encoding. *)
-      Buffer.add_string buf "null"
-    else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | Str s ->
-    Buffer.add_char buf '"';
-    escape_into buf s;
-    Buffer.add_char buf '"'
+      Sink.add_string w "null"
+    else Sink.add_string w (Printf.sprintf "%.17g" f)
+  | Str s -> write_string w s
   | List xs ->
-    Buffer.add_char buf '[';
+    Sink.add_char w '[';
     List.iteri
       (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
-        print_into buf x)
+        if i > 0 then Sink.add_char w ',';
+        write w x)
       xs;
-    Buffer.add_char buf ']'
+    Sink.add_char w ']'
   | Obj kvs ->
-    Buffer.add_char buf '{';
+    Sink.add_char w '{';
     List.iteri
       (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        escape_into buf k;
-        Buffer.add_string buf "\":";
-        print_into buf v)
+        if i > 0 then Sink.add_char w ',';
+        write_string w k;
+        Sink.add_char w ':';
+        write w v)
       kvs;
-    Buffer.add_char buf '}'
+    Sink.add_char w '}'
 
 let to_string v =
   let buf = Buffer.create 256 in
-  print_into buf v;
+  let w = Sink.create ~size:4096 (Buffer.add_subbytes buf) in
+  write w v;
+  Sink.flush w;
   Buffer.contents buf
 
 (* ----- Parsing ----- *)
@@ -229,7 +246,7 @@ let parse_string cur =
   expect cur '"';
   let s = cur.s in
   let start = cur.pos in
-  let j = plain_run s start in
+  let j = plain_run s start (String.length s) in
   if j < String.length s && String.unsafe_get s j = '"' then begin
     cur.pos <- j + 1;
     String.sub s start (j - start)
@@ -246,7 +263,7 @@ let parse_string cur =
       | Some '\\' ->
         advance cur;
         parse_escape cur buf;
-        go cur.pos (plain_run s cur.pos)
+        go cur.pos (plain_run s cur.pos (String.length s))
       | Some _ -> fail cur "control character in string"
     in
     go start j;

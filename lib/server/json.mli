@@ -26,7 +26,26 @@ val parse : string -> t
 val parse_opt : string -> (t, string) result
 
 val to_string : t -> string
-(** Single-line, minimal whitespace; object members keep their order. *)
+(** Single-line, minimal whitespace; object members keep their order:
+    {!write} into a [Buffer.t]. *)
+
+(** {1 Writing}
+
+    The one printer, over a {!Weblab_rdf.Sink.t}: a reply is written as
+    it is produced and leaves the sink a stage at a time. *)
+
+val write : Weblab_rdf.Sink.t -> t -> unit
+(** The bytes of {!to_string}. *)
+
+val write_string : Weblab_rdf.Sink.t -> string -> unit
+(** A JSON string literal: quoted and escaped as {!write} does [Str]. *)
+
+val write_escaped : Weblab_rdf.Sink.t -> Bytes.t -> int -> int -> unit
+(** [write_escaped w b off len] writes the escaped body of
+    [b.[off .. off+len-1]] without quotes — a drain for a sink whose
+    text becomes one JSON string.  Escaping is byte by byte, so however
+    a text is cut into pieces, the pieces escape to the escape of the
+    whole. *)
 
 (** {1 Accessors} — each returns [None] on a type mismatch. *)
 

@@ -1,6 +1,7 @@
 open Weblab_workflow
 open Weblab_prov
 module J = Json
+module Sink = Weblab_rdf.Sink
 module T = Weblab_obs.Telemetry
 module M = Weblab_obs.Metrics
 
@@ -108,21 +109,116 @@ let restore_sessions ctx =
            else None)
   | Some _ -> []
 
-(* ----- responses ----- *)
+(* ----- replies -----
 
-(* The echoed request id, if any — first member of every response. *)
-let id_fields req =
-  match J.member "id" req with Some v -> [ ("id", v) ] | None -> []
+   A reply is written as it is produced, through one JSON writer: a
+   {!Weblab_rdf.Sink.t} that drains 64 KiB at a time into the connection
+   (or a [Buffer.t] for {!handle_line}).  Members are the echoed id, ["ok"],
+   then the verb's own, in order.  Small members are [J.t] values,
+   encoded as they always were; SPARQL rows are written cell by cell from
+   the query's id rows, and Turtle goes from its renderer's sink through
+   the JSON escaper into the reply, so neither exists as one string.
 
-let ok req fields = J.Obj (id_fields req @ (("ok", J.Bool true) :: fields))
+   A verb answers by calling its [respond] argument once, under whatever
+   lock its data needs.  Everything that can fail — lookups, parsing,
+   evaluation — runs before that call; writing a reply is total. *)
 
-let err ?(extra = []) req code msg =
-  J.Obj
-    (id_fields req
-    @ ("ok", J.Bool false) :: ("error", J.Str code) :: ("message", J.Str msg)
-      :: extra)
+type member =
+  | Json of J.t
+  | Rows of Weblab_rdf.Sparql.rows  (** a SELECT's rows, cell by cell *)
+  | Text of (Sink.t -> unit)
+      (** a string rendered into a sink, escaped as it drains *)
 
-(* A handler either produces response fields or a protocol error. *)
+(* What the slow-query log keeps of a written reply: its ["ok"], its
+   ["session"] member and its cardinalities. *)
+type summary = {
+  sm_ok : bool;
+  sm_session : string option;
+  sm_detail : (string * int) list;
+}
+
+(* Only [respond] makes one: a verb that returns has answered. *)
+type sent = Sent of summary
+
+let json fields = List.map (fun (k, v) -> (k, Json v)) fields
+
+(* Cardinalities worth keeping in a slow-query record: delta sizes from
+   commit, result sizes from query, census from stats. *)
+let json_detail k v =
+  match (k, v) with
+  | ("new_nodes" | "promoted" | "time" | "attempts" | "live"), J.Int n ->
+    Some (k, n)
+  | ("uris" | "sessions"), J.List l -> Some (k, List.length l)
+  | _ -> None
+
+let write_rows w rows =
+  let module Q = Weblab_rdf.Sparql in
+  let width = List.length (Q.columns rows) in
+  Sink.add_char w '[';
+  for r = 0 to Q.row_count rows - 1 do
+    if r > 0 then Sink.add_char w ',';
+    Sink.add_char w '[';
+    for c = 0 to width - 1 do
+      if c > 0 then Sink.add_char w ',';
+      J.write_string w (Q.cell rows r c)
+    done;
+    Sink.add_char w ']'
+  done;
+  Sink.add_char w ']'
+
+(* A string member rendered into a stage of the writer's size whose
+   drained pieces are escaped into the writer; the text's length. *)
+let write_text w render =
+  let text = Sink.create ~size:(Sink.size w) (J.write_escaped w) in
+  Sink.add_char w '"';
+  render text;
+  Sink.flush text;
+  Sink.add_char w '"';
+  Sink.length text
+
+let write_reply w req ~ok members =
+  Sink.add_char w '{';
+  (match J.member "id" req with
+  | Some v ->
+    Sink.add_string w "\"id\":";
+    J.write w v;
+    Sink.add_char w ','
+  | None -> ());
+  Sink.add_string w (if ok then "\"ok\":true" else "\"ok\":false");
+  let detail =
+    List.fold_left
+      (fun acc (k, m) ->
+        Sink.add_char w ',';
+        J.write_string w k;
+        Sink.add_char w ':';
+        let d =
+          match m with
+          | Json v ->
+            J.write w v;
+            json_detail k v
+          | Rows rows ->
+            write_rows w rows;
+            Some ("rows", Weblab_rdf.Sparql.row_count rows)
+          | Text render ->
+            let n = write_text w render in
+            if String.equal k "turtle" then Some ("turtle_bytes", n) else None
+        in
+        match d with Some d -> d :: acc | None -> acc)
+      [] members
+  in
+  Sink.add_char w '}';
+  { sm_ok = ok;
+    sm_session =
+      List.find_map
+        (function "session", Json (J.Str s) -> Some s | _ -> None)
+        members;
+    sm_detail = List.rev detail }
+
+let write_error w req code msg extra =
+  write_reply w req ~ok:false
+    (("error", Json (J.Str code)) :: ("message", Json (J.Str msg)) :: json extra)
+
+(* A handler either answers or raises a protocol error. *)
 exception Reject of string * string * (string * J.t) list
 (* code, message, extra fields *)
 
@@ -160,7 +256,7 @@ let budgets_of req =
 
 (* Unknown fields are ignored: an older client's ["backend"] or
    ["jobs"] still gets Fused at width 1, with the same answers. *)
-let v_open ctx req =
+let v_open ctx req respond =
   let doc =
     match opt_default "standard" (J.str_member "scenario" req) with
     | "empty" -> Orchestrator.initial_document ()
@@ -190,7 +286,7 @@ let v_open ctx req =
         Session.create ~id ~backend:`Fused ~budgets ?wal_path ~doc ctx.rulebook)
   with
   | Ok sess ->
-    ok req
+    respond @@ json
       [ ("session", J.Str (Session.id sess));
         ("backend", J.Str (Session.backend_name sess));
         ("next_time", J.Int 1);
@@ -233,7 +329,7 @@ let service_of req =
   | Some _, Some _ | None, None ->
     reject "bad_request" "commit takes exactly one of \"service\" or \"xml\""
 
-let v_commit ctx req =
+let v_commit ctx req respond =
   let sess = session_of ctx req in
   let svc = service_of req in
   let svc =
@@ -243,7 +339,7 @@ let v_commit ctx req =
   in
   match Session.with_lock sess (fun () -> Session.commit sess svc) with
   | Ok { Session.time; attempts; new_nodes; promoted } ->
-    ok req
+    respond @@ json
       [ ("time", J.Int time); ("attempts", J.Int attempts);
         ("new_nodes", J.Int new_nodes); ("promoted", J.Int promoted) ]
   | Error (Session.Budget_exhausted msg) -> reject "budget_exceeded" msg
@@ -259,7 +355,7 @@ let v_commit ctx req =
 
 (* ----- query ----- *)
 
-let v_query ctx req =
+let v_query ctx req respond =
   let sess = session_of ctx req in
   let kind = required_str req "kind" in
   Session.with_lock sess (fun () ->
@@ -270,29 +366,17 @@ let v_query ctx req =
           if String.equal kind "why" then Session.why sess uri
           else Session.impact sess uri
         in
-        ok req [ ("uris", J.List (List.map (fun u -> J.Str u) uris)) ]
+        respond [ ("uris", Json (J.List (List.map (fun u -> J.Str u) uris))) ]
       | "sparql" ->
         let q = required_str req "query" in
         (match Session.sparql sess q with
-        | tbl ->
-          let cols = Weblab_relalg.Table.columns tbl in
-          let rows =
-            List.map
-              (fun row ->
-                J.List
-                  (List.map
-                     (fun c ->
-                       J.Str
-                         (Weblab_relalg.Value.to_string
-                            (Weblab_relalg.Table.get tbl row c)))
-                     cols))
-              (Weblab_relalg.Table.rows tbl)
-          in
-          ok req
-            [ ("columns", J.List (List.map (fun c -> J.Str c) cols));
-              ("rows", J.List rows) ]
+        | rows ->
+          let cols = Weblab_rdf.Sparql.columns rows in
+          respond
+            [ ("columns", Json (J.List (List.map (fun c -> J.Str c) cols)));
+              ("rows", Rows rows) ]
         | exception Weblab_rdf.Sparql.Error msg -> reject "query_error" msg)
-      | "turtle" -> ok req [ ("turtle", J.Str (Session.turtle sess)) ]
+      | "turtle" -> respond [ ("turtle", Text (Session.turtle_render sess)) ]
       | k -> reject "bad_request" (Printf.sprintf "unknown query kind %S" k))
 
 (* ----- stats ----- *)
@@ -317,12 +401,12 @@ let session_stats_fields (s : Session.stats) =
          ("merges", J.Int s.Session.st_store.Weblab_rdf.Triple_store.st_merges)
        ]) ]
 
-let v_stats ctx req =
+let v_stats ctx req respond =
   match J.str_member "session" req with
   | Some _ ->
     let sess = session_of ctx req in
     let s = Session.with_lock sess (fun () -> Session.stats sess) in
-    ok req (session_stats_fields s)
+    respond (json (session_stats_fields s))
   | None ->
     let ids = Registry.ids ctx.registry in
     let restored =
@@ -333,7 +417,7 @@ let v_stats ctx req =
           | Some _ | None -> acc)
         0 ids
     in
-    ok req
+    respond @@ json
       [ ("live", J.Int (Registry.live ctx.registry));
         ("max_sessions", J.Int (Registry.max_sessions ctx.registry));
         ("restored", J.Int restored);
@@ -341,7 +425,7 @@ let v_stats ctx req =
 
 (* ----- close ----- *)
 
-let v_close ctx req =
+let v_close ctx req respond =
   let sid = required_str req "session" in
   match Registry.remove ctx.registry sid with
   | None -> reject "unknown_session" (Printf.sprintf "no session %S" sid)
@@ -350,16 +434,17 @@ let v_close ctx req =
         ignore (Session.close sess);
         let s = Session.stats sess in
         let base =
-          [ ("commits", J.Int s.Session.st_commits);
-            ("failed", J.Int s.Session.st_failed);
-            ("links", J.Int s.Session.st_links) ]
+          json
+            [ ("commits", J.Int s.Session.st_commits);
+              ("failed", J.Int s.Session.st_failed);
+              ("links", J.Int s.Session.st_links) ]
         in
         let extra =
           if opt_default false (J.bool_member "turtle" req) then
-            [ ("turtle", J.Str (Session.turtle sess)) ]
+            [ ("turtle", Text (Session.turtle_render sess)) ]
           else []
         in
-        ok req (base @ extra))
+        respond (base @ extra))
 
 (* ----- metrics ----- *)
 
@@ -371,7 +456,7 @@ let level_name = function
 (* The introspection verb: a structured {!Metrics.snapshot} (plain
    [metrics]), or one request's spans pulled from the ring by the id
    that stamped them ([{"trace": rid}]). *)
-let v_metrics _ctx req =
+let v_metrics _ctx req respond =
   match J.str_member "trace" req with
   | Some rid ->
     let spans =
@@ -388,7 +473,7 @@ let v_metrics _ctx req =
                  ("args",
                   J.Obj (List.map (fun (k, v) -> (k, J.Str v)) e.T.e_args)) ])
     in
-    ok req [ ("trace", J.Str rid); ("spans", J.List spans) ]
+    respond (json [ ("trace", J.Str rid); ("spans", J.List spans) ])
   | None ->
     let sn = M.snapshot () in
     let hist_obj hv =
@@ -397,7 +482,7 @@ let v_metrics _ctx req =
           ("max_us", J.Int hv.M.hv_max_us); ("p50_us", J.Int hv.M.hv_p50_us);
           ("p90_us", J.Int hv.M.hv_p90_us); ("p99_us", J.Int hv.M.hv_p99_us) ]
     in
-    ok req
+    respond @@ json
       [ ("uptime_us", J.Float sn.M.sn_uptime_us);
         ("level", J.Str (level_name (T.level ())));
         ("counters",
@@ -429,36 +514,18 @@ let request_id req =
   | Some (J.Int n) -> string_of_int n
   | Some _ | None -> Printf.sprintf "r%d" (Atomic.fetch_and_add req_seq 1)
 
-(* Cardinalities worth keeping in a slow-query record, pulled from the
-   response itself so no verb needs extra plumbing: delta sizes from
-   commit, result sizes from query, census from stats. *)
-let slow_detail resp =
-  match resp with
-  | J.Obj fields ->
-    List.filter_map
-      (fun (k, v) ->
-        match (k, v) with
-        | ("new_nodes" | "promoted" | "time" | "attempts" | "live"), J.Int n ->
-          Some (k, n)
-        | ("uris" | "rows" | "sessions"), J.List l -> Some (k, List.length l)
-        | "turtle", J.Str s -> Some ("turtle_bytes", String.length s)
-        | _ -> None)
-      fields
-  | _ -> []
-
-let log_slow ctx ~verb ~rid ~dur_us req resp =
+let log_slow ctx ~verb ~rid ~dur_us req sm =
   match ctx.slow with
   | Some sl when dur_us >= sl.sl_threshold_us ->
     T.incr c_slow;
     let session =
-      match J.str_member "session" resp with
+      match sm.sm_session with
       | Some s -> s
       | None -> opt_default "" (J.str_member "session" req)
     in
     let line =
       Weblab_obs.Sinks.slow_query_line ~verb ~session ~req:rid ~dur_us
-        ~ok:(opt_default false (J.bool_member "ok" resp))
-        ~detail:(slow_detail resp)
+        ~ok:sm.sm_ok ~detail:sm.sm_detail
     in
     Mutex.protect sl.sl_lock (fun () ->
         output_string sl.sl_oc line;
@@ -466,35 +533,42 @@ let log_slow ctx ~verb ~rid ~dur_us req resp =
         flush sl.sl_oc)
   | Some _ | None -> ()
 
-let handle ctx req =
+(* Write the reply to one parsed request.  An exception before the
+   reply's first byte drains becomes an error reply in its place; a
+   verb's [respond] is total, so none comes later. *)
+let write_response ctx w req =
   match J.str_member "verb" req with
-  | None -> err req "bad_request" "missing string field \"verb\""
+  | None -> ignore (write_error w req "bad_request" "missing string field \"verb\"" [])
   | Some verb ->
     let dispatch f =
-      match f ctx req with
-      | resp -> resp
-      | exception Reject (code, msg, extra) -> err ~extra req code msg
+      let mark = Sink.length w in
+      let respond members = Sent (write_reply w req ~ok:true members) in
+      let fail e code msg extra =
+        if Sink.rewind w mark then write_error w req code msg extra else raise e
+      in
+      match f ctx req respond with
+      | Sent sm -> sm
+      | exception (Reject (code, msg, extra) as e) -> fail e code msg extra
       | exception e ->
         (* The backstop: an unexpected exception is confined to this
            request; the session registry stays intact. *)
-        err req "internal_error" (Printexc.to_string e)
+        fail e "internal_error" (Printexc.to_string e) []
     in
     let run f =
       (* Off is one atomic load and the bare dispatch — no id draw, no
          clock read, no histogram. *)
-      if not (T.enabled ()) then dispatch f
+      if not (T.enabled ()) then ignore (dispatch f)
       else begin
         T.incr (verb_counter verb);
         let rid = request_id req in
         let t0 = Unix.gettimeofday () in
-        let resp =
+        let sm =
           T.with_request rid (fun () ->
               T.span ~cat:"serve" ("serve." ^ verb) (fun () -> dispatch f))
         in
         let dur_us = (Unix.gettimeofday () -. t0) *. 1e6 in
         M.observe_us (verb_hist verb) dur_us;
-        log_slow ctx ~verb ~rid ~dur_us req resp;
-        resp
+        log_slow ctx ~verb ~rid ~dur_us req sm
       end
     in
     (match verb with
@@ -504,12 +578,22 @@ let handle ctx req =
     | "stats" -> run v_stats
     | "metrics" -> run v_metrics
     | "close" -> run v_close
-    | v -> err req "bad_request" (Printf.sprintf "unknown verb %S" v))
+    | v ->
+      ignore
+        (write_error w req "bad_request" (Printf.sprintf "unknown verb %S" v) []))
 
-let handle_line ctx line =
-  let resp =
-    match J.parse_opt line with
-    | Ok req -> handle ctx req
-    | Error msg -> err (J.Obj []) "parse_error" msg
-  in
-  J.to_string resp
+let write_line ctx line w =
+  match J.parse_opt line with
+  | Ok req -> write_response ctx w req
+  | Error msg -> ignore (write_error w (J.Obj []) "parse_error" msg [])
+
+let to_buffer f =
+  let buf = Buffer.create 256 in
+  let w = Sink.create ~size:Sink.chunk (Buffer.add_subbytes buf) in
+  f w;
+  Sink.flush w;
+  Buffer.contents buf
+
+let handle ctx req = J.parse (to_buffer (fun w -> write_response ctx w req))
+
+let handle_line ctx line = to_buffer (write_line ctx line)

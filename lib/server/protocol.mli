@@ -1,7 +1,17 @@
 (** The serving protocol: newline-delimited JSON request/response over a
     {!Registry.t}.
 
-    One request per line, one response per line.  Every request is an
+    One request per line, one response per line.  Replies are written as
+    they are produced, through one JSON writer over a
+    {!Weblab_rdf.Sink.t} that drains 64 KiB at a time ({!write_line}):
+    SPARQL rows are written cell by cell from the query's id rows, and
+    Turtle is escaped into the reply as its renderer drains, so a large
+    reply never exists as one string.  Everything that can fail — the
+    session lookup, query parsing and evaluation, the export catch-up —
+    runs before the reply's first byte; an exception there becomes an
+    error reply in its place.  A session's data is rendered while its
+    lock is held, and the [serve.<verb>] span and histogram cover the
+    rendering.  Every request is an
     object with a ["verb"] and an optional ["id"] the response echoes.
     Responses carry ["ok": true] plus verb-specific fields, or
     ["ok": false] with an ["error"] code and a human ["message"].
@@ -98,10 +108,16 @@ val restore_sessions : ctx -> (string * Weblab_rdf.Wal.replay_stats) list
     registered under its decoded id; call once at boot, before the
     listener accepts.  No data dir, or none configured: [[]]. *)
 
-val handle : ctx -> Json.t -> Json.t
-(** Dispatch one parsed request.  Total: protocol and session errors come
-    back as [ok:false] responses, never as exceptions. *)
+val write_line : ctx -> string -> Weblab_rdf.Sink.t -> unit
+(** Parse one request line, dispatch it and write its reply into the
+    sink — the connection loop's whole body.  The reply never contains a
+    newline; the sink is not flushed.  Total: protocol and session errors
+    come back as [ok:false] replies, never as exceptions. *)
 
 val handle_line : ctx -> string -> string
-(** Parse, dispatch, print — the connection loop's whole body (and the
-    unit tests' entry point).  The result never contains a newline. *)
+(** {!write_line} into a [Buffer.t]: the reply as one string (the unit
+    tests' entry point). *)
+
+val handle : ctx -> Json.t -> Json.t
+(** Dispatch one parsed request: the parse of the reply the writer
+    wrote for it. *)

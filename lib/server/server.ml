@@ -1,5 +1,6 @@
 module T = Weblab_obs.Telemetry
 module M = Weblab_obs.Metrics
+module Sink = Weblab_rdf.Sink
 
 let c_conns = T.counter "serve.connections"
 let g_conns_active = M.gauge "serve.connections.active"
@@ -35,15 +36,19 @@ let no_newline b k =
     equal (logand (logand (sub x 0x0101010101010101L) (lognot x)) 0x8080808080808080L) 0L)
 
 (* One connection: read request lines until EOF or an oversized line,
-   answer each on its own line.  Any socket-level error just ends the
-   connection — protocol and session errors were already turned into
-   [ok:false] responses inside {!Protocol.handle_line}. *)
+   answer each on its own line.  Replies go through one writer per
+   connection, which drains into the channel 64 KiB at a time while the
+   reply is produced.  Any socket-level error just ends the connection —
+   protocol and session errors were already turned into [ok:false]
+   responses inside {!Protocol.write_line}. *)
 let serve_conn ctx fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  let reply s =
-    output_string oc s;
-    output_char oc '\n';
+  let w = Sink.create ~size:Sink.chunk (output oc) in
+  let reply write =
+    write w;
+    Sink.add_char w '\n';
+    Sink.flush w;
     flush oc
   in
   (* [input_line] in blocks up to the cap: [block] holds unread bytes on
@@ -64,10 +69,11 @@ let serve_conn ctx fd =
     done;
     let size = size + !j - i in
     if size > max_request_bytes then
-      reply
-        (Printf.sprintf
-           {|{"ok":false,"error":"request_too_large","message":"request line longer than %d bytes"}|}
-           max_request_bytes)
+      reply (fun w ->
+          Sink.add_string w
+            (Printf.sprintf
+               {|{"ok":false,"error":"request_too_large","message":"request line longer than %d bytes"}|}
+               max_request_bytes))
     else begin
       let chunks = Bytes.sub block i (!j - i) :: chunks in
       pos := min (!j + 1) n;
@@ -76,7 +82,7 @@ let serve_conn ctx fd =
         (* a newline, or the last line of the input *)
         let l = Bytes.(unsafe_to_string (concat empty (List.rev chunks))) in
         if String.length (String.trim l) > 0 then
-          reply (Protocol.handle_line ctx l);
+          reply (Protocol.write_line ctx l);
         if n > 0 then serve [] 0
       end
     end

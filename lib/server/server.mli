@@ -1,5 +1,5 @@
 (** The TCP front end: a listener plus one thread per connection, each
-    running {!Protocol.handle_line} over newline-delimited JSON.
+    running {!Protocol.write_line} over newline-delimited JSON.
 
     Threads (not domains) carry connections: a verb's work is dominated
     by inference, which each session parallelizes through its own backend

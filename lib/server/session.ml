@@ -129,7 +129,7 @@ let why t uri =
 let impact t uri =
   M.time h_impact (fun () -> Query.influences_transitive (graph t) uri)
 
-let sparql t q = M.time h_sparql (fun () -> Rdf.Sparql.run (store t) q)
+let sparql t q = M.time h_sparql (fun () -> Rdf.Sparql.select (store t) q)
 
 let next_time t =
   match t.mode with
@@ -140,6 +140,15 @@ let next_time t =
    store's triple sequence verbatim — so its Turtle is byte-identical to
    what the live session served (persist-smoke pins this). *)
 let turtle t = M.time h_turtle (fun () -> Rdf.Turtle.to_turtle (store t))
+
+(* The catch-up runs now, the render when the caller drains it; one
+   observation covers both, as [turtle]'s does. *)
+let turtle_render t =
+  let t0 = Unix.gettimeofday () in
+  let st = store t in
+  fun out ->
+    Rdf.Turtle.to_sink Rdf.Prov_vocab.prefixes st out;
+    M.observe_us h_turtle ((Unix.gettimeofday () -. t0) *. 1e6)
 
 (* ----- WAL sync ----- *)
 

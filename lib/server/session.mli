@@ -148,14 +148,22 @@ val store : t -> Weblab_rdf.Triple_store.t
 val trace : t -> Trace.t option
 (** The live session's execution trace; [None] once restored. *)
 
-val sparql : t -> string -> Weblab_relalg.Table.t
-(** A SELECT query against {!store}.
-    @raise Weblab_rdf.Sparql.Error on malformed queries. *)
+val sparql : t -> string -> Weblab_rdf.Sparql.rows
+(** A SELECT query evaluated against {!store}.  The rows read the store:
+    render them under {!with_lock}.
+    @raise Weblab_rdf.Sparql.Error on malformed queries and ASK. *)
 
 val turtle : t -> string
 (** Turtle rendering of {!store}, with the trace's failed calls.  A
     restored session's is byte-identical to what the live session served
     at its last sync. *)
+
+val turtle_render : t -> Weblab_rdf.Sink.t -> unit
+(** [turtle_render t] brings {!store} up to date at once — everything
+    that can fail — and returns the render of {!turtle}'s bytes into a
+    sink, which is total.  Call both under {!with_lock}.  The
+    [session.query.turtle] histogram records the catch-up and the
+    render as one observation. *)
 
 type stats = {
   st_id : string;

@@ -93,9 +93,12 @@ open Weblab_relalg
 
 let term_value term = Value.Str (Term.to_ntriples term)
 
-(* Evaluate a conjunctive pattern left to right, returning raw variable
-   environments, mirroring {!Triple_store.solutions}. *)
-let solutions t bgp : (string * Term.t) list list =
+(* Evaluate a conjunctive pattern left to right over a [find], returning
+   raw variable environments: each step substitutes the current row's
+   bindings into the pattern, probes, and binds the still-free
+   variables (a variable used twice in one pattern must match the same
+   term). *)
+let solutions_with find bgp : (string * Term.t) list list =
   List.fold_left
     (fun rows (a, b, c) ->
       List.concat_map
@@ -105,7 +108,7 @@ let solutions t bgp : (string * Term.t) list list =
             | Triple_store.Var v -> List.assoc_opt v env
           in
           let pat = (resolve a, resolve b, resolve c) in
-          find t pat
+          find pat
           |> List.filter_map (fun (s, p, o) ->
                  let bind env (bt, term) =
                    match env, bt with
@@ -120,6 +123,10 @@ let solutions t bgp : (string * Term.t) list list =
                  List.fold_left bind (Some env) [ (a, s); (b, p); (c, o) ]))
         rows)
     [ [] ] bgp
+
+let solutions t bgp = solutions_with (find t) bgp
+
+let store_solutions st bgp = solutions_with (Triple_store.find st) bgp
 
 let table_of_solutions vars sols =
   let table = Table.create vars in

@@ -35,6 +35,21 @@ val solutions :
   (Triple_store.bgp_term * Triple_store.bgp_term * Triple_store.bgp_term) list ->
   (string * Term.t) list list
 
+val store_solutions :
+  Triple_store.t ->
+  (Triple_store.bgp_term * Triple_store.bgp_term * Triple_store.bgp_term) list ->
+  (string * Term.t) list list
+(** The same Term-environment evaluation over the columnar store's
+    {!Triple_store.find}: the BGP evaluator the columnar store used
+    before it evaluated patterns at the id level
+    ({!Triple_store.solve}), kept as that evaluator's oracle. *)
+
+val table_of_solutions :
+  string list -> (string * Term.t) list list -> Weblab_relalg.Table.t
+(** One column per requested variable, each cell the N-Triples encoding
+    of the bound term or [""]; duplicate rows dropped
+    ({!Weblab_relalg.Table.distinct}). *)
+
 val query :
   t ->
   (Triple_store.bgp_term * Triple_store.bgp_term * Triple_store.bgp_term) list ->

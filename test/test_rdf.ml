@@ -434,6 +434,121 @@ let interleaved_prop =
         ops
       && String.equal (Turtle.to_turtle cst) (Oracle_turtle.to_turtle ost))
 
+(* The SPARQL contract (sparql.mli): SELECT results are always
+   distinct, so DISTINCT changes nothing, and rows come in solution
+   order — the BGP's matches in insertion order, first occurrence kept. *)
+let test_sparql_distinct_contract () =
+  let st = Triple_store.create () in
+  let p = iri "p" and q = iri "q" in
+  List.iter
+    (fun (s, pr, o) -> Triple_store.add st (iri s, pr, o))
+    [ ("b", p, lit "1"); ("a", p, lit "2"); ("b", q, lit "3"); ("c", p, lit "4");
+      ("a", q, lit "5"); ("b", p, lit "6") ];
+  let column q =
+    let t = Sparql.run st q in
+    List.map (fun row -> Value.to_string row.(0)) (Table.rows t)
+  in
+  let subjects = [ "<b>"; "<a>"; "<c>" ] in
+  let check_list = check Alcotest.(list string) in
+  check_list "SELECT ?s: first-occurrence order, no repeats" subjects
+    (column "SELECT ?s WHERE { ?s ?p ?o }");
+  check_list "SELECT DISTINCT ?s: the same rows" subjects
+    (column "SELECT DISTINCT ?s WHERE { ?s ?p ?o }");
+  check_list "a join keeps solution order" [ "<b>"; "<a>"; "<c>" ]
+    (column "SELECT ?s WHERE { ?s <p> ?o . ?s <p> ?o2 }");
+  check_list "LIMIT counts distinct rows" [ "<b>"; "<a>" ]
+    (column "SELECT ?s WHERE { ?s ?p ?o } LIMIT 2");
+  check_list "ORDER BY DESC reverses the stable ascending sort"
+    [ "<c>"; "<b>"; "<a>" ]
+    (column "SELECT ?s WHERE { ?s ?p ?o } ORDER BY DESC(?s)");
+  check_int "ASK through run raises" 1
+    (match Sparql.run st "ASK { ?s ?p ?o }" with
+    | _ -> 0
+    | exception Sparql.Error _ -> 1)
+
+(* The id-level evaluator against the Term-environment one it replaced
+   (kept in test support): the same solutions, duplicates included, in
+   the same order, for the same number of store probes — over stores
+   large enough to cross tail merges and every probe plan. *)
+let solve_prop =
+  let open QCheck in
+  let subject i = iri (Printf.sprintf "s%d" i) in
+  let gen_term =
+    Gen.(
+      frequency
+        [ (3, map subject (int_bound 39)); (1, map (fun i -> lit (Printf.sprintf "l%d" i)) (int_bound 9)) ])
+  in
+  let gen_pred = Gen.map (fun i -> iri (Printf.sprintf "p%d" i)) (Gen.int_bound 4) in
+  let gen_triples =
+    Gen.(list_size (0 -- 2500) (triple (map subject (int_bound 39)) gen_pred gen_term))
+  in
+  let gen_pos const =
+    Gen.(
+      frequency
+        [ (5, map (fun v -> Triple_store.Var v) (oneofl [ "x"; "y"; "z" ]));
+          (4, map (fun t -> Triple_store.Const t) const);
+          (1, return (Triple_store.Const (iri "none"))) ])
+  in
+  let gen_bgp =
+    Gen.(list_size (1 -- 3) (triple (gen_pos gen_term) (gen_pos gen_pred) (gen_pos gen_term)))
+  in
+  let show = function
+    | Triple_store.Var v -> "?" ^ v
+    | Triple_store.Const t -> Term.to_ntriples t
+  in
+  Test.make ~name:"id-level BGP = Term-environment solutions" ~count:60
+    (make
+       ~print:(fun (ts, bgps) ->
+         Printf.sprintf "%d triples; %s" (List.length ts)
+           (String.concat " | "
+              (List.map
+                 (fun bgp ->
+                   String.concat " . "
+                     (List.map (fun (a, b, c) -> String.concat " " [ show a; show b; show c ]) bgp))
+                 bgps)))
+       Gen.(pair gen_triples (list_size (1 -- 4) gen_bgp)))
+    (fun (triples, bgps) ->
+      let module T = Weblab_obs.Telemetry in
+      let st = Triple_store.create () in
+      List.iter (Triple_store.add st) triples;
+      let probes () = Option.value ~default:0 (List.assoc_opt "rdf.store.probes" (T.counters ())) in
+      T.set_level T.Counters;
+      Fun.protect
+        ~finally:(fun () -> T.set_level T.Off)
+        (fun () ->
+          List.for_all
+            (fun bgp ->
+              let vars = Triple_store.bgp_variables bgp in
+              let p0 = probes () in
+              let sol = Triple_store.solve st bgp in
+              let p1 = probes () in
+              let envs = Oracle_store.store_solutions st bgp in
+              let p2 = probes () in
+              let decoded =
+                List.init (Triple_store.solution_count sol) (fun r ->
+                    List.mapi
+                      (fun c v ->
+                        let id = Triple_store.binding sol r c in
+                        if id = Triple_store.unbound_id then None
+                        else Some (v, Triple_store.term_of_id st id))
+                      vars
+                    |> List.filter_map Fun.id)
+              in
+              let expected =
+                List.map
+                  (fun env ->
+                    List.filter_map
+                      (fun v -> Option.map (fun t -> (v, t)) (List.assoc_opt v env))
+                      vars)
+                  envs
+              in
+              Triple_store.solution_vars sol = vars
+              && List.equal
+                   (List.equal (fun (v, t) (v', t') -> v = v' && Term.equal t t'))
+                   decoded expected
+              && p1 - p0 = p2 - p1)
+            bgps))
+
 let test_sparql_errors () =
   let st = sample_store () in
   let expect q =
@@ -463,7 +578,8 @@ let () =
       ( "bgp",
         [ Alcotest.test_case "single pattern" `Quick test_bgp_query;
           Alcotest.test_case "join" `Quick test_bgp_join;
-          Alcotest.test_case "repeated variable" `Quick test_bgp_repeated_var ] );
+          Alcotest.test_case "repeated variable" `Quick test_bgp_repeated_var;
+          QCheck_alcotest.to_alcotest solve_prop ] );
       ( "serialization",
         [ Alcotest.test_case "ntriples round-trip" `Quick test_ntriples_roundtrip;
           Alcotest.test_case "turtle" `Quick test_turtle_output ] );
@@ -477,5 +593,7 @@ let () =
           Alcotest.test_case "ask" `Quick test_sparql_ask;
           Alcotest.test_case "numeric order" `Quick test_sparql_numeric_order;
           Alcotest.test_case "distinct keyword" `Quick test_sparql_distinct_keyword;
+          Alcotest.test_case "distinct and row order contract" `Quick
+            test_sparql_distinct_contract;
           Alcotest.test_case "turtle abbreviation" `Quick test_turtle_abbreviation_edges;
           Alcotest.test_case "errors" `Quick test_sparql_errors ] ) ]
