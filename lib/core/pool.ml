@@ -82,22 +82,21 @@ let stats t =
 
 let clamp_jobs j = if j < 1 then 1 else j
 
-let default_jobs () =
-  let hw = clamp_jobs (Domain.recommended_domain_count () - 1) in
+(* The [JOBS] environment variable, when it holds a positive count. *)
+let env_jobs () =
   match Sys.getenv_opt "JOBS" with
+  | None -> None
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> hw)
-  | None -> hw
+    | Some n when n >= 1 -> Some n
+    | Some _ | None -> None)
 
-let configured_jobs () =
-  match Sys.getenv_opt "JOBS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> 1)
-  | None -> 1
+let default_jobs () =
+  match env_jobs () with
+  | Some n -> n
+  | None -> clamp_jobs (Domain.recommended_domain_count () - 1)
+
+let configured_jobs () = Option.value (env_jobs ()) ~default:1
 
 let jobs t = t.size
 
@@ -160,7 +159,9 @@ let worker t w () =
   loop 0
 
 let create ?jobs () =
-  let size = clamp_jobs (match jobs with Some j -> clamp_jobs j | None -> default_jobs ()) in
+  let size =
+    clamp_jobs (match jobs with Some j -> j | None -> configured_jobs ())
+  in
   let t =
     { size; lock = Mutex.create (); work_cond = Condition.create ();
       done_cond = Condition.create (); current = None; epoch = 0;

@@ -19,7 +19,8 @@ type t
 val default_jobs : unit -> int
 (** The hardware default: [Domain.recommended_domain_count () - 1]
     (leaving a core for the orchestrator), floored at 1.  The [JOBS]
-    environment variable overrides it. *)
+    environment variable overrides it.  This is the CLI's [--jobs]
+    default only; the library's is {!configured_jobs}. *)
 
 val configured_jobs : unit -> int
 (** The library default for inference entry points: the [JOBS]
@@ -28,7 +29,7 @@ val configured_jobs : unit -> int
     otherwise.  Explicit [?jobs] arguments always win. *)
 
 val create : ?jobs:int -> unit -> t
-(** [jobs] defaults to {!default_jobs}; values below 1 are clamped
+(** [jobs] defaults to {!configured_jobs}; values below 1 are clamped
     to 1. *)
 
 val jobs : t -> int

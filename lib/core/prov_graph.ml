@@ -1,7 +1,7 @@
 (* Provenance graphs (Definition 3): labeled DAGs connecting each resource
-   of the final document to the resources used to generate it.  The two
-   tables of Figure 2 — Source (the labeling function λ) and Provenance
-   (the edge set E) — are both views of this structure. *)
+   of the final document to the resources used to generate it.  Of the two
+   tables of Figure 2, Source (the labeling function λ) is the execution
+   trace the graph reads, and the graph holds Provenance (the edge set E). *)
 
 open Weblab_xml
 open Weblab_workflow
@@ -16,20 +16,17 @@ type link = {
 (* Every label, link and member remembers the step that added it: the
    timestamp of the call during which it entered the graph.  The PROV
    export emits the graph step by step in that order, so the export of a
-   run's prefix is a prefix of the export of the whole run.  Labels and
-   Skolem entities are kept in first-insertion order, links and members
-   in insertion order. *)
+   run's prefix is a prefix of the export of the whole run.  Labels (in
+   the trace) and Skolem entities are kept in first-insertion order,
+   links and members in insertion order. *)
 type t = {
+  mutable trace : Trace.t;  (* λ: labels and their steps *)
   links : link Vec.t;
   link_steps : int Vec.t;  (* [no_step] when the adder gave none *)
-  labels : (string, Trace.call * int) Hashtbl.t;  (* uri -> call, step *)
-  label_order : string Vec.t;
-  mutable traced : int;  (* trace entries applied by [label_trace] *)
   members : (string, string) Hashtbl.t;
       (* synthetic Skolem entity -> member resource uris *)
   member_log : (string * string * int) Vec.t;  (* entity, member, step *)
   entities : string Vec.t;  (* Skolem entities, first-insertion order *)
-  dedup : (string, unit) Hashtbl.t;
   succ : (string, link) Hashtbl.t;  (* from_uri -> its links *)
   pred : (string, link) Hashtbl.t;  (* to_uri -> its links *)
 }
@@ -38,61 +35,50 @@ let no_step = -1
 
 let no_link = { from_uri = ""; to_uri = ""; rule = ""; inherited = false }
 
-let create () =
+let of_trace trace =
   {
+    trace;
     links = Vec.create ~dummy:no_link;
     link_steps = Vec.create ~dummy:no_step;
-    labels = Hashtbl.create 32;
-    label_order = Vec.create ~dummy:"";
-    traced = 0;
     members = Hashtbl.create 8;
     member_log = Vec.create ~dummy:("", "", no_step);
     entities = Vec.create ~dummy:"";
-    dedup = Hashtbl.create 64;
     succ = Hashtbl.create 64;
     pred = Hashtbl.create 64;
   }
 
-(* Relabeling a resource keeps the step it was first labeled at. *)
+let create () = of_trace (Trace.create ())
+
+let attach_trace g trace = g.trace <- trace
+
 let set_label ?step g uri call =
-  match Hashtbl.find_opt g.labels uri with
-  | Some (_, first) -> Hashtbl.replace g.labels uri (call, first)
-  | None ->
-    Hashtbl.add g.labels uri (call, Option.value step ~default:call.Trace.time);
-    Vec.push g.label_order uri
+  Trace.add_entry ?step g.trace { Trace.uri; node = Tree.no_node; call }
 
-let label g uri = Option.map fst (Hashtbl.find_opt g.labels uri)
+let label g uri = Trace.call_of_resource g.trace uri
 
-let label_count g = Hashtbl.length g.labels
+let label_count g = Trace.entry_count g.trace
 
 (* Ties on time are broken by URI, so the order depends on the label set
-   only, never on the table's insertion history. *)
+   only, never on the trace's insertion history. *)
 let labeled_resources g =
-  Hashtbl.fold (fun uri (call, _) acc -> (uri, call) :: acc) g.labels []
-  |> List.sort (fun (u, a) (v, b) ->
-         let c = compare a.Trace.time b.Trace.time in
-         if c <> 0 then c else String.compare u v)
-
-let label_trace g trace =
-  Trace.iter_entries_from trace g.traced (fun e step ->
-      set_label ~step g e.Trace.uri e.Trace.call);
-  g.traced <- Trace.entry_count trace
-
-let of_trace trace =
-  let g = create () in
-  label_trace g trace;
-  g
-
-let link_key l =
-  String.concat "\x00" [ l.from_uri; l.to_uri; l.rule; string_of_bool l.inherited ]
+  let acc = ref [] in
+  Trace.iter_entries_from g.trace 0 (fun e _ ->
+      acc := (e.Trace.uri, e.Trace.call) :: !acc);
+  List.sort
+    (fun (u, a) (v, b) ->
+      let c = compare a.Trace.time b.Trace.time in
+      if c <> 0 then c else String.compare u v)
+    !acc
 
 let add_link ?(rule = "") ?(inherited = false) ?step g ~from_uri ~to_uri =
   (* Self-dependencies are meaningless (and Definition 3 requires a DAG). *)
   if not (String.equal from_uri to_uri) then begin
-    let l = { from_uri; to_uri; rule; inherited } in
-    let k = link_key l in
-    if not (Hashtbl.mem g.dedup k) then begin
-      Hashtbl.add g.dedup k ();
+    let same l =
+      String.equal l.to_uri to_uri && String.equal l.rule rule
+      && Bool.equal l.inherited inherited
+    in
+    if not (List.exists same (Hashtbl.find_all g.succ from_uri)) then begin
+      let l = { from_uri; to_uri; rule; inherited } in
       Vec.push g.links l;
       Vec.push g.link_steps (Option.value step ~default:no_step);
       Hashtbl.add g.succ from_uri l;
@@ -118,14 +104,9 @@ let size g = Vec.length g.links
 
 (* ----- Step-attributed suffixes, for incremental export ----- *)
 
-let label_step g uri = Option.map snd (Hashtbl.find_opt g.labels uri)
-
 let iter_labels_from g k f =
-  for i = k to Vec.length g.label_order - 1 do
-    let uri = Vec.get g.label_order i in
-    let call, step = Hashtbl.find g.labels uri in
-    f uri call step
-  done
+  Trace.iter_entries_from g.trace k (fun e step ->
+      f e.Trace.uri e.Trace.call step)
 
 (* A link no adder attributed (an inherited or reloaded one) belongs to
    the step its generated end was labeled at, or after every step when
@@ -136,7 +117,9 @@ let iter_links_from g k f =
     let step =
       match Vec.get g.link_steps i with
       | s when s <> no_step -> s
-      | _ -> Option.value (label_step g l.from_uri) ~default:max_int
+      | _ ->
+        Option.value (Trace.step_of_resource g.trace l.from_uri)
+          ~default:max_int
     in
     f l step
   done
@@ -178,19 +161,12 @@ let temporally_sound g =
     (links g)
 
 let is_acyclic g =
-  (* Kahn's algorithm over the link relation. *)
-  let adj = Hashtbl.create 64 in
+  (* Kahn's algorithm over the successor adjacency. *)
   let indeg = Hashtbl.create 64 in
-  let touch u =
-    if not (Hashtbl.mem indeg u) then Hashtbl.replace indeg u 0
+  let add u d =
+    Hashtbl.replace indeg u (d + Option.value (Hashtbl.find_opt indeg u) ~default:0)
   in
-  List.iter
-    (fun l ->
-      touch l.from_uri;
-      touch l.to_uri;
-      Hashtbl.add adj l.from_uri l.to_uri;
-      Hashtbl.replace indeg l.to_uri (Hashtbl.find indeg l.to_uri + 1))
-    (links g);
+  List.iter (fun l -> add l.from_uri 0; add l.to_uri 1) (links g);
   let queue = Queue.create () in
   Hashtbl.iter (fun u d -> if d = 0 then Queue.add u queue) indeg;
   let visited = ref 0 in
@@ -198,11 +174,10 @@ let is_acyclic g =
     let u = Queue.pop queue in
     incr visited;
     List.iter
-      (fun v ->
-        let d = Hashtbl.find indeg v - 1 in
-        Hashtbl.replace indeg v d;
-        if d = 0 then Queue.add v queue)
-      (Hashtbl.find_all adj u)
+      (fun l ->
+        add l.to_uri (-1);
+        if Hashtbl.find indeg l.to_uri = 0 then Queue.add l.to_uri queue)
+      (Hashtbl.find_all g.succ u)
   done;
   !visited = Hashtbl.length indeg
 

@@ -1,7 +1,7 @@
 (** Provenance graphs — Definition 3: labeled DAGs connecting each
     resource of the final document to the resources used to generate it.
-    The two tables of Figure 2 — Source (the labeling function λ) and
-    Provenance (the edge set E) — are both views of this structure. *)
+    Of the two tables of Figure 2, Source (the labeling function λ) is
+    the trace the graph reads; the graph holds only Provenance (E). *)
 
 open Weblab_workflow
 
@@ -15,9 +15,13 @@ type link = {
 type t
 
 val create : unit -> t
+(** An empty graph over a trace of its own, which {!set_label} writes. *)
 
 val of_trace : Trace.t -> t
-(** A graph with λ populated from the execution trace and no links yet. *)
+(** A graph with no links whose λ is the trace, shared, not copied. *)
+
+val attach_trace : t -> Trace.t -> unit
+(** Make the trace the graph's λ, in constant time. *)
 
 (** {1 Steps}
 
@@ -27,16 +31,11 @@ val of_trace : Trace.t -> t
     order, which is what makes the export of a run's prefix a prefix of
     the export of the whole run. *)
 
-(** {1 The labeling function λ} *)
+(** {1 The labeling function λ: the graph's trace entries} *)
 
 val set_label : ?step:int -> t -> string -> Trace.call -> unit
-(** [step] defaults to the call's time.  Relabeling a resource replaces
-    its call and keeps its first step. *)
-
-val label_trace : t -> Trace.t -> unit
-(** Label the trace entries recorded since the last [label_trace] on this
-    graph, each at its recorded step ({!Trace.iter_entries_from}): a
-    graph labeled along a growing trace pays for the new entries only. *)
+(** {!Trace.add_entry} on the graph's trace: [step] defaults to the
+    call's time, and relabeling keeps the first step. *)
 
 val label : t -> string -> Trace.call option
 
@@ -56,9 +55,10 @@ val add_link :
   from_uri:string ->
   to_uri:string ->
   unit
-(** Idempotent; self-links are silently dropped (Definition 3 requires a
-    DAG).  [step] is the time of the call that inferred the link; without
-    it the link belongs to the step its [from_uri] was labeled at. *)
+(** Idempotent in O(out-degree); self-links are silently dropped
+    (Definition 3 requires a DAG).  [step] is the time of the call that
+    inferred the link; without it the link belongs to the step its
+    [from_uri] was labeled at. *)
 
 val links : t -> link list
 (** In insertion order. *)
@@ -93,7 +93,7 @@ val skolem_entities : t -> string list
 (** {1 Step-attributed suffixes}
 
     What an incremental export reads: the items added since the graph
-    held [k] of them, each with its step.  Labels come in first-insertion
+    held [k] of them, each with its step.  Labels come in the trace's
     order, links and members in insertion order.  A link added without a
     step reports its [from_uri]'s label step, or [max_int] when that end
     is unlabeled. *)

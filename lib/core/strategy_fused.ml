@@ -164,14 +164,13 @@ let init ?jobs ~doc (rb : Strategy_sig.rulebook) =
              (Array.to_list sp.C_plan.sp_src_exprs)))
       plan.C_plan.p_services
   in
-  let jobs = match jobs with Some j -> j | None -> Pool.configured_jobs () in
   (* Index and memos are built lazily, by the first call that has rules
      to evaluate: [init] runs before the orchestrator's prologue has
      labeled the initial resources, so memoising here would snapshot
      unlabeled attributes. *)
   { doc; g = Prov_graph.create (); plan; rules; services; memo_of; src_exprs;
     memos; memo_exprs = Array.of_list memo_exprs;
-    pool = Pool.create ~jobs (); index = None; upto = 0 }
+    pool = Pool.create ?jobs (); index = None; upto = 0 }
 
 (* Catches up the whole arena tail since the index's stamp, so a session
    whose calls have no rules never builds an index at all. *)
@@ -376,14 +375,13 @@ let observe st ~call ~before ~after ~(delta : Orchestrator.delta) =
         apps
     end
 
-(* The live graph, labeled from the trace so far; the compiled plan,
-   memo, index and pool stay hot for the next [observe] — this is what a
+(* The live graph, whose λ is the run's trace; the compiled plan, memo,
+   index and pool stay hot for the next [observe] — this is what a
    serving session answers queries from between appends. *)
 let snapshot st ~doc:_ ~trace =
-  Prov_graph.label_trace st.g trace;
+  Prov_graph.attach_trace st.g trace;
   st.g
 
-let finalize st ~doc:_ ~trace =
+let finalize st ~doc ~trace =
   Pool.shutdown st.pool;
-  Prov_graph.label_trace st.g trace;
-  st.g
+  snapshot st ~doc ~trace

@@ -17,8 +17,8 @@
 
    Post-hoc strategies (Replay, Rewrite) ignore the observations and do
    all their work in [finalize]; execution-time strategies (Online,
-   Fused) accumulate links in [observe] and only label resources in
-   [finalize].  All backends produce identical graphs — property-tested,
+   Fused) accumulate links in [observe] and only attach the trace, which
+   holds λ, in [finalize].  All backends produce identical graphs — property-tested,
    including under fault plans. *)
 
 open Weblab_xml
@@ -91,10 +91,9 @@ module type STRATEGY_BACKEND = sig
      backend: [observe] keeps working afterwards and [finalize] remains
      the terminal call.  This is what lets a serving daemon answer
      [why]/[impact]/BGP queries between appends on a live session.
-     Execution-time backends label their live graph with the trace
-     entries recorded since the last snapshot and return it; post-hoc
-     backends run their inference over the current
-     document and trace.  The returned graph is only valid to read until
+     Execution-time backends attach the trace to their live graph as
+     its λ (in constant time) and return it; post-hoc backends run
+     their inference over the current document and trace.  The returned graph is only valid to read until
      the next [observe] on the same state. *)
 
   val finalize : state -> doc:Tree.t -> trace:Trace.t -> Prov_graph.t

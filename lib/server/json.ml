@@ -302,7 +302,16 @@ let parse_number cur =
     | Some i -> Int i
     | None -> Float (float_of_string text)
 
-let rec parse_value cur =
+(* The parser recurses once per array or object, and a request line can
+   hold millions of brackets. *)
+let max_depth = 512
+
+let enter cur depth =
+  if depth >= max_depth then
+    fail cur (Printf.sprintf "nesting deeper than %d" max_depth);
+  advance cur
+
+let rec parse_value cur depth =
   skip_ws cur;
   match peek cur with
   | None -> fail cur "unexpected end of input"
@@ -311,7 +320,7 @@ let rec parse_value cur =
   | Some 'f' -> expect_lit cur "false" (Bool false)
   | Some '"' -> Str (parse_string cur)
   | Some '[' ->
-    advance cur;
+    enter cur depth;
     skip_ws cur;
     if peek cur = Some ']' then begin
       advance cur;
@@ -319,7 +328,7 @@ let rec parse_value cur =
     end
     else begin
       let rec items acc =
-        let v = parse_value cur in
+        let v = parse_value cur (depth + 1) in
         skip_ws cur;
         match peek cur with
         | Some ',' ->
@@ -333,7 +342,7 @@ let rec parse_value cur =
       List (items [])
     end
   | Some '{' ->
-    advance cur;
+    enter cur depth;
     skip_ws cur;
     if peek cur = Some '}' then begin
       advance cur;
@@ -345,7 +354,7 @@ let rec parse_value cur =
         let k = parse_string cur in
         skip_ws cur;
         expect cur ':';
-        let v = parse_value cur in
+        let v = parse_value cur (depth + 1) in
         (k, v)
       in
       let rec members acc =
@@ -367,7 +376,7 @@ let rec parse_value cur =
 
 let parse s =
   let cur = { s; pos = 0 } in
-  let v = parse_value cur in
+  let v = parse_value cur 0 in
   skip_ws cur;
   (match peek cur with
   | None -> ()

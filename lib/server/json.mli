@@ -20,8 +20,9 @@ type t =
 exception Parse_error of string
 
 val parse : string -> t
-(** @raise Parse_error on malformed input (total otherwise — no
-    [assert]s, no [Invalid_argument] leaks). *)
+(** @raise Parse_error on malformed input, and on arrays and objects
+    nested more than 512 deep (total otherwise — no [assert]s, no
+    [Invalid_argument] leaks, no stack overflow). *)
 
 val parse_opt : string -> (t, string) result
 

@@ -91,8 +91,8 @@ let with_lock t f = Mutex.protect t.lock f
 
 (* ----- queries ----- *)
 
-(* Fused's snapshot labels only the trace entries recorded since the
-   last one and returns its live graph, so queries need no cache. *)
+(* Fused's snapshot returns its live graph over the session's trace, so
+   queries need no cache. *)
 let graph t =
   match t.mode with
   | Live l ->

@@ -164,14 +164,13 @@ let label_resources s ~now nodes =
       Tree.set_uri_time doc n
         (if Tree.created doc n < now then now else Tree.created doc n);
       let time = Tree.created doc n in
-      let service =
+      let call =
         match Trace.attempted_call s.s_trace time with
-        | Some c -> c.Trace.service
-        | None -> "Source"
+        | Some c -> c
+        | None -> { Trace.service = "Source"; time }
       in
       if Tree.service_label doc n = None then
-        Tree.set_service_label doc n service time;
-      let call = { Trace.service; time } in
+        Tree.set_service_label doc n call.Trace.service time;
       match Tree.uri doc n with
       | Some uri ->
         Trace.add_entry ~step:now s.s_trace { Trace.uri; node = n; call }

@@ -39,8 +39,9 @@ type attempt = {
 }
 
 type t = {
-  entries : entry Vec.t;  (* insertion order *)
+  entries : entry Vec.t;  (* first-insertion order, one per URI *)
   steps : int Vec.t;  (* the step each entry was recorded at *)
+  by_uri : (string, int) Hashtbl.t;  (* URI -> its entry's position *)
   mutable calls_rev : call list;
   mutable failed_rev : call list;
   mutable attempts_rev : attempt list;
@@ -54,6 +55,7 @@ let no_entry =
 
 let create () =
   { entries = Vec.create ~dummy:no_entry; steps = Vec.create ~dummy:0;
+    by_uri = Hashtbl.create 64;
     calls_rev = []; failed_rev = []; attempts_rev = [];
     attempt_counts = Hashtbl.create 16; outcomes = Hashtbl.create 16;
     last_time = -1 }
@@ -65,8 +67,12 @@ let add_call t call =
     Hashtbl.replace t.outcomes call.time (call, Ok)
 
 let add_entry ?step t entry =
-  Vec.push t.entries entry;
-  Vec.push t.steps (Option.value step ~default:entry.call.time)
+  match Hashtbl.find_opt t.by_uri entry.uri with
+  | Some i -> Vec.set t.entries i entry
+  | None ->
+    Hashtbl.add t.by_uri entry.uri (Vec.length t.entries);
+    Vec.push t.entries entry;
+    Vec.push t.steps (Option.value step ~default:entry.call.time)
 
 let attempt_count t time =
   match Hashtbl.find_opt t.attempt_counts time with Some n -> n | None -> 0
@@ -113,9 +119,10 @@ let resources_of_call t call =
   entries t |> List.filter (fun e -> e.call = call) |> List.map (fun e -> e.uri)
 
 let call_of_resource t uri =
-  entries t
-  |> List.find_opt (fun e -> String.equal e.uri uri)
-  |> Option.map (fun e -> e.call)
+  Option.map (fun i -> (Vec.get t.entries i).call) (Hashtbl.find_opt t.by_uri uri)
+
+let step_of_resource t uri =
+  Option.map (Vec.get t.steps) (Hashtbl.find_opt t.by_uri uri)
 
 (* The Source table of Figure 2: Res. | Call | Service | Time. *)
 let source_table t =

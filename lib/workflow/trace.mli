@@ -3,7 +3,10 @@
     A trace records, for every labeled resource of the final document,
     the service call (service name, timestamp) that produced it; together
     with the final document it {e is} the workflow execution trace from
-    which all provenance is inferred (§2). *)
+    which all provenance is inferred (§2).
+
+    It is the one home of λ: a provenance graph reads its labels from
+    its trace and adds only the edge set E. *)
 
 open Weblab_xml
 
@@ -59,7 +62,8 @@ val add_entry : ?step:int -> t -> entry -> unit
     during which the label was recorded; it defaults to [entry.call.time]
     and differs from it only for a node promoted to a resource by a later
     call, which is labeled with the call that created it but recorded at
-    the promoting call's step. *)
+    the promoting call's step.  Recording a URI again replaces its
+    entry, which keeps its position and first step. *)
 
 val record_attempt : t -> attempt -> unit
 
@@ -95,6 +99,7 @@ val entries : t -> entry list
 (** Sorted by call timestamp. *)
 
 val entry_count : t -> int
+(** The number of labeled resources, in constant time. *)
 
 val iter_entries_from : t -> int -> (entry -> int -> unit) -> unit
 (** [iter_entries_from t k f] applies [f entry step] to the entries from
@@ -107,7 +112,10 @@ val resources_of_call : t -> call -> string list
 (** The out(c) of the model: URIs of the resources the call produced. *)
 
 val call_of_resource : t -> string -> call option
-(** The labeling function λ. *)
+(** The labeling function λ, in constant time. *)
+
+val step_of_resource : t -> string -> int option
+(** The step a resource's label was recorded at, in constant time. *)
 
 val source_table : t -> string
 (** The rendered Source table (Res. | Call | Service | Time). *)

@@ -451,6 +451,54 @@ let prop_agreement_under_faults =
            (fun (f, t, _) -> owned_by_survivor f && owned_by_survivor t)
            (graph_links g_replay))
 
+(* λ has one home: whatever the backend, the graph's labels are the
+   trace's entries, one per resource of the final document. *)
+let prop_graph_labels_are_the_trace =
+  Test.make ~name:"graph labels = trace entries (all backends, faults)"
+    ~count:40
+    (pair arb_workflow (make Gen.(int_bound 1_000_000)))
+    (fun ((doc, services, rb), seed) ->
+      let plan = Faulty.plan ~faults:plan_faults ~rate:0.5 ~seed () in
+      let policy =
+        { Orchestrator.default_policy with retries = 1; on_failure = `Skip }
+      in
+      let on_st = Strategy_online.init ~doc rb in
+      let fus_st = Strategy_fused.init ~doc rb in
+      let trace =
+        Orchestrator.execute ~policy
+          ~on_step:(fun call before after delta ->
+            Strategy_online.observe on_st ~call ~before ~after ~delta;
+            Strategy_fused.observe fus_st ~call ~before ~after ~delta)
+          doc (Faulty.wrap_all plan services)
+      in
+      let exec = { Engine.doc; trace } in
+      let graphs =
+        [ Strategy_online.finalize on_st ~doc ~trace;
+          Strategy_fused.finalize fus_st ~doc ~trace;
+          Engine.provenance ~strategy:`Replay exec rb;
+          Engine.provenance ~strategy:`Rewrite exec rb ]
+      in
+      let entries = Trace.entries trace in
+      let uris = List.map (fun e -> e.Trace.uri) entries in
+      let resources =
+        List.filter_map (Tree.uri doc) (Tree.resources doc)
+      in
+      let expected =
+        List.map (fun e -> (e.Trace.uri, e.Trace.call)) entries
+        |> List.sort (fun (u, (a : Trace.call)) (v, (b : Trace.call)) ->
+               compare (a.Trace.time, u) (b.Trace.time, v))
+      in
+      List.length (List.sort_uniq String.compare uris) = List.length uris
+      && List.sort String.compare uris = List.sort String.compare resources
+      && List.for_all
+           (fun g ->
+             Prov_graph.label_count g = Trace.entry_count trace
+             && Prov_graph.labeled_resources g = expected
+             && List.for_all
+                  (fun e -> Prov_graph.label g e.Trace.uri = Some e.Trace.call)
+                  entries)
+           graphs)
+
 let prop_skip_always_completes =
   Test.make ~name:"Skip policy always completes; arena stays sound" ~count:60
     (pair arb_workflow (make Gen.(int_bound 1_000_000)))
@@ -674,5 +722,6 @@ let () =
             test_prov_export_failed_activities ] );
       ( "properties",
         to_alcotest
-          [ prop_agreement_under_faults; prop_skip_always_completes;
+          [ prop_agreement_under_faults; prop_graph_labels_are_the_trace;
+            prop_skip_always_completes;
             prop_checkpoint_restore_exact; prop_uri_table_is_a_scan ] ) ]

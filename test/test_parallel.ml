@@ -99,6 +99,13 @@ let test_pool_clamp () =
   Pool.with_pool ~jobs:5 (fun pool ->
       check_int "jobs preserved" 5 (Pool.jobs pool))
 
+(* Without [~jobs] every pool, and so every backend, is as wide as
+   [JOBS] says: sequential when it is unset. *)
+let test_pool_default () =
+  Pool.with_pool (fun pool ->
+      check_int "default width = configured_jobs" (Pool.configured_jobs ())
+        (Pool.jobs pool))
+
 (* ---------- concurrent fresh-URI allocation ---------- *)
 
 let test_fresh_uri_concurrent () =
@@ -194,7 +201,8 @@ let () =
           Alcotest.test_case "empty and tiny batches" `Quick test_pool_empty_and_tiny;
           Alcotest.test_case "batch reuse" `Quick test_pool_reuse;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-          Alcotest.test_case "jobs clamping" `Quick test_pool_clamp ] );
+          Alcotest.test_case "jobs clamping" `Quick test_pool_clamp;
+          Alcotest.test_case "default width" `Quick test_pool_default ] );
       ( "uri-alloc",
         [ Alcotest.test_case "concurrent fresh URIs distinct" `Quick
             test_fresh_uri_concurrent ] );

@@ -114,7 +114,16 @@ let test_json_errors () =
   check_bool "parse raises Parse_error" true
     (match J.parse "{" with
     | exception J.Parse_error _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* Arrays and objects nest at most 512 deep. *)
+  let nested d = String.make d '[' ^ String.make d ']' in
+  check_bool "512 deep parses" true (Result.is_ok (J.parse_opt (nested 512)));
+  check_bool "513 deep fails" true (Result.is_error (J.parse_opt (nested 513)));
+  check_bool "deep object fails" true
+    (Result.is_error
+       (J.parse_opt
+          (String.concat "" (List.init 513 (fun _ -> "{\"a\":"))
+          ^ "1" ^ String.make 513 '}')))
 
 (* print/parse identity over trees without floats (integral floats
    normalize to Int, so the generator sticks to the other constructors) *)
@@ -236,6 +245,25 @@ let get_str what field resp =
 
 let message resp =
   match J.str_member "message" resp with Some m -> m | None -> ""
+
+(* A request line nesting a million arrays is refused at the 513th
+   bracket, long before its end, and the context keeps serving. *)
+let test_deep_nesting_line () =
+  let ctx = Protocol.make_ctx ~max_sessions:4 () in
+  let line s =
+    match J.parse_opt (Protocol.handle_line ctx s) with
+    | Ok v -> v
+    | Error m -> Alcotest.failf "unparsable response: %s" m
+  in
+  let d = 1_000_000 in
+  let deep =
+    "{\"verb\":\"stats\",\"x\":" ^ String.make d '[' ^ String.make d ']' ^ "}"
+  in
+  let t0 = Unix.gettimeofday () in
+  ignore (expect_err "a 1M-deep line" "parse_error" (line deep));
+  let dt = Unix.gettimeofday () -. t0 in
+  check_bool (Printf.sprintf "refused in %.3f s, under 1 s" dt) true (dt < 1.);
+  ignore (expect_ok "stats afterwards" (line "{\"verb\":\"stats\"}"))
 
 (* ===== protocol: lifecycle transcript ===== *)
 
@@ -1517,6 +1545,8 @@ let () =
        [ Alcotest.test_case "lifecycle transcript" `Quick
            test_protocol_lifecycle;
          Alcotest.test_case "error paths" `Quick test_protocol_errors;
+         Alcotest.test_case "deep nesting is a parse error" `Quick
+           test_deep_nesting_line;
          Alcotest.test_case "legacy backend and jobs fields open fused"
            `Quick test_legacy_open_fields;
          Alcotest.test_case "Session.create serves fused only" `Quick

@@ -340,6 +340,19 @@ let test_dedup_links () =
   Prov_graph.add_link g ~from_uri:"a" ~to_uri:"a";
   check_int "self dropped" 2 (Prov_graph.size g)
 
+(* λ has one home, the trace: the graph holds only E, and links are
+   deduplicated through the successor adjacency.  On the 64-unit extended
+   pipeline the trace and graph together reached 46,031 words when the
+   graph kept its own label table and a string key per link; the bound
+   sits 20% below that. *)
+let test_trace_and_graph_words () =
+  let doc, services, rb = pipeline ~seed:3 ~units:64 () in
+  let exec, g = Engine.run_with_strategy ~jobs:1 `Fused doc services rb in
+  let words = Obj.reachable_words (Obj.repr (exec.Engine.trace, g)) in
+  check_bool
+    (Printf.sprintf "trace + graph %d words, at most 36,800" words)
+    true (words <= 36_800)
+
 let () =
   Alcotest.run "strategies"
     [ ( "agreement",
@@ -367,4 +380,6 @@ let () =
       ( "graph",
         [ Alcotest.test_case "acyclicity" `Quick test_acyclicity_detection;
           Alcotest.test_case "temporal soundness" `Quick test_temporal_soundness_detection;
-          Alcotest.test_case "dedup" `Quick test_dedup_links ] ) ]
+          Alcotest.test_case "dedup" `Quick test_dedup_links;
+          Alcotest.test_case "trace and graph words" `Quick
+            test_trace_and_graph_words ] ) ]
