@@ -281,7 +281,15 @@ let parse_number cur =
     done;
     if cur.pos = d0 then fail cur "expected digit"
   in
-  digits ();
+  (* RFC 8259 §6: an integer part is 0 or starts with a nonzero digit. *)
+  if cur.pos < n && cur.s.[cur.pos] = '0' then begin
+    advance cur;
+    if
+      cur.pos < n
+      && match cur.s.[cur.pos] with '0' .. '9' -> true | _ -> false
+    then fail cur "leading zero in number"
+  end
+  else digits ();
   let is_float = ref false in
   if cur.pos < n && cur.s.[cur.pos] = '.' then begin
     is_float := true;

@@ -83,16 +83,20 @@ let check_committed doc ck n =
    in place can fail the check or be promoted. *)
 let run_inproc doc ck f =
   f doc;
-  List.filter (check_committed doc ck) (Tree.changed_since doc ck)
+  (List.filter (check_committed doc ck) (Tree.changed_since doc ck), None)
 
 (* Both blackbox modes graft the next state's XML text straight from its
    parser events (the paper's XML-diff service, in one pass); parse and
    containment failures become append violations, and nothing is written
    to the arena unless the whole state is accepted.  [Blackbox_doc] is
    handed no serialized input: its thunk yields the state, typically a
-   request body. *)
-let run_blackbox doc xml =
-  try Diff.graft ~doc xml with
+   request body.  [from] is the session's last accepted state, which the
+   graft resumes after. *)
+let run_blackbox ?from doc xml =
+  try
+    let promoted, accepted = Diff.graft ?from ~doc xml in
+    (promoted, Some accepted)
+  with
   | Xml_parser.Error _ as e ->
     raise
       (Append_violation
@@ -140,16 +144,23 @@ let failure_reason = function
    caller instead of consulting [policy.on_failure] itself — the daemon
    fails the call, not the session. *)
 
+(* [s_accepted] is the state the last step's blackbox call committed,
+   which the next blackbox graft resumes after.  Every step clears it
+   first, and only a committed [Blackbox] or [Blackbox_doc] attempt sets
+   it again, so an in-process call, a failed step or a rollback leaves
+   none; the attempts of one step all resume from the state before it. *)
 type session = {
   s_doc : Tree.t;
   s_trace : Trace.t;
   s_policy : policy;
   mutable s_next_time : int;
+  mutable s_accepted : Diff.resume option;
 }
 
 let session_doc s = s.s_doc
 let session_trace s = s.s_trace
 let next_time s = s.s_next_time
+let forget_accepted s = s.s_accepted <- None
 
 (* Label the given resources (in document order), each new to labeling:
    [start] hands over the initial resources, [step] only the ones its
@@ -202,7 +213,7 @@ let start ?(policy = default_policy) doc =
     invalid_arg "Orchestrator.start: the document needs a root";
   let s =
     { s_doc = doc; s_trace = Trace.create (); s_policy = policy;
-      s_next_time = 1 }
+      s_next_time = 1; s_accepted = None }
   in
   (* The root is always a resource (Definition 1). *)
   if Tree.uri doc (Tree.root doc) = None then
@@ -226,6 +237,8 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
   Log.debug (fun m -> m "call %d: %s" time name);
   let call = { Trace.service = name; time } in
   let before = Doc_state.at doc (time - 1) in
+  let from = s.s_accepted in
+  s.s_accepted <- None;
   (* One supervised attempt: run the service, verify budgets, assign
      identities, and check this call's URIs against everything already
      committed.  Raises on any violation; nothing here mutates the
@@ -233,11 +246,12 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
      undo. *)
   let attempt_once ck =
         let t0 = Sys.time () and old_size = Tree.size doc in
-        let promoted =
+        let promoted, accepted =
           match service.Service.impl with
           | Service.Inproc f -> run_inproc doc ck f
-          | Service.Blackbox f -> run_blackbox doc (f (Printer.to_string doc))
-          | Service.Blackbox_doc f -> run_blackbox doc (f ())
+          | Service.Blackbox f ->
+            run_blackbox ?from doc (f (Printer.to_string doc))
+          | Service.Blackbox_doc f -> run_blackbox ?from doc (f ())
         in
         let new_nodes =
           List.init (Tree.size doc - old_size) (fun i -> old_size + i)
@@ -271,7 +285,7 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
            i.e. new to the document and not repeated within the call. *)
         List.iter (check_owns_uri doc) new_nodes;
         List.iter (check_owns_uri doc) promoted;
-        (new_nodes, promoted)
+        (new_nodes, promoted, accepted)
       in
   let rec supervise attempt =
     let bo = backoff_for policy attempt in
@@ -279,10 +293,11 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
     T.add c_backoff_ms (int_of_float bo);
     let ck = Tree.checkpoint doc in
     match attempt_once ck with
-    | (new_nodes, promoted) ->
+    | (new_nodes, promoted, accepted) ->
       (* Committed: close the checkpoint before labeling, whose writes
          then go unlogged. *)
       Tree.commit doc ck;
+      s.s_accepted <- accepted;
       Trace.record_attempt trace
         { Trace.a_service = name; a_time = time; a_attempt = attempt;
           a_ok = true; a_reason = ""; a_backoff_ms = bo };

@@ -134,6 +134,34 @@ let contains ~old_doc ~new_doc =
    fragments appended in document order, node for node as a copy of
    their parsed subtrees would be. *)
 
+(* ----- Resuming after the prefix a state shares with the last one -----
+
+   While nothing has been added or promoted yet, every end tag of a
+   child of the root leaves the graft in one state: the root frame
+   alone, its cursor on the matched child's next sibling, no kept event.
+   Each such end tag is a mark (the parser's position just past its
+   '>', and the arena node matched).  The next state that repeats the
+   accepted one's bytes up to a mark repeats its events up to there, and
+   the arena nodes they matched are unchanged: a commit appends
+   fragments as last children and writes only to nodes it appended or
+   promoted, all past the first mark-breaking event.  So the next graft
+   starts the parser just past the last mark inside the shared prefix,
+   with the root frame set as it stood there.  A root without a URI
+   leaves no marks: promoting it would write before every mark. *)
+
+type mark = { at : Xml_parser.position; node : Tree.node }
+
+type resume = {
+  state : string;  (* the accepted state *)
+  marks : mark array;  (* in document order *)
+}
+
+let no_mark =
+  { at = { Xml_parser.offset = 0; line = 0; col = 0 }; node = Tree.no_node }
+
+let c_bytes = Weblab_obs.Telemetry.counter "diff.graft.bytes"
+let c_parsed = Weblab_obs.Telemetry.counter "diff.graft.parsed"
+
 type frame = {
   old : Tree.node;
   mutable cur : Tree.node;  (* the next old child still to embed *)
@@ -157,6 +185,8 @@ type graft = {
   mutable add_parent : Tree.node;
   mutable add_start : int;
   mutable failed : bool;  (* the root cannot embed *)
+  mutable parser : Xml_parser.state option;
+  marks : mark Vec.t;
 }
 
 let keep g e =
@@ -200,6 +230,11 @@ let drop_matched g f =
       f.frags_at
       (inside (g.n_frags - f.n_frags_at) g.frags []);
   g.ev_n <- !pos
+
+let add_mark g node =
+  match g.parser with
+  | Some st -> Vec.push g.marks { at = Xml_parser.position st; node }
+  | None -> ()
 
 let start_adding g parent e =
   g.add_parent <- parent;
@@ -271,7 +306,10 @@ let on_event g e =
         | [] -> ()
         | p :: up ->
           p.cur <- Tree.next_sibling g.doc f.old;
-          if up = [] then drop_matched g f
+          if up = [] then begin
+            drop_matched g f;
+            if g.n_frags = 0 && g.promos = [] then add_mark g f.old
+          end
       end
       else begin
         match rest with
@@ -299,16 +337,71 @@ let append g parent s e =
     | _, [] -> ()
   done
 
-let graft ~doc xml =
+let common_prefix a b =
+  let n = min (String.length a) (String.length b) in
+  let i = ref 0 in
+  while
+    !i + 8 <= n
+    && Int64.equal (String.get_int64_ne a !i) (String.get_int64_ne b !i)
+  do
+    i := !i + 8
+  done;
+  while !i < n && a.[!i] = b.[!i] do
+    incr i
+  done;
+  !i
+
+(* The number of marks wholly inside the first [len] bytes. *)
+let marks_within marks len =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if marks.(mid).at.offset <= len then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length marks)
+
+let graft ?from ~doc xml =
   let g =
     { doc; ev = Array.make 64 (Xml_parser.End_element ""); ev_n = 0;
       frags = []; n_frags = 0; promos = []; stack = []; adding = 0;
-      add_parent = Tree.no_node; add_start = 0; failed = false }
+      add_parent = Tree.no_node; add_start = 0; failed = false; parser = None;
+      marks = Vec.create ~dummy:no_mark }
   in
-  let st = Xml_parser.create ~on_event:(on_event g) () in
-  Xml_parser.feed_string st xml;
+  let k =
+    match from with
+    | Some (r : resume) -> marks_within r.marks (common_prefix r.state xml)
+    | None -> 0
+  in
+  let st, skip =
+    match from with
+    | Some (r : resume) when k > 0 ->
+      let m = r.marks.(k - 1) and root = Tree.root doc in
+      (* The root has a URI, so its start tag's attributes are never
+         read again. *)
+      g.stack <-
+        [ { old = root; cur = Tree.next_sibling doc m.node; new_attrs = [];
+            start = 0; frags_at = []; n_frags_at = 0; promos_at = [] } ];
+      for i = 0 to k - 1 do
+        Vec.push g.marks r.marks.(i)
+      done;
+      ( Xml_parser.resume ~on_event:(on_event g) ~at:m.at
+          ~open_elements:[ Tree.name doc root ] (),
+        m.at.offset )
+    | _ -> (Xml_parser.create ~on_event:(on_event g) (), 0)
+  in
+  g.parser <- Some st;
+  let named_root = Tree.has_root doc && Tree.uri doc (Tree.root doc) <> None in
+  let len = String.length xml in
+  Weblab_obs.Telemetry.add c_bytes len;
+  Weblab_obs.Telemetry.add c_parsed (len - skip);
+  Xml_parser.feed st (Bytes.unsafe_of_string xml) skip (len - skip);
   Xml_parser.finish st;
   if g.failed then not_contained ();
   List.iter (fun (n, u) -> Tree.set_uri doc n u) g.promos;
   List.iter (fun (p, s, e) -> append g p s e) (List.rev g.frags);
-  List.map fst g.promos
+  let marks =
+    if named_root then Array.init (Vec.length g.marks) (Vec.get g.marks)
+    else [||]
+  in
+  (List.map fst g.promos, { state = xml; marks })

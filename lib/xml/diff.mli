@@ -34,16 +34,34 @@ val added : old_doc:Tree.t -> new_doc:Tree.t -> edit list
 val contains : old_doc:Tree.t -> new_doc:Tree.t -> bool
 (** Non-raising containment check. *)
 
-val graft : doc:Tree.t -> string -> Tree.node list
+type resume
+(** What a graft leaves for the next one: the accepted state's text and
+    one mark per end tag of a child of the root, taken while nothing had
+    been added or promoted yet, each holding the parser's position just
+    past the tag's ['>'] and the arena node matched.  A document whose
+    root has no URI gets no marks.  Holds the state string alive. *)
+
+val graft :
+  ?from:resume -> doc:Tree.t -> string -> Tree.node list * resume
 (** [graft ~doc xml] appends to [doc] what the next state [xml] added,
     straight from the parser's events: [diff]'s embedding, decided event
     by event against the live arena, with no second arena and no copy.
     URI promotions of matched nodes are adopted first, in [diff]'s pair
     order, then the added fragments are appended in document order,
     node for node as {!Xml_parser.parse} and a deep copy would build
-    them.  Returns the promoted nodes; the appended ones are the arena's
-    new tail.  Nothing is written unless the whole state parses and
-    contains [doc].
+    them.  Returns the promoted nodes, the appended ones being the
+    arena's new tail, and the record the next graft may resume from.
+    Nothing is written unless the whole state parses and contains [doc].
+
+    [~from] is the record of the last graft that committed on [doc]: the
+    parse starts just past the last mark inside the prefix [xml] shares
+    with that state, with the root's cursor on the next sibling of the
+    node matched there, and the result, errors and positions included,
+    is the full graft's.  This holds as long as [doc] changed since that
+    graft only by its appends and by writes to nodes it appended or
+    promoted; any other write, or a rollback past that graft, voids the
+    record.  Counters: [diff.graft.bytes] adds the state's length,
+    [diff.graft.parsed] the bytes fed to the parser.
     @raise Xml_parser.Error on malformed input (before any containment
     verdict).
     @raise Not_contained on an append-semantics violation. *)

@@ -81,9 +81,12 @@ type mode =
   | M_etag_name  (* after "</" *)
   | M_etag_end  (* after the closing-tag name: expecting '>' *)
 
+type position = { offset : int; line : int; col : int }
+
 type state = {
   on_event : event -> unit;
   preserve_whitespace : bool;
+  mutable offset : int;  (* bytes consumed since the start of the input *)
   mutable line : int;
   mutable col : int;  (* position of the next unconsumed character *)
   mutable mode : mode;
@@ -105,12 +108,32 @@ type state = {
 }
 
 let create ?(preserve_whitespace = false) ~on_event () =
-  { on_event; preserve_whitespace; line = 1; col = 1; mode = M_misc;
+  { on_event; preserve_whitespace; offset = 0; line = 1; col = 1; mode = M_misc;
     name_buf = Buffer.create 16; text_buf = Buffer.create 64;
     val_buf = Buffer.create 16; ent_buf = Buffer.create 8; attrs_rev = [];
     tag_name = ""; attr_name = ""; quote = '"'; stack = []; depth = 0;
     ent_in_attr = false; seen_root = false; lt_line = 1; lt_col = 1;
     finished = false }
+
+let position st : position =
+  { offset = st.offset; line = st.line; col = st.col }
+
+(* Just past a tag's '>' inside an element, the machine holds nothing
+   but its position and open elements: content mode, no pending
+   character data, the root seen.  Every other field is written before
+   it is next read. *)
+let resume ~on_event ~(at : position) ~open_elements () =
+  if open_elements = [] then
+    invalid_arg "Xml_parser.resume: no open element";
+  let st = create ~on_event () in
+  st.offset <- at.offset;
+  st.line <- at.line;
+  st.col <- at.col;
+  st.mode <- M_content;
+  st.stack <- open_elements;
+  st.depth <- List.length open_elements;
+  st.seen_root <- true;
+  st
 
 let fail st message = raise (Error { line = st.line; col = st.col; message })
 
@@ -118,6 +141,7 @@ let fail_at line col message = raise (Error { line; col; message })
 
 (* Consume [c]: the position now points past it. *)
 let adv st c =
+  st.offset <- st.offset + 1;
   if c = '\n' then begin
     st.line <- st.line + 1;
     st.col <- 1
@@ -179,6 +203,27 @@ let is_valid_xml_char c =
   || (c >= 0xE000 && c <= 0xFFFD)
   || (c >= 0x10000 && c <= 0x10FFFF)
 
+(* The code point of a numeric reference's digits, [ent] from [i] on in
+   [base] 10 or 16: XML 1.0 §4.1 allows [0-9]+ and [0-9a-fA-F]+ only (no
+   sign, underscore or radix prefix).  Values past the Unicode range
+   saturate, so a long run of digits is an invalid character, not an
+   overflow. *)
+let char_code ent i base =
+  let n = String.length ent in
+  let rec go k acc =
+    if k = n then Some acc
+    else
+      let d =
+        match ent.[k] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | ('a' .. 'f' | 'A' .. 'F') as c when base = 16 ->
+          (Char.code (Char.lowercase_ascii c) - Char.code 'a') + 10
+        | _ -> base
+      in
+      if d = base then None else go (k + 1) (min 0x110000 ((acc * base) + d))
+  in
+  go i 0
+
 (* Decode one entity reference ('&' and ';' both consumed). *)
 let decode_entity st ent =
   match ent with
@@ -189,10 +234,9 @@ let decode_entity st ent =
   | "apos" -> "'"
   | ent ->
     let code =
-      if String.length ent > 2 && ent.[0] = '#' && (ent.[1] = 'x' || ent.[1] = 'X')
-      then int_of_string_opt ("0x" ^ String.sub ent 2 (String.length ent - 2))
-      else if String.length ent > 1 && ent.[0] = '#' then
-        int_of_string_opt (String.sub ent 1 (String.length ent - 1))
+      if String.length ent > 2 && ent.[0] = '#' && ent.[1] = 'x' then
+        char_code ent 2 16
+      else if String.length ent > 1 && ent.[0] = '#' then char_code ent 1 10
       else None
     in
     (match code with
@@ -577,6 +621,7 @@ let scan_run st buf i limit a b into =
     st.col <- !j - !line_start + 1
   end
   else st.col <- st.col + (!j - i);
+  st.offset <- st.offset + (!j - i);
   Buffer.add_subbytes into buf i (!j - i);
   !j
 
@@ -588,6 +633,7 @@ let name_run st buf i limit =
     incr j
   done;
   st.col <- st.col + (!j - i);
+  st.offset <- st.offset + (!j - i);
   Buffer.add_subbytes st.name_buf buf i (!j - i);
   !j
 

@@ -41,6 +41,33 @@ val create : ?preserve_whitespace:bool -> on_event:(event -> unit) -> unit -> st
     {!finish} as events complete.  Whitespace-only text is dropped unless
     [preserve_whitespace] is [true] (default [false]). *)
 
+type position = {
+  offset : int;  (** bytes consumed since the start of the input *)
+  line : int;
+  col : int;  (** line and column of the next byte *)
+}
+
+val position : state -> position
+(** Where the parser stands: just past the last byte it consumed.
+    During an [End_element] callback that is just past the end tag's
+    ['>'] (or the self-closing tag's). *)
+
+val resume :
+  on_event:(event -> unit) ->
+  at:position ->
+  open_elements:string list ->
+  unit ->
+  state
+(** A parser standing inside element content at [at], with
+    [open_elements] (innermost first) open, dropping whitespace-only
+    text as {!create} does by default.  When [at] is a position a
+    parser of the same document reached just past a tag's ['>'] with
+    those elements open, feeding this one the input from [at.offset] on
+    emits exactly the events, and raises exactly the errors, that
+    parser emits from there on: just past a tag the machine holds
+    nothing else.
+    @raise Invalid_argument when [open_elements] is empty. *)
+
 val feed : state -> bytes -> int -> int -> unit
 (** [feed st buf pos len] consumes the slice [buf[pos .. pos+len)].  The
     bytes are copied out before return where needed (pending character

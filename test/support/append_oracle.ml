@@ -54,6 +54,26 @@ let check_fingerprint doc n fp =
         fail (Printf.sprintf "attribute %s added to committed node" k))
     (Tree.attrs doc n)
 
+(* Every bit of mutable arena state: structure, attributes and both
+   timestamp columns.  Printer output would miss created/uri_time, and
+   "bit-identical" means exactly this. *)
+let arena_fingerprint doc =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "size=%d root=%d\n" (Tree.size doc)
+    (if Tree.has_root doc then Tree.root doc else Tree.no_node);
+  for n = 0 to Tree.size doc - 1 do
+    Printf.bprintf b "%d %s parent=%d attrs=%s created=%d uri_time=%d kids=%s\n"
+      n
+      (if Tree.is_element doc n then "e:" ^ Tree.name doc n
+       else "t:" ^ Tree.text doc n)
+      (Tree.parent doc n)
+      (String.concat ","
+         (List.map (fun (k, v) -> k ^ "=" ^ v) (Tree.attrs doc n)))
+      (Tree.created doc n) (Tree.uri_time doc n)
+      (String.concat "," (List.map string_of_int (Tree.children doc n)))
+  done;
+  Buffer.contents b
+
 (* Run [f] on [doc] and check it: [Ok (new nodes, promoted nodes)], or
    [Error reason] with the reason text the orchestrator reports for the
    raised exception.  The document is left as [f] left it. *)

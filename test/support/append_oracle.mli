@@ -3,6 +3,11 @@
 
 open Weblab_xml
 
+val arena_fingerprint : Tree.t -> string
+(** Every node's kind, name or text, parent, attributes, children and
+    both timestamps, with the arena's size and root: two arenas are
+    bit-identical when their fingerprints are equal. *)
+
 val run :
   Tree.t ->
   (Tree.t -> unit) ->

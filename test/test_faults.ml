@@ -28,28 +28,7 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-(* Every bit of mutable arena state: structure, attributes and both
-   timestamp columns.  Printer output would miss created/uri_time, and
-   "bit-identical rollback" means exactly this. *)
-let fingerprint doc =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "size=%d root=%d\n" (Tree.size doc)
-       (if Tree.has_root doc then Tree.root doc else Tree.no_node));
-  for n = 0 to Tree.size doc - 1 do
-    let kind =
-      if Tree.is_element doc n then "e:" ^ Tree.name doc n
-      else "t:" ^ Tree.text doc n
-    in
-    Buffer.add_string b
-      (Printf.sprintf "%d %s parent=%d attrs=%s created=%d uri_time=%d kids=%s\n"
-         n kind (Tree.parent doc n)
-         (String.concat ","
-            (List.map (fun (k, v) -> k ^ "=" ^ v) (Tree.attrs doc n)))
-         (Tree.created doc n) (Tree.uri_time doc n)
-         (String.concat "," (List.map string_of_int (Tree.children doc n))))
-  done;
-  Buffer.contents b
+let fingerprint = Weblab_test_support.Append_oracle.arena_fingerprint
 
 let graph_links g =
   Prov_graph.links g

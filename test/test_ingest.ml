@@ -152,6 +152,15 @@ let test_doctype_subset () =
     (outcome_whole (List.nth doctypes 3)
      = Error (1, 29, "unterminated DOCTYPE"))
 
+(* XML 1.0 §4.1 allows &#[0-9]+; and &#x[0-9a-fA-F]+; only: OCaml's
+   literal syntax (underscores, a sign, radix prefixes) and an uppercase
+   X are malformed references, reported just past their ';'. *)
+let malformed_charrefs =
+  [ ("<r>&#x4_1;</r>", "#x4_1"); ("<r>&#6_5;</r>", "#6_5");
+    ("<r>&#+65;</r>", "#+65"); ("<r>&#0x41;</r>", "#0x41");
+    ("<r>&#0b1000001;</r>", "#0b1000001"); ("<r>&#0o101;</r>", "#0o101");
+    ("<r>&#X41;</r>", "#X41"); ("<r a='&#-1;'/>", "#-1") ]
+
 let test_error_positions_chunk_invariant () =
   (* Malformed inputs: whatever the error is, it must not move when the
      input arrives in pieces. *)
@@ -160,7 +169,7 @@ let test_error_positions_chunk_invariant () =
       "<r>&#0;</r>"; "<r>&#xD800;</r>"; "<r/>x"; "junk"; "";
       "<r a=1/>"; "<r>&#x110000;</r>"; "<r><![CDATA[never closed";
       "<a id=\"x\" id=\"y\"/>"; "<r k='1'\n  j=\"2\" k='3'>t</r>" ]
-    @ szxx_hostile @ doctypes
+    @ List.map fst malformed_charrefs @ szxx_hostile @ doctypes
   in
   (* XML 1.0's Unique Att Spec, reported at the repeated name *)
   check_outcome "duplicate attribute"
@@ -203,7 +212,21 @@ let test_charref_validation () =
   rejected "<r>&#xD800;</r>" "#xD800";
   rejected "<r>&#xDFFF;</r>" "#xDFFF";
   rejected "<r>&#x110000;</r>" "#x110000";
-  rejected "<r a=\"&#xFFFE;\"/>" "#xFFFE"
+  rejected "<r a=\"&#xFFFE;\"/>" "#xFFFE";
+  List.iter
+    (fun (s, ref_text) ->
+      check_outcome s
+        (Error
+           ( 1, String.index s ';' + 2,
+             Printf.sprintf "unknown entity &%s;" ref_text ))
+        (outcome_whole s))
+    malformed_charrefs;
+  check_outcome "a long decimal run is an invalid character"
+    (Error
+       ( 1, 30,
+         "invalid character reference &#99999999999999999999999;: not an XML \
+          character" ))
+    (outcome_whole "<r>&#99999999999999999999999;</r>")
 
 let test_deep_chain () =
   let n = 200_000 in

@@ -32,27 +32,7 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-(* Every bit of mutable arena state — same notion of "bit-identical" as
-   test_faults. *)
-let fingerprint doc =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "size=%d root=%d\n" (Tree.size doc)
-       (if Tree.has_root doc then Tree.root doc else Tree.no_node));
-  for n = 0 to Tree.size doc - 1 do
-    let kind =
-      if Tree.is_element doc n then "e:" ^ Tree.name doc n
-      else "t:" ^ Tree.text doc n
-    in
-    Buffer.add_string b
-      (Printf.sprintf "%d %s parent=%d attrs=%s created=%d uri_time=%d kids=%s\n"
-         n kind (Tree.parent doc n)
-         (String.concat ","
-            (List.map (fun (k, v) -> k ^ "=" ^ v) (Tree.attrs doc n)))
-         (Tree.created doc n) (Tree.uri_time doc n)
-         (String.concat "," (List.map string_of_int (Tree.children doc n))))
-  done;
-  Buffer.contents b
+let fingerprint = Weblab_test_support.Append_oracle.arena_fingerprint
 
 let full_rulebook =
   List.map
@@ -115,6 +95,21 @@ let test_json_errors () =
     (match J.parse "{" with
     | exception J.Parse_error _ -> true
     | _ -> false);
+  (* RFC 8259 §6: no leading zero, reported at the digit after it. *)
+  List.iter
+    (fun (s, offset) ->
+      check_string
+        (Printf.sprintf "leading zero in %S" s)
+        (Printf.sprintf "at offset %d: leading zero in number" offset)
+        (match J.parse s with
+        | exception J.Parse_error m -> m
+        | v -> "parsed: " ^ J.to_string v))
+    [ ("01", 1); ("-01", 2); ("00", 1); ("01.5", 1); ("[1,007]", 4);
+      ("{\"a\":-00e1}", 7) ];
+  List.iter
+    (fun (s, v) ->
+      check_string (Printf.sprintf "%S parses" s) v (J.to_string (J.parse s)))
+    [ ("0", "0"); ("-0", "0"); ("0.5", "0.5"); ("10", "10"); ("0e2", "0.0") ];
   (* Arrays and objects nest at most 512 deep. *)
   let nested d = String.make d '[' ^ String.make d ']' in
   check_bool "512 deep parses" true (Result.is_ok (J.parse_opt (nested 512)));
@@ -768,6 +763,78 @@ let hard_faults =
     Faulty.Duplicate_uri ]
 
 let graph_turtle g = Prov_export.to_turtle g
+
+(* ===== client XML commits parse what they add ===== *)
+
+(* Sixteen growing states of 48 units each, every earlier unit echoed
+   with the labels its commit reply gave it (s="ClientXml" and the
+   reply's time), as xml-ingest clients send them.  The graft resumes
+   after the units the last accepted state shares: the first two states
+   parse whole (the empty document has no child to resume after, and
+   every unit of the first state comes back labelled), and over the
+   session the parser reads at most a quarter of the bytes received. *)
+let test_client_xml_resumes () =
+  let module T = Weblab_obs.Telemetry in
+  let per = 48 and states = 16 in
+  let counter name =
+    match List.assoc_opt name (T.counters ()) with Some n -> n | None -> 0
+  in
+  let ctx = Protocol.make_ctx ~max_sessions:1 () in
+  ignore
+    (expect_ok "open"
+       (rpc ctx
+          [ ("verb", J.Str "open"); ("session", J.Str "g");
+            ("scenario", J.Str "empty") ]));
+  let times = Array.make (per * states) 0 in
+  let unit b u =
+    Printf.bprintf b "<MediaUnit id=\"g%d\"" u;
+    if times.(u) > 0 then
+      Printf.bprintf b " s=\"ClientXml\" t=\"%d\"" times.(u);
+    Printf.bprintf b
+      "><NativeContent>unit %d of a growing state, echoed with its \
+       labels</NativeContent></MediaUnit>"
+      u
+  in
+  T.set_level T.Counters;
+  Fun.protect
+    ~finally:(fun () -> T.set_level T.Off)
+    (fun () ->
+      let received = ref 0 and parsed = ref 0 in
+      for k = 1 to states do
+        let b = Buffer.create 65536 in
+        Buffer.add_string b "<Resource id=\"r1\" s=\"Source\" t=\"0\">";
+        for u = 0 to (k * per) - 1 do
+          unit b u
+        done;
+        Buffer.add_string b "</Resource>";
+        let xml = Buffer.contents b in
+        let b0 = counter "diff.graft.bytes"
+        and p0 = counter "diff.graft.parsed" in
+        let reply =
+          expect_ok
+            (Printf.sprintf "state %d" k)
+            (rpc ctx
+               [ ("verb", J.Str "commit"); ("session", J.Str "g");
+                 ("xml", J.Str xml) ])
+        in
+        let time = get_int "commit" "time" reply in
+        check_int (Printf.sprintf "state %d: new nodes" k) (3 * per)
+          (get_int "commit" "new_nodes" reply);
+        let b1 = counter "diff.graft.bytes" - b0
+        and p1 = counter "diff.graft.parsed" - p0 in
+        check_int (Printf.sprintf "state %d: bytes received" k)
+          (String.length xml) b1;
+        if k <= 2 then
+          check_int (Printf.sprintf "state %d parses whole" k) b1 p1;
+        received := !received + b1;
+        parsed := !parsed + p1;
+        for u = (k - 1) * per to (k * per) - 1 do
+          times.(u) <- time
+        done
+      done;
+      if 4 * !parsed > !received then
+        Alcotest.failf "parsed %d of %d bytes received (over 25%%)" !parsed
+          !received)
 
 (* ===== client XML states = offline blackbox run ===== *)
 
@@ -1559,7 +1626,9 @@ let () =
          Alcotest.test_case "budgets" `Quick test_budgets;
          Alcotest.test_case "fault containment" `Quick test_fault_containment;
          Alcotest.test_case "client XML states = offline blackbox run" `Quick
-           test_client_xml_matches_offline
+           test_client_xml_matches_offline;
+         Alcotest.test_case "client XML commits parse what they add" `Quick
+           test_client_xml_resumes
        ]);
       ("equivalence",
        [ Alcotest.test_case "served Turtle = offline Turtle (all backends)"

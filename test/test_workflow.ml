@@ -555,24 +555,7 @@ let prop_delta_labeling =
 
 module Oracle_graft = Weblab_test_support.Oracle_graft
 
-(* Every node's name, text, attributes, parent, children, created and
-   uri_time. *)
-let arena_fingerprint doc =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "size=%d root=%d\n" (Tree.size doc)
-    (if Tree.has_root doc then Tree.root doc else Tree.no_node);
-  for n = 0 to Tree.size doc - 1 do
-    Printf.bprintf b "%d %s parent=%d attrs=%s created=%d uri_time=%d kids=%s\n"
-      n
-      (if Tree.is_element doc n then "e:" ^ Tree.name doc n
-       else "t:" ^ Tree.text doc n)
-      (Tree.parent doc n)
-      (String.concat ","
-         (List.map (fun (k, v) -> k ^ "=" ^ v) (Tree.attrs doc n)))
-      (Tree.created doc n) (Tree.uri_time doc n)
-      (String.concat "," (List.map string_of_int (Tree.children doc n)))
-  done;
-  Buffer.contents b
+let arena_fingerprint = Weblab_test_support.Append_oracle.arena_fingerprint
 
 let graft_texts = [| "x"; "y"; "x y"; "a & b"; "<t>"; "\"q\"" |]
 
@@ -733,43 +716,52 @@ let graft_next_state st old ~breakage =
   else fragment Tree.no_node 2;
   next
 
+let escape_into b s =
+  String.iter
+    (function
+      | '&' -> Buffer.add_string b "&amp;"
+      | '<' -> Buffer.add_string b "&lt;"
+      | '>' -> Buffer.add_string b "&gt;"
+      | '"' -> Buffer.add_string b "&quot;"
+      | c -> Buffer.add_char b c)
+    s
+
 (* [Printer] sorts attributes; this keeps them in arena order, so a
-   repeated name's first binding is the one the state was built with. *)
-let state_xml doc =
+   repeated name's first binding is the one the state was built with.
+   [attrs] may change an element's attributes, [before] writes what goes
+   before a child (its parent and index given), and [at_end] what goes
+   after an element's last child. *)
+let state_xml ?(attrs = fun _ a -> a) ?(before = fun _ _ _ -> ())
+    ?(at_end = fun _ _ -> ()) ?from doc =
   let b = Buffer.create 1024 in
-  let esc s =
-    String.iter
-      (function
-        | '&' -> Buffer.add_string b "&amp;"
-        | '<' -> Buffer.add_string b "&lt;"
-        | '>' -> Buffer.add_string b "&gt;"
-        | '"' -> Buffer.add_string b "&quot;"
-        | c -> Buffer.add_char b c)
-      s
-  in
   let rec go n =
-    if Tree.is_text doc n then esc (Tree.text doc n)
+    if Tree.is_text doc n then escape_into b (Tree.text doc n)
     else begin
       Printf.bprintf b "<%s" (Tree.name doc n);
       List.iter
         (fun (k, v) ->
           Printf.bprintf b " %s=\"" k;
-          esc v;
+          escape_into b v;
           Buffer.add_char b '"')
-        (Tree.attrs doc n);
+        (attrs n (Tree.attrs doc n));
       Buffer.add_char b '>';
-      Tree.iter_children doc n go;
+      let i = ref 0 in
+      Tree.iter_children doc n (fun c ->
+          before b n !i;
+          incr i;
+          go c);
+      at_end b n;
       Printf.bprintf b "</%s>" (Tree.name doc n)
     end
   in
-  go (Tree.root doc);
+  go (Option.value from ~default:(Tree.root doc));
   Buffer.contents b
 
 (* The served path's outcome, in the oracle's terms. *)
 let event_graft doc xml =
   let old_size = Tree.size doc in
   match Diff.graft ~doc xml with
-  | promoted ->
+  | promoted, _ ->
     Ok (List.init (Tree.size doc - old_size) (fun i -> old_size + i), promoted)
   | exception (Xml_parser.Error _ as e) ->
     Error ("service returned unparsable XML: " ^ Xml_parser.error_to_string e)
@@ -828,6 +820,217 @@ let prop_event_graft_oracle =
             (show oracle) xml)
       && (String.equal (arena_fingerprint a) (arena_fingerprint b)
           || Test.fail_reportf "arenas differ on %s" xml))
+
+(* ===== resumed graft = full graft ===== *)
+
+(* A client's next state: the arena it holds, printed as it was told
+   about it (ids and s/t labels echoed) in a layout fixed per session —
+   whitespace before some children of the root — with a few edits.
+   Units appended at the root's end are the common case; now and then a
+   node is promoted, a unit or a non-blank text goes between children of
+   the root, or a fragment ends a matched element.  Then maybe a byte
+   is changed or inserted anywhere, the state is cut short, or junk
+   follows its root. *)
+let client_state st ~layout ~step doc =
+  let root = Tree.root doc in
+  let size = Tree.size doc in
+  let kids = List.length (Tree.children doc root) in
+  let maybe k bound =
+    if Random.State.int st k = 0 then Random.State.int st bound else -1
+  in
+  let promote = maybe 4 size and nested = maybe 5 size in
+  let insert_at = maybe 5 (kids + 1) and text_at = maybe 6 (kids + 1) in
+  let uid = ref 0 in
+  let unit b =
+    incr uid;
+    if Random.State.int st 4 > 0 then
+      Printf.bprintf b "<Unit id=\"u%d-%d\">" step !uid
+    else Buffer.add_string b "<Unit>";
+    Buffer.add_string b "<C>";
+    escape_into b graft_texts.(Random.State.int st (Array.length graft_texts));
+    Buffer.add_string b "</C></Unit>"
+  in
+  let gap b i = if (i * layout) mod 3 = 0 then Buffer.add_string b "\n  " in
+  let between b i =
+    gap b i;
+    if i = insert_at then unit b;
+    if i = text_at then Buffer.add_string b "note"
+  in
+  let xml =
+    state_xml doc
+      ~attrs:(fun n a ->
+        if n = promote && Tree.is_element doc n && Tree.uri doc n = None then
+          a @ [ ("id", Printf.sprintf "p%d-%d" step n) ]
+        else a)
+      ~before:(fun b p i -> if p = root then between b i)
+      ~at_end:(fun b n ->
+        if n = nested then Buffer.add_string b "<B k=\"1\">x</B>";
+        if n = root then begin
+          between b kids;
+          for i = 1 to Random.State.int st 4 do
+            gap b (kids + i);
+            unit b
+          done
+        end)
+  in
+  let n = String.length xml in
+  let at () = Random.State.int st n in
+  let char () = "x< >\"&/".[Random.State.int st 7] in
+  match Random.State.int st 20 with
+  | 0 ->
+    let i = at () in
+    String.mapi (fun j c -> if j = i then char () else c) xml
+  | 1 ->
+    let i = at () in
+    String.sub xml 0 i ^ String.make 1 (char ()) ^ String.sub xml i (n - i)
+  | 2 -> String.sub xml 0 (at ())
+  | 3 -> xml ^ "<"
+  | _ -> xml
+
+(* A client that sends its last state again, with what the last call
+   appended at the root echoed before the root's end tag: what it sent
+   stays a prefix, additions inside it included, although the arena
+   holds those additions at the root's end. *)
+let resend ~last doc =
+  let close = "</Resource>" in
+  match String.rindex_opt last '<' with
+  | Some i when String.sub last i (String.length last - i) = close ->
+    let root = Tree.root doc in
+    let t = Tree.created doc (Tree.last_child doc root) in
+    let tail =
+      List.filter (fun c -> Tree.created doc c = t) (Tree.children doc root)
+    in
+    String.sub last 0 i
+    ^ String.concat "" (List.map (fun c -> state_xml ~from:c doc) tail)
+    ^ close
+  | _ -> last
+
+(* One session's step [k]: each twin gets its own copy, so a flaky
+   client counts its own attempts. *)
+type twin_call =
+  | Client of string
+  | Flaky of string * string  (* first attempt, then the retries *)
+  | Splice  (* a [Blackbox] service: a unit before the root's end tag *)
+  | Append of int  (* in-process appends and promotions, from a seed *)
+  | Failing of int  (* in-process appends, then an exception *)
+
+let twin_service k = function
+  | Client xml ->
+    Service.blackbox_doc ~name:(Printf.sprintf "X%d" k) ~description:""
+      (fun () -> xml)
+  | Flaky (bad, good) ->
+    let calls = ref 0 in
+    Service.blackbox_doc ~name:(Printf.sprintf "Y%d" k) ~description:""
+      (fun () ->
+        incr calls;
+        if !calls = 1 then bad else good)
+  | Splice ->
+    Service.blackbox ~name:(Printf.sprintf "S%d" k) ~description:""
+      (fun xml ->
+        let close = "</Resource>" in
+        let a = String.length xml - String.length close in
+        String.sub xml 0 a ^ Printf.sprintf "<Unit id=\"s%d\">s</Unit>" k
+        ^ close)
+  | Append seed ->
+    add_service (Printf.sprintf "I%d" k) (fun doc ->
+        let st = Random.State.make [| seed |] in
+        (match
+           pick st doc (fun n -> Tree.is_element doc n && Tree.uri doc n = None)
+         with
+         | Some n when Random.State.bool st ->
+           Tree.set_uri doc n (Printf.sprintf "i%d-%d" k n)
+         | _ -> ());
+        append_some st doc)
+  | Failing seed ->
+    add_service (Printf.sprintf "F%d" k) (fun doc ->
+        append_some (Random.State.make [| seed |]) doc;
+        failwith "boom")
+
+let show_step = function
+  | Orchestrator.Committed { delta; attempts } ->
+    Printf.sprintf "committed after %d: new [%s], promoted [%s]" attempts
+      (String.concat ";" (List.map string_of_int delta.Orchestrator.new_nodes))
+      (String.concat ";" (List.map string_of_int delta.Orchestrator.promoted))
+  | Orchestrator.Step_failed { reason; attempts; _ } ->
+    Printf.sprintf "failed after %d: %s" attempts reason
+
+let trace_view s =
+  let t = Orchestrator.session_trace s in
+  ( Trace.entries t, Trace.attempts t, Trace.calls t,
+    List.init (Orchestrator.next_time s) (Trace.outcome_at t) )
+
+(* Twin sessions over one random document: [a] keeps the state its
+   last blackbox call committed, [b] forgets it before every step and
+   so parses every state whole. *)
+let resumed_graft_case seed =
+  let st = Random.State.make [| seed |] in
+  let doc_seed = Random.State.bits st in
+  let make_doc () =
+    let st = Random.State.make [| doc_seed |] in
+    let doc = Orchestrator.initial_document () in
+    for _ = 1 to Random.State.int st 5 do
+      fragment doc (Tree.root doc) 2 st
+    done;
+    doc
+  in
+  let policy =
+    { Orchestrator.default_policy with
+      retries = Random.State.int st 2;
+      max_new_nodes =
+        (if Random.State.bool st then None
+         else Some (8 + Random.State.int st 16)) }
+  in
+  let a = Orchestrator.start ~policy (make_doc ())
+  and b = Orchestrator.start ~policy (make_doc ()) in
+  let layout = 1 + Random.State.int st 5 in
+  let steps = 4 + Random.State.int st 10 in
+  let last = ref "" in
+  let rec go k =
+    k > steps
+    ||
+    let doc = Orchestrator.session_doc a in
+    let sent xml =
+      last := xml;
+      xml
+    in
+    let call =
+      match Random.State.int st 12 with
+      | 0 -> Splice
+      | 1 -> Append (Random.State.bits st)
+      | 2 -> Failing (Random.State.bits st)
+      | 3 ->
+        let good = client_state st ~layout ~step:k doc in
+        Flaky (client_state st ~layout ~step:k doc, sent good)
+      | (4 | 5)
+        when !last <> ""
+             && Tree.last_child doc (Tree.root doc) <> Tree.no_node ->
+        Client (sent (resend ~last:!last doc))
+      | _ -> Client (sent (client_state st ~layout ~step:k doc))
+    in
+    let ra = Orchestrator.step a (twin_service k call) in
+    Orchestrator.forget_accepted b;
+    let rb = Orchestrator.step b (twin_service k call) in
+    let sa = show_step ra and sb = show_step rb in
+    (String.equal sa sb
+     || Test.fail_reportf "step %d: resumed %s\nfull %s" k sa sb)
+    && (trace_view a = trace_view b
+        || Test.fail_reportf "step %d (%s): traces differ" k sa)
+    && (String.equal
+          (arena_fingerprint (Orchestrator.session_doc a))
+          (arena_fingerprint (Orchestrator.session_doc b))
+        || Test.fail_reportf "step %d (%s): arenas differ" k sa)
+    && go (k + 1)
+  in
+  go 1
+
+let prop_resumed_graft =
+  Test.make
+    ~name:
+      "resumed graft = full graft (outcome, reason, promoted, trace, whole \
+       arena)"
+    ~count:300
+    (make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    resumed_graft_case
 
 (* The rejection texts of the duplicate-URI check, pinned: a call that
    repeats one URI fails with "duplicate URI <u>" and leaves no trace of
@@ -905,4 +1108,4 @@ let () =
       ( "delta",
         List.map QCheck_alcotest.to_alcotest
           [ prop_append_check_parity; prop_delta_labeling;
-            prop_event_graft_oracle ] ) ]
+            prop_event_graft_oracle; prop_resumed_graft ] ) ]
