@@ -393,7 +393,7 @@ let run_ingest_report path =
     best_of_runs runs (fun () ->
         let d = arenas.(!used) in
         incr used;
-        ignore (Diff.graft ~doc:d next);
+        ignore (Diff.graft ~doc:d (Xml_text.of_string next));
         d)
   in
   let oracle = fst (Ingest.of_string state_k) in

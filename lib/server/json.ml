@@ -4,11 +4,16 @@
    Everything is total: malformed input raises [Parse_error], never
    [Invalid_argument] or an assertion.
 
-   Strings are the bulk of a request (a commit's whole document travels
-   as one), so both directions handle them in runs: a run of plain bytes
-   (anything but '"', '\\' or a byte below 0x20) is found eight bytes a
-   step and copied whole.  A string without escapes decodes to a single
-   [String.sub]; only escapes go through the byte-level decoder. *)
+   The cursor is also the protocol's reader: [parse] is a fold over its
+   members and values, and the protocol walks a request's top-level
+   members with the same steps, so it can keep a commit's ["xml"] body
+   raw and read only its tail.  Strings are the bulk of a request (a
+   commit's whole document travels as one), so both directions handle
+   them in runs, eight bytes a step, with the scanners
+   [Xml_parser] keeps beside its own: one validator and one decoder of
+   string bodies serve the codec and the graft alike.  A string without
+   escapes decodes to a single [String.sub], any other to an exact-size
+   copy. *)
 
 type t =
   | Null
@@ -29,50 +34,13 @@ exception Parse_error of string
 
 module Sink = Weblab_rdf.Sink
 
-(* Bytes that print as themselves: everything but '"', '\\' and controls. *)
-let is_plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20
-
-(* A high bit in each byte of [x] that is zero, exact up to the first
-   such byte (borrows only disturb the bytes above it).  [Xml_parser]
-   has the same two lines: shared across modules, the call is not
-   inlined and boxes the word, which made [plain_run] no faster than the
-   byte loop. *)
-let zero_bytes x =
-  Int64.(logand (logand (sub x 0x0101010101010101L) (lognot x)) 0x8080808080808080L)
-
-(* End of the run of plain bytes of [s] starting at [i] and ending at
-   [n] at the latest: eight bytes a step while no byte of the word is
-   '"', '\\' or below 0x20, then byte by byte up to the run's end. *)
-let plain_run s i n =
-  let j = ref i in
-  let words = ref true in
-  while !words && !j + 8 <= n do
-    let w = String.get_int64_le s !j in
-    let stop =
-      Int64.(
-        logor
-          (logor
-             (zero_bytes (logxor w 0x2222222222222222L))
-             (zero_bytes (logxor w 0x5c5c5c5c5c5c5c5cL)))
-          (* the same borrow test against 0x20: a byte below it *)
-          (logand
-             (logand (sub w 0x2020202020202020L) (lognot w))
-             0x8080808080808080L))
-    in
-    if Int64.equal stop 0L then j := !j + 8 else words := false
-  done;
-  while !j < n && is_plain (String.unsafe_get s !j) do
-    incr j
-  done;
-  !j
-
 let hex = "0123456789abcdef"
 
 (* The escaped form of [s.[i0 .. n-1]], without quotes: each run of
    plain bytes is copied whole, then one escape. *)
 let escape_sub w s i0 n =
   let rec go i =
-    let j = plain_run s i n in
+    let j = Weblab_xml.Xml_parser.json_plain_run s i n in
     Sink.add_substring w s i (j - i);
     if j < n then begin
       (match String.unsafe_get s j with
@@ -138,10 +106,19 @@ let to_string v =
 
 (* ----- Parsing ----- *)
 
-type cursor = { s : string; mutable pos : int }
+type reader = {
+  s : string;
+  mutable pos : int;
+  mutable first : bool;  (* no member of the reader's object read yet *)
+  mutable skipped : int;  (* bytes jumped over by [string_end] *)
+}
 
-let fail cur msg =
-  raise (Parse_error (Printf.sprintf "at offset %d: %s" cur.pos msg))
+let reader s = { s; pos = 0; first = false; skipped = 0 }
+
+let fail_at pos msg =
+  raise (Parse_error (Printf.sprintf "at offset %d: %s" pos msg))
+
+let fail cur msg = fail_at cur.pos msg
 
 let peek cur = if cur.pos < String.length cur.s then Some cur.s.[cur.pos] else None
 
@@ -170,104 +147,27 @@ let expect_lit cur lit v =
   end
   else fail cur (Printf.sprintf "expected %s" lit)
 
-let hex_digit cur c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> fail cur "invalid hex digit in \\u escape"
+module X = Weblab_xml.Xml_parser
 
-(* Decode a \uXXXX code point (with surrogate pairs) to UTF-8 bytes. *)
-let add_utf8 buf cp =
-  if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-  else if cp < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else if cp < 0x10000 then begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
+(* Validate the string body from [i] to its closing quote: the quote's
+   offset and the body's decoded length. *)
+let scan cur i =
+  try X.json_scan cur.s i (String.length cur.s)
+  with X.Json_error (at, msg) -> fail_at at msg
 
-let parse_u16 cur =
-  if cur.pos + 4 > String.length cur.s then fail cur "truncated \\u escape";
-  let v =
-    (hex_digit cur cur.s.[cur.pos] lsl 12)
-    lor (hex_digit cur cur.s.[cur.pos + 1] lsl 8)
-    lor (hex_digit cur cur.s.[cur.pos + 2] lsl 4)
-    lor hex_digit cur cur.s.[cur.pos + 3]
-  in
-  cur.pos <- cur.pos + 4;
-  v
-
-(* One escape sequence, the '\\' already consumed. *)
-let parse_escape cur buf =
-  match peek cur with
-  | None -> fail cur "unterminated escape"
-  | Some c ->
-    advance cur;
-    (match c with
-    | '"' -> Buffer.add_char buf '"'
-    | '\\' -> Buffer.add_char buf '\\'
-    | '/' -> Buffer.add_char buf '/'
-    | 'b' -> Buffer.add_char buf '\b'
-    | 'f' -> Buffer.add_char buf '\012'
-    | 'n' -> Buffer.add_char buf '\n'
-    | 'r' -> Buffer.add_char buf '\r'
-    | 't' -> Buffer.add_char buf '\t'
-    | 'u' ->
-      let hi = parse_u16 cur in
-      if hi >= 0xD800 && hi <= 0xDBFF then
-        if
-          cur.pos + 1 < String.length cur.s
-          && cur.s.[cur.pos] = '\\'
-          && cur.s.[cur.pos + 1] = 'u'
-        then begin
-          cur.pos <- cur.pos + 2;
-          let lo = parse_u16 cur in
-          if lo >= 0xDC00 && lo <= 0xDFFF then
-            add_utf8 buf (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
-          else fail cur "invalid low surrogate"
-        end
-        else fail cur "unpaired high surrogate"
-      else add_utf8 buf hi
-    | c -> fail cur (Printf.sprintf "invalid escape \\%c" c))
-
-(* Plain runs are copied whole; a string without escapes is one
-   [String.sub].  The buffer exists only once an escape shows up. *)
 let parse_string cur =
   expect cur '"';
-  let s = cur.s in
-  let start = cur.pos in
-  let j = plain_run s start (String.length s) in
-  if j < String.length s && String.unsafe_get s j = '"' then begin
-    cur.pos <- j + 1;
-    String.sub s start (j - start)
-  end
+  let s = cur.s and i = cur.pos in
+  let q, len = scan cur i in
+  cur.pos <- q + 1;
+  if len = q - i then String.sub s i len
   else begin
-    let buf = Buffer.create (j - start + 64) in
-    (* [i, j) is a run of plain bytes, and [j] is where it stopped. *)
-    let rec go i j =
-      Buffer.add_substring buf s i (j - i);
-      cur.pos <- j;
-      match peek cur with
-      | None -> fail cur "unterminated string"
-      | Some '"' -> advance cur
-      | Some '\\' ->
-        advance cur;
-        parse_escape cur buf;
-        go cur.pos (plain_run s cur.pos (String.length s))
-      | Some _ -> fail cur "control character in string"
-    in
-    go start j;
-    Buffer.contents buf
+    let b = Bytes.create len and at = ref 0 in
+    X.json_unescape s i q (fun src off n _ ->
+        if n = 1 then Bytes.unsafe_set b !at (Bytes.unsafe_get src off)
+        else Bytes.blit src off b !at n;
+        at := !at + n);
+    Bytes.unsafe_to_string b
   end
 
 let parse_number cur =
@@ -319,6 +219,33 @@ let enter cur depth =
     fail cur (Printf.sprintf "nesting deeper than %d" max_depth);
   advance cur
 
+(* The next member's key of an object whose '{' is read, its ':'
+   consumed; [None] once its '}' is. *)
+let member_key cur ~first =
+  skip_ws cur;
+  let key () =
+    skip_ws cur;
+    let k = parse_string cur in
+    skip_ws cur;
+    expect cur ':';
+    Some k
+  in
+  if first then
+    if peek cur = Some '}' then begin
+      advance cur;
+      None
+    end
+    else key ()
+  else
+    match peek cur with
+    | Some ',' ->
+      advance cur;
+      key ()
+    | Some '}' ->
+      advance cur;
+      None
+    | _ -> fail cur "expected ',' or '}'"
+
 let rec parse_value cur depth =
   skip_ws cur;
   match peek cur with
@@ -351,45 +278,61 @@ let rec parse_value cur depth =
     end
   | Some '{' ->
     enter cur depth;
-    skip_ws cur;
-    if peek cur = Some '}' then begin
-      advance cur;
-      Obj []
-    end
-    else begin
-      let member () =
-        skip_ws cur;
-        let k = parse_string cur in
-        skip_ws cur;
-        expect cur ':';
-        let v = parse_value cur (depth + 1) in
-        (k, v)
-      in
-      let rec members acc =
-        let kv = member () in
-        skip_ws cur;
-        match peek cur with
-        | Some ',' ->
-          advance cur;
-          members (kv :: acc)
-        | Some '}' ->
-          advance cur;
-          List.rev (kv :: acc)
-        | _ -> fail cur "expected ',' or '}'"
-      in
-      Obj (members [])
-    end
+    let rec members first acc =
+      match member_key cur ~first with
+      | None -> Obj (List.rev acc)
+      | Some k -> members false ((k, parse_value cur (depth + 1)) :: acc)
+    in
+    members true []
   | Some ('-' | '0' .. '9') -> parse_number cur
   | Some c -> fail cur (Printf.sprintf "unexpected character %C" c)
 
-let parse s =
-  let cur = { s; pos = 0 } in
-  let v = parse_value cur 0 in
+let c_scanned = Weblab_obs.Telemetry.counter "json.scanned"
+
+let finish cur =
   skip_ws cur;
   (match peek cur with
   | None -> ()
   | Some c -> fail cur (Printf.sprintf "trailing input starting with %C" c));
+  Weblab_obs.Telemetry.add c_scanned (String.length cur.s - cur.skipped)
+
+let parse s =
+  let cur = reader s in
+  let v = parse_value cur 0 in
+  finish cur;
   v
+
+(* ----- Reading a top-level object member by member ----- *)
+
+let object_start cur =
+  skip_ws cur;
+  if peek cur = Some '{' then begin
+    advance cur;
+    cur.first <- true;
+    true
+  end
+  else false
+
+let next_member cur =
+  let first = cur.first in
+  cur.first <- false;
+  member_key cur ~first
+
+let member_value cur = parse_value cur 1
+
+let string_start cur =
+  skip_ws cur;
+  if peek cur = Some '"' then begin
+    advance cur;
+    Some cur.pos
+  end
+  else None
+
+let string_end cur i =
+  let q, _ = scan cur i in
+  cur.skipped <- cur.skipped + (i - cur.pos);
+  cur.pos <- q + 1;
+  q
 
 let parse_opt s =
   match parse s with

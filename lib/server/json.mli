@@ -1,4 +1,7 @@
-(** A minimal JSON codec for the serving protocol.
+(** A minimal JSON codec for the serving protocol.  String bodies are
+    validated and decoded by {!Weblab_xml.Xml_parser.json_scan} and
+    {!Weblab_xml.Xml_parser.json_unescape}: request strings must be
+    well-formed UTF-8, lone surrogate escapes included.
 
     The container ships no JSON library and the protocol needs only the
     data model — objects, arrays, strings, numbers, booleans, null — so
@@ -25,6 +28,46 @@ val parse : string -> t
     [Invalid_argument] leaks, no stack overflow). *)
 
 val parse_opt : string -> (t, string) result
+
+(** {1 Reading member by member}
+
+    The reader {!parse} folds over, for a caller that walks a request's
+    top-level object itself: it may keep a string member raw, and start
+    scanning its body past a prefix it knows to be valid.  Every step
+    raises {!Parse_error} with the message and offset {!parse} would
+    give for the same line. *)
+
+type reader
+
+val reader : string -> reader
+
+val object_start : reader -> bool
+(** Skips whitespace; at a ['{'], consumes it and returns [true].
+    Otherwise consumes nothing more and returns [false]. *)
+
+val next_member : reader -> string option
+(** The key of the next member of the object {!object_start} opened,
+    its [':'] consumed; [None] once the object's ['}'] is consumed. *)
+
+val member_value : reader -> t
+(** A member's value, nested as {!parse} nests it. *)
+
+val string_start : reader -> int option
+(** Skips whitespace; at a string, consumes its opening quote and
+    returns its body's offset.  Otherwise [None], consuming nothing
+    more. *)
+
+val string_end : reader -> int -> int
+(** [string_end r i] scans and validates the open string's body from
+    [i] to its closing quote, consumes it, and returns the quote's
+    offset.  [i] is the body's offset or a point past a prefix of it
+    already known to be a valid body ending on an escape boundary; the
+    bytes jumped over are not scanned. *)
+
+val finish : reader -> unit
+(** Checks that nothing but whitespace is left.  Adds the bytes of the
+    string the reader scanned (all but those {!string_end} jumped over)
+    to the counter [json.scanned]. *)
 
 val to_string : t -> string
 (** Single-line, minimal whitespace; object members keep their order:

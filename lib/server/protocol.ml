@@ -309,8 +309,10 @@ let fault_of req =
     | Some f -> Some f
     | None -> reject "bad_request" (Printf.sprintf "unknown fault %S" s))
 
-let service_of req =
-  match (J.str_member "service" req, J.str_member "xml" req) with
+(* [xml] is the request's first ["xml"] member, when a string: a JSON
+   string body held where it lies in the request line. *)
+let service_of req xml =
+  match (J.str_member "service" req, xml) with
   | Some name, None ->
     (match Weblab_services.Catalog.find name with
     | Some e -> e.Weblab_services.Catalog.service
@@ -318,26 +320,30 @@ let service_of req =
       reject "unknown_service"
         (Printf.sprintf "unknown service %S (%s)" name
            (String.concat "|" Weblab_services.Catalog.service_names)))
-  | None, Some xml ->
+  | None, Some text ->
     (* A client-supplied next document state: the streaming route — the
        body's parser events are grafted onto the live arena in one pass
        ({!Weblab_xml.Diff.graft}), with no second arena and no
        serialization of the current state.  Malformed XML fails the call
        (total parse-error rendering), never the session. *)
     let name = opt_default "ClientXml" (J.str_member "name" req) in
-    Session.client_xml_service ~name xml
+    Session.client_xml_text ~name text
   | Some _, Some _ | None, None ->
     reject "bad_request" "commit takes exactly one of \"service\" or \"xml\""
 
-let v_commit ctx req respond =
-  let sess = session_of ctx req in
-  let svc = service_of req in
+(* [held] is the session whose lock the request's reading took. *)
+let v_commit ~xml ~held ctx req respond =
+  let sess = match held with Some s -> s | None -> session_of ctx req in
+  let svc = service_of req xml in
   let svc =
     match fault_of req with
     | Some f -> Weblab_services.Faulty.with_fault ~stall_s:0.01 f svc
     | None -> svc
   in
-  match Session.with_lock sess (fun () -> Session.commit sess svc) with
+  let commit () = Session.commit sess svc in
+  match
+    if Option.is_some held then commit () else Session.with_lock sess commit
+  with
   | Ok { Session.time; attempts; new_nodes; promoted } ->
     respond @@ json
       [ ("time", J.Int time); ("attempts", J.Int attempts);
@@ -533,10 +539,77 @@ let log_slow ctx ~verb ~rid ~dur_us req sm =
         flush sl.sl_oc)
   | Some _ | None -> ()
 
-(* Write the reply to one parsed request.  An exception before the
-   reply's first byte drains becomes an error reply in its place; a
-   verb's [respond] is total, so none comes later. *)
-let write_response ctx w req =
+(* ----- reading a request -----
+
+   A request line is read member by member.  Its first ["xml"] member,
+   when a string, stays raw: a {!Weblab_xml.Xml_text.t} over the line.
+   When ["verb": "commit"] and the ["session"] of a known session come
+   before it, the rest of the line is read under that session's lock:
+   the body's prefix shared with the session's last accepted state, up
+   to a mark of its record, was validated when that state was read, so
+   the scan starts there ({!Weblab_xml.Diff.resume_offset}).  Members in
+   any other order scan the body whole; either way the graft sees the
+   same raw source.  Nothing is dispatched before the whole line
+   parses, so a malformed line commits nothing.  Later ["xml"] members
+   are read and dropped: the first one wins, as {!J.member} has it. *)
+
+type request = {
+  req : J.t;  (* every member but a raw ["xml"] *)
+  xml : Weblab_xml.Xml_text.t option;
+  held : Session.t option;  (* the session whose lock the reading took *)
+}
+
+type read =
+  | Request of request
+  | Deferred of Session.t * int * (string * J.t) list
+      (* a commit's session, the offset of its "xml" body and the
+         members read before it, latest first *)
+
+let request_of_json req =
+  { req;
+    xml =
+      Option.map Weblab_xml.Xml_text.of_string (J.str_member "xml" req);
+    held = None }
+
+let commit_session ctx acc =
+  let head = J.Obj (List.rev acc) in
+  match (J.str_member "verb" head, J.str_member "session" head) with
+  | Some "commit", Some sid -> Registry.find ctx.registry sid
+  | _ -> None
+
+let rec read_members ctx line r ~held acc xml =
+  match J.next_member r with
+  | None ->
+    J.finish r;
+    Request { req = J.Obj (List.rev acc); xml; held }
+  | Some "xml" when Option.is_none xml && not (List.mem_assoc "xml" acc) -> (
+    match J.string_start r with
+    | None -> read_members ctx line r ~held (("xml", J.member_value r) :: acc) xml
+    | Some off -> (
+      match commit_session ctx acc with
+      | Some sess -> Deferred (sess, off, acc)
+      | None -> read_body ctx line r ~held acc off off))
+  | Some "xml" ->
+    ignore (J.member_value r);
+    read_members ctx line r ~held acc xml
+  | Some k -> read_members ctx line r ~held ((k, J.member_value r) :: acc) xml
+
+(* The "xml" body at [off], scanned from [from] on, and the rest. *)
+and read_body ctx line r ~held acc off from =
+  let q = J.string_end r from in
+  read_members ctx line r ~held acc
+    (Some (Weblab_xml.Xml_text.of_json line ~off ~len:(q - off)))
+
+let parsed f =
+  match f () with
+  | v -> Ok v
+  | exception (J.Parse_error msg | Failure msg) -> Error msg
+
+(* Write the reply to one request.  An exception before the reply's
+   first byte drains becomes an error reply in its place; a verb's
+   [respond] is total, so none comes later. *)
+let write_response ctx w q =
+  let req = q.req in
   match J.str_member "verb" req with
   | None -> ignore (write_error w req "bad_request" "missing string field \"verb\"" [])
   | Some verb ->
@@ -573,7 +646,7 @@ let write_response ctx w req =
     in
     (match verb with
     | "open" -> run v_open
-    | "commit" -> run v_commit
+    | "commit" -> run (v_commit ~xml:q.xml ~held:q.held)
     | "query" -> run v_query
     | "stats" -> run v_stats
     | "metrics" -> run v_metrics
@@ -583,17 +656,37 @@ let write_response ctx w req =
         (write_error w req "bad_request" (Printf.sprintf "unknown verb %S" v) []))
 
 let write_line ctx line w =
-  match J.parse_opt line with
-  | Ok req -> write_response ctx w req
-  | Error msg -> ignore (write_error w (J.Obj []) "parse_error" msg [])
+  let r = J.reader line in
+  let rec answer = function
+    | Error msg -> ignore (write_error w (J.Obj []) "parse_error" msg [])
+    | Ok (Request q) -> write_response ctx w q
+    | Ok (Deferred (sess, off, acc)) ->
+      Session.with_lock sess (fun () ->
+          answer
+            (parsed (fun () ->
+                 let from =
+                   match Session.accepted sess with
+                   | Some a -> Weblab_xml.Diff.resume_offset a line off
+                   | None -> 0
+                 in
+                 read_body ctx line r ~held:(Some sess) acc off (off + from))))
+  in
+  answer
+    (parsed (fun () ->
+         if J.object_start r then read_members ctx line r ~held:None [] None
+         else Request (request_of_json (J.parse line))))
 
+(* The reply is held whole in [buf] anyway, so a small stage does: the
+   connection loop's 64 KiB one lives as long as its connection, but
+   this one is made per call. *)
 let to_buffer f =
   let buf = Buffer.create 256 in
-  let w = Sink.create ~size:Sink.chunk (Buffer.add_subbytes buf) in
+  let w = Sink.create ~size:4096 (Buffer.add_subbytes buf) in
   f w;
   Sink.flush w;
   Buffer.contents buf
 
-let handle ctx req = J.parse (to_buffer (fun w -> write_response ctx w req))
+let handle ctx req =
+  J.parse (to_buffer (fun w -> write_response ctx w (request_of_json req)))
 
 let handle_line ctx line = to_buffer (write_line ctx line)

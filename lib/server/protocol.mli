@@ -112,7 +112,15 @@ val write_line : ctx -> string -> Weblab_rdf.Sink.t -> unit
 (** Parse one request line, dispatch it and write its reply into the
     sink — the connection loop's whole body.  The reply never contains a
     newline; the sink is not flushed.  Total: protocol and session errors
-    come back as [ok:false] replies, never as exceptions. *)
+    come back as [ok:false] replies, never as exceptions.
+
+    The line is read member by member ({!Json.reader}), and nothing is
+    dispatched before all of it parses.  A commit's first ["xml"]
+    string stays where it lies in the line ({!Weblab_xml.Xml_text});
+    when ["verb"] and ["session"] come before it, the rest of the line
+    is read under the session's lock, scanning the body only from the
+    last mark it shares with the session's last accepted state
+    ({!Weblab_xml.Diff.resume_offset}). *)
 
 val handle_line : ctx -> string -> string
 (** {!write_line} into a [Buffer.t]: the reply as one string (the unit

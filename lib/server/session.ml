@@ -227,9 +227,18 @@ let restore ~id ~wal_path =
    serializes the live document as a pseudo-input and builds no second
    arena of the state.  Malformed XML fails the call (never the
    session). *)
-let client_xml_service ?(name = "ClientXml") xml =
+let client_xml_text ?(name = "ClientXml") text =
   Service.blackbox_doc ~name ~description:"client-supplied document state"
-    (fun () -> xml)
+    (fun () -> text)
+
+let client_xml_service ?name xml = client_xml_text ?name (Xml_text.of_string xml)
+
+let live_orch t =
+  match t.mode with Live l when not t.closed -> Some l.orch | _ -> None
+
+let accepted t = Option.bind (live_orch t) Orchestrator.accepted
+let forget_accepted t = Option.iter Orchestrator.forget_accepted (live_orch t)
+let doc t = Option.map Orchestrator.session_doc (live_orch t)
 
 (* ----- commit ----- *)
 

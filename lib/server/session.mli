@@ -90,14 +90,30 @@ val with_lock : t -> (unit -> 'a) -> 'a
     ({!Weblab_rdf.Triple_store}), so {!sparql}, {!turtle}, {!stats} and
     every other use of {!store} must run under the lock. *)
 
-val client_xml_service : ?name:string -> string -> Service.t
-(** A commit payload carrying the full next document state as XML text,
-    wrapped as a streaming {!Service.blackbox_doc}: the orchestrator
-    grafts the text straight from its parser events onto the live arena
+val client_xml_text : ?name:string -> Xml_text.t -> Service.t
+(** A commit payload carrying the full next document state, wrapped as
+    a streaming {!Service.blackbox_doc}: the orchestrator grafts the
+    text straight from its parser events onto the live arena
     ({!Weblab_xml.Diff.graft}), so the daemon neither serializes the live
     document as a pseudo-input nor builds a second arena of the state.
-    [name] defaults to ["ClientXml"].  Malformed XML fails the commit,
-    not the session. *)
+    A request's escaped ["xml"] body is grafted where it lies in the
+    request line.  [name] defaults to ["ClientXml"].  Malformed XML
+    fails the commit, not the session. *)
+
+val client_xml_service : ?name:string -> string -> Service.t
+(** {!client_xml_text} of a plain XML string. *)
+
+val accepted : t -> Diff.resume option
+(** The record the session's next client-XML graft resumes from
+    ({!Weblab_workflow.Orchestrator.accepted}); [None] once closed or
+    restored.  Read it under {!with_lock}. *)
+
+val forget_accepted : t -> unit
+(** Drop that record: the next graft parses its whole state, with the
+    same result. *)
+
+val doc : t -> Tree.t option
+(** The live session's document; [None] once closed or restored. *)
 
 (** {1 Verbs} *)
 

@@ -140,7 +140,15 @@ let wrap_with decide_fn ~stall_s (svc : Service.t) =
       Service.Blackbox_doc
         (fun () ->
           incr counter;
-          apply_blackbox (decide_fn name !counter) ~stall_s name f ())
+          (* Without a fault the state passes as it came, so its graft
+             can still resume on the request's text. *)
+          match decide_fn name !counter with
+          | None -> f ()
+          | fault ->
+            Xml_text.of_string
+              (apply_blackbox fault ~stall_s name
+                 (fun () -> Xml_text.to_string (f ()))
+                 ()))
   in
   Service.make ~name
     ~description:(Service.description svc ^ " [fault-injected]")

@@ -90,8 +90,8 @@ let run_inproc doc ck f =
    containment failures become append violations, and nothing is written
    to the arena unless the whole state is accepted.  [Blackbox_doc] is
    handed no serialized input: its thunk yields the state, typically a
-   request body.  [from] is the session's last accepted state, which the
-   graft resumes after. *)
+   request's escaped body.  [from] is the session's last accepted state,
+   which the graft resumes after. *)
 let run_blackbox ?from doc xml =
   try
     let promoted, accepted = Diff.graft ?from ~doc xml in
@@ -160,6 +160,7 @@ type session = {
 let session_doc s = s.s_doc
 let session_trace s = s.s_trace
 let next_time s = s.s_next_time
+let accepted s = s.s_accepted
 let forget_accepted s = s.s_accepted <- None
 
 (* Label the given resources (in document order), each new to labeling:
@@ -250,7 +251,8 @@ let step ?(on_step = fun _ _ _ _ -> ()) s service =
           match service.Service.impl with
           | Service.Inproc f -> run_inproc doc ck f
           | Service.Blackbox f ->
-            run_blackbox ?from doc (f (Printer.to_string doc))
+            run_blackbox ?from doc
+              (Xml_text.of_string (f (Printer.to_string doc)))
           | Service.Blackbox_doc f -> run_blackbox ?from doc (f ())
         in
         let new_nodes =

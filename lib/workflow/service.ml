@@ -10,16 +10,16 @@
      (the paper's "standard XML-diff service", {!Weblab_xml.Diff.graft})
      and appends the added fragments.
    - [Blackbox_doc]: the streaming variant — the service yields the next
-     document state's XML text (typically a request body) without being
-     handed the live document, so the Recorder never serializes it as a
-     pseudo-input. *)
+     document state's text (typically a request's escaped body, read in
+     place) without being handed the live document, so the Recorder
+     never serializes it as a pseudo-input. *)
 
 open Weblab_xml
 
 type impl =
   | Inproc of (Tree.t -> unit)
   | Blackbox of (string -> string)
-  | Blackbox_doc of (unit -> string)
+  | Blackbox_doc of (unit -> Xml_text.t)
 
 type t = {
   name : string;

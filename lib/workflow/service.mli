@@ -11,16 +11,16 @@
       parser events against the arena in one pass
       ({!Weblab_xml.Diff.graft}) and appends the added fragments.
     - [Blackbox_doc]: the streaming variant — the service yields the next
-      document state's XML text (typically a request body) without being
-      handed the live document, so the Recorder never serializes it as a
-      pseudo-input. *)
+      document state's text (typically a request's escaped body, read in
+      place) without being handed the live document, so the Recorder
+      never serializes it as a pseudo-input. *)
 
 open Weblab_xml
 
 type impl =
   | Inproc of (Tree.t -> unit)
   | Blackbox of (string -> string)
-  | Blackbox_doc of (unit -> string)
+  | Blackbox_doc of (unit -> Xml_text.t)
 
 type t = {
   name : string;
@@ -34,8 +34,9 @@ val inproc : name:string -> description:string -> (Tree.t -> unit) -> t
 
 val blackbox : name:string -> description:string -> (string -> string) -> t
 
-val blackbox_doc : name:string -> description:string -> (unit -> string) -> t
-(** The thunk yields the next state's XML text; the orchestrator grafts
+val blackbox_doc :
+  name:string -> description:string -> (unit -> Xml_text.t) -> t
+(** The thunk yields the next state's text; the orchestrator grafts
     it exactly as it grafts [Blackbox] output, unparsable text
     included. *)
 

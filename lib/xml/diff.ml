@@ -149,15 +149,25 @@ let contains ~old_doc ~new_doc =
    with the root frame set as it stood there.  A root without a URI
    leaves no marks: promoting it would write before every mark. *)
 
-type mark = { at : Xml_parser.position; node : Tree.node }
+(* Marks are kept in the state's raw bytes too: a state that arrives as
+   a JSON string body is compared with the accepted one, and read from a
+   mark on, without decoding what comes before.  A mark's [raw] offset
+   (relative to the body) is just past the bytes that decoded to its
+   '>', an escape's included, so the bytes before it decode alike in
+   every state that repeats them. *)
+type mark = { raw : int; at : Xml_parser.position; node : Tree.node }
 
 type resume = {
-  state : string;  (* the accepted state *)
+  src : Xml_text.t;  (* the accepted state *)
   marks : mark array;  (* in document order *)
+  mutable probed : string;  (* the line [resume_offset] last compared, *)
+  mutable probed_off : int;  (* its body's offset, *)
+  mutable probed_marks : int;  (* and the marks inside the shared prefix *)
 }
 
 let no_mark =
-  { at = { Xml_parser.offset = 0; line = 0; col = 0 }; node = Tree.no_node }
+  { raw = 0; at = { Xml_parser.offset = 0; line = 0; col = 0 };
+    node = Tree.no_node }
 
 let c_bytes = Weblab_obs.Telemetry.counter "diff.graft.bytes"
 let c_parsed = Weblab_obs.Telemetry.counter "diff.graft.parsed"
@@ -187,6 +197,8 @@ type graft = {
   mutable failed : bool;  (* the root cannot embed *)
   mutable parser : Xml_parser.state option;
   marks : mark Vec.t;
+  mutable dec : int;  (* decoded bytes fed to the parser so far *)
+  mutable shift : int;  (* raw offset - decoded offset, in the piece fed *)
 }
 
 let keep g e =
@@ -233,7 +245,9 @@ let drop_matched g f =
 
 let add_mark g node =
   match g.parser with
-  | Some st -> Vec.push g.marks { at = Xml_parser.position st; node }
+  | Some st ->
+    let at = Xml_parser.position st in
+    Vec.push g.marks { raw = at.offset + g.shift; at; node }
   | None -> ()
 
 let start_adding g parent e =
@@ -337,45 +351,70 @@ let append g parent s e =
     | _, [] -> ()
   done
 
-let common_prefix a b =
-  let n = min (String.length a) (String.length b) in
+(* The length of the prefix [s.[off .. limit-1]] shares with the raw
+   bytes of [t], compared a word at a time. *)
+let shared (t : Xml_text.t) s off limit =
+  let a = t.raw and ao = t.off in
+  let n = min t.len (limit - off) in
   let i = ref 0 in
   while
     !i + 8 <= n
-    && Int64.equal (String.get_int64_ne a !i) (String.get_int64_ne b !i)
+    && Int64.equal
+         (String.get_int64_ne a (ao + !i))
+         (String.get_int64_ne s (off + !i))
   do
     i := !i + 8
   done;
-  while !i < n && a.[!i] = b.[!i] do
+  while !i < n && String.unsafe_get a (ao + !i) = String.unsafe_get s (off + !i) do
     incr i
   done;
   !i
 
-(* The number of marks wholly inside the first [len] bytes. *)
+(* The number of marks wholly inside the first [len] raw bytes. *)
 let marks_within marks len =
   let rec go lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if marks.(mid).at.offset <= len then go (mid + 1) hi else go lo mid
+      if marks.(mid).raw <= len then go (mid + 1) hi else go lo mid
   in
   go 0 (Array.length marks)
 
-let graft ?from ~doc xml =
+(* The graft of a body [resume_offset] just probed takes its answer
+   from the record (once: the record then lets go of the line): the
+   shared prefix it measured against the whole rest of the line ends
+   inside the body, since a byte shared with the record's body cannot be
+   the new body's closing quote. *)
+let resume_offset r s off =
+  if not r.src.escaped then 0
+  else begin
+    let k = marks_within r.marks (shared r.src s off (String.length s)) in
+    r.probed <- s;
+    r.probed_off <- off;
+    r.probed_marks <- k;
+    if k = 0 then 0 else r.marks.(k - 1).raw
+  end
+
+let graft ?from ~doc (src : Xml_text.t) =
   let g =
     { doc; ev = Array.make 64 (Xml_parser.End_element ""); ev_n = 0;
       frags = []; n_frags = 0; promos = []; stack = []; adding = 0;
       add_parent = Tree.no_node; add_start = 0; failed = false; parser = None;
-      marks = Vec.create ~dummy:no_mark }
+      marks = Vec.create ~dummy:no_mark; dec = 0; shift = 0 }
   in
   let k =
     match from with
-    | Some (r : resume) -> marks_within r.marks (common_prefix r.state xml)
-    | None -> 0
+    | Some r when r.probed == src.raw && r.probed_off = src.off && src.escaped
+      ->
+      r.probed <- "";
+      r.probed_marks
+    | Some r when r.src.escaped = src.escaped ->
+      marks_within r.marks (shared r.src src.raw src.off (src.off + src.len))
+    | _ -> 0
   in
   let st, skip =
     match from with
-    | Some (r : resume) when k > 0 ->
+    | Some r when k > 0 ->
       let m = r.marks.(k - 1) and root = Tree.root doc in
       (* The root has a URI, so its start tag's attributes are never
          read again. *)
@@ -385,17 +424,21 @@ let graft ?from ~doc xml =
       for i = 0 to k - 1 do
         Vec.push g.marks r.marks.(i)
       done;
+      g.dec <- m.at.offset;
       ( Xml_parser.resume ~on_event:(on_event g) ~at:m.at
           ~open_elements:[ Tree.name doc root ] (),
-        m.at.offset )
+        m.raw )
     | _ -> (Xml_parser.create ~on_event:(on_event g) (), 0)
   in
   g.parser <- Some st;
   let named_root = Tree.has_root doc && Tree.uri doc (Tree.root doc) <> None in
-  let len = String.length xml in
-  Weblab_obs.Telemetry.add c_bytes len;
-  Weblab_obs.Telemetry.add c_parsed (len - skip);
-  Xml_parser.feed st (Bytes.unsafe_of_string xml) skip (len - skip);
+  let resumed_at = g.dec in
+  Xml_text.pieces src skip (fun b off len next ->
+      g.dec <- g.dec + len;
+      g.shift <- next - src.off - g.dec;
+      Xml_parser.feed st b off len);
+  Weblab_obs.Telemetry.add c_bytes g.dec;
+  Weblab_obs.Telemetry.add c_parsed (g.dec - resumed_at);
   Xml_parser.finish st;
   if g.failed then not_contained ();
   List.iter (fun (n, u) -> Tree.set_uri doc n u) g.promos;
@@ -404,4 +447,5 @@ let graft ?from ~doc xml =
     if named_root then Array.init (Vec.length g.marks) (Vec.get g.marks)
     else [||]
   in
-  (List.map fst g.promos, { state = xml; marks })
+  ( List.map fst g.promos,
+    { src; marks; probed = ""; probed_off = 0; probed_marks = 0 } )

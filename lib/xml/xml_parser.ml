@@ -665,6 +665,245 @@ let feed st buf pos len =
 
 let feed_string st s = feed st (Bytes.unsafe_of_string s) 0 (String.length s)
 
+(* ----- JSON string bodies -----
+
+   A client sends a document state as the body of a JSON string, so the
+   parser's input is often escaped text.  The one validator and the one
+   decoder of such bodies live here, beside the run scanners whose word
+   test they share: [Json] reads every request string with them, and a
+   graft unescapes a state's body straight into [feed]. *)
+
+exception Json_error of int * string
+
+let json_error at msg = raise (Json_error (at, msg))
+
+(* A high bit in each byte of [w] below 0x20 (or, with [w] or'ed in, of
+   0x80 and above): the zero-byte test's borrow against 0x20.  Word
+   constants in these loops are literals ('"' is 0x22, '\\' 0x5c): a
+   [splat] at toplevel is a boxed global, which made them a third
+   slower. *)
+let below_space w = Int64.(logand (sub w 0x2020202020202020L) (lognot w))
+
+(* End of the run of bytes of [s] from [i] (to [n] at the latest) that
+   print as themselves in a JSON string: anything but '"', '\\' or a
+   byte below 0x20. *)
+let json_plain_run s i n =
+  let j = ref i in
+  while
+    !j + 8 <= n
+    &&
+    let w = String.get_int64_le s !j in
+    Int64.(
+      equal 0L
+        (logor
+           (logor
+              (zero_bytes (logxor w 0x2222222222222222L))
+              (zero_bytes (logxor w 0x5c5c5c5c5c5c5c5cL)))
+           (logand (below_space w) 0x8080808080808080L)))
+  do
+    j := !j + 8
+  done;
+  while
+    !j < n
+    &&
+    let c = String.unsafe_get s !j in
+    c <> '"' && c <> '\\' && c >= ' '
+  do
+    incr j
+  done;
+  !j
+
+(* The next '\\' of [s] in [i, n), or [n]. *)
+let backslash_run s i n =
+  let j = ref i in
+  while
+    !j + 8 <= n
+    && Int64.equal 0L
+         (zero_bytes
+            (Int64.logxor (String.get_int64_le s !j) 0x5c5c5c5c5c5c5c5cL))
+  do
+    j := !j + 8
+  done;
+  while !j < n && String.unsafe_get s !j <> '\\' do
+    incr j
+  done;
+  !j
+
+(* The four hex digits at [p] of a \u escape. *)
+let u16 s p n =
+  if p + 4 > n then json_error p "truncated \\u escape";
+  let digit k =
+    match String.unsafe_get s (p + k) with
+    | '0' .. '9' as c -> Char.code c - Char.code '0'
+    | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+    | _ -> json_error p "invalid hex digit in \\u escape"
+  in
+  (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3
+
+let utf8_length cp =
+  if cp < 0x80 then 1 else if cp < 0x800 then 2 else if cp < 0x10000 then 3
+  else 4
+
+(* The end of the well-formed UTF-8 sequence (RFC 3629) whose lead byte,
+   0x80 or above, is at [k]: no overlong form, no surrogate, nothing past
+   U+10FFFF.  The error points at the lead byte. *)
+let utf8_end s k n =
+  let byte i = if i < n then Char.code (String.unsafe_get s i) else 0 in
+  let c = Char.code (String.unsafe_get s k) and b1 = byte (k + 1) in
+  if c >= 0xC2 && c <= 0xDF && b1 land 0xC0 = 0x80 then k + 2
+  else
+    let b2 = byte (k + 2) in
+    if
+      c >= 0xE0 && c <= 0xEF
+      && b1 >= (if c = 0xE0 then 0xA0 else 0x80)
+      && b1 <= (if c = 0xED then 0x9F else 0xBF)
+      && b2 land 0xC0 = 0x80
+    then k + 3
+    else if
+      c >= 0xF0 && c <= 0xF4
+      && b1 >= (if c = 0xF0 then 0x90 else 0x80)
+      && b1 <= (if c = 0xF4 then 0x8F else 0xBF)
+      && b2 land 0xC0 = 0x80
+      && byte (k + 3) land 0xC0 = 0x80
+    then k + 4
+    else json_error k "ill-formed UTF-8"
+
+(* Eight bytes a step while a word holds no quote, backslash, control
+   byte or byte of 0x80 or above, so ASCII runs cost what they did
+   before validation; byte by byte otherwise.  [saved] counts the raw
+   bytes escapes take beyond what they decode to. *)
+let json_scan s i n =
+  let j = ref i and saved = ref 0 and quote = ref (-1) in
+  while !quote < 0 do
+    while
+      !j + 8 <= n
+      &&
+      let w = String.get_int64_le s !j in
+      Int64.(
+        equal 0L
+          (logor
+             (logor
+                (zero_bytes (logxor w 0x2222222222222222L))
+                (zero_bytes (logxor w 0x5c5c5c5c5c5c5c5cL)))
+             (logand (logor (below_space w) w) 0x8080808080808080L)))
+    do
+      j := !j + 8
+    done;
+    while
+      !j < n
+      &&
+      let c = String.unsafe_get s !j in
+      c >= ' ' && c < '\x80' && c <> '"' && c <> '\\'
+    do
+      incr j
+    done;
+    if !j >= n then json_error n "unterminated string"
+    else begin
+      let k = !j in
+      let c = String.unsafe_get s k in
+      if c = '"' then quote := k
+      else if c = '\\' then begin
+        let p = k + 1 in
+        if p >= n then json_error n "unterminated escape";
+        match String.unsafe_get s p with
+        | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
+          incr saved;
+          j := p + 1
+        | 'u' ->
+          let hi = u16 s (p + 1) n and q = p + 5 in
+          if hi >= 0xD800 && hi <= 0xDBFF then
+            if q + 1 < n && s.[q] = '\\' && s.[q + 1] = 'u' then begin
+              let lo = u16 s (q + 2) n in
+              if lo < 0xDC00 || lo > 0xDFFF then
+                json_error (q + 6) "invalid low surrogate";
+              saved := !saved + 8;
+              j := q + 6
+            end
+            else json_error q "unpaired high surrogate"
+          else if hi >= 0xDC00 && hi <= 0xDFFF then
+            json_error q "unpaired low surrogate"
+          else begin
+            saved := !saved + 6 - utf8_length hi;
+            j := q
+          end
+        | c -> json_error (p + 1) (Printf.sprintf "invalid escape \\%c" c)
+      end
+      else if c < ' ' then json_error k "control character in string"
+      else begin
+        (* Text that is not all ASCII: byte by byte, each sequence
+           validated, up to the next quote, backslash or control. *)
+        let k = ref (utf8_end s k n) in
+        while
+          !k < n
+          &&
+          let c = String.unsafe_get s !k in
+          c >= ' ' && c <> '"' && c <> '\\'
+        do
+          if String.unsafe_get s !k < '\x80' then incr k
+          else k := utf8_end s !k n
+        done;
+        j := !k
+      end
+    end
+  done;
+  (!quote, !quote - i - !saved)
+
+let put_utf8 b cp =
+  let set i v = Bytes.unsafe_set b i (Char.unsafe_chr v) in
+  if cp < 0x80 then set 0 cp
+  else if cp < 0x800 then begin
+    set 0 (0xC0 lor (cp lsr 6));
+    set 1 (0x80 lor (cp land 0x3F))
+  end
+  else if cp < 0x10000 then begin
+    set 0 (0xE0 lor (cp lsr 12));
+    set 1 (0x80 lor ((cp lsr 6) land 0x3F));
+    set 2 (0x80 lor (cp land 0x3F))
+  end
+  else begin
+    set 0 (0xF0 lor (cp lsr 18));
+    set 1 (0x80 lor ((cp lsr 12) land 0x3F));
+    set 2 (0x80 lor ((cp lsr 6) land 0x3F));
+    set 3 (0x80 lor (cp land 0x3F))
+  end;
+  utf8_length cp
+
+let json_unescape s i j emit =
+  let b = Bytes.unsafe_of_string s and piece = Bytes.create 4 in
+  let k = ref i in
+  while !k < j do
+    let e = backslash_run s !k j in
+    if e > !k then emit b !k (e - !k) e;
+    if e < j then begin
+      let next = ref (e + 2) and len = ref 1 in
+      (match String.unsafe_get s (e + 1) with
+       | 'u' ->
+         let hi = u16 s (e + 2) j in
+         if hi >= 0xD800 && hi <= 0xDBFF then begin
+           let lo = u16 s (e + 8) j in
+           next := e + 12;
+           len := put_utf8 piece (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+         end
+         else begin
+           next := e + 6;
+           len := put_utf8 piece hi
+         end
+       | c ->
+         Bytes.unsafe_set piece 0
+           (match c with
+            | 'b' -> '\b'
+            | 'f' -> '\012'
+            | 'n' -> '\n'
+            | 'r' -> '\r'
+            | 't' -> '\t'
+            | c -> c));
+      emit piece 0 !len !next;
+      k := !next
+    end
+    else k := j
+  done
+
 let finish st =
   if st.finished then invalid_arg "Xml_parser.finish: parser already finished";
   st.finished <- true;

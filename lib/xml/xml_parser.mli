@@ -83,6 +83,45 @@ val finish : state -> unit
     complete document (root closed, nothing but misc markup after).
     @raise Error when the input ended mid-document. *)
 
+(** {1 JSON string bodies}
+
+    A client sends a document state as the body of a JSON string.  These
+    are the one validator and the one decoder of such bodies: the JSON
+    codec reads every string with them, and a graft unescapes a state's
+    body straight into {!feed}. *)
+
+exception Json_error of int * string
+(** A malformed body: the offset of the fault in the scanned string, and
+    what it is. *)
+
+val json_scan : string -> int -> int -> int * int
+(** [json_scan s i n] validates the string body starting at [i] (just
+    past its opening quote, or at the end of a valid body's prefix ending
+    on an escape boundary) up to its closing quote, which must come
+    before [n].  Returns the quote's offset and the decoded length of
+    [s.[i .. quote-1]].  Rejects, at the offending offset, a missing
+    closing quote, a raw byte below 0x20, a malformed escape, an
+    unpaired surrogate of either half and ill-formed UTF-8 (RFC 3629: no
+    overlong form, no encoded surrogate, nothing past U+10FFFF, the
+    error at the sequence's lead byte).  Eight bytes a step while a word
+    holds no quote, backslash, control or non-ASCII byte.
+    @raise Json_error on a malformed body. *)
+
+val json_unescape :
+  string -> int -> int -> (bytes -> int -> int -> int -> unit) -> unit
+(** [json_unescape s i j emit] decodes the body [s.[i .. j-1]], which
+    {!json_scan} accepted (or a suffix of it starting on an escape
+    boundary), in pieces: [emit b off len next] for each run of plain
+    bytes, in place in [s], and for each escape, 1 to 4 bytes in a
+    scratch buffer that the next piece overwrites; [next] is the offset
+    in [s] just past the piece's source bytes. *)
+
+val json_plain_run : string -> int -> int -> int
+(** [json_plain_run s i n]: the end of the run of bytes of [s] from [i]
+    that print as themselves in a JSON string (anything but ['"'],
+    ['\\'] or a byte below 0x20), [n] at the latest: the encoder's
+    scanner. *)
+
 (** {1 Building a tree} *)
 
 val tree_builder : unit -> Tree.t * (event -> unit)

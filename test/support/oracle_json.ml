@@ -1,6 +1,9 @@
 (* The JSON string decoder {!Weblab_server.Json} used before it scanned
    plain bytes in runs: one [peek] and one [Buffer.add_char] per byte.
-   Kept as the oracle for values, error messages and offsets. *)
+   Kept as the oracle for values, error messages and offsets.  Like the
+   decoder, it rejects ill-formed UTF-8 (RFC 3629's table of well-formed
+   byte sequences, checked byte by byte, the error at the lead byte) and
+   unpaired surrogate escapes of either half. *)
 
 type cursor = { s : string; mutable pos : int }
 
@@ -58,6 +61,30 @@ let parse_u16 cur =
   cur.pos <- cur.pos + 4;
   v
 
+(* The length of the well-formed sequence at the cursor, by RFC 3629's
+   table: the lead byte fixes the range of the second byte. *)
+let utf8_sequence cur =
+  let byte i =
+    if cur.pos + i < String.length cur.s then Char.code cur.s.[cur.pos + i]
+    else -1
+  in
+  let within i lo hi = byte i >= lo && byte i <= hi in
+  let tail k = List.for_all (fun i -> within i 0x80 0xBF) (List.init k (fun i -> i + 2)) in
+  let n, lo, hi =
+    match byte 0 with
+    | b when b >= 0xC2 && b <= 0xDF -> (2, 0x80, 0xBF)
+    | 0xE0 -> (3, 0xA0, 0xBF)
+    | b when (b >= 0xE1 && b <= 0xEC) || b = 0xEE || b = 0xEF -> (3, 0x80, 0xBF)
+    | 0xED -> (3, 0x80, 0x9F)
+    | 0xF0 -> (4, 0x90, 0xBF)
+    | b when b >= 0xF1 && b <= 0xF3 -> (4, 0x80, 0xBF)
+    | 0xF4 -> (4, 0x80, 0x8F)
+    | _ -> (0, 0, 0)
+  in
+  if n = 0 || not (within 1 lo hi && tail (n - 2)) then
+    fail cur "ill-formed UTF-8";
+  n
+
 let parse_string cur =
   (* The caller has seen the opening quote. *)
   advance cur;
@@ -97,10 +124,17 @@ let parse_string cur =
               else fail cur "invalid low surrogate"
             end
             else fail cur "unpaired high surrogate"
+          else if hi >= 0xDC00 && hi <= 0xDFFF then
+            fail cur "unpaired low surrogate"
           else add_utf8 buf hi
         | c -> fail cur (Printf.sprintf "invalid escape \\%c" c)));
       go ()
     | Some c when Char.code c < 0x20 -> fail cur "control character in string"
+    | Some c when Char.code c >= 0x80 ->
+      let n = utf8_sequence cur in
+      Buffer.add_string buf (String.sub cur.s cur.pos n);
+      cur.pos <- cur.pos + n;
+      go ()
     | Some c ->
       advance cur;
       Buffer.add_char buf c;

@@ -110,6 +110,24 @@ let test_json_errors () =
     (fun (s, v) ->
       check_string (Printf.sprintf "%S parses" s) v (J.to_string (J.parse s)))
     [ ("0", "0"); ("-0", "0"); ("0.5", "0.5"); ("10", "10"); ("0e2", "0.0") ];
+  (* Request strings are well-formed UTF-8 (RFC 8259 §8.1): a stray
+     byte, an overlong, surrogate or out-of-range form, a cut sequence
+     and a lone surrogate escape are errors at their offsets. *)
+  List.iter
+    (fun (s, want) ->
+      check_string (Printf.sprintf "%S" s) want
+        (match J.parse s with
+        | exception J.Parse_error m -> m
+        | v -> "parsed: " ^ J.to_string v))
+    [ ("\"t\xff1\"", "at offset 2: ill-formed UTF-8");
+      ("\"t2\\udc00\"", "at offset 9: unpaired low surrogate");
+      ("[\"ok \xc3\xa9\",\"\xc0\xaf\"]", "at offset 10: ill-formed UTF-8");
+      ("\"\xed\xa0\x80\"", "at offset 1: ill-formed UTF-8");
+      ("\"\xf4\x90\x80\x80\"", "at offset 1: ill-formed UTF-8");
+      ("\"ab\xe2\x82\"", "at offset 3: ill-formed UTF-8");
+      ("{\"k\xf0\x9f\x90\":1}", "at offset 3: ill-formed UTF-8") ];
+  check_bool "four-byte characters parse" true
+    (J.parse "\"\xf0\x9f\x90\xab\xf4\x8f\xbf\xbf\"" = J.Str "\xf0\x9f\x90\xab\xf4\x8f\xbf\xbf");
   (* Arrays and objects nest at most 512 deep. *)
   let nested d = String.make d '[' ^ String.make d ']' in
   check_bool "512 deep parses" true (Result.is_ok (J.parse_opt (nested 512)));
@@ -120,8 +138,26 @@ let test_json_errors () =
           (String.concat "" (List.init 513 (fun _ -> "{\"a\":"))
           ^ "1" ^ String.make 513 '}')))
 
+(* Well-formed UTF-8 text: mostly ASCII, with two-, three- and four-byte
+   characters (none a surrogate). *)
+let utf8_text size =
+  let open Gen in
+  let uchar =
+    frequency
+      [ (12, int_range 0 0x7F); (2, int_range 0x80 0x7FF);
+        (1, int_range 0x800 0xD7FF); (1, int_range 0xE000 0xFFFF);
+        (1, int_range 0x10000 0x10FFFF) ]
+  in
+  map
+    (fun cps ->
+      let b = Buffer.create 16 in
+      List.iter (fun cp -> Buffer.add_utf_8_uchar b (Uchar.of_int cp)) cps;
+      Buffer.contents b)
+    (list_size size uchar)
+
 (* print/parse identity over trees without floats (integral floats
-   normalize to Int, so the generator sticks to the other constructors) *)
+   normalize to Int, so the generator sticks to the other constructors);
+   strings are well-formed UTF-8, the only ones a request may carry *)
 let json_arb =
   let open Gen in
   let key = string_size ~gen:(char_range 'a' 'z') (int_range 1 6) in
@@ -131,7 +167,7 @@ let json_arb =
         map (fun i -> J.Int i) int;
         map
           (fun s -> J.Str s)
-          (string_size (frequency [ (3, int_bound 12); (1, int_range 256 4096) ]))
+          (utf8_text (frequency [ (3, int_bound 12); (1, int_range 256 4096) ]))
       ]
   in
   let tree =
@@ -153,17 +189,18 @@ let prop_json_roundtrip =
     ~count:500 json_arb (fun v -> roundtrip v = v)
 
 (* String literals biased toward every byte the decoder treats
-   specially: quotes, backslashes, control bytes and [\u] escapes
-   (paired, lone-high and bad-low surrogates, bad hex, truncation),
-   between plain runs of up to a few KB.  Some lack the closing quote,
-   some carry trailing input. *)
+   specially: quotes, backslashes, control bytes, [\u] escapes (paired,
+   lone-high, lone-low and bad-low surrogates, bad hex, truncation) and
+   ill-formed UTF-8 (a stray byte, overlong, surrogate and out-of-range
+   forms, a sequence cut short), between plain UTF-8 runs of up to a few
+   KB.  Some lack the closing quote, some carry trailing input. *)
 let gen_string_doc : string Gen.t =
   let open Gen in
   let hex4 = map (Printf.sprintf "%04x") (int_bound 0xFFFF) in
   let plain =
-    string_size
-      ~gen:(map (fun c -> if c = '"' || c = '\\' then 'x' else c) (char_range ' ' '\255'))
-      (frequency [ (3, int_bound 16); (1, int_range 512 6000) ])
+    map
+      (String.map (fun c -> if c = '"' || c = '\\' || c < ' ' then 'x' else c))
+      (utf8_text (frequency [ (3, int_bound 16); (1, int_range 512 6000) ]))
   in
   let valid =
     frequency
@@ -184,7 +221,14 @@ let gen_string_doc : string Gen.t =
         (1, map (fun h -> "\\u" ^ h) hex4);
         (1, map (fun h -> "\\ud800" ^ h) (oneofl [ ""; "x"; "\\n"; "\\u" ]));
         (1, map (fun h -> "\\udbff\\u" ^ h) hex4);
-        (1, oneofl [ "\\u12g4"; "\\u12"; "\\u"; "\\" ]) ]
+        (1, map (Printf.sprintf "\\u%04x") (int_range 0xDC00 0xDFFF));
+        (1, oneofl [ "\\u12g4"; "\\u12"; "\\u"; "\\" ]);
+        ( 1,
+          oneofl
+            [ "\xff"; "\x80"; "\xc0\xaf"; "\xc1\xbf"; "\xe0\x80\xaf";
+              "\xed\xa0\x80"; "\xed\xbf\xbf"; "\xf0\x8f\xbf\xbf";
+              "\xf4\x90\x80\x80"; "\xf5\x80\x80\x80"; "\xe2\x82";
+              "\xf0\x9f\x90"; "\xc3" ] ) ]
   in
   bool >>= fun is_hostile ->
   map3
@@ -212,6 +256,11 @@ let prop_json_string_oracle =
 
 let rpc ctx fields =
   match J.parse_opt (Protocol.handle_line ctx (J.to_string (J.Obj fields))) with
+  | Ok v -> v
+  | Error msg -> Alcotest.failf "unparsable response: %s" msg
+
+let rpc_line ctx line =
+  match J.parse_opt (Protocol.handle_line ctx line) with
   | Ok v -> v
   | Error msg -> Alcotest.failf "unparsable response: %s" msg
 
@@ -800,6 +849,7 @@ let test_client_xml_resumes () =
     ~finally:(fun () -> T.set_level T.Off)
     (fun () ->
       let received = ref 0 and parsed = ref 0 in
+      let line_bytes = ref 0 and scanned = ref 0 and ratios = ref [] in
       for k = 1 to states do
         let b = Buffer.create 65536 in
         Buffer.add_string b "<Resource id=\"r1\" s=\"Source\" t=\"0\">";
@@ -808,14 +858,25 @@ let test_client_xml_resumes () =
         done;
         Buffer.add_string b "</Resource>";
         let xml = Buffer.contents b in
+        let line =
+          J.to_string
+            (J.Obj
+               [ ("verb", J.Str "commit"); ("session", J.Str "g");
+                 ("xml", J.Str xml) ])
+        in
         let b0 = counter "diff.graft.bytes"
-        and p0 = counter "diff.graft.parsed" in
+        and p0 = counter "diff.graft.parsed"
+        and s0 = counter "json.scanned" in
+        let a0 = Gc.allocated_bytes () in
+        let reply = Protocol.handle_line ctx line in
+        let allocated = Gc.allocated_bytes () -. a0 in
+        let s1 = counter "json.scanned" - s0 in
         let reply =
           expect_ok
             (Printf.sprintf "state %d" k)
-            (rpc ctx
-               [ ("verb", J.Str "commit"); ("session", J.Str "g");
-                 ("xml", J.Str xml) ])
+            (match J.parse_opt reply with
+             | Ok v -> v
+             | Error m -> Alcotest.failf "unparsable reply: %s" m)
         in
         let time = get_int "commit" "time" reply in
         check_int (Printf.sprintf "state %d: new nodes" k) (3 * per)
@@ -824,19 +885,33 @@ let test_client_xml_resumes () =
         and p1 = counter "diff.graft.parsed" - p0 in
         check_int (Printf.sprintf "state %d: bytes received" k)
           (String.length xml) b1;
-        if k <= 2 then
+        if k <= 2 then begin
           check_int (Printf.sprintf "state %d parses whole" k) b1 p1;
+          check_int (Printf.sprintf "state %d scans whole" k)
+            (String.length line) s1
+        end
+        else
+          ratios := (allocated /. float_of_int (String.length line)) :: !ratios;
         received := !received + b1;
         parsed := !parsed + p1;
+        line_bytes := !line_bytes + String.length line;
+        scanned := !scanned + s1;
         for u = (k - 1) * per to (k * per) - 1 do
           times.(u) <- time
         done
       done;
       if 4 * !parsed > !received then
         Alcotest.failf "parsed %d of %d bytes received (over 25%%)" !parsed
-          !received)
-
-(* ===== client XML states = offline blackbox run ===== *)
+          !received;
+      if 10 * !scanned > 3 * !line_bytes then
+        Alcotest.failf "JSON-scanned %d of %d bytes received (over 30%%)"
+          !scanned !line_bytes;
+      let sorted = List.sort Float.compare !ratios in
+      let median = List.nth sorted (List.length sorted / 2) in
+      if median > 1.5 then
+        Alcotest.failf
+          "a resumed commit allocates %.2f times its line (median, over 1.5)"
+          median)
 
 (* The first index at or after [from] where [sub] occurs in [s]. *)
 let find_sub s sub from =
@@ -847,6 +922,261 @@ let find_sub s sub from =
     else go (i + 1)
   in
   go from
+
+(* ===== client XML: escape spelling and member order ===== *)
+
+(* The UTF-8 characters of [s], each as (code point, its bytes). *)
+let utf8_chars s =
+  let rec go i acc =
+    if i >= String.length s then List.rev acc
+    else
+      let d = String.get_utf_8_uchar s i in
+      let n = Uchar.utf_decode_length d in
+      go (i + n) ((Uchar.to_int (Uchar.utf_decode_uchar d), String.sub s i n) :: acc)
+  in
+  go 0 []
+
+(* A legal JSON string body for [s] (well-formed UTF-8): character [i]
+   is spelled by [pick i] as itself where JSON allows it, as a short
+   escape, as [\u00XX] or [\uXXXX] in either case, or as a surrogate
+   pair; a '>' is escaped more often than not. *)
+let spell ~pick s =
+  let b = Buffer.create (String.length s + (String.length s / 4)) in
+  let u cp upper =
+    Buffer.add_string b
+      (Printf.sprintf (if upper then "\\u%04X" else "\\u%04x") cp)
+  in
+  List.iteri
+    (fun i (cp, bytes) ->
+      let k = pick i in
+      let upper = k land 8 <> 0 in
+      match cp with
+      | 0x22 -> Buffer.add_string b (if k mod 3 = 0 then "\\u0022" else "\\\"")
+      | 0x5C -> Buffer.add_string b (if k mod 3 = 0 then "\\u005c" else "\\\\")
+      | 0x2F when k mod 3 = 0 -> Buffer.add_string b "\\/"
+      | 0x0A when k mod 2 = 0 -> Buffer.add_string b "\\n"
+      | cp when cp < 0x20 -> u cp upper
+      | 0x3E when k mod 4 <> 0 -> u cp upper
+      | cp when cp >= 0x10000 && k mod 2 = 0 ->
+        let v = cp - 0x10000 in
+        u (0xD800 lor (v lsr 10)) upper;
+        u (0xDC00 lor (v land 0x3FF)) (not upper)
+      | cp when k mod 5 = 0 && cp < 0x10000 -> u cp upper
+      | _ -> Buffer.add_string b bytes)
+    (utf8_chars s);
+  Buffer.contents b
+
+(* Twin sessions fed the same client states through request lines:
+   [a]'s lines spell the body in random legal ways — the same spelling
+   over a prefix shared with the last line, until a random cut — with
+   the members in a random order, extra members and a repeated "xml"
+   key; [b]'s lines are canonical [J.to_string]; [c]'s too, with the
+   session's record dropped before every step, so it reads and parses
+   every state whole.  Replies, Turtle and arenas agree after every
+   step. *)
+let spelling_case seed =
+  let st = Random.State.make [| seed |] in
+  let ctx = Protocol.make_ctx ~max_sessions:3 () in
+  let line fields = J.to_string (J.Obj fields) in
+  let send l =
+    let r = Protocol.handle_line ctx l in
+    (r, match J.parse_opt r with Ok v -> v | Error m -> J.Str m)
+  in
+  List.iter
+    (fun sid ->
+      ignore
+        (send
+           (line
+              [ ("verb", J.Str "open"); ("session", J.Str sid);
+                ("scenario", J.Str "empty") ])))
+    [ "a"; "b"; "c" ];
+  let session sid = Option.get (Registry.find ctx.Protocol.registry sid) in
+  let doc sid = Option.get (Session.doc (session sid)) in
+  let layout = 1 + Random.State.int st 5 in
+  let steps = 4 + Random.State.int st 10 in
+  let base = Random.State.bits st in
+  let last = ref "" in
+  let rec go k =
+    k > steps
+    ||
+    let xml =
+      let d = doc "a" in
+      match Random.State.int st 6 with
+      | 0 when !last <> "" && Tree.last_child d (Tree.root d) <> Tree.no_node ->
+        Weblab_test_support.Graft_gen.resend ~last:!last d
+      | _ -> Weblab_test_support.Graft_gen.client_state st ~layout ~step:k d
+    in
+    (* A corruption that cut a UTF-8 character has no legal spelling. *)
+    if not (String.is_valid_utf_8 xml) then go (k + 1)
+    else begin
+      last := xml;
+      same k xml && go (k + 1)
+    end
+  and same k xml =
+    let canonical =
+      line
+        [ ("verb", J.Str "commit"); ("session", J.Str "b"); ("xml", J.Str xml) ]
+    in
+    let body =
+      let cut = Random.State.int st (String.length xml + 1) in
+      let fresh = Random.State.bits st in
+      "\""
+      ^ spell xml ~pick:(fun i ->
+            Hashtbl.hash ((if i < cut then base else fresh), i))
+      ^ "\""
+    in
+    let m k v = Printf.sprintf "%S:%s" k v in
+    let verb = m "verb" "\"commit\"" and sess = m "session" "\"a\"" in
+    let members =
+      match Random.State.int st 5 with
+      | 0 -> [ verb; sess; m "xml" body ]
+      | 1 -> [ verb; m "xml" body; sess ]
+      | 2 -> [ m "xml" body; verb; sess; m "extra" "[1,{\"k\":\"\\u00e9\"}]" ]
+      | 3 -> [ sess; verb; m "xml" body; m "note" "null"; m "xml" "\"<Bogus/>\"" ]
+      | _ -> [ verb; sess; m "xml" body; m "xml" "7" ]
+    in
+    let sep = if Random.State.bool st then "," else " ,\n " in
+    let ra, va = send ("{" ^ String.concat sep members ^ "}") in
+    let rb, _ = send canonical in
+    let sc = session "c" in
+    Session.with_lock sc (fun () -> Session.forget_accepted sc);
+    let rc, _ =
+      send
+        (line
+           [ ("verb", J.Str "commit"); ("session", J.Str "c"); ("xml", J.Str xml) ])
+    in
+    let turtle sid =
+      fst
+        (send
+           (line
+              [ ("verb", J.Str "query"); ("session", J.Str sid);
+                ("kind", J.Str "turtle") ]))
+    in
+    let fp sid = fingerprint (doc sid) in
+    (String.equal ra rb && String.equal rb rc
+     || Test.fail_reportf "step %d: replies\n%s\n%s\n%s" k ra rb rc)
+    && (J.str_member "error" va <> Some "parse_error"
+        || Test.fail_reportf "step %d: a legal line did not parse: %s" k ra)
+    && (String.equal (turtle "a") (turtle "b")
+        && String.equal (turtle "b") (turtle "c")
+        || Test.fail_reportf "step %d: Turtle differs" k)
+    && (String.equal (fp "a") (fp "b") && String.equal (fp "b") (fp "c")
+        || Test.fail_reportf "step %d: arenas differ" k)
+  in
+  go 1
+
+let prop_spelling_and_order =
+  Test.make
+    ~name:
+      "client XML: escape spelling and member order never change a commit \
+       (replies, Turtle, arena; resumed and whole reads)"
+    ~count:120
+    (make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    spelling_case
+
+(* ===== client XML: nothing commits from a line that does not parse ===== *)
+
+let test_unparsed_commits_nothing () =
+  let module T = Weblab_obs.Telemetry in
+  let counter name =
+    match List.assoc_opt name (T.counters ()) with Some n -> n | None -> 0
+  in
+  let dir = Filename.temp_dir "weblab_serve_unparsed" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_level T.Off;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let ctx = Protocol.make_ctx ~max_sessions:2 ~data_dir:dir () in
+      let call fields = rpc ctx (("session", J.Str "p") :: fields) in
+      ignore
+        (expect_ok "open"
+           (call [ ("verb", J.Str "open"); ("scenario", J.Str "empty") ]));
+      let sess = Option.get (Registry.find ctx.Protocol.registry "p") in
+      let wal = Protocol.wal_file dir "p" in
+      let units = ref [] in
+      let state extra =
+        let b = Buffer.create 4096 in
+        Buffer.add_string b "<Resource id=\"r1\" s=\"Source\" t=\"0\">";
+        List.iter (Buffer.add_string b) !units;
+        Buffer.add_string b extra;
+        Buffer.add_string b "</Resource>";
+        Buffer.contents b
+      in
+      let commit_line xml =
+        J.to_string
+          (J.Obj
+             [ ("verb", J.Str "commit"); ("session", J.Str "p");
+               ("xml", J.Str xml) ])
+      in
+      let grow k =
+        let fresh =
+          String.concat ""
+            (List.init 8 (fun i ->
+                 Printf.sprintf "<Unit id=\"u%d-%d\"><C>caf\xc3\xa9 %d</C></Unit>"
+                   k i i))
+        in
+        let xml = state fresh in
+        let r = expect_ok "commit" (rpc_line ctx (commit_line xml)) in
+        let t = get_int "commit" "time" r in
+        units :=
+          !units
+          @ List.init 8 (fun i ->
+                Printf.sprintf
+                  "<Unit id=\"u%d-%d\" s=\"ClientXml\" t=\"%d\"><C>caf\xc3\xa9 %d</C></Unit>"
+                  k i t i)
+      in
+      grow 1;
+      grow 2;
+      grow 3;
+      let snapshot () =
+        ( fingerprint (Option.get (Session.doc sess)),
+          J.to_string (expect_ok "stats" (call [ ("verb", J.Str "stats") ])),
+          (Unix.stat wal).Unix.st_size )
+      in
+      let before = snapshot () and record = Session.accepted sess in
+      check_bool "a record to resume from" true (Option.is_some record);
+      let good = commit_line (state "<Unit id=\"z\"><C>tail</C></Unit>") in
+      (* Most faults sit in the body's tail, past the record's last
+         shared mark, or after the body. *)
+      let at = String.length good - String.length "</Resource>\"}" in
+      let insert ?(at = at) s =
+        String.sub good 0 at ^ s ^ String.sub good at (String.length good - at)
+      in
+      (* A fault in the first batch of units: the line first differs
+         from the record's there, well before the record's last mark. *)
+      let diverge = find_sub good "u1-0" 0 + 4 in
+      let faults =
+        [ ("a truncation", String.sub good 0 (at + 3));
+          ("a bad escape", insert "\\q");
+          ("a raw control byte", insert "\x01");
+          ("ill-formed UTF-8", insert "\xff");
+          ("ill-formed UTF-8 before the last mark", insert ~at:diverge "\xff");
+          ("a lone low surrogate", insert "\\udc00");
+          ("an unterminated string", String.sub good 0 (String.length good - 2) ^ "}");
+          ("trailing garbage", good ^ " x");
+          ("garbage after the closing quote", String.sub good 0 (String.length good - 1) ^ " 1}") ]
+      in
+      List.iter
+        (fun (what, l) ->
+          ignore (expect_err what "parse_error" (rpc_line ctx l));
+          check_bool (what ^ ": nothing changed") true (snapshot () = before);
+          check_bool (what ^ ": the record stays") true
+            (Session.accepted sess == record))
+        faults;
+      T.set_level T.Counters;
+      let p0 = counter "diff.graft.parsed" and s0 = counter "json.scanned" in
+      ignore (expect_ok "the next valid state" (rpc_line ctx good));
+      let parsed = counter "diff.graft.parsed" - p0
+      and scanned = counter "json.scanned" - s0 in
+      check_bool
+        (Printf.sprintf "it resumes: parsed %d, scanned %d of %d" parsed scanned
+           (String.length good))
+        true
+        (parsed < String.length good / 2 && scanned < String.length good / 2))
+
+(* ===== client XML states = offline blackbox run ===== *)
 
 (* The span of the [n]-th (0-based) complete element named [tag], for
    states that must fail; units hold no nested unit. *)
@@ -1628,8 +1958,11 @@ let () =
          Alcotest.test_case "client XML states = offline blackbox run" `Quick
            test_client_xml_matches_offline;
          Alcotest.test_case "client XML commits parse what they add" `Quick
-           test_client_xml_resumes
-       ]);
+           test_client_xml_resumes;
+         Alcotest.test_case "client XML: nothing commits from an unparsed line"
+           `Quick test_unparsed_commits_nothing
+       ]
+       @ to_alcotest [ prop_spelling_and_order ]);
       ("equivalence",
        [ Alcotest.test_case "served Turtle = offline Turtle (all backends)"
            `Quick test_serve_matches_offline;
