@@ -103,37 +103,3 @@ let descendants t u =
     List.sort String.compare !acc
 
 let size t = Array.length t.names
-
-(* The closure as a binding table over ("from", "to") — the materialized
-   depends-on* relation in the same relational algebra as the pattern
-   tables, so provenance queries can hash-join against it (e.g. closure ⋈
-   embeddings to restrict pattern matches to the lineage of a resource). *)
-let closure_table t =
-  let open Weblab_relalg in
-  let rows = ref [] in
-  for i = Array.length t.names - 1 downto 0 do
-    for j = Array.length t.names - 1 downto 0 do
-      if bit_get t.closure.(i) j then
-        rows := [| Value.Str t.names.(i); Value.Str t.names.(j) |] :: !rows
-    done
-  done;
-  Table.of_rows [ "from"; "to" ] !rows
-
-(* All resources whose lineages include [u], joined with everything [u]
-   itself depends on — the "impact × cause" table of a resource, computed
-   relationally: σ(to=u)(closure) ⋈ ρ(from→u', to→cause) σ(from=u)(closure). *)
-let impact_table t u =
-  let open Weblab_relalg in
-  let c = closure_table t in
-  let impacted =
-    Table.rename
-      (Table.select c (fun tbl row -> Table.get tbl row "to" = Value.Str u))
-      [ ("from", "impacted"); ("to", "via") ]
-  in
-  let causes =
-    Table.rename
-      (Table.select c (fun tbl row -> Table.get tbl row "from" = Value.Str u))
-      [ ("from", "via"); ("to", "cause") ]
-  in
-  (* "via" is [u] on both sides: the hash join keys the product through u. *)
-  Table.hash_join impacted causes

@@ -26,13 +26,3 @@ val ancestors : t -> string -> string list
 
 val descendants : t -> string -> string list
 (** Everything that transitively depends on the resource, sorted. *)
-
-val closure_table : t -> Weblab_relalg.Table.t
-(** The materialized depends-on{^ *} relation as a binding table with
-    columns [("from", "to")] — provenance queries can
-    {!Weblab_relalg.Table.hash_join} pattern-embedding tables against it. *)
-
-val impact_table : t -> string -> Weblab_relalg.Table.t
-(** [impact_table t u]: columns [("impacted", "via", "cause")] — every
-    resource whose lineage passes through [u], hash-joined (through the
-    shared ["via"] = [u] column) with everything [u] depends on. *)

@@ -51,43 +51,77 @@ let serve_conn ctx fd =
     Sink.flush w;
     flush oc
   in
-  (* [input_line] in blocks up to the cap: [block] holds unread bytes on
-     [!pos, !len), [chunks] the line's earlier pieces, newest first. *)
-  let block = Bytes.create 65536 and pos = ref 0 and len = ref 0 in
-  let rec serve chunks size =
-    if !pos = !len then begin
-      pos := 0;
-      len := input ic block 0 (Bytes.length block)
-    end;
-    let i = !pos and n = !len in
-    let j = ref i in
-    while !j + 8 <= n && no_newline block !j do
+  (* [input_line] in blocks up to the cap: [!block] holds unread bytes on
+     [!pos, !len).  A line that ends in the block it started in is copied
+     out once.  A longer one hands each block over to [pieces] (newest
+     first, [size] bytes in all) once it is full and reads on into a
+     fresh block; its bytes are copied once, when the pieces are joined. *)
+  let block = ref (Bytes.create 65536) and pos = ref 0 and len = ref 0 in
+  let answer pieces size j =
+    let b = !block and i = !pos in
+    let l =
+      if pieces = [] then Bytes.sub_string b i (j - i)
+      else begin
+        let l = Bytes.create (size + j - i) and at = ref size in
+        Bytes.blit b i l size (j - i);
+        List.iter
+          (fun (p, off, k) ->
+            at := !at - k;
+            Bytes.blit p off l !at k)
+          pieces;
+        Bytes.unsafe_to_string l
+      end
+    in
+    if String.length (String.trim l) > 0 then reply (Protocol.write_line ctx l)
+  in
+  (* The line so far is [pieces], then [!pos, from) of [!block], where
+     no byte is '\n'. *)
+  let rec serve pieces size from =
+    let b = !block and i = !pos and n = !len in
+    let j = ref from in
+    while !j + 8 <= n && no_newline b !j do
       j := !j + 8
     done;
-    while !j < n && Bytes.unsafe_get block !j <> '\n' do
+    while !j < n && Bytes.unsafe_get b !j <> '\n' do
       incr j
     done;
-    let size = size + !j - i in
-    if size > max_request_bytes then
+    let j = !j in
+    if size + j - i > max_request_bytes then
       reply (fun w ->
           Sink.add_string w
             (Printf.sprintf
                {|{"ok":false,"error":"request_too_large","message":"request line longer than %d bytes"}|}
                max_request_bytes))
+    else if j < n then begin
+      answer pieces size j;
+      pos := j + 1;
+      serve [] 0 (j + 1)
+    end
     else begin
-      let chunks = Bytes.sub block i (!j - i) :: chunks in
-      pos := min (!j + 1) n;
-      if !j = n && n > 0 then serve chunks size
+      let pieces, size =
+        if i = n then begin
+          pos := 0;
+          len := 0;
+          (pieces, size)
+        end
+        else if n = Bytes.length b then begin
+          block := Bytes.create n;
+          pos := 0;
+          len := 0;
+          ((b, i, n - i) :: pieces, size + n - i)
+        end
+        else (pieces, size)
+      in
+      let from = !len in
+      let k = input ic !block from (Bytes.length !block - from) in
+      if k = 0 then (* the last line of the input *) answer pieces size from
       else begin
-        (* a newline, or the last line of the input *)
-        let l = Bytes.(unsafe_to_string (concat empty (List.rev chunks))) in
-        if String.length (String.trim l) > 0 then
-          reply (Protocol.write_line ctx l);
-        if n > 0 then serve [] 0
+        len := from + k;
+        serve pieces size from
       end
     end
   in
-  try serve [] 0 with Sys_error _ | Unix.Unix_error _ -> ()
+  try serve [] 0 0 with Sys_error _ | Unix.Unix_error _ -> ()
 
 let start ?(host = "127.0.0.1") ?(port = 8321) ctx =
   ignore_sigpipe ();

@@ -36,9 +36,6 @@ type cond =
 type clause =
   | For of string * path
   | Let of string * expr
-  | Filter of cond
-      (* an inlined where-conjunct, evaluated as soon as its variables are
-         bound (produced by the selection-pushdown optimizer) *)
 
 type flwor = {
   clauses : clause list;
@@ -50,10 +47,10 @@ type flwor = {
 
 let for_vars q =
   List.filter_map
-    (function For (v, _) -> Some v | Let _ | Filter _ -> None)
+    (function For (v, _) -> Some v | Let _ -> None)
     q.clauses
 
 let let_defs q =
   List.filter_map
-    (function Let (v, e) -> Some (v, e) | For _ | Filter _ -> None)
+    (function Let (v, e) -> Some (v, e) | For _ -> None)
     q.clauses

@@ -38,8 +38,7 @@ let subst_query ~from_var ~to_var (q : Xq_ast.flwor) =
       List.map
         (function
           | Xq_ast.For (v, p) -> Xq_ast.For (v, subst_path ~from_var ~to_var p)
-          | Xq_ast.Let (v, e) -> Xq_ast.Let (v, subst_expr ~from_var ~to_var e)
-          | Xq_ast.Filter c -> Xq_ast.Filter (subst_cond ~from_var ~to_var c))
+          | Xq_ast.Let (v, e) -> Xq_ast.Let (v, subst_expr ~from_var ~to_var e))
         q.Xq_ast.clauses;
     where = List.map (subst_cond ~from_var ~to_var) q.Xq_ast.where;
     return_cols =
@@ -52,9 +51,7 @@ let find_key_join ~key_attrs (q : Xq_ast.flwor) =
   let lets = Xq_ast.let_defs q in
   let fors =
     List.filter_map
-      (function
-        | Xq_ast.For (v, p) -> Some (v, p)
-        | Xq_ast.Let _ | Xq_ast.Filter _ -> None)
+      (function Xq_ast.For (v, p) -> Some (v, p) | Xq_ast.Let _ -> None)
       q.Xq_ast.clauses
   in
   let key_source x =
@@ -96,12 +93,7 @@ let eliminate_dead_lets (q : Xq_ast.flwor) =
   let used =
     List.concat_map used_vars_cond q.Xq_ast.where
     @ List.concat_map (fun (_, e) -> used_vars_expr e) q.Xq_ast.return_cols
-    @ List.concat_map
-        (function
-          | Xq_ast.Let (_, e) -> used_vars_expr e
-          | Xq_ast.Filter c -> used_vars_cond c
-          | Xq_ast.For _ -> [])
-        q.Xq_ast.clauses
+    @ List.concat_map (fun (_, e) -> used_vars_expr e) (Xq_ast.let_defs q)
   in
   {
     q with
@@ -109,7 +101,7 @@ let eliminate_dead_lets (q : Xq_ast.flwor) =
       List.filter
         (function
           | Xq_ast.Let (v, _) -> List.mem v used
-          | Xq_ast.For _ | Xq_ast.Filter _ -> true)
+          | Xq_ast.For _ -> true)
         q.Xq_ast.clauses;
   }
 
@@ -124,65 +116,8 @@ let rec merge_key_joins ?(key_attrs = [ "id" ]) (q : Xq_ast.flwor) =
           List.filter
             (function
               | Xq_ast.For (v, _) -> not (String.equal v drop)
-              | Xq_ast.Let _ | Xq_ast.Filter _ -> true)
+              | Xq_ast.Let _ -> true)
             q.Xq_ast.clauses }
     in
     merge_key_joins ~key_attrs (subst_query ~from_var:drop ~to_var:keep q)
 
-
-(* ---- selection pushdown ----
-
-   Move each where-conjunct to the earliest point in the clause list at
-   which all the variables it mentions are bound, so embeddings are pruned
-   before later for-clauses multiply them.  Semantics-preserving
-   (conditions are only ever evaluated with the same bindings). *)
-
-(* Variables a path/expr/cond mentions — for-variables and let-variables
-   alike: both appear as clauses, so a filter placed after the clauses
-   binding every mentioned name is always evaluable. *)
-let rec path_deps (p : Xq_ast.path) =
-  match p.Xq_ast.start with `Root -> [] | `Var v -> [ v ]
-
-and expr_deps (e : Xq_ast.expr) =
-  match e with
-  | Xq_ast.Attr_of (v, _) -> [ v ]
-  | Xq_ast.Var_ref v -> [ v ]
-  | Xq_ast.Skolem_call (_, args) -> List.concat_map expr_deps args
-  | Xq_ast.String_lit _ | Xq_ast.Int_lit _ -> []
-
-and cond_deps (c : Xq_ast.cond) =
-  match c with
-  | Xq_ast.Cmp (a, _, b) -> expr_deps a @ expr_deps b
-  | Xq_ast.Exists p -> path_deps p
-  | Xq_ast.Has_attr (v, _) -> [ v ]
-  | Xq_ast.Path_cmp (p, _, e) -> path_deps p @ expr_deps e
-  | Xq_ast.And (a, b) | Xq_ast.Or (a, b) -> cond_deps a @ cond_deps b
-  | Xq_ast.Not a -> cond_deps a
-
-let push_filters (q : Xq_ast.flwor) : Xq_ast.flwor =
-  let insert cond clauses =
-    let deps = List.sort_uniq String.compare (cond_deps cond) in
-    (* find the shortest prefix binding every dep (for-vars and let-vars
-       count where they appear) *)
-    let rec place bound acc = function
-      | rest when List.for_all (fun d -> List.mem d bound) deps ->
-        List.rev_append acc (Xq_ast.Filter cond :: rest)
-      | [] -> List.rev_append acc [ Xq_ast.Filter cond ]
-      | clause :: rest ->
-        let bound =
-          match clause with
-          | Xq_ast.For (v, _) | Xq_ast.Let (v, _) -> v :: bound
-          | Xq_ast.Filter _ -> bound
-        in
-        place bound (clause :: acc) rest
-    in
-    place [] [] clauses
-  in
-  let clauses =
-    List.fold_left (fun cls cond -> insert cond cls) q.Xq_ast.clauses q.Xq_ast.where
-  in
-  { q with Xq_ast.clauses; where = [] }
-
-(* The full optimization pipeline: merge key joins, then push the
-   remaining selections down. *)
-let optimize ?key_attrs q = push_filters (merge_key_joins ?key_attrs q)

@@ -5,22 +5,10 @@
     into a navigation.  Dead lets are then eliminated. *)
 
 val merge_key_joins : ?key_attrs:string list -> Xq_ast.flwor -> Xq_ast.flwor
-(** Iterate the merge to a fixpoint, then clean up.  [key_attrs] defaults
-    to [\["id"\]] — the justification being that @id is of type ID.
-    Semantics-preserving (tested against the unoptimized query). *)
-
-val eliminate_dead_lets : Xq_ast.flwor -> Xq_ast.flwor
-(** Drop let-clauses whose variable is referenced nowhere. *)
-
-val subst_query : from_var:string -> to_var:string -> Xq_ast.flwor -> Xq_ast.flwor
-(** Substitute one for-variable for another everywhere (paths, conditions,
-    lets, return columns). *)
-
-val push_filters : Xq_ast.flwor -> Xq_ast.flwor
-(** Selection pushdown: move each where-conjunct to the earliest point at
-    which all its variables are bound ({!Xq_ast.Filter} clauses), pruning
-    embeddings before later for-clauses multiply them.
-    Semantics-preserving (tested). *)
-
-val optimize : ?key_attrs:string list -> Xq_ast.flwor -> Xq_ast.flwor
-(** {!merge_key_joins} followed by {!push_filters}. *)
+(** Iterate the merge to a fixpoint, then drop the let-clauses whose
+    variable is referenced nowhere.  [key_attrs] defaults to
+    [\["id"\]] — the justification being that @id is of type ID.  The
+    result equals the unoptimized query's on documents where every
+    element on a merged path carries the key and no two share a value
+    (tested): the dropped lets no longer reject an element that lacks
+    it. *)

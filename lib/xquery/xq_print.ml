@@ -44,25 +44,13 @@ let to_string (q : Xq_ast.flwor) =
     List.filter_map
       (function
         | Xq_ast.For (v, p) -> Some (Printf.sprintf "$%s in %s" v (path_to_string p))
-        | Xq_ast.Let _ | Xq_ast.Filter _ -> None)
+        | Xq_ast.Let _ -> None)
       q.Xq_ast.clauses
   in
   let lets =
-    List.filter_map
-      (function
-        | Xq_ast.Let (v, e) -> Some (Printf.sprintf "$%s := %s" v (expr_to_string e))
-        | Xq_ast.For _ | Xq_ast.Filter _ -> None)
-      q.Xq_ast.clauses
-  in
-  (* inlined filters print back in the where clause (position is an
-     execution detail, not part of the semantics) *)
-  let q =
-    { q with
-      Xq_ast.where =
-        List.filter_map
-          (function Xq_ast.Filter c -> Some c | Xq_ast.For _ | Xq_ast.Let _ -> None)
-          q.Xq_ast.clauses
-        @ q.Xq_ast.where }
+    List.map
+      (fun (v, e) -> Printf.sprintf "$%s := %s" v (expr_to_string e))
+      (Xq_ast.let_defs q)
   in
   Buffer.add_string buf ("for " ^ String.concat ",\n    " fors ^ "\n");
   if lets <> [] then

@@ -6,6 +6,7 @@
 
 open Weblab_xml
 open Weblab_relalg
+open Weblab_xquery
 
 exception Unbound_variable of string
 
@@ -161,7 +162,6 @@ let run doc (q : Xq_ast.flwor) : Table.t =
       match eval_expr doc env e with
       | Some value -> loop { env with values = (v, value) :: env.values } rest
       | None -> ()   (* a missing binding attribute kills the embedding *))
-    | Xq_ast.Filter c :: rest -> if eval_cond doc env c then loop env rest
   in
   loop empty_env q.Xq_ast.clauses;
   Table.distinct table

@@ -6,6 +6,7 @@
 
 open Weblab_xml
 open Weblab_relalg
+open Weblab_xquery
 
 exception Unbound_variable of string
 (** A for/let variable was referenced before being bound — a compiler

@@ -20,6 +20,7 @@
    v} *)
 
 open Weblab_xpath
+open Weblab_xquery
 
 exception Error of { pos : int; message : string }
 

@@ -595,37 +595,6 @@ let prop_extend_equals_rebuild =
       done;
       !ok)
 
-(* ---------- reachability closure tables ---------- *)
-
-let test_closure_table () =
-  let g = Prov_graph.create () in
-  Prov_graph.add_link g ~from_uri:"c" ~to_uri:"b";
-  Prov_graph.add_link g ~from_uri:"b" ~to_uri:"a";
-  let idx = Reachability.build g in
-  let t = Reachability.closure_table idx in
-  let open Weblab_relalg in
-  let pairs =
-    Table.rows t
-    |> List.map (fun row ->
-           (Value.to_string (Table.get t row "from"),
-            Value.to_string (Table.get t row "to")))
-    |> List.sort compare
-  in
-  Alcotest.(check (list (pair string string)))
-    "closure pairs"
-    [ ("b", "a"); ("c", "a"); ("c", "b") ]
-    pairs;
-  let imp = Reachability.impact_table idx "b" in
-  let rows =
-    Table.rows imp
-    |> List.map (fun row ->
-           (Value.to_string (Table.get imp row "impacted"),
-            Value.to_string (Table.get imp row "cause")))
-    |> List.sort compare
-  in
-  Alcotest.(check (list (pair string string))) "impact × cause through b"
-    [ ("c", "a") ] rows
-
 (* The index costs less per node than the arena it indexes.  Probe: the
    256-unit workload document (seed 7) after a 9-call catalog chain,
    15,775 nodes and 5,910 resources.  The index's own live bytes (its
@@ -655,7 +624,6 @@ let () =
             test_loose_numeric_not_narrowed;
           Alcotest.test_case "guarded child step allocates per child" `Quick
             test_guarded_child_step_allocation;
-          Alcotest.test_case "closure table" `Quick test_closure_table;
           Alcotest.test_case "bytes per node" `Quick test_bytes_per_node ] );
       ( "extension",
         Alcotest.test_case "append extends in place" `Quick test_extend_basic

@@ -197,7 +197,7 @@ let test_ex9_semantics () =
   let e = Lazy.force e in
   let naive, optimized = Figures.ex9_queries () in
   let run q =
-    let t = Weblab_xquery.Xq_eval.run e.Paper.doc q in
+    let t = Weblab_test_support.Xq_eval.run e.Paper.doc q in
     table_pairs t "in" "out"
   in
   check pairs "naive = optimized" (run naive) (run optimized);
@@ -214,11 +214,11 @@ let test_m3_xquery_compilation () =
     Weblab_xquery.Xq_compile.compile_rule_query (Rule.source m3) (Rule.target m3)
       ~service:"Translator" ~time:3
   in
-  let t = Weblab_xquery.Xq_eval.run e.Paper.doc q in
+  let t = Weblab_test_support.Xq_eval.run e.Paper.doc q in
   check pairs "m3 via xquery" [ ("r4", "r8") ] (table_pairs t "in" "out");
   (* and the query survives the print/parse round-trip *)
-  let q' = Weblab_xquery.Xq_parser.parse (Weblab_xquery.Xq_print.to_string q) in
-  let t' = Weblab_xquery.Xq_eval.run e.Paper.doc q' in
+  let q' = Weblab_test_support.Xq_parser.parse (Weblab_xquery.Xq_print.to_string q) in
+  let t' = Weblab_test_support.Xq_eval.run e.Paper.doc q' in
   check pairs "after text round-trip" [ ("r4", "r8") ] (table_pairs t' "in" "out")
 
 (* PROV export of the running example. *)

@@ -448,6 +448,88 @@ let prop_quality_monotone =
         (fun (u1, s1) (u2, s2) -> u1 = u2 && s2 <= s1 +. 1e-9)
         high low)
 
+(* --- Example 9's key-join merge preserves results --- *)
+
+(* A document where every element carries an @id and no two share one:
+   the merge is sound only where @id is a key.  (It also drops the lets
+   whose missing @id would have killed an embedding, so an element
+   without @id on a merged path changes the result.)  Elements carry
+   @s/@t labels so rule queries select rows, and sometimes a non-key
+   @k. *)
+let gen_keyed_doc : Tree.t Gen.t =
+ fun st ->
+  let doc = Tree.create () in
+  let next = ref 0 in
+  let rec element parent depth =
+    incr next;
+    let k = if Gen.bool st then [ ("k", Gen.oneofl [ "1"; "2" ] st) ] else [] in
+    let attrs =
+      (("id", Printf.sprintf "n%d" !next) :: k)
+      @ [ ("s", Gen.oneofl [ "S"; "T"; "T" ] st); ("t", string_of_int (Gen.int_bound 1 st)) ]
+    in
+    let n = Tree.new_element doc ~parent (Gen.oneofl [ "A"; "B" ] st) ~attrs in
+    if depth > 0 then
+      for _ = 0 to Gen.int_bound 2 st do
+        element n (depth - 1)
+      done
+  in
+  element Tree.no_node 4;
+  doc
+
+(* A rule whose source and target open with the same step binding $x to
+   @id, as in Example 9, so the merge applies; now and then the target's
+   first step names another element or the join uses the non-key @k, so
+   it must not.  A shared second step binding $y := @id makes a second
+   merge possible only after the first. *)
+let gen_keyed_rule st =
+  let open Weblab_xpath.Ast in
+  let name () = Gen.oneofl [ "A"; "B" ] st in
+  let step axis name preds = { axis; test = Name name; preds } in
+  let pred () =
+    match Gen.int_bound 3 st with
+    | 0 -> Exists_attr "k"
+    | 1 -> Cmp (Attr "k", Eq, Lit "1")
+    | 2 -> Exists_path [ { raxis = Child; rtest = Name (name ()) } ]
+    | _ -> Not (Cmp (Attr "k", Eq, Lit "2"))
+  in
+  let last () =
+    step (if Gen.bool st then Child else Descendant) (name ())
+      (if Gen.int_bound 2 st = 0 then [ pred () ] else [])
+  in
+  let key = if Gen.int_bound 5 st = 0 then "k" else "id" in
+  let first = name () and second = name () in
+  let same_first = Gen.int_bound 5 st > 0 and shared_second = Gen.bool st in
+  let pattern first =
+    step Descendant first [ Bind ("x", Attr key) ]
+    :: (if shared_second then [ step Child second [ Bind ("y", Attr "id") ] ] else [])
+    @ [ last () ]
+  in
+  let source = pattern first in
+  let other = if first = "A" then "B" else "A" in
+  let target = pattern (if same_first then first else other) in
+  (source, target, key = "id" && same_first)
+
+let prop_key_merge_preserves_results =
+  let print (d, (s, t, _)) =
+    Printf.sprintf "%s -> %s on %s" (Weblab_xpath.Print.pattern_to_string s)
+      (Weblab_xpath.Print.pattern_to_string t)
+      (Printer.to_string ~indent:true d)
+  in
+  Test.make ~name:"Example 9 key merge preserves results" ~count
+    (make ~print (Gen.pair gen_keyed_doc gen_keyed_rule))
+    (fun (doc, (source, target, mergeable)) ->
+      let fors q = List.length (Weblab_xquery.Xq_ast.for_vars q) in
+      let q =
+        Weblab_xquery.Xq_compile.compile_rule_query source target ~service:"T"
+          ~time:1
+      in
+      let merged = Weblab_xquery.Xq_optimize.merge_key_joins q in
+      (* the merge fires exactly when the join is on @id over one path *)
+      (fors merged < fors q) = mergeable
+      && Weblab_relalg.Table.equal
+           (Weblab_test_support.Xq_eval.run doc q)
+           (Weblab_test_support.Xq_eval.run doc merged))
+
 (* --- compiled FLWOR queries survive the text round-trip --- *)
 
 let has_index (p : Weblab_xpath.Ast.pattern) =
@@ -458,26 +540,16 @@ let has_index (p : Weblab_xpath.Ast.pattern) =
         st.Weblab_xpath.Ast.preds)
     p
 
-let prop_pushdown_preserves_semantics =
-  Test.make ~name:"selection pushdown preserves semantics" ~count
-    (pair arb_pattern arb_doc)
-    (fun (pat, doc) ->
-      assume (not (has_index pat));
-      let q = Weblab_xquery.Xq_compile.compile_pattern_query pat in
-      Weblab_relalg.Table.equal
-        (Weblab_xquery.Xq_eval.run doc q)
-        (Weblab_xquery.Xq_eval.run doc (Weblab_xquery.Xq_optimize.push_filters q)))
-
 let prop_flwor_text_roundtrip =
   Test.make ~name:"compiled FLWOR survives print/parse" ~count
     (pair arb_pattern arb_doc)
     (fun (pat, doc) ->
       assume (not (has_index pat));
       let q = Weblab_xquery.Xq_compile.compile_pattern_query pat in
-      let q' = Weblab_xquery.Xq_parser.parse (Weblab_xquery.Xq_print.to_string q) in
+      let q' = Weblab_test_support.Xq_parser.parse (Weblab_xquery.Xq_print.to_string q) in
       Weblab_relalg.Table.equal
-        (Weblab_xquery.Xq_eval.run doc q)
-        (Weblab_xquery.Xq_eval.run doc q'))
+        (Weblab_test_support.Xq_eval.run doc q)
+        (Weblab_test_support.Xq_eval.run doc q'))
 
 let prop_compiled_equals_native =
   Test.make ~name:"compiled FLWOR = native embeddings" ~count
@@ -490,7 +562,7 @@ let prop_compiled_equals_native =
           (Weblab_relalg.Table.columns native)
       in
       let compiled =
-        Weblab_xquery.Xq_eval.run doc
+        Weblab_test_support.Xq_eval.run doc
           (Weblab_xquery.Xq_compile.compile_pattern_query ~require_uri:true pat)
       in
       Weblab_relalg.Table.equal
@@ -659,5 +731,5 @@ let () =
           [ prop_reachability_matches_bfs; prop_happened_before_strict_order;
             prop_parallel_strategies_agree; prop_extended_pattern_roundtrip;
             prop_flwor_text_roundtrip; prop_compiled_equals_native;
-            prop_pushdown_preserves_semantics; prop_quality_monotone;
+            prop_key_merge_preserves_results; prop_quality_monotone;
             prop_ntriples_roundtrip ] ) ]

@@ -1816,6 +1816,102 @@ let test_tcp_oversized_line () =
   Unix.close fd;
   Server.stop srv
 
+(* Request lines across the reader's 64 KiB blocks: client-XML commits
+   padded so their newline falls at offsets 65535, 65536 and 65537, and
+   at 2 × 65536 ± 1, of a fresh connection; a line that starts just past
+   a block boundary, after a line of exactly 65536 bytes; a line written
+   in several pieces; and a last line without a newline before EOF.  Each
+   commit goes to a session of its own, and each reply must be
+   byte-identical to [Protocol.handle_line] of the same line on a twin
+   registry. *)
+let test_tcp_block_boundaries () =
+  let ctx = Protocol.make_ctx ~max_sessions:16 () in
+  let twin = Protocol.make_ctx ~max_sessions:16 () in
+  let srv = Server.start ~port:0 ctx in
+  let sessions = ref 0 in
+  (* a commit line of exactly [n] bytes, to a freshly opened session *)
+  let commit n =
+    incr sessions;
+    let sid = Printf.sprintf "b%d" !sessions in
+    let opening =
+      J.to_string
+        (J.Obj
+           [ ("verb", J.Str "open"); ("session", J.Str sid);
+             ("scenario", J.Str "empty") ])
+    in
+    ignore (expect_ok "open" (rpc_line ctx opening));
+    ignore (expect_ok "twin open" (rpc_line twin opening));
+    let line pad =
+      J.to_string
+        (J.Obj
+           [ ("verb", J.Str "commit"); ("session", J.Str sid);
+             ( "xml",
+               J.Str
+                 (Printf.sprintf
+                    "<Resource id=\"r1\" s=\"Source\" t=\"0\"><MediaUnit \
+                     id=\"u1\"><NativeContent>%s</NativeContent></MediaUnit></Resource>"
+                    (String.make pad 'x')) ) ])
+    in
+    let l = line (n - String.length (line 0)) in
+    check_int "line length" n (String.length l);
+    l
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+    (fd, Unix.in_channel_of_descr fd)
+  in
+  let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  let expect_replies what ic lines =
+    List.iter
+      (fun l ->
+        let expected = Protocol.handle_line twin l in
+        check_string what expected (input_line ic);
+        match J.parse_opt expected with
+        | Ok v -> ignore (expect_ok what v)
+        | Error m -> Alcotest.failf "%s: unparsable reply: %s" what m)
+      lines
+  in
+  (* one line per connection, its newline at offset [n] *)
+  List.iter
+    (fun n ->
+      let fd, ic = connect () in
+      let l = commit n in
+      send fd (l ^ "\n");
+      expect_replies (Printf.sprintf "newline at %d" n) ic [ l ];
+      Unix.close fd)
+    [ 65535; 65536; 65537; (2 * 65536) - 1; (2 * 65536) + 1 ];
+  (* the second line starts one byte into the second block *)
+  let fd, ic = connect () in
+  let a = commit 65536 and b = commit 70000 in
+  send fd (a ^ "\n" ^ b ^ "\n");
+  expect_replies "after a line of 65536 bytes" ic [ a; b ];
+  Unix.close fd;
+  (* one line in pieces, cut around the first block's end and with the
+     newline written alone *)
+  let fd, ic = connect () in
+  let l = commit 100_000 ^ "\n" in
+  ignore
+    (List.fold_left
+       (fun from cut ->
+         send fd (String.sub l from (cut - from));
+         Unix.sleepf 0.002;
+         cut)
+       0
+       [ 1; 4096; 65535; 65536; 65537; 99_999; 100_000; 100_001 ]);
+  expect_replies "a line in several writes" ic [ String.sub l 0 100_000 ];
+  Unix.close fd;
+  (* the last line of the input has no newline *)
+  let fd, ic = connect () in
+  let l = commit 70000 in
+  send fd l;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  expect_replies "a last line without a newline" ic [ l ];
+  check_bool "then the connection ends" true
+    (match input_line ic with _ -> false | exception End_of_file -> true);
+  Unix.close fd;
+  Server.stop srv
+
 (* Many clients at once over TCP, in the shape of a small served
    workload: 32 client threads each open a session (units 2, seed 42),
    commit a four-call chain pipeline with a why and an impact query after
@@ -1984,6 +2080,8 @@ let () =
            test_tcp_roundtrip;
          Alcotest.test_case "oversized request line" `Quick
            test_tcp_oversized_line;
+         Alcotest.test_case "request lines across block boundaries" `Quick
+           test_tcp_block_boundaries;
          Alcotest.test_case "concurrent TCP clients" `Quick
            test_concurrent_tcp_clients ])
     ]

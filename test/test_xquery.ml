@@ -1,10 +1,12 @@
-(* Tests for the FLWOR engine, the rule→XQuery compiler (§6, Examples 8/9)
-   and the key-join optimizer. *)
+(* Tests for the rule→XQuery compiler (§6, Examples 8/9), the key-join
+   optimizer and the printer, checked through the FLWOR evaluator and
+   parser kept as test oracles in [Weblab_test_support]. *)
 
 open Weblab_xml
 open Weblab_xpath
 open Weblab_relalg
 open Weblab_xquery
+open Weblab_test_support
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -146,10 +148,7 @@ let test_compile_rule_query () =
 
 (* --- optimizer --- *)
 
-let count_fors q =
-  List.length
-    (List.filter (function Xq_ast.For _ -> true | Xq_ast.Let _ | Xq_ast.Filter _ -> false)
-       q.Xq_ast.clauses)
+let count_fors q = List.length (Xq_ast.for_vars q)
 
 let test_optimizer_merges () =
   let q = example9_query () in
@@ -196,56 +195,9 @@ let test_dead_let_elimination () =
       where = [];
       return_cols = [ ("u", Xq_ast.Var_ref "used") ] }
   in
-  let q' = Xq_optimize.eliminate_dead_lets q in
-  check_int "lets" 1
-    (List.length
-       (List.filter (function Xq_ast.Let _ -> true | Xq_ast.For _ | Xq_ast.Filter _ -> false)
-          q'.Xq_ast.clauses))
-
-let test_pushdown_semantics () =
-  let q = example9_query () in
-  let q' = Xq_optimize.push_filters q in
-  (* no residual where: everything became an inline filter *)
-  check_int "where emptied" 0 (List.length q'.Xq_ast.where);
-  check_int "filters materialized" (List.length q.Xq_ast.where)
-    (List.length
-       (List.filter
-          (function Xq_ast.Filter _ -> true | _ -> false)
-          q'.Xq_ast.clauses));
-  let d = doc () in
-  check (Alcotest.list Alcotest.string) "same results"
-    (table_rows (Xq_eval.run d q))
-    (table_rows (Xq_eval.run d q'))
-
-let test_pushdown_placement () =
-  (* The source temporal test must sit before the target for-clauses. *)
-  let q = Xq_optimize.push_filters (example9_query ()) in
-  let rec index i = function
-    | [] -> (-1, -1)
-    | Xq_ast.Filter (Xq_ast.Cmp (Xq_ast.Attr_of ("s2", "t"), _, _)) :: _ ->
-      (i, -2)  (* found filter; find the t1 for below *)
-    | Xq_ast.For ("t1", _) :: _ -> (-2, i)
-    | _ :: rest -> index (i + 1) rest
-  in
-  let filter_pos, _ = index 0 q.Xq_ast.clauses in
-  let rec for_pos i = function
-    | [] -> -1
-    | Xq_ast.For ("t1", _) :: _ -> i
-    | _ :: rest -> for_pos (i + 1) rest
-  in
-  let t1_pos = for_pos 0 q.Xq_ast.clauses in
-  check_bool "temporal filter before target block" true
-    (filter_pos >= 0 && t1_pos >= 0 && filter_pos < t1_pos)
-
-let test_full_optimize_pipeline () =
-  let q = example9_query () in
-  let q' = Xq_optimize.optimize q in
-  let d = doc () in
-  check (Alcotest.list Alcotest.string) "merge + pushdown preserve semantics"
-    (table_rows (Xq_eval.run d q))
-    (table_rows (Xq_eval.run d q'));
-  check_int "fors merged" 3 (count_fors q');
-  check_int "where emptied" 0 (List.length q'.Xq_ast.where)
+  (* no key join to merge: only the dead-let sweep applies *)
+  let q' = Xq_optimize.merge_key_joins q in
+  check_int "lets" 1 (List.length (Xq_ast.let_defs q'))
 
 (* --- text parser (round-trips with the printer) --- *)
 
@@ -336,10 +288,7 @@ let () =
           Alcotest.test_case "preserves semantics" `Quick test_optimizer_preserves_semantics;
           Alcotest.test_case "key attrs respected" `Quick test_optimizer_respects_key_attrs;
           Alcotest.test_case "no false merge" `Quick test_optimizer_no_false_merge;
-          Alcotest.test_case "dead lets" `Quick test_dead_let_elimination;
-          Alcotest.test_case "pushdown semantics" `Quick test_pushdown_semantics;
-          Alcotest.test_case "pushdown placement" `Quick test_pushdown_placement;
-          Alcotest.test_case "full pipeline" `Quick test_full_optimize_pipeline ] );
+          Alcotest.test_case "dead lets" `Quick test_dead_let_elimination ] );
       ( "text parser",
         [ Alcotest.test_case "round-trips" `Quick test_parse_examples_roundtrip;
           Alcotest.test_case "literal query" `Quick test_parse_literal_query;
