@@ -23,7 +23,8 @@ let max_sessions_arg =
   Arg.(value & opt int 1024
        & info [ "max-sessions" ] ~docv:"N"
            ~doc:"Admission control: reject $(b,open) beyond $(docv) live \
-                 sessions.")
+                 sessions.  Boot restores every logged session whatever \
+                 $(docv); those count as live.")
 
 let profile_arg =
   Arg.(value & flag

@@ -9,7 +9,8 @@
    3. Request manager: the restored session answers SPARQL and lineage
       queries over the recovered store, exactly as the live one did.
 
-   The run fails unless the restored Turtle equals the live session's.
+   The run fails unless the restored Turtle and commit, failure and link
+   counts equal the live session's.
 
    Run with:  dune exec examples/request_manager.exe *)
 
@@ -28,7 +29,7 @@ let () =
   in
   let dir = Filename.temp_dir "weblab-request-manager" "" in
   let wal_path = Filename.concat dir "exec-2026-07-04.wal" in
-  let same_turtle =
+  let restored_agrees =
     Fun.protect
       ~finally:(fun () ->
         if Sys.file_exists wal_path then Sys.remove wal_path;
@@ -84,10 +85,15 @@ let () =
         (Prov_graph.labeled_resources (Session.graph restored))
     in
     Printf.printf "Longest lineage: %s <- %s\n" uri (String.concat ", " up);
+    let counts s =
+      let st = Session.stats s in
+      (st.Session.st_commits, st.Session.st_failed, st.Session.st_links)
+    in
     String.equal (Session.turtle restored) live_turtle
+    && counts restored = counts live
   in
-  if not same_turtle then begin
-    prerr_endline "restored Turtle differs from the live session's";
+  if not restored_agrees then begin
+    prerr_endline "restored Turtle or counts differ from the live session's";
     exit 1
   end;
-  print_endline "Restored Turtle = live Turtle"
+  print_endline "Restored Turtle and counts = live"

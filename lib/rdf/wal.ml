@@ -11,12 +11,13 @@
           second [len][bytes] datatype field, 3 = bnode)
      'C'  commit marker; payload = expected store size (u32le) after
           applying the batch — a cross-check against lost records
-     'R'  reset: discard all triples logged so far (a compaction's
-          full dump follows)
+     'R'  reset: discard all triples logged so far.  Writers never
+          stage one; replay honours it because logs that older versions
+          compacted at close begin with one
      'M'  metadata, payload "key=value" — informational, replay keeps
           the last value per key
 
-   Durability protocol: writers stage 'T'/'R'/'M' records and make them
+   Durability protocol: writers stage 'T'/'M' records and make them
    visible only under a 'C' marker, fsynced per commit.  Replay applies
    a batch exactly when its 'C' frame (checksum + size cross-check)
    validates; a torn tail — truncated frame, bad checksum, missing
@@ -25,9 +26,9 @@
    no duplicate, no half-applied commit (the qcheck truncation property
    in test_persist.ml pins this).
 
-   Compaction rewrites the whole store as one batch into a fresh file
-   and atomically renames it over the log (tmp + rename), bounding
-   replay time by live size rather than history length.
+   A log is only ever appended to: a session's export store only grows,
+   and its log holds exactly the triples the store gained, so a closed
+   log already is the store's snapshot and nothing rewrites it.
 
    Memory is bounded by [chunk], not by the log: frames are encoded
    straight into one staging buffer that is written out whenever the
@@ -85,7 +86,7 @@ let fsync counter fd =
   Unix.fsync fd;
   T.incr counter
 
-(* Make a created or renamed log's directory entry survive power loss. *)
+(* Make a created log's directory entry survive power loss. *)
 let sync_dir path =
   let fd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
   Fun.protect
@@ -95,28 +96,23 @@ let sync_dir path =
 (* ----- writer ----- *)
 
 (* A writer always starts a fresh log: whatever was at [path] (a closed
-   session's log under the same id, a torn compaction [.tmp]) is
-   truncated, never appended to. *)
-let open_log ~stage path =
+   session's log under the same id) is truncated, never appended to. *)
+let open_writer path =
   let fd =
     Unix.openfile path
       [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_APPEND ]
       0o644
   in
-  { fd; stage = Bytes.create stage; fill = 0 }
-
-let open_writer path =
-  let w = open_log ~stage:4096 path in
   (try sync_dir path
    with e ->
-     Unix.close w.fd;
+     Unix.close fd;
      raise e);
-  w
+  { fd; stage = Bytes.create 4096; fill = 0 }
 
 (* Room for one whole [n]-byte frame.  Past [chunk] bytes the staged
-   frames are written out first, so neither a batch nor a compaction's
-   dump is ever held whole; replay applies a batch only under its
-   marker, so frames written ahead of it are not yet visible. *)
+   frames are written out first, so a batch is never held whole; replay
+   applies a batch only under its marker, so frames written ahead of it
+   are not yet visible. *)
 let reserve w n =
   if w.fill + n > Bytes.length w.stage then begin
     if w.fill + n > chunk && w.fill > 0 then drain w;
@@ -182,10 +178,6 @@ let log_triple w (s, p, o) =
   put_term w p;
   put_term w o;
   end_frame w 'T' len
-
-let log_reset w =
-  begin_frame w 'R' 0;
-  end_frame w 'R' 0
 
 let log_meta w ~key ~value =
   let len = String.length key + 1 + String.length value in
@@ -388,24 +380,3 @@ let replay path =
   T.add c_replayed rp.rp_commits;
   if rp.rp_torn then T.incr c_torn;
   (st, rp)
-
-(* ----- compaction ----- *)
-
-(* Rewrite [store] as a single reset + full-dump commit into a fresh
-   file and atomically rename it over [path].  Metadata is re-logged so
-   it survives compaction.  A [.tmp] left by a crashed compaction is
-   truncated by [open_log]: appending after its torn frame would make
-   the renamed log replay to nothing.  The tmp's own directory entry
-   needs no fsync: the one after the rename covers the log's. *)
-let compact_to path ?(meta = []) store =
-  let tmp = path ^ ".tmp" in
-  let w = open_log ~stage:chunk tmp in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close w.fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      log_reset w;
-      Triple_store.iter store (log_triple w);
-      List.iter (fun (key, value) -> log_meta w ~key ~value) meta;
-      commit w ~store_size:(Triple_store.size store));
-  Unix.rename tmp path;
-  sync_dir path

@@ -1,19 +1,22 @@
 (** Write-ahead log for {!Triple_store}.
 
     Binary framed records ([tag, u32le length, payload, FNV-1a
-    checksum]); triple deltas ('T'), resets ('R') and metadata ('M') are
-    staged and made durable under a commit marker ('C', which carries
-    the expected post-apply store size as a cross-check), fsynced per
-    {!commit}.  {!replay} applies whole validated batches only, so
-    recovery from a torn tail is prefix-consistent at commit
-    granularity: no partial triple, no duplicate, no half-applied
-    commit.
+    checksum]); triple deltas ('T') and metadata ('M') are staged and
+    made durable under a commit marker ('C', which carries the expected
+    post-apply store size as a cross-check), fsynced per {!commit}.
+    {!replay} applies whole validated batches only, so recovery from a
+    torn tail is prefix-consistent at commit granularity: no partial
+    triple, no duplicate, no half-applied commit.
+
+    A log is append-only: the store it records only grows, so the log
+    as last committed is already its snapshot, and nothing rewrites it.
+    Replay still honours reset records ('R'), which logs compacted by
+    older versions begin with.
 
     Memory is bounded by a 64 KiB staging buffer per writer and one
-    64 KiB read buffer per replay, whatever the size of a batch, a
-    compaction dump or the log; only a single record larger than that
-    is held whole.  A created or renamed log's directory is fsynced
-    too. *)
+    64 KiB read buffer per replay, whatever the size of a batch or the
+    log; only a single record larger than that is held whole.  A created
+    log's directory is fsynced too. *)
 
 (** {1 Writer} *)
 
@@ -21,19 +24,14 @@ type writer
 
 val open_writer : string -> writer
 (** Start a fresh log at the path: an existing file is truncated (a
-    closed session's log under a reopened id, a torn compaction
-    leftover), then records are appended.  The directory is fsynced, so
+    closed session's log under a reopened id), then records are
+    appended.  The directory is fsynced, so
     the new log's entry survives power loss. *)
 
 val log_triple : writer -> Term.t * Term.t * Term.t -> unit
 (** Stage a triple.  Not durable until {!commit}; once the stage holds
     64 KiB it is written out ahead of the marker, which replay does not
     apply without its marker. *)
-
-val log_reset : writer -> unit
-(** Stage a reset: replay discards all triples logged before this point.
-    {!compact_to} writes one ahead of its full dump; a live session never
-    needs one, since its export store only grows. *)
 
 val log_meta : writer -> key:string -> value:string -> unit
 (** Stage a metadata record; replay keeps the last value per key. *)
@@ -52,7 +50,7 @@ val close_writer : writer -> unit
 type replay_stats = {
   rp_commits : int;  (** committed batches applied *)
   rp_triples : int;  (** triples applied (post-dedup adds may be fewer) *)
-  rp_resets : int;
+  rp_resets : int;  (** resets applied: only an older compacted log has one *)
   rp_torn : bool;  (** a torn/corrupt tail was dropped *)
   rp_meta : (string * string) list;
       (** last value per key, in key first-sight order *)
@@ -63,12 +61,3 @@ val replay : string -> Triple_store.t * replay_stats
     anything after the last validated commit marker is dropped.  Triples
     are applied as they are read; when any past that marker were, the
     store is rebuilt by reading again up to it. *)
-
-(** {1 Compaction} *)
-
-val compact_to : string -> ?meta:(string * string) list -> Triple_store.t -> unit
-(** Rewrite [store] (plus [meta]) as a single reset + full-dump commit
-    into a temp file and atomically rename it over the path, bounding
-    replay time by live size rather than history length.  The dump is
-    written out 64 KiB at a time, and the directory is fsynced after the
-    rename. *)

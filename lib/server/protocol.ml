@@ -85,9 +85,10 @@ let dec_sid enc =
 
 let wal_file data_dir sid = Filename.concat data_dir (enc_sid sid ^ ".wal")
 
-(* Restore every "*.wal" in the data directory into a read-only session;
-   called once at daemon boot, before the listener accepts.  Returns the
-   restored (id, replay stats) pairs. *)
+(* Restore every "*.wal" in the data directory into a read-only session,
+   whatever the session cap: a log left unrestored would be truncated by
+   the next [open] of its id.  Called once at daemon boot, before the
+   listener accepts.  Returns the restored (id, replay stats) pairs. *)
 let restore_sessions ctx =
   match ctx.data_dir with
   | None -> []
@@ -99,7 +100,8 @@ let restore_sessions ctx =
              let wal_path = Filename.concat dir f in
              let result = ref None in
              (match
-                Registry.add ctx.registry ~id:(Some sid) (fun ~id ->
+                Registry.add ~capped:false ctx.registry ~id:(Some sid)
+                  (fun ~id ->
                     let sess, rp = Session.restore ~id ~wal_path in
                     result := Some rp;
                     sess)

@@ -105,8 +105,10 @@ val wal_file : string -> string -> string
 
 val restore_sessions : ctx -> (string * Weblab_rdf.Wal.replay_stats) list
 (** Replay every ["*.wal"] under the data dir into a read-only session
-    registered under its decoded id; call once at boot, before the
-    listener accepts.  No data dir, or none configured: [[]]. *)
+    registered under its decoded id, past [max_sessions] too (restored
+    sessions count against the cap client opens meet); call once at
+    boot, before the listener accepts.  No data dir, or none configured:
+    [[]]. *)
 
 val write_line : ctx -> string -> Weblab_rdf.Sink.t -> unit
 (** Parse one request line, dispatch it and write its reply into the

@@ -43,12 +43,12 @@ type open_error =
    [Already_open] whether or not a slot is free.  Building the session
    happens outside the lock, so a rejected open does no orchestration
    work and a slow build blocks no other connection. *)
-let add t ~id build =
+let add ?(capped = true) t ~id build =
   let claim =
     Mutex.protect t.lock (fun () ->
         match id with
         | Some id when Hashtbl.mem t.tbl id -> Error (Already_open id)
-        | _ when Hashtbl.length t.tbl >= t.cap ->
+        | _ when capped && Hashtbl.length t.tbl >= t.cap ->
           Error
             (Admission_rejected
                (Printf.sprintf "session limit reached (%d live)" t.cap))

@@ -6,8 +6,8 @@
     per-session mutual exclusion is {!Session.with_lock}, taken after
     the lookup.
 
-    Admission control is a hard cap on live sessions: an [open] beyond
-    [max_sessions] is rejected up front (counted in
+    Admission control is a hard cap on live sessions: a client [open]
+    beyond [max_sessions] is rejected up front (counted in
     [serve.sessions.rejected]) instead of degrading every resident
     session. *)
 
@@ -23,9 +23,17 @@ type open_error =
   | Already_open of string  (** id collision *)
 
 val add :
-  t -> id:string option -> (id:string -> Session.t) -> (Session.t, open_error) result
+  ?capped:bool ->
+  t ->
+  id:string option ->
+  (id:string -> Session.t) ->
+  (Session.t, open_error) result
 (** Duplicate check, admission check and slot claim in one critical
-    section (a duplicate id is [Already_open] even at capacity).  With
+    section (a duplicate id is [Already_open] even at capacity).
+    [~capped:false] skips the admission check: boot restores every
+    persisted session, since each holds acknowledged data that a later
+    [open] of its id would truncate; the sessions it restores still
+    count against the cap that client opens meet.  With
     [~id:None] the registry picks the id in that same section: the next
     ["s<n>"] of a per-registry counter that no slot holds, so it never
     collides with a client-chosen or restored id and is never reused

@@ -336,13 +336,11 @@ let close t =
     ignore
       (Strategy_fused.finalize l.fused ~doc:(Orchestrator.session_doc l.orch)
          ~trace:(Orchestrator.session_trace l.orch));
-    (* Sync whatever the finalize labeled, then compact the log to one
-       reset + dump of the store so replay cost is proportional to live
-       size. *)
+    (* Seal whatever the finalize labeled as the log's last batch.  The
+       log then holds exactly the store's triples: it is the snapshot. *)
     Option.iter
       (fun p ->
         sync_wal t l;
-        Rdf.Wal.compact_to p.p_path ~meta:(meta t l) l.export.x_store;
         Rdf.Wal.close_writer p.pw)
       l.persist
   | Live _ | Restored _ ->

@@ -201,6 +201,7 @@ val stats : t -> stats
 val close : t -> Prov_graph.t
 (** Finalize the engine and return the final graph.  Idempotent;
     further [commit]s return [Session_closed], further queries keep
-    answering over the final graph.  A persisted session syncs its final
-    state and compacts the WAL to one snapshot commit; the file is kept
-    for later {!restore}. *)
+    answering over the final graph.  A persisted session seals its
+    final state as one more commit of the WAL and closes it; the log,
+    which only ever gained the store's triples, is kept as it is for
+    later {!restore}. *)

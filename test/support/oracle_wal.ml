@@ -5,7 +5,9 @@
    growing [Buffer], and replay over the whole file read as one string
    with a [String.sub] per frame and the batch held as a list of decoded
    ops until its commit marker validates.  Kept as the byte-identity
-   oracle for the writer and the result oracle for replay. *)
+   oracle for the writer, the result oracle for replay, and the writer
+   of the compacted logs (a reset, then the dump) that older versions
+   left and replay still reads. *)
 
 open Weblab_rdf
 

@@ -2,8 +2,10 @@
     per frame payload, whole batches and compaction dumps built as one
     string, and replay over the whole file as one string with each batch
     held as a list of decoded ops until its commit marker validates.
-    Kept as the byte-identity oracle for the writer's output and the
-    result oracle for {!Weblab_rdf.Wal.replay}. *)
+    Kept as the byte-identity oracle for the writer's output, the result
+    oracle for {!Weblab_rdf.Wal.replay}, and the writer of the reset
+    frames and compacted logs that older versions wrote and replay still
+    reads. *)
 
 open Weblab_rdf
 
@@ -16,6 +18,8 @@ val create : unit -> t
 val log_triple : t -> Term.t * Term.t * Term.t -> unit
 
 val log_reset : t -> unit
+(** Stage a reset frame ('R'), which replay honours by discarding every
+    triple before it. *)
 
 val log_meta : t -> key:string -> value:string -> unit
 
@@ -28,8 +32,9 @@ val contents : t -> string
     staged-but-uncommitted frames excluded. *)
 
 val compact : ?meta:(string * string) list -> Triple_store.t -> string
-(** The bytes {!Weblab_rdf.Wal.compact_to} writes: one reset, the dump,
-    the metadata and one commit marker. *)
+(** The log an older version's [Wal.compact_to] wrote over a session's
+    log at close: one reset, the dump, the metadata and one commit
+    marker. *)
 
 val decode : string -> Triple_store.t * Wal.replay_stats
 (** Replay a log's bytes: whole validated batches only, a size mismatch

@@ -2,12 +2,13 @@
 
    Three layers:
    - Wal framing: roundtrip, staged-but-uncommitted records dropped,
-     reset, metadata, compaction, and the crash-consistency law — a log
-     truncated at ANY byte length replays to exactly one of the
-     commit-boundary snapshots (prefix consistency at commit
-     granularity), never a partial batch.  The staged writer and the
-     bounded replay agree with the whole-string codec they replaced
-     ({!Oracle_wal}), and their major-heap allocation is bounded.
+     reset (which only logs compacted by older versions hold),
+     metadata, and the crash-consistency law — a log truncated at ANY
+     byte length replays to exactly one of the commit-boundary
+     snapshots (prefix consistency at commit granularity), never a
+     partial batch.  The staged writer and the bounded replay agree
+     with the whole-string codec they replaced ({!Oracle_wal}), and
+     their major-heap allocation is bounded.
    - Store equivalence: qcheck agreement between {!Triple_store} and the
      boxed {!Oracle_store} it replaced — same [find]/[count] on every
      pattern shape, same [query] tables under random BGPs, and
@@ -98,15 +99,20 @@ let test_wal_missing_and_uncommitted () =
   check_int "one commit" 1 rp.Wal.rp_commits;
   check_bool "clean tail" false rp.Wal.rp_torn
 
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* No writer stages a reset any more, so its frame comes from the
+   oracle codec; replay must still honour it. *)
 let test_wal_reset () =
   let path = fresh_wal () in
-  let w = Wal.open_writer path in
-  List.iter (Wal.log_triple w) (batch 0 4);
-  Wal.commit w ~store_size:4;
-  Wal.log_reset w;
-  List.iter (Wal.log_triple w) (batch 1 3);
-  Wal.commit w ~store_size:3;
-  Wal.close_writer w;
+  let o = Oracle_wal.create () in
+  List.iter (Oracle_wal.log_triple o) (batch 0 4);
+  Oracle_wal.commit o ~store_size:4;
+  Oracle_wal.log_reset o;
+  List.iter (Oracle_wal.log_triple o) (batch 1 3);
+  Oracle_wal.commit o ~store_size:3;
+  write_file path (Oracle_wal.contents o);
   let st, rp = Wal.replay path in
   check_int "post-reset size" 3 (Triple_store.size st);
   check_int "resets" 1 rp.Wal.rp_resets;
@@ -114,47 +120,6 @@ let test_wal_reset () =
   List.iter (Triple_store.add expect) (batch 1 3);
   check_string "post-reset bytes" (Turtle.to_ntriples expect)
     (Turtle.to_ntriples st)
-
-let test_wal_compact () =
-  let path = fresh_wal () in
-  let st = Triple_store.create () in
-  let w = Wal.open_writer path in
-  for b = 0 to 9 do
-    List.iter
-      (fun tr ->
-        Triple_store.add st tr;
-        Wal.log_triple w tr)
-      (batch b 10);
-    Wal.commit w ~store_size:(Triple_store.size st)
-  done;
-  Wal.close_writer w;
-  let long = (Unix.stat path).Unix.st_size in
-  Wal.compact_to path ~meta:[ ("backend", "online") ] st;
-  let short = (Unix.stat path).Unix.st_size in
-  check_bool "compaction shrinks history" true (short <= long);
-  let st', rp = Wal.replay path in
-  check_int "one snapshot commit" 1 rp.Wal.rp_commits;
-  check_string "same bytes" (Turtle.to_ntriples st) (Turtle.to_ntriples st');
-  check_string "meta survives" "online" (List.assoc "backend" rp.Wal.rp_meta)
-
-(* A crash mid-compaction leaves a torn [.tmp]; the next compaction
-   must start a fresh file rather than append after the torn frame. *)
-let test_wal_stale_compaction_tmp () =
-  let path = fresh_wal () in
-  let st = Triple_store.create () in
-  List.iter (Triple_store.add st) (batch 0 50);
-  (* Half of a good compaction, as a crash would leave it. *)
-  let good = fresh_wal () in
-  Wal.compact_to good st;
-  let full = In_channel.with_open_bin good In_channel.input_all in
-  Out_channel.with_open_bin (path ^ ".tmp") (fun oc ->
-      Out_channel.output_string oc (String.sub full 0 (String.length full / 2)));
-  Wal.compact_to path st;
-  let st', rp = Wal.replay path in
-  check_int "all 50 triples" 50 (Triple_store.size st');
-  check_bool "not torn" false rp.Wal.rp_torn;
-  check_string "same bytes" (Turtle.to_ntriples st) (Turtle.to_ntriples st');
-  check_bool "no tmp left" false (Sys.file_exists (path ^ ".tmp"))
 
 (* The crash-consistency law, exhaustively at every truncation point:
    replay of any prefix of the file equals one of the commit-boundary
@@ -184,23 +149,28 @@ let test_wal_truncate_every_byte () =
     if not (List.mem got !snapshots) then
       Alcotest.failf "truncation at %d bytes is not a commit prefix" len
   done;
-  (* A compacted log written in several drains of the writer's 64 KiB
-     stage and read back in several buffer refills: one commit, so every
-     cut short of the whole file replays to nothing.  The writer drains
-     before a frame that would take its stage past 64 KiB; the cuts are
-     every byte within 40 of each such drain point and of the end, and
-     each frame's start, header, payload start and checksum.  The file
-     is truncated in place, longest cut first. *)
+  (* One commit of 200 triples with ~1 KB literals, written in several
+     drains of the writer's 64 KiB stage and read back in several buffer
+     refills: every cut short of the whole file replays to nothing.  The
+     writer drains before a frame that would take its stage past 64 KiB;
+     the cuts are every byte within 40 of each such drain point and of
+     the end, and each frame's start, header, payload start and checksum.
+     The file is truncated in place, longest cut first. *)
   let st = Triple_store.create () in
+  let path = fresh_wal () in
+  let w = Wal.open_writer path in
   for i = 0 to 199 do
-    Triple_store.add st
+    let tr =
       ( iri (Printf.sprintf "e:%d" i),
         iri "p:text",
         lit
           (String.make (1000 + (i * 37 mod 101)) (Char.chr (65 + (i mod 26)))) )
+    in
+    Triple_store.add st tr;
+    Wal.log_triple w tr
   done;
-  let path = fresh_wal () in
-  Wal.compact_to path st;
+  Wal.commit w ~store_size:(Triple_store.size st);
+  Wal.close_writer w;
   let full = In_channel.with_open_bin path In_channel.input_all in
   let n = String.length full in
   let cuts = Hashtbl.create 4096 in
@@ -223,7 +193,7 @@ let test_wal_truncate_every_byte () =
     pos := !pos + size
   done;
   window n;
-  check_bool "the dump spans four drains" true (!drains >= 4);
+  check_bool "the commit spans four drains" true (!drains >= 4);
   let whole = Turtle.to_ntriples st in
   Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc full);
   Hashtbl.fold (fun len () acc -> len :: acc) cuts []
@@ -238,7 +208,7 @@ let test_wal_truncate_every_byte () =
          in
          if not ok then
            Alcotest.failf
-             "compacted log cut at %d of %d bytes is not a commit prefix" len n)
+             "one-commit log cut at %d of %d bytes is not a commit prefix" len n)
 
 let test_wal_corrupt_byte () =
   let path = fresh_wal () in
@@ -447,7 +417,6 @@ let gen_wal_term =
 
 type wal_op =
   | Add of Triple_store.triple
-  | Reset
   | Meta of string * string
   | Commit of int  (* added to the store's size: nonzero fails the cross-check *)
 
@@ -456,7 +425,6 @@ let gen_wal_op =
     frequency
       [ ( 12,
           map (fun tr -> Add tr) (triple gen_wal_term gen_wal_term gen_wal_term) );
-        (1, return Reset);
         (2, map2 (fun k v -> Meta (k, v)) gen_wal_string gen_wal_string);
         ( 4,
           map (fun skew -> Commit skew)
@@ -467,12 +435,11 @@ let show_wal_plan (ops, cut, meta) =
     | Term.Iri s | Term.Lit (s, None) | Term.Bnode s -> String.length s
     | Term.Lit (s, Some dt) -> String.length s + String.length dt
   in
-  Printf.sprintf "%d ops [%s], cut %d, %d compaction meta" (List.length ops)
+  Printf.sprintf "%d ops [%s], cut %d, %d old-format meta" (List.length ops)
     (String.concat "; "
        (List.map
           (function
             | Add (s, p, o) -> Printf.sprintf "T%d" (bytes s + bytes p + bytes o)
-            | Reset -> "R"
             | Meta (k, v) ->
               Printf.sprintf "M%d" (String.length k + String.length v)
             | Commit d -> Printf.sprintf "C%+d" d)
@@ -483,14 +450,14 @@ let show_wal_plan (ops, cut, meta) =
 let same_replay (st, rp) (st', rp') =
   Triple_store.triples st = Triple_store.triples st' && rp = rp'
 
-let write_file path data =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
-
+(* Besides the live log, the prop replays the log an older version
+   compacted the final store to at close (one reset, the dump, [meta]
+   and one marker), whole and cut. *)
 let wal_oracle_prop =
   Test.make
     ~name:
       "staged WAL writer = oracle bytes, bounded replay = oracle decode \
-       (live log, any cut of it, compaction)"
+       (live log, any cut of it, old compacted log)"
     ~count:80
     (make ~print:show_wal_plan
        Gen.(
@@ -501,22 +468,18 @@ let wal_oracle_prop =
     (fun (ops, cut, meta) ->
       let path = fresh_wal () in
       let w = Wal.open_writer path and o = Oracle_wal.create () in
-      let model = ref (Triple_store.create ()) in
+      let model = Triple_store.create () in
       List.iter
         (function
           | Add tr ->
-            Triple_store.add !model tr;
+            Triple_store.add model tr;
             Wal.log_triple w tr;
             Oracle_wal.log_triple o tr
-          | Reset ->
-            model := Triple_store.create ();
-            Wal.log_reset w;
-            Oracle_wal.log_reset o
           | Meta (key, value) ->
             Wal.log_meta w ~key ~value;
             Oracle_wal.log_meta o ~key ~value
           | Commit skew ->
-            let store_size = Triple_store.size !model + skew in
+            let store_size = Triple_store.size model + skew in
             Wal.commit w ~store_size;
             Oracle_wal.commit o ~store_size)
         ops;
@@ -536,14 +499,13 @@ let wal_oracle_prop =
       let cut_file = String.sub file 0 (min cut (String.length file)) in
       write_file path cut_file;
       let cut_ok = same_replay (Wal.replay path) (Oracle_wal.decode cut_file) in
-      let compacted = fresh_wal () in
-      Wal.compact_to compacted ~meta !model;
-      let dump = Oracle_wal.compact ~meta !model in
-      let compact_ok =
-        In_channel.with_open_bin compacted In_channel.input_all = dump
-        && same_replay (Wal.replay compacted) (Oracle_wal.decode dump)
+      let old = Oracle_wal.compact ~meta model in
+      let old_cut = String.sub old 0 (cut mod (String.length old + 1)) in
+      let replays data =
+        write_file path data;
+        same_replay (Wal.replay path) (Oracle_wal.decode data)
       in
-      bytes_ok && live_ok && cut_ok && compact_ok)
+      bytes_ok && live_ok && cut_ok && replays old && replays old_cut)
 
 (* ===== warm restart through the protocol ===== *)
 
@@ -704,21 +666,73 @@ let test_lineage_after_restart () =
       Alcotest.(check (list string)) ("impact " ^ uri) impact impact')
     live (answers ctx2)
 
-let test_protocol_close_compacts () =
+(* Close seals the log it has: the bytes the open and the commits wrote
+   stay as they are, the close's batch follows them, and a restart
+   serves the Turtle and counters the close returned.  Every cut inside
+   that last batch replays to the store as it stood before close. *)
+let test_protocol_close_seals () =
   let dir = fresh_dir () in
   let ctx1 = Protocol.make_ctx ~data_dir:dir () in
   populate ctx1 "closed";
-  let served = turtle_of ctx1 "closed" in
-  ignore
-    (expect_ok "close"
-       (rpc ctx1 [ ("verb", J.Str "close"); ("session", J.Str "closed") ]));
-  (* Close compacts the log to one snapshot commit; restore still serves
-     the same bytes. *)
-  let _, rp = Wal.replay (Protocol.wal_file dir "closed") in
-  check_int "compacted" 1 rp.Wal.rp_commits;
+  let path = Protocol.wal_file dir "closed" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let before = read () in
+  let open_store, _ = Wal.replay path in
+  let closed =
+    expect_ok "close"
+      (rpc ctx1
+         [ ("verb", J.Str "close"); ("session", J.Str "closed");
+           ("turtle", J.Bool true) ])
+  in
+  let after = read () in
+  check_bool "close appends" true (String.starts_with ~prefix:before after);
+  let _, rp = Wal.replay path in
+  check_int "open, two commits and close" 4 rp.Wal.rp_commits;
+  check_int "no reset" 0 rp.Wal.rp_resets;
   let ctx2 = Protocol.make_ctx ~data_dir:dir () in
   ignore (Protocol.restore_sessions ctx2);
-  check_string "restored after close" served (turtle_of ctx2 "closed")
+  check_string "restored after close" (get_str "close" "turtle" closed)
+    (turtle_of ctx2 "closed");
+  let stats =
+    expect_ok "stats"
+      (rpc ctx2 [ ("verb", J.Str "stats"); ("session", J.Str "closed") ])
+  in
+  List.iter
+    (fun k -> check_int k (get_int "close" k closed) (get_int "stats" k stats))
+    [ "commits"; "failed"; "links" ];
+  let cut = fresh_wal () and whole = Turtle.to_ntriples open_store in
+  for len = String.length before to String.length after - 1 do
+    write_file cut (String.sub after 0 len);
+    let st, rp = Wal.replay cut in
+    if rp.Wal.rp_commits <> 3 || Turtle.to_ntriples st <> whole then
+      Alcotest.failf "close's batch cut at %d of %d bytes is not the open log"
+        len (String.length after)
+  done
+
+(* A log an older version compacted at close (one reset, the dump, the
+   metadata and one marker) restores with the same Turtle and metadata
+   as the log this version seals. *)
+let test_old_compacted_log_restores () =
+  let dir = fresh_dir () in
+  let ctx1 = Protocol.make_ctx ~data_dir:dir () in
+  populate ctx1 "old";
+  ignore
+    (expect_ok "close"
+       (rpc ctx1 [ ("verb", J.Str "close"); ("session", J.Str "old") ]));
+  let path = Protocol.wal_file dir "old" in
+  let restore () =
+    let ctx = Protocol.make_ctx ~data_dir:dir () in
+    let rp = List.assoc "old" (Protocol.restore_sessions ctx) in
+    (turtle_of ctx "old", rp)
+  in
+  let sealed, rp = restore () in
+  let store, _ = Wal.replay path in
+  write_file path (Oracle_wal.compact ~meta:rp.Wal.rp_meta store);
+  let compacted, rp' = restore () in
+  check_int "one snapshot commit" 1 rp'.Wal.rp_commits;
+  check_int "one reset" 1 rp'.Wal.rp_resets;
+  check_string "same Turtle" sealed compacted;
+  check_bool "same metadata" true (rp.Wal.rp_meta = rp'.Wal.rp_meta)
 
 (* Reopening a closed id starts a fresh log: a restart serves the
    reopened session, not the closed one's history with it appended. *)
@@ -753,9 +767,9 @@ let test_reopened_id_restores_fresh () =
   check_string "the reopened session's Turtle" served (turtle_of ctx2 "a")
 
 (* A log's directory entry is made durable where it appears: once when
-   a persisted session opens (the log is created) and once when it
-   closes (the compacted log is renamed over it).  An unpersisted
-   session's open and close touch no directory. *)
+   a persisted session opens and creates its log.  Close appends to
+   that log and touches no directory; an unpersisted session's open and
+   close touch none either. *)
 let test_dir_fsyncs () =
   let module T = Weblab_obs.Telemetry in
   T.set_level T.Counters;
@@ -787,12 +801,12 @@ let test_dir_fsyncs () =
       step "commit" 1 (fun () ->
           call "a"
             [ ("verb", J.Str "commit"); ("service", J.Str "Normaliser") ]);
-      step "persisted close" 2 (fun () -> call "a" [ ("verb", J.Str "close") ]);
-      step "unpersisted close" 2 (fun () ->
+      step "persisted close" 1 (fun () -> call "a" [ ("verb", J.Str "close") ]);
+      step "unpersisted close" 1 (fun () ->
           call "b" [ ("verb", J.Str "close") ]);
-      step "second persisted open" 3 (fun () ->
+      step "second persisted open" 2 (fun () ->
           call "c" [ ("verb", J.Str "open"); ("units", J.Int 1) ]);
-      step "second persisted close" 4 (fun () ->
+      step "second persisted close" 2 (fun () ->
           call "c" [ ("verb", J.Str "close") ]))
 
 let test_protocol_persist_opt_out () =
@@ -829,6 +843,47 @@ let test_restored_survive_another_restart () =
   let ctx3 = Protocol.make_ctx ~data_dir:dir () in
   ignore (Protocol.restore_sessions ctx3);
   check_string "third boot still serves" served (turtle_of ctx3 "twice")
+
+(* Boot restores every log, whatever the session cap: each holds
+   acknowledged commits, and an [open] of an unrestored id would
+   truncate its log.  The cap still meets client opens, and a stray
+   file beside the logs is not one. *)
+let test_restore_ignores_cap () =
+  let dir = fresh_dir () in
+  let ctx1 = Protocol.make_ctx ~data_dir:dir () in
+  let served =
+    List.map
+      (fun sid ->
+        ignore
+          (expect_ok "open"
+             (rpc ctx1
+                [ ("verb", J.Str "open"); ("session", J.Str sid);
+                  ("units", J.Int 2); ("seed", J.Int 5) ]));
+        ignore
+          (expect_ok "commit"
+             (rpc ctx1
+                [ ("verb", J.Str "commit"); ("session", J.Str sid);
+                  ("service", J.Str "Normaliser") ]));
+        (sid, turtle_of ctx1 sid))
+      [ "a"; "b" ]
+  in
+  write_file (Protocol.wal_file dir "b" ^ ".tmp") "a torn leftover";
+  let ctx2 = Protocol.make_ctx ~max_sessions:1 ~data_dir:dir () in
+  let restored = Protocol.restore_sessions ctx2 in
+  check_int "both logs restored" 2 (List.length restored);
+  List.iter
+    (fun (sid, turtle) ->
+      check_string (sid ^ ": serves its Turtle") turtle (turtle_of ctx2 sid);
+      ignore
+        (expect_err (sid ^ ": reopen") "already_open"
+           (rpc ctx2
+              [ ("verb", J.Str "open"); ("session", J.Str sid);
+                ("units", J.Int 2) ])))
+    served;
+  ignore
+    (expect_err "a new open past the cap" "admission_rejected"
+       (rpc ctx2
+          [ ("verb", J.Str "open"); ("session", J.Str "c"); ("units", J.Int 2) ]))
 
 (* A WAL written under another backend name — one the daemon no longer
    registers, or one it no longer serves — still restores: a restored
@@ -1253,18 +1308,6 @@ let distinct_store n =
 
 let bound = 256 * 1024
 
-let test_compaction_allocation () =
-  List.iter
-    (fun n ->
-      let st = distinct_store n in
-      let path = fresh_wal () in
-      let bytes = major_direct_bytes (fun () -> Wal.compact_to path st) in
-      if bytes > bound then
-        Alcotest.failf
-          "compacting %d triples allocated %d bytes in the major heap"
-          n bytes)
-    [ 5_000; 50_000 ]
-
 let test_commit_allocation () =
   let w = Wal.open_writer (fresh_wal ()) in
   (* PROV-shaped triples of about 130 bytes: a batch of 40 is well over
@@ -1288,7 +1331,10 @@ let test_commit_allocation () =
 let test_replay_allocation () =
   let st = distinct_store 50_000 in
   let path = fresh_wal () in
-  Wal.compact_to path st;
+  let w = Wal.open_writer path in
+  Triple_store.iter st (Wal.log_triple w);
+  Wal.commit w ~store_size:(Triple_store.size st);
+  Wal.close_writer w;
   let adds =
     major_direct_bytes (fun () ->
         let fresh = Triple_store.create () in
@@ -1311,9 +1357,6 @@ let () =
           Alcotest.test_case "missing / uncommitted" `Quick
             test_wal_missing_and_uncommitted;
           Alcotest.test_case "reset" `Quick test_wal_reset;
-          Alcotest.test_case "compaction" `Quick test_wal_compact;
-          Alcotest.test_case "stale compaction tmp" `Quick
-            test_wal_stale_compaction_tmp;
           Alcotest.test_case "truncate every byte" `Quick
             test_wal_truncate_every_byte;
           Alcotest.test_case "corrupt byte" `Quick test_wal_corrupt_byte;
@@ -1335,8 +1378,9 @@ let () =
             test_protocol_warm_restart;
           Alcotest.test_case "lineage after restart" `Quick
             test_lineage_after_restart;
-          Alcotest.test_case "close compacts" `Quick
-            test_protocol_close_compacts;
+          Alcotest.test_case "close seals" `Quick test_protocol_close_seals;
+          Alcotest.test_case "old compacted log restores" `Quick
+            test_old_compacted_log_restores;
           Alcotest.test_case "reopened id restores fresh" `Quick
             test_reopened_id_restores_fresh;
           Alcotest.test_case "persist opt-out" `Quick
@@ -1346,11 +1390,11 @@ let () =
           Alcotest.test_case "restart twice" `Quick
             test_restored_survive_another_restart;
           Alcotest.test_case "retired backend name restores" `Quick
-            test_retired_backend_restores ] );
+            test_retired_backend_restores;
+          Alcotest.test_case "boot restores past the session cap" `Quick
+            test_restore_ignores_cap ] );
       ( "allocation",
-        [ Alcotest.test_case "compaction stays within 256 KiB" `Quick
-            test_compaction_allocation;
-          Alcotest.test_case "a commit allocates no major block" `Quick
+        [ Alcotest.test_case "a commit allocates no major block" `Quick
             test_commit_allocation;
           Alcotest.test_case "replay stays within 256 KiB of the adds" `Quick
             test_replay_allocation ] );
